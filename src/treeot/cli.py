@@ -12,8 +12,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -76,20 +76,29 @@ def _config_of(args) -> RunConfig:
     )
 
 
-def _read_tree(path: str) -> ScenarioTree:
+@contextlib.contextmanager
+def _reading(what: str, path: str):
+    """Report a failed read or parse of input ``path`` as a ValidationError."""
     try:
-        with open(path, "rb") as fh:
-            return load_tree(fh.read())
+        yield
     except OSError as exc:
-        raise ValidationError(f"cannot read tree file {path!r}: {exc}") from None
+        raise ValidationError(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"malformed {what} {path!r}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"malformed {what} {path!r}: {exc}") from None
 
 
-def _threads() -> int:
-    raw = os.environ.get("TREEOT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"TREEOT_THREADS must be an integer, got {raw!r}") from None
+def _read_json(what: str, path: str):
+    with _reading(what, path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read_tree(path: str) -> ScenarioTree:
+    with _reading("tree file", path), open(path, "rb") as fh:
+        return load_tree(fh.read())
 
 
 def _parse_separable_cost(spec) -> bary.SeparableCost:
@@ -134,12 +143,6 @@ def _parse_power_spec(spec: str, n: int) -> list[bary.SeparableCost]:
     else:
         weights = [1.0] * n
     return [bary.PowerCost(weight=w, exponent=p) for w in weights]
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(repr(obj))
-    return obj
 
 
 def _emit(report: dict, args) -> None:
@@ -205,7 +208,7 @@ def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
 def _cmd_awdist(args) -> dict:
     t1, t2 = _read_tree(args.trees[0]), _read_tree(args.trees[1])
     cost = costs_mod.lp_sum(args.p)
-    res = mc.mc_dpp([t1, t2], cost, tuple_budget=args.budget, threads=_threads())
+    res = mc.mc_dpp([t1, t2], cost, tuple_budget=args.budget)
     value = float(max(res.value, 0.0) ** (1.0 / args.p))
     lp_value, coupling, cert = mc.brute_force_mcot([t1, t2], cost, tuple_budget=args.budget)
     return {
@@ -227,8 +230,9 @@ def _cmd_awdist(args) -> dict:
 
 def _cmd_mcot(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
-    cost = costs_mod.parse_cost_spec(args.cost)
-    res = mc.mc_dpp(trees, cost, tuple_budget=args.budget, threads=_threads())
+    with _reading("cost", args.cost):
+        cost = costs_mod.parse_cost_spec(args.cost)
+    res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
     lp_value, coupling, cert = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
     values = {
         "dpp_value": res.value,
@@ -256,11 +260,11 @@ def _cmd_mcot(args) -> dict:
 
 def _selector_for(args, costs, horizon):
     if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grids = json.load(fh)
-        if len(grids) != horizon:
-            raise ValidationError(f"grid file must list {horizon} per-time grids")
-        return bary.grid_selector(costs, grids, eps=args.eps)
+        grids = _read_json("grid file", args.grid)
+        with _reading("grid file", args.grid):
+            if len(grids) != horizon:
+                raise ValidationError(f"grid file must list {horizon} per-time grids")
+            return bary.grid_selector(costs, grids, eps=args.eps)
     for c in costs:
         if not isinstance(c, bary.PowerCost) or c.exponent != 2.0:
             raise ValidationError(
@@ -359,16 +363,13 @@ def _cmd_bary_anticausal(args) -> dict:
 
 
 def _cmd_match(args) -> dict:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
+    doc = _read_json("matching instance", args.instance)
+    with _reading("matching instance", args.instance):
         principal = ScenarioTree.from_levels(doc["principal"]["tree"]["levels"])
         utility = _parse_separable_cost(doc["principal"]["utility"])
         agents = [ScenarioTree.from_levels(a["tree"]["levels"]) for a in doc["agents"]]
         agent_costs = [_parse_separable_cost(a["cost"]) for a in doc["agents"]]
         tasks = ScenarioTree.from_levels(doc["tasks"]["levels"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed matching instance: missing {exc}") from None
     instance = matching_mod.MatchingInstance(
         principal=principal, utility=utility, agents=agents,
         agent_costs=agent_costs, tasks=tasks,
@@ -410,10 +411,10 @@ def _cmd_match(args) -> dict:
 
 def _cmd_verify_coupling(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
-    with open(args.coupling, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    atoms = [(a["leaves"], float(a["w"])) for a in doc["atoms"]]
-    coupling = mc.coupling_from_id_atoms(trees, atoms)
+    doc = _read_json("coupling file", args.coupling)
+    with _reading("coupling file", args.coupling):
+        atoms = [(a["leaves"], float(a["w"])) for a in doc["atoms"]]
+        coupling = mc.coupling_from_id_atoms(trees, atoms)
     report = mc.verify_multicausal(coupling, trees, tol=args.tol)
     return {
         "schema": SCHEMA,

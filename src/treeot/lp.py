@@ -10,7 +10,8 @@ residual tolerances on returned solutions, not the algorithm:
 
 * primal feasibility  ||Ax - b||_inf <= 1e-9,
 * dual feasibility    min reduced cost >= -1e-9,
-* complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|).
+* complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|), taken
+  per diagonal block when the LP stacks independent problems.
 
 Transport costs are normalised by subtracting their minimum before the
 solve and restoring it afterwards.  This makes the returned plan exactly
@@ -23,10 +24,9 @@ its first atom for marginal blocks 2..N and compensating in block 1.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,14 +43,18 @@ MARGINAL_TOL = 1e-9
 #: refuse dense cost tensors above this entry count
 DENSE_BUDGET = 10_000_000
 
+#: column cap of one block LP in :func:`multimarginal_ot_batch`; a batch
+#: with more columns is split over several LPs (bounds solver memory)
+_BATCH_COLUMNS = 1 << 16
+
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
 
 
-class _Stats(threading.local):
-    """Per-thread LP counters, surfaced in CLI reports."""
+class _Stats:
+    """LP counters, surfaced in CLI reports."""
 
     def __init__(self):
         self.solves = 0
@@ -66,11 +70,17 @@ stats = _Stats()
 
 @dataclass
 class LpProblem:
-    """Equality-form LP: min c.x s.t. A x = b, x >= 0."""
+    """Equality-form LP: min c.x s.t. A x = b, x >= 0.
+
+    ``blocks``, if given, lists the (row slice, column slice) of each
+    independent diagonal block of A; the duality gap is then checked per
+    block against that block's own value.
+    """
 
     c: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
+    blocks: tuple[tuple[slice, slice], ...] | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -149,17 +159,22 @@ def _solve_raw(problem: LpProblem) -> LpSolution:
     primal = _inf_norm(problem.a_eq @ x - problem.b_eq)
     reduced = problem.c - problem.a_eq.T @ y
     dual = max(0.0, float(-(reduced.min()))) if reduced.size else 0.0
-    gap = abs(value - float(problem.b_eq @ y))
-    if primal > PRIMAL_TOL or dual > DUAL_TOL or gap > GAP_TOL * (1 + abs(value)):
-        raise SolverFailureError(
-            "LP solution violates residual tolerances",
-            details={
-                "primal_residual": primal,
-                "dual_residual": dual,
-                "gap": gap,
-                "value": value,
-            },
-        )
+    spans = problem.blocks or ((slice(None), slice(None)),)
+    values = [float(problem.c[cols] @ x[cols]) for _, cols in spans]
+    gaps = [abs(v - float(problem.b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
+    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if g > GAP_TOL * (1 + abs(v))]
+    if primal > PRIMAL_TOL or dual > DUAL_TOL or bad:
+        k = bad[0] if bad else int(np.argmax(gaps))
+        details = {
+            "primal_residual": primal,
+            "dual_residual": dual,
+            "gap": gaps[k],
+            "value": values[k],
+        }
+        if problem.blocks is not None:
+            details["block"] = k
+        raise SolverFailureError("LP solution violates residual tolerances", details=details)
+    gap = max(gaps)
     return LpSolution(
         status="optimal",
         x=x,
@@ -269,19 +284,17 @@ def _as_weights(m) -> np.ndarray:
     return w
 
 
-def _marginal_matrix(shape: Sequence[int]) -> sp.csr_matrix:
-    """Stacked pushforward operators, one row block per axis (C-order vars)."""
-    blocks = []
-    for i in range(len(shape)):
-        mats = [
-            sp.identity(n, format="csr") if j == i else sp.csr_matrix(np.ones((1, n)))
-            for j, n in enumerate(shape)
-        ]
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = sp.kron(acc, m, format="csr")
-        blocks.append(acc)
-    return sp.vstack(blocks, format="csr")
+@functools.lru_cache(maxsize=256)
+def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the stacked pushforward operators, one row
+    block per axis, over C-order variables; all entries are 1."""
+    size = int(np.prod(shape))
+    index = np.unravel_index(np.arange(size), shape)
+    offsets = np.cumsum((0,) + shape[:-1])
+    rows = np.concatenate([ofs + idx for ofs, idx in zip(offsets, index)])
+    cols = np.tile(np.arange(size), len(shape))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -298,35 +311,78 @@ def multimarginal_ot(marginals, cost: np.ndarray, dense_budget: int = DENSE_BUDG
     optimal value, a sparse plan, and one dual potential per marginal
     atom with  sum_i E_{mu_i}[phi_i] = value  within GAP_TOL.
     """
-    weights = [_as_weights(m) for m in marginals]
-    shape = tuple(len(w) for w in weights)
-    if tuple(np.shape(cost)) != shape:
-        raise ValidationError(
-            f"cost tensor shape {tuple(np.shape(cost))} does not match marginal sizes {shape}"
-        )
-    size = int(np.prod(shape))
-    if size > dense_budget:
-        raise BudgetExceededError(
-            f"dense cost tensor has {size} entries > budget {dense_budget}"
-        )
-    cost = np.asarray(cost, dtype=float)
-    shift = float(cost.min())
+    return multimarginal_ot_batch([(marginals, cost)], dense_budget)[0]
+
+
+def multimarginal_ot_batch(problems, dense_budget: int = DENSE_BUDGET) -> list[MultimarginalResult]:
+    """:func:`multimarginal_ot` for each ``(marginals, cost)`` pair.
+
+    The problems become the diagonal blocks of one LP, or of several when
+    their columns exceed ``_BATCH_COLUMNS``.  Each block keeps every check
+    of a separate solve: its own cost shift, its own duality gap.
+    """
+    blocks = []
+    for marginals, cost in problems:
+        weights = [_as_weights(m) for m in marginals]
+        shape = tuple(len(w) for w in weights)
+        if tuple(np.shape(cost)) != shape:
+            raise ValidationError(
+                f"cost tensor shape {tuple(np.shape(cost))} does not match marginal sizes {shape}"
+            )
+        size = int(np.prod(shape))
+        if size > dense_budget:
+            raise BudgetExceededError(
+                f"dense cost tensor has {size} entries > budget {dense_budget}"
+            )
+        cost = np.asarray(cost, dtype=float)
+        shift = float(cost.min())
+        blocks.append((weights, shape, (cost - shift).ravel(), shift))
+    chunks, columns = [[]], 0
+    for block in blocks:
+        size = block[2].size  # the block's shifted cost vector
+        if columns and columns + size > _BATCH_COLUMNS:
+            chunks.append([])
+            columns = 0
+        chunks[-1].append(block)
+        columns += size
+    return [res for chunk in chunks if chunk for res in _solve_blocks(chunk)]
+
+
+def _solve_blocks(blocks) -> list[MultimarginalResult]:
+    weights, shapes, costs, shifts = zip(*blocks)
+    row_ofs = np.cumsum([0] + [sum(shape) for shape in shapes])
+    col_ofs = np.cumsum([0] + [c.size for c in costs])
+    patterns = [_marginal_pattern(shape) for shape in shapes]
+    rows = np.concatenate([r + ofs for (r, _), ofs in zip(patterns, row_ofs)])
+    cols = np.concatenate([c + ofs for (_, c), ofs in zip(patterns, col_ofs)])
+    spans = tuple(
+        (slice(r0, r1), slice(c0, c1))
+        for r0, r1, c0, c1 in zip(row_ofs, row_ofs[1:], col_ofs, col_ofs[1:])
+    )
     problem = LpProblem(
-        c=(cost - shift).ravel(),
-        a_eq=_marginal_matrix(shape),
-        b_eq=np.concatenate(weights),
+        c=np.concatenate(costs),
+        a_eq=sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                           shape=(row_ofs[-1], col_ofs[-1])),
+        b_eq=np.concatenate([w for ws in weights for w in ws]),
+        blocks=spans,
     )
     sol = _solve_optimal(problem, "multimarginal transport")
-    value = sol.value + shift
-    plan = plan_from_dense(sol.x, shape, marginals=weights)
-    potentials = _split_potentials(sol.duals, shape, shift)
-    dual_value = sum(float(p @ w) for p, w in zip(potentials, weights))
-    if abs(value - dual_value) > GAP_TOL * (1 + abs(value)):
-        raise SolverFailureError(
-            "multimarginal duality gap exceeds tolerance",
-            details={"value": value, "dual_value": dual_value},
-        )
-    return MultimarginalResult(value=value, plan=plan, potentials=potentials)
+    out = []
+    for k, (ws, shape, c, shift, (rows, cols)) in enumerate(
+        zip(weights, shapes, costs, shifts, spans)
+    ):
+        x = sol.x[cols]
+        value = float(c @ x) + shift
+        plan = plan_from_dense(x, shape, marginals=ws)
+        potentials = _split_potentials(sol.duals[rows], shape, shift)
+        dual_value = sum(float(p @ w) for p, w in zip(potentials, ws))
+        if abs(value - dual_value) > GAP_TOL * (1 + abs(value)):
+            raise SolverFailureError(
+                "multimarginal duality gap exceeds tolerance",
+                details={"value": value, "dual_value": dual_value, "block": k},
+            )
+        out.append(MultimarginalResult(value=value, plan=plan, potentials=potentials))
+    return out
 
 
 def _split_potentials(duals: np.ndarray, shape, shift: float) -> tuple[np.ndarray, ...]:

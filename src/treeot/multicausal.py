@@ -34,7 +34,6 @@ d is the summed per-time metric.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -48,7 +47,14 @@ from .errors import (
     SolverFailureError,
     ValidationError,
 )
-from .lp import LpProblem, TransportPlan, _solve_optimal, multimarginal_ot, plan_from_dense
+from .lp import (
+    LpProblem,
+    TransportPlan,
+    _solve_optimal,
+    multimarginal_ot,
+    multimarginal_ot_batch,
+    plan_from_dense,
+)
 from .trees import ProductNodeTuple, ScenarioTree
 
 TUPLE_BUDGET = 1_000_000
@@ -147,13 +153,12 @@ def mc_dpp(
     trees: Sequence[ScenarioTree],
     cost: costs_mod.PathCost,
     tuple_budget: int = TUPLE_BUDGET,
-    threads: int = 1,
 ) -> McotResult:
     """Multicausal transport value by backward dynamic programming.
 
     ``cost`` is evaluated once per leaf-path tuple; enumeration refuses
-    beyond ``tuple_budget`` tuples.  Inner one-step problems at a fixed
-    depth are independent and run on ``threads`` workers when asked.
+    beyond ``tuple_budget`` tuples.  The one-step problems at a fixed
+    depth are independent and are solved together as one block LP.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
@@ -171,29 +176,22 @@ def mc_dpp(
     tables: list[np.ndarray] = [terminal]
     plans: dict[tuple[int, tuple[int, ...]], PolicyPlan] = {}
 
-    def solve_tuple(t, idx, nxt):
-        children = tuple(tr.children(t, k) for tr, k in zip(trees, idx))
-        kernels = [
-            np.array([tr.node(t + 1, j).prob for j in ch])
-            for tr, ch in zip(trees, children)
-        ]
-        sub = nxt[np.ix_(*children)]
-        res = multimarginal_ot(kernels, sub)
-        return idx, res.value, PolicyPlan(children=children, plan=res.plan)
-
     for t in range(horizon - 1, 0, -1):
-        nxt = tables[0]
-        table = np.empty(shape_t(t))
-        work = list(np.ndindex(*table.shape))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda i: solve_tuple(t, i, nxt), work))
-        else:
-            results = [solve_tuple(t, i, nxt) for i in work]
-        for idx, value, plan in results:
-            table[idx] = value
-            plans[(t, idx)] = plan
-        tables.insert(0, table)
+        # per process and node at depth t: its children and their kernel
+        kids = [[tuple(tr.children(t, k)) for k in range(tr.level_size(t))] for tr in trees]
+        kernels = [
+            [np.array([tr.node(t + 1, j).prob for j in ch]) for ch in node_kids]
+            for tr, node_kids in zip(trees, kids)
+        ]
+        work = list(np.ndindex(*shape_t(t)))
+        children = [tuple(node_kids[k] for node_kids, k in zip(kids, idx)) for idx in work]
+        results = multimarginal_ot_batch([
+            ([kern[k] for kern, k in zip(kernels, idx)], tables[0][np.ix_(*ch)])
+            for idx, ch in zip(work, children)
+        ])
+        for idx, ch, res in zip(work, children, results):
+            plans[(t, idx)] = PolicyPlan(children=ch, plan=res.plan)
+        tables.insert(0, np.array([res.value for res in results]).reshape(shape_t(t)))
 
     roots = [np.array([n.prob for n in tr.levels[0]]) for tr in trees]
     res = multimarginal_ot(roots, tables[0])

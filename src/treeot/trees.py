@@ -472,29 +472,3 @@ def chain_tree(values: Iterable[Sequence[float]], prefix: str = "n") -> Scenario
               "p": 1.0, "x": list(x)}]
         )
     return ScenarioTree.from_levels(levels)
-
-
-def tree_from_quantization(
-    dist: DiscreteDistribution, transform, horizon: int, prefix: str = "q"
-) -> ScenarioTree:
-    """One-period fan tree: atoms of ``dist`` mapped through ``transform``.
-
-    ``transform(t, z)`` must return the state vector at depth t for atom z;
-    only depth 1 branches, later steps are deterministic continuations.
-    """
-    levels = [
-        [
-            {"id": f"{prefix}1_{k}", "parent": None, "p": float(w),
-             "x": list(np.atleast_1d(transform(1, z)))}
-            for k, (z, w) in enumerate(zip(dist.support, dist.weights))
-        ]
-    ]
-    for t in range(2, horizon + 1):
-        levels.append(
-            [
-                {"id": f"{prefix}{t}_{k}", "parent": f"{prefix}{t-1}_{k}", "p": 1.0,
-                 "x": list(np.atleast_1d(transform(t, z)))}
-                for k, z in enumerate(dist.support)
-            ]
-        )
-    return ScenarioTree.from_levels(levels)

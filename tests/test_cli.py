@@ -73,6 +73,36 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "case", ["match", "coupling", "grid", "tensor", "atom", "grid-not-list", "leaves-not-list"]
+)
+def test_unreadable_inputs_exit_2_with_one_line(tmp_path, tree_files, capsys, case):
+    _, _, p1, p2 = tree_files
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "atom": {"atoms": [{"leaves": ["x", "y"]}]},
+        "grid-not-list": 5,
+        "leaves-not-list": {"atoms": [{"leaves": 5, "w": 1.0}]},
+    }.get(case)))
+    argv = {
+        "match": ["match", missing],
+        "coupling": ["verify-coupling", missing, "--trees", p1, p2],
+        "grid": ["bary-bc", p1, p2, "--grid", missing],
+        "tensor": ["mcot", p1, p2, "--cost", f"tensor:{missing}"],
+        "atom": ["verify-coupling", str(bad), "--trees", p1, p2],
+        "grid-not-list": ["bary-bc", p1, p2, "--grid", str(bad)],
+        "leaves-not-list": ["verify-coupling", str(bad), "--trees", p1, p2],
+    }[case]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: invalid input:")
+    assert {"atom": "'w'", "grid-not-list": "bad.json",
+            "leaves-not-list": "bad.json"}.get(case, "missing.json") in err
+
+
 def test_budget_exit_code(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     code = run(["mcot", p1, p2, "--budget", "1"])

@@ -26,6 +26,7 @@ from treeot import (
     solve_lp,
     wasserstein_barycenter_fixed_support,
 )
+from treeot.lp import _marginal_pattern
 
 
 def vertex_enumeration_min(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> float:
@@ -203,6 +204,15 @@ def test_multimarginal_budget_refusal_without_allocation():
     cost = np.broadcast_to(0.0, (300, 300, 200))
     with pytest.raises(BudgetExceededError):
         multimarginal_ot(marginals, cost)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2, 2)])
+def test_marginal_pattern_matches_kron_operator(shape):
+    rows, cols = _marginal_pattern(shape)
+    dense = np.zeros((sum(shape), int(np.prod(shape))))
+    dense[rows, cols] = 1.0
+    assert rows.size == len(shape) * dense.shape[1]
+    assert np.array_equal(dense, marginal_matrix_dense(shape))
 
 
 def test_multimarginal_dimension_mismatch():

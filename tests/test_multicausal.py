@@ -22,6 +22,7 @@ import pytest
 from treeot import (
     BudgetExceededError,
     IncompletePolicyError,
+    SolverFailureError,
     ValidationError,
     assemble_coupling,
     aw_distance,
@@ -35,10 +36,12 @@ from treeot import (
     verify_multicausal,
 )
 from treeot import costs as cm
+from treeot import lp as lp_mod
+from treeot.cli import run
 from treeot.multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan
 from treeot.lp import TransportPlan
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
-from treeot.trees import ScenarioTree, chain_tree
+from treeot.trees import ScenarioTree, chain_tree, dump_tree
 
 
 def product_policy(trees) -> KernelPolicy:
@@ -230,6 +233,101 @@ def test_policy_perturbation_strictly_increases_cost():
     plans[(0, ())] = prod.plans[(0, ())]
     perturbed = assemble_coupling(KernelPolicy(trees=(tree, tree), plans=plans))
     assert perturbed.expectation(cost) > res.value + 0.1
+
+
+def _depth_shapes(res, t):
+    return {plan.plan.shape for (depth, _), plan in res.policy.plans.items() if depth == t}
+
+
+@pytest.mark.parametrize("n, horizon, max_branch", [(2, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch):
+    rng = np.random.default_rng(900 + seed)
+    trees = [
+        random_tree(rng, horizon=horizon, dim=1, min_branch=1, max_branch=max_branch)
+        for _ in range(n)
+    ]
+    cost = cm.pairwise_power(2.0)
+    res = mc_dpp(trees, cost)
+    assert any(len(_depth_shapes(res, t)) > 1 for t in range(1, horizon))
+    v_lp, _, _ = brute_force_mcot(trees, cost)
+    assert abs(res.value - v_lp) <= 1e-8 * (1 + abs(v_lp))
+    assert verify_multicausal(assemble_coupling(res.policy), trees).passed
+
+
+@pytest.mark.parametrize("columns", [1, 10])
+def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
+    rng = np.random.default_rng(31)
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=3) for _ in range(2)]
+    cost = cm.pairwise_power(2.0)
+    whole = mc_dpp(trees, cost)
+    monkeypatch.setattr(lp_mod, "_BATCH_COLUMNS", columns)
+    lp_mod.stats.reset()
+    chunked = mc_dpp(trees, cost)
+    assert lp_mod.stats.solves > trees[0].horizon
+    # HiGHS pivots differently on differently stacked blocks, so plans may
+    # differ in the last bit; supports must agree exactly
+    assert chunked.value == pytest.approx(whole.value, rel=1e-12, abs=1e-14)
+    for a, b in zip(whole.value_function.tables, chunked.value_function.tables):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-14)
+    assert chunked.policy.plans.keys() == whole.policy.plans.keys()
+    for key, plan in whole.policy.plans.items():
+        other = chunked.policy.plans[key]
+        assert other.children == plan.children
+        assert other.plan.atoms == plan.plan.atoms
+        np.testing.assert_allclose(other.plan.weights, plan.plan.weights, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_dpp_solves_one_lp_per_depth(horizon):
+    rng = np.random.default_rng(40 + horizon)
+    trees = [random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3)
+             for _ in range(2)]
+    lp_mod.stats.reset()
+    mc_dpp(trees, cm.pairwise_power(2.0))
+    assert lp_mod.stats.solves == horizon
+
+
+def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
+    rng = np.random.default_rng(77)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=3, max_branch=4, prefix=p)
+             for p in "ab"]
+    shape = tuple(len(t.children(1, 0)) for t in trees)
+    real = lp_mod.linprog
+    seen = []
+
+    def linprog(c, A_eq, b_eq, **kwargs):
+        res = real(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+        if seen:
+            return res
+        # mix block 0's plan with its product coupling: still feasible, but
+        # off the optimal face by twice that block's gap tolerance
+        n = int(np.prod(shape))
+        product = np.outer(b_eq[:shape[0]], b_eq[shape[0]:sum(shape)]).ravel()
+        own = float(c[:n] @ res.x[:n])
+        eps = 2e-8 * (1 + own) / (float(c[:n] @ product) - own)
+        x = np.array(res.x)
+        x[:n] = (1 - eps) * x[:n] + eps * product
+        seen.append(float(c @ x) - float(b_eq @ res.eqlin.marginals) < 1e-8 * (1 + c @ x))
+        res.x = x
+        return res
+
+    monkeypatch.setattr(lp_mod, "linprog", linprog)
+    with pytest.raises(SolverFailureError) as exc:
+        mc_dpp(trees, cm.pairwise_power(2.0))
+    assert exc.value.details["block"] == 0
+    assert seen == [True]  # a check over the whole LP would have passed
+
+    paths = []
+    for name, tree in zip("ab", trees):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_tree(tree))
+    seen.clear()
+    capsys.readouterr()
+    assert run(["awdist", *map(str, paths)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "'gap'" in err and "'block': 0" in err
 
 
 # -- assemble_coupling -------------------------------------------------------------
