@@ -66,7 +66,6 @@ from .multicausal import (
 from .trees import (
     DiscreteDistribution,
     NodePath,
-    ProductNodeTuple,
     ScenarioTree,
     conditional_kernel,
     dump_tree,

@@ -33,6 +33,8 @@ import scipy.sparse as sp
 from . import costs as costs_mod
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .lp import (
+    DUALITY_TOL,
+    MARGINAL_TOL,
     LpProblem,
     TransportPlan,
     _solve_optimal,
@@ -40,7 +42,6 @@ from .lp import (
     wasserstein_barycenter_fixed_support,
 )
 from .multicausal import (
-    MARGINAL_TOL,
     TUPLE_BUDGET,
     KernelPolicy,
     McotResult,
@@ -49,8 +50,6 @@ from .multicausal import (
     mc_dpp,
 )
 from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
-
-DUALITY_TOL = 1e-8
 
 
 # -- separable costs ----------------------------------------------------------

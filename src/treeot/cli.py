@@ -185,12 +185,21 @@ def _coupling_json(coupling: mc.MulticausalCoupling) -> list[dict]:
 def _certificate_json(trees, cert: mc.DualCertificate) -> dict:
     potentials = []
     for tree, f in zip(trees, cert.potentials):
-        potentials.append(
-            {leaf: float(v) for leaf, v in zip(tree.leaf_ids(), f)}
-        )
+        potentials.append(dict(zip(tree.leaf_ids(), f.tolist())))
+    keyed = []
+    for i, per_depth in enumerate(cert.coefficients):
+        for t, coef in enumerate(per_depth, start=1):
+            other_ids = [
+                [n.node_id for n in tree.levels[t - 1]]
+                for j, tree in enumerate(trees) if j != i
+            ]
+            child_ids = [n.node_id for n in trees[i].levels[t]]
+            for idx, a in zip(np.ndindex(*coef.shape), coef.ravel().tolist()):
+                others = tuple(ids[k] for ids, k in zip(other_ids, idx))
+                keyed.append(((i + 1, t, others, child_ids[idx[-1]]), a))
     coefficients = [
         {"i": i, "t": t, "others": list(others), "child": child, "a": a}
-        for (i, t, others, child), a in sorted(cert.coefficients.items())
+        for (i, t, others, child), a in sorted(keyed)
     ]
     return {"potentials": potentials, "coefficients": coefficients}
 
@@ -205,26 +214,41 @@ def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
 # -- command implementations ---------------------------------------------------
 
 
+def _certified(trees, res: mc.McotResult, budget: int):
+    """The recursion's coupling and its certificate check, read off the
+    recursion's own cost table; a failed check is a solver failure."""
+    coupling = mc.assemble_coupling(res.policy)
+    check = mc.verify_certificate(
+        trees, res.value_function.tables[-1], res.certificate, coupling, tuple_budget=budget
+    )
+    if (check["min_slack"] < -lp_mod.CAUSALITY_TOL
+            or check["gap"] > lp_mod.DUALITY_TOL * (1 + abs(res.value))):
+        raise SolverFailureError(
+            "dual certificate fails verification",
+            details={"min_slack": check["min_slack"], "gap": check["gap"],
+                     "value": res.value},
+        )
+    return coupling, check
+
+
 def _cmd_awdist(args) -> dict:
-    t1, t2 = _read_tree(args.trees[0]), _read_tree(args.trees[1])
-    cost = costs_mod.lp_sum(args.p)
-    res = mc.mc_dpp([t1, t2], cost, tuple_budget=args.budget)
-    value = float(max(res.value, 0.0) ** (1.0 / args.p))
-    lp_value, coupling, cert = mc.brute_force_mcot([t1, t2], cost, tuple_budget=args.budget)
+    trees = [_read_tree(p) for p in args.trees]
+    res = mc.mc_dpp(trees, costs_mod.lp_sum(args.p), tuple_budget=args.budget)
+    coupling, check = _certified(trees, res, args.budget)
     return {
         "schema": SCHEMA,
         "command": "awdist",
         "values": {
-            "aw_distance": value,
+            "aw_distance": float(max(res.value, 0.0) ** (1.0 / args.p)),
             "p": args.p,
             "dpp_value": res.value,
-            "oracle_value": lp_value,
-            "duality_gap": abs(lp_value - cert.potential_total([t1, t2])),
+            "duality_gap": check["gap"],
         },
         "certificate": {
             "coupling": _coupling_json(coupling),
-            "duals": _certificate_json([t1, t2], cert),
+            "duals": _certificate_json(trees, res.certificate),
         },
+        "verification": {"min_dual_slack": check["min_slack"]},
     }
 
 
@@ -233,29 +257,27 @@ def _cmd_mcot(args) -> dict:
     with _reading("cost", args.cost):
         cost = costs_mod.parse_cost_spec(args.cost)
     res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
-    lp_value, coupling, cert = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
-    values = {
-        "dpp_value": res.value,
-        "duality_gap": abs(lp_value - cert.potential_total(trees)),
-    }
+    coupling, check = _certified(trees, res, args.budget)
+    values = {"dpp_value": res.value, "duality_gap": check["gap"]}
     if args.oracle:
+        lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
         values["oracle_value"] = lp_value
         values["dpp_oracle_gap"] = abs(res.value - lp_value)
-    report = {
+    causality = mc.verify_multicausal(coupling, trees, tol=args.tol)
+    return {
         "schema": SCHEMA,
         "command": "mcot",
         "values": values,
         "certificate": {
             "coupling": _coupling_json(coupling),
-            "duals": _certificate_json(trees, cert),
+            "duals": _certificate_json(trees, res.certificate),
+        },
+        "verification": {
+            "multicausal": causality.passed,
+            "worst_violation": causality.worst_violation,
+            "min_dual_slack": check["min_slack"],
         },
     }
-    check = mc.verify_multicausal(coupling, trees, tol=args.tol)
-    report["verification"] = {
-        "multicausal": check.passed,
-        "worst_violation": check.worst_violation,
-    }
-    return report
 
 
 def _selector_for(args, costs, horizon):
@@ -455,8 +477,16 @@ def _cmd_counterexample(args) -> dict:
 # -- wiring ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other invalid input: exit 2 with
+    a one-line diagnostic, not argparse's usage block."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeot",
         description="Causal, bicausal and multicausal optimal transport on scenario trees.",
     )
@@ -531,12 +561,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    args._t0 = time.perf_counter()
+    t0 = time.perf_counter()
     lp_mod.stats.reset()
     try:
+        args = _build_parser().parse_args(argv)
+        args._t0 = t0
         config = _config_of(args)
-        report = args.fn(args)
+        # non-finite intermediates are caught by explicit checks; numpy's
+        # warnings about them would only break the one-line diagnostic
+        with np.errstate(all="ignore"):
+            report = args.fn(args)
         report["config"] = asdict(config)
         report["config"]["inputs"] = list(config.inputs)
         if args.seed is not None:

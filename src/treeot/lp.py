@@ -25,8 +25,7 @@ its first atom for marginal blocks 2..N and compensating in block 1.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +34,15 @@ from scipy.optimize import linprog
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .trees import DiscreteDistribution
 
+# Solver and verification tolerances are defined here only; other modules
+# import them (the probability-sum tolerances of trees are in trees.py).
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-9
 GAP_TOL = 1e-8
 MARGINAL_TOL = 1e-9
+DUALITY_TOL = 1e-8
+CAUSALITY_TOL = 1e-8
+OPTIMALITY_TOL = 1e-7   # absorbs two LP solves being compared
 
 #: refuse dense cost tensors above this entry count
 DENSE_BUDGET = 10_000_000
@@ -111,30 +115,8 @@ class LpSolution:
     iterations: int = 0
 
 
-def solve_lp(problem: LpProblem, lexicographic: bool = False) -> LpSolution:
-    """Solve an equality-form LP, returning primal values and duals.
-
-    With ``lexicographic`` the optimal face is refined to the vertex that
-    greedily maximises variables in index order (the lexicographically
-    smallest optimal basis); intended for small, degenerate programs.
-    """
-    sol = _solve_raw(problem)
-    if sol.status != "optimal" or not lexicographic:
-        return sol
-    x = _lexicographic_refine(problem, sol)
-    return LpSolution(
-        status="optimal",
-        x=x,
-        duals=sol.duals,
-        value=float(problem.c @ x),
-        primal_residual=_inf_norm(problem.a_eq @ x - problem.b_eq),
-        dual_residual=sol.dual_residual,
-        gap=sol.gap,
-        iterations=sol.iterations,
-    )
-
-
-def _solve_raw(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve an equality-form LP, returning primal values and duals."""
     res = linprog(
         c=problem.c,
         A_eq=problem.a_eq,
@@ -185,28 +167,6 @@ def _solve_raw(problem: LpProblem) -> LpSolution:
         gap=gap,
         iterations=int(getattr(res, "nit", 0) or 0),
     )
-
-
-def _lexicographic_refine(problem: LpProblem, sol: LpSolution) -> np.ndarray:
-    n = problem.c.shape[0]
-    rows = [problem.a_eq, sp.csr_matrix(problem.c.reshape(1, -1))]
-    rhs = [problem.b_eq, np.array([sol.value])]
-    x = np.array(sol.x)
-    for k in range(n):
-        a = sp.vstack(rows, format="csr")
-        b = np.concatenate(rhs)
-        obj = np.zeros(n)
-        obj[k] = -1.0  # maximise x_k on the optimal face
-        res = linprog(c=obj, A_eq=a, b_eq=b, bounds=(0, None), method="highs-ds",
-                      options=dict(_HIGHS_OPTIONS))
-        stats.solves += 1
-        if res.status != 0:
-            break  # keep the last consistent refinement
-        x = np.asarray(res.x, dtype=float)
-        pin = sp.csr_matrix(([1.0], ([0], [k])), shape=(1, n))
-        rows.append(pin)
-        rhs.append(np.array([x[k]]))
-    return x
 
 
 def _inf_norm(v) -> float:

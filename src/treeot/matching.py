@@ -34,12 +34,16 @@ from .barycenters import (
     causal_violation,
 )
 from .errors import BudgetExceededError, ValidationError
-from .lp import LpProblem, TransportPlan, _solve_optimal, plan_from_dense
+from .lp import (
+    MARGINAL_TOL,
+    OPTIMALITY_TOL,
+    LpProblem,
+    TransportPlan,
+    _solve_optimal,
+    plan_from_dense,
+)
 from .multicausal import TUPLE_BUDGET
 from .trees import DiscreteDistribution, ScenarioTree
-
-OPTIMALITY_TOL = 1e-7   # absorbs two LP solves being compared
-MARGINAL_TOL = 1e-9
 
 
 class _NegatedCost:

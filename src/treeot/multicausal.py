@@ -14,6 +14,13 @@ ways, which cross-verify each other:
   Stitching these plans together (:func:`assemble_coupling`) yields an
   optimal multicausal coupling.
 
+  The one-step dual potentials phi_i^{t,A} chain into a
+  :class:`DualCertificate` for the whole problem at no extra solve: the
+  root potentials are the f^i, and the indicator test function of key
+  (i, t, A_{-i}, b) gets coefficient -phi_i^{t,A}(b).  Summing the
+  one-step dual constraints  sum_i phi_i^{t,A}(b_i) <= V(t+1, b)  from the
+  root to the leaves gives  sum_i f^i <= c + F  at every leaf tuple.
+
 * :func:`brute_force_mcot` solves a single LP over all leaf-path tuples.
   Multicausality is a finite set of linear equalities: for every process
   i, conditioning depth t in {1, ..., T-1}, tuple A of nodes at depth t
@@ -24,9 +31,8 @@ ways, which cross-verify each other:
 
   On finite trees the indicator family above spans all martingale-style
   test functions, so these equalities are equivalent to multicausality.
-  The LP duals are returned as a :class:`DualCertificate`: potentials
-  f^i on leaf paths plus coefficients of the indicator test functions,
-  certifying the optimal value from below.
+  The LP duals are returned as a :class:`DualCertificate` of the same
+  form, certifying the optimal value from below.
 
 Adapted Wasserstein distances are the N=2 case with cost d(x,y)^p where
 d is the summed per-time metric.
@@ -34,8 +40,8 @@ d is the summed per-time metric.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,19 +54,18 @@ from .errors import (
     ValidationError,
 )
 from .lp import (
+    CAUSALITY_TOL,
+    DUALITY_TOL,
+    MARGINAL_TOL,
     LpProblem,
     TransportPlan,
     _solve_optimal,
     multimarginal_ot,
     multimarginal_ot_batch,
-    plan_from_dense,
 )
-from .trees import ProductNodeTuple, ScenarioTree
+from .trees import ScenarioTree
 
 TUPLE_BUDGET = 1_000_000
-CAUSALITY_TOL = 1e-8
-MARGINAL_TOL = 1e-9
-DUALITY_TOL = 1e-8
 
 
 def _check_family(trees: Sequence[ScenarioTree]) -> int:
@@ -107,9 +112,6 @@ class ValueFunction:
             idx.append(k)
         return float(self.tables[t][tuple(idx)])
 
-    def at_tuple(self, node_tuple: ProductNodeTuple) -> float:
-        return self.at(node_tuple.time, node_tuple.ids)
-
 
 @dataclass(frozen=True)
 class PolicyPlan:
@@ -147,6 +149,18 @@ class McotResult:
     value: float
     value_function: ValueFunction
     policy: KernelPolicy
+    certificate: DualCertificate
+
+
+def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.PathCost) -> np.ndarray:
+    """``cost`` on every leaf-path tuple, one axis per tree, in leaf order."""
+    leaf_values = [t.all_leaf_values() for t in trees]
+    table = np.empty(tuple(t.n_leaves for t in trees))
+    for idx in np.ndindex(*table.shape):
+        table[idx] = cost(idx, tuple(lv[k] for lv, k in zip(leaf_values, idx)))
+    if not np.all(np.isfinite(table)):
+        raise ValidationError("cost is not finite on every leaf-path tuple")
+    return table
 
 
 def mc_dpp(
@@ -158,23 +172,20 @@ def mc_dpp(
 
     ``cost`` is evaluated once per leaf-path tuple; enumeration refuses
     beyond ``tuple_budget`` tuples.  The one-step problems at a fixed
-    depth are independent and are solved together as one block LP.
+    depth are independent and are solved together as one block LP.  Their
+    dual potentials make up the returned certificate.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
     _guard_budget(trees, tuple_budget, "mc_dpp")
-
-    leaf_values = [t.all_leaf_values() for t in trees]
     shape_t = lambda t: tuple(tr.level_size(t) for tr in trees)
 
-    terminal = np.empty(shape_t(horizon))
-    for idx in np.ndindex(*terminal.shape):
-        terminal[idx] = cost(idx, tuple(lv[k] for lv, k in zip(leaf_values, idx)))
-    if not np.all(np.isfinite(terminal)):
-        raise ValidationError("cost is not finite on every leaf-path tuple")
-
-    tables: list[np.ndarray] = [terminal]
+    tables: list[np.ndarray] = [cost_table(trees, cost)]
     plans: dict[tuple[int, tuple[int, ...]], PolicyPlan] = {}
+    coefficients = [
+        [np.zeros(_coefficient_shape(trees, i, t)) for t in range(1, horizon)]
+        for i in range(len(trees))
+    ]
 
     for t in range(horizon - 1, 0, -1):
         # per process and node at depth t: its children and their kernel
@@ -191,6 +202,8 @@ def mc_dpp(
         ])
         for idx, ch, res in zip(work, children, results):
             plans[(t, idx)] = PolicyPlan(children=ch, plan=res.plan)
+            for i, phi in enumerate(res.potentials):
+                coefficients[i][t - 1][idx[:i] + idx[i + 1:] + (list(ch[i]),)] = -phi
         tables.insert(0, np.array([res.value for res in results]).reshape(shape_t(t)))
 
     roots = [np.array([n.prob for n in tr.levels[0]]) for tr in trees]
@@ -199,10 +212,15 @@ def mc_dpp(
         children=tuple(tuple(range(len(r))) for r in roots), plan=res.plan
     )
     tables.insert(0, np.array(res.value))
+    certificate = DualCertificate(
+        potentials=tuple(phi[_ancestors(tr)[:, 0]] for phi, tr in zip(res.potentials, trees)),
+        coefficients=tuple(tuple(c) for c in coefficients),
+    )
 
     vf = ValueFunction(trees=trees, tables=tuple(tables))
     return McotResult(value=res.value, value_function=vf,
-                      policy=KernelPolicy(trees=trees, plans=plans))
+                      policy=KernelPolicy(trees=trees, plans=plans),
+                      certificate=certificate)
 
 
 # -- couplings ----------------------------------------------------------------
@@ -325,8 +343,11 @@ class CausalityReport:
     witnesses: tuple[Witness, ...]
 
 
-def _ancestor_table(tree: ScenarioTree) -> list[tuple[int, ...]]:
-    return [tree.path_indices(tree.horizon, leaf) for leaf in range(tree.n_leaves)]
+def _ancestors(tree: ScenarioTree) -> np.ndarray:
+    """Node index at each depth (columns 0..T-1 for depths 1..T) of every
+    leaf path (rows)."""
+    paths = [tree.path_indices(tree.horizon, leaf) for leaf in range(tree.n_leaves)]
+    return np.array(paths, dtype=np.intp).reshape(tree.n_leaves, tree.horizon)
 
 
 def verify_multicausal(
@@ -347,7 +368,7 @@ def verify_multicausal(
             raise ValidationError(
                 f"coupling marginal {i + 1} differs from tree law by TV {tv!r}"
             )
-    anc = [_ancestor_table(t) for t in trees]
+    anc = [_ancestors(t).tolist() for t in trees]
 
     joint: list[dict[tuple[int, ...], float]] = [dict() for _ in range(horizon)]
     mixed: dict[tuple[int, int, tuple[int, ...], int], float] = {}
@@ -396,78 +417,87 @@ def verify_multicausal(
 # -- brute-force LP oracle and dual certificates ------------------------------
 
 
+def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[int, ...]:
+    """Axes of process i's coefficients at depth t: the others' node index
+    at depth t, in process order, then process i's node index at t+1."""
+    return tuple(tr.level_size(t) for j, tr in enumerate(trees) if j != i) + (
+        trees[i].level_size(t + 1),
+    )
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     """LP dual bundle for the multicausal problem.
 
-    ``potentials[i]`` lives on leaf paths of tree i.  ``coefficients``
-    maps (process i [1-based], conditioning depth t, others' node ids at
-    t, own child id at t+1) to the coefficient of the corresponding
-    indicator test function; together they induce a martingale-style
-    function F with  sum_i f^i <= c + F  pointwise and  E_pi[F] = 0  for
-    every multicausal coupling pi.
+    ``potentials[i]`` lives on leaf paths of tree i.  ``coefficients[i][t-1]``
+    is an array of shape :func:`_coefficient_shape` ``(trees, i, t)``: its
+    entry at (others' node indices at depth t, own child index b at t+1)
+    is the coefficient of process i's indicator test function with that
+    key.  Together they induce a martingale-style function F with
+    sum_i f^i <= c + F  pointwise and  E_pi[F] = 0  for every multicausal
+    coupling pi.
     """
 
     potentials: tuple[np.ndarray, ...]
-    coefficients: dict[tuple[int, int, tuple[str, ...], str], float]
+    coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def potential_total(self, trees: Sequence[ScenarioTree]) -> float:
         return float(
             sum(f @ t.leaf_law() for f, t in zip(self.potentials, trees))
         )
 
-    def martingale_value(self, trees: Sequence[ScenarioTree], leaf_idx: tuple[int, ...]) -> float:
-        """F evaluated at one leaf-path tuple."""
+    def martingale_values(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
+        """F on every leaf-path tuple, one axis per tree."""
         trees = tuple(trees)
-        paths = [t.path_indices(t.horizon, k) for t, k in zip(trees, leaf_idx)]
-        total = 0.0
+        anc = [_ancestors(t) for t in trees]
+        out = np.zeros(tuple(t.n_leaves for t in trees))
         for i, tree in enumerate(trees):
-            for t in range(1, tree.horizon):
-                level = tuple(p[t - 1] for p in paths)
-                others = tuple(
-                    trees[j].node(t, k).node_id for j, k in enumerate(level) if j != i
-                )
-                own = tree.node(t + 1, paths[i][t]).node_id
-                total += self.coefficients.get((i + 1, t, others, own), 0.0)
-                for b in tree.children(t, level[i]):
-                    coef = self.coefficients.get(
-                        (i + 1, t, others, tree.node(t + 1, b).node_id), 0.0
-                    )
-                    total -= tree.node(t + 1, b).prob * coef
-        return total
+            for t, coef in enumerate(self.coefficients[i], start=1):
+                level = tree.levels[t]
+                parent = np.array([n.parent for n in level], dtype=np.intp)
+                kernel = np.zeros((len(level), tree.level_size(t)))
+                kernel[np.arange(len(level)), parent] = [n.prob for n in level]
+                # each coefficient less the kernel mean over its sibling group
+                centred = coef - (coef @ kernel)[..., parent]
+                index = [a[:, t - 1] for j, a in enumerate(anc) if j != i] + [anc[i][:, t]]
+                out += np.moveaxis(centred[np.ix_(*index)], -1, i)
+        return out
 
-    def slack(self, trees, cost: costs_mod.PathCost, leaf_idx: tuple[int, ...]) -> float:
-        """c + F - (+)f at one tuple; dual feasibility means slack >= -1e-8."""
-        paths = tuple(t.leaf_values(k) for t, k in zip(trees, leaf_idx))
-        fsum = sum(float(f[k]) for f, k in zip(self.potentials, leaf_idx))
-        return float(cost(leaf_idx, paths)) + self.martingale_value(trees, leaf_idx) - fsum
+    def slacks(self, trees: Sequence[ScenarioTree], table: np.ndarray) -> np.ndarray:
+        """c + F - (+)f on every leaf-path tuple, where ``table`` holds c
+        (see :func:`cost_table`); dual feasibility means slack >= -1e-8."""
+        trees = tuple(trees)
+        out = table + self.martingale_values(trees)
+        for i, f in enumerate(self.potentials):
+            out -= f.reshape((-1,) + (1,) * (len(trees) - 1 - i))
+        return out
 
 
 def verify_certificate(
     trees: Sequence[ScenarioTree],
-    cost: costs_mod.PathCost,
+    cost: costs_mod.PathCost | np.ndarray,
     certificate: DualCertificate,
     coupling: MulticausalCoupling | None = None,
     tuple_budget: int = TUPLE_BUDGET,
 ) -> dict:
-    """Re-verify a value from its certificate without re-solving."""
+    """Re-verify a value from its certificate without re-solving.
+
+    ``cost`` is a path cost or its table on the leaf-path tuples (as from
+    :func:`cost_table`), which is then not evaluated again.
+    """
     trees = tuple(trees)
     _guard_budget(trees, tuple_budget, "verify_certificate")
-    min_slack = min(
-        certificate.slack(trees, cost, idx)
-        for idx in itertools.product(*(range(t.n_leaves) for t in trees))
-    )
+    table = cost if isinstance(cost, np.ndarray) else cost_table(trees, cost)
     report = {
         "dual_value": certificate.potential_total(trees),
-        "min_slack": float(min_slack),
+        "min_slack": float(certificate.slacks(trees, table).min()),
     }
     if coupling is not None:
-        report["primal_value"] = coupling.expectation(cost)
+        atoms = tuple(np.array(list(coupling.atoms), dtype=np.intp).reshape(-1, len(trees)).T)
+        weights = np.fromiter(coupling.atoms.values(), dtype=float)
+        report["primal_value"] = float(weights @ table[atoms])
         report["martingale_integral"] = float(
-            sum(
-                w * certificate.martingale_value(trees, idx)
-                for idx, w in coupling.atoms.items()
-            )
+            weights @ certificate.martingale_values(trees)[atoms]
         )
         report["gap"] = abs(report["primal_value"] - report["dual_value"])
     return report
@@ -488,15 +518,10 @@ def brute_force_mcot(
     horizon = _check_family(trees)
     n_tuples = _guard_budget(trees, tuple_budget, "brute_force_mcot")
 
-    leaf_values = [t.all_leaf_values() for t in trees]
-    anc = [_ancestor_table(t) for t in trees]
+    anc = [_ancestors(t).tolist() for t in trees]
     tuples = list(itertools.product(*(range(t.n_leaves) for t in trees)))
 
-    c_vec = np.empty(n_tuples)
-    for col, idx in enumerate(tuples):
-        c_vec[col] = cost(idx, tuple(lv[k] for lv, k in zip(leaf_values, idx)))
-    if not np.all(np.isfinite(c_vec)):
-        raise ValidationError("cost is not finite on every leaf-path tuple")
+    c_vec = cost_table(trees, cost).ravel()
     shift = float(c_vec.min())
     c_vec -= shift
 
@@ -549,18 +574,15 @@ def brute_force_mcot(
         potentials[0] = potentials[0] + pin
     potentials[0] = potentials[0] + shift
 
-    coefficients = {}
+    coefficients = [
+        [np.zeros(_coefficient_shape(trees, i, t)) for t in range(1, horizon)]
+        for i in range(len(trees))
+    ]
     for (i, t, others, b), row in caus_rows.items():
-        other_ids = tuple(
-            trees[j].node(t, k).node_id
-            for j, k in enumerate(others[:i] + (None,) + others[i:])
-            if j != i
-        )
-        coefficients[(i + 1, t, other_ids, trees[i].node(t + 1, b).node_id)] = float(
-            -sol.duals[row]
-        )
+        coefficients[i][t - 1][others + (b,)] = -sol.duals[row]
     certificate = DualCertificate(
-        potentials=tuple(potentials), coefficients=coefficients
+        potentials=tuple(potentials),
+        coefficients=tuple(tuple(c) for c in coefficients),
     )
     dual_value = certificate.potential_total(trees)
     if abs(dual_value - value) > DUALITY_TOL * (1 + abs(value)):

@@ -104,14 +104,6 @@ class DiscreteDistribution:
             )
 
 
-@dataclass(frozen=True)
-class ProductNodeTuple:
-    """One node id per process, all at the same depth t."""
-
-    time: int
-    ids: tuple[str, ...]
-
-
 class ScenarioTree:
     """Immutable finite filtered process.
 
@@ -156,12 +148,17 @@ class ScenarioTree:
                 if not isinstance(node_id, str) or not node_id:
                     raise TreeFormatError(f"level {t}, node #{k}: id must be a nonempty string")
                 p_exact = None
-                if exact and isinstance(p_raw, (Fraction, str)):
-                    p_exact = Fraction(p_raw)
-                    p = float(p_exact)
-                else:
-                    p = float(p_raw)
-                value = np.asarray(x_raw, dtype=float).reshape(-1)
+                try:
+                    if exact and isinstance(p_raw, (Fraction, str)):
+                        p_exact = Fraction(p_raw)
+                        p = float(p_exact)
+                    else:
+                        p = float(p_raw)
+                    value = np.asarray(x_raw, dtype=float).reshape(-1)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise TreeFormatError(
+                        f"level {t}, node {node_id!r}: p and x must be numbers ({exc})"
+                    ) from None
                 if t == 1:
                     if parent_id is not None:
                         raise TreeFormatError(
@@ -169,7 +166,7 @@ class ScenarioTree:
                         )
                     parent = None
                 else:
-                    if parent_id not in prev_ids:
+                    if not isinstance(parent_id, str) or parent_id not in prev_ids:
                         raise TreeFormatError(
                             f"level {t}, node {node_id!r}: unknown parent {parent_id!r}"
                         )
@@ -387,8 +384,8 @@ def load_tree(serialized: bytes | str, exact: bool = False) -> ScenarioTree:
     if not isinstance(doc, dict) or "horizon" not in doc or "levels" not in doc:
         raise TreeFormatError('document must contain "horizon" and "levels"')
     levels = doc["levels"]
-    if not isinstance(levels, list):
-        raise TreeFormatError('"levels" must be a list of levels')
+    if not isinstance(levels, list) or not all(isinstance(lvl, list) for lvl in levels):
+        raise TreeFormatError('"levels" must be a list of levels, each a list of nodes')
     horizon = doc["horizon"]
     if not isinstance(horizon, int) or horizon < 1:
         raise TreeFormatError(f'"horizon" must be a positive integer, got {horizon!r}')

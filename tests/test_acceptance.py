@@ -23,6 +23,7 @@ from treeot import (
     MatchingInstance,
     PowerCost,
     anticausal_barycenter,
+    assemble_coupling,
     aw_distance,
     bc_barycenter,
     bc_bary_value,
@@ -35,10 +36,12 @@ from treeot import (
     phi0_quadratic,
     restrict_coupling,
     solve_matching,
+    verify_certificate,
     verify_equilibrium,
     verify_multicausal,
 )
 from treeot import costs as cm
+from treeot.multicausal import cost_table
 from treeot.barycenters import cubic_pair
 from treeot.randomgen import random_multicausal_coupling, random_tree
 from treeot.trees import ScenarioTree
@@ -86,16 +89,16 @@ def oracle_family():
             for _ in range(n)
         ]
         cost = cm.pairwise_power(2.0) if k % 4 < 2 else cm.lp_sum(1.0)
-        v_dpp = mc_dpp(trees, cost).value
+        dpp = mc_dpp(trees, cost)
         v_lp, coupling, cert = brute_force_mcot(trees, cost)
-        family.append((trees, cost, v_dpp, v_lp, coupling, cert))
+        family.append((trees, cost, dpp, v_lp, coupling, cert))
     return family
 
 
 def test_criterion_1_oracle_equivalence(oracle_family):
     worst = 0.0
-    for _, _, v_dpp, v_lp, _, _ in oracle_family:
-        worst = max(worst, abs(v_dpp - v_lp) / (1.0 + abs(v_lp)))
+    for _, _, dpp, v_lp, _, _ in oracle_family:
+        worst = max(worst, abs(dpp.value - v_lp) / (1.0 + abs(v_lp)))
     _criterion(
         1,
         f"recursion vs LP oracle on {len(oracle_family)} instances, tol 1e-8",
@@ -109,8 +112,9 @@ def test_criterion_2_duality(oracle_family):
     for trees, cost, _, v_lp, coupling, cert in oracle_family:
         gap = abs(cert.potential_total(trees) - v_lp) / (1.0 + abs(v_lp))
         worst_gap = max(worst_gap, gap)
+        slack = cert.slacks(trees, cost_table(trees, cost))
         for idx in coupling.atoms:
-            worst_slack = min(worst_slack, cert.slack(trees, cost, idx))
+            worst_slack = min(worst_slack, slack[idx])
     ok = worst_gap <= 1e-8 and worst_slack >= -1e-8
     _criterion(
         2,
@@ -118,6 +122,25 @@ def test_criterion_2_duality(oracle_family):
         ok,
         f"worst gap {worst_gap:.3e}, min slack {worst_slack:.3e}",
     )
+
+
+def test_dpp_certificate_on_oracle_family(oracle_family):
+    """The recursion's own certificate closes the gap against its assembled
+    coupling, is feasible at every leaf tuple and certifies the oracle's
+    value, with no second solve."""
+    worst_gap, worst_slack, worst_oracle = 0.0, 0.0, 0.0
+    for trees, cost, dpp, v_lp, _, cert in oracle_family:
+        coupling = assemble_coupling(dpp.policy)
+        report = verify_certificate(trees, cost, dpp.certificate, coupling)
+        scale = 1.0 + abs(dpp.value)
+        worst_gap = max(worst_gap, report["gap"] / scale)
+        worst_slack = min(worst_slack, report["min_slack"])
+        worst_oracle = max(
+            worst_oracle, abs(report["dual_value"] - cert.potential_total(trees)) / scale
+        )
+    assert worst_slack >= -1e-8, worst_slack
+    assert worst_gap <= 1e-8, worst_gap
+    assert worst_oracle <= 1e-8, worst_oracle
 
 
 def test_criterion_3_barycenter_equivalence():

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
 from treeot.trees import dump_tree
@@ -45,6 +47,43 @@ def test_mcot_with_oracle_gap(tmp_path, tree_files):
     assert report["values"]["dpp_oracle_gap"] <= 1e-8
     assert report["verification"]["multicausal"] is True
     assert report["certificate"]["duals"]["potentials"]
+
+
+@pytest.mark.parametrize("command", ["awdist", "mcot"])
+def test_default_run_takes_horizon_lps_and_no_oracle(tmp_path, tree_files, command):
+    t1, _, p1, p2 = tree_files
+    code, out = _run_to_file(tmp_path, [command, p1, p2])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["solver"]["lp_solves"] == t1.horizon
+    assert "oracle_value" not in report["values"]
+    assert report["values"]["duality_gap"] <= 1e-8 * (1 + abs(report["values"]["dpp_value"]))
+    assert report["verification"]["min_dual_slack"] >= -1e-8
+    assert report["certificate"]["duals"]["coefficients"]
+
+
+def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch, capsys):
+    _, _, p1, p2 = tree_files
+    real = mc.multimarginal_ot_batch
+
+    def corrupted(problems, *args, **kwargs):
+        results = real(problems, *args, **kwargs)
+        # move process 1's potential by a mean-zero step: every one-step
+        # value and gap stays, but the tight dual constraints at its first
+        # child are now violated
+        res = results[0]
+        weights = np.asarray(problems[0][0][0], dtype=float)
+        step = 1e-3 * ((np.arange(weights.size) == 0) - weights[0])
+        results[0] = replace(res, potentials=(res.potentials[0] + step, *res.potentials[1:]))
+        return results
+
+    monkeypatch.setattr(mc, "multimarginal_ot_batch", corrupted)
+    capsys.readouterr()
+    assert run(["awdist", p1, p2]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: dual certificate")
+    assert "'min_slack'" in err
 
 
 def test_counterexample_command(tmp_path):

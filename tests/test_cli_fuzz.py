@@ -1,0 +1,151 @@
+"""Bounded fuzzing of the CLI contract.
+
+Whatever the command line, tree files and coupling file, a run exits
+with 0, 2, 3 or 4; a failed run says why on exactly one stderr line; and
+a successful run writes a report that a second run reproduces byte for
+byte.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from treeot import ValidationError, load_tree
+from treeot.cli import run
+
+_FLOATS = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.sampled_from([0.0, -0.5, 1e300, float("nan"), float("inf")]),
+)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.text(max_size=3), _FLOATS,
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+
+
+@st.composite
+def tree_doc(draw, prefix):
+    """A tree document: valid by construction, then perhaps damaged."""
+    horizon = draw(st.integers(1, 2))
+    levels, parents, counter = [], [None], 0
+    for _ in range(horizon):
+        level = []
+        for parent in parents:
+            width = draw(st.integers(1, 2))
+            for b in range(width):
+                level.append({
+                    "id": f"{prefix}{counter}",
+                    "parent": parent,
+                    "p": 1.0 / width,
+                    "x": [draw(st.floats(-2.0, 2.0, allow_nan=False))],
+                })
+                counter += 1
+        levels.append(level)
+        parents = [node["id"] for node in level]
+    doc = {"horizon": horizon, "levels": levels}
+    damage = draw(st.sampled_from(["none"] * 4 + ["field", "drop", "doc", "text"]))
+    node = draw(st.sampled_from([n for level in levels for n in level]))
+    if damage == "field":
+        node[draw(st.sampled_from(["id", "parent", "p", "x"]))] = draw(_JUNK)
+    elif damage == "drop":
+        del node[draw(st.sampled_from(["id", "parent", "p", "x"]))]
+    elif damage == "doc":
+        doc[draw(st.sampled_from(["horizon", "levels"]))] = draw(_JUNK)
+    text = json.dumps(doc)
+    if damage == "text":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def product_coupling(trees) -> str:
+    """The independent coupling of two tree files, or junk if one is invalid."""
+    try:
+        a, b = (load_tree(text) for text in trees)
+    except ValidationError:
+        return "{}"
+    atoms = [
+        {"leaves": [x, y], "w": float(p * q)}
+        for x, p in zip(a.leaf_ids(), a.leaf_law())
+        for y, q in zip(b.leaf_ids(), b.leaf_law())
+    ]
+    return json.dumps({"atoms": atoms})
+
+
+@st.composite
+def coupling_doc(draw):
+    leaves = st.lists(st.sampled_from(["a0", "a1", "a2", "b0", "b1", "b2", "zz"]),
+                      min_size=1, max_size=3)
+    atom = st.fixed_dictionaries({"leaves": leaves, "w": _FLOATS})
+    doc = draw(st.one_of(
+        st.fixed_dictionaries({"atoms": st.lists(atom, max_size=4)}),
+        st.fixed_dictionaries({"atoms": _JUNK}),
+        _JUNK,
+    ))
+    return json.dumps(doc)
+
+
+_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--p"), st.sampled_from(["2", "1", "0", "-1", "0.5", "nan", "inf", "x"])),
+        st.tuples(st.just("--cost"), st.sampled_from(
+            ["lp_sum:2", "pairwise_power:1", "lp_sum:x", "tensor:missing.npy", "bogus", ""])),
+        st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "-3", "1000000", "z"])),
+        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "-1", "nan"])),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
+        st.tuples(st.just("--oracle")),
+        st.tuples(st.sampled_from(["--unknown", "extra.json", "--"])),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=50, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["awdist", "mcot", "mcot-oracle", "verify-coupling", "nope"]),
+    trees=st.tuples(tree_doc("a"), tree_doc("b")),
+    coupling=st.one_of(st.none(), coupling_doc()),
+    options=_OPTIONS,
+)
+def test_cli_contract_under_fuzzing(command, trees, coupling, options):
+    if coupling is None:
+        coupling = product_coupling(trees)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, text in zip(("a.json", "b.json", "c.json"), (*trees, coupling)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if command == "verify-coupling":
+            argv = [command, paths[2], "--trees", *paths[:2]]
+        else:
+            argv = [command, *paths[:2]]
+        argv += [token for option in options for token in option]
+        out = os.path.join(tmp, "report")
+
+        def attempt():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run([*argv, "--output", out])
+            # a warning would print to stderr in a plain run
+            return code, err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+
+        code, err = attempt()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code != 0:
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+            return
+        assert err == ""
+        with open(out, "rb") as fh:
+            first = fh.read()
+        assert attempt() == (0, "")
+        with open(out, "rb") as fh:
+            assert fh.read() == first

@@ -70,19 +70,6 @@ def test_solve_lp_single_variable_dual():
     assert sol.duals == pytest.approx([1.0], abs=1e-9)
 
 
-def test_solve_lp_degenerate_lexicographic_tie_break():
-    # min x + y on {x + y = 1}: every point optimal; the lexicographically
-    # smallest basis keeps the first variable basic, so x = (1, 0).
-    problem = LpProblem(
-        c=np.array([1.0, 1.0]),
-        a_eq=sp.csr_matrix(np.array([[1.0, 1.0]])),
-        b_eq=np.array([1.0]),
-    )
-    sol = solve_lp(problem, lexicographic=True)
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
-    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-12)
-
-
 def test_solve_lp_reports_infeasible_and_unbounded():
     infeasible = LpProblem(
         c=np.array([1.0]), a_eq=sp.eye(1), b_eq=np.array([-1.0])

@@ -38,7 +38,7 @@ from treeot import (
 from treeot import costs as cm
 from treeot import lp as lp_mod
 from treeot.cli import run
-from treeot.multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan
+from treeot.multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan, cost_table
 from treeot.lp import TransportPlan
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree
@@ -421,7 +421,7 @@ def test_brute_force_single_period_equals_multimarginal():
     cost = cm.pairwise_power(2.0)
     v, coupling, cert = brute_force_mcot(trees, cost)
     assert v == pytest.approx(mc_dpp(trees, cost).value, abs=1e-10)
-    assert not cert.coefficients  # no causality constraints at T=1
+    assert not any(cert.coefficients)  # no causality constraints at T=1
 
 
 def test_brute_force_identical_trees_metric_cost_zero():
@@ -445,10 +445,71 @@ def test_brute_force_duality_and_certificate(seed):
     # F integrates to zero under any multicausal coupling
     assert abs(report["martingale_integral"]) <= 1e-8
     other = random_multicausal_coupling(rng, trees)
-    integral = sum(
-        w * cert.martingale_value(trees, idx) for idx, w in other.atoms.items()
-    )
+    mart = cert.martingale_values(trees)
+    integral = sum(w * mart[idx] for idx, w in other.atoms.items())
     assert abs(integral) <= 1e-8
+
+
+def _direct_slack(trees, cost, cert, idx):
+    """c + F - (+)f at one leaf tuple, read key by key from the arrays."""
+    paths = [t.path_indices(t.horizon, k) for t, k in zip(trees, idx)]
+    total = cost(idx, tuple(t.leaf_values(k) for t, k in zip(trees, idx)))
+    total -= sum(f[k] for f, k in zip(cert.potentials, idx))
+    for i, tree in enumerate(trees):
+        for t in range(1, tree.horizon):
+            coef = cert.coefficients[i][t - 1]
+            others = tuple(p[t - 1] for j, p in enumerate(paths) if j != i)
+            total += coef[others + (paths[i][t],)]
+            for b in tree.children(t, paths[i][t - 1]):
+                total -= tree.node(t + 1, b).prob * coef[others + (b,)]
+    return total
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slack_tensor_matches_per_tuple_evaluation(seed):
+    rng = np.random.default_rng(500 + seed)
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=2, prefix=p) for p in "abc"]
+    cost = cm.pairwise_power(2.0)
+    table = cost_table(trees, cost)
+    _, _, oracle_cert = brute_force_mcot(trees, cost)
+    for cert in (mc_dpp(trees, cost).certificate, oracle_cert):
+        slack = cert.slacks(trees, table)
+        for idx in itertools.product(*(range(t.n_leaves) for t in trees)):
+            assert slack[idx] == pytest.approx(
+                _direct_slack(trees, cost, cert, idx), abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dpp_certificate_matches_oracle(seed):
+    rng = np.random.default_rng(600 + seed)
+    n = 2 + seed % 2
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=3 if n == 2 else 2)
+             for _ in range(n)]
+    cost = cm.lp_sum(1.0)
+    res = mc_dpp(trees, cost)
+    report = verify_certificate(trees, cost, res.certificate, assemble_coupling(res.policy))
+    v, _, oracle_cert = brute_force_mcot(trees, cost)
+    assert report["min_slack"] >= -1e-8
+    assert report["gap"] <= 1e-8 * (1 + abs(res.value))
+    assert abs(report["martingale_integral"]) <= 1e-8
+    assert report["dual_value"] == pytest.approx(
+        oracle_cert.potential_total(trees), abs=1e-8 * (1 + abs(v))
+    )
+
+
+def test_dpp_certificate_beyond_oracle_size():
+    # two horizon-3 trees of branching 7: 117,649 leaf tuples, no oracle
+    rng = np.random.default_rng(7)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix=p)
+             for p in "ab"]
+    res = mc_dpp(trees, cm.lp_sum(2.0))
+    table = res.value_function.tables[-1]
+    assert table.size == 117_649
+    report = verify_certificate(trees, table, res.certificate, assemble_coupling(res.policy))
+    assert report["min_slack"] >= -1e-8
+    assert report["gap"] <= 1e-8 * (1 + abs(res.value))
+    assert report["dual_value"] == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
 
 
 def test_oracle_equivalence_family():

@@ -98,6 +98,10 @@ def test_load_rejects_bad_child_sum():
         (lambda d: d["levels"][1][0].update(p=0.0), "strictly positive"),
         (lambda d: d["levels"][1][0].update(p=-0.2), "strictly positive"),
         (lambda d: d["levels"][1].append({"id": "a", "parent": "r", "p": 1.0, "x": [0]}), "duplicate|sum"),
+        (lambda d: d["levels"][1][0].update(p=None), "must be numbers"),
+        (lambda d: d["levels"][1][0].update(x="up"), "p and x"),
+        (lambda d: d["levels"][1][0].update(parent=[]), r"unknown parent \["),
+        (lambda d: d["levels"].__setitem__(1, -1), "list of levels"),
     ],
 )
 def test_load_rejects_structural_faults(mutate, message):
