@@ -56,6 +56,7 @@ from .multicausal import (
     assemble_coupling,
     aw_distance,
     brute_force_mcot,
+    causality_operator,
     coupling_from_id_atoms,
     glue,
     mc_dpp,

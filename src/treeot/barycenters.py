@@ -23,7 +23,6 @@ Two distinct mechanisms live here:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,19 +33,24 @@ from . import costs as costs_mod
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .lp import (
     DUALITY_TOL,
-    MARGINAL_TOL,
     LpProblem,
     TransportPlan,
+    _marginal_operator,
     _solve_optimal,
     plan_from_dense,
     wasserstein_barycenter_fixed_support,
 )
 from .multicausal import (
     TUPLE_BUDGET,
+    DualCertificate,
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
+    _ancestors,
+    _child_probs,
+    _coefficient_blocks,
     assemble_coupling,
+    causality_operator,
     mc_dpp,
 )
 from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
@@ -329,10 +333,17 @@ def bc_bary_value(
 
 
 def _cost_matrix(tree_x: ScenarioTree, tree_y: ScenarioTree, cost) -> np.ndarray:
+    """``cost`` on every leaf pair; a cost given as that table is returned
+    as it is, after a shape check."""
+    shape = (tree_x.n_leaves, tree_y.n_leaves)
+    if isinstance(cost, np.ndarray):
+        if cost.shape != shape:
+            raise ValidationError(f"cost table has shape {cost.shape}, expected {shape}")
+        return cost
     fn = _as_path_cost(cost)
     xs = tree_x.all_leaf_values()
     ys = tree_y.all_leaf_values()
-    out = np.empty((len(xs), len(ys)))
+    out = np.empty(shape)
     for a, xp in enumerate(xs):
         for b, yp in enumerate(ys):
             out[a, b] = fn(xp, yp)
@@ -341,41 +352,12 @@ def _cost_matrix(tree_x: ScenarioTree, tree_y: ScenarioTree, cost) -> np.ndarray
     return out
 
 
-def _causality_entries(tree_x: ScenarioTree, tree_y: ScenarioTree):
-    """Rows enforcing: law of x's next step given (x past, y past) is the x kernel.
-
-    Yields, per leaf pair (lx, ly), the +1 row key and the (-p_b, row
-    key) fan; keys are (t, x child index at t+1, y node index at t).
-    """
-    anc_x = [tree_x.path_indices(tree_x.horizon, j) for j in range(tree_x.n_leaves)]
-    anc_y = [tree_y.path_indices(tree_y.horizon, j) for j in range(tree_y.n_leaves)]
-    horizon = tree_x.horizon
-    for lx in range(tree_x.n_leaves):
-        for ly in range(tree_y.n_leaves):
-            entries = []
-            for t in range(1, horizon):
-                b_y = anc_y[ly][t - 1]
-                entries.append(((t, anc_x[lx][t], b_y), 1.0))
-                for b in tree_x.children(t, anc_x[lx][t - 1]):
-                    entries.append(((t, b, b_y), -tree_x.node(t + 1, b).prob))
-            yield (lx, ly), entries
-
-
 def causal_violation(
     tree_x: ScenarioTree, tree_y: ScenarioTree, matrix: np.ndarray
 ) -> float:
     """Worst violation of the causal test functions by a plan matrix."""
-    worst = 0.0
-    sums: dict[tuple[int, int, int], float] = {}
-    for (lx, ly), entries in _causality_entries(tree_x, tree_y):
-        w = float(matrix[lx, ly])
-        if w == 0.0:
-            continue
-        for key, coef in entries:
-            sums[key] = sums.get(key, 0.0) + coef * w
-    if sums:
-        worst = max(abs(v) for v in sums.values())
-    return worst
+    residual = causality_operator((tree_x, tree_y), (0,)) @ np.ravel(matrix)
+    return float(np.abs(residual).max(initial=0.0))
 
 
 def causal_ot(
@@ -400,24 +382,11 @@ def causal_ot(
     cmat = _cost_matrix(tree_x, tree_y, cost)
     shift = float(cmat.min())
 
-    rows, cols, vals = [], [], []
-    caus_rows: dict[tuple[int, int, int], int] = {}
-
-    def caus_row(key):
-        if key not in caus_rows:
-            caus_rows[key] = n_x + n_y + len(caus_rows)
-        return caus_rows[key]
-
-    for (lx, ly), entries in _causality_entries(tree_x, tree_y):
-        col = lx * n_y + ly
-        rows.append(lx); cols.append(col); vals.append(1.0)
-        rows.append(n_x + ly); cols.append(col); vals.append(1.0)
-        for key, coef in entries:
-            rows.append(caus_row(key)); cols.append(col); vals.append(coef)
-
-    n_rows = n_x + n_y + len(caus_rows)
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_x * n_y))
-    b_eq = np.concatenate([tree_x.leaf_law(), tree_y.leaf_law(), np.zeros(len(caus_rows))])
+    a_eq = sp.vstack([
+        _marginal_operator((n_x, n_y)), causality_operator((tree_x, tree_y), (0,))
+    ])
+    b_eq = np.concatenate([tree_x.leaf_law(), tree_y.leaf_law(),
+                           np.zeros(a_eq.shape[0] - n_x - n_y)])
     sol = _solve_optimal(
         LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "causal transport LP"
     )
@@ -427,18 +396,31 @@ def causal_ot(
     return sol.value + shift, plan
 
 
-def _mart_value(tree_x, tree_y, coeffs: dict, lx: int, ly: int) -> float:
-    """Martingale test-function value G(lx, ly) from causality duals."""
-    path_x = tree_x.path_indices(tree_x.horizon, lx)
-    path_y = tree_y.path_indices(tree_y.horizon, ly)
-    total = 0.0
-    for t in range(1, tree_x.horizon):
-        y_id = tree_y.node(t, path_y[t - 1]).node_id
-        total += coeffs.get((t, tree_x.node(t + 1, path_x[t]).node_id, y_id), 0.0)
-        for b in tree_x.children(t, path_x[t - 1]):
-            coef = coeffs.get((t, tree_x.node(t + 1, b).node_id, y_id), 0.0)
-            total -= tree_x.node(t + 1, b).prob * coef
-    return total
+def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coefficients):
+    """(min slack everywhere, worst |slack| on the plan supports) of causal
+    dual bundles, one per population.
+
+    Population i's slack on a leaf pair is  c^i - w^i + G^i - f^i  with
+    c^i = ``tables[i]``, the wage w^i = ``wages[i]`` on the task leaves,
+    f^i = ``potentials[i]`` on the time-1 nodes of ``trees[i]``, and G^i
+    induced by ``coefficients[i]``, the per-depth arrays of process 0 of
+    the pair (trees[i], task_tree) in the :class:`DualCertificate` layout.
+    Dual feasibility keeps every slack above -1e-8; complementary
+    slackness makes it vanish on the support of an optimal plan.
+    """
+    min_slack, worst_support = np.inf, 0.0
+    for tree, table, plan, f, w, coef in zip(
+        trees, tables, plans, potentials, wages, coefficients
+    ):
+        cert = DualCertificate(
+            potentials=(np.asarray(f)[_ancestors(tree)[:, 0]], np.asarray(w)),
+            coefficients=(tuple(coef), ()),
+        )
+        slack = cert.slacks((tree, task_tree), table)
+        support = tuple(np.array(plan.atoms, dtype=np.intp).reshape(-1, 2).T)
+        min_slack = min(min_slack, float(slack.min()))
+        worst_support = max(worst_support, float(np.abs(slack[support]).max(initial=0.0)))
+    return float(min_slack), float(worst_support)
 
 
 # -- causal barycenters ---------------------------------------------------------
@@ -456,7 +438,9 @@ class CausalBarycenterSolution:
         f^i(x_1) - g^i(y) <= c^i(x, y) + G^i(x, y),
 
     with sum_i g^i = 0 exactly on the task support; G^i is induced by
-    ``mart_coefficients[i]`` through the causal test functions.  Setting
+    ``mart_coefficients[i]``, one array per depth t = 1..T-1 in the
+    :class:`DualCertificate` layout of process 0 of the pair (process i,
+    task tree): entry (task node at t, process node at t+1).  Setting
     w^i = -g^i recovers wage-style potentials with f^i <= c^i - w^i + G^i.
     """
 
@@ -467,7 +451,7 @@ class CausalBarycenterSolution:
     plans: tuple[TransportPlan, ...]
     potentials: tuple[np.ndarray, ...]
     task_potentials: tuple[np.ndarray, ...]
-    mart_coefficients: tuple[dict[tuple[int, str, str], float], ...]
+    mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def dual_value(self) -> float:
         return float(
@@ -485,25 +469,12 @@ class CausalBarycenterSolution:
 
     def support_slack(self, costs) -> tuple[float, float]:
         """(min slack everywhere, max |slack| on the plan supports)."""
-        min_slack, worst_support = np.inf, 0.0
-        for i, (tree, plan, cost) in enumerate(zip(self.trees, self.plans, costs)):
-            cmat = _cost_matrix(tree, self.task_tree, cost)
-            dense = np.zeros(cmat.shape)
-            for idx, w in zip(plan.atoms, plan.weights):
-                dense[idx] = w
-            for lx in range(cmat.shape[0]):
-                root = tree.path_indices(tree.horizon, lx)[0]
-                for ly in range(cmat.shape[1]):
-                    slack = (
-                        cmat[lx, ly]
-                        + _mart_value(tree, self.task_tree, self.mart_coefficients[i], lx, ly)
-                        - self.potentials[i][root]
-                        + self.task_potentials[i][ly]
-                    )
-                    min_slack = min(min_slack, slack)
-                    if dense[lx, ly] > 0:
-                        worst_support = max(worst_support, abs(slack))
-        return float(min_slack), float(worst_support)
+        return _slack_extremes(
+            self.trees, self.task_tree,
+            [_cost_matrix(t, self.task_tree, c) for t, c in zip(self.trees, costs)],
+            self.plans, self.potentials, [-g for g in self.task_potentials],
+            self.mart_coefficients,
+        )
 
 
 def causal_barycenter(
@@ -518,7 +489,8 @@ def causal_barycenter(
     One joint LP in (nu, pi^1, ..., pi^N): process marginals are fixed,
     every plan's task marginal equals nu, and each plan satisfies the
     causality equalities of its own process.  Probabilities stored on
-    ``task_tree`` are ignored; only its support structure matters.
+    ``task_tree`` are ignored; only its support structure matters.  Each
+    cost is a path cost or its table on (process leaf, task leaf) pairs.
     ``clear_index`` names the population whose task potential absorbs
     the zero-sum normalisation.
     """
@@ -539,50 +511,28 @@ def causal_barycenter(
     cmats = [_cost_matrix(t, task_tree, c) for t, c in zip(trees, costs)]
     shift = min(float(c.min()) for c in cmats)
 
+    # one row block per population: its marginal, the task marginal linked
+    # to nu, then its causality rows; nu comes first among the variables
+    blocks, rhs, row_ofs = [], [], [0]
+    for i, tree in enumerate(trees):
+        n_x = sizes[i]
+        plan_rows = sp.vstack([
+            _marginal_operator((n_x, n_y)), causality_operator((tree, task_tree), (0,))
+        ])
+        link = sp.csr_matrix((-np.ones(n_y), (n_x + np.arange(n_y), np.arange(n_y))),
+                             shape=(plan_rows.shape[0], n_y))
+        blocks.append([link] + [plan_rows if j == i else None for j in range(len(trees))])
+        rhs += [tree.leaf_law(), np.zeros(plan_rows.shape[0] - n_x)]
+        row_ofs.append(row_ofs[-1] + plan_rows.shape[0])
     offsets = np.cumsum([n_y] + [n * n_y for n in sizes])[:-1]
     n_vars = n_y + sum(n * n_y for n in sizes)
-    rows, cols, vals, rhs = [], [], [], []
-    row_count = 0
-
-    def add(r, c, v):
-        rows.append(r); cols.append(c); vals.append(v)
-
-    xmarg_rows, link_rows, caus_row_maps = [], [], []
-    for i, tree in enumerate(trees):
-        xmarg_rows.append(row_count)
-        row_count += sizes[i]
-        rhs.extend(float(v) for v in tree.leaf_law())
-        link_rows.append(row_count)
-        row_count += n_y
-        rhs.extend([0.0] * n_y)
-        caus_row_maps.append({})
-
-    def caus_row(i, key):
-        nonlocal row_count
-        table = caus_row_maps[i]
-        if key not in table:
-            table[key] = row_count
-            row_count += 1
-            rhs.append(0.0)
-        return table[key]
-
-    for i, tree in enumerate(trees):
-        ofs = offsets[i]
-        for (lx, ly), entries in _causality_entries(tree, task_tree):
-            col = ofs + lx * n_y + ly
-            add(xmarg_rows[i] + lx, col, 1.0)
-            add(link_rows[i] + ly, col, 1.0)
-            for key, coef in entries:
-                add(caus_row(i, key), col, coef)
-        for ly in range(n_y):
-            add(link_rows[i] + ly, ly, -1.0)
 
     c_vec = np.zeros(n_vars)
     for i, cmat in enumerate(cmats):
         c_vec[offsets[i]:offsets[i] + sizes[i] * n_y] = (cmat - shift).ravel()
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(row_count, n_vars))
     sol = _solve_optimal(
-        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.array(rhs)), "causal barycenter LP"
+        LpProblem(c=c_vec, a_eq=sp.bmat(blocks, format="csr"), b_eq=np.concatenate(rhs)),
+        "causal barycenter LP",
     )
     value = sol.value + len(trees) * shift
 
@@ -598,11 +548,8 @@ def causal_barycenter(
         for i in range(len(trees))
     )
 
-    leaf_potentials = [
-        np.array(sol.duals[xmarg_rows[i]:xmarg_rows[i] + sizes[i]])
-        for i in range(len(trees))
-    ]
-    links = [np.array(sol.duals[link_rows[i]:link_rows[i] + n_y]) for i in range(len(trees))]
+    duals = [sol.duals[r0:r1] for r0, r1 in zip(row_ofs, row_ofs[1:])]
+    links = [np.array(d[n:n + n_y]) for d, n in zip(duals, sizes)]
     # zero-sum normalisation: dump the (nonnegative) excess on one population,
     # which keeps every dual row feasible and is exact in float arithmetic
     others_sum = None
@@ -620,29 +567,15 @@ def causal_barycenter(
     # folded into G^i, which leaves every dual slack unchanged
     potentials = []
     mart_coefficients = []
-    for i, tree in enumerate(trees):
-        coeffs = {}
-        for (t, b, b_y), row in caus_row_maps[i].items():
-            coeffs[(t, tree.node(t + 1, b).node_id, task_tree.node(t, b_y).node_id)] = float(
-                -sol.duals[row]
-            )
-        cond = [leaf_potentials[i]]
+    for tree, d, n in zip(trees, duals, sizes):
+        (coeffs,) = _coefficient_blocks((tree, task_tree), (0,), -d[n + n_y:])
+        cond = [np.array(d[:n])]
         for t in range(tree.horizon - 1, 0, -1):
-            layer = np.array(
-                [
-                    sum(tree.node(t + 1, b).prob * cond[0][b] for b in tree.children(t, k))
-                    for k in range(tree.level_size(t))
-                ]
-            )
-            cond.insert(0, layer)
-        for t in range(1, tree.horizon):
-            for b in range(tree.level_size(t + 1)):
-                b_id = tree.node(t + 1, b).node_id
-                for b_y in range(task_tree.level_size(t)):
-                    key = (t, b_id, task_tree.node(t, b_y).node_id)
-                    coeffs[key] = coeffs.get(key, 0.0) - float(cond[t][b])
+            parent = [node.parent for node in tree.levels[t]]
+            weights = _child_probs(tree, t) * cond[0]
+            cond.insert(0, np.bincount(parent, weights=weights, minlength=tree.level_size(t)))
         potentials.append(cond[0] + shift)
-        mart_coefficients.append(coeffs)
+        mart_coefficients.append(tuple(c - cond[t] for t, c in enumerate(coeffs, start=1)))
 
     solution = CausalBarycenterSolution(
         value=value,

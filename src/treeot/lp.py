@@ -257,6 +257,14 @@ def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _marginal_operator(shape: tuple[int, ...]) -> sp.csr_matrix:
+    """:func:`_marginal_pattern` as a matrix: one pushforward row block per
+    axis over the C-order variables of ``shape``."""
+    rows, cols = _marginal_pattern(shape)
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                         shape=(sum(shape), int(np.prod(shape))))
+
+
 @dataclass(frozen=True)
 class MultimarginalResult:
     value: float
@@ -407,29 +415,20 @@ def wasserstein_barycenter_fixed_support(
     n_vars = m + sum(n_plan)
     offsets = np.cumsum([m] + n_plan)[:-1]
 
-    rows, cols, vals, rhs = [], [], [], []
-    row = 0
+    # per measure: row sums equal nu (m rows), then column sums equal mu_i
+    blocks, rhs = [], []
     for i, mu in enumerate(mus):
-        ofs, n_i = offsets[i], len(mu)
-        # row sums equal nu
-        for k in range(m):
-            for j in range(n_i):
-                rows.append(row); cols.append(ofs + k * n_i + j); vals.append(1.0)
-            rows.append(row); cols.append(k); vals.append(-1.0)
-            rhs.append(0.0)
-            row += 1
-        # column sums equal mu_i
-        for j in range(n_i):
-            for k in range(m):
-                rows.append(row); cols.append(ofs + k * n_i + j); vals.append(1.0)
-            rhs.append(float(mu[j]))
-            row += 1
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(row, n_vars))
+        link = sp.csr_matrix((-np.ones(m), (np.arange(m), np.arange(m))),
+                             shape=(m + len(mu), m))
+        blocks.append([link] + [_marginal_operator((m, len(mu))) if j == i else None
+                                for j in range(len(mus))])
+        rhs += [np.zeros(m), mu]
+    a_eq = sp.bmat(blocks, format="csr")
     c_vec = np.zeros(n_vars)
     for i, c in enumerate(mats):
         c_vec[offsets[i]:offsets[i] + n_plan[i]] = (lam[i] * c).ravel()
     sol = _solve_optimal(
-        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.array(rhs)), "barycenter LP"
+        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), "barycenter LP"
     )
     nu = np.where(sol.x[:m] > 0, sol.x[:m], 0.0)
     total = float(nu.sum())

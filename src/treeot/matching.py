@@ -18,18 +18,15 @@ a best response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from .barycenters import (
-    SeparableCost,
     _as_path_cost,
-    _causality_entries,
     _cost_matrix,
-    _mart_value,
+    _slack_extremes,
     causal_barycenter,
     causal_violation,
 )
@@ -39,10 +36,11 @@ from .lp import (
     OPTIMALITY_TOL,
     LpProblem,
     TransportPlan,
+    _marginal_operator,
     _solve_optimal,
     plan_from_dense,
 )
-from .multicausal import TUPLE_BUDGET
+from .multicausal import TUPLE_BUDGET, causality_operator
 from .trees import DiscreteDistribution, ScenarioTree
 
 
@@ -88,6 +86,18 @@ class MatchingInstance:
         """Population costs c^0 = -u, c^1, ..., c^N."""
         return (_NegatedCost(self.utility), *self.agent_costs)
 
+    @cached_property
+    def cost_tables(self) -> tuple[np.ndarray, ...]:
+        """Each population's cost on every (population leaf, task leaf)
+        pair, evaluated once per instance and shared read-only."""
+        tables = tuple(
+            _cost_matrix(tree, self.tasks, cost)
+            for tree, cost in zip(self.populations, self.costs)
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -97,7 +107,9 @@ class Equilibrium:
     negated sum of the agent wages, so clearing holds exactly.
     ``values[i]`` is E_pi[c^i - w^i] under the equilibrium plan.
     ``potentials[i]`` lives on the time-1 nodes of population i (the
-    static part of the dual bundle certifying best-response optimality).
+    static part of the dual bundle certifying best-response optimality);
+    ``mart_coefficients[i]`` are the matching per-depth test-function
+    coefficients, laid out as in :class:`CausalBarycenterSolution`.
     """
 
     instance: MatchingInstance
@@ -106,7 +118,7 @@ class Equilibrium:
     plans: tuple[TransportPlan, ...]
     values: tuple[float, ...]
     potentials: tuple[np.ndarray, ...]
-    mart_coefficients: tuple[dict, ...]
+    mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def wage_table(self) -> dict[str, list[float]]:
         """Wages keyed by the task-path id sequence, listed per population 0..N."""
@@ -138,7 +150,7 @@ def solve_matching(
     solution = causal_barycenter(
         populations,
         instance.tasks,
-        instance.costs,
+        instance.cost_tables,
         clear_index=0,
         tuple_budget=tuple_budget,
     )
@@ -148,9 +160,9 @@ def solve_matching(
     )
     wages = (principal_wage, *agent_wages)
     values = tuple(
-        _plan_expectation(tree, instance.tasks, plan, cost, wage)
-        for tree, plan, cost, wage in zip(
-            populations, solution.plans, instance.costs, wages
+        _plan_expectation(tree, instance.tasks, plan, table, wage)
+        for tree, plan, table, wage in zip(
+            populations, solution.plans, instance.cost_tables, wages
         )
     )
     return Equilibrium(
@@ -191,27 +203,13 @@ def best_response(
     if n_x * n_y > tuple_budget:
         raise BudgetExceededError("best_response: LP exceeds the tuple budget")
 
-    cmat = _cost_matrix(tree, tasks, instance.costs[i]) - wage[None, :]
+    cmat = instance.cost_tables[i] - wage[None, :]
     shift = float(cmat.min())
 
-    rows, cols, vals = [], [], []
-    caus_rows: dict = {}
-
-    def caus_row(key):
-        if key not in caus_rows:
-            caus_rows[key] = n_x + len(caus_rows)
-        return caus_rows[key]
-
-    for (lx, ly), entries in _causality_entries(tree, tasks):
-        col = lx * n_y + ly
-        rows.append(lx); cols.append(col); vals.append(1.0)
-        for key, coef in entries:
-            rows.append(caus_row(key)); cols.append(col); vals.append(coef)
-
-    a_eq = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n_x + len(caus_rows), n_x * n_y)
-    )
-    b_eq = np.concatenate([tree.leaf_law(), np.zeros(len(caus_rows))])
+    a_eq = sp.vstack([
+        _marginal_operator((n_x, n_y))[:n_x], causality_operator((tree, tasks), (0,))
+    ])
+    b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
     sol = _solve_optimal(
         LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "best-response LP"
     )
@@ -261,8 +259,8 @@ def verify_equilibrium(
     worst_tv = 0.0
     worst_causality = 0.0
     gaps = []
-    for i, (tree, plan, cost, wage) in enumerate(
-        zip(instance.populations, equilibrium.plans, instance.costs, wages)
+    for i, (tree, plan, table, wage) in enumerate(
+        zip(instance.populations, equilibrium.plans, instance.cost_tables, wages)
     ):
         task_marginal = plan.pushforward(1)
         worst_tv = max(worst_tv, 0.5 * float(np.abs(task_marginal - nu_w).sum()))
@@ -270,7 +268,7 @@ def verify_equilibrium(
         for idx, w in zip(plan.atoms, plan.weights):
             dense[idx] = w
         worst_causality = max(worst_causality, causal_violation(tree, tasks, dense))
-        achieved = _plan_expectation(tree, tasks, plan, cost, wage)
+        achieved = _plan_expectation(tree, tasks, plan, table, wage)
         best, _ = best_response(instance, i, wage)
         gaps.append(achieved - best)
 
@@ -295,25 +293,8 @@ def complementary_slackness(
     c^i - w^i + G^i - f^i; dual feasibility keeps it above -1e-8 and it
     vanishes on the support of the equilibrium plan.
     """
-    tasks = instance.tasks
-    min_slack, worst_support = np.inf, 0.0
-    for i, (tree, plan, cost) in enumerate(
-        zip(instance.populations, equilibrium.plans, instance.costs)
-    ):
-        cmat = _cost_matrix(tree, tasks, cost)
-        dense = np.zeros(cmat.shape)
-        for idx, w in zip(plan.atoms, plan.weights):
-            dense[idx] = w
-        for lx in range(cmat.shape[0]):
-            root = tree.path_indices(tree.horizon, lx)[0]
-            for ly in range(cmat.shape[1]):
-                slack = (
-                    cmat[lx, ly]
-                    - equilibrium.wages[i][ly]
-                    + _mart_value(tree, tasks, equilibrium.mart_coefficients[i], lx, ly)
-                    - equilibrium.potentials[i][root]
-                )
-                min_slack = min(min_slack, slack)
-                if dense[lx, ly] > 0:
-                    worst_support = max(worst_support, abs(slack))
-    return float(min_slack), float(worst_support)
+    return _slack_extremes(
+        instance.populations, instance.tasks, instance.cost_tables,
+        equilibrium.plans, equilibrium.potentials, equilibrium.wages,
+        equilibrium.mart_coefficients,
+    )

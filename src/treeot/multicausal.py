@@ -39,7 +39,6 @@ d is the summed per-time metric.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,7 +58,9 @@ from .lp import (
     MARGINAL_TOL,
     LpProblem,
     TransportPlan,
+    _marginal_operator,
     _solve_optimal,
+    _split_potentials,
     multimarginal_ot,
     multimarginal_ot_batch,
 )
@@ -357,8 +358,14 @@ def verify_multicausal(
 ) -> CausalityReport:
     """Evaluate the full indicator test-function family against a coupling.
 
-    Passes iff the largest violation is at most ``tol``; violations are
-    reported as witnesses sorted by decreasing magnitude.
+    This is the :func:`causality_operator` of every process applied to the
+    coupling's weights, restricted to its atoms and evaluated in factored
+    form: row (i, t, A_{-i}, b) is the mass with the others at A_{-i} and
+    own node b, less p_b times the mass with own node parent(b).  Only the
+    rows the atoms reach are formed, so memory follows the atoms, not the
+    leaf grid.  Passes iff the largest violation is at most ``tol``;
+    violations above ``tol`` are reported as witnesses sorted by
+    decreasing magnitude, then by process, depth and key.
     """
     trees = tuple(trees) if trees is not None else coupling.trees
     horizon = _check_family(trees)
@@ -368,53 +375,50 @@ def verify_multicausal(
             raise ValidationError(
                 f"coupling marginal {i + 1} differs from tree law by TV {tv!r}"
             )
-    anc = [_ancestors(t).tolist() for t in trees]
-
-    joint: list[dict[tuple[int, ...], float]] = [dict() for _ in range(horizon)]
-    mixed: dict[tuple[int, int, tuple[int, ...], int], float] = {}
-    for idx, w in coupling.atoms.items():
-        if w <= 0.0:
-            continue
-        paths = [anc[i][k] for i, k in enumerate(idx)]
-        for t in range(1, horizon):
-            level = tuple(p[t - 1] for p in paths)
-            joint[t - 1][level] = joint[t - 1].get(level, 0.0) + w
-            for i in range(len(trees)):
-                others = level[:i] + level[i + 1:]
-                key = (i, t, others, paths[i][t])
-                mixed[key] = mixed.get(key, 0.0) + w
+    atoms = [(idx, w) for idx, w in coupling.atoms.items() if w > 0.0]
+    tuples = np.array([idx for idx, _ in atoms], dtype=np.intp).reshape(-1, len(trees))
+    weights = np.array([w for _, w in atoms], dtype=float)
+    anc = [_ancestors(t) for t in trees]
 
     worst = 0.0
-    witnesses: list[Witness] = []
-    for t in range(1, horizon):
-        for level, mass in joint[t - 1].items():
-            for i, tree in enumerate(trees):
-                others = level[:i] + level[i + 1:]
-                for b in tree.children(t, level[i]):
-                    expected = tree.node(t + 1, b).prob * mass
-                    actual = mixed.get((i, t, others, b), 0.0)
-                    viol = abs(actual - expected)
-                    worst = max(worst, viol)
-                    if viol > tol:
-                        other_ids = tuple(
-                            trees[j].node(t, k).node_id
-                            for j, k in enumerate(level) if j != i
-                        )
-                        witnesses.append(
-                            Witness(
-                                process=i + 1,
-                                t=t,
-                                others=other_ids,
-                                child=tree.node(t + 1, b).node_id,
-                                violation=viol,
-                            )
-                        )
-    witnesses.sort(key=lambda w: (-w.violation, w.process, w.t))
+    found = []
+    for i, tree in enumerate(trees):
+        for t in range(1, horizon):
+            others, node, child = _block_indices(trees, anc, i, t, tuples)
+            n_node, n_child = tree.level_size(t), tree.level_size(t + 1)
+            keys, actual = _sum_by(others * n_child + child, weights)
+            parents, mass = _sum_by(others * n_node + node, weights)
+            pos, b = _fan(tree, t, parents % n_node)
+            rows = parents[pos] // n_node * n_child + b
+            at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
+            hit = np.where(keys[at] == rows, actual[at], 0.0)
+            viol = np.abs(hit - _child_probs(tree, t)[b] * mass[pos])
+            worst = max(worst, float(viol.max(initial=0.0)))
+            found += [(-viol[k], i, t, int(rows[k])) for k in np.flatnonzero(viol > tol)]
+
+    witnesses = []
+    for neg_viol, i, t, row in sorted(found):
+        shape = _coefficient_shape(trees, i, t)
+        key = np.unravel_index(row, shape)
+        others = [j for j in range(len(trees)) if j != i]
+        witnesses.append(Witness(
+            process=i + 1,
+            t=t,
+            others=tuple(trees[j].node(t, int(k)).node_id for j, k in zip(others, key)),
+            child=trees[i].node(t + 1, int(key[-1])).node_id,
+            violation=float(-neg_viol),
+        ))
     return CausalityReport(passed=worst <= tol, worst_violation=worst,
                            witnesses=tuple(witnesses))
 
 
-# -- brute-force LP oracle and dual certificates ------------------------------
+def _sum_by(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` and the weights summed per key, in input order."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=weights, minlength=len(distinct))
+
+
+# -- the causality operator ---------------------------------------------------
 
 
 def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[int, ...]:
@@ -423,6 +427,98 @@ def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[i
     return tuple(tr.level_size(t) for j, tr in enumerate(trees) if j != i) + (
         trees[i].level_size(t + 1),
     )
+
+
+def _child_probs(tree: ScenarioTree, t: int) -> np.ndarray:
+    """Conditional probabilities of the nodes at depth t+1."""
+    return np.array([n.prob for n in tree.levels[t]])
+
+
+def _fan(tree: ScenarioTree, t: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (node, child) pair below the depth-t node indices ``nodes``:
+    the pair's position in ``nodes`` and the child's index at depth t+1,
+    children in level order."""
+    parent = np.array([n.parent for n in tree.levels[t]], dtype=np.intp)
+    counts = np.bincount(parent, minlength=tree.level_size(t))
+    starts = np.cumsum(counts) - counts
+    fan = counts[nodes]
+    pos = np.repeat(np.arange(len(nodes)), fan)
+    within = np.arange(pos.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    return pos, np.argsort(parent, kind="stable")[starts[nodes][pos] + within]
+
+
+def _block_indices(trees, anc, i: int, t: int, tuples: np.ndarray):
+    """Per leaf tuple: the others' node indices at depth t raveled in the
+    order of :func:`_coefficient_shape`, and process i's node at t and t+1."""
+    others = np.zeros(len(tuples), dtype=np.intp)
+    for j, tree in enumerate(trees):
+        if j != i:
+            others = others * tree.level_size(t) + anc[j][tuples[:, j], t - 1]
+    own = anc[i][tuples[:, i]]
+    return others, own[:, t - 1], own[:, t]
+
+
+def causality_operator(
+    trees: Sequence[ScenarioTree],
+    processes: Iterable[int],
+    tuples: np.ndarray | None = None,
+) -> sp.csr_matrix:
+    """The indicator test functions of ``processes`` as a sparse matrix.
+
+    Row blocks follow ``processes``, then depth t = 1..T-1; block (i, t)
+    is laid out as :func:`_coefficient_shape` ``(trees, i, t)`` in C order,
+    so a block of duals reshapes into a :class:`DualCertificate`
+    coefficient array.  Row (i, t, A_{-i}, b) is +1 on tuples whose own
+    node at depth t+1 is b and -p_b on tuples whose own node at depth t is
+    parent(b), with the others at A_{-i} at depth t in both cases.
+    Columns are the rows of ``tuples`` (one leaf index per tree), by
+    default every leaf tuple in C order.  A measure pi on the tuples is
+    causal for each named process iff  C @ pi = 0.
+    """
+    trees = tuple(trees)
+    horizon = _check_family(trees)
+    if tuples is None:
+        tuples = np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
+    tuples = np.asarray(tuples, dtype=np.intp).reshape(-1, len(trees))
+    anc = [_ancestors(t) for t in trees]
+    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    n_rows = 0
+    for i in processes:
+        tree = trees[i]
+        for t in range(1, horizon):
+            others, node, child = _block_indices(trees, anc, i, t, tuples)
+            col, b = _fan(tree, t, node)
+            rows.append(n_rows + others[col] * tree.level_size(t + 1) + b)
+            cols.append(col)
+            vals.append((b == child[col]) - _child_probs(tree, t)[b])
+            n_rows += int(np.prod(_coefficient_shape(trees, i, t)))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, len(tuples)),
+    )
+
+
+def _coefficient_blocks(
+    trees: Sequence[ScenarioTree], processes: Iterable[int], values: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Cut a vector over the rows of :func:`causality_operator` into one
+    array per named process and depth, in the :class:`DualCertificate`
+    layout."""
+    trees = tuple(trees)
+    horizon = _check_family(trees)
+    out, ofs = [], 0
+    for i in processes:
+        per_depth = []
+        for t in range(1, horizon):
+            shape = _coefficient_shape(trees, i, t)
+            size = int(np.prod(shape))
+            per_depth.append(np.asarray(values[ofs:ofs + size]).reshape(shape))
+            ofs += size
+        out.append(tuple(per_depth))
+    return tuple(out)
+
+
+# -- brute-force LP oracle and dual certificates ------------------------------
 
 
 @dataclass(frozen=True)
@@ -456,7 +552,7 @@ class DualCertificate:
                 level = tree.levels[t]
                 parent = np.array([n.parent for n in level], dtype=np.intp)
                 kernel = np.zeros((len(level), tree.level_size(t)))
-                kernel[np.arange(len(level)), parent] = [n.prob for n in level]
+                kernel[np.arange(len(level)), parent] = _child_probs(tree, t)
                 # each coefficient less the kernel mean over its sibling group
                 centred = coef - (coef @ kernel)[..., parent]
                 index = [a[:, t - 1] for j, a in enumerate(anc) if j != i] + [anc[i][:, t]]
@@ -515,74 +611,33 @@ def brute_force_mcot(
     LP duality the certificate value equals the primal optimum.
     """
     trees = tuple(trees)
-    horizon = _check_family(trees)
-    n_tuples = _guard_budget(trees, tuple_budget, "brute_force_mcot")
-
-    anc = [_ancestors(t).tolist() for t in trees]
-    tuples = list(itertools.product(*(range(t.n_leaves) for t in trees)))
+    _check_family(trees)
+    _guard_budget(trees, tuple_budget, "brute_force_mcot")
+    shape = tuple(t.n_leaves for t in trees)
+    processes = range(len(trees))
 
     c_vec = cost_table(trees, cost).ravel()
     shift = float(c_vec.min())
     c_vec -= shift
 
-    n_marginal = sum(t.n_leaves for t in trees)
-    offsets = np.cumsum([0] + [t.n_leaves for t in trees])
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    caus_rows: dict[tuple[int, int, tuple[int, ...], int], int] = {}
-
-    def caus_row(key) -> int:
-        if key not in caus_rows:
-            caus_rows[key] = n_marginal + len(caus_rows)
-        return caus_rows[key]
-
-    for col, idx in enumerate(tuples):
-        paths = [anc[i][k] for i, k in enumerate(idx)]
-        for i in range(len(trees)):
-            rows.append(offsets[i] + idx[i]); cols.append(col); vals.append(1.0)
-        for t in range(1, horizon):
-            level = tuple(p[t - 1] for p in paths)
-            for i, tree in enumerate(trees):
-                others = level[:i] + level[i + 1:]
-                rows.append(caus_row((i, t, others, paths[i][t])))
-                cols.append(col); vals.append(1.0)
-                for b in tree.children(t, level[i]):
-                    rows.append(caus_row((i, t, others, b)))
-                    cols.append(col); vals.append(-tree.node(t + 1, b).prob)
-
-    n_rows = n_marginal + len(caus_rows)
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_tuples))
-    b_eq = np.concatenate([t.leaf_law() for t in trees] + [np.zeros(len(caus_rows))])
+    a_eq = sp.vstack([_marginal_operator(shape), causality_operator(trees, processes)])
+    b_eq = np.concatenate([t.leaf_law() for t in trees])
+    b_eq = np.concatenate([b_eq, np.zeros(a_eq.shape[0] - b_eq.size)])
 
     sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq), "multicausal LP")
     value = sol.value + shift
 
+    support = np.flatnonzero(sol.x > 0.0)
     atoms = {
-        tuples[j]: float(w)
-        for j, w in enumerate(sol.x)
-        if w > 0.0
+        tuple(int(k) for k in idx): float(sol.x[j])
+        for j, idx in zip(support, np.array(np.unravel_index(support, shape)).T)
     }
     coupling = MulticausalCoupling(trees=trees, atoms=atoms)
 
-    potentials = []
-    for i, tree in enumerate(trees):
-        potentials.append(np.array(sol.duals[offsets[i]:offsets[i] + tree.n_leaves]))
-    for i in range(1, len(potentials)):
-        pin = potentials[i][0]
-        potentials[i] = potentials[i] - pin
-        potentials[0] = potentials[0] + pin
-    potentials[0] = potentials[0] + shift
-
-    coefficients = [
-        [np.zeros(_coefficient_shape(trees, i, t)) for t in range(1, horizon)]
-        for i in range(len(trees))
-    ]
-    for (i, t, others, b), row in caus_rows.items():
-        coefficients[i][t - 1][others + (b,)] = -sol.duals[row]
+    n_marginal = sum(shape)
     certificate = DualCertificate(
-        potentials=tuple(potentials),
-        coefficients=tuple(tuple(c) for c in coefficients),
+        potentials=_split_potentials(sol.duals[:n_marginal], shape, shift),
+        coefficients=_coefficient_blocks(trees, processes, -sol.duals[n_marginal:]),
     )
     dual_value = certificate.potential_total(trees)
     if abs(dual_value - value) > DUALITY_TOL * (1 + abs(value)):

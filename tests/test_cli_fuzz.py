@@ -1,6 +1,7 @@
 """Bounded fuzzing of the CLI contract.
 
-Whatever the command line, tree files and coupling file, a run exits
+Whatever the command line, tree files, coupling file and matching
+instance file, a run exits
 with 0, 2, 3 or 4; a failed run says why on exactly one stderr line; and
 a successful run writes a report that a second run reproduces byte for
 byte.
@@ -31,9 +32,11 @@ _JUNK = st.one_of(
 
 
 @st.composite
-def tree_doc(draw, prefix):
-    """A tree document: valid by construction, then perhaps damaged."""
-    horizon = draw(st.integers(1, 2))
+def tree_dict(draw, prefix, damages=("field", "drop", "doc"), horizon=None):
+    """A tree document, valid by construction, and the damage then done
+    to it: one of ``damages`` or none."""
+    if horizon is None:
+        horizon = draw(st.integers(1, 2))
     levels, parents, counter = [], [None], 0
     for _ in range(horizon):
         level = []
@@ -50,7 +53,7 @@ def tree_doc(draw, prefix):
         levels.append(level)
         parents = [node["id"] for node in level]
     doc = {"horizon": horizon, "levels": levels}
-    damage = draw(st.sampled_from(["none"] * 4 + ["field", "drop", "doc", "text"]))
+    damage = draw(st.sampled_from(["none"] * 4 + list(damages)))
     node = draw(st.sampled_from([n for level in levels for n in level]))
     if damage == "field":
         node[draw(st.sampled_from(["id", "parent", "p", "x"]))] = draw(_JUNK)
@@ -58,6 +61,13 @@ def tree_doc(draw, prefix):
         del node[draw(st.sampled_from(["id", "parent", "p", "x"]))]
     elif damage == "doc":
         doc[draw(st.sampled_from(["horizon", "levels"]))] = draw(_JUNK)
+    return doc, damage
+
+
+@st.composite
+def tree_doc(draw, prefix):
+    """A tree file: a tree document, perhaps damaged or cut short."""
+    doc, damage = draw(tree_dict(prefix, ("field", "drop", "doc", "text")))
     text = json.dumps(doc)
     if damage == "text":
         text = text[:draw(st.integers(0, len(text) - 1))]
@@ -128,24 +138,93 @@ def test_cli_contract_under_fuzzing(command, trees, coupling, options):
         else:
             argv = [command, *paths[:2]]
         argv += [token for option in options for token in option]
-        out = os.path.join(tmp, "report")
+        _check_contract(argv, os.path.join(tmp, "report"))
 
-        def attempt():
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = run([*argv, "--output", out])
-            # a warning would print to stderr in a plain run
-            return code, err.getvalue() + "".join(f"{w.message}\n" for w in caught)
 
-        code, err = attempt()
-        assert code in (0, 2, 3, 4), (argv, code, err)
-        if code != 0:
-            assert len(err.strip().splitlines()) == 1, (argv, err)
-            return
-        assert err == ""
-        with open(out, "rb") as fh:
-            first = fh.read()
-        assert attempt() == (0, "")
-        with open(out, "rb") as fh:
-            assert fh.read() == first
+def _check_contract(argv, out):
+    """Run ``argv`` twice: the exit code is in the contract, a failure
+    says why on one stderr line, and a success reproduces its report."""
+
+    def attempt():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([*argv, "--output", out])
+        # a warning would print to stderr in a plain run
+        return code, err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+
+    code, err = attempt()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code != 0:
+        assert len(err.strip().splitlines()) == 1, (argv, err)
+        return
+    assert err == ""
+    with open(out, "rb") as fh:
+        first = fh.read()
+    assert attempt() == (0, "")
+    with open(out, "rb") as fh:
+        assert fh.read() == first
+
+
+_POWER_COST = st.fixed_dictionaries({
+    "kind": st.just("power"), "p": st.sampled_from([1, 2]),
+    "weight": st.sampled_from([1.0, 0.5, 2.0]),
+})
+_SEPARABLE_COST = st.one_of(
+    _POWER_COST,
+    st.fixed_dictionaries({"kind": st.just("power"), "p": st.sampled_from([1, 2, 0.5, "x"]),
+                           "weight": _FLOATS}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["matrix", "bogus"]), "tables": _JUNK}),
+    _JUNK,
+)
+
+_MATCH_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "1000000", "z"])),
+        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "nan"])),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
+        st.tuples(st.sampled_from(["--oracle", "extra.json"])),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def matching_doc(draw):
+    """A matching instance file: populations and tasks drawn like tree
+    files, mostly of one horizon and undamaged; mostly power costs;
+    perhaps a whole entry replaced by junk and the text cut short."""
+    horizon = draw(st.integers(1, 2))
+    damages = draw(st.sampled_from([(), (), ("field", "drop", "doc")]))
+    cost = draw(st.sampled_from([_POWER_COST, _POWER_COST, _SEPARABLE_COST]))
+
+    def tree(prefix):
+        h = draw(st.sampled_from([horizon] * 5 + [3 - horizon]))
+        return draw(tree_dict(prefix, damages, h))[0]
+
+    doc = {
+        "principal": {"tree": tree("p"), "utility": draw(cost)},
+        "agents": [
+            {"tree": tree(f"a{k}_"), "cost": draw(cost)}
+            for k in range(draw(st.integers(0, 2)))
+        ],
+        "tasks": tree("y"),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        doc[draw(st.sampled_from(["principal", "agents", "tasks"]))] = draw(_JUNK)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=matching_doc(), options=_MATCH_OPTIONS)
+def test_match_contract_under_fuzzing(instance, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(instance)
+        argv = ["match", path, *(token for option in options for token in option)]
+        _check_contract(argv, os.path.join(tmp, "report"))

@@ -19,6 +19,7 @@ from treeot import (
     PowerCost,
     ValidationError,
     best_response,
+    causal_barycenter,
     complementary_slackness,
     solve_matching,
     verify_equilibrium,
@@ -130,6 +131,76 @@ def test_complementary_slackness_on_support(seed):
     min_slack, support_slack = complementary_slackness(instance, eq)
     assert min_slack >= -1e-8
     assert support_slack <= 1e-8
+
+
+def _pair_slacks(tree, tasks, cmat, potential, wage, coefficients):
+    """c - w + G - f on every leaf pair, one pair and one key at a time;
+    ``coefficients[t-1][task node at t, own node at t+1]``."""
+    out = np.empty(cmat.shape)
+    for lx in range(tree.n_leaves):
+        px = tree.path_indices(tree.horizon, lx)
+        for ly in range(tasks.n_leaves):
+            py = tasks.path_indices(tasks.horizon, ly)
+            g = 0.0
+            for t in range(1, tree.horizon):
+                coef = coefficients[t - 1]
+                g += coef[py[t - 1], px[t]]
+                for b in tree.children(t, px[t - 1]):
+                    g -= tree.node(t + 1, b).prob * coef[py[t - 1], b]
+            out[lx, ly] = cmat[lx, ly] - wage[ly] + g - potential[px[0]]
+    return out
+
+
+def _slack_extremes_by_pair(trees, tasks, tables, plans, potentials, wages, coefficients):
+    slacks = [
+        _pair_slacks(*args)
+        for args in zip(trees, [tasks] * len(trees), tables, potentials, wages, coefficients)
+    ]
+    support = [abs(s[idx]) for s, plan in zip(slacks, plans) for idx in plan.atoms]
+    return min(float(s.min()) for s in slacks), max(support)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_slack_extremes_match_per_pair_evaluation(seed):
+    instance = random_instance(2200 + seed)
+    tables = instance.cost_tables
+    # match: wages, time-1 potentials and coefficients of the equilibrium
+    eq = solve_matching(instance)
+    expected = _slack_extremes_by_pair(
+        instance.populations, instance.tasks, tables, eq.plans, eq.potentials,
+        eq.wages, eq.mart_coefficients,
+    )
+    assert complementary_slackness(instance, eq) == pytest.approx(expected, abs=1e-12)
+    # bary-c: the causal barycenter of the agents alone, with w = -g
+    costs = instance.agent_costs
+    sol = causal_barycenter(instance.agents, instance.tasks, costs)
+    expected = _slack_extremes_by_pair(
+        sol.trees, instance.tasks, tables[1:], sol.plans, sol.potentials,
+        [-g for g in sol.task_potentials], sol.mart_coefficients,
+    )
+    assert sol.support_slack(costs) == pytest.approx(expected, abs=1e-12)
+
+
+def test_match_evaluates_each_cost_once_per_pair():
+    instance = random_instance(2300)
+    calls = []
+
+    def counted(cost):
+        def fn(xpath, ypath):
+            calls.append(None)
+            return cost.path_cost(xpath, ypath)
+        return fn
+
+    counting = MatchingInstance(
+        principal=instance.principal, utility=counted(quadratic()),
+        agents=instance.agents, agent_costs=[counted(quadratic())] * 2,
+        tasks=instance.tasks,
+    )
+    eq = solve_matching(counting)
+    assert verify_equilibrium(counting, eq).passed
+    complementary_slackness(counting, eq)
+    pairs = sum(t.n_leaves for t in counting.populations) * counting.tasks.n_leaves
+    assert len(calls) == pairs
 
 
 def test_best_response_zero_wage_on_own_support_is_free():

@@ -27,6 +27,8 @@ from treeot import (
     assemble_coupling,
     aw_distance,
     brute_force_mcot,
+    causality_operator,
+    classical_ot,
     coupling_from_id_atoms,
     glue,
     mc_dpp,
@@ -37,6 +39,7 @@ from treeot import (
 )
 from treeot import costs as cm
 from treeot import lp as lp_mod
+from treeot.barycenters import causal_violation
 from treeot.cli import run
 from treeot.multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan, cost_table
 from treeot.lp import TransportPlan
@@ -410,6 +413,91 @@ def test_verify_rejects_marginal_mismatch():
     bad = MulticausalCoupling(trees=tuple(trees), atoms={(0, 0): 1.0})
     with pytest.raises(ValidationError, match="marginal"):
         verify_multicausal(bad, trees)
+
+
+def test_verify_orders_tied_witnesses_by_key():
+    # every violated row of the anticipative coupling violates by exactly 1/4
+    tree1, tree2, coupling = anticipative_instance()
+    reordered = MulticausalCoupling(
+        trees=coupling.trees, atoms=dict(reversed(list(coupling.atoms.items())))
+    )
+    reports = [verify_multicausal(c, [tree1, tree2]) for c in (coupling, reordered)]
+    assert reports[0] == reports[1]
+    keys = [(w.process, w.t, w.others, w.child) for w in reports[0].witnesses]
+    assert keys == sorted(keys)
+    assert {w.violation for w in reports[0].witnesses} == {0.25}
+    assert len(keys) == 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_causal_violation_agrees_with_verify_multicausal(seed):
+    rng = np.random.default_rng(700 + seed)
+    t1, t2 = (random_tree(rng, horizon=3, dim=1, min_branch=2, max_branch=2, prefix=p)
+              for p in "ab")
+    # an OT vertex for a random cost has the right marginals but is not causal
+    _, plan = classical_ot(t1.leaf_law(), t2.leaf_law(),
+                           rng.random((t1.n_leaves, t2.n_leaves)))
+    dense = np.zeros((t1.n_leaves, t2.n_leaves))
+    dense[tuple(np.array(plan.atoms).T)] = plan.weights
+    coupling = MulticausalCoupling(trees=(t1, t2), atoms=plan.as_dict())
+    report = verify_multicausal(coupling, [t1, t2], tol=0.0)
+    for process, (x, y, matrix) in enumerate([(t1, t2, dense), (t2, t1, dense.T)], start=1):
+        worst = max(w.violation for w in report.witnesses if w.process == process)
+        assert worst > 1e-3
+        assert causal_violation(x, y, matrix) == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
+
+# -- causality_operator ----------------------------------------------------------------
+
+
+def _operator_by_tuple(trees, processes, tuples):
+    """Dense causality rows built one leaf tuple and one key at a time: row
+    (i, t, A_{-i}, b) in the certificate layout, +1 at the own child,
+    -p_b at every child of the own node at t."""
+    horizon = trees[0].horizon
+    blocks = [(i, t) for i in processes for t in range(1, horizon)]
+    shapes = [
+        tuple(tr.level_size(t) for j, tr in enumerate(trees) if j != i)
+        + (trees[i].level_size(t + 1),)
+        for i, t in blocks
+    ]
+    offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    dense = np.zeros((offsets[-1], len(tuples)))
+    for col, idx in enumerate(tuples):
+        paths = [tr.path_indices(tr.horizon, k) for tr, k in zip(trees, idx)]
+        for (i, t), shape, ofs in zip(blocks, shapes, offsets):
+            others = tuple(p[t - 1] for j, p in enumerate(paths) if j != i)
+            dense[ofs + np.ravel_multi_index(others + (paths[i][t],), shape), col] += 1.0
+            for b in trees[i].children(t, paths[i][t - 1]):
+                row = ofs + np.ravel_multi_index(others + (b,), shape)
+                dense[row, col] -= trees[i].node(t + 1, b).prob
+    return dense
+
+
+@pytest.mark.parametrize("case", ["pair-mixed", "triple", "single", "subset"])
+def test_causality_operator_matches_per_tuple_rows(case):
+    rng = np.random.default_rng(["pair-mixed", "triple", "single", "subset"].index(case))
+    if case == "triple":
+        trees = [random_tree(rng, horizon=2, dim=1, max_branch=2, prefix=p) for p in "abc"]
+    elif case == "single":
+        trees = [random_tree(rng, horizon=3, dim=1, max_branch=3)]
+    else:
+        trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3, prefix=p)
+                 for p in "ab"]
+    processes = (1,) if case == "subset" else tuple(range(len(trees)))
+    tuples = list(itertools.product(*(range(t.n_leaves) for t in trees)))
+    if case == "subset":
+        tuples = [tuples[k] for k in rng.permutation(len(tuples))[: len(tuples) // 3]]
+        op = causality_operator(trees, processes, np.array(tuples))
+    else:
+        op = causality_operator(trees, processes)
+    np.testing.assert_array_equal(op.toarray(), _operator_by_tuple(trees, processes, tuples))
+    # a multicausal coupling is in the kernel of the full operator
+    if case != "subset":
+        pi = np.zeros([t.n_leaves for t in trees])
+        for idx, w in random_multicausal_coupling(rng, trees).atoms.items():
+            pi[idx] = w
+        assert np.abs(op @ pi.ravel()).max() <= 1e-12
 
 
 # -- brute_force_mcot ------------------------------------------------------------------
