@@ -6,7 +6,6 @@ from .barycenters import (
     BcBarycenterResult,
     CausalBarycenterSolution,
     CounterexampleReport,
-    Phi0Selector,
     PowerCost,
     SeparableCost,
     TableCost,

@@ -24,19 +24,20 @@ Two distinct mechanisms live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import costs as costs_mod
-from .errors import BudgetExceededError, SolverFailureError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .lp import (
-    DUALITY_TOL,
     LpProblem,
     TransportPlan,
     _marginal_operator,
     _solve_optimal,
+    check_duality_gap,
     plan_from_dense,
     wasserstein_barycenter_fixed_support,
 )
@@ -64,9 +65,6 @@ class SeparableCost:
 
     def at(self, t: int, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
-
-    def lower_bound(self, t: int) -> float:
-        return 0.0
 
     def path_cost(self, xpath, ypath) -> float:
         return float(
@@ -127,9 +125,6 @@ class TableCost(SeparableCost):
         x_atoms, y_atoms, mat = self._tables[t - 1]
         return float(mat[self._find(x_atoms, x), self._find(y_atoms, y)])
 
-    def lower_bound(self, t):
-        return float(self._tables[t - 1][2].min())
-
 
 def _as_path_cost(cost) -> Callable:
     if isinstance(cost, SeparableCost):
@@ -141,24 +136,12 @@ def _as_path_cost(cost) -> Callable:
 
 # -- pointwise minimiser selectors -------------------------------------------
 
-
-@dataclass(frozen=True)
-class Phi0Selector:
-    """Per-time map from an N-tuple of states to a barycenter state.
-
-    ``eps`` bounds how far the selected point may sit above the true
-    per-time infimum: 0 for the closed form, caller-declared for grids.
-    """
-
-    mode: str
-    eps: float
-    _select: Callable[[int, tuple[np.ndarray, ...]], np.ndarray]
-
-    def select(self, t: int, xs: tuple[np.ndarray, ...]) -> np.ndarray:
-        return self._select(t, xs)
+#: selector(t, xs) -> y: the barycenter state at time t for the N-tuple of
+#: states xs, a minimiser of  y -> sum_i c^i_t(x^i, y)
+Selector = Callable[[int, tuple[np.ndarray, ...]], np.ndarray]
 
 
-def phi0_quadratic(weights: Sequence[float]) -> Phi0Selector:
+def phi0_quadratic(weights: Sequence[float]) -> Selector:
     """Closed-form selector for quadratic costs  lambda_i * |x - y|_2^2.
 
     The stationary point of  sum_i lambda_i |x^i - y|^2  is the weighted
@@ -172,21 +155,14 @@ def phi0_quadratic(weights: Sequence[float]) -> Phi0Selector:
     def select(_t, xs):
         return sum(w * np.asarray(x, dtype=float) for w, x in zip(lam, xs))
 
-    return Phi0Selector(mode="quadratic", eps=0.0, _select=select)
+    return select
 
 
-def grid_selector(
-    costs: Sequence[SeparableCost],
-    grids: Sequence[Sequence],
-    eps: float = 0.0,
-) -> Phi0Selector:
+def grid_selector(costs: Sequence[SeparableCost], grids: Sequence[Sequence]) -> Selector:
     """Argmin selector over caller-supplied per-time grids.
 
-    Ties break to the first grid point in file order.  ``eps`` is the
-    declared slack of the grid against the continuum infimum.
+    Ties break to the first grid point in file order.
     """
-    if eps < 0:
-        raise ValidationError("selector tolerance must be nonnegative")
     parsed = [
         [np.atleast_1d(np.asarray(g, dtype=float)) for g in grid] for grid in grids
     ]
@@ -198,21 +174,15 @@ def grid_selector(
         best, best_val = 0, np.inf
         for k, y in enumerate(grid):
             val = sum(c.at(t, x, y) for c, x in zip(costs, xs))
-            if val < best_val - 0.0:
+            if val < best_val:
                 best, best_val = k, val
         return grid[best]
 
-    return Phi0Selector(mode="grid", eps=float(eps), _select=select)
+    return select
 
 
-def aggregate_cost(
-    costs: Sequence[SeparableCost], selector: Phi0Selector
-) -> costs_mod.PathCost:
-    """Aggregated multicausal cost  sum_t sum_i c^i_t(x^i_t, phi_t(...)).
-
-    By the selector contract this sits within T*eps of
-    sum_t inf_y sum_i c^i_t.
-    """
+def aggregate_cost(costs: Sequence[SeparableCost], selector: Selector) -> costs_mod.PathCost:
+    """Aggregated multicausal cost  sum_t sum_i c^i_t(x^i_t, phi_t(...))."""
     costs = list(costs)
 
     def agg(*paths):
@@ -220,7 +190,7 @@ def aggregate_cost(
         total = 0.0
         for t in range(1, horizon + 1):
             xs = tuple(p[t - 1] for p in paths)
-            y = selector.select(t, xs)
+            y = selector(t, xs)
             total += sum(c.at(t, x, y) for c, x in zip(costs, xs))
         return total
 
@@ -249,7 +219,7 @@ class BcBarycenterResult:
 def bc_barycenter(
     trees: Sequence[ScenarioTree],
     costs: Sequence[SeparableCost],
-    selector: Phi0Selector,
+    selector: Selector,
     tuple_budget: int = TUPLE_BUDGET,
 ) -> BcBarycenterResult:
     """Bicausal barycenter via the multicausal reformulation.
@@ -270,7 +240,7 @@ def bc_barycenter(
 
 
 def _product_process(
-    trees: Sequence[ScenarioTree], policy: KernelPolicy, selector: Phi0Selector
+    trees: Sequence[ScenarioTree], policy: KernelPolicy, selector: Selector
 ) -> BarycenterProcess:
     horizon = trees[0].horizon
     levels: list[list[dict]] = [[] for _ in range(horizon)]
@@ -302,7 +272,7 @@ def _product_process(
                     "id": name,
                     "parent": parent_name,
                     "p": w,
-                    "x": list(np.atleast_1d(selector.select(t + 1, xs))),
+                    "x": list(np.atleast_1d(selector(t + 1, xs))),
                 }
             )
             if t + 1 < horizon:
@@ -481,7 +451,6 @@ def causal_barycenter(
     trees: Sequence[ScenarioTree],
     task_tree: ScenarioTree,
     costs,
-    clear_index: int = 0,
     tuple_budget: int = TUPLE_BUDGET,
 ) -> CausalBarycenterSolution:
     """Causal barycenter over distributions on a finite task tree.
@@ -491,8 +460,7 @@ def causal_barycenter(
     causality equalities of its own process.  Probabilities stored on
     ``task_tree`` are ignored; only its support structure matters.  Each
     cost is a path cost or its table on (process leaf, task leaf) pairs.
-    ``clear_index`` names the population whose task potential absorbs
-    the zero-sum normalisation.
+    The task potential of process 0 absorbs the zero-sum normalisation.
     """
     trees = tuple(trees)
     if not trees:
@@ -501,8 +469,6 @@ def causal_barycenter(
         raise ValidationError("one cost per process required")
     if any(t.horizon != task_tree.horizon for t in trees):
         raise ValidationError("horizon mismatch with the task tree")
-    if not 0 <= clear_index < len(trees):
-        raise ValidationError(f"clear_index {clear_index} out of range")
     n_y = task_tree.n_leaves
     sizes = [t.n_leaves for t in trees]
     if sum(n * n_y for n in sizes) > tuple_budget:
@@ -549,18 +515,12 @@ def causal_barycenter(
     )
 
     duals = [sol.duals[r0:r1] for r0, r1 in zip(row_ofs, row_ofs[1:])]
-    links = [np.array(d[n:n + n_y]) for d, n in zip(duals, sizes)]
-    # zero-sum normalisation: dump the (nonnegative) excess on one population,
+    links = [np.array(d[n:n + n_y]) for d, n in zip(duals[1:], sizes[1:])]
+    # zero-sum normalisation: dump the (nonnegative) excess on process 0,
     # which keeps every dual row feasible and is exact in float arithmetic
-    others_sum = None
-    for i, h in enumerate(links):
-        if i == clear_index:
-            continue
-        others_sum = h.copy() if others_sum is None else others_sum + h
-    if others_sum is None:
-        others_sum = np.zeros(n_y)
-    links[clear_index] = -others_sum
-    task_potentials = tuple(-h for h in links)
+    task_potentials = (
+        reduce(np.add, links) if links else np.zeros(n_y), *(-h for h in links)
+    )
 
     # project leaf potentials onto time-1 information; the conditional
     # expectations E[f | F_t] become y-independent martingale increments
@@ -587,11 +547,9 @@ def causal_barycenter(
         task_potentials=task_potentials,
         mart_coefficients=tuple(mart_coefficients),
     )
-    if abs(solution.dual_value() - value) > DUALITY_TOL * (1 + abs(value)):
-        raise SolverFailureError(
-            "causal barycenter duality gap exceeds tolerance",
-            details={"value": value, "dual_value": solution.dual_value()},
-        )
+    check_duality_gap(value, abs(solution.dual_value() - value),
+                      "causal barycenter duality gap exceeds tolerance",
+                      {"value": value, "dual_value": solution.dual_value()})
     return solution
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -47,11 +48,12 @@ class RunConfig:
     budget: int
     output: str | None
     format: str
-    seed: int | None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(
+                f"tolerance must be finite and positive, got {self.tolerance!r}"
+            )
         if self.budget < 1:
             raise ValidationError(f"budget must be at least 1, got {self.budget!r}")
 
@@ -72,7 +74,6 @@ def _config_of(args) -> RunConfig:
         budget=args.budget,
         output=args.output,
         format=args.format,
-        seed=args.seed,
     )
 
 
@@ -214,27 +215,23 @@ def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
 # -- command implementations ---------------------------------------------------
 
 
-def _certified(trees, res: mc.McotResult, budget: int):
-    """The recursion's coupling and its certificate check, read off the
-    recursion's own cost table; a failed check is a solver failure."""
-    coupling = mc.assemble_coupling(res.policy)
-    check = mc.verify_certificate(
-        trees, res.value_function.tables[-1], res.certificate, coupling, tuple_budget=budget
-    )
-    if (check["min_slack"] < -lp_mod.CAUSALITY_TOL
-            or check["gap"] > lp_mod.DUALITY_TOL * (1 + abs(res.value))):
-        raise SolverFailureError(
-            "dual certificate fails verification",
-            details={"min_slack": check["min_slack"], "gap": check["gap"],
-                     "value": res.value},
-        )
-    return coupling, check
+def _certified(trees, res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
+    """The check of the recursion's certificate against its own cost table
+    and its assembled ``coupling``; a failed check is a solver failure."""
+    check = mc.verify_certificate(trees, res.value_function.tables[-1], res.certificate, coupling)
+    what = "dual certificate fails verification"
+    details = {"min_slack": check["min_slack"], "gap": check["gap"], "value": res.value}
+    if check["min_slack"] < -lp_mod.CAUSALITY_TOL:
+        raise SolverFailureError(what, details=details)
+    lp_mod.check_duality_gap(res.value, check["gap"], what, details)
+    return check
 
 
 def _cmd_awdist(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
     res = mc.mc_dpp(trees, costs_mod.lp_sum(args.p), tuple_budget=args.budget)
-    coupling, check = _certified(trees, res, args.budget)
+    coupling = mc.assemble_coupling(res.policy)
+    check = _certified(trees, res, coupling)
     return {
         "schema": SCHEMA,
         "command": "awdist",
@@ -257,7 +254,8 @@ def _cmd_mcot(args) -> dict:
     with _reading("cost", args.cost):
         cost = costs_mod.parse_cost_spec(args.cost)
     res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
-    coupling, check = _certified(trees, res, args.budget)
+    coupling = mc.assemble_coupling(res.policy)
+    check = _certified(trees, res, coupling)
     values = {"dpp_value": res.value, "duality_gap": check["gap"]}
     if args.oracle:
         lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
@@ -286,7 +284,7 @@ def _selector_for(args, costs, horizon):
         with _reading("grid file", args.grid):
             if len(grids) != horizon:
                 raise ValidationError(f"grid file must list {horizon} per-time grids")
-            return bary.grid_selector(costs, grids, eps=args.eps)
+            return bary.grid_selector(costs, grids)
     for c in costs:
         if not isinstance(c, bary.PowerCost) or c.exponent != 2.0:
             raise ValidationError(
@@ -301,23 +299,22 @@ def _cmd_bary_bc(args) -> dict:
     costs = _parse_power_spec(args.cost, len(trees))
     selector = _selector_for(args, costs, trees[0].horizon)
     res = bary.bc_barycenter(trees, costs, selector, tuple_budget=args.budget)
-    agg = bary.aggregate_cost(costs, selector)
-    lp_value, coupling, cert = mc.brute_force_mcot(trees, agg, tuple_budget=args.budget)
+    check = _certified(trees, res.mcot, res.coupling)
     consistency = bary.bc_bary_value(trees, costs, res.process.tree, tuple_budget=args.budget)
     return {
         "schema": SCHEMA,
         "command": "bary-bc",
         "values": {
             "barycenter_value": res.value,
-            "oracle_value": lp_value,
-            "duality_gap": abs(lp_value - cert.potential_total(trees)),
+            "duality_gap": check["gap"],
             "recomputed_value_at_barycenter": consistency,
         },
         "barycenter": json.loads(dump_tree(res.process.tree)),
         "certificate": {
             "coupling": _coupling_json(res.coupling),
-            "duals": _certificate_json(trees, cert),
+            "duals": _certificate_json(trees, res.mcot.certificate),
         },
+        "verification": {"min_dual_slack": check["min_slack"]},
     }
 
 
@@ -499,8 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="verification tolerance for causality checks")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte-identical reports)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed echoed to random-instance harnesses")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -529,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("trees", nargs="+")
     p.add_argument("--cost", default="power:2", help="power:p[:w1,...,wN]")
     p.add_argument("--grid", help="JSON file with per-time selector grids")
-    p.add_argument("--eps", type=float, default=0.0, help="declared grid-selector slack")
     p.set_defaults(fn=_cmd_bary_bc)
 
     p = add_parser("bary-c", help="causal barycenter on a task tree")
@@ -573,8 +567,6 @@ def run(argv: Sequence[str] | None = None) -> int:
             report = args.fn(args)
         report["config"] = asdict(config)
         report["config"]["inputs"] = list(config.inputs)
-        if args.seed is not None:
-            report["config_seed"] = args.seed
         _emit(report, args)
         return 0
     except BudgetExceededError as exc:

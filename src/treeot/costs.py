@@ -34,8 +34,8 @@ def path_metric(x: PathValues, y: PathValues) -> float:
     return float(sum(np.linalg.norm(np.asarray(a) - np.asarray(b)) for a, b in zip(x, y)))
 
 
-def lp_sum(p: float = 2.0, weights: np.ndarray | None = None) -> PathCost:
-    """Pairwise cost  sum_{i<j} w_ij * d(x^i, x^j)^p  with d the summed path metric."""
+def lp_sum(p: float = 2.0) -> PathCost:
+    """Pairwise cost  sum_{i<j} d(x^i, x^j)^p  with d the summed path metric."""
     if p < 1:
         raise ValidationError("exponent p must be >= 1")
 
@@ -44,15 +44,14 @@ def lp_sum(p: float = 2.0, weights: np.ndarray | None = None) -> PathCost:
         n = len(paths)
         for i in range(n):
             for j in range(i + 1, n):
-                w = 1.0 if weights is None else float(weights[i][j])
-                total += w * path_metric(paths[i], paths[j]) ** p
+                total += path_metric(paths[i], paths[j]) ** p
         return total
 
     return cost
 
 
-def pairwise_power(p: float = 2.0, weights: np.ndarray | None = None) -> PathCost:
-    """Time-separable pairwise cost  sum_{i<j} w_ij * sum_t |x^i_t - x^j_t|_2^p."""
+def pairwise_power(p: float = 2.0) -> PathCost:
+    """Time-separable pairwise cost  sum_{i<j} sum_t |x^i_t - x^j_t|_2^p."""
     if p < 1:
         raise ValidationError("exponent p must be >= 1")
 
@@ -61,8 +60,7 @@ def pairwise_power(p: float = 2.0, weights: np.ndarray | None = None) -> PathCos
         n = len(paths)
         for i in range(n):
             for j in range(i + 1, n):
-                w = 1.0 if weights is None else float(weights[i][j])
-                total += w * sum(
+                total += sum(
                     float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** p)
                     for a, b in zip(paths[i], paths[j])
                 )

@@ -38,9 +38,8 @@ from .trees import DiscreteDistribution
 # import them (the probability-sum tolerances of trees are in trees.py).
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-9
-GAP_TOL = 1e-8
+DUALITY_TOL = 1e-8      # |value - dual value| <= DUALITY_TOL * (1 + |value|)
 MARGINAL_TOL = 1e-9
-DUALITY_TOL = 1e-8
 CAUSALITY_TOL = 1e-8
 OPTIMALITY_TOL = 1e-7   # absorbs two LP solves being compared
 
@@ -144,7 +143,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     spans = problem.blocks or ((slice(None), slice(None)),)
     values = [float(problem.c[cols] @ x[cols]) for _, cols in spans]
     gaps = [abs(v - float(problem.b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
-    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if g > GAP_TOL * (1 + abs(v))]
+    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if g > DUALITY_TOL * (1 + abs(v))]
     if primal > PRIMAL_TOL or dual > DUAL_TOL or bad:
         k = bad[0] if bad else int(np.argmax(gaps))
         details = {
@@ -172,6 +171,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 def _inf_norm(v) -> float:
     v = np.asarray(v)
     return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def check_duality_gap(value: float, gap: float, what: str, details: dict) -> None:
+    """Raise :class:`SolverFailureError` ``what`` with ``details`` when
+    ``gap``, the distance of a dual value from ``value``, exceeds
+    DUALITY_TOL * (1 + |value|)."""
+    if gap > DUALITY_TOL * (1 + abs(value)):
+        raise SolverFailureError(what, details=details)
 
 
 def _solve_optimal(problem: LpProblem, what: str) -> LpSolution:
@@ -272,17 +279,18 @@ class MultimarginalResult:
     potentials: tuple[np.ndarray, ...]
 
 
-def multimarginal_ot(marginals, cost: np.ndarray, dense_budget: int = DENSE_BUDGET) -> MultimarginalResult:
+def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
     """Exact multimarginal OT over the coupling polytope.
 
     ``cost`` is a dense tensor with one axis per marginal.  Returns the
     optimal value, a sparse plan, and one dual potential per marginal
-    atom with  sum_i E_{mu_i}[phi_i] = value  within GAP_TOL.
+    atom with  sum_i E_{mu_i}[phi_i] = value  within DUALITY_TOL.
+    Refuses a cost tensor of more than ``DENSE_BUDGET`` entries.
     """
-    return multimarginal_ot_batch([(marginals, cost)], dense_budget)[0]
+    return multimarginal_ot_batch([(marginals, cost)])[0]
 
 
-def multimarginal_ot_batch(problems, dense_budget: int = DENSE_BUDGET) -> list[MultimarginalResult]:
+def multimarginal_ot_batch(problems) -> list[MultimarginalResult]:
     """:func:`multimarginal_ot` for each ``(marginals, cost)`` pair.
 
     The problems become the diagonal blocks of one LP, or of several when
@@ -298,9 +306,9 @@ def multimarginal_ot_batch(problems, dense_budget: int = DENSE_BUDGET) -> list[M
                 f"cost tensor shape {tuple(np.shape(cost))} does not match marginal sizes {shape}"
             )
         size = int(np.prod(shape))
-        if size > dense_budget:
+        if size > DENSE_BUDGET:
             raise BudgetExceededError(
-                f"dense cost tensor has {size} entries > budget {dense_budget}"
+                f"dense cost tensor has {size} entries > budget {DENSE_BUDGET}"
             )
         cost = np.asarray(cost, dtype=float)
         shift = float(cost.min())
@@ -344,11 +352,9 @@ def _solve_blocks(blocks) -> list[MultimarginalResult]:
         plan = plan_from_dense(x, shape, marginals=ws)
         potentials = _split_potentials(sol.duals[rows], shape, shift)
         dual_value = sum(float(p @ w) for p, w in zip(potentials, ws))
-        if abs(value - dual_value) > GAP_TOL * (1 + abs(value)):
-            raise SolverFailureError(
-                "multimarginal duality gap exceeds tolerance",
-                details={"value": value, "dual_value": dual_value, "block": k},
-            )
+        check_duality_gap(value, abs(value - dual_value),
+                          "multimarginal duality gap exceeds tolerance",
+                          {"value": value, "dual_value": dual_value, "block": k})
         out.append(MultimarginalResult(value=value, plan=plan, potentials=potentials))
     return out
 
@@ -449,11 +455,9 @@ def wasserstein_barycenter_fixed_support(
         potentials.append(np.array(sol.duals[row:row + len(mu)]))
         row += len(mu)
     dual_value = sum(float(p @ mu) for p, mu in zip(potentials, mus))
-    if abs(dual_value - sol.value) > GAP_TOL * (1 + abs(sol.value)):
-        raise SolverFailureError(
-            "barycenter duality gap exceeds tolerance",
-            details={"value": sol.value, "dual_value": dual_value},
-        )
+    check_duality_gap(sol.value, abs(dual_value - sol.value),
+                      "barycenter duality gap exceeds tolerance",
+                      {"value": sol.value, "dual_value": dual_value})
     return BarycenterLpResult(
         value=sol.value,
         barycenter=DiscreteDistribution(support=tuple(support), weights=nu),

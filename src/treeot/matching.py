@@ -148,11 +148,7 @@ def solve_matching(
     """
     populations = instance.populations
     solution = causal_barycenter(
-        populations,
-        instance.tasks,
-        instance.cost_tables,
-        clear_index=0,
-        tuple_budget=tuple_budget,
+        populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
     )
     agent_wages = [-g for g in solution.task_potentials[1:]]
     principal_wage = (
@@ -233,12 +229,9 @@ class EquilibriumReport:
         return self.clearing_ok and self.optimality_ok and self.common_marginal_ok
 
 
-def verify_equilibrium(
-    instance: MatchingInstance,
-    equilibrium: Equilibrium,
-    optimality_tol: float = OPTIMALITY_TOL,
-) -> EquilibriumReport:
-    """Check clearing (exactly), per-population optimality and the common marginal.
+def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> EquilibriumReport:
+    """Check clearing (exactly), per-population optimality (within
+    ``OPTIMALITY_TOL``) and the common marginal.
 
     Clearing recomputes the agents' wage sum in the construction order,
     so an equilibrium built by :func:`solve_matching` clears to exactly
@@ -277,7 +270,7 @@ def verify_equilibrium(
         worst_clearing=worst_clearing,
         clearing_witnesses=clearing_witnesses,
         optimality_gaps=tuple(float(g) for g in gaps),
-        optimality_ok=all(abs(g) <= optimality_tol for g in gaps),
+        optimality_ok=all(abs(g) <= OPTIMALITY_TOL for g in gaps),
         common_marginal_ok=worst_tv <= MARGINAL_TOL,
         worst_marginal_tv=float(worst_tv),
         worst_causality=float(worst_causality),

@@ -54,13 +54,13 @@ from .errors import (
 )
 from .lp import (
     CAUSALITY_TOL,
-    DUALITY_TOL,
     MARGINAL_TOL,
     LpProblem,
     TransportPlan,
     _marginal_operator,
     _solve_optimal,
     _split_potentials,
+    check_duality_gap,
     multimarginal_ot,
     multimarginal_ot_batch,
 )
@@ -102,17 +102,6 @@ class ValueFunction:
     trees: tuple[ScenarioTree, ...]
     tables: tuple[np.ndarray, ...]  # tables[t] has one axis per process; t=0 scalar
 
-    def at(self, t: int, node_ids: Sequence[str] = ()) -> float:
-        if t == 0:
-            return float(self.tables[0])
-        idx = []
-        for tree, node_id in zip(self.trees, node_ids):
-            depth, k = tree.locate(node_id)
-            if depth != t:
-                raise ValidationError(f"node {node_id!r} has depth {depth}, expected {t}")
-            idx.append(k)
-        return float(self.tables[t][tuple(idx)])
-
 
 @dataclass(frozen=True)
 class PolicyPlan:
@@ -139,10 +128,6 @@ class KernelPolicy:
 
     trees: tuple[ScenarioTree, ...]
     plans: dict[tuple[int, tuple[int, ...]], PolicyPlan]
-
-    def plan_at(self, t: int, node_ids: Sequence[str] = ()) -> PolicyPlan:
-        idx = tuple(tree.locate(nid)[1] for tree, nid in zip(self.trees, node_ids))
-        return self.plans[(t, idx)]
 
 
 @dataclass(frozen=True)
@@ -233,10 +218,6 @@ class MulticausalCoupling:
 
     trees: tuple[ScenarioTree, ...]
     atoms: dict[tuple[int, ...], float]
-    policy: KernelPolicy | None = None
-
-    def total_mass(self) -> float:
-        return float(sum(self.atoms.values()))
 
     def marginal(self, i: int) -> np.ndarray:
         out = np.zeros(self.trees[i].n_leaves)
@@ -311,7 +292,7 @@ def assemble_coupling(policy: KernelPolicy) -> MulticausalCoupling:
                 expand(t + 1, nxt, weight * w)
 
     expand(0, (), 1.0)
-    coupling = MulticausalCoupling(trees=policy.trees, atoms=atoms, policy=policy)
+    coupling = MulticausalCoupling(trees=policy.trees, atoms=atoms)
     tv = coupling.worst_marginal_tv()
     if tv > MARGINAL_TOL:
         raise SolverFailureError(f"assembled coupling marginal TV {tv!r} exceeds tolerance")
@@ -571,19 +552,15 @@ class DualCertificate:
 
 def verify_certificate(
     trees: Sequence[ScenarioTree],
-    cost: costs_mod.PathCost | np.ndarray,
+    table: np.ndarray,
     certificate: DualCertificate,
     coupling: MulticausalCoupling | None = None,
-    tuple_budget: int = TUPLE_BUDGET,
 ) -> dict:
     """Re-verify a value from its certificate without re-solving.
 
-    ``cost`` is a path cost or its table on the leaf-path tuples (as from
-    :func:`cost_table`), which is then not evaluated again.
+    ``table`` holds the cost on every leaf-path tuple (see :func:`cost_table`).
     """
     trees = tuple(trees)
-    _guard_budget(trees, tuple_budget, "verify_certificate")
-    table = cost if isinstance(cost, np.ndarray) else cost_table(trees, cost)
     report = {
         "dual_value": certificate.potential_total(trees),
         "min_slack": float(certificate.slacks(trees, table).min()),
@@ -640,11 +617,9 @@ def brute_force_mcot(
         coefficients=_coefficient_blocks(trees, processes, -sol.duals[n_marginal:]),
     )
     dual_value = certificate.potential_total(trees)
-    if abs(dual_value - value) > DUALITY_TOL * (1 + abs(value)):
-        raise SolverFailureError(
-            "certificate value does not match primal optimum",
-            details={"value": value, "dual_value": dual_value},
-        )
+    check_duality_gap(value, abs(dual_value - value),
+                      "certificate value does not match primal optimum",
+                      {"value": value, "dual_value": dual_value})
     return value, coupling, certificate
 
 

@@ -254,14 +254,11 @@ class ScenarioTree:
         for t, level in enumerate(self._levels):
             for k, node in enumerate(level):
                 self._by_id[node.node_id] = (t, k)
-        # cumulative path probabilities per node
-        probs: list[np.ndarray] = [np.array([n.prob for n in self._levels[0]])]
-        for t in range(1, len(self._levels)):
-            prev = probs[-1]
-            probs.append(
-                np.array([n.prob * prev[n.parent] for n in self._levels[t]])
-            )
-        self._path_probs = probs
+        # cumulative path probabilities, level by level down to the leaves
+        probs = np.array([n.prob for n in self._levels[0]])
+        for level in self._levels[1:]:
+            probs = np.array([n.prob * probs[n.parent] for n in level])
+        self._leaf_law = probs
 
     # -- basic accessors --------------------------------------------------
 
@@ -338,10 +335,7 @@ class ScenarioTree:
 
     def leaf_law(self) -> np.ndarray:
         """Leaf-path probabilities, in leaf order."""
-        return self._path_probs[-1].copy()
-
-    def path_prob(self, t: int, idx: int) -> float:
-        return float(self._path_probs[t - 1][idx])
+        return self._leaf_law.copy()
 
     def leaf_values(self, leaf: int) -> tuple[np.ndarray, ...]:
         """State vectors (x_1, ..., x_T) along the path to a leaf."""

@@ -131,7 +131,7 @@ def test_dpp_certificate_on_oracle_family(oracle_family):
     worst_gap, worst_slack, worst_oracle = 0.0, 0.0, 0.0
     for trees, cost, dpp, v_lp, _, cert in oracle_family:
         coupling = assemble_coupling(dpp.policy)
-        report = verify_certificate(trees, cost, dpp.certificate, coupling)
+        report = verify_certificate(trees, cost_table(trees, cost), dpp.certificate, coupling)
         scale = 1.0 + abs(dpp.value)
         worst_gap = max(worst_gap, report["gap"] / scale)
         worst_slack = min(worst_slack, report["min_slack"])

@@ -53,12 +53,12 @@ def metric_cost() -> PowerCost:
 
 def test_phi0_quadratic_identity_for_single_process():
     sel = phi0_quadratic([1.0])
-    assert sel.select(1, (np.array([3.0, -2.0]),)) == pytest.approx([3.0, -2.0])
+    assert sel(1, (np.array([3.0, -2.0]),)) == pytest.approx([3.0, -2.0])
 
 
 def test_phi0_quadratic_midpoint():
     sel = phi0_quadratic([0.5, 0.5])
-    assert sel.select(1, (np.array([0.0]), np.array([2.0]))) == pytest.approx([1.0])
+    assert sel(1, (np.array([0.0]), np.array([2.0]))) == pytest.approx([1.0])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -68,9 +68,9 @@ def test_phi0_quadratic_matches_grid_argmin_oracle(seed):
     lam /= lam.sum()
     costs = [PowerCost(weight=float(l), exponent=2.0) for l in lam]
     xs = tuple(rng.normal(size=1) for _ in range(3))
-    closed = phi0_quadratic(lam).select(1, xs)
+    closed = phi0_quadratic(lam)(1, xs)
     grid = [[g] for g in np.linspace(-4, 4, 4001)]
-    gridded = grid_selector(costs, [grid], eps=0.0).select(1, xs)
+    gridded = grid_selector(costs, [grid])(1, xs)
     assert abs(closed[0] - gridded[0]) <= 2e-3  # grid resolution
 
 
@@ -94,7 +94,7 @@ def test_aggregate_two_process_quadratic_closed_form():
 def test_aggregate_grid_mode_agrees_on_grid_points():
     costs = [PowerCost(weight=0.5, exponent=2.0)] * 2
     grid = [[-1.0], [0.0], [1.0]]
-    sel = grid_selector(costs, [grid, grid], eps=0.0)
+    sel = grid_selector(costs, [grid, grid])
     agg = aggregate_cost(costs, sel)
     closed = aggregate_cost(costs, phi0_quadratic([0.5, 0.5]))
     # states whose midpoint lies on the grid
@@ -107,20 +107,19 @@ def test_grid_selector_optimality_invariant():
     rng = np.random.default_rng(9)
     costs = [PowerCost(weight=0.5, exponent=2.0)] * 2
     grid = [[g] for g in np.linspace(-2, 2, 9)]
-    sel = grid_selector(costs, [grid], eps=0.0)
+    sel = grid_selector(costs, [grid])
     for _ in range(20):
         xs = tuple(rng.normal(size=1) for _ in range(2))
-        chosen = sel.select(1, xs)
+        chosen = sel(1, xs)
         value = sum(c.at(1, x, chosen) for c, x in zip(costs, xs))
         for y in grid:
-            assert value <= sum(c.at(1, x, y) for c, x in zip(costs, xs)) + sel.eps + 1e-12
+            assert value <= sum(c.at(1, x, y) for c, x in zip(costs, xs)) + 1e-12
 
 
 def test_table_cost_round_trip_and_bounds():
     tables = [([0.0, 1.0], [0.0, 2.0], np.array([[1.0, 3.0], [0.5, 2.0]]))]
     cost = TableCost(tables)
     assert cost.at(1, [1.0], [2.0]) == 2.0
-    assert cost.lower_bound(1) == 0.5
     with pytest.raises(ValidationError, match="grid"):
         cost.at(1, [0.25], [0.0])
 
@@ -198,7 +197,7 @@ def test_bc_barycenter_coupling_passes_checker_and_masses_sum():
                 tree.node(level, tree.locate(m)[1]).value
                 for tree, m in zip(trees, members)
             )
-            sel = phi0_quadratic([0.5, 0.5]).select(level, xs)
+            sel = phi0_quadratic([0.5, 0.5])(level, xs)
             assert node.value == pytest.approx(sel, abs=1e-12)
 
 

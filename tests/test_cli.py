@@ -62,7 +62,9 @@ def test_default_run_takes_horizon_lps_and_no_oracle(tmp_path, tree_files, comma
     assert report["certificate"]["duals"]["coefficients"]
 
 
-def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["awdist", "bary-bc"])
+def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch, capsys,
+                                              command):
     _, _, p1, p2 = tree_files
     real = mc.multimarginal_ot_batch
 
@@ -79,11 +81,46 @@ def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch,
 
     monkeypatch.setattr(mc, "multimarginal_ot_batch", corrupted)
     capsys.readouterr()
-    assert run(["awdist", p1, p2]) == 4
+    assert run([command, p1, p2]) == 4
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("treeot: solver failure: dual certificate")
     assert "'min_slack'" in err
+
+
+def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
+    t1, _, p1, p2 = tree_files
+    code, out = _run_to_file(tmp_path, ["bary-bc", p1, p2])
+    assert code == 0
+    report = json.loads(out.read_text())
+    # the recursion, then one recursion per process for the recomputed value
+    assert report["solver"]["lp_solves"] == 3 * t1.horizon
+    values = report["values"]
+    assert "oracle_value" not in values
+    assert values["duality_gap"] <= 1e-8 * (1 + abs(values["barycenter_value"]))
+    assert report["verification"]["min_dual_slack"] >= -1e-8
+    assert report["certificate"]["duals"]["coefficients"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["mcot", "verify-coupling"])
+def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys, command, tol):
+    t1, t2, p1, p2 = tree_files
+    coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps(
+        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}
+    ))
+    argv = {
+        "mcot": ["mcot", p1, p2],
+        "verify-coupling": ["verify-coupling", str(path), "--trees", p1, p2],
+    }[command]
+    code, out = _run_to_file(tmp_path, [*argv, "--tol", tol])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: invalid input: tolerance must be finite and positive")
+    assert not out.exists()
 
 
 def test_counterexample_command(tmp_path):
@@ -264,13 +301,6 @@ def test_text_format_runs(tmp_path, tree_files):
     code, out = _run_to_file(tmp_path, ["awdist", p1, p1, "--format", "text"], "t.txt")
     assert code == 0
     assert "values.aw_distance" in out.read_text()
-
-
-def test_seed_is_echoed(tmp_path, tree_files):
-    _, _, p1, _ = tree_files
-    code, out = _run_to_file(tmp_path, ["counterexample", "--n", "4", "--seed", "11"], "s.json")
-    assert code == 0
-    assert json.loads(out.read_text())["config_seed"] == 11
 
 
 def test_thread_env_var_changes_nothing(tmp_path, tree_files, monkeypatch):

@@ -107,7 +107,7 @@ _OPTIONS = st.lists(
         st.tuples(st.just("--cost"), st.sampled_from(
             ["lp_sum:2", "pairwise_power:1", "lp_sum:x", "tensor:missing.npy", "bogus", ""])),
         st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "-3", "1000000", "z"])),
-        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "-1", "nan"])),
+        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "-1", "nan", "inf"])),
         st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
         st.tuples(st.just("--oracle")),
         st.tuples(st.sampled_from(["--unknown", "extra.json", "--"])),
@@ -119,7 +119,9 @@ _OPTIONS = st.lists(
 @settings(max_examples=50, deadline=5000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    command=st.sampled_from(["awdist", "mcot", "mcot-oracle", "verify-coupling", "nope"]),
+    command=st.sampled_from(
+        ["awdist", "mcot", "mcot-oracle", "bary-bc", "verify-coupling", "nope"]
+    ),
     trees=st.tuples(tree_doc("a"), tree_doc("b")),
     coupling=st.one_of(st.none(), coupling_doc()),
     options=_OPTIONS,
@@ -181,7 +183,7 @@ _SEPARABLE_COST = st.one_of(
 _MATCH_OPTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "1000000", "z"])),
-        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "nan"])),
+        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "nan", "inf"])),
         st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
         st.tuples(st.sampled_from(["--oracle", "extra.json"])),
     ),

@@ -527,7 +527,7 @@ def test_brute_force_duality_and_certificate(seed):
     v, coupling, cert = brute_force_mcot(trees, cost)
     # dual value equals the primal value
     assert cert.potential_total(trees) == pytest.approx(v, abs=1e-8 * (1 + abs(v)))
-    report = verify_certificate(trees, cost, cert, coupling)
+    report = verify_certificate(trees, cost_table(trees, cost), cert, coupling)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(v))
     # F integrates to zero under any multicausal coupling
@@ -576,7 +576,9 @@ def test_dpp_certificate_matches_oracle(seed):
              for _ in range(n)]
     cost = cm.lp_sum(1.0)
     res = mc_dpp(trees, cost)
-    report = verify_certificate(trees, cost, res.certificate, assemble_coupling(res.policy))
+    report = verify_certificate(
+        trees, cost_table(trees, cost), res.certificate, assemble_coupling(res.policy)
+    )
     v, _, oracle_cert = brute_force_mcot(trees, cost)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(res.value))
@@ -598,6 +600,45 @@ def test_dpp_certificate_beyond_oracle_size():
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(res.value))
     assert report["dual_value"] == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
+
+
+def _reordered_copy(tree, rng, shift, prefix):
+    """``tree`` with every sibling group (the roots included) in a random
+    order, fresh node ids, and every state at depth t moved by shift[t-1]."""
+    levels, names, parents = [], {}, [None]
+    for t in range(1, tree.horizon + 1):
+        level, order = [], []
+        for parent in parents:
+            kids = range(tree.level_size(1)) if parent is None else tree.children(t - 1, parent)
+            for k in rng.permutation(list(kids)).tolist():
+                node = tree.node(t, k)
+                names[(t, k)] = f"{prefix}{len(names)}"
+                level.append({
+                    "id": names[(t, k)],
+                    "parent": None if parent is None else names[(t - 1, parent)],
+                    "p": node.prob,
+                    "x": (node.value + shift[t - 1]).tolist(),
+                })
+                order.append(k)
+        levels.append(level)
+        parents = order
+    return ScenarioTree.from_levels(levels)
+
+
+def test_aw_invariance_beyond_oracle_size():
+    # the 117,649-tuple pair above, with siblings reordered, ids relabelled
+    # and both trees translated by the same path
+    rng = np.random.default_rng(7)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix=p)
+             for p in "ab"]
+    shift = rng.normal(size=(3, 1))
+    moved = [_reordered_copy(t, rng, shift, p) for t, p in zip(trees, "cd")]
+    for tree, copy in zip(trees, moved):
+        assert not set(tree.leaf_ids()) & set(copy.leaf_ids())
+        assert not np.array_equal(tree.leaf_law(), copy.leaf_law())
+        assert np.sort(tree.leaf_law()) == pytest.approx(np.sort(copy.leaf_law()), abs=1e-15)
+    v = aw_distance(*trees)
+    assert aw_distance(*moved) == pytest.approx(v, abs=1e-8 * (1 + abs(v)))
 
 
 def test_oracle_equivalence_family():
