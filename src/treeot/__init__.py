@@ -51,7 +51,6 @@ from .multicausal import (
     DualCertificate,
     KernelPolicy,
     MulticausalCoupling,
-    ValueFunction,
     assemble_coupling,
     aw_distance,
     brute_force_mcot,

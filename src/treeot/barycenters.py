@@ -242,43 +242,31 @@ def bc_barycenter(
 def _product_process(
     trees: Sequence[ScenarioTree], policy: KernelPolicy, selector: Selector
 ) -> BarycenterProcess:
-    horizon = trees[0].horizon
-    levels: list[list[dict]] = [[] for _ in range(horizon)]
+    """The reached node tuples as a tree: a node per tuple, its one-step
+    plan weight as probability and the selector value as state."""
+    levels: list[list[dict]] = []
     components: dict[str, tuple[str, ...]] = {}
-    names: dict[tuple[int, tuple[int, ...]], str] = {}
-    used: set[str] = set()
-
-    def name_for(t, idx):
-        member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
-        base = "|".join(member_ids)
-        name, k = base, 1
-        while name in used:
-            name = f"{base}#{k}"
-            k += 1
-        used.add(name)
-        names[(t, idx)] = name
-        components[name] = member_ids
-        return name
-
-    def visit(t, idx, parent_name):
-        plan = policy.plans[(t, idx)]
-        for child, w in plan.global_atoms():
-            if w <= 0.0:
-                continue
-            name = name_for(t + 1, child)
-            xs = tuple(tr.node(t + 1, k).value for tr, k in zip(trees, child))
-            levels[t].append(
+    for t, (tuples, parents, _) in enumerate(policy.reached(), start=1):
+        probs = policy.weights[t - 1][tuple(tuples.T)]
+        level = []
+        for idx, parent, p in zip(tuples.tolist(), parents.tolist(), probs.tolist()):
+            member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
+            base = "|".join(member_ids)
+            name, n = base, 1
+            while name in components:
+                name = f"{base}#{n}"
+                n += 1
+            components[name] = member_ids
+            xs = tuple(tr.node(t, k).value for tr, k in zip(trees, idx))
+            level.append(
                 {
                     "id": name,
-                    "parent": parent_name,
-                    "p": w,
-                    "x": list(np.atleast_1d(selector(t + 1, xs))),
+                    "parent": levels[-1][parent]["id"] if levels else None,
+                    "p": p,
+                    "x": list(np.atleast_1d(selector(t, xs))),
                 }
             )
-            if t + 1 < horizon:
-                visit(t + 1, child, name)
-
-    visit(0, (), None)
+        levels.append(level)
     tree = ScenarioTree.from_levels(levels)
     return BarycenterProcess(tree=tree, components=components)
 

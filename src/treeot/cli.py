@@ -102,6 +102,26 @@ def _read_tree(path: str) -> ScenarioTree:
         return load_tree(fh.read())
 
 
+def _read_cost(spec: str, trees) -> costs_mod.PathCost:
+    """The path cost named by ``spec``; a ``tensor:FILE`` (``.npy`` or
+    JSON) must have one axis per tree over that tree's leaves."""
+    kind, _, path = spec.partition(":")
+    if kind != "tensor":
+        with _reading("cost", spec):
+            return costs_mod.parse_cost_spec(spec)
+    leaves = tuple(t.n_leaves for t in trees)
+    with _reading("cost tensor", path):
+        if path.endswith(".npy"):
+            # a memory map checks the header and the file size before any data is read
+            tensor = np.lib.format.open_memmap(path, mode="r")
+        else:
+            tensor = np.asarray(_read_json("cost tensor", path), dtype=float)
+        if tensor.shape != leaves:
+            raise ValidationError(f"cost tensor {path!r} has shape {tensor.shape}, "
+                                  f"expected the leaf counts {leaves}")
+        return costs_mod.dense_tensor(tensor.astype(float, casting="same_kind"))
+
+
 def _parse_separable_cost(spec) -> bary.SeparableCost:
     """Cost descriptors: {"kind": "power", "p": 2, "weight": w} or matrices."""
     if isinstance(spec, bary.SeparableCost):
@@ -218,7 +238,7 @@ def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
 def _certified(trees, res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
     """The check of the recursion's certificate against its own cost table
     and its assembled ``coupling``; a failed check is a solver failure."""
-    check = mc.verify_certificate(trees, res.value_function.tables[-1], res.certificate, coupling)
+    check = mc.verify_certificate(trees, res.tables[-1], res.certificate, coupling)
     what = "dual certificate fails verification"
     details = {"min_slack": check["min_slack"], "gap": check["gap"], "value": res.value}
     if check["min_slack"] < -lp_mod.CAUSALITY_TOL:
@@ -251,8 +271,7 @@ def _cmd_awdist(args) -> dict:
 
 def _cmd_mcot(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
-    with _reading("cost", args.cost):
-        cost = costs_mod.parse_cost_spec(args.cost)
+    cost = _read_cost(args.cost, trees)
     res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
     check = _certified(trees, res, coupling)
@@ -582,3 +601,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -84,19 +84,10 @@ def dense_tensor(tensor: np.ndarray) -> PathCost:
 
 
 def parse_cost_spec(spec: str) -> PathCost:
-    """CLI cost specs: ``lp_sum:p``, ``pairwise_power:p`` or ``tensor:FILE``."""
+    """Builtin cost specs: ``lp_sum:p`` or ``pairwise_power:p``."""
     kind, _, arg = spec.partition(":")
     if kind == "lp_sum":
         return lp_sum(float(arg) if arg else 2.0)
     if kind == "pairwise_power":
         return pairwise_power(float(arg) if arg else 2.0)
-    if kind == "tensor":
-        if not arg:
-            raise ValidationError("tensor cost needs a file path: tensor:FILE")
-        if arg.endswith(".npy"):
-            return dense_tensor(np.load(arg))
-        import json
-
-        with open(arg, "r", encoding="utf-8") as fh:
-            return dense_tensor(np.asarray(json.load(fh), dtype=float))
     raise ValidationError(f"unknown cost spec {spec!r}")

@@ -224,15 +224,10 @@ class TransportPlan:
 
 def plan_from_dense(x: np.ndarray, shape, marginals=()) -> TransportPlan:
     x = np.asarray(x, dtype=float).reshape(shape)
-    x = np.where(x > 0, x, 0.0)  # clip solver dust at the bound
-    atoms, weights = [], []
-    for idx in np.argwhere(x > 0):
-        atoms.append(tuple(int(i) for i in idx))
-        weights.append(float(x[tuple(idx)]))
-    return TransportPlan(
+    return TransportPlan(  # solver dust at the bound is dropped
         shape=tuple(shape),
-        atoms=tuple(atoms),
-        weights=np.array(weights),
+        atoms=tuple(map(tuple, np.argwhere(x > 0).tolist())),
+        weights=x[x > 0],
         marginals=tuple(np.asarray(m, dtype=float) for m in marginals),
     )
 
@@ -274,8 +269,10 @@ def _marginal_operator(shape: tuple[int, ...]) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class MultimarginalResult:
+    """``plan`` is dense, one axis per marginal, clipped at 0."""
+
     value: float
-    plan: TransportPlan
+    plan: np.ndarray
     potentials: tuple[np.ndarray, ...]
 
 
@@ -283,7 +280,7 @@ def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
     """Exact multimarginal OT over the coupling polytope.
 
     ``cost`` is a dense tensor with one axis per marginal.  Returns the
-    optimal value, a sparse plan, and one dual potential per marginal
+    optimal value, the dense plan, and one dual potential per marginal
     atom with  sum_i E_{mu_i}[phi_i] = value  within DUALITY_TOL.
     Refuses a cost tensor of more than ``DENSE_BUDGET`` entries.
     """
@@ -349,7 +346,7 @@ def _solve_blocks(blocks) -> list[MultimarginalResult]:
     ):
         x = sol.x[cols]
         value = float(c @ x) + shift
-        plan = plan_from_dense(x, shape, marginals=ws)
+        plan = np.where(x > 0, x, 0.0).reshape(shape)  # clip solver dust at the bound
         potentials = _split_potentials(sol.duals[rows], shape, shift)
         dual_value = sum(float(p @ w) for p, w in zip(potentials, ws))
         check_duality_gap(value, abs(value - dual_value),
@@ -375,7 +372,8 @@ def _split_potentials(duals: np.ndarray, shape, shift: float) -> tuple[np.ndarra
 def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, TransportPlan]:
     """Two-marginal optimal transport; see :func:`multimarginal_ot`."""
     res = multimarginal_ot([mu, nu], np.asarray(cost, dtype=float))
-    return res.value, res.plan
+    return res.value, plan_from_dense(res.plan, res.plan.shape,
+                                      marginals=(_as_weights(mu), _as_weights(nu)))
 
 
 # -- fixed-support Wasserstein barycenter ------------------------------------

@@ -10,9 +10,9 @@ ways, which cross-verify each other:
                      below the tuple of the expected V(t+1, .),
       V(0)         = same minimisation over the time-1 laws,
 
-  storing one optimal one-step plan per node tuple (the kernel policy).
-  Stitching these plans together (:func:`assemble_coupling`) yields an
-  optimal multicausal coupling.
+  storing the optimal one-step plans of each depth in one weight array
+  (the :class:`KernelPolicy`).  Stitching these plans together
+  (:func:`assemble_coupling`) yields an optimal multicausal coupling.
 
   The one-step dual potentials phi_i^{t,A} chain into a
   :class:`DualCertificate` for the whole problem at no extra solve: the
@@ -56,7 +56,6 @@ from .lp import (
     CAUSALITY_TOL,
     MARGINAL_TOL,
     LpProblem,
-    TransportPlan,
     _marginal_operator,
     _solve_optimal,
     _split_potentials,
@@ -92,48 +91,76 @@ def _guard_budget(trees, budget, what):
     return n
 
 
-# -- value functions and kernel policies -------------------------------------
-
-
-@dataclass(frozen=True)
-class ValueFunction:
-    """Backward-induction values V(t, node tuple), V(0) at t=0."""
-
-    trees: tuple[ScenarioTree, ...]
-    tables: tuple[np.ndarray, ...]  # tables[t] has one axis per process; t=0 scalar
-
-
-@dataclass(frozen=True)
-class PolicyPlan:
-    """One-step optimal coupling below a node tuple.
-
-    ``children`` lists, per process, the child indices at depth t+1; the
-    plan's axes index into these lists.
-    """
-
-    children: tuple[tuple[int, ...], ...]
-    plan: TransportPlan
-
-    def global_atoms(self) -> Iterable[tuple[tuple[int, ...], float]]:
-        for idx, w in zip(self.plan.atoms, self.plan.weights):
-            yield tuple(ch[a] for ch, a in zip(self.children, idx)), float(w)
+# -- kernel policies -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelPolicy:
-    """Optimal one-step plans keyed by (depth t, node-index tuple at t).
+    """One-step plans of the backward recursion, one weight array per depth.
 
-    The root plan is stored at key (0, ()).
+    ``weights[t]`` (t = 0..T-1) has one axis per tree over that tree's
+    nodes at depth t+1.  Its entry at a child tuple b is the weight that
+    the one-step plan below b's parent tuple puts on b; at t = 0 this is
+    the root plan.  Every child tuple has exactly one parent tuple, so one
+    array holds all of a depth's plans.
     """
 
     trees: tuple[ScenarioTree, ...]
-    plans: dict[tuple[int, tuple[int, ...]], PolicyPlan]
+    weights: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        horizon = _check_family(self.trees)
+        shapes = [tuple(tr.level_size(t) for tr in self.trees) for t in range(1, horizon + 1)]
+        if [np.shape(w) for w in self.weights] != shapes:
+            raise ValidationError(f"kernel policy weights have shapes "
+                                  f"{[np.shape(w) for w in self.weights]}, expected {shapes}")
+        if not all(np.all(np.asarray(w) >= 0) for w in self.weights):
+            raise ValidationError("kernel policy has a negative weight")
+
+    def reached(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The node tuples the policy reaches, for depths 1..T.
+
+        A tuple is reached when its parent tuple is reached and its own
+        weight is positive.  Per depth: the reached tuples (a row of node
+        indices each), the row of each one's parent tuple at the depth
+        above, and each one's path mass, its weights multiplied from the
+        root down.  Rows follow the parent's row, then C order, as in a
+        depth-first walk.  Raises :class:`IncompletePolicyError` when a
+        reached tuple puts no weight on any child.
+        """
+        out = []
+        above, mass = np.zeros((1, 0), dtype=np.intp), np.ones(1)
+        rank = np.zeros((1,) * len(self.trees), dtype=np.intp)  # the root tuple's row
+        for t, w in enumerate(self.weights, start=1):
+            tuples = np.argwhere(w > 0)
+            parents = rank[tuple(  # depth-1 nodes hang below node 0, the root
+                np.array([n.parent or 0 for n in tr.levels[t - 1]], dtype=np.intp)[tuples[:, i]]
+                for i, tr in enumerate(self.trees)
+            )]
+            order = np.flatnonzero(parents >= 0)
+            order = order[np.argsort(parents[order], kind="stable")]
+            tuples, parents = tuples[order], parents[order]
+            childless = np.flatnonzero(np.bincount(parents, minlength=len(above)) == 0)
+            if childless.size:
+                raise IncompletePolicyError(
+                    f"kernel policy puts no weight below reached tuple "
+                    f"{tuple(above[childless[0]].tolist())} at depth {t - 1}"
+                )
+            mass = mass[parents] * w[tuple(tuples.T)]
+            rank = np.full(np.shape(w), -1, dtype=np.intp)
+            rank[tuple(tuples.T)] = np.arange(len(tuples))
+            out.append((tuples, parents, mass))
+            above = tuples
+        return out
 
 
 @dataclass(frozen=True)
 class McotResult:
+    """``tables[t]`` is V(t, .), one axis per process; ``tables[0]`` is
+    V(0) as a 0-d array and ``tables[-1]`` the cost table."""
+
     value: float
-    value_function: ValueFunction
+    tables: tuple[np.ndarray, ...]
     policy: KernelPolicy
     certificate: DualCertificate
 
@@ -167,7 +194,7 @@ def mc_dpp(
     shape_t = lambda t: tuple(tr.level_size(t) for tr in trees)
 
     tables: list[np.ndarray] = [cost_table(trees, cost)]
-    plans: dict[tuple[int, tuple[int, ...]], PolicyPlan] = {}
+    weights = [np.zeros(shape_t(t)) for t in range(1, horizon + 1)]
     coefficients = [
         [np.zeros(_coefficient_shape(trees, i, t)) for t in range(1, horizon)]
         for i in range(len(trees))
@@ -187,25 +214,21 @@ def mc_dpp(
             for idx, ch in zip(work, children)
         ])
         for idx, ch, res in zip(work, children, results):
-            plans[(t, idx)] = PolicyPlan(children=ch, plan=res.plan)
+            weights[t][np.ix_(*ch)] = res.plan
             for i, phi in enumerate(res.potentials):
                 coefficients[i][t - 1][idx[:i] + idx[i + 1:] + (list(ch[i]),)] = -phi
         tables.insert(0, np.array([res.value for res in results]).reshape(shape_t(t)))
 
     roots = [np.array([n.prob for n in tr.levels[0]]) for tr in trees]
     res = multimarginal_ot(roots, tables[0])
-    plans[(0, ())] = PolicyPlan(
-        children=tuple(tuple(range(len(r))) for r in roots), plan=res.plan
-    )
+    weights[0] = res.plan
     tables.insert(0, np.array(res.value))
     certificate = DualCertificate(
         potentials=tuple(phi[_ancestors(tr)[:, 0]] for phi, tr in zip(res.potentials, trees)),
         coefficients=tuple(tuple(c) for c in coefficients),
     )
-
-    vf = ValueFunction(trees=trees, tables=tuple(tables))
-    return McotResult(value=res.value, value_function=vf,
-                      policy=KernelPolicy(trees=trees, plans=plans),
+    return McotResult(value=res.value, tables=tuple(tables),
+                      policy=KernelPolicy(trees=trees, weights=tuple(weights)),
                       certificate=certificate)
 
 
@@ -274,24 +297,8 @@ def coupling_from_id_atoms(
 
 def assemble_coupling(policy: KernelPolicy) -> MulticausalCoupling:
     """Product of the one-step policy plans along every path tuple."""
-    horizon = policy.trees[0].horizon
-    atoms: dict[tuple[int, ...], float] = {}
-
-    def expand(t, idx, weight):
-        key = (t, idx)
-        if key not in policy.plans:
-            raise IncompletePolicyError(
-                f"kernel policy has no plan for reachable tuple {idx} at depth {t}"
-            )
-        for nxt, w in policy.plans[key].global_atoms():
-            if w <= 0.0:
-                continue
-            if t + 1 == horizon:
-                atoms[nxt] = atoms.get(nxt, 0.0) + weight * w
-            else:
-                expand(t + 1, nxt, weight * w)
-
-    expand(0, (), 1.0)
+    tuples, _, mass = policy.reached()[-1]
+    atoms = dict(zip(map(tuple, tuples.tolist()), mass.tolist()))
     coupling = MulticausalCoupling(trees=policy.trees, atoms=atoms)
     tv = coupling.worst_marginal_tv()
     if tv > MARGINAL_TOL:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp import TransportPlan, multimarginal_ot
-from .multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan, assemble_coupling
+from .lp import multimarginal_ot
+from .multicausal import KernelPolicy, MulticausalCoupling, assemble_coupling
 from .trees import ScenarioTree
 
 
@@ -60,43 +60,26 @@ def random_policy(rng: np.random.Generator, trees) -> KernelPolicy:
     which samples both interior and extreme points of the polytope.
     """
     trees = tuple(trees)
-    horizon = trees[0].horizon
-    plans: dict = {}
-
-    def one_step(children, kernels):
-        shape = tuple(len(k) for k in kernels)
-        vertex = multimarginal_ot(kernels, rng.normal(size=shape)).plan
-        alpha = float(rng.random())
-        dense = np.zeros(shape)
-        for idx, w in zip(vertex.atoms, vertex.weights):
-            dense[idx] += alpha * w
-        product = kernels[0]
-        for k in kernels[1:]:
-            product = np.multiply.outer(product, k)
-        dense += (1.0 - alpha) * product
-        atoms = tuple(tuple(int(i) for i in idx) for idx in np.argwhere(dense > 0))
-        return PolicyPlan(
-            children=children,
-            plan=TransportPlan(
-                shape=shape,
-                atoms=atoms,
-                weights=np.array([dense[a] for a in atoms]),
-                marginals=tuple(kernels),
-            ),
-        )
-
-    roots = tuple(tuple(range(t.level_size(1))) for t in trees)
-    root_kernels = [np.array([n.prob for n in t.levels[0]]) for t in trees]
-    plans[(0, ())] = one_step(roots, root_kernels)
-    for t in range(1, horizon):
-        for idx in np.ndindex(*(t_.level_size(t) for t_ in trees)):
-            children = tuple(tr.children(t, k) for tr, k in zip(trees, idx))
-            kernels = [
-                np.array([tr.node(t + 1, j).prob for j in ch])
-                for tr, ch in zip(trees, children)
-            ]
-            plans[(t, idx)] = one_step(children, kernels)
-    return KernelPolicy(trees=trees, plans=plans)
+    weights = []
+    for t in range(1, trees[0].horizon + 1):
+        w = np.zeros(tuple(tr.level_size(t) for tr in trees))
+        if t == 1:
+            blocks = [[list(range(tr.level_size(1))) for tr in trees]]
+        else:
+            blocks = [[tr.children(t - 1, k) for tr, k in zip(trees, idx)]
+                      for idx in np.ndindex(*(tr.level_size(t - 1) for tr in trees))]
+        for children in blocks:
+            kernels = [np.array([tr.node(t, j).prob for j in ch])
+                       for tr, ch in zip(trees, children)]
+            shape = tuple(len(ch) for ch in children)
+            vertex = multimarginal_ot(kernels, rng.normal(size=shape)).plan
+            alpha = float(rng.random())
+            product = kernels[0]
+            for k in kernels[1:]:
+                product = np.multiply.outer(product, k)
+            w[np.ix_(*children)] = alpha * vertex + (1.0 - alpha) * product
+        weights.append(w)
+    return KernelPolicy(trees=trees, weights=tuple(weights))
 
 
 def random_multicausal_coupling(rng, trees) -> MulticausalCoupling:

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,43 @@ def test_json_cost_descriptor_accepted(tmp_path, tree_files):
     assert report["values"]["barycenter_value"] == pytest.approx(
         report["values"]["recomputed_value_at_barycenter"], abs=1e-8
     )
+
+
+@pytest.mark.parametrize("suffix", [".npy", ".json"])
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2), (5, 5), (4, 4, 1), (16,)])
+def test_tensor_cost_must_have_the_leaf_counts_as_shape(tmp_path, capsys, shape, suffix):
+    rng = np.random.default_rng(5)
+    paths = []
+    for prefix in "ab":
+        tree = random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=2, prefix=prefix)
+        paths.append(tmp_path / f"{prefix}.json")
+        paths[-1].write_text(dump_tree(tree))
+    tensor = tmp_path / f"tensor{suffix}"
+    if suffix == ".npy":
+        np.save(tensor, np.ones(shape))
+    else:
+        tensor.write_text(json.dumps(np.ones(shape).tolist()))
+    argv = ["mcot", *map(str, paths), "--cost", f"tensor:{tensor}"]
+    if shape == (4, 4):
+        assert _run_to_file(tmp_path, argv)[0] == 0
+        return
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(shape) in err[0] and "(4, 4)" in err[0]
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "treeot.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    done = module("counterexample", "--n", "4")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "counterexample"
+    done = module("no-such-command")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.strip().splitlines()) == 1

@@ -1,7 +1,7 @@
 """Bounded fuzzing of the CLI contract.
 
-Whatever the command line, tree files, coupling file and matching
-instance file, a run exits
+Whatever the command line, tree files, coupling file, cost tensor file
+and matching instance file, a run exits
 with 0, 2, 3 or 4; a failed run says why on exactly one stderr line; and
 a successful run writes a report that a second run reproduces byte for
 byte.
@@ -15,6 +15,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -230,3 +231,68 @@ def test_match_contract_under_fuzzing(instance, options):
             fh.write(instance)
         argv = ["match", path, *(token for option in options for token in option)]
         _check_contract(argv, os.path.join(tmp, "report"))
+
+
+#: two trees of 4 leaves each, so a valid cost tensor has shape (4, 4)
+_SQUARE_TREES = [
+    json.dumps({"horizon": 2, "levels": [
+        [{"id": f"{c}{k}", "parent": None, "p": 0.5, "x": [float(k)]} for k in range(2)],
+        [{"id": f"{c}{k}{j}", "parent": f"{c}{k}", "p": 0.5, "x": [float(k - j)]}
+         for k in range(2) for j in range(2)],
+    ]})
+    for c in "ab"
+]
+_SHAPES = st.sampled_from([(4, 4)] * 3 + [(), (16,), (4, 4, 1), (2, 2), (3, 4), (4, 3), (5, 5), (4, 5)])
+
+
+@st.composite
+def tensor_file(draw):
+    """A cost tensor file: its name and bytes, as ``.npy`` or JSON, mostly
+    numeric with a drawn shape, else non-numeric, ragged, of a non-real
+    dtype, garbage or cut short."""
+    kind = draw(st.sampled_from(["npy"] * 3 + ["json"] * 3 + [
+        "non-numeric", "ragged", "object", "complex", "strings", "garbage", "truncated",
+    ]))
+    shape = draw(_SHAPES)
+    size = int(np.prod(shape))
+    values = np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size))).reshape(shape)
+    buffer = io.BytesIO()
+    if kind in ("npy", "garbage", "truncated"):
+        np.save(buffer, values)
+        data = buffer.getvalue()
+        if kind == "garbage":
+            data = draw(st.binary(max_size=64))
+        elif kind == "truncated":
+            data = data[:draw(st.integers(0, len(data) - 1))]
+        return "tensor.npy", data
+    if kind in ("complex", "strings"):
+        np.save(buffer, values.astype(complex if kind == "complex" else str))
+        return "tensor.npy", buffer.getvalue()
+    doc = values.tolist()
+    if kind == "non-numeric":
+        doc = [[draw(st.sampled_from(["x", None, "1", [], {}])), 1.0]] * 4
+    elif kind == "ragged":
+        doc = [[1.0, 2.0, 3.0, 4.0]] * 3 + [[1.0]]
+    elif kind == "object":
+        doc = draw(_JUNK) if draw(st.booleans()) else {"tensor": doc}
+    return "tensor.json", json.dumps(doc).encode()
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tensor=st.one_of(tensor_file(), st.none()),
+       command=st.sampled_from(["mcot", "mcot-oracle"]))
+def test_tensor_cost_contract_under_fuzzing(tensor, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, text in zip(("a.json", "b.json"), _SQUARE_TREES):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        cost = os.path.join(tmp, "missing.npy")
+        if tensor is not None:
+            cost = os.path.join(tmp, tensor[0])
+            with open(cost, "wb") as fh:
+                fh.write(tensor[1])
+        _check_contract([command, *paths, "--cost", f"tensor:{cost}"],
+                        os.path.join(tmp, "report"))

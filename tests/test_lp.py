@@ -126,7 +126,7 @@ def test_multimarginal_discrete_metric_identical_marginals():
     cost = 1.0 - np.eye(3)
     res = multimarginal_ot([mu, mu], cost)
     assert res.value == pytest.approx(0.0, abs=1e-10)
-    assert set(res.plan.atoms) == {(0, 0), (1, 1), (2, 2)}
+    assert set(map(tuple, np.argwhere(res.plan > 0).tolist())) == {(0, 0), (1, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -169,8 +169,7 @@ def test_multimarginal_cost_shift_exact(kappa):
     base = multimarginal_ot(marginals, cost)
     shifted = multimarginal_ot(marginals, cost + kappa)
     assert shifted.value - base.value == pytest.approx(kappa, abs=1e-12)
-    assert shifted.plan.atoms == base.plan.atoms
-    assert shifted.plan.weights == pytest.approx(base.plan.weights, abs=0)
+    assert np.array_equal(shifted.plan, base.plan)
 
 
 def test_multimarginal_separable_cost_depends_on_marginals_only():

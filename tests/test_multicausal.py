@@ -41,8 +41,7 @@ from treeot import costs as cm
 from treeot import lp as lp_mod
 from treeot.barycenters import causal_violation
 from treeot.cli import run
-from treeot.multicausal import KernelPolicy, MulticausalCoupling, PolicyPlan, cost_table
-from treeot.lp import TransportPlan
+from treeot.multicausal import KernelPolicy, MulticausalCoupling, cost_table
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree
 
@@ -50,54 +49,60 @@ from treeot.trees import ScenarioTree, chain_tree, dump_tree
 def product_policy(trees) -> KernelPolicy:
     """Independent kernels at every node tuple."""
     trees = tuple(trees)
-    plans = {}
-
-    def prod_plan(children, kernels):
-        dense = kernels[0]
-        for k in kernels[1:]:
-            dense = np.multiply.outer(dense, k)
-        atoms = tuple(map(tuple, np.ndindex(*dense.shape)))
-        return PolicyPlan(
-            children=children,
-            plan=TransportPlan(
-                shape=dense.shape,
-                atoms=atoms,
-                weights=np.array([dense[a] for a in atoms]),
-                marginals=tuple(kernels),
-            ),
-        )
-
-    roots = tuple(tuple(range(t.level_size(1))) for t in trees)
-    plans[(0, ())] = prod_plan(roots, [t.leaf_law() if t.horizon == 1 else
-                                       np.array([n.prob for n in t.levels[0]])
-                                       for t in trees])
-    for t in range(1, trees[0].horizon):
-        for idx in np.ndindex(*(tr.level_size(t) for tr in trees)):
-            children = tuple(tr.children(t, k) for tr, k in zip(trees, idx))
-            kernels = [
-                np.array([tr.node(t + 1, j).prob for j in ch])
-                for tr, ch in zip(trees, children)
-            ]
-            plans[(t, idx)] = prod_plan(children, kernels)
-    return KernelPolicy(trees=trees, plans=plans)
+    weights = []
+    for t in range(1, trees[0].horizon + 1):
+        dense = np.array(1.0)
+        for tr in trees:
+            dense = np.multiply.outer(dense, [n.prob for n in tr.levels[t - 1]])
+        weights.append(dense)
+    return KernelPolicy(trees=trees, weights=tuple(weights))
 
 
 def direct_summation(policy: KernelPolicy) -> dict[tuple[int, ...], float]:
-    """Oracle: leaf-tuple weights by explicit nested products."""
+    """Oracle: leaf-tuple weights by explicit nested products, children
+    visited depth first in C order, in the order of the returned dict."""
     trees = policy.trees
-    horizon = trees[0].horizon
-    out: dict[tuple[int, ...], float] = {}
     frontier = [((), 1.0)]
-    for t in range(horizon):
+    for t, weights in enumerate(policy.weights):
         new = []
         for idx, w in frontier:
-            plan = policy.plans[(t, idx)]
-            for nxt, kw in plan.global_atoms():
-                if kw > 0:
-                    new.append((nxt, w * kw))
+            if t == 0:
+                children = [range(tr.level_size(1)) for tr in trees]
+            else:
+                children = [tr.children(t, k) for tr, k in zip(trees, idx)]
+            for nxt in itertools.product(*children):
+                if weights[nxt] > 0:
+                    new.append((nxt, w * float(weights[nxt])))
         frontier = new
+    out: dict[tuple[int, ...], float] = {}
     for idx, w in frontier:
         out[idx] = out.get(idx, 0.0) + w
+    return out
+
+
+def shuffled_levels(rng, tree: ScenarioTree) -> ScenarioTree:
+    """The same process with each level's nodes listed in random order."""
+    levels = []
+    for t, level in enumerate(tree.levels):
+        specs = [
+            {"id": n.node_id,
+             "parent": None if t == 0 else tree.levels[t - 1][n.parent].node_id,
+             "p": n.prob, "x": n.value.tolist()}
+            for n in level
+        ]
+        levels.append([specs[k] for k in rng.permutation(len(specs))])
+    return ScenarioTree.from_levels(levels)
+
+
+def block_plans(res):
+    """(depth t, the tuple's children per tree, its one-step plan) for the
+    root (t = 0) and every node tuple above the leaves."""
+    trees = res.policy.trees
+    out = [(0, [list(range(tr.level_size(1))) for tr in trees], res.policy.weights[0])]
+    for t in range(1, trees[0].horizon):
+        for idx in np.ndindex(*(tr.level_size(t) for tr in trees)):
+            children = [tr.children(t, k) for tr, k in zip(trees, idx)]
+            out.append((t, children, res.policy.weights[t][np.ix_(*children)]))
     return out
 
 
@@ -173,14 +178,17 @@ def test_dpp_value_function_terminal_layer_is_cost():
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(2)]
     cost = cm.pairwise_power(2.0)
     res = mc_dpp(trees, cost)
-    terminal = res.value_function.tables[-1]
+    terminal = res.tables[-1]
     vals = [t.all_leaf_values() for t in trees]
     for idx in np.ndindex(*terminal.shape):
         assert terminal[idx] == cost(idx, tuple(v[k] for v, k in zip(vals, idx)))
-    assert all(np.all(np.isfinite(tbl)) for tbl in res.value_function.tables)
+    assert all(np.all(np.isfinite(tbl)) for tbl in res.tables)
     # stored policy plans are feasible for their conditional marginals
-    for plan in res.policy.plans.values():
-        assert plan.plan.marginal_error() <= 1e-9
+    for t, children, plan in block_plans(res):
+        for axis, (tree, ch) in enumerate(zip(trees, children)):
+            kernel = np.array([tree.node(t + 1, j).prob for j in ch])
+            others = tuple(a for a in range(plan.ndim) if a != axis)
+            assert 0.5 * np.abs(plan.sum(axis=others) - kernel).sum() <= 1e-9
 
 
 def test_dpp_rejects_horizon_mismatch_and_budget():
@@ -206,10 +214,8 @@ def test_dpp_cost_shift_moves_value_exactly_and_keeps_policy():
     res0 = mc_dpp(trees, base_cost)
     res1 = mc_dpp(trees, shifted)
     assert res1.value - res0.value == pytest.approx(kappa, abs=1e-12)
-    for key, plan0 in res0.policy.plans.items():
-        plan1 = res1.policy.plans[key]
-        assert plan0.plan.atoms == plan1.plan.atoms
-        assert plan0.plan.weights == pytest.approx(plan1.plan.weights, abs=0)
+    for w0, w1 in zip(res0.policy.weights, res1.policy.weights, strict=True):
+        assert np.array_equal(w0, w1)
 
 
 def test_policy_perturbation_strictly_increases_cost():
@@ -231,15 +237,14 @@ def test_policy_perturbation_strictly_increases_cost():
     cost = cm.pairwise_power(1.0)
     res = mc_dpp([tree, tree], cost)
     assert res.value == pytest.approx(0.0, abs=1e-12)
-    plans = dict(res.policy.plans)
-    prod = product_policy([tree, tree])
-    plans[(0, ())] = prod.plans[(0, ())]
-    perturbed = assemble_coupling(KernelPolicy(trees=(tree, tree), plans=plans))
+    weights = list(res.policy.weights)
+    weights[0] = product_policy([tree, tree]).weights[0]
+    perturbed = assemble_coupling(KernelPolicy(trees=(tree, tree), weights=tuple(weights)))
     assert perturbed.expectation(cost) > res.value + 0.1
 
 
 def _depth_shapes(res, t):
-    return {plan.plan.shape for (depth, _), plan in res.policy.plans.items() if depth == t}
+    return {plan.shape for depth, _, plan in block_plans(res) if depth == t}
 
 
 @pytest.mark.parametrize("n, horizon, max_branch", [(2, 3, 3), (3, 3, 2)])
@@ -271,14 +276,11 @@ def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
     # HiGHS pivots differently on differently stacked blocks, so plans may
     # differ in the last bit; supports must agree exactly
     assert chunked.value == pytest.approx(whole.value, rel=1e-12, abs=1e-14)
-    for a, b in zip(whole.value_function.tables, chunked.value_function.tables):
+    for a, b in zip(whole.tables, chunked.tables, strict=True):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-14)
-    assert chunked.policy.plans.keys() == whole.policy.plans.keys()
-    for key, plan in whole.policy.plans.items():
-        other = chunked.policy.plans[key]
-        assert other.children == plan.children
-        assert other.plan.atoms == plan.plan.atoms
-        np.testing.assert_allclose(other.plan.weights, plan.plan.weights, rtol=0, atol=1e-14)
+    for w, other in zip(whole.policy.weights, chunked.policy.weights, strict=True):
+        assert np.array_equal(other > 0, w > 0)
+        np.testing.assert_allclose(other, w, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -365,6 +367,17 @@ def test_assemble_matches_direct_summation_oracle(seed):
     assert set(coupling.atoms) == set(oracle)
     for idx, w in oracle.items():
         assert coupling.atoms[idx] == pytest.approx(w, abs=1e-14)
+    # atom order fixes the summation order of verify_certificate; levels
+    # listed out of parent order must not change it
+    shuffled = [shuffled_levels(rng, tr) for tr in
+                (random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3)
+                 for _ in range(2))]
+    res = mc_dpp(shuffled, cm.pairwise_power(2.0))
+    for policy in (res.policy, random_policy(rng, shuffled)):
+        coupling = assemble_coupling(policy)
+        oracle = direct_summation(policy)
+        assert list(coupling.atoms) == list(oracle)
+        assert list(coupling.atoms.values()) == list(oracle.values())
 
 
 def test_assemble_optimal_policy_attains_dpp_value():
@@ -381,9 +394,26 @@ def test_assemble_incomplete_policy_raises():
     rng = np.random.default_rng(8)
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(2)]
     policy = random_policy(rng, trees)
-    plans = {k: v for k, v in policy.plans.items() if k == (0, ())}
-    with pytest.raises(IncompletePolicyError):
-        assemble_coupling(KernelPolicy(trees=policy.trees, plans=plans))
+    idx = tuple(np.argwhere(policy.weights[0] > 0)[-1])  # a reached tuple
+    weights = [w.copy() for w in policy.weights]
+    weights[1][np.ix_(*(tr.children(1, k) for tr, k in zip(trees, idx)))] = 0.0
+    with pytest.raises(IncompletePolicyError, match="depth 1"):
+        assemble_coupling(KernelPolicy(trees=policy.trees, weights=tuple(weights)))
+
+
+def test_kernel_policy_rejects_malformed_weights():
+    rng = np.random.default_rng(8)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=3)
+             for _ in range(2)]
+    weights = random_policy(rng, trees).weights
+    with pytest.raises(ValidationError, match="shapes"):
+        KernelPolicy(trees=trees, weights=weights[:1])
+    with pytest.raises(ValidationError, match="shapes"):
+        KernelPolicy(trees=trees, weights=(weights[0][1:], weights[1]))
+    negative = weights[1].copy()
+    negative[0, 0] = -1e-12
+    with pytest.raises(ValidationError, match="negative"):
+        KernelPolicy(trees=trees, weights=(weights[0], negative))
 
 
 # -- verify_multicausal --------------------------------------------------------------
@@ -594,7 +624,7 @@ def test_dpp_certificate_beyond_oracle_size():
     trees = [random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix=p)
              for p in "ab"]
     res = mc_dpp(trees, cm.lp_sum(2.0))
-    table = res.value_function.tables[-1]
+    table = res.tables[-1]
     assert table.size == 117_649
     report = verify_certificate(trees, table, res.certificate, assemble_coupling(res.policy))
     assert report["min_slack"] >= -1e-8
