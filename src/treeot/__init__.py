@@ -19,7 +19,7 @@ from .barycenters import (
     grid_selector,
     phi0_quadratic,
 )
-from .costs import dense_tensor, lp_sum, pairwise_power, value_cost
+from .costs import lp_sum, pairwise_power
 from .errors import (
     BudgetExceededError,
     IncompletePolicyError,
@@ -55,6 +55,7 @@ from .multicausal import (
     aw_distance,
     brute_force_mcot,
     causality_operator,
+    cost_table,
     coupling_from_id_atoms,
     glue,
     mc_dpp,

@@ -47,29 +47,36 @@ from .multicausal import (
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
-    _ancestors,
     _child_probs,
     _coefficient_blocks,
     assemble_coupling,
     causality_operator,
+    cost_table,
     mc_dpp,
 )
-from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
+from .trees import DiscreteDistribution, ScenarioTree, _ancestors, quantize_gauss_hermite
 
 
 # -- separable costs ----------------------------------------------------------
 
 
 class SeparableCost:
-    """Time-separable transport cost c(x, y) = sum_t c_t(x_t, y_t)."""
+    """Time-separable transport cost c(x, y) = sum_t c_t(x_t, y_t).
 
-    def at(self, t: int, x: np.ndarray, y: np.ndarray) -> float:
+    As a cost (see :mod:`treeot.costs`) it builds the table of a pair of
+    trees, one axis per tree.
+    """
+
+    def at(self, t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """c_t(x, y), broadcast over the leading axes; states on the last."""
         raise NotImplementedError
 
-    def path_cost(self, xpath, ypath) -> float:
-        return float(
-            sum(self.at(t + 1, x, y) for t, (x, y) in enumerate(zip(xpath, ypath)))
-        )
+    def __call__(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
+        tree_x, tree_y = trees
+        table = np.zeros((tree_x.n_leaves, tree_y.n_leaves))
+        for t, (x, y) in enumerate(zip(tree_x.leaf_states(), tree_y.leaf_states()), start=1):
+            table = table + self.at(t, x[:, None], y[None, :])
+        return table
 
 
 @dataclass(frozen=True)
@@ -87,14 +94,15 @@ class PowerCost(SeparableCost):
 
     def at(self, t, x, y):
         d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return self.weight * float(np.sum(d ** self.exponent))
+        return self.weight * np.sum(d ** self.exponent, axis=-1)
 
 
 class TableCost(SeparableCost):
     """Explicit per-time cost matrices over finite grids.
 
     ``tables[t]`` is (x_atoms, y_atoms, matrix); evaluation looks the
-    arguments up in the declared grids (within 1e-9 per coordinate).
+    arguments up in the declared grids: the first atom within 1e-9 per
+    coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Sequence, Sequence, np.ndarray]]):
@@ -105,39 +113,40 @@ class TableCost(SeparableCost):
                 raise ValidationError(
                     f"cost matrix shape {mat.shape} != ({len(x_atoms)}, {len(y_atoms)})"
                 )
-            self._tables.append(
-                (
-                    [np.atleast_1d(np.asarray(a, dtype=float)) for a in x_atoms],
-                    [np.atleast_1d(np.asarray(a, dtype=float)) for a in y_atoms],
-                    mat,
-                )
-            )
-
-    @staticmethod
-    def _find(atoms, v) -> int:
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        for k, a in enumerate(atoms):
-            if a.shape == v.shape and np.max(np.abs(a - v)) <= 1e-9:
-                return k
-        raise ValidationError(f"value {v!r} not on the declared cost grid")
+            self._tables.append((_grid(x_atoms), _grid(y_atoms), mat))
 
     def at(self, t, x, y):
         x_atoms, y_atoms, mat = self._tables[t - 1]
-        return float(mat[self._find(x_atoms, x), self._find(y_atoms, y)])
+        return mat[_lookup(x_atoms, x), _lookup(y_atoms, y)]
 
 
-def _as_path_cost(cost) -> Callable:
-    if isinstance(cost, SeparableCost):
-        return cost.path_cost
-    if callable(cost):
-        return cost
-    raise ValidationError(f"cannot interpret {cost!r} as a transport cost")
+def _grid(points: Sequence) -> np.ndarray:
+    """Grid points as the rows of a (points, dimension) array."""
+    rows = [np.asarray(a, dtype=float).reshape(-1) for a in points]
+    if not rows or len({r.shape for r in rows}) > 1:
+        raise ValidationError("every grid must have at least one point, all of one dimension")
+    return np.array(rows)
+
+
+def _lookup(atoms: np.ndarray, states) -> np.ndarray:
+    """Index of the first of ``atoms`` within 1e-9 of each state (state
+    axis last)."""
+    states = np.atleast_1d(np.asarray(states, dtype=float))
+    if states.shape[-1] == atoms.shape[1]:
+        close = np.all(np.abs(states[..., None, :] - atoms) <= 1e-9, axis=-1)
+    else:
+        close = np.zeros(states.shape[:-1] + (len(atoms),), dtype=bool)
+    found = close.any(axis=-1)
+    if not np.all(found):
+        raise ValidationError(f"value {states[~found][0]!r} not on the declared cost grid")
+    return close.argmax(axis=-1)
 
 
 # -- pointwise minimiser selectors -------------------------------------------
 
 #: selector(t, xs) -> y: the barycenter state at time t for the N-tuple of
-#: states xs, a minimiser of  y -> sum_i c^i_t(x^i, y)
+#: states xs, a minimiser of  y -> sum_i c^i_t(x^i, y); broadcast over the
+#: leading axes of xs, states on the last
 Selector = Callable[[int, tuple[np.ndarray, ...]], np.ndarray]
 
 
@@ -161,40 +170,47 @@ def phi0_quadratic(weights: Sequence[float]) -> Selector:
 def grid_selector(costs: Sequence[SeparableCost], grids: Sequence[Sequence]) -> Selector:
     """Argmin selector over caller-supplied per-time grids.
 
-    Ties break to the first grid point in file order.
+    Ties break to the first grid point in file order.  One grid point at
+    a time, so memory follows the states, not the grid.
     """
-    parsed = [
-        [np.atleast_1d(np.asarray(g, dtype=float)) for g in grid] for grid in grids
-    ]
-    if any(not grid for grid in parsed):
-        raise ValidationError("every per-time grid must be nonempty")
+    parsed = [_grid(grid) for grid in grids]
 
     def select(t, xs):
         grid = parsed[t - 1]
         best, best_val = 0, np.inf
         for k, y in enumerate(grid):
             val = sum(c.at(t, x, y) for c, x in zip(costs, xs))
-            if val < best_val:
-                best, best_val = k, val
+            better = val < best_val
+            best, best_val = np.where(better, k, best), np.where(better, val, best_val)
         return grid[best]
 
     return select
 
 
-def aggregate_cost(costs: Sequence[SeparableCost], selector: Selector) -> costs_mod.PathCost:
-    """Aggregated multicausal cost  sum_t sum_i c^i_t(x^i_t, phi_t(...))."""
+def _on_axis(states: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Per-leaf ``states`` (leaves first) with the leaf axis at position i
+    of n leading axes, to broadcast against the other trees' leaves."""
+    return states.reshape((1,) * i + states.shape[:1] + (1,) * (n - 1 - i) + states.shape[1:])
+
+
+def aggregate_cost(
+    costs: Sequence[SeparableCost], selector: Selector
+) -> costs_mod.Cost:
+    """Aggregated multicausal cost  sum_t sum_i c^i_t(x^i_t, phi_t(...)),
+    as a builder of its table over the leaf-path tuples."""
     costs = list(costs)
 
-    def agg(*paths):
-        horizon = len(paths[0])
-        total = 0.0
-        for t in range(1, horizon + 1):
-            xs = tuple(p[t - 1] for p in paths)
+    def agg(trees):
+        trees = tuple(trees)
+        states = [tr.leaf_states() for tr in trees]
+        total = np.zeros(tuple(tr.n_leaves for tr in trees))
+        for t in range(1, trees[0].horizon + 1):
+            xs = tuple(_on_axis(s[t - 1], i, len(trees)) for i, s in enumerate(states))
             y = selector(t, xs)
-            total += sum(c.at(t, x, y) for c, x in zip(costs, xs))
+            total = total + sum(c.at(t, x, y) for c, x in zip(costs, xs))
         return total
 
-    return costs_mod.value_cost(agg)
+    return agg
 
 
 # -- bicausal barycenters ------------------------------------------------------
@@ -248,8 +264,12 @@ def _product_process(
     components: dict[str, tuple[str, ...]] = {}
     for t, (tuples, parents, _) in enumerate(policy.reached(), start=1):
         probs = policy.weights[t - 1][tuple(tuples.T)]
+        ys = selector(t, tuple(
+            np.array([n.value for n in tr.levels[t - 1]])[tuples[:, i]]
+            for i, tr in enumerate(trees)
+        ))
         level = []
-        for idx, parent, p in zip(tuples.tolist(), parents.tolist(), probs.tolist()):
+        for idx, parent, p, y in zip(tuples.tolist(), parents.tolist(), probs.tolist(), ys):
             member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
             base = "|".join(member_ids)
             name, n = base, 1
@@ -257,13 +277,12 @@ def _product_process(
                 name = f"{base}#{n}"
                 n += 1
             components[name] = member_ids
-            xs = tuple(tr.node(t, k).value for tr, k in zip(trees, idx))
             level.append(
                 {
                     "id": name,
                     "parent": levels[-1][parent]["id"] if levels else None,
                     "p": p,
-                    "x": list(np.atleast_1d(selector(t, xs))),
+                    "x": list(y),
                 }
             )
         levels.append(level)
@@ -280,34 +299,11 @@ def bc_bary_value(
     """sum_i AW_{c^i}(X^i, candidate), one bicausal solve per process."""
     total = 0.0
     for tree, cost in zip(trees, costs):
-        fn = _as_path_cost(cost)
-        total += mc_dpp(
-            [tree, candidate], costs_mod.value_cost(fn), tuple_budget=tuple_budget
-        ).value
+        total += mc_dpp([tree, candidate], cost, tuple_budget=tuple_budget).value
     return float(total)
 
 
 # -- causality-constrained transport LPs ---------------------------------------
-
-
-def _cost_matrix(tree_x: ScenarioTree, tree_y: ScenarioTree, cost) -> np.ndarray:
-    """``cost`` on every leaf pair; a cost given as that table is returned
-    as it is, after a shape check."""
-    shape = (tree_x.n_leaves, tree_y.n_leaves)
-    if isinstance(cost, np.ndarray):
-        if cost.shape != shape:
-            raise ValidationError(f"cost table has shape {cost.shape}, expected {shape}")
-        return cost
-    fn = _as_path_cost(cost)
-    xs = tree_x.all_leaf_values()
-    ys = tree_y.all_leaf_values()
-    out = np.empty(shape)
-    for a, xp in enumerate(xs):
-        for b, yp in enumerate(ys):
-            out[a, b] = fn(xp, yp)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("cost is not finite on every leaf pair")
-    return out
 
 
 def causal_violation(
@@ -337,7 +333,7 @@ def causal_ot(
         raise BudgetExceededError(
             f"causal_ot: {n_x * n_y} leaf pairs exceed budget {tuple_budget}"
         )
-    cmat = _cost_matrix(tree_x, tree_y, cost)
+    cmat = cost_table((tree_x, tree_y), cost)
     shift = float(cmat.min())
 
     a_eq = sp.vstack([
@@ -429,7 +425,7 @@ class CausalBarycenterSolution:
         """(min slack everywhere, max |slack| on the plan supports)."""
         return _slack_extremes(
             self.trees, self.task_tree,
-            [_cost_matrix(t, self.task_tree, c) for t, c in zip(self.trees, costs)],
+            [cost_table((t, self.task_tree), c) for t, c in zip(self.trees, costs)],
             self.plans, self.potentials, [-g for g in self.task_potentials],
             self.mart_coefficients,
         )
@@ -447,7 +443,8 @@ def causal_barycenter(
     every plan's task marginal equals nu, and each plan satisfies the
     causality equalities of its own process.  Probabilities stored on
     ``task_tree`` are ignored; only its support structure matters.  Each
-    cost is a path cost or its table on (process leaf, task leaf) pairs.
+    cost is a cost (see :mod:`treeot.costs`) of the pair (process tree,
+    task tree).
     The task potential of process 0 absorbs the zero-sum normalisation.
     """
     trees = tuple(trees)
@@ -462,7 +459,7 @@ def causal_barycenter(
     if sum(n * n_y for n in sizes) > tuple_budget:
         raise BudgetExceededError("causal_barycenter: joint LP exceeds the tuple budget")
 
-    cmats = [_cost_matrix(t, task_tree, c) for t, c in zip(trees, costs)]
+    cmats = [cost_table((t, task_tree), c) for t, c in zip(trees, costs)]
     shift = min(float(c.min()) for c in cmats)
 
     # one row block per population: its marginal, the task marginal linked
@@ -584,7 +581,7 @@ def anticausal_barycenter(
         raise BudgetExceededError("anticausal_barycenter: joint LP exceeds the tuple budget")
     n = len(trees)
     cost_mats = [
-        _cost_matrix(tree, task_tree, c).T * n  # (support, measure) orientation
+        cost_table((tree, task_tree), c).T * n  # (support, measure) orientation
         for tree, c in zip(trees, costs)
     ]
     res = wasserstein_barycenter_fixed_support(

@@ -102,9 +102,10 @@ def _read_tree(path: str) -> ScenarioTree:
         return load_tree(fh.read())
 
 
-def _read_cost(spec: str, trees) -> costs_mod.PathCost:
-    """The path cost named by ``spec``; a ``tensor:FILE`` (``.npy`` or
-    JSON) must have one axis per tree over that tree's leaves."""
+def _read_cost(spec: str, trees) -> costs_mod.Cost:
+    """The cost named by ``spec``; a ``tensor:FILE`` (``.npy`` or JSON)
+    is the table itself and must have one axis per tree over that tree's
+    leaves."""
     kind, _, path = spec.partition(":")
     if kind != "tensor":
         with _reading("cost", spec):
@@ -119,7 +120,7 @@ def _read_cost(spec: str, trees) -> costs_mod.PathCost:
         if tensor.shape != leaves:
             raise ValidationError(f"cost tensor {path!r} has shape {tensor.shape}, "
                                   f"expected the leaf counts {leaves}")
-        return costs_mod.dense_tensor(tensor.astype(float, casting="same_kind"))
+        return tensor.astype(float, casting="same_kind")
 
 
 def _parse_separable_cost(spec) -> bary.SeparableCost:

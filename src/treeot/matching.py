@@ -23,13 +23,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .barycenters import (
-    _as_path_cost,
-    _cost_matrix,
-    _slack_extremes,
-    causal_barycenter,
-    causal_violation,
-)
+from .barycenters import _slack_extremes, causal_barycenter, causal_violation
 from .errors import BudgetExceededError, ValidationError
 from .lp import (
     MARGINAL_TOL,
@@ -40,18 +34,8 @@ from .lp import (
     _solve_optimal,
     plan_from_dense,
 )
-from .multicausal import TUPLE_BUDGET, causality_operator
+from .multicausal import TUPLE_BUDGET, causality_operator, cost_table
 from .trees import DiscreteDistribution, ScenarioTree
-
-
-class _NegatedCost:
-    """c^0 = -u wrapper around a principal utility."""
-
-    def __init__(self, utility):
-        self._u = _as_path_cost(utility)
-
-    def __call__(self, xpath, ypath):
-        return -self._u(xpath, ypath)
 
 
 @dataclass(frozen=True)
@@ -59,7 +43,7 @@ class MatchingInstance:
     """Principal + agent populations with a shared finite task tree."""
 
     principal: ScenarioTree
-    utility: object                      # u(x^0, y); SeparableCost or callable
+    utility: object                      # u(x^0, y), a cost of (principal, tasks)
     agents: tuple[ScenarioTree, ...]
     agent_costs: tuple
     tasks: ScenarioTree
@@ -73,26 +57,19 @@ class MatchingInstance:
         for tree in (*self.agents, self.tasks):
             if tree.horizon != horizon:
                 raise ValidationError("all populations and tasks must share the horizon")
-        _as_path_cost(self.utility)
-        for c in self.agent_costs:
-            _as_path_cost(c)
 
     @property
     def populations(self) -> tuple[ScenarioTree, ...]:
         return (self.principal, *self.agents)
 
-    @property
-    def costs(self) -> tuple:
-        """Population costs c^0 = -u, c^1, ..., c^N."""
-        return (_NegatedCost(self.utility), *self.agent_costs)
-
     @cached_property
     def cost_tables(self) -> tuple[np.ndarray, ...]:
-        """Each population's cost on every (population leaf, task leaf)
-        pair, evaluated once per instance and shared read-only."""
-        tables = tuple(
-            _cost_matrix(tree, self.tasks, cost)
-            for tree, cost in zip(self.populations, self.costs)
+        """Population costs c^0 = -u, c^1, ..., c^N on every (population
+        leaf, task leaf) pair, built once per instance and shared read-only."""
+        tables = (
+            -cost_table((self.principal, self.tasks), self.utility),
+            *(cost_table((tree, self.tasks), cost)
+              for tree, cost in zip(self.agents, self.agent_costs)),
         )
         for table in tables:
             table.flags.writeable = False
@@ -130,7 +107,7 @@ class Equilibrium:
 
 
 def _plan_expectation(tree, tasks, plan: TransportPlan, cost, wage=None) -> float:
-    cmat = _cost_matrix(tree, tasks, cost)
+    cmat = cost_table((tree, tasks), cost)
     total = 0.0
     for (lx, ly), w in zip(plan.atoms, plan.weights):
         total += w * (cmat[lx, ly] - (0.0 if wage is None else float(wage[ly])))

@@ -63,7 +63,7 @@ from .lp import (
     multimarginal_ot,
     multimarginal_ot_batch,
 )
-from .trees import ScenarioTree
+from .trees import ScenarioTree, _ancestors
 
 TUPLE_BUDGET = 1_000_000
 
@@ -165,12 +165,19 @@ class McotResult:
     certificate: DualCertificate
 
 
-def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.PathCost) -> np.ndarray:
-    """``cost`` on every leaf-path tuple, one axis per tree, in leaf order."""
-    leaf_values = [t.all_leaf_values() for t in trees]
-    table = np.empty(tuple(t.n_leaves for t in trees))
-    for idx in np.ndindex(*table.shape):
-        table[idx] = cost(idx, tuple(lv[k] for lv, k in zip(leaf_values, idx)))
+def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.Cost) -> np.ndarray:
+    """The cost on every leaf-path tuple, one axis per tree, in leaf order.
+
+    ``cost`` is that table or a callable ``cost(trees)`` that builds it
+    (see :mod:`treeot.costs`); either way the result is a new array whose
+    shape must be the leaf counts and whose entries must be finite.
+    """
+    trees = tuple(trees)
+    table = np.array(cost(trees) if callable(cost) else cost, dtype=float)
+    leaves = tuple(t.n_leaves for t in trees)
+    if table.shape != leaves:
+        raise ValidationError(f"cost table has shape {table.shape}, "
+                              f"expected the leaf counts {leaves}")
     if not np.all(np.isfinite(table)):
         raise ValidationError("cost is not finite on every leaf-path tuple")
     return table
@@ -178,15 +185,16 @@ def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.PathCost) -> np.nd
 
 def mc_dpp(
     trees: Sequence[ScenarioTree],
-    cost: costs_mod.PathCost,
+    cost: costs_mod.Cost,
     tuple_budget: int = TUPLE_BUDGET,
 ) -> McotResult:
     """Multicausal transport value by backward dynamic programming.
 
-    ``cost`` is evaluated once per leaf-path tuple; enumeration refuses
-    beyond ``tuple_budget`` tuples.  The one-step problems at a fixed
-    depth are independent and are solved together as one block LP.  Their
-    dual potentials make up the returned certificate.
+    ``cost`` becomes one table over the leaf-path tuples
+    (:func:`cost_table`); enumeration refuses beyond ``tuple_budget``
+    tuples.  The one-step problems at a fixed depth are independent and
+    are solved together as one block LP.  Their dual potentials make up
+    the returned certificate.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
@@ -254,14 +262,11 @@ class MulticausalCoupling:
     def worst_marginal_tv(self) -> float:
         return max(self.marginal_tv(i) for i in range(len(self.trees)))
 
-    def expectation(self, cost: costs_mod.PathCost) -> float:
-        paths = [t.all_leaf_values() for t in self.trees]
-        return float(
-            sum(
-                w * cost(idx, tuple(p[k] for p, k in zip(paths, idx)))
-                for idx, w in self.atoms.items()
-            )
-        )
+    def expectation(self, cost: costs_mod.Cost) -> float:
+        """E[cost] under the coupling, gathered from :func:`cost_table`."""
+        atoms = tuple(np.array(list(self.atoms), dtype=np.intp).reshape(-1, len(self.trees)).T)
+        weights = np.fromiter(self.atoms.values(), dtype=float)
+        return float(weights @ cost_table(self.trees, cost)[atoms])
 
     def atom_ids(self) -> list[tuple[tuple[str, ...], float]]:
         """Atoms keyed by leaf node ids, in deterministic index order."""
@@ -330,13 +335,6 @@ class CausalityReport:
     passed: bool
     worst_violation: float
     witnesses: tuple[Witness, ...]
-
-
-def _ancestors(tree: ScenarioTree) -> np.ndarray:
-    """Node index at each depth (columns 0..T-1 for depths 1..T) of every
-    leaf path (rows)."""
-    paths = [tree.path_indices(tree.horizon, leaf) for leaf in range(tree.n_leaves)]
-    return np.array(paths, dtype=np.intp).reshape(tree.n_leaves, tree.horizon)
 
 
 def verify_multicausal(
@@ -573,19 +571,15 @@ def verify_certificate(
         "min_slack": float(certificate.slacks(trees, table).min()),
     }
     if coupling is not None:
-        atoms = tuple(np.array(list(coupling.atoms), dtype=np.intp).reshape(-1, len(trees)).T)
-        weights = np.fromiter(coupling.atoms.values(), dtype=float)
-        report["primal_value"] = float(weights @ table[atoms])
-        report["martingale_integral"] = float(
-            weights @ certificate.martingale_values(trees)[atoms]
-        )
+        report["primal_value"] = coupling.expectation(table)
+        report["martingale_integral"] = coupling.expectation(certificate.martingale_values(trees))
         report["gap"] = abs(report["primal_value"] - report["dual_value"])
     return report
 
 
 def brute_force_mcot(
     trees: Sequence[ScenarioTree],
-    cost: costs_mod.PathCost,
+    cost: costs_mod.Cost,
     tuple_budget: int = TUPLE_BUDGET,
 ) -> tuple[float, MulticausalCoupling, DualCertificate]:
     """One LP over all leaf-path tuples with explicit causality equalities.

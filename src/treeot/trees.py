@@ -344,8 +344,14 @@ class ScenarioTree:
             for s, k in enumerate(self.path_indices(self.horizon, leaf))
         )
 
-    def all_leaf_values(self) -> list[tuple[np.ndarray, ...]]:
-        return [self.leaf_values(j) for j in range(self.n_leaves)]
+    def leaf_states(self) -> tuple[np.ndarray, ...]:
+        """Per depth t = 1..T, the state x_t of every leaf path, in leaf
+        order: an array of shape (n_leaves, d_t)."""
+        anc = _ancestors(self)
+        return tuple(
+            np.array([n.value for n in level])[anc[:, t]]
+            for t, level in enumerate(self._levels)
+        )
 
     def leaf_ids(self) -> tuple[str, ...]:
         return tuple(n.node_id for n in self._levels[-1])
@@ -361,6 +367,13 @@ class ScenarioTree:
 
 
 # -- module operations ---------------------------------------------------
+
+
+def _ancestors(tree: ScenarioTree) -> np.ndarray:
+    """Node index at each depth (columns 0..T-1 for depths 1..T) of every
+    leaf path (rows)."""
+    paths = [tree.path_indices(tree.horizon, leaf) for leaf in range(tree.n_leaves)]
+    return np.array(paths, dtype=np.intp).reshape(tree.n_leaves, tree.horizon)
 
 
 def load_tree(serialized: bytes | str, exact: bool = False) -> ScenarioTree:

@@ -31,6 +31,7 @@ from treeot import (
 )
 from treeot import costs as cm
 from treeot.barycenters import causal_violation, cubic_pair
+from treeot.multicausal import cost_table
 from treeot.randomgen import random_tree
 from treeot.trees import ScenarioTree, chain_tree
 
@@ -77,18 +78,18 @@ def test_phi0_quadratic_matches_grid_argmin_oracle(seed):
 def test_aggregate_single_quadratic_process_is_zero():
     costs = [PowerCost(weight=1.0, exponent=2.0)]
     agg = aggregate_cost(costs, phi0_quadratic([1.0]))
-    path = (np.array([1.5]), np.array([-2.0]))
-    assert agg((0,), (path,)) == pytest.approx(0.0, abs=1e-12)
+    path = chain_tree([[1.5], [-2.0]], "a")
+    assert cost_table([path], agg)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aggregate_two_process_quadratic_closed_form():
     # hand minimisation: min_y (|a-y|^2 + |b-y|^2)/2 = |a-b|^2/4 per time
     costs = [PowerCost(weight=0.5, exponent=2.0)] * 2
     agg = aggregate_cost(costs, phi0_quadratic([0.5, 0.5]))
-    a = (np.array([0.0]), np.array([2.0]))
-    b = (np.array([4.0]), np.array([-2.0]))
+    a = chain_tree([[0.0], [2.0]], "a")
+    b = chain_tree([[4.0], [-2.0]], "b")
     expected = ((0.0 - 4.0) ** 2 + (2.0 + 2.0) ** 2) / 4.0
-    assert agg((0, 0), (a, b)) == pytest.approx(expected, abs=1e-12)
+    assert cost_table([a, b], agg)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_aggregate_grid_mode_agrees_on_grid_points():
@@ -98,9 +99,8 @@ def test_aggregate_grid_mode_agrees_on_grid_points():
     agg = aggregate_cost(costs, sel)
     closed = aggregate_cost(costs, phi0_quadratic([0.5, 0.5]))
     # states whose midpoint lies on the grid
-    a = (np.array([-1.0]), np.array([1.0]))
-    b = (np.array([1.0]), np.array([-1.0]))
-    assert agg((0, 0), (a, b)) == pytest.approx(closed((0, 0), (a, b)), abs=1e-12)
+    pair = [chain_tree([[-1.0], [1.0]], "a"), chain_tree([[1.0], [-1.0]], "b")]
+    assert cost_table(pair, agg)[0, 0] == pytest.approx(cost_table(pair, closed)[0, 0], abs=1e-12)
 
 
 def test_grid_selector_optimality_invariant():
@@ -174,11 +174,11 @@ def test_bc_bary_value_dirac_candidate_is_plain_expectation():
     y0 = chain_tree([[0.3], [-0.4]], "y")
     got = bc_bary_value(trees, costs, y0)
     expected = 0.0
-    y_path = [np.array([0.3]), np.array([-0.4])]
     for tree, cost in zip(trees, costs):
         law = tree.leaf_law()
+        table = cost_table((tree, y0), cost)
         for leaf, w in enumerate(law):
-            expected += w * cost.path_cost(tree.leaf_values(leaf), y_path)
+            expected += w * table[leaf, 0]
     assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -218,12 +218,7 @@ def test_causal_ot_single_period_equals_classical():
     t2 = random_tree(rng, horizon=1, dim=1, max_branch=3)
     cost = PowerCost(weight=1.0, exponent=2.0)
     v_causal, _ = causal_ot(t1, t2, cost)
-    cmat = np.array(
-        [
-            [cost.path_cost(t1.leaf_values(i), t2.leaf_values(j)) for j in range(t2.n_leaves)]
-            for i in range(t1.n_leaves)
-        ]
-    )
+    cmat = cost_table((t1, t2), cost)
     v_classical, _ = classical_ot(t1.leaf_law(), t2.leaf_law(), cmat)
     assert v_causal == pytest.approx(v_classical, abs=1e-10)
 

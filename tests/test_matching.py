@@ -105,7 +105,7 @@ def test_identical_populations_on_own_support_are_free():
     assert total == pytest.approx(
         sum(
             _plan_expectation(t, instance.tasks, pl, c)
-            for t, pl, c in zip(instance.populations, eq.plans, instance.costs)
+            for t, pl, c in zip(instance.populations, eq.plans, instance.cost_tables)
         ),
         abs=1e-8,
     )
@@ -186,9 +186,9 @@ def test_match_evaluates_each_cost_once_per_pair():
     calls = []
 
     def counted(cost):
-        def fn(xpath, ypath):
+        def fn(trees):
             calls.append(None)
-            return cost.path_cost(xpath, ypath)
+            return cost(trees)
         return fn
 
     counting = MatchingInstance(
@@ -199,8 +199,7 @@ def test_match_evaluates_each_cost_once_per_pair():
     eq = solve_matching(counting)
     assert verify_equilibrium(counting, eq).passed
     complementary_slackness(counting, eq)
-    pairs = sum(t.n_leaves for t in counting.populations) * counting.tasks.n_leaves
-    assert len(calls) == pairs
+    assert len(calls) == len(counting.populations)  # one table per population
 
 
 def test_best_response_zero_wage_on_own_support_is_free():
@@ -232,7 +231,7 @@ def test_best_response_matches_equilibrium_plan_value():
         value, _ = best_response(instance, i, eq.wages[i])
         achieved = _plan_expectation(
             instance.populations[i], instance.tasks, eq.plans[i],
-            instance.costs[i], eq.wages[i],
+            instance.cost_tables[i], eq.wages[i],
         )
         assert achieved == pytest.approx(value, abs=1e-8)
 

@@ -154,11 +154,7 @@ def test_dpp_single_period_reduces_to_multimarginal():
     trees = [random_tree(rng, horizon=1, dim=1, max_branch=3) for _ in range(3)]
     cost = cm.pairwise_power(2.0)
     res = mc_dpp(trees, cost)
-    tensor = np.empty(tuple(t.n_leaves for t in trees))
-    vals = [t.all_leaf_values() for t in trees]
-    for idx in np.ndindex(*tensor.shape):
-        tensor[idx] = cost(idx, tuple(v[k] for v, k in zip(vals, idx)))
-    direct = multimarginal_ot([t.leaf_law() for t in trees], tensor)
+    direct = multimarginal_ot([t.leaf_law() for t in trees], cost_table(trees, cost))
     assert res.value == pytest.approx(direct.value, abs=1e-10)
 
 
@@ -179,9 +175,7 @@ def test_dpp_value_function_terminal_layer_is_cost():
     cost = cm.pairwise_power(2.0)
     res = mc_dpp(trees, cost)
     terminal = res.tables[-1]
-    vals = [t.all_leaf_values() for t in trees]
-    for idx in np.ndindex(*terminal.shape):
-        assert terminal[idx] == cost(idx, tuple(v[k] for v, k in zip(vals, idx)))
+    assert np.array_equal(terminal, cost_table(trees, cost))
     assert all(np.all(np.isfinite(tbl)) for tbl in res.tables)
     # stored policy plans are feasible for their conditional marginals
     for t, children, plan in block_plans(res):
@@ -208,11 +202,8 @@ def test_dpp_cost_shift_moves_value_exactly_and_keeps_policy():
     base_cost = cm.pairwise_power(2.0)
     kappa = 7.25
 
-    def shifted(leaves, paths):
-        return base_cost(leaves, paths) + kappa
-
     res0 = mc_dpp(trees, base_cost)
-    res1 = mc_dpp(trees, shifted)
+    res1 = mc_dpp(trees, lambda trees: base_cost(trees) + kappa)
     assert res1.value - res0.value == pytest.approx(kappa, abs=1e-12)
     for w0, w1 in zip(res0.policy.weights, res1.policy.weights, strict=True):
         assert np.array_equal(w0, w1)
@@ -568,10 +559,10 @@ def test_brute_force_duality_and_certificate(seed):
     assert abs(integral) <= 1e-8
 
 
-def _direct_slack(trees, cost, cert, idx):
+def _direct_slack(trees, table, cert, idx):
     """c + F - (+)f at one leaf tuple, read key by key from the arrays."""
     paths = [t.path_indices(t.horizon, k) for t, k in zip(trees, idx)]
-    total = cost(idx, tuple(t.leaf_values(k) for t, k in zip(trees, idx)))
+    total = table[idx]
     total -= sum(f[k] for f, k in zip(cert.potentials, idx))
     for i, tree in enumerate(trees):
         for t in range(1, tree.horizon):
@@ -594,7 +585,7 @@ def test_slack_tensor_matches_per_tuple_evaluation(seed):
         slack = cert.slacks(trees, table)
         for idx in itertools.product(*(range(t.n_leaves) for t in trees)):
             assert slack[idx] == pytest.approx(
-                _direct_slack(trees, cost, cert, idx), abs=1e-12
+                _direct_slack(trees, table, cert, idx), abs=1e-12
             )
 
 
@@ -618,12 +609,19 @@ def test_dpp_certificate_matches_oracle(seed):
     )
 
 
-def test_dpp_certificate_beyond_oracle_size():
-    # two horizon-3 trees of branching 7: 117,649 leaf tuples, no oracle
+@pytest.fixture(scope="module")
+def deep_pair():
+    """Two horizon-3 trees of branching 7 (117,649 leaf tuples, beyond the
+    oracle), their ``mc_dpp`` solve under lp_sum(2), and the state of the
+    generator after drawing them."""
     rng = np.random.default_rng(7)
     trees = [random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix=p)
              for p in "ab"]
-    res = mc_dpp(trees, cm.lp_sum(2.0))
+    return trees, mc_dpp(trees, cm.lp_sum(2.0)), rng.bit_generator.state
+
+
+def test_dpp_certificate_beyond_oracle_size(deep_pair):
+    trees, res, _ = deep_pair
     table = res.tables[-1]
     assert table.size == 117_649
     report = verify_certificate(trees, table, res.certificate, assemble_coupling(res.policy))
@@ -655,20 +653,44 @@ def _reordered_copy(tree, rng, shift, prefix):
     return ScenarioTree.from_levels(levels)
 
 
-def test_aw_invariance_beyond_oracle_size():
+def test_aw_invariance_beyond_oracle_size(deep_pair):
     # the 117,649-tuple pair above, with siblings reordered, ids relabelled
     # and both trees translated by the same path
-    rng = np.random.default_rng(7)
-    trees = [random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix=p)
-             for p in "ab"]
+    trees, res, state = deep_pair
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
     shift = rng.normal(size=(3, 1))
     moved = [_reordered_copy(t, rng, shift, p) for t, p in zip(trees, "cd")]
     for tree, copy in zip(trees, moved):
         assert not set(tree.leaf_ids()) & set(copy.leaf_ids())
         assert not np.array_equal(tree.leaf_law(), copy.leaf_law())
         assert np.sort(tree.leaf_law()) == pytest.approx(np.sort(copy.leaf_law()), abs=1e-15)
-    v = aw_distance(*trees)
+    v = max(res.value, 0.0) ** 0.5  # aw_distance(*trees)
     assert aw_distance(*moved) == pytest.approx(v, abs=1e-8 * (1 + abs(v)))
+
+
+def _scaled(tree, lam):
+    """``tree`` with every state multiplied by ``lam``."""
+    return ScenarioTree.from_levels([
+        [{"id": n.node_id,
+          "parent": None if n.parent is None else tree.levels[t - 1][n.parent].node_id,
+          "p": n.prob, "x": (lam * n.value).tolist()}
+         for n in level]
+        for t, level in enumerate(tree.levels)
+    ])
+
+
+def test_aw_scales_with_the_states_beyond_oracle_size(deep_pair):
+    trees, res, _ = deep_pair
+    v = max(res.value, 0.0) ** 0.5
+    doubled = aw_distance(*(_scaled(t, 2.0) for t in trees))
+    assert doubled == pytest.approx(2.0 * v, abs=1e-8 * (1 + 2.0 * v))
+
+
+def test_aw_is_symmetric_beyond_oracle_size(deep_pair):
+    trees, res, _ = deep_pair
+    v = max(res.value, 0.0) ** 0.5
+    assert aw_distance(trees[1], trees[0]) == pytest.approx(v, abs=1e-8 * (1 + v))
 
 
 def test_oracle_equivalence_family():
