@@ -271,11 +271,8 @@ def _product_process(
         level = []
         for idx, parent, p, y in zip(tuples.tolist(), parents.tolist(), probs.tolist(), ys):
             member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
-            base = "|".join(member_ids)
-            name, n = base, 1
-            while name in components:
-                name = f"{base}#{n}"
-                n += 1
+            # escaped, the joined ids name each tuple apart from every other
+            name = "|".join(m.replace("\\", "\\\\").replace("|", "\\|") for m in member_ids)
             components[name] = member_ids
             level.append(
                 {

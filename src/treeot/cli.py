@@ -173,9 +173,11 @@ def _emit(report: dict, args) -> None:
     report["solver"] = {
         "lp_solves": lp_mod.stats.solves,
         "lp_iterations": lp_mod.stats.iterations,
+        "transport_pivots": lp_mod.stats.transport_pivots,
     }
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True)
+        # no indent: an indent forces json's pure-Python encoder
+        text = json.dumps(report, sort_keys=True)
     else:
         lines = [f"{k} = {v}" for k, v in sorted(_flatten(report).items())]
         text = "\n".join(lines)

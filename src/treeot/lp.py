@@ -5,13 +5,18 @@ barycenters, matching) reduces to equality-form linear programs
 
     min c.x   s.t.  A x = b,  x >= 0,
 
-solved here through HiGHS dual simplex.  The solver contract is the
-residual tolerances on returned solutions, not the algorithm:
+solved here.  Two-marginal transport problems of at most
+``_SIMPLEX_CELLS`` cells go to a batched exact transportation simplex
+(:func:`_transport_simplex`); every other LP, and any transport problem
+the simplex fails to certify, goes to HiGHS dual simplex.  The solver
+contract is the residual tolerances on returned solutions, not the
+algorithm:
 
 * primal feasibility  ||Ax - b||_inf <= 1e-9,
 * dual feasibility    min reduced cost >= -1e-9,
 * complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|), taken
-  per diagonal block when the LP stacks independent problems.
+  per diagonal block when the LP stacks independent problems, and per
+  problem for the simplex.
 
 Transport costs are normalised by subtracting their minimum before the
 solve and restoring it afterwards.  This makes the returned plan exactly
@@ -50,6 +55,13 @@ DENSE_BUDGET = 10_000_000
 #: with more columns is split over several LPs (bounds solver memory)
 _BATCH_COLUMNS = 1 << 16
 
+#: two-marginal blocks of at most this many cells go to the transportation
+#: simplex, larger ones to HiGHS (the measured crossover, see CHANGES.md)
+_SIMPLEX_CELLS = 1600
+
+#: basis-inverse entries of one lock-step simplex batch (bounds its memory)
+_SIMPLEX_ENTRIES = 1 << 22
+
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -60,12 +72,12 @@ class _Stats:
     """LP counters, surfaced in CLI reports."""
 
     def __init__(self):
-        self.solves = 0
-        self.iterations = 0
+        self.reset()
 
     def reset(self):
-        self.solves = 0
-        self.iterations = 0
+        self.solves = 0              # HiGHS LPs
+        self.iterations = 0          # HiGHS simplex iterations
+        self.transport_pivots = 0    # transportation simplex pivots, over all blocks
 
 
 stats = _Stats()
@@ -284,89 +296,13 @@ def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
     atom with  sum_i E_{mu_i}[phi_i] = value  within DUALITY_TOL.
     Refuses a cost tensor of more than ``DENSE_BUDGET`` entries.
     """
-    return multimarginal_ot_batch([(marginals, cost)])[0]
-
-
-def multimarginal_ot_batch(problems) -> list[MultimarginalResult]:
-    """:func:`multimarginal_ot` for each ``(marginals, cost)`` pair.
-
-    The problems become the diagonal blocks of one LP, or of several when
-    their columns exceed ``_BATCH_COLUMNS``.  Each block keeps every check
-    of a separate solve: its own cost shift, its own duality gap.
-    """
-    blocks = []
-    for marginals, cost in problems:
-        weights = [_as_weights(m) for m in marginals]
-        shape = tuple(len(w) for w in weights)
-        if tuple(np.shape(cost)) != shape:
-            raise ValidationError(
-                f"cost tensor shape {tuple(np.shape(cost))} does not match marginal sizes {shape}"
-            )
-        size = int(np.prod(shape))
-        if size > DENSE_BUDGET:
-            raise BudgetExceededError(
-                f"dense cost tensor has {size} entries > budget {DENSE_BUDGET}"
-            )
-        cost = np.asarray(cost, dtype=float)
-        shift = float(cost.min())
-        blocks.append((weights, shape, (cost - shift).ravel(), shift))
-    chunks, columns = [[]], 0
-    for block in blocks:
-        size = block[2].size  # the block's shifted cost vector
-        if columns and columns + size > _BATCH_COLUMNS:
-            chunks.append([])
-            columns = 0
-        chunks[-1].append(block)
-        columns += size
-    return [res for chunk in chunks if chunk for res in _solve_blocks(chunk)]
-
-
-def _solve_blocks(blocks) -> list[MultimarginalResult]:
-    weights, shapes, costs, shifts = zip(*blocks)
-    row_ofs = np.cumsum([0] + [sum(shape) for shape in shapes])
-    col_ofs = np.cumsum([0] + [c.size for c in costs])
-    patterns = [_marginal_pattern(shape) for shape in shapes]
-    rows = np.concatenate([r + ofs for (r, _), ofs in zip(patterns, row_ofs)])
-    cols = np.concatenate([c + ofs for (_, c), ofs in zip(patterns, col_ofs)])
-    spans = tuple(
-        (slice(r0, r1), slice(c0, c1))
-        for r0, r1, c0, c1 in zip(row_ofs, row_ofs[1:], col_ofs, col_ofs[1:])
+    weights = [_as_weights(m) for m in marginals]
+    cost = np.asarray(cost)
+    [(values, plans, potentials)] = multimarginal_ot_batch(
+        [([w[None] for w in weights], cost[None])]
     )
-    problem = LpProblem(
-        c=np.concatenate(costs),
-        a_eq=sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                           shape=(row_ofs[-1], col_ofs[-1])),
-        b_eq=np.concatenate([w for ws in weights for w in ws]),
-        blocks=spans,
-    )
-    sol = _solve_optimal(problem, "multimarginal transport")
-    out = []
-    for k, (ws, shape, c, shift, (rows, cols)) in enumerate(
-        zip(weights, shapes, costs, shifts, spans)
-    ):
-        x = sol.x[cols]
-        value = float(c @ x) + shift
-        plan = np.where(x > 0, x, 0.0).reshape(shape)  # clip solver dust at the bound
-        potentials = _split_potentials(sol.duals[rows], shape, shift)
-        dual_value = sum(float(p @ w) for p, w in zip(potentials, ws))
-        check_duality_gap(value, abs(value - dual_value),
-                          "multimarginal duality gap exceeds tolerance",
-                          {"value": value, "dual_value": dual_value, "block": k})
-        out.append(MultimarginalResult(value=value, plan=plan, potentials=potentials))
-    return out
-
-
-def _split_potentials(duals: np.ndarray, shape, shift: float) -> tuple[np.ndarray, ...]:
-    out, ofs = [], 0
-    for n in shape:
-        out.append(np.array(duals[ofs:ofs + n]))
-        ofs += n
-    for i in range(1, len(out)):
-        pin = out[i][0]
-        out[i] = out[i] - pin
-        out[0] = out[0] + pin
-    out[0] = out[0] + shift
-    return tuple(out)
+    return MultimarginalResult(value=float(values[0]), plan=plans[0],
+                               potentials=tuple(p[0] for p in potentials))
 
 
 def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, TransportPlan]:
@@ -374,6 +310,297 @@ def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, TransportPlan]:
     res = multimarginal_ot([mu, nu], np.asarray(cost, dtype=float))
     return res.value, plan_from_dense(res.plan, res.plan.shape,
                                       marginals=(_as_weights(mu), _as_weights(nu)))
+
+
+def multimarginal_ot_batch(groups):
+    """:func:`multimarginal_ot` for batches of problems, one shape per batch.
+
+    ``groups`` lists ``(marginals, costs)`` pairs: ``marginals[i]`` is a
+    (B, n_i) array whose rows are positive weights summing to 1, and
+    ``costs`` is (B, n_1, ..., n_N).  Returns one ``(values, plans,
+    potentials)`` triple per group: values (B,), dense plans clipped at 0
+    (B, n_1, ..., n_N) and one (B, n_i) potential array per marginal.
+
+    Two-marginal blocks of at most ``_SIMPLEX_CELLS`` cells go to the
+    transportation simplex (:func:`_transport_simplex`).  All other
+    blocks, and any simplex block that fails a check, become the
+    diagonal blocks of HiGHS LPs shared across groups, split when their
+    columns exceed ``_BATCH_COLUMNS``.  Every block keeps the checks of
+    a separate solve: its own cost shift, residuals and duality gap.
+    """
+    prepared = [_prepared(marginals, costs) for marginals, costs in groups]
+    results, pending = [], []
+    for g, (weights, costs, shifts) in enumerate(prepared):
+        nb, shape = costs.shape[0], costs.shape[1:]
+        results.append((np.empty(nb), np.empty(costs.shape),
+                        tuple(np.empty((nb, n)) for n in shape)))
+        todo = np.arange(nb)
+        if len(shape) == 2 and shape[0] * shape[1] <= _SIMPLEX_CELLS:
+            ok = _simplex_blocks(weights, costs, shifts, results[g])
+            todo = np.flatnonzero(~ok)
+        if todo.size:
+            pending.append((g, todo))
+    for chunk in _column_chunks(prepared, pending):
+        _highs_blocks(prepared, chunk, results)
+    return results
+
+
+def _prepared(marginals, costs):
+    """Validated weights, shifted costs and per-block shifts of one group."""
+    weights = [np.asarray(w, dtype=float) for w in marginals]
+    costs = np.asarray(costs)
+    shape = tuple(w.shape[-1] for w in weights)
+    nb = len(costs)
+    if any(w.ndim != 2 or w.shape[0] != nb for w in weights) or costs.shape[1:] != shape:
+        raise ValidationError(f"cost tensor shape {costs.shape[1:]} does not match "
+                              f"marginal sizes {shape}")
+    if int(np.prod(shape)) > DENSE_BUDGET:
+        raise BudgetExceededError(
+            f"dense cost tensor has {int(np.prod(shape))} entries > budget {DENSE_BUDGET}"
+        )
+    for w in weights:
+        if not np.all(w > 0):
+            raise ValidationError("marginal weights must be positive")
+        off = np.abs(w.sum(axis=1) - 1.0)
+        if np.any(off > 1e-9):
+            raise ValidationError(f"marginal sums to {float(w[np.argmax(off)].sum())!r}, expected 1")
+    costs = np.asarray(costs, dtype=float)
+    if not np.all(np.isfinite(costs)):
+        raise ValidationError("non-finite objective coefficients")
+    axes = tuple(range(1, costs.ndim))
+    shifts = costs.min(axis=axes)
+    return weights, costs - np.expand_dims(shifts, axes), shifts
+
+
+def _split_potentials(duals: np.ndarray, shape, shift) -> tuple[np.ndarray, ...]:
+    """One potential per marginal from the duals of its rows, along the
+    last axis of ``duals``: potentials 2..N are pinned to 0 at their
+    first atom, compensated in potential 1, which also gets ``shift``
+    (a float, or one per row of a (B, sum(shape)) ``duals``)."""
+    out, ofs = [], 0
+    for n in shape:
+        out.append(np.array(duals[..., ofs:ofs + n]))
+        ofs += n
+    shift = np.asarray(shift)[..., None]
+    for i in range(1, len(out)):
+        pin = out[i][..., :1]
+        out[i] = out[i] - pin
+        out[0] = out[0] + pin
+    out[0] = out[0] + shift
+    return tuple(out)
+
+
+# -- the HiGHS block LP --------------------------------------------------------
+
+
+def _column_chunks(prepared, pending):
+    """Split the ``(group, block indices)`` pairs in ``pending`` into LPs of
+    at most ``_BATCH_COLUMNS`` columns each, at least one block per LP."""
+    chunks, columns = [[]], 0
+    for g, todo in pending:
+        size = prepared[g][1][0].size
+        while todo.size:
+            if columns and columns + size > _BATCH_COLUMNS:
+                chunks.append([])
+                columns = 0
+            take = max(1, (_BATCH_COLUMNS - columns) // size)
+            part, todo = todo[:take], todo[take:]
+            chunks[-1].append((g, part))
+            columns += part.size * size
+    return [chunk for chunk in chunks if chunk]
+
+
+def _highs_blocks(prepared, chunk, results) -> None:
+    """Solve the blocks of ``chunk`` as the diagonal blocks of one HiGHS LP
+    and write them into ``results``."""
+    rows, cols, costs, rhs, spans = [], [], [], [], []
+    row_ofs = col_ofs = 0
+    for g, todo in chunk:
+        weights, cost, _ = prepared[g]
+        shape = cost.shape[1:]
+        n_rows, size = sum(shape), int(np.prod(shape))
+        pattern_rows, pattern_cols = _marginal_pattern(shape)
+        r0 = row_ofs + n_rows * np.arange(todo.size)
+        c0 = col_ofs + size * np.arange(todo.size)
+        rows.append((r0[:, None] + pattern_rows).ravel())
+        cols.append((c0[:, None] + pattern_cols).ravel())
+        costs.append(cost[todo].ravel())
+        rhs.append(np.concatenate([w[todo] for w in weights], axis=1).ravel())
+        spans += [(slice(r, r + n_rows), slice(c, c + size)) for r, c in zip(r0, c0)]
+        row_ofs += n_rows * todo.size
+        col_ofs += size * todo.size
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    problem = LpProblem(
+        c=np.concatenate(costs),
+        a_eq=sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(row_ofs, col_ofs)),
+        b_eq=np.concatenate(rhs),
+        blocks=tuple(spans),
+    )
+    sol = _solve_optimal(problem, "multimarginal transport")
+    row_ofs = col_ofs = 0
+    for g, todo in chunk:
+        weights, cost, shifts = prepared[g]
+        shape = cost.shape[1:]
+        n_rows, size = sum(shape), int(np.prod(shape))
+        x = sol.x[col_ofs:col_ofs + size * todo.size].reshape((todo.size,) + shape)
+        duals = sol.duals[row_ofs:row_ofs + n_rows * todo.size].reshape(todo.size, n_rows)
+        row_ofs += n_rows * todo.size
+        col_ofs += size * todo.size
+        values, plans, potentials = results[g]
+        values[todo] = (cost[todo] * x).reshape(todo.size, -1).sum(axis=1) + shifts[todo]
+        plans[todo] = np.where(x > 0, x, 0.0)  # clip solver dust at the bound
+        for out, phi in zip(potentials, _split_potentials(duals, shape, shifts[todo])):
+            out[todo] = phi
+        dual_values = sum((out[todo] * w[todo]).sum(axis=1)
+                          for out, w in zip(potentials, weights))
+        gaps = np.abs(values[todo] - dual_values)
+        bad = np.flatnonzero(gaps > DUALITY_TOL * (1 + np.abs(values[todo])))
+        if bad.size:
+            k = todo[bad[0]]
+            raise SolverFailureError("multimarginal duality gap exceeds tolerance", details={
+                "value": float(values[k]), "dual_value": float(dual_values[bad[0]]),
+                "block": int(k)})
+
+
+# -- the transportation simplex ------------------------------------------------
+
+
+def _simplex_blocks(weights, costs, shifts, results) -> np.ndarray:
+    """Solve two-marginal blocks by :func:`_transport_simplex`, in chunks of
+    at most ``_SIMPLEX_ENTRIES`` basis-inverse entries, and write those
+    that pass every check of :func:`solve_lp` into ``results``.  Returns
+    which blocks passed."""
+    a, b = weights
+    nb, m, n = costs.shape
+    step = max(1, _SIMPLEX_ENTRIES // (m + n - 1) ** 2)
+    passed = np.zeros(nb, dtype=bool)
+    values, plans, (u_out, v_out) = results
+    for k0 in range(0, nb, step):
+        part = slice(k0, k0 + step)
+        cost = costs[part]
+        plan, u, v, pivots, converged = _transport_simplex(a[part], b[part], cost)
+        stats.transport_pivots += int(pivots.sum())
+        reduced = cost - u[:, :, None] - v[:, None, :]
+        dual = -reduced.reshape(len(plan), -1).min(axis=1)
+        primal = np.maximum(np.abs(plan.sum(axis=2) - a[part]).max(axis=1),
+                            np.abs(plan.sum(axis=1) - b[part]).max(axis=1))
+        value = (cost * plan).reshape(len(plan), -1).sum(axis=1) + shifts[part]
+        u, v = _split_potentials(np.concatenate([u, v], axis=1), (m, n), shifts[part])
+        dual_value = (u * a[part]).sum(axis=1) + (v * b[part]).sum(axis=1)
+        ok = (converged & (primal <= PRIMAL_TOL) & (dual <= DUAL_TOL)
+              & (np.abs(value - dual_value) <= DUALITY_TOL * (1 + np.abs(value))))
+        passed[part] = ok
+        values[part][ok], plans[part][ok] = value[ok], plan[ok]
+        u_out[part][ok], v_out[part][ok] = u[ok], v[ok]
+    return passed
+
+
+def _transport_simplex(a, b, cost):
+    """Dantzig's transportation simplex on B blocks of one shape in lock-step.
+
+    ``a`` (B, m) and ``b`` (B, n) are the marginals, ``cost`` (B, m, n)
+    the costs.  Each block starts from its north-west corner basis and
+    pivots in the cell of most negative reduced cost c - u - v (the first
+    in C order on ties) until none is below -1e-12 * (1 + max cost) or it
+    has made ``m * n + m + n`` pivots.  A basis is kept with its inverse
+    over the row constraints and the column constraints 2..n (column 1's
+    potential is pinned to 0).  Transportation bases are totally
+    unimodular and every pivot element is 1, so the inverse stays in
+    {-1, 0, 1}: it is stored as int8 and updated exactly.  Flows move by
+    the ratio-test step, so they stay nonnegative; the returned
+    potentials are recomputed from the final basis.  Blocks leave the
+    lock-step as they finish and their arithmetic never mixes, so a
+    block's result does not depend on its batch.
+
+    Returns the plans (B, m, n), the potentials u (B, m) and v (B, n)
+    with v[:, 0] = 0, the pivots made per block and whether each block
+    stopped at an optimal basis rather than at the pivot cap.
+    """
+    nb, m, n = cost.shape
+    cap = m * n + m + n
+    cells, flows, inverse = _north_west_corner(a, b)
+    basic_cost = np.take_along_axis(cost.reshape(nb, -1), cells, axis=1)
+    tol = 1e-12 * (1.0 + cost.reshape(nb, -1).max(axis=1))
+    pivots = np.zeros(nb, dtype=np.intp)
+    converged = np.zeros(nb, dtype=bool)
+    plan, u_v = np.zeros((nb, m * n)), np.zeros((nb, m + n - 1))
+    live, live_cost = np.arange(nb), cost
+    duals = _basis_duals(basic_cost, inverse)
+    while live.size:
+        reduced = live_cost - duals[:, :m, None]
+        reduced[:, :, 1:] -= duals[:, None, m:]
+        enter = reduced.reshape(live.size, -1).argmin(axis=1)
+        best = np.take_along_axis(reduced.reshape(live.size, -1), enter[:, None], axis=1)[:, 0]
+        stop = (best >= -tol[live]) | (pivots[live] >= cap)
+        if stop.any():
+            done = live[stop]
+            converged[done] = best[stop] >= -tol[done]
+            plan[done[:, None], cells[stop]] = np.maximum(flows[stop], 0.0)
+            u_v[done] = _basis_duals(basic_cost[stop], inverse[stop])
+            keep = ~stop
+            live, live_cost, enter, duals, best = (
+                live[keep], live_cost[keep], enter[keep], duals[keep], best[keep])
+            cells, flows, inverse, basic_cost = (
+                cells[keep], flows[keep], inverse[keep], basic_cost[keep])
+            if not live.size:
+                break
+        at = np.arange(live.size)
+        i, j = np.divmod(enter, n)
+        # the entering column's representation in the basis: its cycle
+        direction = inverse[at, :, i]
+        direction[j > 0] += inverse[at[j > 0], :, m + j[j > 0] - 1]
+        step = np.where(direction > 0, flows, np.inf)
+        leave = step.argmin(axis=1)
+        theta = step[at, leave]
+        flows = flows - theta[:, None] * direction
+        flows[at, leave] = theta
+        row = inverse[at, leave]
+        duals += best[:, None] * row
+        inverse -= direction[:, :, None] * row[:, None, :]
+        inverse[at, leave] = row
+        cells[at, leave] = enter
+        basic_cost[at, leave] = live_cost[at, i, j]
+        pivots[live] += 1
+    v = np.concatenate([np.zeros((nb, 1)), u_v[:, m:]], axis=1)
+    return plan.reshape(nb, m, n), u_v[:, :m], v, pivots, converged
+
+
+def _basis_duals(basic_cost, inverse) -> np.ndarray:
+    """The potentials of a basis, (u, v[1:]) per block: its basic costs
+    times its inverse."""
+    return (basic_cost[:, :, None] * inverse).sum(axis=1)
+
+
+def _north_west_corner(a, b):
+    """The north-west corner basis of each block: its cells (B, m+n-1) as
+    C-order indices, their flows and the basis inverse.
+
+    The staircase walks the merged partial sums of ``a`` and ``b``; each
+    cell carries the mass between two consecutive breakpoints, and each
+    breakpoint is a signed sum of marginal entries, so the inverse's rows
+    are differences of those sums' coefficient rows.
+    """
+    nb, m = a.shape
+    n = b.shape[1]
+    size = m + n - 1
+    rows_end = np.cumsum(a, axis=1)
+    ends = np.concatenate([rows_end[:, :-1], np.cumsum(b[:, :-1], axis=1)], axis=1)
+    order = np.argsort(ends, axis=1, kind="stable")  # ties: the row end first
+    points = np.concatenate([np.zeros((nb, 1)), np.take_along_axis(ends, order, axis=1),
+                             rows_end[:, -1:]], axis=1)
+    down = order < m - 1
+    rows = np.concatenate([np.zeros((nb, 1), np.intp), np.cumsum(down, axis=1)], axis=1)
+    cols = np.concatenate([np.zeros((nb, 1), np.intp), np.cumsum(~down, axis=1)], axis=1)
+    # coefficient rows over (a, b[1:]) of 0, each row end, each column end
+    # (sum(a) less the b after it), and the total sum(a)
+    coef = np.zeros((m + n, size), dtype=np.int8)
+    coef[1:m, :m] = np.tri(m - 1, m, k=0, dtype=np.int8)
+    coef[m:, :m] = 1
+    coef[m:m + n - 1, m:] = -np.tri(n - 1, n - 1, k=0, dtype=np.int8).T
+    picks = np.concatenate([np.zeros((nb, 1), np.intp), order + 1,
+                            np.full((nb, 1), m + n - 1)], axis=1)
+    inverse = np.diff(coef[picks], axis=1)
+    return rows * n + cols, np.diff(points, axis=1), inverse
 
 
 # -- fixed-support Wasserstein barycenter ------------------------------------

@@ -39,6 +39,7 @@ d is the summed per-time metric.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -193,8 +194,9 @@ def mc_dpp(
     ``cost`` becomes one table over the leaf-path tuples
     (:func:`cost_table`); enumeration refuses beyond ``tuple_budget``
     tuples.  The one-step problems at a fixed depth are independent and
-    are solved together as one block LP.  Their dual potentials make up
-    the returned certificate.
+    are solved together by :func:`multimarginal_ot_batch`, one batch per
+    combination of child counts.  Their dual potentials make up the
+    returned certificate.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
@@ -209,23 +211,20 @@ def mc_dpp(
     ]
 
     for t in range(horizon - 1, 0, -1):
-        # per process and node at depth t: its children and their kernel
-        kids = [[tuple(tr.children(t, k)) for k in range(tr.level_size(t))] for tr in trees]
-        kernels = [
-            [np.array([tr.node(t + 1, j).prob for j in ch]) for ch in node_kids]
-            for tr, node_kids in zip(trees, kids)
-        ]
-        work = list(np.ndindex(*shape_t(t)))
-        children = [tuple(node_kids[k] for node_kids, k in zip(kids, idx)) for idx in work]
+        groups = [_TupleGroup(members)
+                  for members in itertools.product(*(_sibling_groups(tr, t) for tr in trees))]
         results = multimarginal_ot_batch([
-            ([kern[k] for kern, k in zip(kernels, idx)], tables[0][np.ix_(*ch)])
-            for idx, ch in zip(work, children)
+            (group.kernels(trees, t), tables[0][group.children].reshape((-1,) + group.shape))
+            for group in groups
         ])
-        for idx, ch, res in zip(work, children, results):
-            weights[t][np.ix_(*ch)] = res.plan
-            for i, phi in enumerate(res.potentials):
-                coefficients[i][t - 1][idx[:i] + idx[i + 1:] + (list(ch[i]),)] = -phi
-        tables.insert(0, np.array([res.value for res in results]).reshape(shape_t(t)))
+        values = np.zeros(shape_t(t))
+        for group, (value, plan, potentials) in zip(groups, results):
+            values[np.ix_(*group.nodes)] = value.reshape(group.counts)
+            weights[t][group.children] = plan.reshape(group.counts + group.shape)
+            for i, phi in enumerate(potentials):
+                coefficients[i][t - 1][group.coefficient_index(i)] = -np.moveaxis(
+                    phi.reshape(group.counts + group.shape[i:i + 1]), i, -2)
+        tables.insert(0, values)
 
     roots = [np.array([n.prob for n in tr.levels[0]]) for tr in trees]
     res = multimarginal_ot(roots, tables[0])
@@ -238,6 +237,66 @@ def mc_dpp(
     return McotResult(value=res.value, tables=tuple(tables),
                       policy=KernelPolicy(trees=trees, weights=tuple(weights)),
                       certificate=certificate)
+
+
+def _sibling_groups(tree: ScenarioTree, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The nodes at depth t grouped by child count, in order of first
+    appearance: per group, the nodes (k,) and their children (k, m) at
+    depth t+1, in level order."""
+    kids = [tree.children(t, k) for k in range(tree.level_size(t))]
+    counts = [len(ch) for ch in kids]
+    out = []
+    for m in dict.fromkeys(counts):
+        nodes = np.array([k for k, c in enumerate(counts) if c == m], dtype=np.intp)
+        out.append((nodes, np.array([kids[k] for k in nodes], dtype=np.intp).reshape(-1, m)))
+    return out
+
+
+def _on_axis(a: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``a`` viewed with its first axis at ``axis`` of ``ndim`` axes and its
+    other axes last; every added axis has length 1."""
+    return a.reshape((1,) * axis + a.shape[:1] + (1,) * (ndim - axis - a.ndim) + a.shape[1:])
+
+
+class _TupleGroup:
+    """The node tuples at a depth whose i-th nodes all have the same
+    number of children, ``shape[i]``: the product of one node set per
+    tree, so one fancy index gathers or scatters all their blocks.
+
+    ``members`` holds per tree the nodes and their children (see
+    :func:`_sibling_groups`).  ``children`` indexes a next-depth array
+    with axes (the node counts ``counts``, then ``shape``).
+    """
+
+    def __init__(self, members):
+        n = len(members)
+        self.nodes = [nodes for nodes, _ in members]
+        self.kids = [kids for _, kids in members]
+        self.counts = tuple(len(nodes) for nodes in self.nodes)
+        self.shape = tuple(kids.shape[1] for kids in self.kids)
+        # tree i's children: node axis at i, child axis at n + i
+        self.children = tuple(
+            kids.reshape((1,) * i + kids.shape[:1] + (1,) * (n - 1) + kids.shape[1:]
+                         + (1,) * (n - 1 - i))
+            for i, kids in enumerate(self.kids)
+        )
+
+    def kernels(self, trees, t: int) -> list[np.ndarray]:
+        """Per tree, the child kernel of each tuple's node, (B, shape[i])."""
+        n = len(trees)
+        return [
+            np.broadcast_to(_on_axis(_child_probs(tr, t)[kids], i, n + 1),
+                            self.counts + kids.shape[1:]).reshape(-1, kids.shape[1])
+            for i, (tr, kids) in enumerate(zip(trees, self.kids))
+        ]
+
+    def coefficient_index(self, i: int) -> tuple[np.ndarray, ...]:
+        """Index of process i's certificate coefficients at this depth
+        (others' nodes, own child) with axes (the others' node counts,
+        own node count, own child count)."""
+        n = len(self.nodes)
+        others = [j for j in range(n) if j != i]
+        return (*(_on_axis(self.nodes[j], p, n + 1) for p, j in enumerate(others)), self.kids[i])
 
 
 # -- couplings ----------------------------------------------------------------

@@ -147,6 +147,26 @@ def test_bc_barycenter_dirac_paths_midpoint():
     assert path == pytest.approx([1.0, 1.0])
 
 
+def test_bc_barycenter_names_escape_the_member_ids():
+    # joined plainly, (q|r, s) and (q, r|s) would both be named q|r|s
+    def tree(nodes):
+        return ScenarioTree.from_levels([[
+            {"id": node_id, "parent": None, "p": 1 / 3, "x": [x]}
+            for x, node_id in enumerate(nodes)
+        ]])
+
+    trees = [tree(["q|r", "q", "a\\"]), tree(["s", "r|s", "b"])]
+    costs = [PowerCost(weight=0.5, exponent=2.0)] * 2
+    res = bc_barycenter(trees, costs, phi0_quadratic([0.5, 0.5]))
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res.process.components == {
+        r"q\|r|s": ("q|r", "s"),
+        r"q|r\|s": ("q", "r|s"),
+        r"a\\|b": ("a\\", "b"),
+    }
+    assert {n.node_id for n in res.process.tree.levels[0]} == set(res.process.components)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_bc_value_equality_and_minimality(seed):
     rng = np.random.default_rng(700 + seed)

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +53,14 @@ def test_mcot_with_oracle_gap(tmp_path, tree_files):
 
 
 @pytest.mark.parametrize("command", ["awdist", "mcot"])
-def test_default_run_takes_horizon_lps_and_no_oracle(tmp_path, tree_files, command):
-    t1, _, p1, p2 = tree_files
+def test_default_run_takes_no_lp_and_no_oracle(tmp_path, tree_files, command):
+    _, _, p1, p2 = tree_files
     code, out = _run_to_file(tmp_path, [command, p1, p2])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["solver"]["lp_solves"] == t1.horizon
+    # two trees: every one-step block goes to the transportation simplex
+    assert report["solver"]["lp_solves"] == 0
+    assert report["solver"]["transport_pivots"] > 0
     assert "oracle_value" not in report["values"]
     assert report["values"]["duality_gap"] <= 1e-8 * (1 + abs(report["values"]["dpp_value"]))
     assert report["verification"]["min_dual_slack"] >= -1e-8
@@ -72,15 +73,14 @@ def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch,
     _, _, p1, p2 = tree_files
     real = mc.multimarginal_ot_batch
 
-    def corrupted(problems, *args, **kwargs):
-        results = real(problems, *args, **kwargs)
-        # move process 1's potential by a mean-zero step: every one-step
-        # value and gap stays, but the tight dual constraints at its first
-        # child are now violated
-        res = results[0]
-        weights = np.asarray(problems[0][0][0], dtype=float)
-        step = 1e-3 * ((np.arange(weights.size) == 0) - weights[0])
-        results[0] = replace(res, potentials=(res.potentials[0] + step, *res.potentials[1:]))
+    def corrupted(groups):
+        results = real(groups)
+        # move process 1's potential in the first block by a mean-zero
+        # step: every one-step value and gap stays, but the tight dual
+        # constraints at its first child are now violated
+        _, _, potentials = results[0]
+        weights = groups[0][0][0][0]
+        potentials[0][0] += 1e-3 * ((np.arange(weights.size) == 0) - weights[0])
         return results
 
     monkeypatch.setattr(mc, "multimarginal_ot_batch", corrupted)
@@ -93,12 +93,14 @@ def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch,
 
 
 def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
-    t1, _, p1, p2 = tree_files
+    _, _, p1, p2 = tree_files
     code, out = _run_to_file(tmp_path, ["bary-bc", p1, p2])
     assert code == 0
     report = json.loads(out.read_text())
-    # the recursion, then one recursion per process for the recomputed value
-    assert report["solver"]["lp_solves"] == 3 * t1.horizon
+    # the recursion, then one recursion per process for the recomputed
+    # value: all of two trees, so all on the transportation simplex
+    assert report["solver"]["lp_solves"] == 0
+    assert report["solver"]["transport_pivots"] > 0
     values = report["values"]
     assert "oracle_value" not in values
     assert values["duality_gap"] <= 1e-8 * (1 + abs(values["barycenter_value"]))

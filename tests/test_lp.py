@@ -4,7 +4,9 @@ Oracles used here:
     - exhaustive basic-feasible-solution enumeration for small equality
       LPs (every basis of the constraint matrix is solved and checked),
       fully independent of the HiGHS path under test;
-    - hand-solved instances frozen as literals.
+    - hand-solved instances frozen as literals;
+    - the HiGHS block LP for the transportation simplex, and residual
+      checks written here for both.
 """
 from __future__ import annotations
 
@@ -26,7 +28,11 @@ from treeot import (
     solve_lp,
     wasserstein_barycenter_fixed_support,
 )
-from treeot.lp import _marginal_pattern
+from treeot import costs as cm
+from treeot import lp as lp_mod
+from treeot.lp import _marginal_pattern, multimarginal_ot_batch
+from treeot.multicausal import mc_dpp
+from treeot.randomgen import random_tree
 
 
 def vertex_enumeration_min(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> float:
@@ -230,6 +236,125 @@ def test_classical_ot_zero_on_common_support():
     cost = np.array([[0.0, 4.0], [4.0, 0.0]])  # squared distance on {0, 2}
     value, _ = classical_ot(mu, mu, cost)
     assert value == pytest.approx(0.0, abs=1e-10)
+
+
+# -- the transportation simplex ------------------------------------------------
+
+
+def transport_batch(rng, nb, m, n, kind):
+    """``nb`` two-marginal blocks of shape (m, n): random weights and costs,
+    or degenerate ones ("uniform": uniform marginals with integer costs;
+    "tied": random marginals with costs on a grid of step 1/2)."""
+    a = rng.random((nb, m)) + 0.2
+    b = rng.random((nb, n)) + 0.2
+    a, b = a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True)
+    if kind == "uniform":
+        a, b = np.full((nb, m), 1 / m), np.full((nb, n), 1 / n)
+        return a, b, rng.integers(0, 4, size=(nb, m, n)).astype(float)
+    if kind == "tied":
+        return a, b, np.round(2 * rng.random((nb, m, n))) / 2
+    return a, b, 10 * rng.normal(size=(nb, m, n))
+
+
+def highs_batch(monkeypatch, a, b, cost):
+    """The batch solved by the HiGHS block LP alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
+        [out] = multimarginal_ot_batch([([a, b], cost)])
+    return out
+
+
+def assert_certified(a, b, cost, values, plans, potentials):
+    """Every check of a block solve, recomputed here per block."""
+    u, v = potentials
+    for k in range(len(values)):
+        tol = 1e-8 * (1 + abs(values[k]))
+        assert np.all(plans[k] >= 0)
+        assert np.abs(plans[k].sum(axis=1) - a[k]).max() <= 1e-9
+        assert np.abs(plans[k].sum(axis=0) - b[k]).max() <= 1e-9
+        assert abs(float((cost[k] * plans[k]).sum()) - values[k]) <= tol
+        assert (cost[k] - u[k][:, None] - v[k][None, :]).min() >= -1e-9
+        assert abs(float(u[k] @ a[k] + v[k] @ b[k]) - values[k]) <= tol
+        assert v[k][0] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["random", "uniform", "tied"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 3), (4, 4), (7, 5), (10, 10)])
+def test_transport_simplex_matches_highs(monkeypatch, kind, shape):
+    rng = np.random.default_rng(sum(shape) + 100 * len(kind))
+    a, b, cost = transport_batch(rng, 40, *shape, kind)
+    lp_mod.stats.reset()
+    [(values, plans, potentials)] = multimarginal_ot_batch([([a, b], cost)])
+    assert lp_mod.stats.solves == 0
+    assert (lp_mod.stats.transport_pivots > 0) == (min(shape) > 1)
+    assert_certified(a, b, cost, values, plans, potentials)
+    reference, reference_plans, _ = highs_batch(monkeypatch, a, b, cost)
+    assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
+    if kind == "random":  # the optimum is unique: so is the support
+        assert np.array_equal(plans > 0, reference_plans > 0)
+
+
+def test_transport_simplex_block_is_the_same_alone_and_in_a_batch():
+    rng = np.random.default_rng(5)
+    a, b, cost = transport_batch(rng, 30, 6, 5, "tied")
+    [(values, plans, (u, v))] = multimarginal_ot_batch([([a, b], cost)])
+    for k in (0, 11, 29):
+        [(one, one_plan, (one_u, one_v))] = multimarginal_ot_batch(
+            [([a[k:k + 1], b[k:k + 1]], cost[k:k + 1])])
+        assert one[0] == values[k]
+        assert np.array_equal(one_plan[0], plans[k])
+        assert np.array_equal(one_u[0], u[k]) and np.array_equal(one_v[0], v[k])
+        alone = multimarginal_ot([a[k], b[k]], cost[k])
+        assert alone.value == values[k] and np.array_equal(alone.plan, plans[k])
+
+
+@pytest.mark.parametrize("fault", ["plan", "potential", "pivot cap"])
+def test_failed_simplex_block_is_solved_again_by_highs(monkeypatch, fault):
+    rng = np.random.default_rng(8)
+    a, b, cost = transport_batch(rng, 12, 4, 5, "random")
+    [(values, plans, _)] = multimarginal_ot_batch([([a, b], cost)])
+    reference, _, _ = highs_batch(monkeypatch, a[3:4], b[3:4], cost[3:4])
+    real = lp_mod._transport_simplex
+
+    def corrupted(*args):
+        plan, u, v, pivots, converged = real(*args)
+        if fault == "plan":
+            plan[3] *= 1.001          # off the marginals
+        elif fault == "potential":
+            u[3, 0] += 1e-3           # above a basic cell's cost
+        else:
+            converged[3] = False      # stopped at the pivot cap
+        return plan, u, v, pivots, converged
+
+    monkeypatch.setattr(lp_mod, "_transport_simplex", corrupted)
+    lp_mod.stats.reset()
+    [(again, again_plans, potentials)] = multimarginal_ot_batch([([a, b], cost)])
+    assert lp_mod.stats.solves == 1
+    assert again[3] == reference[0]  # the HiGHS LP of block 3 alone
+    assert abs(again[3] - values[3]) <= 1e-8 * (1 + abs(values[3]))
+    keep = np.arange(12) != 3
+    assert np.array_equal(again[keep], values[keep])
+    assert np.array_equal(again_plans[keep], plans[keep])
+    assert_certified(a, b, cost, again, again_plans, potentials)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_simplex_matches_highs_through_mc_dpp(monkeypatch, seed):
+    rng = np.random.default_rng(1200 + seed)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=4) for _ in range(2)]
+    lp_mod.stats.reset()
+    res = mc_dpp(trees, cm.lp_sum(2.0))
+    assert lp_mod.stats.solves == 0
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
+    reference = mc_dpp(trees, cm.lp_sum(2.0))
+    shapes = {(len(trees[0].children(t, j)), len(trees[1].children(t, k)))
+              for t in (1, 2)
+              for j in range(trees[0].level_size(t)) for k in range(trees[1].level_size(t))}
+    assert len(shapes) > 1
+    for mine, theirs in zip(res.tables, reference.tables, strict=True):
+        assert np.all(np.abs(mine - theirs) <= 1e-8 * (1 + np.abs(theirs)))
+    for mine, theirs in zip(res.policy.weights, reference.policy.weights, strict=True):
+        assert np.array_equal(mine > 0, theirs > 0)
 
 
 # -- fixed-support barycenter ----------------------------------------------------

@@ -14,6 +14,7 @@ Core claims exercised:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -256,8 +257,9 @@ def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch)
 
 @pytest.mark.parametrize("columns", [1, 10])
 def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
+    # three trees: their one-step blocks go to the HiGHS block LP
     rng = np.random.default_rng(31)
-    trees = [random_tree(rng, horizon=3, dim=1, max_branch=3) for _ in range(2)]
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=3) for _ in range(3)]
     cost = cm.pairwise_power(2.0)
     whole = mc_dpp(trees, cost)
     monkeypatch.setattr(lp_mod, "_BATCH_COLUMNS", columns)
@@ -281,13 +283,22 @@ def test_dpp_solves_one_lp_per_depth(horizon):
              for _ in range(2)]
     lp_mod.stats.reset()
     mc_dpp(trees, cm.pairwise_power(2.0))
+    # two trees: every one-step block is a transportation problem
+    assert lp_mod.stats.solves == 0
+    assert lp_mod.stats.transport_pivots > 0
+    trees.append(random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3))
+    lp_mod.stats.reset()
+    mc_dpp(trees, cm.pairwise_power(2.0))
+    # three trees: every shape group of a depth shares one HiGHS LP
     assert lp_mod.stats.solves == horizon
+    assert lp_mod.stats.transport_pivots == 0
 
 
 def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
+    # three trees: their one-step blocks go to the HiGHS block LP
     rng = np.random.default_rng(77)
     trees = [random_tree(rng, horizon=2, dim=1, min_branch=3, max_branch=4, prefix=p)
-             for p in "ab"]
+             for p in "abc"]
     shape = tuple(len(t.children(1, 0)) for t in trees)
     real = lp_mod.linprog
     seen = []
@@ -299,7 +310,9 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
         # mix block 0's plan with its product coupling: still feasible, but
         # off the optimal face by twice that block's gap tolerance
         n = int(np.prod(shape))
-        product = np.outer(b_eq[:shape[0]], b_eq[shape[0]:sum(shape)]).ravel()
+        ends = np.cumsum((0,) + shape)
+        product = functools.reduce(
+            np.multiply.outer, [b_eq[lo:hi] for lo, hi in zip(ends, ends[1:])]).ravel()
         own = float(c[:n] @ res.x[:n])
         eps = 2e-8 * (1 + own) / (float(c[:n] @ product) - own)
         x = np.array(res.x)
@@ -315,12 +328,12 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
     assert seen == [True]  # a check over the whole LP would have passed
 
     paths = []
-    for name, tree in zip("ab", trees):
+    for name, tree in zip("abc", trees):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(dump_tree(tree))
     seen.clear()
     capsys.readouterr()
-    assert run(["awdist", *map(str, paths)]) == 4
+    assert run(["mcot", *map(str, paths)]) == 4
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "'gap'" in err and "'block': 0" in err
@@ -691,6 +704,20 @@ def test_aw_is_symmetric_beyond_oracle_size(deep_pair):
     trees, res, _ = deep_pair
     v = max(res.value, 0.0) ** 0.5
     assert aw_distance(trees[1], trees[0]) == pytest.approx(v, abs=1e-8 * (1 + v))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_aw_triangle_inequality_beyond_oracle_size(deep_pair, p):
+    # the 117,649-tuple pair above and a third such tree
+    (x, y), res, state = deep_pair
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    z = random_tree(rng, horizon=3, dim=1, min_branch=7, max_branch=7, prefix="c")
+    d_xy = max(res.value, 0.0) ** 0.5 if p == 2.0 else aw_distance(x, y, p)
+    d_xz, d_yz = aw_distance(x, z, p), aw_distance(y, z, p)
+    assert d_xz <= d_xy + d_yz + 1e-8
+    assert d_xy <= d_xz + d_yz + 1e-8
+    assert d_yz <= d_xy + d_xz + 1e-8
 
 
 def test_oracle_equivalence_family():
