@@ -8,7 +8,8 @@ barycenters, matching) reduces to equality-form linear programs
 solved here.  Two-marginal transport problems of at most
 ``_SIMPLEX_CELLS`` cells go to a batched exact transportation simplex
 (:func:`_transport_simplex`); every other LP, and any transport problem
-the simplex fails to certify, goes to HiGHS dual simplex.  The solver
+the simplex fails to certify, goes to HiGHS dual simplex without
+presolve (on these LPs presolve only adds time).  The solver
 contract is the residual tolerances on returned solutions, not the
 algorithm:
 
@@ -63,6 +64,7 @@ _SIMPLEX_CELLS = 1600
 _SIMPLEX_ENTRIES = 1 << 22
 
 _HIGHS_OPTIONS = {
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }

@@ -21,20 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .barycenters import _slack_extremes, causal_barycenter, causal_violation
-from .errors import BudgetExceededError, ValidationError
-from .lp import (
-    MARGINAL_TOL,
-    OPTIMALITY_TOL,
-    LpProblem,
-    TransportPlan,
-    _marginal_operator,
-    _solve_optimal,
-    plan_from_dense,
-)
-from .multicausal import TUPLE_BUDGET, causality_operator, cost_table
+from .errors import ValidationError
+from .lp import MARGINAL_TOL, OPTIMALITY_TOL, TransportPlan, plan_from_dense
+from .multicausal import TUPLE_BUDGET, _child_probs, cost_table
 from .trees import DiscreteDistribution, ScenarioTree
 
 
@@ -81,8 +72,10 @@ class Equilibrium:
     """Wages, task distribution and causal plans, one per population.
 
     ``wages[0]`` is the principal's; by construction it equals the
-    negated sum of the agent wages, so clearing holds exactly.
-    ``values[i]`` is E_pi[c^i - w^i] under the equilibrium plan.
+    negated sum of the agent wages, so clearing holds exactly.  Every
+    wage has mean zero under ``nu`` (see :func:`solve_matching`), so
+    ``values[i]``, E_pi[c^i - w^i] under the equilibrium plan, is the
+    plan's expected cost E_pi[c^i].
     ``potentials[i]`` lives on the time-1 nodes of population i (the
     static part of the dual bundle certifying best-response optimality);
     ``mart_coefficients[i]`` are the matching per-depth test-function
@@ -119,19 +112,29 @@ def solve_matching(
 ) -> Equilibrium:
     """Construct an equilibrium from the joint causal barycenter.
 
-    Wages are the negated dual task potentials (w^i = -g^i), normalised
-    so the principal's wage clears the market exactly; plans and nu come
-    from the barycenter primal.
+    Wages are the negated dual task potentials (w^i = -g^i); plans and nu
+    come from the barycenter primal.  The dual leaves each population's
+    wage level free up to constants summing to zero, so each agent's
+    wage is shifted to E_nu[w^i] = 0 and its time-1 potential f^i by the
+    same constant, which keeps every slack c^i - w^i + G^i - f^i.  The
+    principal's wage is then the negated sum of the agents', so the
+    market clears exactly, and its potential takes the negated sum of
+    the shifts.
     """
     populations = instance.populations
     solution = causal_barycenter(
         populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
     )
-    agent_wages = [-g for g in solution.task_potentials[1:]]
+    nu = solution.nu.weights
+    shifts = [float(-g @ nu) for g in solution.task_potentials[1:]]
+    agent_wages = [-g - m for g, m in zip(solution.task_potentials[1:], shifts)]
     principal_wage = (
         -reduce(np.add, agent_wages) if agent_wages else np.zeros(instance.tasks.n_leaves)
     )
     wages = (principal_wage, *agent_wages)
+    potentials = tuple(
+        f + m for f, m in zip(solution.potentials, (-sum(shifts), *shifts))
+    )
     values = tuple(
         _plan_expectation(tree, instance.tasks, plan, table, wage)
         for tree, plan, table, wage in zip(
@@ -144,22 +147,28 @@ def solve_matching(
         wages=wages,
         plans=solution.plans,
         values=values,
-        potentials=solution.potentials,
+        potentials=potentials,
         mart_coefficients=solution.mart_coefficients,
     )
 
 
 def best_response(
-    instance: MatchingInstance,
-    i: int,
-    wage: np.ndarray,
-    tuple_budget: int = TUPLE_BUDGET,
+    instance: MatchingInstance, i: int, wage: np.ndarray
 ) -> tuple[float, TransportPlan]:
     """V^i(w^i): cheapest causal plan against a wage, task marginal free.
 
-    ``i`` indexes populations with 0 the principal.  The LP fixes the
-    process marginal and the causality equalities only; the plan may
-    induce any task distribution on the support.
+    ``i`` indexes populations with 0 the principal.  A causal plan moves
+    the population by its own kernel and picks Y_{t} from X_{1:t}, so
+    V^i(w^i) is the backward recursion on the pair (population tree,
+    task tree) over the table c^i - w^i:
+
+        V[x_{t+1}, y_t] = min over children y' of y_t of V[x_{t+1}, y'],
+        V[x_t, y_t]     = sum over children x' of x_t of p(x') V[x', y_t],
+
+    from the leaf pairs up to the two roots.  Ties go to the first task
+    child in level order.  The returned plan is deterministic: it sends
+    each population leaf, with its probability, to the task leaf its
+    path of first minimisers reaches.
     """
     populations = instance.populations
     if not 0 <= i < len(populations):
@@ -172,22 +181,34 @@ def best_response(
         )
     if not np.all(np.isfinite(wage)):
         raise ValidationError("wage must be finite on the task support")
-    n_x, n_y = tree.n_leaves, tasks.n_leaves
-    if n_x * n_y > tuple_budget:
-        raise BudgetExceededError("best_response: LP exceeds the tuple budget")
 
-    cmat = instance.cost_tables[i] - wage[None, :]
-    shift = float(cmat.min())
+    value = instance.cost_tables[i] - wage[None, :]
+    # parent index of every node, per level; 0, the root, at depth 1
+    own, up = ([np.array([node.parent or 0 for node in level], dtype=np.intp)
+                for level in graph.levels] for graph in (tree, tasks))
+    choices = []
+    for t in range(tree.horizon - 1, -1, -1):
+        # rows: population nodes at depth t+1; each task node at depth t
+        # takes the first cheapest of its children, in level order
+        order = np.argsort(up[t], kind="stable")
+        parent = up[t][order]
+        starts = np.flatnonzero(np.diff(parent, prepend=-1))
+        ranked = value[:, order]
+        value = np.minimum.reduceat(ranked, starts, axis=1)
+        first = np.where(ranked == value[:, parent], np.arange(order.size), order.size)
+        choices.append(order[np.minimum.reduceat(first, starts, axis=1)])
+        # rows: population nodes at depth t, moving by their own kernel
+        value_up = np.zeros((own[t].max() + 1, value.shape[1]))
+        np.add.at(value_up, own[t], _child_probs(tree, t)[:, None] * value)
+        value = value_up
 
-    a_eq = sp.vstack([
-        _marginal_operator((n_x, n_y))[:n_x], causality_operator((tree, tasks), (0,))
-    ])
-    b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
-    sol = _solve_optimal(
-        LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "best-response LP"
-    )
-    plan = plan_from_dense(sol.x, (n_x, n_y), marginals=(tree.leaf_law(),))
-    return sol.value + shift, plan
+    task = np.zeros(1, dtype=np.intp)   # the task node of each population node
+    for t, choice in enumerate(reversed(choices)):
+        task = choice[np.arange(own[t].size), task[own[t]]]
+    law = tree.leaf_law()
+    dense = np.zeros((tree.n_leaves, tasks.n_leaves))
+    dense[np.arange(tree.n_leaves), task] = law
+    return float(value[0, 0]), plan_from_dense(dense, dense.shape, marginals=(law,))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ Core claims exercised:
     - a principal-only market clears with zero wages,
     - constant wage shifts move best-response values by exactly the
       constant and leave the optimal plan unchanged,
+    - the backward-recursion best response attains the best-response LP
+      (population marginal and causality rows, task marginal free) with
+      a deterministic causal plan, ties going to the first task child,
+    - agent wages have mean zero under nu, so each population's value is
+      its plan's expected cost,
     - perturbed wages or plans are caught by the verifier,
     - complementary slackness holds on equilibrium supports.
 """
@@ -13,10 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treeot import (
     MatchingInstance,
     PowerCost,
+    ScenarioTree,
     ValidationError,
     best_response,
     causal_barycenter,
@@ -24,7 +31,10 @@ from treeot import (
     solve_matching,
     verify_equilibrium,
 )
+from treeot.barycenters import causal_violation
+from treeot.lp import LpProblem, _marginal_operator, solve_lp
 from treeot.matching import Equilibrium, _plan_expectation
+from treeot.multicausal import causality_operator
 from treeot.randomgen import random_tree
 
 
@@ -234,6 +244,100 @@ def test_best_response_matches_equilibrium_plan_value():
             instance.cost_tables[i], eq.wages[i],
         )
         assert achieved == pytest.approx(value, abs=1e-8)
+
+
+def lp_best_response(instance, i, wage) -> float:
+    """V^i(w) as an LP: the population's leaf marginal and its causality
+    rows, task marginal free, on the cost shifted to a zero minimum."""
+    tree, tasks = instance.populations[i], instance.tasks
+    n_x, n_y = tree.n_leaves, tasks.n_leaves
+    cmat = instance.cost_tables[i] - wage[None, :]
+    shift = float(cmat.min())
+    a_eq = sp.vstack([
+        _marginal_operator((n_x, n_y))[:n_x], causality_operator((tree, tasks), (0,))
+    ])
+    b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
+    sol = solve_lp(LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq))
+    assert sol.status == "optimal"
+    return sol.value + shift
+
+
+def random_market(seed: int) -> tuple[MatchingInstance, np.random.Generator]:
+    rng = np.random.default_rng(seed)
+    horizon = 1 + seed % 3
+    trees = [
+        random_tree(rng, horizon=horizon, dim=1, max_branch=3, prefix=prefix)
+        for prefix in ("p", "a0_", "a1_", "y")
+    ]
+    instance = MatchingInstance(
+        principal=trees[0], utility=quadratic(), agents=trees[1:3],
+        agent_costs=[quadratic(), metric()], tasks=trees[3],
+    )
+    return instance, rng
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_best_response_recursion_attains_the_lp(seed):
+    instance, rng = random_market(3000 + seed)
+    tasks = instance.tasks
+    for i, tree in enumerate(instance.populations):
+        wage = rng.normal(scale=2.0, size=tasks.n_leaves)
+        value, plan = best_response(instance, i, wage)
+        tol = 1e-12 * (1 + abs(value))
+        assert value == pytest.approx(lp_best_response(instance, i, wage), abs=tol)
+        # deterministic: one task leaf per population leaf, with its probability
+        assert [lx for lx, _ in plan.atoms] == list(range(tree.n_leaves))
+        assert plan.marginal_error() <= 1e-12
+        dense = np.zeros((tree.n_leaves, tasks.n_leaves))
+        for idx, w in zip(plan.atoms, plan.weights):
+            dense[idx] = w
+        assert causal_violation(tree, tasks, dense) <= 1e-12
+        achieved = _plan_expectation(tree, tasks, plan, instance.cost_tables[i], wage)
+        assert achieved == pytest.approx(value, abs=tol)
+
+
+def test_best_response_ties_go_to_the_first_task_child():
+    def node(node_id, parent, y, p):
+        return {"id": node_id, "parent": parent, "p": p, "x": [y]}
+
+    worker = ScenarioTree.from_levels([[node("x1", None, 0.0, 1.0)],
+                                       [node("x2", "x1", 0.0, 1.0)]])
+    # the children of a and b interleave in level order
+    tasks = ScenarioTree.from_levels([
+        [node("a", None, 0.0, 0.5), node("b", None, 0.0, 0.5)],
+        [node("n0", "b", 1.0, 0.5), node("n1", "a", 2.0, 0.5),
+         node("n2", "b", -1.0, 0.5), node("n3", "a", -2.0, 0.5)],
+    ])
+    instance = MatchingInstance(
+        principal=worker, utility=quadratic(), agents=[worker],
+        agent_costs=[quadratic()], tasks=tasks,
+    )
+    # costs 1, 4, 1, 4: b wins, and its children n0 and n2 tie
+    value, plan = best_response(instance, 1, np.zeros(4))
+    assert value == 1.0
+    assert plan.atoms == ((0, 0),)
+    # costs less wages all 1: a ties with b and n1 with n3
+    value, plan = best_response(instance, 1, np.array([0.0, 3.0, 0.0, 3.0]))
+    assert value == 1.0
+    assert plan.atoms == ((0, 1),)
+    assert plan.weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wages_have_mean_zero_under_nu(seed):
+    instance = random_instance(2400 + seed)
+    eq = solve_matching(instance)
+    nu = np.asarray(eq.nu.weights)
+    for w in eq.wages:
+        assert abs(float(w @ nu)) <= 1e-12
+    assert np.max(np.abs(eq.wages[0] + sum(eq.wages[1:]))) == 0.0
+    min_slack, _ = complementary_slackness(instance, eq)
+    assert min_slack >= -1e-8
+    for tree, plan, table, value in zip(
+        instance.populations, eq.plans, instance.cost_tables, eq.values
+    ):
+        cost = _plan_expectation(tree, instance.tasks, plan, table)
+        assert value == pytest.approx(cost, abs=1e-9 * (1 + abs(value)))
 
 
 def test_wage_shift_neutrality_between_agents():
