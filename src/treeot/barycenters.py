@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from . import costs as costs_mod
 from .errors import BudgetExceededError, ValidationError
 from .lp import (
+    MARGINAL_TOL,
     LpProblem,
     TransportPlan,
     _marginal_operator,
@@ -47,14 +48,13 @@ from .multicausal import (
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
-    _child_probs,
     _coefficient_blocks,
     assemble_coupling,
     causality_operator,
     cost_table,
     mc_dpp,
 )
-from .trees import DiscreteDistribution, ScenarioTree, _ancestors, quantize_gauss_hermite
+from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
 
 
 # -- separable costs ----------------------------------------------------------
@@ -158,7 +158,7 @@ def phi0_quadratic(weights: Sequence[float]) -> Selector:
     exactly.
     """
     lam = np.asarray(weights, dtype=float)
-    if lam.ndim != 1 or np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > 1e-9:
+    if lam.ndim != 1 or np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > MARGINAL_TOL:
         raise ValidationError("weights must be positive and sum to 1")
 
     def select(_t, xs):
@@ -264,10 +264,7 @@ def _product_process(
     components: dict[str, tuple[str, ...]] = {}
     for t, (tuples, parents, _) in enumerate(policy.reached(), start=1):
         probs = policy.weights[t - 1][tuple(tuples.T)]
-        ys = selector(t, tuple(
-            np.array([n.value for n in tr.levels[t - 1]])[tuples[:, i]]
-            for i, tr in enumerate(trees)
-        ))
+        ys = selector(t, tuple(tr.states[t - 1][tuples[:, i]] for i, tr in enumerate(trees)))
         level = []
         for idx, parent, p, y in zip(tuples.tolist(), parents.tolist(), probs.tolist(), ys):
             member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
@@ -341,10 +338,7 @@ def causal_ot(
     sol = _solve_optimal(
         LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "causal transport LP"
     )
-    plan = plan_from_dense(
-        sol.x, (n_x, n_y), marginals=(tree_x.leaf_law(), tree_y.leaf_law())
-    )
-    return sol.value + shift, plan
+    return sol.value + shift, plan_from_dense(sol.x, (n_x, n_y))
 
 
 def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coefficients):
@@ -364,7 +358,7 @@ def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coeffici
         trees, tables, plans, potentials, wages, coefficients
     ):
         cert = DualCertificate(
-            potentials=(np.asarray(f)[_ancestors(tree)[:, 0]], np.asarray(w)),
+            potentials=(np.asarray(f)[tree.ancestors[:, 0]], np.asarray(w)),
             coefficients=(tuple(coef), ()),
         )
         slack = cert.slacks((tree, task_tree), table)
@@ -405,18 +399,7 @@ class CausalBarycenterSolution:
     mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def dual_value(self) -> float:
-        return float(
-            sum(
-                f @ np.array([n.prob for n in t.levels[0]])
-                for f, t in zip(self.potentials, self.trees)
-            )
-        )
-
-    def task_potential_sum(self) -> np.ndarray:
-        total = self.task_potentials[0].copy()
-        for g in self.task_potentials[1:]:
-            total = total + g
-        return total
+        return float(sum(f @ t.probs[0] for f, t in zip(self.potentials, self.trees)))
 
     def support_slack(self, costs) -> tuple[float, float]:
         """(min slack everywhere, max |slack| on the plan supports)."""
@@ -488,11 +471,7 @@ def causal_barycenter(
     nu_raw = nu_raw / float(nu_raw.sum())
     nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=nu_raw)
     plans = tuple(
-        plan_from_dense(
-            sol.x[offsets[i]:offsets[i] + sizes[i] * n_y],
-            (sizes[i], n_y),
-            marginals=(trees[i].leaf_law(), nu_raw),
-        )
+        plan_from_dense(sol.x[offsets[i]:offsets[i] + sizes[i] * n_y], (sizes[i], n_y))
         for i in range(len(trees))
     )
 
@@ -513,9 +492,9 @@ def causal_barycenter(
         (coeffs,) = _coefficient_blocks((tree, task_tree), (0,), -d[n + n_y:])
         cond = [np.array(d[:n])]
         for t in range(tree.horizon - 1, 0, -1):
-            parent = [node.parent for node in tree.levels[t]]
-            weights = _child_probs(tree, t) * cond[0]
-            cond.insert(0, np.bincount(parent, weights=weights, minlength=tree.level_size(t)))
+            weights = tree.probs[t] * cond[0]
+            cond.insert(0, np.bincount(tree.parents[t], weights=weights,
+                                       minlength=tree.level_size(t)))
         potentials.append(cond[0] + shift)
         mart_coefficients.append(tuple(c - cond[t] for t, c in enumerate(coeffs, start=1)))
 
@@ -659,6 +638,10 @@ def counterexample_demo(n_quant: int) -> CounterexampleReport:
     """
     if n_quant < 4:
         raise ValidationError("n_quant must be >= 4 for order-7 moment exactness")
+    if n_quant ** 2 > TUPLE_BUDGET:  # refused before the n x n quadrature matrix exists
+        raise BudgetExceededError(
+            f"counterexample: {n_quant ** 2} leaf pairs exceed budget {TUPLE_BUDGET}"
+        )
     q = quantize_gauss_hermite(n_quant)
     z = np.array(q.support)
     w = q.weights

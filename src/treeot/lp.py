@@ -212,7 +212,6 @@ class TransportPlan:
     shape: tuple[int, ...]
     atoms: tuple[tuple[int, ...], ...]
     weights: np.ndarray
-    marginals: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -225,24 +224,13 @@ class TransportPlan:
             out[idx[axis]] += w
         return out
 
-    def marginal_error(self) -> float:
-        """Worst total-variation distance to the declared marginals."""
-        worst = 0.0
-        for axis, mu in enumerate(self.marginals):
-            worst = max(worst, 0.5 * float(np.abs(self.pushforward(axis) - mu).sum()))
-        return worst
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {idx: float(w) for idx, w in zip(self.atoms, self.weights)}
-
-
-def plan_from_dense(x: np.ndarray, shape, marginals=()) -> TransportPlan:
+def plan_from_dense(x: np.ndarray, shape) -> TransportPlan:
     x = np.asarray(x, dtype=float).reshape(shape)
     return TransportPlan(  # solver dust at the bound is dropped
         shape=tuple(shape),
         atoms=tuple(map(tuple, np.argwhere(x > 0).tolist())),
         weights=x[x > 0],
-        marginals=tuple(np.asarray(m, dtype=float) for m in marginals),
     )
 
 
@@ -255,7 +243,7 @@ def _as_weights(m) -> np.ndarray:
     w = np.asarray(m, dtype=float)
     if w.ndim != 1 or np.any(w <= 0):
         raise ValidationError("marginal must be a 1-D vector of positive weights")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
+    if abs(float(w.sum()) - 1.0) > MARGINAL_TOL:
         raise ValidationError(f"marginal sums to {float(w.sum())!r}, expected 1")
     return w
 
@@ -310,8 +298,7 @@ def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
 def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, TransportPlan]:
     """Two-marginal optimal transport; see :func:`multimarginal_ot`."""
     res = multimarginal_ot([mu, nu], np.asarray(cost, dtype=float))
-    return res.value, plan_from_dense(res.plan, res.plan.shape,
-                                      marginals=(_as_weights(mu), _as_weights(nu)))
+    return res.value, plan_from_dense(res.plan, res.plan.shape)
 
 
 def multimarginal_ot_batch(groups):
@@ -364,7 +351,7 @@ def _prepared(marginals, costs):
         if not np.all(w > 0):
             raise ValidationError("marginal weights must be positive")
         off = np.abs(w.sum(axis=1) - 1.0)
-        if np.any(off > 1e-9):
+        if np.any(off > MARGINAL_TOL):
             raise ValidationError(f"marginal sums to {float(w[np.argmax(off)].sum())!r}, expected 1")
     costs = np.asarray(costs, dtype=float)
     if not np.all(np.isfinite(costs)):
@@ -634,7 +621,7 @@ def wasserstein_barycenter_fixed_support(
     lam = np.asarray(weights, dtype=float)
     if lam.ndim != 1 or len(lam) != len(measures):
         raise ValidationError("one weight per measure required")
-    if np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > 1e-9:
+    if np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > MARGINAL_TOL:
         raise ValidationError("weights must be positive and sum to 1")
     mus = [_as_weights(m) for m in measures]
     m = len(support)
@@ -669,10 +656,7 @@ def wasserstein_barycenter_fixed_support(
         raise SolverFailureError(f"barycenter mass {total!r} != 1")
     nu = nu / total
     plans = tuple(
-        plan_from_dense(
-            sol.x[offsets[i]:offsets[i] + n_plan[i]], (m, len(mus[i])),
-            marginals=(nu, mus[i]),
-        )
+        plan_from_dense(sol.x[offsets[i]:offsets[i] + n_plan[i]], (m, len(mus[i])))
         for i in range(len(mus))
     )
     potentials = []

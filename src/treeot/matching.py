@@ -25,7 +25,7 @@ import numpy as np
 from .barycenters import _slack_extremes, causal_barycenter, causal_violation
 from .errors import ValidationError
 from .lp import MARGINAL_TOL, OPTIMALITY_TOL, TransportPlan, plan_from_dense
-from .multicausal import TUPLE_BUDGET, _child_probs, cost_table
+from .multicausal import TUPLE_BUDGET, cost_table
 from .trees import DiscreteDistribution, ScenarioTree
 
 
@@ -183,9 +183,7 @@ def best_response(
         raise ValidationError("wage must be finite on the task support")
 
     value = instance.cost_tables[i] - wage[None, :]
-    # parent index of every node, per level; 0, the root, at depth 1
-    own, up = ([np.array([node.parent or 0 for node in level], dtype=np.intp)
-                for level in graph.levels] for graph in (tree, tasks))
+    own, up = tree.parents, tasks.parents
     choices = []
     for t in range(tree.horizon - 1, -1, -1):
         # rows: population nodes at depth t+1; each task node at depth t
@@ -199,7 +197,7 @@ def best_response(
         choices.append(order[np.minimum.reduceat(first, starts, axis=1)])
         # rows: population nodes at depth t, moving by their own kernel
         value_up = np.zeros((own[t].max() + 1, value.shape[1]))
-        np.add.at(value_up, own[t], _child_probs(tree, t)[:, None] * value)
+        np.add.at(value_up, own[t], tree.probs[t][:, None] * value)
         value = value_up
 
     task = np.zeros(1, dtype=np.intp)   # the task node of each population node
@@ -208,7 +206,7 @@ def best_response(
     law = tree.leaf_law()
     dense = np.zeros((tree.n_leaves, tasks.n_leaves))
     dense[np.arange(tree.n_leaves), task] = law
-    return float(value[0, 0]), plan_from_dense(dense, dense.shape, marginals=(law,))
+    return float(value[0, 0]), plan_from_dense(dense, dense.shape)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from .lp import (
     multimarginal_ot,
     multimarginal_ot_batch,
 )
-from .trees import ScenarioTree, _ancestors
+from .trees import ScenarioTree
 
 TUPLE_BUDGET = 1_000_000
 
@@ -134,10 +134,8 @@ class KernelPolicy:
         rank = np.zeros((1,) * len(self.trees), dtype=np.intp)  # the root tuple's row
         for t, w in enumerate(self.weights, start=1):
             tuples = np.argwhere(w > 0)
-            parents = rank[tuple(  # depth-1 nodes hang below node 0, the root
-                np.array([n.parent or 0 for n in tr.levels[t - 1]], dtype=np.intp)[tuples[:, i]]
-                for i, tr in enumerate(self.trees)
-            )]
+            parents = rank[tuple(tr.parents[t - 1][tuples[:, i]]
+                                 for i, tr in enumerate(self.trees))]
             order = np.flatnonzero(parents >= 0)
             order = order[np.argsort(parents[order], kind="stable")]
             tuples, parents = tuples[order], parents[order]
@@ -174,7 +172,10 @@ def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.Cost) -> np.ndarra
     shape must be the leaf counts and whose entries must be finite.
     """
     trees = tuple(trees)
-    table = np.array(cost(trees) if callable(cost) else cost, dtype=float)
+    try:
+        table = np.array(cost(trees) if callable(cost) else cost, dtype=float)
+    except OverflowError:  # Python float arithmetic past the largest float
+        raise ValidationError("cost is not finite on every leaf-path tuple") from None
     leaves = tuple(t.n_leaves for t in trees)
     if table.shape != leaves:
         raise ValidationError(f"cost table has shape {table.shape}, "
@@ -226,12 +227,11 @@ def mc_dpp(
                     phi.reshape(group.counts + group.shape[i:i + 1]), i, -2)
         tables.insert(0, values)
 
-    roots = [np.array([n.prob for n in tr.levels[0]]) for tr in trees]
-    res = multimarginal_ot(roots, tables[0])
+    res = multimarginal_ot([tr.probs[0] for tr in trees], tables[0])
     weights[0] = res.plan
     tables.insert(0, np.array(res.value))
     certificate = DualCertificate(
-        potentials=tuple(phi[_ancestors(tr)[:, 0]] for phi, tr in zip(res.potentials, trees)),
+        potentials=tuple(phi[tr.ancestors[:, 0]] for phi, tr in zip(res.potentials, trees)),
         coefficients=tuple(tuple(c) for c in coefficients),
     )
     return McotResult(value=res.value, tables=tuple(tables),
@@ -285,7 +285,7 @@ class _TupleGroup:
         """Per tree, the child kernel of each tuple's node, (B, shape[i])."""
         n = len(trees)
         return [
-            np.broadcast_to(_on_axis(_child_probs(tr, t)[kids], i, n + 1),
+            np.broadcast_to(_on_axis(tr.probs[t][kids], i, n + 1),
                             self.counts + kids.shape[1:]).reshape(-1, kids.shape[1])
             for i, (tr, kids) in enumerate(zip(trees, self.kids))
         ]
@@ -423,13 +423,12 @@ def verify_multicausal(
     atoms = [(idx, w) for idx, w in coupling.atoms.items() if w > 0.0]
     tuples = np.array([idx for idx, _ in atoms], dtype=np.intp).reshape(-1, len(trees))
     weights = np.array([w for _, w in atoms], dtype=float)
-    anc = [_ancestors(t) for t in trees]
 
     worst = 0.0
     found = []
     for i, tree in enumerate(trees):
         for t in range(1, horizon):
-            others, node, child = _block_indices(trees, anc, i, t, tuples)
+            others, node, child = _block_indices(trees, i, t, tuples)
             n_node, n_child = tree.level_size(t), tree.level_size(t + 1)
             keys, actual = _sum_by(others * n_child + child, weights)
             parents, mass = _sum_by(others * n_node + node, weights)
@@ -437,7 +436,7 @@ def verify_multicausal(
             rows = parents[pos] // n_node * n_child + b
             at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
             hit = np.where(keys[at] == rows, actual[at], 0.0)
-            viol = np.abs(hit - _child_probs(tree, t)[b] * mass[pos])
+            viol = np.abs(hit - tree.probs[t][b] * mass[pos])
             worst = max(worst, float(viol.max(initial=0.0)))
             found += [(-viol[k], i, t, int(rows[k])) for k in np.flatnonzero(viol > tol)]
 
@@ -474,16 +473,11 @@ def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[i
     )
 
 
-def _child_probs(tree: ScenarioTree, t: int) -> np.ndarray:
-    """Conditional probabilities of the nodes at depth t+1."""
-    return np.array([n.prob for n in tree.levels[t]])
-
-
 def _fan(tree: ScenarioTree, t: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (node, child) pair below the depth-t node indices ``nodes``:
     the pair's position in ``nodes`` and the child's index at depth t+1,
     children in level order."""
-    parent = np.array([n.parent for n in tree.levels[t]], dtype=np.intp)
+    parent = tree.parents[t]
     counts = np.bincount(parent, minlength=tree.level_size(t))
     starts = np.cumsum(counts) - counts
     fan = counts[nodes]
@@ -492,14 +486,14 @@ def _fan(tree: ScenarioTree, t: int, nodes: np.ndarray) -> tuple[np.ndarray, np.
     return pos, np.argsort(parent, kind="stable")[starts[nodes][pos] + within]
 
 
-def _block_indices(trees, anc, i: int, t: int, tuples: np.ndarray):
+def _block_indices(trees, i: int, t: int, tuples: np.ndarray):
     """Per leaf tuple: the others' node indices at depth t raveled in the
     order of :func:`_coefficient_shape`, and process i's node at t and t+1."""
     others = np.zeros(len(tuples), dtype=np.intp)
     for j, tree in enumerate(trees):
         if j != i:
-            others = others * tree.level_size(t) + anc[j][tuples[:, j], t - 1]
-    own = anc[i][tuples[:, i]]
+            others = others * tree.level_size(t) + tree.ancestors[tuples[:, j], t - 1]
+    own = trees[i].ancestors[tuples[:, i]]
     return others, own[:, t - 1], own[:, t]
 
 
@@ -525,17 +519,16 @@ def causality_operator(
     if tuples is None:
         tuples = np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
     tuples = np.asarray(tuples, dtype=np.intp).reshape(-1, len(trees))
-    anc = [_ancestors(t) for t in trees]
     rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     n_rows = 0
     for i in processes:
         tree = trees[i]
         for t in range(1, horizon):
-            others, node, child = _block_indices(trees, anc, i, t, tuples)
+            others, node, child = _block_indices(trees, i, t, tuples)
             col, b = _fan(tree, t, node)
             rows.append(n_rows + others[col] * tree.level_size(t + 1) + b)
             cols.append(col)
-            vals.append((b == child[col]) - _child_probs(tree, t)[b])
+            vals.append((b == child[col]) - tree.probs[t][b])
             n_rows += int(np.prod(_coefficient_shape(trees, i, t)))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -590,17 +583,16 @@ class DualCertificate:
     def martingale_values(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
         """F on every leaf-path tuple, one axis per tree."""
         trees = tuple(trees)
-        anc = [_ancestors(t) for t in trees]
         out = np.zeros(tuple(t.n_leaves for t in trees))
         for i, tree in enumerate(trees):
             for t, coef in enumerate(self.coefficients[i], start=1):
-                level = tree.levels[t]
-                parent = np.array([n.parent for n in level], dtype=np.intp)
-                kernel = np.zeros((len(level), tree.level_size(t)))
-                kernel[np.arange(len(level)), parent] = _child_probs(tree, t)
+                parent = tree.parents[t]
+                kernel = np.zeros((parent.size, tree.level_size(t)))
+                kernel[np.arange(parent.size), parent] = tree.probs[t]
                 # each coefficient less the kernel mean over its sibling group
                 centred = coef - (coef @ kernel)[..., parent]
-                index = [a[:, t - 1] for j, a in enumerate(anc) if j != i] + [anc[i][:, t]]
+                index = ([tr.ancestors[:, t - 1] for j, tr in enumerate(trees) if j != i]
+                         + [tree.ancestors[:, t]])
                 out += np.moveaxis(centred[np.ix_(*index)], -1, i)
         return out
 

@@ -69,8 +69,7 @@ def random_policy(rng: np.random.Generator, trees) -> KernelPolicy:
             blocks = [[tr.children(t - 1, k) for tr, k in zip(trees, idx)]
                       for idx in np.ndindex(*(tr.level_size(t - 1) for tr in trees))]
         for children in blocks:
-            kernels = [np.array([tr.node(t, j).prob for j in ch])
-                       for tr, ch in zip(trees, children)]
+            kernels = [tr.probs[t - 1][ch] for tr, ch in zip(trees, children)]
             shape = tuple(len(ch) for ch in children)
             vertex = multimarginal_ot(kernels, rng.normal(size=shape)).plan
             alpha = float(rng.random())

@@ -20,6 +20,19 @@ Probabilities are 64-bit floats.  An optional exact-rational mode accepts
 ``fractions.Fraction`` transition weights and then validates the sum
 conditions exactly instead of within tolerance; solvers always consume
 the float values.
+
+Solvers read a tree through read-only arrays built once at construction,
+indexed by level t = 0..T-1 (depth t+1) and by node index within the
+level:
+
+* ``parents[t]``  (n_t,) intp: parent index at depth t; 0, the root, at
+  depth 1,
+* ``probs[t]``    (n_t,) float: conditional probability P(node | parent),
+* ``states[t]``   (n_t, d_t) float: the node states x,
+* ``ancestors``   (n_leaves, T) intp: the node index at every depth of
+  every leaf path.
+
+The nodes (:class:`TreeNode`) remain the form for I/O and validation.
 """
 from __future__ import annotations
 
@@ -36,8 +49,6 @@ from .errors import TreeFormatError, ValidationError
 
 #: tolerance for local probability sums (per-node kernels)
 PROB_TOL_LOCAL = 1e-12
-#: tolerance for global checks (sum of leaf-path probabilities)
-PROB_TOL_GLOBAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,6 @@ class NodePath:
         if not self.ids:
             raise ValidationError("empty node path")
 
-    @property
-    def depth(self) -> int:
-        return len(self.ids)
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -96,6 +103,8 @@ class DiscreteDistribution:
             distinct = len({repr(a) for a in self.support})
         if distinct != len(self.support):
             raise ValidationError("support atoms must be distinct")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("non-finite weight in distribution")
         if np.any(w < 0):
             raise ValidationError("negative weight in distribution")
         if abs(float(w.sum()) - 1.0) > PROB_TOL_LOCAL:
@@ -254,11 +263,20 @@ class ScenarioTree:
         for t, level in enumerate(self._levels):
             for k, node in enumerate(level):
                 self._by_id[node.node_id] = (t, k)
-        # cumulative path probabilities, level by level down to the leaves
-        probs = np.array([n.prob for n in self._levels[0]])
-        for level in self._levels[1:]:
-            probs = np.array([n.prob * probs[n.parent] for n in level])
-        self._leaf_law = probs
+        # the per-depth arrays of the module docstring
+        self.parents = tuple(_frozen(np.array([n.parent or 0 for n in level], dtype=np.intp))
+                             for level in self._levels)
+        self.probs = tuple(_frozen(np.array([n.prob for n in level])) for level in self._levels)
+        self.states = tuple(_frozen(np.array([n.value for n in level])) for level in self._levels)
+        # leaf paths bottom-up; path probabilities top-down
+        anc = [np.arange(self.n_leaves)]
+        for parents in self.parents[:0:-1]:
+            anc.insert(0, parents[anc[0]])
+        self.ancestors = _frozen(np.stack(anc, axis=1))
+        law = self.probs[0]
+        for parents, probs in zip(self.parents[1:], self.probs[1:]):
+            law = probs * law[parents]
+        self._leaf_law = law
 
     # -- basic accessors --------------------------------------------------
 
@@ -270,10 +288,6 @@ class ScenarioTree:
     def levels(self) -> tuple[tuple[TreeNode, ...], ...]:
         return self._levels
 
-    @property
-    def state_dims(self) -> tuple[int, ...]:
-        return tuple(level[0].value.shape[0] for level in self._levels)
-
     def level_size(self, t: int) -> int:
         """Number of nodes at depth t (1-based)."""
         return len(self._levels[t - 1])
@@ -284,10 +298,6 @@ class ScenarioTree:
     def children(self, t: int, idx: int) -> list[int]:
         """Child indices (at depth t+1) of node ``idx`` at depth t."""
         return self._children[t - 1][idx]
-
-    def child_probs(self, t: int, idx: int) -> np.ndarray:
-        ch = self.children(t, idx)
-        return np.array([self._levels[t][j].prob for j in ch])
 
     def locate(self, node_id: str) -> tuple[int, int]:
         """Return (depth, index-within-level), depth 1-based."""
@@ -337,21 +347,10 @@ class ScenarioTree:
         """Leaf-path probabilities, in leaf order."""
         return self._leaf_law.copy()
 
-    def leaf_values(self, leaf: int) -> tuple[np.ndarray, ...]:
-        """State vectors (x_1, ..., x_T) along the path to a leaf."""
-        return tuple(
-            self._levels[s][k].value
-            for s, k in enumerate(self.path_indices(self.horizon, leaf))
-        )
-
     def leaf_states(self) -> tuple[np.ndarray, ...]:
         """Per depth t = 1..T, the state x_t of every leaf path, in leaf
         order: an array of shape (n_leaves, d_t)."""
-        anc = _ancestors(self)
-        return tuple(
-            np.array([n.value for n in level])[anc[:, t]]
-            for t, level in enumerate(self._levels)
-        )
+        return tuple(states[self.ancestors[:, t]] for t, states in enumerate(self.states))
 
     def leaf_ids(self) -> tuple[str, ...]:
         return tuple(n.node_id for n in self._levels[-1])
@@ -369,11 +368,9 @@ class ScenarioTree:
 # -- module operations ---------------------------------------------------
 
 
-def _ancestors(tree: ScenarioTree) -> np.ndarray:
-    """Node index at each depth (columns 0..T-1 for depths 1..T) of every
-    leaf path (rows)."""
-    paths = [tree.path_indices(tree.horizon, leaf) for leaf in range(tree.n_leaves)]
-    return np.array(paths, dtype=np.intp).reshape(tree.n_leaves, tree.horizon)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def load_tree(serialized: bytes | str, exact: bool = False) -> ScenarioTree:
@@ -439,7 +436,7 @@ def conditional_kernel(tree: ScenarioTree, path: NodePath) -> DiscreteDistributi
     children = tree.children(t, indices[-1])
     return DiscreteDistribution(
         support=tuple(tree.node(t + 1, j).node_id for j in children),
-        weights=np.array([tree.node(t + 1, j).prob for j in children]),
+        weights=tree.probs[t][children],
     )
 
 

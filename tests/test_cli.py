@@ -137,6 +137,16 @@ def test_counterexample_command(tmp_path):
     assert values["cost_canonical_candidate"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_counterexample_past_the_budget_exits_3_with_one_line(tmp_path, capsys):
+    # refused before the quadrature builds its n x n matrix (80 GB here)
+    code, out = _run_to_file(tmp_path, ["counterexample", "--n", "100000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: budget refused: counterexample:")
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     _, out = _run_to_file(tmp_path, ["mcot", p1, p2, "--cost", "lp_sum:2"], "r.json")

@@ -104,9 +104,10 @@ def coupling_doc(draw):
 
 _OPTIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("--p"), st.sampled_from(["2", "1", "0", "-1", "0.5", "nan", "inf", "x"])),
+        st.tuples(st.just("--p"), st.sampled_from(["2", "1", "0", "-1", "0.5", "nan", "inf", "x", "1000"])),
         st.tuples(st.just("--cost"), st.sampled_from(
-            ["lp_sum:2", "pairwise_power:1", "lp_sum:x", "tensor:missing.npy", "bogus", ""])),
+            ["lp_sum:2", "pairwise_power:1", "lp_sum:x", "tensor:missing.npy", "bogus", "",
+             "lp_sum:1e308"])),
         st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "-3", "1000000", "z"])),
         st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "-1", "nan", "inf"])),
         st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),

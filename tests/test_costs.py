@@ -27,7 +27,7 @@ from treeot import (
 from treeot import costs as cm
 from treeot.multicausal import cost_table
 from treeot.randomgen import random_tree
-from treeot.trees import ScenarioTree
+from treeot.trees import ScenarioTree, chain_tree, path_value
 
 #: (N, horizon, state dimension) of the test families; branching 1 to 3
 FAMILIES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)]
@@ -41,7 +41,7 @@ def family(n: int, horizon: int, dim: int, seed: int = 0) -> list[ScenarioTree]:
 
 def per_tuple(trees, path_cost) -> np.ndarray:
     """``path_cost(paths)`` evaluated at every leaf tuple, one at a time."""
-    paths = [[t.leaf_values(k) for k in range(t.n_leaves)] for t in trees]
+    paths = [[path_value(t, t.path_of(t.horizon, k)) for k in range(t.n_leaves)] for t in trees]
     out = np.empty(tuple(t.n_leaves for t in trees))
     for idx in np.ndindex(*out.shape):
         out[idx] = path_cost(tuple(p[k] for p, k in zip(paths, idx)))
@@ -265,6 +265,16 @@ def test_table_with_a_non_finite_entry_is_refused(bad):
     table[2, 1] = bad
     with pytest.raises(ValidationError, match="not finite"):
         mc_dpp(trees, table)
+
+
+@pytest.mark.parametrize("cost", [cm.lp_sum(1e308), cm.pairwise_power(2000.0)])
+def test_cost_past_the_float_range_is_refused(cost):
+    # Python float pow raises OverflowError where numpy would give inf
+    trees = [chain_tree([[0.0], [0.0]], "a"), chain_tree([[0.0], [5.0]], "b")]
+    with pytest.raises(ValidationError, match="not finite"):
+        cost_table(trees, cost)
+    with pytest.raises(ValidationError, match="not finite"):
+        aw_distance(*trees, p=1000.0)
 
 
 def test_cost_table_leaves_the_given_array_alone():

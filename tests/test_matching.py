@@ -287,7 +287,7 @@ def test_best_response_recursion_attains_the_lp(seed):
         assert value == pytest.approx(lp_best_response(instance, i, wage), abs=tol)
         # deterministic: one task leaf per population leaf, with its probability
         assert [lx for lx, _ in plan.atoms] == list(range(tree.n_leaves))
-        assert plan.marginal_error() <= 1e-12
+        assert 0.5 * float(np.abs(plan.pushforward(0) - tree.leaf_law()).sum()) <= 1e-12
         dense = np.zeros((tree.n_leaves, tasks.n_leaves))
         for idx, w in zip(plan.atoms, plan.weights):
             dense[idx] = w
@@ -384,7 +384,7 @@ def test_verify_catches_suboptimal_plan():
     dense = np.outer(law_x, law_y)
     from treeot.lp import plan_from_dense
 
-    product_plan = plan_from_dense(dense, dense.shape, marginals=(law_x, law_y))
+    product_plan = plan_from_dense(dense, dense.shape)
     plans = list(eq.plans)
     plans[1] = product_plan
     tampered = Equilibrium(

@@ -138,6 +138,34 @@ def anticipative_instance():
     return tree1, tree2, coupling
 
 
+# -- the tree arrays the solvers read ------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_arrays_match_the_nodes(seed):
+    rng = np.random.default_rng(80 + seed)
+    # shuffled levels interleave the sibling groups
+    tree = shuffled_levels(rng, random_tree(rng, horizon=4, dim=2, min_branch=1, max_branch=3))
+    for t, level in enumerate(tree.levels):
+        assert tree.parents[t].dtype == np.intp
+        assert tree.parents[t].tolist() == [n.parent or 0 for n in level]
+        assert tree.probs[t].tolist() == [n.prob for n in level]
+        assert tree.states[t].shape == (len(level), 2)
+        assert np.array_equal(tree.states[t], [n.value for n in level])
+    assert tree.ancestors.shape == (tree.n_leaves, tree.horizon)
+    law = tree.leaf_law()
+    for leaf in range(tree.n_leaves):
+        path = tree.path_indices(tree.horizon, leaf)
+        assert tuple(tree.ancestors[leaf].tolist()) == path
+        mass = 1.0
+        for t, k in enumerate(path):
+            mass *= tree.levels[t][k].prob
+        assert law[leaf] == mass
+    for a in (*tree.parents, *tree.probs, *tree.states, tree.ancestors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 # -- mc_dpp ---------------------------------------------------------------------
 
 
@@ -473,7 +501,7 @@ def test_causal_violation_agrees_with_verify_multicausal(seed):
                            rng.random((t1.n_leaves, t2.n_leaves)))
     dense = np.zeros((t1.n_leaves, t2.n_leaves))
     dense[tuple(np.array(plan.atoms).T)] = plan.weights
-    coupling = MulticausalCoupling(trees=(t1, t2), atoms=plan.as_dict())
+    coupling = MulticausalCoupling(trees=(t1, t2), atoms=dict(zip(plan.atoms, plan.weights.tolist())))
     report = verify_multicausal(coupling, [t1, t2], tol=0.0)
     for process, (x, y, matrix) in enumerate([(t1, t2, dense), (t2, t1, dense.T)], start=1):
         worst = max(w.violation for w in report.witnesses if w.process == process)

@@ -281,7 +281,8 @@ def test_random_tree_invariants(seed):
     # kernels sum to one
     for t in range(1, tree.horizon):
         for idx in range(tree.level_size(t)):
-            assert float(tree.child_probs(t, idx).sum()) == pytest.approx(1.0, abs=1e-12)
+            kernel = [tree.node(t + 1, j).prob for j in tree.children(t, idx)]
+            assert sum(kernel) == pytest.approx(1.0, abs=1e-12)
     # leaf-path probabilities sum to one
     assert float(tree.leaf_law().sum()) == pytest.approx(1.0, abs=1e-10)
 
@@ -302,3 +303,12 @@ def test_discrete_distribution_invariants():
         DiscreteDistribution(support=(0, 0), weights=np.array([0.5, 0.5]))
     with pytest.raises(ValidationError):
         DiscreteDistribution(support=(0, 1), weights=np.array([1.5, -0.5]))
+    # NaN fails both the sign and the sum test silently
+    with pytest.raises(ValidationError, match="non-finite"):
+        DiscreteDistribution(support=(0, 1), weights=np.array([np.nan, np.nan]))
+
+
+def test_quantization_refuses_non_finite_weights():
+    # the Gauss-Hermite weights overflow to NaN at this size
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        quantize_gauss_hermite(500)
