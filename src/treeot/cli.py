@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from . import multicausal as mc
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .trees import ScenarioTree, dump_tree, load_tree
 
-SCHEMA = "1"
+SCHEMA = "2"
 
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
@@ -207,25 +208,27 @@ def _coupling_json(coupling: mc.MulticausalCoupling) -> list[dict]:
 
 
 def _certificate_json(trees, cert: mc.DualCertificate) -> dict:
-    potentials = []
-    for tree, f in zip(trees, cert.potentials):
-        potentials.append(dict(zip(tree.leaf_ids(), f.tolist())))
-    keyed = []
-    for i, per_depth in enumerate(cert.coefficients):
-        for t, coef in enumerate(per_depth, start=1):
-            other_ids = [
-                [n.node_id for n in tree.levels[t - 1]]
-                for j, tree in enumerate(trees) if j != i
-            ]
-            child_ids = [n.node_id for n in trees[i].levels[t]]
-            for idx, a in zip(np.ndindex(*coef.shape), coef.ravel().tolist()):
-                others = tuple(ids[k] for ids, k in zip(other_ids, idx))
-                keyed.append(((i + 1, t, others, child_ids[idx[-1]]), a))
-    coefficients = [
-        {"i": i, "t": t, "others": list(others), "child": child, "a": a}
-        for (i, t, others, child), a in sorted(keyed)
-    ]
-    return {"potentials": potentials, "coefficients": coefficients}
+    """The certificate in its own array layout: per tree, the leaf ids
+    and the potentials on them; per (process i, depth t), the ids along
+    each axis of ``cert.coefficients[i][t-1]`` and its entries."""
+    level_ids = [[[n.node_id for n in level] for level in tree.levels] for tree in trees]
+    return {
+        "potentials": [
+            {"ids": ids[-1], "values": f.tolist()}
+            for ids, f in zip(level_ids, cert.potentials)
+        ],
+        "coefficients": [
+            {
+                "i": i + 1,
+                "t": t,
+                "axes": [ids[t - 1] for j, ids in enumerate(level_ids) if j != i]
+                        + [level_ids[i][t]],
+                "values": coef.tolist(),
+            }
+            for i, per_depth in enumerate(cert.coefficients)
+            for t, coef in enumerate(per_depth, start=1)
+        ],
+    }
 
 
 def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
@@ -504,6 +507,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+# built once per process: parse_args leaves the parser as it was, and the
+# defaults it reads (TUPLE_BUDGET, CAUSALITY_TOL) are constants
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="treeot",

@@ -599,10 +599,13 @@ class DualCertificate:
     def slacks(self, trees: Sequence[ScenarioTree], table: np.ndarray) -> np.ndarray:
         """c + F - (+)f on every leaf-path tuple, where ``table`` holds c
         (see :func:`cost_table`); dual feasibility means slack >= -1e-8."""
-        trees = tuple(trees)
-        out = table + self.martingale_values(trees)
+        return self._slacks(table, self.martingale_values(trees))
+
+    def _slacks(self, table: np.ndarray, martingale: np.ndarray) -> np.ndarray:
+        """:meth:`slacks` given F from :meth:`martingale_values`."""
+        out = table + martingale
         for i, f in enumerate(self.potentials):
-            out -= f.reshape((-1,) + (1,) * (len(trees) - 1 - i))
+            out -= f.reshape((-1,) + (1,) * (len(self.potentials) - 1 - i))
         return out
 
 
@@ -617,13 +620,14 @@ def verify_certificate(
     ``table`` holds the cost on every leaf-path tuple (see :func:`cost_table`).
     """
     trees = tuple(trees)
+    martingale = certificate.martingale_values(trees)
     report = {
         "dual_value": certificate.potential_total(trees),
-        "min_slack": float(certificate.slacks(trees, table).min()),
+        "min_slack": float(certificate._slacks(table, martingale).min()),
     }
     if coupling is not None:
         report["primal_value"] = coupling.expectation(table)
-        report["martingale_integral"] = coupling.expectation(certificate.martingale_values(trees))
+        report["martingale_integral"] = coupling.expectation(martingale)
         report["gap"] = abs(report["primal_value"] - report["dual_value"])
     return report
 

@@ -50,6 +50,10 @@ from .errors import TreeFormatError, ValidationError
 #: tolerance for local probability sums (per-node kernels)
 PROB_TOL_LOCAL = 1e-12
 
+#: largest n for which numpy's ``hermegauss(n)`` weights can be normalised:
+#: measured with numpy 2.4, they are all 0 at n = 371 and NaN from 372 on
+GAUSS_HERMITE_MAX_N = 370
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -457,6 +461,11 @@ def quantize_gauss_hermite(n: int) -> DiscreteDistribution:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if n > GAUSS_HERMITE_MAX_N:
+        raise ValidationError(
+            f"Gauss-Hermite quantization supports n <= {GAUSS_HERMITE_MAX_N}, got {n}: "
+            "its normalised weights are non-finite past it"
+        )
     if n == 1:
         return DiscreteDistribution(support=(0.0,), weights=np.array([1.0]))
     z, w = hermegauss(n)

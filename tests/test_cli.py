@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treeot import barycenters as bary
+from treeot import costs as cm
+from treeot import lp
 from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
-from treeot.trees import dump_tree
+from treeot.trees import GAUSS_HERMITE_MAX_N, dump_tree
 
 
 @pytest.fixture()
@@ -38,7 +41,7 @@ def test_awdist_identical_trees(tmp_path, tree_files):
     code, out = _run_to_file(tmp_path, ["awdist", p1, p1, "--p", "2"])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "1"
+    assert report["schema"] == "2"
     assert report["values"]["aw_distance"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -147,12 +150,116 @@ def test_counterexample_past_the_budget_exits_3_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_counterexample_past_the_quadrature_exits_2_with_one_line(tmp_path, capsys):
+    code, out = _run_to_file(tmp_path, ["counterexample", "--n", str(GAUSS_HERMITE_MAX_N + 1)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: invalid input: Gauss-Hermite quantization supports "
+                          f"n <= {GAUSS_HERMITE_MAX_N}, got {GAUSS_HERMITE_MAX_N + 1}")
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     _, out = _run_to_file(tmp_path, ["mcot", p1, p2, "--cost", "lp_sum:2"], "r.json")
     first = out.read_bytes()
     _run_to_file(tmp_path, ["mcot", p1, p2, "--cost", "lp_sum:2"], "r.json")
     assert out.read_bytes() == first
+
+
+def test_cached_parser_leaves_reports_unchanged_after_a_bad_command_line(tmp_path,
+                                                                         tree_files):
+    _, _, p1, p2 = tree_files
+    _, first = _run_to_file(tmp_path, ["awdist", p1, p2], "first.json")
+    assert run(["awdist", p1, "--p", "two"]) == 2
+    _, last = _run_to_file(tmp_path, ["awdist", p1, p2], "last.json")
+    assert last.read_bytes().replace(b"last.json", b"first.json") == first.read_bytes()
+
+
+@pytest.fixture()
+def three_tree_files(tmp_path):
+    rng = np.random.default_rng(11)
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=2, prefix=p) for p in "abc"]
+    paths = [tmp_path / f"{p}3.json" for p in "abc"]
+    for tree, path in zip(trees, paths):
+        path.write_text(dump_tree(tree))
+    return trees, [str(p) for p in paths]
+
+
+# each certified command: its argv on the three trees, how many trees it
+# reads, the cost it certifies and the report's value that cost has
+CERTIFIED = {
+    "awdist": (["--p", "2"], 2, cm.lp_sum(2.0), "dpp_value"),
+    "mcot": (["--cost", "lp_sum:2"], 3, cm.lp_sum(2.0), "dpp_value"),
+    "bary-bc": ([], 2, bary.aggregate_cost([bary.PowerCost(1.0, 2.0)] * 2,
+                                           bary.phi0_quadratic([0.5, 0.5])),
+                "barycenter_value"),
+}
+
+
+def _certificate_from_report(trees, duals) -> mc.DualCertificate:
+    """The certificate a report writes, placed by node id alone."""
+    def positions(tree, depth, ids):
+        where = [tree.locate(node_id) for node_id in ids]
+        assert all(d == depth for d, _ in where)
+        k = [k for _, k in where]
+        assert sorted(k) == list(range(tree.level_size(depth)))
+        return np.array(k)
+
+    potentials = []
+    for tree, entry in zip(trees, duals["potentials"]):
+        f = np.empty(tree.n_leaves)
+        f[positions(tree, tree.horizon, entry["ids"])] = entry["values"]
+        potentials.append(f)
+    coefficients = [[None] * (tree.horizon - 1) for tree in trees]
+    for entry in duals["coefficients"]:
+        i, t = entry["i"] - 1, entry["t"]
+        axes = [(tr, t) for j, tr in enumerate(trees) if j != i] + [(trees[i], t + 1)]
+        coef = np.empty([tr.level_size(depth) for tr, depth in axes])
+        coef[np.ix_(*(positions(tr, depth, ids)
+                      for (tr, depth), ids in zip(axes, entry["axes"])))] = entry["values"]
+        assert coefficients[i][t - 1] is None
+        coefficients[i][t - 1] = coef
+    assert all(coef is not None for per_depth in coefficients for coef in per_depth)
+    return mc.DualCertificate(tuple(potentials), tuple(map(tuple, coefficients)))
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFIED))
+def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, command):
+    trees, paths = three_tree_files
+    extra, n, cost, value_key = CERTIFIED[command]
+    trees = trees[:n]
+    code, out = _run_to_file(tmp_path, [command, *paths[:n], *extra])
+    assert code == 0
+    report = json.loads(out.read_text())
+    cert = _certificate_from_report(trees, report["certificate"]["duals"])
+    coupling = mc.coupling_from_id_atoms(
+        trees, [(a["leaves"], a["w"]) for a in report["certificate"]["coupling"]]
+    )
+    check = mc.verify_certificate(trees, mc.cost_table(trees, cost), cert, coupling)
+    assert check["min_slack"] == report["verification"]["min_dual_slack"]
+    lp.check_duality_gap(report["values"][value_key], check["gap"], "round trip", {})
+
+
+def _leaf_keys(obj, path=()):
+    """Dotted paths to every non-dict value of a JSON document."""
+    if not isinstance(obj, dict):
+        return [".".join(path)]
+    return [key for k, v in obj.items() for key in _leaf_keys(v, (*path, k))]
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFIED))
+def test_text_format_writes_one_line_per_key(tmp_path, three_tree_files, command):
+    _, paths = three_tree_files
+    extra, n, _, _ = CERTIFIED[command]
+    argv = [command, *paths[:n], *extra]
+    _, out = _run_to_file(tmp_path, argv, "r.json")
+    keys = _leaf_keys(json.loads(out.read_text()))
+    _, out = _run_to_file(tmp_path, [*argv, "--format", "text"], "r.txt")
+    lines = out.read_text().splitlines()
+    assert [line.split(" = ", 1)[0] for line in lines] == sorted(keys)
+    assert "certificate.duals.coefficients" in keys
 
 
 def test_validation_exit_code(tmp_path):

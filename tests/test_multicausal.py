@@ -42,7 +42,7 @@ from treeot import costs as cm
 from treeot import lp as lp_mod
 from treeot.barycenters import causal_violation
 from treeot.cli import run
-from treeot.multicausal import KernelPolicy, MulticausalCoupling, cost_table
+from treeot.multicausal import DualCertificate, KernelPolicy, MulticausalCoupling, cost_table
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree
 
@@ -648,6 +648,26 @@ def test_dpp_certificate_matches_oracle(seed):
     assert report["dual_value"] == pytest.approx(
         oracle_cert.potential_total(trees), abs=1e-8 * (1 + abs(v))
     )
+
+
+def test_certificate_check_builds_the_martingale_once(monkeypatch):
+    rng = np.random.default_rng(640)
+    trees = [random_tree(rng, horizon=3, dim=1, max_branch=2) for _ in range(3)]
+    table = cost_table(trees, cm.lp_sum(2.0))
+    res = mc_dpp(trees, cm.lp_sum(2.0))
+    coupling = assemble_coupling(res.policy)
+    cert = res.certificate
+    slack = float(cert.slacks(trees, table).min())
+    integral = coupling.expectation(cert.martingale_values(trees))
+    calls = []
+    real = DualCertificate.martingale_values
+    monkeypatch.setattr(DualCertificate, "martingale_values",
+                        lambda self, trees: calls.append(1) or real(self, trees))
+    report = verify_certificate(trees, table, cert, coupling)
+    assert len(calls) == 1
+    assert report["min_slack"] == slack
+    assert report["martingale_integral"] == integral
+    assert report["gap"] == abs(coupling.expectation(table) - cert.potential_total(trees))
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
+from treeot import trees as trees_mod
 from treeot import (
     DiscreteDistribution,
     NodePath,
@@ -22,12 +24,14 @@ from treeot import (
     TreeFormatError,
     ValidationError,
     conditional_kernel,
+    counterexample_demo,
     dump_tree,
     load_tree,
     path_value,
     quantize_gauss_hermite,
 )
 from treeot.randomgen import random_tree
+from treeot.trees import GAUSS_HERMITE_MAX_N
 
 
 def normal_moment(k: int) -> float:
@@ -306,6 +310,22 @@ def test_discrete_distribution_invariants():
     # NaN fails both the sign and the sum test silently
     with pytest.raises(ValidationError, match="non-finite"):
         DiscreteDistribution(support=(0, 1), weights=np.array([np.nan, np.nan]))
+
+
+def test_quantization_range_ends_where_the_weights_do(monkeypatch):
+    # the range ends exactly: the last size whose weights normalise, then the first that does not
+    q = quantize_gauss_hermite(GAUSS_HERMITE_MAX_N)
+    assert np.isfinite(q.weights).all() and np.isfinite(q.support).all()
+    with np.errstate(all="ignore"):
+        w = hermegauss(GAUSS_HERMITE_MAX_N + 1)[1]
+        assert not np.isfinite(w / w.sum()).all()
+
+    def unreachable(n):
+        raise AssertionError("hermegauss called past the range")
+
+    monkeypatch.setattr(trees_mod, "hermegauss", unreachable)
+    with pytest.raises(ValidationError, match=f"supports n <= {GAUSS_HERMITE_MAX_N}, got"):
+        counterexample_demo(GAUSS_HERMITE_MAX_N + 1)
 
 
 def test_quantization_refuses_non_finite_weights():
