@@ -267,7 +267,7 @@ def _product_process(
         ys = selector(t, tuple(tr.states[t - 1][tuples[:, i]] for i, tr in enumerate(trees)))
         level = []
         for idx, parent, p, y in zip(tuples.tolist(), parents.tolist(), probs.tolist(), ys):
-            member_ids = tuple(tr.node(t, k).node_id for tr, k in zip(trees, idx))
+            member_ids = tuple(tr.ids[t - 1][k] for tr, k in zip(trees, idx))
             # escaped, the joined ids name each tuple apart from every other
             name = "|".join(m.replace("\\", "\\\\").replace("|", "\\|") for m in member_ids)
             components[name] = member_ids
@@ -300,11 +300,11 @@ def bc_bary_value(
 # -- causality-constrained transport LPs ---------------------------------------
 
 
-def causal_violation(
-    tree_x: ScenarioTree, tree_y: ScenarioTree, matrix: np.ndarray
-) -> float:
-    """Worst violation of the causal test functions by a plan matrix."""
-    residual = causality_operator((tree_x, tree_y), (0,)) @ np.ravel(matrix)
+def causal_violation(tree_x: ScenarioTree, tree_y: ScenarioTree, plan: TransportPlan) -> float:
+    """Worst violation of the causal test functions by a plan from the
+    leaves of ``tree_x`` to those of ``tree_y``, evaluated on its atoms."""
+    tuples = np.array(plan.atoms, dtype=np.intp).reshape(-1, 2)
+    residual = causality_operator((tree_x, tree_y), (0,), tuples=tuples) @ plan.weights
     return float(np.abs(residual).max(initial=0.0))
 
 
@@ -622,7 +622,7 @@ def cubic_pair(n_quant: int) -> tuple[ScenarioTree, ScenarioTree]:
     return ScenarioTree.from_levels(levels_1), ScenarioTree.from_levels(levels_2)
 
 
-def counterexample_demo(n_quant: int) -> CounterexampleReport:
+def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> CounterexampleReport:
     """Why no pointwise-selector reformulation solves the causal problem.
 
     Builds the quantised pair above with costs c^1 = c^2 = |x - y|^2 / 2
@@ -635,12 +635,14 @@ def counterexample_demo(n_quant: int) -> CounterexampleReport:
         summed squared-norm causal values, which evaluates to E Z^2 = 1.
 
     Both are exact for n_quant >= 4 by moment matching up to order 7.
+    The n_quant**2 leaf pairs of the causal problems are refused beyond
+    ``tuple_budget``.
     """
     if n_quant < 4:
         raise ValidationError("n_quant must be >= 4 for order-7 moment exactness")
-    if n_quant ** 2 > TUPLE_BUDGET:  # refused before the n x n quadrature matrix exists
+    if n_quant ** 2 > tuple_budget:  # refused before the n x n quadrature matrix exists
         raise BudgetExceededError(
-            f"counterexample: {n_quant ** 2} leaf pairs exceed budget {TUPLE_BUDGET}"
+            f"counterexample: {n_quant ** 2} leaf pairs exceed budget {tuple_budget}"
         )
     q = quantize_gauss_hermite(n_quant)
     z = np.array(q.support)
@@ -672,7 +674,7 @@ def counterexample_demo(n_quant: int) -> CounterexampleReport:
     sq = PowerCost(weight=1.0, exponent=2.0)
     cost_b = 0.0
     for tree in (tree_1, tree_2):
-        value, _ = causal_ot(tree, candidate, sq)
+        value, _ = causal_ot(tree, candidate, sq, tuple_budget=tuple_budget)
         cost_b += value
 
     return CounterexampleReport(

@@ -202,16 +202,14 @@ def _flatten(obj, prefix=""):
 
 
 def _coupling_json(coupling: mc.MulticausalCoupling) -> list[dict]:
-    return [
-        {"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()
-    ]
+    return [{"leaves": ids, "w": w} for ids, w in coupling.atom_ids()]
 
 
 def _certificate_json(trees, cert: mc.DualCertificate) -> dict:
     """The certificate in its own array layout: per tree, the leaf ids
     and the potentials on them; per (process i, depth t), the ids along
     each axis of ``cert.coefficients[i][t-1]`` and its entries."""
-    level_ids = [[[n.node_id for n in level] for level in tree.levels] for tree in trees]
+    level_ids = [tree.ids for tree in trees]
     return {
         "potentials": [
             {"ids": ids[-1], "values": f.tolist()}
@@ -363,7 +361,7 @@ def _cmd_bary_c(args) -> dict:
         "nu": {leaf: float(w) for leaf, w in zip(task_ids, sol.nu.weights)},
         "certificate": {
             "potentials": [
-                {node.node_id: float(v) for node, v in zip(t.levels[0], f)}
+                {node_id: float(v) for node_id, v in zip(t.ids[0], f)}
                 for t, f in zip(trees, sol.potentials)
             ],
             "task_potentials": [
@@ -437,7 +435,7 @@ def _cmd_match(args) -> dict:
                 for tree, plan in zip(instance.populations, eq.plans)
             ],
             "potentials": [
-                {node.node_id: float(v) for node, v in zip(t.levels[0], f)}
+                {node_id: float(v) for node_id, v in zip(t.ids[0], f)}
                 for t, f in zip(instance.populations, eq.potentials)
             ],
         },
@@ -481,7 +479,7 @@ def _cmd_verify_coupling(args) -> dict:
 
 
 def _cmd_counterexample(args) -> dict:
-    report = bary.counterexample_demo(args.n)
+    report = bary.counterexample_demo(args.n, tuple_budget=args.budget)
     return {
         "schema": SCHEMA,
         "command": "counterexample",

@@ -253,10 +253,7 @@ def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> 
     ):
         task_marginal = plan.pushforward(1)
         worst_tv = max(worst_tv, 0.5 * float(np.abs(task_marginal - nu_w).sum()))
-        dense = np.zeros((tree.n_leaves, tasks.n_leaves))
-        for idx, w in zip(plan.atoms, plan.weights):
-            dense[idx] = w
-        worst_causality = max(worst_causality, causal_violation(tree, tasks, dense))
+        worst_causality = max(worst_causality, causal_violation(tree, tasks, plan))
         achieved = _plan_expectation(tree, tasks, plan, table, wage)
         best, _ = best_response(instance, i, wage)
         gaps.append(achieved - best)

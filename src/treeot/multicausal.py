@@ -64,7 +64,7 @@ from .lp import (
     multimarginal_ot,
     multimarginal_ot_batch,
 )
-from .trees import ScenarioTree
+from .trees import ScenarioTree, _frozen
 
 TUPLE_BUDGET = 1_000_000
 
@@ -243,12 +243,13 @@ def _sibling_groups(tree: ScenarioTree, t: int) -> list[tuple[np.ndarray, np.nda
     """The nodes at depth t grouped by child count, in order of first
     appearance: per group, the nodes (k,) and their children (k, m) at
     depth t+1, in level order."""
-    kids = [tree.children(t, k) for k in range(tree.level_size(t))]
-    counts = [len(ch) for ch in kids]
+    counts = np.bincount(tree.parents[t], minlength=tree.level_size(t))
+    order = np.argsort(tree.parents[t], kind="stable")
+    starts = np.cumsum(counts) - counts
     out = []
-    for m in dict.fromkeys(counts):
-        nodes = np.array([k for k, c in enumerate(counts) if c == m], dtype=np.intp)
-        out.append((nodes, np.array([kids[k] for k in nodes], dtype=np.intp).reshape(-1, m)))
+    for m in dict.fromkeys(counts.tolist()):
+        nodes = np.flatnonzero(counts == m)
+        out.append((nodes, order[starts[nodes][:, None] + np.arange(m)]))
     return out
 
 
@@ -302,18 +303,29 @@ class _TupleGroup:
 # -- couplings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MulticausalCoupling:
-    """Sparse measure on leaf-path tuples of the given trees."""
+    """Sparse measure on leaf-path tuples of the given trees.
+
+    Atom k is the leaf tuple ``tuples[k]`` (one leaf index per tree; the
+    array has shape (atoms, N)) with weight ``weights[k]``.  Tuples are
+    distinct; sums over atoms run in atom order.
+    """
 
     trees: tuple[ScenarioTree, ...]
-    atoms: dict[tuple[int, ...], float]
+    tuples: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        weights = _frozen(np.array(self.weights, dtype=float).reshape(-1))
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "tuples", _frozen(
+            np.array(self.tuples, dtype=np.intp).reshape(len(weights), len(self.trees))))
 
     def marginal(self, i: int) -> np.ndarray:
-        out = np.zeros(self.trees[i].n_leaves)
-        for idx, w in self.atoms.items():
-            out[idx[i]] += w
-        return out
+        return np.bincount(self.tuples[:, i], weights=self.weights,
+                           minlength=self.trees[i].n_leaves)
 
     def marginal_tv(self, i: int) -> float:
         return 0.5 * float(np.abs(self.marginal(i) - self.trees[i].leaf_law()).sum())
@@ -323,17 +335,25 @@ class MulticausalCoupling:
 
     def expectation(self, cost: costs_mod.Cost) -> float:
         """E[cost] under the coupling, gathered from :func:`cost_table`."""
-        atoms = tuple(np.array(list(self.atoms), dtype=np.intp).reshape(-1, len(self.trees)).T)
-        weights = np.fromiter(self.atoms.values(), dtype=float)
-        return float(weights @ cost_table(self.trees, cost)[atoms])
+        return float(self.weights @ cost_table(self.trees, cost)[tuple(self.tuples.T)])
 
     def atom_ids(self) -> list[tuple[tuple[str, ...], float]]:
-        """Atoms keyed by leaf node ids, in deterministic index order."""
-        leaf_ids = [t.leaf_ids() for t in self.trees]
-        return [
-            (tuple(ids[k] for ids, k in zip(leaf_ids, idx)), w)
-            for idx, w in sorted(self.atoms.items())
-        ]
+        """Atoms keyed by leaf node ids, in lexicographic order of their
+        leaf indices."""
+        order = np.lexsort(self.tuples.T[::-1])
+        ids = [np.array(tree.leaf_ids(), dtype=object)[self.tuples[order, i]].tolist()
+               for i, tree in enumerate(self.trees)]
+        return list(zip(zip(*ids), self.weights[order].tolist()))
+
+
+def _summed(tuples: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``tuples`` (k, N), each at its first place, and
+    per row the sum of its ``weights``, added in row order."""
+    _, first, inverse = np.unique(tuples, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    summed = np.bincount(rank[inverse.reshape(-1)], weights=weights, minlength=len(first))
+    return tuples[np.sort(first)], summed
 
 
 def coupling_from_id_atoms(
@@ -342,28 +362,27 @@ def coupling_from_id_atoms(
     """Build a coupling from (leaf-id tuple, weight) pairs."""
     trees = tuple(trees)
     _check_family(trees)
-    index: dict[tuple[int, ...], float] = {}
+    tuples, weights = [], []
     for ids, w in atoms:
         if len(ids) != len(trees):
             raise ValidationError(f"atom {ids!r}: expected {len(trees)} leaf ids")
         w = float(w)
         if w < 0:
             raise ValidationError(f"atom {ids!r}: negative weight {w!r}")
-        key = []
         for tree, node_id in zip(trees, ids):
             depth, k = tree.locate(node_id)
             if depth != tree.horizon:
                 raise ValidationError(f"node {node_id!r} is not a leaf")
-            key.append(k)
-        index[tuple(key)] = index.get(tuple(key), 0.0) + w
-    return MulticausalCoupling(trees=trees, atoms=index)
+            tuples.append(k)
+        weights.append(w)
+    tuples = np.array(tuples, dtype=np.intp).reshape(len(weights), len(trees))
+    return MulticausalCoupling(trees, *_summed(tuples, np.array(weights, dtype=float)))
 
 
 def assemble_coupling(policy: KernelPolicy) -> MulticausalCoupling:
     """Product of the one-step policy plans along every path tuple."""
     tuples, _, mass = policy.reached()[-1]
-    atoms = dict(zip(map(tuple, tuples.tolist()), mass.tolist()))
-    coupling = MulticausalCoupling(trees=policy.trees, atoms=atoms)
+    coupling = MulticausalCoupling(trees=policy.trees, tuples=tuples, weights=mass)
     tv = coupling.worst_marginal_tv()
     if tv > MARGINAL_TOL:
         raise SolverFailureError(f"assembled coupling marginal TV {tv!r} exceeds tolerance")
@@ -420,9 +439,8 @@ def verify_multicausal(
             raise ValidationError(
                 f"coupling marginal {i + 1} differs from tree law by TV {tv!r}"
             )
-    atoms = [(idx, w) for idx, w in coupling.atoms.items() if w > 0.0]
-    tuples = np.array([idx for idx, _ in atoms], dtype=np.intp).reshape(-1, len(trees))
-    weights = np.array([w for _, w in atoms], dtype=float)
+    positive = coupling.weights > 0.0
+    tuples, weights = coupling.tuples[positive], coupling.weights[positive]
 
     worst = 0.0
     found = []
@@ -432,7 +450,7 @@ def verify_multicausal(
             n_node, n_child = tree.level_size(t), tree.level_size(t + 1)
             keys, actual = _sum_by(others * n_child + child, weights)
             parents, mass = _sum_by(others * n_node + node, weights)
-            pos, b = _fan(tree, t, parents % n_node)
+            pos, b = _fan(tree.parents[t], parents % n_node)
             rows = parents[pos] // n_node * n_child + b
             at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
             hit = np.where(keys[at] == rows, actual[at], 0.0)
@@ -448,8 +466,8 @@ def verify_multicausal(
         witnesses.append(Witness(
             process=i + 1,
             t=t,
-            others=tuple(trees[j].node(t, int(k)).node_id for j, k in zip(others, key)),
-            child=trees[i].node(t + 1, int(key[-1])).node_id,
+            others=tuple(trees[j].ids[t - 1][k] for j, k in zip(others, key)),
+            child=trees[i].ids[t][key[-1]],
             violation=float(-neg_viol),
         ))
     return CausalityReport(passed=worst <= tol, worst_violation=worst,
@@ -473,17 +491,17 @@ def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[i
     )
 
 
-def _fan(tree: ScenarioTree, t: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (node, child) pair below the depth-t node indices ``nodes``:
-    the pair's position in ``nodes`` and the child's index at depth t+1,
-    children in level order."""
-    parent = tree.parents[t]
-    counts = np.bincount(parent, minlength=tree.level_size(t))
+def _fan(keys: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of a position p in ``nodes`` and an index j with
+    ``keys[j] == nodes[p]``: the pairs' p and j, by p and then j.  With
+    ``keys`` a tree's ``parents[t]``, these are the (node, child) pairs
+    below the depth-t nodes ``nodes``."""
+    counts = np.bincount(keys, minlength=int(nodes.max(initial=-1)) + 1)
     starts = np.cumsum(counts) - counts
     fan = counts[nodes]
     pos = np.repeat(np.arange(len(nodes)), fan)
     within = np.arange(pos.size) - np.repeat(np.cumsum(fan) - fan, fan)
-    return pos, np.argsort(parent, kind="stable")[starts[nodes][pos] + within]
+    return pos, np.argsort(keys, kind="stable")[starts[nodes][pos] + within]
 
 
 def _block_indices(trees, i: int, t: int, tuples: np.ndarray):
@@ -525,7 +543,7 @@ def causality_operator(
         tree = trees[i]
         for t in range(1, horizon):
             others, node, child = _block_indices(trees, i, t, tuples)
-            col, b = _fan(tree, t, node)
+            col, b = _fan(tree.parents[t], node)
             rows.append(n_rows + others[col] * tree.level_size(t + 1) + b)
             cols.append(col)
             vals.append((b == child[col]) - tree.probs[t][b])
@@ -661,11 +679,8 @@ def brute_force_mcot(
     value = sol.value + shift
 
     support = np.flatnonzero(sol.x > 0.0)
-    atoms = {
-        tuple(int(k) for k in idx): float(sol.x[j])
-        for j, idx in zip(support, np.array(np.unravel_index(support, shape)).T)
-    }
-    coupling = MulticausalCoupling(trees=trees, atoms=atoms)
+    coupling = MulticausalCoupling(trees=trees, tuples=np.array(np.unravel_index(support, shape)).T,
+                                   weights=sol.x[support])
 
     n_marginal = sum(shape)
     certificate = DualCertificate(
@@ -691,13 +706,8 @@ def restrict_coupling(coupling: MulticausalCoupling, subset: Sequence[int]) -> M
         raise ValidationError(f"coordinate subset {subset} has repeats")
     if any(i < 0 or i >= len(coupling.trees) for i in subset):
         raise ValidationError(f"coordinate subset {subset} out of range")
-    atoms: dict[tuple[int, ...], float] = {}
-    for idx, w in coupling.atoms.items():
-        key = tuple(idx[i] for i in subset)
-        atoms[key] = atoms.get(key, 0.0) + w
-    return MulticausalCoupling(
-        trees=tuple(coupling.trees[i] for i in subset), atoms=atoms
-    )
+    return MulticausalCoupling([coupling.trees[i] for i in subset],
+                               *_summed(coupling.tuples[:, subset], coupling.weights))
 
 
 def glue(pi: MulticausalCoupling, gamma: MulticausalCoupling) -> MulticausalCoupling:
@@ -715,20 +725,16 @@ def glue(pi: MulticausalCoupling, gamma: MulticausalCoupling) -> MulticausalCoup
     if tv > MARGINAL_TOL:
         raise ValidationError(f"shared marginals differ by TV {tv!r} > {MARGINAL_TOL}")
 
-    kernel: dict[int, list[tuple[tuple[int, ...], float]]] = {}
-    for idx, w in gamma.atoms.items():
-        if w <= 0.0:
-            continue
-        kernel.setdefault(idx[0], []).append((idx[1:], w / marg_gamma[idx[0]]))
-
-    atoms: dict[tuple[int, ...], float] = {}
-    for idx, w in pi.atoms.items():
-        if w <= 0.0:
-            continue
-        for rest, k in kernel.get(idx[-1], ()):  # mass-0 bridges carry no kernel
-            key = idx + rest
-            atoms[key] = atoms.get(key, 0.0) + w * k
-    return MulticausalCoupling(trees=pi.trees + gamma.trees[1:], atoms=atoms)
+    keep = gamma.weights > 0.0
+    rows, kernel = gamma.tuples[keep], gamma.weights[keep]
+    kernel = kernel / marg_gamma[rows[:, 0]]
+    keep = pi.weights > 0.0
+    head, mass = pi.tuples[keep], pi.weights[keep]
+    # each atom of pi with each of gamma's atoms at its last leaf (mass-0
+    # bridges carry no kernel), in atom order
+    pos, tail = _fan(rows[:, 0], head[:, -1])
+    return MulticausalCoupling(pi.trees + gamma.trees[1:], *_summed(
+        np.hstack([head[pos], rows[tail, 1:]]), mass[pos] * kernel[tail]))
 
 
 def aw_distance(

@@ -18,13 +18,12 @@ def random_tree(
     dim: int = 1,
     max_branch: int = 3,
     min_branch: int = 1,
-    scale: float = 1.0,
     prefix: str = "n",
 ) -> ScenarioTree:
     """Random tree with per-node branching in [min_branch, max_branch].
 
     Transition probabilities are bounded away from zero; values are
-    centred Gaussians with the given scale.
+    standard Gaussians.
     """
     levels = []
     counter = 0
@@ -43,7 +42,7 @@ def random_tree(
                         "id": f"{prefix}{t}_{counter}",
                         "parent": parent,
                         "p": float(probs[b]),
-                        "x": [float(v) for v in rng.normal(0.0, scale, size=dim)],
+                        "x": [float(v) for v in rng.normal(0.0, 1.0, size=dim)],
                     }
                 )
                 counter += 1

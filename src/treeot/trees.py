@@ -21,10 +21,11 @@ Probabilities are 64-bit floats.  An optional exact-rational mode accepts
 conditions exactly instead of within tolerance; solvers always consume
 the float values.
 
-Solvers read a tree through read-only arrays built once at construction,
+A tree is read from its node specs straight into per-level fields,
 indexed by level t = 0..T-1 (depth t+1) and by node index within the
-level:
+level, and validated on them; the arrays are read-only:
 
+* ``ids[t]``      tuple of str: the node ids, in file order,
 * ``parents[t]``  (n_t,) intp: parent index at depth t; 0, the root, at
   depth 1,
 * ``probs[t]``    (n_t,) float: conditional probability P(node | parent),
@@ -32,13 +33,14 @@ level:
 * ``ancestors``   (n_leaves, T) intp: the node index at every depth of
   every leaf path.
 
-The nodes (:class:`TreeNode`) remain the form for I/O and validation.
+A :class:`TreeNode` is a view of one node, built on demand by
+:meth:`ScenarioTree.node` and :attr:`ScenarioTree.levels`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,13 +59,12 @@ GAUSS_HERMITE_MAX_N = 370
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One node of a scenario tree level."""
+    """One node of a scenario tree level, as :meth:`ScenarioTree.node` reads it."""
 
     node_id: str
     parent: int | None          # index into the previous level, None at t=1
     prob: float                 # conditional transition probability
     value: np.ndarray           # state vector x_t, shape (d_t,)
-    prob_exact: Fraction | None = None
 
     def __eq__(self, other) -> bool:  # value-based equality, arrays included
         if not isinstance(other, TreeNode):
@@ -120,158 +121,25 @@ class DiscreteDistribution:
 class ScenarioTree:
     """Immutable finite filtered process.
 
-    Construct through :meth:`from_levels` or :func:`load_tree`; direct
-    construction skips no validation either.  Instances are safe to share
-    across concurrent solver workers.
+    Construct through :meth:`from_levels` or :func:`load_tree`; both
+    read per-level node specs into the arrays of the module docstring and
+    validate them there.  Instances are safe to share across concurrent
+    solver workers.
     """
 
-    def __init__(self, levels: Sequence[Sequence[TreeNode]], exact: bool = False):
-        self._levels: tuple[tuple[TreeNode, ...], ...] = tuple(
-            tuple(level) for level in levels
-        )
-        self.exact = bool(exact)
-        self._validate()
-        self._index()
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_levels(cls, levels, exact: bool = False) -> "ScenarioTree":
-        """Build a tree from per-level node specs.
-
-        Each node spec is a mapping with keys ``id``, ``parent`` (id of
-        the parent node, ``None`` at t=1), ``p`` and ``x``.  ``p`` may be
-        a ``Fraction`` (or a string such as ``"1/3"``) when ``exact``.
-        """
-        built: list[list[TreeNode]] = []
-        prev_ids: dict[str, int] = {}
-        for t, level in enumerate(levels, start=1):
-            nodes: list[TreeNode] = []
-            ids_here: dict[str, int] = {}
-            for k, spec in enumerate(level):
-                try:
-                    node_id = spec["id"]
-                    parent_id = spec.get("parent")
-                    p_raw = spec["p"]
-                    x_raw = spec["x"]
-                except (TypeError, KeyError) as exc:
-                    raise TreeFormatError(
-                        f"level {t}, node #{k}: missing field {exc}"
-                    ) from None
-                if not isinstance(node_id, str) or not node_id:
-                    raise TreeFormatError(f"level {t}, node #{k}: id must be a nonempty string")
-                p_exact = None
-                try:
-                    if exact and isinstance(p_raw, (Fraction, str)):
-                        p_exact = Fraction(p_raw)
-                        p = float(p_exact)
-                    else:
-                        p = float(p_raw)
-                    value = np.asarray(x_raw, dtype=float).reshape(-1)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise TreeFormatError(
-                        f"level {t}, node {node_id!r}: p and x must be numbers ({exc})"
-                    ) from None
-                if t == 1:
-                    if parent_id is not None:
-                        raise TreeFormatError(
-                            f"level 1, node {node_id!r}: parent must be null at t=1"
-                        )
-                    parent = None
-                else:
-                    if not isinstance(parent_id, str) or parent_id not in prev_ids:
-                        raise TreeFormatError(
-                            f"level {t}, node {node_id!r}: unknown parent {parent_id!r}"
-                        )
-                    parent = prev_ids[parent_id]
-                nodes.append(TreeNode(node_id, parent, p, value, p_exact))
-                ids_here[node_id] = k
-            built.append(nodes)
-            prev_ids = ids_here
-        return cls(built, exact=exact)
-
-    # -- validation -----------------------------------------------------
-
-    def _validate(self):
-        if not self._levels or any(not lvl for lvl in self._levels):
+    def __init__(self, levels, exact: bool = False):
+        read = list(_read_levels(levels, exact))
+        if not read or not all(ids for ids, *_ in read):
             raise ValidationError("tree must have at least one node per level")
-        seen: set[str] = set()
-        for t, level in enumerate(self._levels, start=1):
-            dim = level[0].value.shape[0]
-            for node in level:
-                if node.node_id in seen:
-                    raise ValidationError(f"duplicate node id {node.node_id!r}")
-                seen.add(node.node_id)
-                if node.value.shape != (dim,):
-                    raise ValidationError(
-                        f"level {t}, node {node.node_id!r}: state dimension "
-                        f"{node.value.shape[0]} != {dim}"
-                    )
-                if not np.all(np.isfinite(node.value)):
-                    raise ValidationError(
-                        f"level {t}, node {node.node_id!r}: non-finite state value"
-                    )
-                if not (node.prob > 0.0) or not math.isfinite(node.prob):
-                    raise ValidationError(
-                        f"level {t}, node {node.node_id!r}: transition probability "
-                        f"{node.prob!r} must be strictly positive"
-                    )
-                if node.prob > 1.0 + PROB_TOL_LOCAL:
-                    raise ValidationError(
-                        f"level {t}, node {node.node_id!r}: transition probability "
-                        f"{node.prob!r} exceeds 1"
-                    )
-                if t == 1 and node.parent is not None:
-                    raise ValidationError(
-                        f"level 1, node {node.node_id!r}: must not have a parent"
-                    )
-                if t > 1 and node.parent is None:
-                    raise ValidationError(
-                        f"level {t}, node {node.node_id!r}: orphan node (no parent)"
-                    )
-        # kernel sums: level-1 weights form P_1, sibling groups form kernels
-        self._check_group_sum(1, None, [n for n in self._levels[0]])
-        for t in range(1, len(self._levels)):
-            groups: dict[int, list[TreeNode]] = {}
-            for node in self._levels[t]:
-                groups.setdefault(node.parent, []).append(node)
-            for parent_idx, parent in enumerate(self._levels[t - 1]):
-                children = groups.get(parent_idx)
-                if not children:
-                    raise ValidationError(
-                        f"level {t}, node {parent.node_id!r}: no children below the horizon"
-                    )
-                self._check_group_sum(t + 1, parent.node_id, children)
-
-    def _check_group_sum(self, t: int, parent_id: str | None, nodes: list[TreeNode]):
-        where = f"root distribution" if parent_id is None else f"children of {parent_id!r}"
-        if self.exact and all(n.prob_exact is not None for n in nodes):
-            total = sum(n.prob_exact for n in nodes)
-            if total != 1:
-                raise ValidationError(f"level {t}: {where} sum {total} != 1 (exact mode)")
-            return
-        total = float(sum(n.prob for n in nodes))
-        if abs(total - 1.0) > PROB_TOL_LOCAL:
-            raise ValidationError(f"level {t}: {where} sum {total!r}, expected 1")
-
-    # -- derived structure ------------------------------------------------
-
-    def _index(self):
-        self._children: list[list[list[int]]] = []
-        for t in range(len(self._levels) - 1):
-            ch: list[list[int]] = [[] for _ in self._levels[t]]
-            for j, node in enumerate(self._levels[t + 1]):
-                ch[node.parent].append(j)
-            self._children.append(ch)
-        self._by_id: dict[str, tuple[int, int]] = {}
-        for t, level in enumerate(self._levels):
-            for k, node in enumerate(level):
-                self._by_id[node.node_id] = (t, k)
-        # the per-depth arrays of the module docstring
-        self.parents = tuple(_frozen(np.array([n.parent or 0 for n in level], dtype=np.intp))
-                             for level in self._levels)
-        self.probs = tuple(_frozen(np.array([n.prob for n in level])) for level in self._levels)
-        self.states = tuple(_frozen(np.array([n.value for n in level])) for level in self._levels)
+        ids, parents, probs, states, fractions = zip(*read)
+        self.ids, self.probs, self.states = ids, probs, states
+        self._check_nodes()
+        self.parents = tuple(_frozen(np.array(p, dtype=np.intp)) for p in parents)
+        for a in self.probs + self.states:
+            _frozen(a)
+        self._check_sums(fractions)
+        self._by_id = {node_id: (t, k) for t, level_ids in enumerate(self.ids)
+                       for k, node_id in enumerate(level_ids)}
         # leaf paths bottom-up; path probabilities top-down
         anc = [np.arange(self.n_leaves)]
         for parents in self.parents[:0:-1]:
@@ -282,26 +150,96 @@ class ScenarioTree:
             law = probs * law[parents]
         self._leaf_law = law
 
+    @classmethod
+    def from_levels(cls, levels, exact: bool = False) -> "ScenarioTree":
+        """Build a tree from per-level node specs.
+
+        Each node spec is a mapping with keys ``id``, ``parent`` (id of
+        the parent node, ``None`` at t=1), ``p`` and ``x``.  ``p`` may be
+        a ``Fraction`` (or a string such as ``"1/3"``) when ``exact``.
+        """
+        return cls(levels, exact=exact)
+
+    def _check_nodes(self):
+        """Raise for the first node, in tree order, with a repeated id, a
+        state of another dimension than its level's first, a non-finite
+        state or a probability outside (0, 1 + ``PROB_TOL_LOCAL``]."""
+        p = np.concatenate(self.probs)
+        if (len(set().union(*self.ids)) == p.size
+                and all(isinstance(x, np.ndarray) and np.isfinite(x).all() for x in self.states)
+                and ((p > 0.0) & (p <= 1.0 + PROB_TOL_LOCAL)).all()):
+            return
+        seen: set[str] = set()
+        for t, (names, p_t, x_t) in enumerate(zip(self.ids, self.probs, self.states), start=1):
+            dim = len(x_t[0])
+            for node_id, prob, value in zip(names, p_t.tolist(), x_t):
+                where = f"level {t}, node {node_id!r}"
+                if node_id in seen:
+                    raise ValidationError(f"duplicate node id {node_id!r}")
+                seen.add(node_id)
+                if len(value) != dim:
+                    raise ValidationError(f"{where}: state dimension {len(value)} != {dim}")
+                if not np.all(np.isfinite(value)):
+                    raise ValidationError(f"{where}: non-finite state value")
+                if not (prob > 0.0) or not math.isfinite(prob):
+                    raise ValidationError(
+                        f"{where}: transition probability {prob!r} must be strictly positive")
+                if prob > 1.0 + PROB_TOL_LOCAL:
+                    raise ValidationError(f"{where}: transition probability {prob!r} exceeds 1")
+        raise AssertionError("a node check failed on no node")
+
+    def _check_sums(self, fractions: list):
+        """Raise unless every node above the horizon has children and every
+        sibling group, the roots included, sums to 1: added in level order
+        in float arithmetic, or exactly where ``fractions[t]`` holds the
+        whole group's probabilities."""
+        for t, (parents, probs) in enumerate(zip(self.parents, self.probs)):
+            n_above = len(self.ids[t - 1]) if t else 1
+            totals = np.bincount(parents, weights=probs, minlength=n_above)
+            bad = np.abs(totals - 1.0) > PROB_TOL_LOCAL  # a childless node's total is 0
+            exact = {}
+            if fractions[t] is not None:
+                groups: dict[int, list] = {}
+                for g, f in zip(parents.tolist(), fractions[t]):
+                    groups.setdefault(g, []).append(f)
+                exact = {g: sum(fs) for g, fs in groups.items() if None not in fs}
+                for g, total in exact.items():
+                    bad[g] = total != 1
+            if not bad.any():
+                continue
+            g = int(np.argmax(bad))
+            above = self.ids[t - 1][g] if t else None
+            if g not in parents:
+                raise ValidationError(f"level {t}, node {above!r}: no children below the horizon")
+            where = f"children of {above!r}" if t else "root distribution"
+            if g in exact:
+                raise ValidationError(f"level {t + 1}: {where} sum {exact[g]} != 1 (exact mode)")
+            raise ValidationError(f"level {t + 1}: {where} sum {float(totals[g])!r}, expected 1")
+
     # -- basic accessors --------------------------------------------------
 
     @property
     def horizon(self) -> int:
-        return len(self._levels)
+        return len(self.ids)
 
     @property
     def levels(self) -> tuple[tuple[TreeNode, ...], ...]:
-        return self._levels
+        """Every node, level by level: a view built on each call."""
+        return tuple(tuple(self.node(t, k) for k in range(len(level_ids)))
+                     for t, level_ids in enumerate(self.ids, start=1))
 
     def level_size(self, t: int) -> int:
         """Number of nodes at depth t (1-based)."""
-        return len(self._levels[t - 1])
+        return len(self.ids[t - 1])
 
     def node(self, t: int, idx: int) -> TreeNode:
-        return self._levels[t - 1][idx]
+        """Node ``idx`` at depth t (1-based), built on each call."""
+        return TreeNode(self.ids[t - 1][idx], int(self.parents[t - 1][idx]) if t > 1 else None,
+                        float(self.probs[t - 1][idx]), self.states[t - 1][idx])
 
-    def children(self, t: int, idx: int) -> list[int]:
-        """Child indices (at depth t+1) of node ``idx`` at depth t."""
-        return self._children[t - 1][idx]
+    def children(self, t: int, idx: int) -> np.ndarray:
+        """Child indices (at depth t+1) of node ``idx`` at depth t, in level order."""
+        return np.flatnonzero(self.parents[t] == idx)
 
     def locate(self, node_id: str) -> tuple[int, int]:
         """Return (depth, index-within-level), depth 1-based."""
@@ -315,15 +253,12 @@ class ScenarioTree:
         """Ancestor indices from depth 1 up to depth t for a node."""
         out = [idx]
         for s in range(t - 1, 0, -1):
-            idx = self._levels[s][idx].parent
+            idx = int(self.parents[s][idx])
             out.append(idx)
         return tuple(reversed(out))
 
     def path_of(self, t: int, idx: int) -> NodePath:
-        return NodePath(
-            tuple(self._levels[s][k].node_id
-                  for s, k in enumerate(self.path_indices(t, idx)))
-        )
+        return NodePath(tuple(self.ids[s][k] for s, k in enumerate(self.path_indices(t, idx))))
 
     def resolve_path(self, path: NodePath) -> tuple[int, ...]:
         """Validate parent links along ``path`` and return level indices."""
@@ -334,7 +269,7 @@ class ScenarioTree:
                 raise ValidationError(
                     f"node {node_id!r} has depth {t}, expected {depth} in path"
                 )
-            if depth > 1 and self._levels[depth - 1][k].parent != indices[-1]:
+            if depth > 1 and self.parents[depth - 1][k] != indices[-1]:
                 raise ValidationError(
                     f"node {node_id!r} is not a child of {path.ids[depth - 2]!r}"
                 )
@@ -345,7 +280,7 @@ class ScenarioTree:
 
     @property
     def n_leaves(self) -> int:
-        return len(self._levels[-1])
+        return len(self.ids[-1])
 
     def leaf_law(self) -> np.ndarray:
         """Leaf-path probabilities, in leaf order."""
@@ -357,16 +292,82 @@ class ScenarioTree:
         return tuple(states[self.ancestors[:, t]] for t, states in enumerate(self.states))
 
     def leaf_ids(self) -> tuple[str, ...]:
-        return tuple(n.node_id for n in self._levels[-1])
+        return self.ids[-1]
 
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioTree):
             return NotImplemented
-        return self._levels == other._levels
+        return self.ids == other.ids and all(
+            np.array_equal(a, b) for a, b in zip(self.parents + self.probs + self.states,
+                                                 other.parents + other.probs + other.states))
 
     __hash__ = None
+
+
+def _read_levels(levels, exact: bool):
+    """Per level t = 1..T, the node ids, parent indices (0 at t=1), float
+    probabilities, states and exact probabilities (``None`` unless
+    ``exact``).  The states are one (n, d) array, or one array per node
+    when their lengths differ.  Raises :class:`TreeFormatError` for the
+    first spec, in file order, that cannot be read."""
+    above: dict = {}
+    for t, level in enumerate(levels, start=1):
+        level = list(level)
+        try:
+            ids = tuple([spec["id"] for spec in level])
+            parent_ids = [spec.get("parent") for spec in level]
+            p_raw = [spec["p"] for spec in level]
+            x_raw = [spec["x"] for spec in level]
+            fractions = None
+            if exact:
+                fractions = [Fraction(p) if isinstance(p, (Fraction, str)) else None
+                             for p in p_raw]
+                p_raw = [p if f is None else f for p, f in zip(p_raw, fractions)]
+            probs = np.array([float(p) for p in p_raw])
+            try:
+                states = np.array(x_raw, dtype=float)
+                states = states.reshape(len(level), states.size // len(level) if level else 0)
+            except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+                states = [np.asarray(x, dtype=float).reshape(-1) for x in x_raw]
+                if len({x.size for x in states}) == 1:
+                    states = np.array(states)
+            if t == 1:
+                parents = [0 if p is None else None for p in parent_ids]
+            else:
+                parents = [above.get(p) for p in parent_ids]
+            readable = None not in parents and all(isinstance(i, str) and i for i in ids)
+        except (TypeError, KeyError, ValueError, ZeroDivisionError, OverflowError):
+            readable = False
+        if not readable:  # name the first spec that cannot be read
+            for k, spec in enumerate(level):
+                try:
+                    node_id = spec["id"]
+                    parent_id = spec.get("parent")
+                    p_raw = spec["p"]
+                    x_raw = spec["x"]
+                except (TypeError, KeyError) as exc:
+                    raise TreeFormatError(f"level {t}, node #{k}: missing field {exc}") from None
+                if not isinstance(node_id, str) or not node_id:
+                    raise TreeFormatError(f"level {t}, node #{k}: id must be a nonempty string")
+                try:
+                    exact_p = exact and isinstance(p_raw, (Fraction, str))
+                    float(Fraction(p_raw) if exact_p else p_raw)
+                    np.asarray(x_raw, dtype=float)
+                except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise TreeFormatError(
+                        f"level {t}, node {node_id!r}: p and x must be numbers ({exc})"
+                    ) from None
+                if t == 1 and parent_id is not None:
+                    raise TreeFormatError(
+                        f"level 1, node {node_id!r}: parent must be null at t=1")
+                if t > 1 and (not isinstance(parent_id, str) or parent_id not in above):
+                    raise TreeFormatError(
+                        f"level {t}, node {node_id!r}: unknown parent {parent_id!r}")
+            raise AssertionError(f"level {t} failed to read but has no unreadable node")
+        yield ids, parents, probs, states, fractions
+        above = dict(zip(ids, range(len(ids))))
 
 
 # -- module operations ---------------------------------------------------
@@ -377,7 +378,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def load_tree(serialized: bytes | str, exact: bool = False) -> ScenarioTree:
+def load_tree(serialized: bytes | str) -> ScenarioTree:
     """Parse and validate the JSON tree format.
 
     Format: ``{"horizon": T, "levels": [[{"id", "parent", "p", "x"}, ...], ...]}``
@@ -401,7 +402,7 @@ def load_tree(serialized: bytes | str, exact: bool = False) -> ScenarioTree:
         raise TreeFormatError(
             f'"horizon" is {horizon} but {len(levels)} levels were given'
         )
-    return ScenarioTree.from_levels(levels, exact=exact)
+    return ScenarioTree.from_levels(levels)
 
 
 def dump_tree(tree: ScenarioTree) -> str:
@@ -414,16 +415,11 @@ def dump_tree(tree: ScenarioTree) -> str:
         "horizon": tree.horizon,
         "levels": [
             [
-                {
-                    "id": node.node_id,
-                    "parent": None if node.parent is None
-                    else tree.levels[t - 1][node.parent].node_id,
-                    "p": node.prob,
-                    "x": [float(v) for v in node.value],
-                }
-                for node in level
+                {"id": node_id, "parent": tree.ids[t - 1][parent] if t else None, "p": p, "x": x}
+                for node_id, parent, p, x in zip(tree.ids[t], tree.parents[t].tolist(),
+                                                 tree.probs[t].tolist(), tree.states[t].tolist())
             ]
-            for t, level in enumerate(tree.levels)
+            for t in range(tree.horizon)
         ],
     }
     return json.dumps(doc, indent=2)
@@ -439,7 +435,7 @@ def conditional_kernel(tree: ScenarioTree, path: NodePath) -> DiscreteDistributi
         )
     children = tree.children(t, indices[-1])
     return DiscreteDistribution(
-        support=tuple(tree.node(t + 1, j).node_id for j in children),
+        support=tuple(tree.ids[t][j] for j in children),
         weights=tree.probs[t][children],
     )
 
@@ -451,7 +447,7 @@ def path_value(tree: ScenarioTree, leaf: NodePath) -> tuple[np.ndarray, ...]:
         raise ValidationError(
             f"path has depth {len(indices)}, expected horizon {tree.horizon}"
         )
-    return tuple(tree.node(s + 1, k).value for s, k in enumerate(indices))
+    return tuple(tree.states[s][k] for s, k in enumerate(indices))
 
 
 def quantize_gauss_hermite(n: int) -> DiscreteDistribution:

@@ -255,10 +255,7 @@ def test_causal_never_exceeds_bicausal(seed):
     v_causal, plan = causal_ot(t1, t2, cost)
     v_bicausal = mc_dpp([t1, t2], cm.pairwise_power(2.0)).value
     assert v_causal <= v_bicausal + 1e-10
-    dense = np.zeros((t1.n_leaves, t2.n_leaves))
-    for idx, w in zip(plan.atoms, plan.weights):
-        dense[idx] = w
-    assert causal_violation(t1, t2, dense) <= 1e-9
+    assert causal_violation(t1, t2, plan) <= 1e-9
 
 
 # -- causal barycenters ------------------------------------------------------------------
@@ -296,10 +293,7 @@ def test_causal_barycenter_duality_and_plan_validity(seed):
     for tree, plan in zip(trees, sol.plans):
         tv = 0.5 * float(np.abs(plan.pushforward(1) - sol.nu.weights).sum())
         assert tv <= 1e-9
-        dense = np.zeros((tree.n_leaves, task.n_leaves))
-        for idx, w in zip(plan.atoms, plan.weights):
-            dense[idx] = w
-        assert causal_violation(tree, task, dense) <= 1e-9
+        assert causal_violation(tree, task, plan) <= 1e-9
     # pointwise dual feasibility, equality on the support
     min_slack, support_slack = sol.support_slack(costs)
     assert min_slack >= -1e-8

@@ -150,6 +150,32 @@ def test_counterexample_past_the_budget_exits_3_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget, expected", [("1", 3), ("15", 3), ("16", 0)])
+def test_counterexample_honours_the_budget(tmp_path, capsys, budget, expected):
+    # n = 4 makes 16 leaf pairs
+    code, out = _run_to_file(tmp_path, ["counterexample", "--n", "4", "--budget", budget])
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == 3:
+        assert err.strip().splitlines() == [
+            f"treeot: budget refused: counterexample: 16 leaf pairs exceed budget {budget}"]
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
+def test_tree_with_a_float_overflowing_probability_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text('{"horizon": 1, "levels": [[{"id": "x", "parent": null, "p": 1' + "0" * 400
+                   + ', "x": [0]}]]}')
+    code = run(["awdist", str(bad), str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        f"treeot: invalid input: level 1, node 'x': p and x must be numbers "
+        "(int too large to convert to float)"]
+
+
 def test_counterexample_past_the_quadrature_exits_2_with_one_line(tmp_path, capsys):
     code, out = _run_to_file(tmp_path, ["counterexample", "--n", str(GAUSS_HERMITE_MAX_N + 1)])
     err = capsys.readouterr().err

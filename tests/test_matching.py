@@ -288,10 +288,7 @@ def test_best_response_recursion_attains_the_lp(seed):
         # deterministic: one task leaf per population leaf, with its probability
         assert [lx for lx, _ in plan.atoms] == list(range(tree.n_leaves))
         assert 0.5 * float(np.abs(plan.pushforward(0) - tree.leaf_law()).sum()) <= 1e-12
-        dense = np.zeros((tree.n_leaves, tasks.n_leaves))
-        for idx, w in zip(plan.atoms, plan.weights):
-            dense[idx] = w
-        assert causal_violation(tree, tasks, dense) <= 1e-12
+        assert causal_violation(tree, tasks, plan) <= 1e-12
         achieved = _plan_expectation(tree, tasks, plan, instance.cost_tables[i], wage)
         assert achieved == pytest.approx(value, abs=tol)
 

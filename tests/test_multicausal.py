@@ -24,6 +24,7 @@ from treeot import (
     BudgetExceededError,
     IncompletePolicyError,
     SolverFailureError,
+    TransportPlan,
     ValidationError,
     assemble_coupling,
     aw_distance,
@@ -79,6 +80,11 @@ def direct_summation(policy: KernelPolicy) -> dict[tuple[int, ...], float]:
     for idx, w in frontier:
         out[idx] = out.get(idx, 0.0) + w
     return out
+
+
+def as_dict(coupling: MulticausalCoupling) -> dict[tuple[int, ...], float]:
+    """The coupling's atoms as {leaf index tuple: weight}, in atom order."""
+    return dict(zip(map(tuple, coupling.tuples.tolist()), coupling.weights.tolist()))
 
 
 def shuffled_levels(rng, tree: ScenarioTree) -> ScenarioTree:
@@ -175,7 +181,7 @@ def test_dpp_identical_trees_zero_diagonal():
     res = mc_dpp([tree, tree, tree], cm.pairwise_power(1.0))
     assert res.value == pytest.approx(0.0, abs=1e-10)
     coupling = assemble_coupling(res.policy)
-    assert all(len(set(idx)) == 1 for idx in coupling.atoms)
+    assert all(len(set(idx)) == 1 for idx in coupling.tuples.tolist())
 
 
 def test_dpp_single_period_reduces_to_multimarginal():
@@ -375,7 +381,7 @@ def test_assemble_dirac_trees_single_atom():
     b = chain_tree([[2.0], [3.0]], "b")
     res = mc_dpp([a, b], cm.pairwise_power(2.0))
     coupling = assemble_coupling(res.policy)
-    assert coupling.atoms == {(0, 0): 1.0}
+    assert as_dict(coupling) == {(0, 0): 1.0}
 
 
 def test_assemble_product_policy_gives_product_law():
@@ -383,7 +389,7 @@ def test_assemble_product_policy_gives_product_law():
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(2)]
     coupling = assemble_coupling(product_policy(trees))
     laws = [t.leaf_law() for t in trees]
-    for idx, w in coupling.atoms.items():
+    for idx, w in as_dict(coupling).items():
         assert w == pytest.approx(laws[0][idx[0]] * laws[1][idx[1]], abs=1e-12)
     report = verify_multicausal(coupling, trees)
     assert report.passed
@@ -396,9 +402,9 @@ def test_assemble_matches_direct_summation_oracle(seed):
     policy = random_policy(rng, trees)
     coupling = assemble_coupling(policy)
     oracle = direct_summation(policy)
-    assert set(coupling.atoms) == set(oracle)
+    assert set(as_dict(coupling)) == set(oracle)
     for idx, w in oracle.items():
-        assert coupling.atoms[idx] == pytest.approx(w, abs=1e-14)
+        assert as_dict(coupling)[idx] == pytest.approx(w, abs=1e-14)
     # atom order fixes the summation order of verify_certificate; levels
     # listed out of parent order must not change it
     shuffled = [shuffled_levels(rng, tr) for tr in
@@ -408,8 +414,8 @@ def test_assemble_matches_direct_summation_oracle(seed):
     for policy in (res.policy, random_policy(rng, shuffled)):
         coupling = assemble_coupling(policy)
         oracle = direct_summation(policy)
-        assert list(coupling.atoms) == list(oracle)
-        assert list(coupling.atoms.values()) == list(oracle.values())
+        assert list(as_dict(coupling)) == list(oracle)
+        assert list(as_dict(coupling).values()) == list(oracle.values())
 
 
 def test_assemble_optimal_policy_attains_dpp_value():
@@ -472,7 +478,7 @@ def test_verify_rejects_anticipative_coupling_with_witness():
 def test_verify_rejects_marginal_mismatch():
     rng = np.random.default_rng(10)
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(2)]
-    bad = MulticausalCoupling(trees=tuple(trees), atoms={(0, 0): 1.0})
+    bad = MulticausalCoupling(trees=tuple(trees), tuples=[(0, 0)], weights=[1.0])
     with pytest.raises(ValidationError, match="marginal"):
         verify_multicausal(bad, trees)
 
@@ -481,7 +487,7 @@ def test_verify_orders_tied_witnesses_by_key():
     # every violated row of the anticipative coupling violates by exactly 1/4
     tree1, tree2, coupling = anticipative_instance()
     reordered = MulticausalCoupling(
-        trees=coupling.trees, atoms=dict(reversed(list(coupling.atoms.items())))
+        trees=coupling.trees, tuples=coupling.tuples[::-1], weights=coupling.weights[::-1]
     )
     reports = [verify_multicausal(c, [tree1, tree2]) for c in (coupling, reordered)]
     assert reports[0] == reports[1]
@@ -499,14 +505,14 @@ def test_causal_violation_agrees_with_verify_multicausal(seed):
     # an OT vertex for a random cost has the right marginals but is not causal
     _, plan = classical_ot(t1.leaf_law(), t2.leaf_law(),
                            rng.random((t1.n_leaves, t2.n_leaves)))
-    dense = np.zeros((t1.n_leaves, t2.n_leaves))
-    dense[tuple(np.array(plan.atoms).T)] = plan.weights
-    coupling = MulticausalCoupling(trees=(t1, t2), atoms=dict(zip(plan.atoms, plan.weights.tolist())))
+    flipped = TransportPlan(shape=plan.shape[::-1], atoms=tuple(a[::-1] for a in plan.atoms),
+                            weights=plan.weights)
+    coupling = MulticausalCoupling(trees=(t1, t2), tuples=plan.atoms, weights=plan.weights)
     report = verify_multicausal(coupling, [t1, t2], tol=0.0)
-    for process, (x, y, matrix) in enumerate([(t1, t2, dense), (t2, t1, dense.T)], start=1):
+    for process, (x, y, xy_plan) in enumerate([(t1, t2, plan), (t2, t1, flipped)], start=1):
         worst = max(w.violation for w in report.witnesses if w.process == process)
         assert worst > 1e-3
-        assert causal_violation(x, y, matrix) == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert causal_violation(x, y, xy_plan) == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 # -- causality_operator ----------------------------------------------------------------
@@ -557,8 +563,8 @@ def test_causality_operator_matches_per_tuple_rows(case):
     # a multicausal coupling is in the kernel of the full operator
     if case != "subset":
         pi = np.zeros([t.n_leaves for t in trees])
-        for idx, w in random_multicausal_coupling(rng, trees).atoms.items():
-            pi[idx] = w
+        coupling = random_multicausal_coupling(rng, trees)
+        pi[tuple(coupling.tuples.T)] = coupling.weights
         assert np.abs(op @ pi.ravel()).max() <= 1e-12
 
 
@@ -596,7 +602,7 @@ def test_brute_force_duality_and_certificate(seed):
     assert abs(report["martingale_integral"]) <= 1e-8
     other = random_multicausal_coupling(rng, trees)
     mart = cert.martingale_values(trees)
-    integral = sum(w * mart[idx] for idx, w in other.atoms.items())
+    integral = sum(w * mart[idx] for idx, w in as_dict(other).items())
     assert abs(integral) <= 1e-8
 
 
@@ -783,6 +789,90 @@ def test_oracle_equivalence_family():
         assert abs(v_dpp - v_lp) <= 1e-8 * (1 + abs(v_lp))
 
 
+# -- couplings as arrays, against a dict of atoms -------------------------------------
+
+
+def summed(pairs) -> dict[tuple[int, ...], float]:
+    """(index tuple, weight) pairs as a dict: repeated tuples keep their
+    first place and add their weights in input order."""
+    out: dict[tuple[int, ...], float] = {}
+    for idx, w in pairs:
+        out[tuple(idx)] = out.get(tuple(idx), 0.0) + w
+    return out
+
+
+def dict_glue(pi: dict, gamma: dict, marg_gamma: np.ndarray) -> dict:
+    """Gluing atom by atom: gamma's kernel below each positive atom of pi."""
+    kernel: dict[int, list] = {}
+    for idx, w in gamma.items():
+        if w > 0.0:
+            kernel.setdefault(idx[0], []).append((idx[1:], w / marg_gamma[idx[0]]))
+    return summed((idx + rest, w * k) for idx, w in pi.items() if w > 0.0
+                  for rest, k in kernel.get(idx[-1], ()))
+
+
+def assert_matches_dict(coupling: MulticausalCoupling, atoms: dict, table: np.ndarray):
+    """Atom order, marginals, ``atom_ids()`` and ``expectation`` equal, bit
+    for bit, what the dict gives summed atom by atom in its order."""
+    trees = coupling.trees
+    assert list(as_dict(coupling)) == list(atoms)
+    assert coupling.weights.tolist() == list(atoms.values())
+    for i, tree in enumerate(trees):
+        marginal = np.zeros(tree.n_leaves)
+        for idx, w in atoms.items():
+            marginal[idx[i]] += w
+        assert coupling.marginal(i).tolist() == marginal.tolist()
+    leaf_ids = [tree.leaf_ids() for tree in trees]
+    assert coupling.atom_ids() == [
+        (tuple(ids[k] for ids, k in zip(leaf_ids, idx)), w) for idx, w in sorted(atoms.items())]
+    index = tuple(np.array(list(atoms), dtype=np.intp).reshape(-1, len(trees)).T)
+    assert coupling.expectation(table) == float(np.fromiter(atoms.values(), float) @ table[index])
+
+
+@pytest.mark.parametrize("n_trees", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_coupling_arrays_match_a_dict_of_atoms(n_trees, seed):
+    rng = np.random.default_rng(1300 + seed)
+    trees = [shuffled_levels(rng, random_tree(rng, horizon=4 - n_trees, dim=2, min_branch=1,
+                                              max_branch=3, prefix=p))
+             for p in "abc"[:n_trees]]
+    policy = random_policy(rng, trees)
+    coupling = assemble_coupling(policy)
+    atoms = direct_summation(policy)
+    assert_matches_dict(coupling, atoms, cost_table(trees, cm.lp_sum(2.0)))
+    # restriction and gluing, atom by atom
+    subset = [n_trees - 1, 0]
+    assert_matches_dict(
+        restrict_coupling(coupling, subset),
+        summed((tuple(idx[i] for i in subset), w) for idx, w in atoms.items()),
+        cost_table([trees[i] for i in subset], cm.lp_sum(1.0)))
+    other = random_tree(rng, horizon=trees[0].horizon, dim=1, min_branch=1, max_branch=3,
+                        prefix="z")
+    gamma = random_multicausal_coupling(rng, [trees[-1], other])
+    assert_matches_dict(
+        glue(coupling, gamma),
+        dict_glue(atoms, as_dict(gamma), gamma.marginal(0)),
+        cost_table([*trees, other], cm.lp_sum(2.0)))
+
+
+def test_coupling_from_repeated_id_atoms_sums_them_in_input_order():
+    rng = np.random.default_rng(1310)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=3, prefix=p)
+             for p in "ab"]
+    coupling = random_multicausal_coupling(rng, trees)
+    # every atom cut into up to three pieces, shuffled
+    pieces = []
+    for idx, w in as_dict(coupling).items():
+        cuts = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        pieces += [(idx, float(w * c)) for c in cuts]
+    pieces = [pieces[k] for k in rng.permutation(len(pieces))]
+    leaf_ids = [tree.leaf_ids() for tree in trees]
+    rebuilt = coupling_from_id_atoms(
+        trees, [([ids[k] for ids, k in zip(leaf_ids, idx)], w) for idx, w in pieces])
+    assert len(rebuilt.weights) == len(coupling.weights)
+    assert_matches_dict(rebuilt, summed(pieces), cost_table(trees, cm.lp_sum(2.0)))
+
+
 # -- restriction and gluing ---------------------------------------------------------
 
 
@@ -791,11 +881,11 @@ def test_restrict_identity_and_product():
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(3)]
     coupling = random_multicausal_coupling(rng, trees)
     same = restrict_coupling(coupling, [0, 1, 2])
-    assert same.atoms == coupling.atoms
+    assert as_dict(same) == as_dict(coupling)
     product = assemble_coupling(product_policy(trees))
     restricted = restrict_coupling(product, [0, 2])
     laws = [trees[0].leaf_law(), trees[2].leaf_law()]
-    for idx, w in restricted.atoms.items():
+    for idx, w in as_dict(restricted).items():
         assert w == pytest.approx(laws[0][idx[0]] * laws[1][idx[1]], abs=1e-12)
 
 
@@ -823,12 +913,13 @@ def test_glue_with_identity_self_coupling_duplicates_coordinate():
     pi = random_multicausal_coupling(rng, [t1, t2])
     identity = MulticausalCoupling(
         trees=(t2, t2),
-        atoms={(k, k): float(w) for k, w in enumerate(t2.leaf_law())},
+        tuples=[(k, k) for k in range(t2.n_leaves)],
+        weights=t2.leaf_law(),
     )
-    glued = glue(pi, identity)
-    assert set(glued.atoms) == {idx + (idx[-1],) for idx in pi.atoms}
-    for idx, w in pi.atoms.items():
-        assert glued.atoms[idx + (idx[-1],)] == pytest.approx(w, abs=1e-12)
+    glued = as_dict(glue(pi, identity))
+    assert set(glued) == {idx + (idx[-1],) for idx in as_dict(pi)}
+    for idx, w in as_dict(pi).items():
+        assert glued[idx + (idx[-1],)] == pytest.approx(w, abs=1e-12)
 
 
 def test_glue_products_gives_triple_product():
@@ -838,7 +929,7 @@ def test_glue_products_gives_triple_product():
     ga = assemble_coupling(product_policy(trees[1:]))
     glued = glue(pi, ga)
     laws = [t.leaf_law() for t in trees]
-    for idx, w in glued.atoms.items():
+    for idx, w in as_dict(glued).items():
         expected = laws[0][idx[0]] * laws[1][idx[1]] * laws[2][idx[2]]
         assert w == pytest.approx(expected, abs=1e-12)
 
@@ -854,11 +945,11 @@ def test_glue_random_bicausal_pair(seed):
     assert report.passed and report.worst_violation <= 1e-8
     back_pi = restrict_coupling(glued, [0, 1])
     back_ga = restrict_coupling(glued, [1, 2])
-    for back, ref in ((back_pi, pi), (back_ga, ga)):
+    for back, ref in ((as_dict(back_pi), as_dict(pi)), (as_dict(back_ga), as_dict(ga))):
         tv = 0.5 * sum(
-            abs(back.atoms.get(k, 0.0) - v)
-            for k in set(back.atoms) | set(ref.atoms)
-            for v in [ref.atoms.get(k, 0.0)]
+            abs(back.get(k, 0.0) - v)
+            for k in set(back) | set(ref)
+            for v in [ref.get(k, 0.0)]
         )
         assert tv <= 1e-9
 

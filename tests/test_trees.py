@@ -31,7 +31,7 @@ from treeot import (
     quantize_gauss_hermite,
 )
 from treeot.randomgen import random_tree
-from treeot.trees import GAUSS_HERMITE_MAX_N
+from treeot.trees import GAUSS_HERMITE_MAX_N, TreeNode
 
 
 def normal_moment(k: int) -> float:
@@ -119,6 +119,101 @@ def test_load_rejects_structural_faults(mutate, message):
     mutate(doc)
     with pytest.raises((ValidationError, TreeFormatError), match=message):
         load_tree(json.dumps(doc))
+
+
+def faultless_doc() -> dict:
+    """Two roots, one with two children and one with one."""
+    return {"horizon": 2, "levels": [
+        [{"id": "r", "parent": None, "p": 0.5, "x": [0.0]},
+         {"id": "s", "parent": None, "p": 0.5, "x": [1.0]}],
+        [{"id": "a", "parent": "r", "p": 0.25, "x": [0.0]},
+         {"id": "b", "parent": "r", "p": 0.75, "x": [1.0]},
+         {"id": "c", "parent": "s", "p": 1.0, "x": [2.0]}],
+    ]}
+
+
+def _set(t, k, **fields):
+    return lambda d: d["levels"][t][k].update(fields)
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        (lambda d: d["levels"][1][1].pop("id"), TreeFormatError,
+         "level 2, node #1: missing field 'id'"),
+        (lambda d: d["levels"][1][1].pop("p"), TreeFormatError,
+         "level 2, node #1: missing field 'p'"),
+        (lambda d: d["levels"][0][1].pop("x"), TreeFormatError,
+         "level 1, node #1: missing field 'x'"),
+        (lambda d: d["levels"][1].__setitem__(2, ["c", "s", 1.0, [2.0]]), TreeFormatError,
+         "level 2, node #2: missing field list indices must be integers or slices, not str"),
+        (_set(1, 1, id=""), TreeFormatError, "level 2, node #1: id must be a nonempty string"),
+        (_set(1, 1, id=7), TreeFormatError, "level 2, node #1: id must be a nonempty string"),
+        (_set(1, 1, p=None), TreeFormatError,
+         "level 2, node 'b': p and x must be numbers "
+         "(float() argument must be a string or a real number, not 'NoneType')"),
+        (_set(1, 1, p="abc"), TreeFormatError,
+         "level 2, node 'b': p and x must be numbers (could not convert string to float: 'abc')"),
+        (_set(1, 1, x="up"), TreeFormatError,
+         "level 2, node 'b': p and x must be numbers (could not convert string to float: 'up')"),
+        (_set(1, 1, p=10 ** 400), TreeFormatError,
+         "level 2, node 'b': p and x must be numbers (int too large to convert to float)"),
+        (_set(0, 1, parent="r"), TreeFormatError,
+         "level 1, node 's': parent must be null at t=1"),
+        (_set(1, 2, parent="zz"), TreeFormatError, "level 2, node 'c': unknown parent 'zz'"),
+        (_set(1, 2, parent=[]), TreeFormatError, "level 2, node 'c': unknown parent []"),
+        (_set(1, 2, parent=None), TreeFormatError, "level 2, node 'c': unknown parent None"),
+        (_set(1, 2, id="r"), ValidationError, "duplicate node id 'r'"),
+        (_set(1, 1, x=[1.0, 2.0]), ValidationError, "level 2, node 'b': state dimension 2 != 1"),
+        (_set(1, 1, x=[float("nan")]), ValidationError,
+         "level 2, node 'b': non-finite state value"),
+        (lambda d: (_set(1, 0, p=0.0)(d), _set(1, 1, p=1.0)(d)), ValidationError,
+         "level 2, node 'a': transition probability 0.0 must be strictly positive"),
+        (_set(1, 2, p=-1.0), ValidationError,
+         "level 2, node 'c': transition probability -1.0 must be strictly positive"),
+        (_set(1, 2, p=float("inf")), ValidationError,
+         "level 2, node 'c': transition probability inf must be strictly positive"),
+        (_set(1, 2, p=1.5), ValidationError,
+         "level 2, node 'c': transition probability 1.5 exceeds 1"),
+        (_set(1, 1, p=0.8), ValidationError, "level 2: children of 'r' sum 1.05, expected 1"),
+        (_set(0, 1, p=0.25), ValidationError, "level 1: root distribution sum 0.75, expected 1"),
+        (lambda d: d["levels"][1].pop(2), ValidationError,
+         "level 1, node 's': no children below the horizon"),
+        (lambda d: d["levels"].__setitem__(1, []), ValidationError,
+         "tree must have at least one node per level"),
+    ],
+)
+def test_single_fault_names_its_node(mutate, error, message):
+    # each input has one fault; its error type and message are pinned exactly
+    doc = faultless_doc()
+    load_tree(json.dumps(doc))
+    mutate(doc)
+    with pytest.raises(error) as info:
+        load_tree(json.dumps(doc))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "levels, error, message",
+    [
+        ([[{"id": "a", "parent": None, "p": Fraction(1, 3), "x": [0.0]},
+           {"id": "b", "parent": None, "p": "3/4", "x": [0.0]}]],
+         ValidationError, "level 1: root distribution sum 13/12 != 1 (exact mode)"),
+        ([[{"id": "a", "parent": None, "p": "1/0", "x": [0.0]}]],
+         TreeFormatError, "level 1, node 'a': p and x must be numbers (Fraction(1, 0))"),
+        # within the float tolerance, but not exactly 1
+        ([[{"id": k, "parent": None, "p": p, "x": [0.0]}
+           for k, p in zip("abc", [Fraction(1, 3), "1/3", Fraction(1, 3) + Fraction(1, 10**15)])]],
+         ValidationError,
+         "level 1: root distribution sum 1000000000000001/1000000000000000 != 1 (exact mode)"),
+    ],
+)
+def test_exact_mode_single_fault_names_its_node(levels, error, message):
+    with pytest.raises(error) as info:
+        ScenarioTree.from_levels(levels, exact=True)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_load_rejects_malformed_json():
@@ -289,6 +384,72 @@ def test_random_tree_invariants(seed):
             assert sum(kernel) == pytest.approx(1.0, abs=1e-12)
     # leaf-path probabilities sum to one
     assert float(tree.leaf_law().sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+def spec_levels(rng, kind: str) -> list[list[dict]]:
+    """Node specs of a horizon-3 tree: ``uniform`` (branching 3),
+    ``ragged`` (1 to 3 children), ``multi-dim`` (3-D states, 1 to 3
+    children) or ``exact`` (probabilities 1/m as Fractions and strings)."""
+    levels, parents, count = [], [None], 0
+    dim = 3 if kind == "multi-dim" else 1
+    for t in range(3):
+        level = []
+        for parent in parents:
+            m = 3 if kind == "uniform" else int(rng.integers(1, 4))
+            if kind == "exact":
+                probs = [Fraction(1, m) if b % 2 else f"1/{m}" for b in range(m)]
+            else:
+                raw = rng.random(m) + 0.2
+                raw /= raw.sum()
+                raw[-1] = 1.0 - raw[:-1].sum()
+                probs = raw.tolist()
+            for p in probs:
+                level.append({"id": f"n{count}", "parent": parent, "p": p,
+                              "x": rng.normal(size=dim).tolist()})
+                count += 1
+        levels.append([level[k] for k in rng.permutation(len(level))])
+        parents = [spec["id"] for spec in level]
+    return levels
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ragged", "multi-dim", "exact"])
+def test_tree_arrays_follow_the_node_specs(kind):
+    rng = np.random.default_rng(["uniform", "ragged", "multi-dim", "exact"].index(kind))
+    levels = spec_levels(rng, kind)
+    tree = ScenarioTree.from_levels(levels, exact=kind == "exact")
+    index = [{spec["id"]: k for k, spec in enumerate(level)} for level in levels]
+    for t, level in enumerate(levels):
+        assert tree.ids[t] == tuple(spec["id"] for spec in level)
+        parents = [0 if t == 0 else index[t - 1][spec["parent"]] for spec in level]
+        np.testing.assert_array_equal(tree.parents[t], parents)
+        assert tree.probs[t].tolist() == [float(Fraction(spec["p"])) for spec in level]
+        assert tree.states[t].tolist() == [spec["x"] for spec in level]
+        for arr in (tree.parents[t], tree.probs[t], tree.states[t]):
+            assert not arr.flags.writeable
+        assert tree.levels[t] == tuple(
+            TreeNode(spec["id"], None if t == 0 else p, float(Fraction(spec["p"])),
+                     np.array(spec["x"]))
+            for spec, p in zip(level, parents))
+        if t:
+            for k, up in enumerate(levels[t - 1]):
+                assert tree.children(t, k).tolist() == [
+                    j for j, spec in enumerate(level) if spec["parent"] == up["id"]]
+    # each leaf's probability is the product down its path, from the root
+    law = []
+    for spec in levels[-1]:
+        path = [spec]
+        for t in range(len(levels) - 1, 0, -1):
+            path.insert(0, levels[t - 1][index[t - 1][path[0]["parent"]]])
+        mass = float(Fraction(path[0]["p"]))
+        for node in path[1:]:
+            mass = float(Fraction(node["p"])) * mass
+        law.append(mass)
+    assert tree.leaf_law().tolist() == law
+    assert tree.leaf_ids() == tree.ids[-1]
+    assert [tree.locate(spec["id"]) for spec in levels[1]] == [(2, k) for k in range(len(levels[1]))]
+    canonical = dump_tree(tree)
+    assert load_tree(canonical) == tree
+    assert dump_tree(load_tree(canonical)) == canonical
 
 
 @pytest.mark.parametrize("seed", range(4))
