@@ -28,7 +28,6 @@ from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import costs as costs_mod
 from .errors import BudgetExceededError, ValidationError
@@ -320,6 +319,8 @@ def causal_ot(
     causality equalities; its value never exceeds the bicausal value on
     the same instance.
     """
+    import scipy.sparse as sp
+
     if tree_x.horizon != tree_y.horizon:
         raise ValidationError("horizon mismatch")
     n_x, n_y = tree_x.n_leaves, tree_y.n_leaves
@@ -427,6 +428,8 @@ def causal_barycenter(
     task tree).
     The task potential of process 0 absorbs the zero-sum normalisation.
     """
+    import scipy.sparse as sp
+
     trees = tuple(trees)
     if not trees:
         raise ValidationError("at least one process required")

@@ -19,6 +19,14 @@ algorithm:
   per diagonal block when the LP stacks independent problems, and per
   problem for the simplex.
 
+A HiGHS solution that fails one of these checks is solved once more with
+scaling off (``simplex_scale_strategy`` 0), and only that second
+solution's failure is final; the tolerances do not change.
+
+scipy is imported only where a HiGHS LP is built or solved (importing
+``scipy.optimize`` costs more than a two-tree recursion), so the
+commands that never reach HiGHS never load it.
+
 Transport costs are normalised by subtracting their minimum before the
 solve and restoring it afterwards.  This makes the returned plan exactly
 invariant under constant cost shifts (identical LP input, deterministic
@@ -31,14 +39,17 @@ its first atom for marginal blocks 2..N and compensating in block 1.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .trees import DiscreteDistribution
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Solver and verification tolerances are defined here only; other modules
 # import them (the probability-sum tolerances of trees are in trees.py).
@@ -100,6 +111,8 @@ class LpProblem:
     blocks: tuple[tuple[slice, slice], ...] | None = None
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         self.c = np.asarray(self.c, dtype=float)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
         self.a_eq = sp.csr_matrix(self.a_eq)
@@ -128,22 +141,51 @@ class LpSolution:
     iterations: int = 0
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.  Every HiGHS
+    LP goes through this module attribute, resolved at call time."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an equality-form LP, returning primal values and duals."""
+    """Solve an equality-form LP, returning primal values and duals.
+
+    A solution that fails the residual checks is solved once more with
+    HiGHS's scaling off; only a failure of that solve is raised.
+    """
+    sol, failure = _highs(problem, _HIGHS_OPTIONS)
+    if failure is not None:
+        from scipy.optimize import OptimizeWarning
+
+        with warnings.catch_warnings():
+            # scipy passes the option to HiGHS verbatim and warns that it
+            # does not know it
+            warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+            sol, failure = _highs(problem, {**_HIGHS_OPTIONS, "simplex_scale_strategy": 0})
+    if failure is not None:
+        raise SolverFailureError("LP solution violates residual tolerances", details=failure)
+    return sol
+
+
+def _highs(problem: LpProblem, options: dict) -> tuple[LpSolution, dict | None]:
+    """One HiGHS solve of ``problem``, and the details of its failed
+    residual check (None when the solution passes them all)."""
     res = linprog(
         c=problem.c,
         A_eq=problem.a_eq,
         b_eq=problem.b_eq,
         bounds=(0, None),
         method="highs-ds",
-        options=dict(_HIGHS_OPTIONS),
+        options=dict(options),
     )
     stats.solves += 1
     stats.iterations += int(getattr(res, "nit", 0) or 0)
     if res.status == 2:
-        return LpSolution(status="infeasible", x=None, duals=None, value=None)
+        return LpSolution(status="infeasible", x=None, duals=None, value=None), None
     if res.status == 3:
-        return LpSolution(status="unbounded", x=None, duals=None, value=None)
+        return LpSolution(status="unbounded", x=None, duals=None, value=None), None
     if res.status != 0:
         raise SolverFailureError(
             f"LP backend failed: {res.message}", details={"status": int(res.status)}
@@ -158,28 +200,28 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     values = [float(problem.c[cols] @ x[cols]) for _, cols in spans]
     gaps = [abs(v - float(problem.b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
     bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if g > DUALITY_TOL * (1 + abs(v))]
-    if primal > PRIMAL_TOL or dual > DUAL_TOL or bad:
-        k = bad[0] if bad else int(np.argmax(gaps))
-        details = {
-            "primal_residual": primal,
-            "dual_residual": dual,
-            "gap": gaps[k],
-            "value": values[k],
-        }
-        if problem.blocks is not None:
-            details["block"] = k
-        raise SolverFailureError("LP solution violates residual tolerances", details=details)
-    gap = max(gaps)
-    return LpSolution(
+    sol = LpSolution(
         status="optimal",
         x=x,
         duals=y,
         value=value,
         primal_residual=primal,
         dual_residual=dual,
-        gap=gap,
+        gap=max(gaps),
         iterations=int(getattr(res, "nit", 0) or 0),
     )
+    if primal <= PRIMAL_TOL and dual <= DUAL_TOL and not bad:
+        return sol, None
+    k = bad[0] if bad else int(np.argmax(gaps))
+    details = {
+        "primal_residual": primal,
+        "dual_residual": dual,
+        "gap": gaps[k],
+        "value": values[k],
+    }
+    if problem.blocks is not None:
+        details["block"] = k
+    return sol, details
 
 
 def _inf_norm(v) -> float:
@@ -264,6 +306,8 @@ def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _marginal_operator(shape: tuple[int, ...]) -> sp.csr_matrix:
     """:func:`_marginal_pattern` as a matrix: one pushforward row block per
     axis over the C-order variables of ``shape``."""
+    import scipy.sparse as sp
+
     rows, cols = _marginal_pattern(shape)
     return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                          shape=(sum(shape), int(np.prod(shape))))
@@ -402,6 +446,8 @@ def _column_chunks(prepared, pending):
 def _highs_blocks(prepared, chunk, results) -> None:
     """Solve the blocks of ``chunk`` as the diagonal blocks of one HiGHS LP
     and write them into ``results``."""
+    import scipy.sparse as sp
+
     rows, cols, costs, rhs, spans = [], [], [], [], []
     row_ofs = col_ofs = 0
     for g, todo in chunk:
@@ -616,6 +662,8 @@ def wasserstein_barycenter_fixed_support(
     nu, and the objective is  sum_i lambda_i <costs[i], gamma^i>  with
     costs[i] of shape (len(support), len(measure_i)).
     """
+    import scipy.sparse as sp
+
     if len(support) == 0:
         raise ValidationError("empty barycenter support")
     lam = np.asarray(weights, dtype=float)

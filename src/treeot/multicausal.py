@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import costs as costs_mod
 from .errors import (
@@ -65,6 +64,9 @@ from .lp import (
     multimarginal_ot_batch,
 )
 from .trees import ScenarioTree, _frozen
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TUPLE_BUDGET = 1_000_000
 
@@ -532,6 +534,8 @@ def causality_operator(
     default every leaf tuple in C order.  A measure pi on the tuples is
     causal for each named process iff  C @ pi = 0.
     """
+    import scipy.sparse as sp
+
     trees = tuple(trees)
     horizon = _check_family(trees)
     if tuples is None:
@@ -661,6 +665,8 @@ def brute_force_mcot(
     f^i, those of the causality rows the test-function coefficients; by
     LP duality the certificate value equals the primal optimum.
     """
+    import scipy.sparse as sp
+
     trees = tuple(trees)
     _check_family(trees)
     _guard_budget(trees, tuple_budget, "brute_force_mcot")

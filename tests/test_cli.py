@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
 from treeot import barycenters as bary
 from treeot import costs as cm
@@ -359,7 +360,20 @@ def test_bary_commands(tmp_path, tree_files):
     assert report["values"]["barycenter_value"] <= causal_value + 1e-8
 
 
-def test_match_command(tmp_path, tree_files):
+def counting_linprog(monkeypatch):
+    """Wrap ``lp.linprog``, the one HiGHS entry point, and return the list
+    of the HiGHS options of each call."""
+    real, calls = lp.linprog, []
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs["options"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", linprog)
+    return calls
+
+
+def test_match_command(tmp_path, tree_files, monkeypatch):
     t1, t2, p1, p2 = tree_files
     rng = np.random.default_rng(7)
     tasks = random_tree(rng, horizon=2, dim=1, max_branch=2, prefix="y")
@@ -378,13 +392,37 @@ def test_match_command(tmp_path, tree_files):
     }
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
+    calls = counting_linprog(monkeypatch)
     code, out = _run_to_file(tmp_path, ["match", str(path)])
     assert code == 0
     report = json.loads(out.read_text())
+    # every HiGHS LP goes through the one patch point
+    assert len(calls) == report["solver"]["lp_solves"] == 1
     assert report["values"]["equilibrium_ok"] is True
     assert report["verification"]["clearing_ok"] is True
     for wages in report["wages"].values():
         assert sum(wages) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch, recwarn):
+    # benchmark market seed 602, instance 0: the scaled dual simplex leaves
+    # a dual residual of 1.2e-9, above DUAL_TOL; unscaled it certifies
+    path = Path(__file__).parent / "fixtures" / "market_seed602.json"
+    calls = counting_linprog(monkeypatch)
+    code, out = _run_to_file(tmp_path, ["match", str(path)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["solver"]["lp_solves"] == 2
+    assert [options.get("simplex_scale_strategy") for options in calls] == [None, 0]
+    assert report["values"]["equilibrium_ok"] is True
+    assert report["verification"]["min_dual_slack"] >= -1e-8
+    assert report["verification"]["worst_support_slack"] <= 1e-8
+    # scipy's warning about the option it passes to HiGHS verbatim is
+    # silenced inside the retry only
+    assert not [w for w in recwarn if "Unrecognized options" in str(w.message)]
+    with pytest.warns(OptimizeWarning, match="Unrecognized options"):
+        lp.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], method="highs-ds",
+                   options={"simplex_scale_strategy": 0})
 
 
 def test_verify_coupling_command(tmp_path, tree_files):

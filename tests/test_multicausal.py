@@ -339,8 +339,6 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
 
     def linprog(c, A_eq, b_eq, **kwargs):
         res = real(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
-        if seen:
-            return res
         # mix block 0's plan with its product coupling: still feasible, but
         # off the optimal face by twice that block's gap tolerance
         n = int(np.prod(shape))
@@ -351,7 +349,8 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
         eps = 2e-8 * (1 + own) / (float(c[:n] @ product) - own)
         x = np.array(res.x)
         x[:n] = (1 - eps) * x[:n] + eps * product
-        seen.append(float(c @ x) - float(b_eq @ res.eqlin.marginals) < 1e-8 * (1 + c @ x))
+        whole = float(c @ x) - float(b_eq @ res.eqlin.marginals) < 1e-8 * (1 + c @ x)
+        seen.append((whole, kwargs["options"].get("simplex_scale_strategy")))
         res.x = x
         return res
 
@@ -359,7 +358,9 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
     with pytest.raises(SolverFailureError) as exc:
         mc_dpp(trees, cm.pairwise_power(2.0))
     assert exc.value.details["block"] == 0
-    assert seen == [True]  # a check over the whole LP would have passed
+    # a check over the whole LP would have passed; the failed solve is
+    # solved once more unscaled, and that solve's failure is raised
+    assert seen == [(True, None), (True, 0)]
 
     paths = []
     for name, tree in zip("abc", trees):
