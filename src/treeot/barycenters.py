@@ -35,7 +35,6 @@ from .lp import (
     MARGINAL_TOL,
     LpProblem,
     TransportPlan,
-    _marginal_operator,
     _solve_optimal,
     check_duality_gap,
     plan_from_dense,
@@ -49,6 +48,7 @@ from .multicausal import (
     MulticausalCoupling,
     _coefficient_blocks,
     assemble_coupling,
+    causal_lp_rows,
     causality_operator,
     cost_table,
     mc_dpp,
@@ -331,11 +331,9 @@ def causal_ot(
     cmat = cost_table((tree_x, tree_y), cost)
     shift = float(cmat.min())
 
-    a_eq = sp.vstack([
-        _marginal_operator((n_x, n_y)), causality_operator((tree_x, tree_y), (0,))
-    ])
-    b_eq = np.concatenate([tree_x.leaf_law(), tree_y.leaf_law(),
-                           np.zeros(a_eq.shape[0] - n_x - n_y)])
+    rows, cols, vals, kept = causal_lp_rows((tree_x, tree_y), (0,))
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_x + n_y + kept.size, n_x * n_y))
+    b_eq = np.concatenate([tree_x.leaf_law(), tree_y.leaf_law(), np.zeros(kept.size)])
     sol = _solve_optimal(
         LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "causal transport LP"
     )
@@ -447,26 +445,27 @@ def causal_barycenter(
 
     # one row block per population: its marginal, the task marginal linked
     # to nu, then its causality rows; nu comes first among the variables
-    blocks, rhs, row_ofs = [], [], [0]
+    offsets = np.cumsum([n_y] + [n * n_y for n in sizes])
+    rows, cols, vals, rhs, kept, row_ofs = [], [], [], [], [], [0]
     for i, tree in enumerate(trees):
         n_x = sizes[i]
-        plan_rows = sp.vstack([
-            _marginal_operator((n_x, n_y)), causality_operator((tree, task_tree), (0,))
-        ])
-        link = sp.csr_matrix((-np.ones(n_y), (n_x + np.arange(n_y), np.arange(n_y))),
-                             shape=(plan_rows.shape[0], n_y))
-        blocks.append([link] + [plan_rows if j == i else None for j in range(len(trees))])
-        rhs += [tree.leaf_law(), np.zeros(plan_rows.shape[0] - n_x)]
-        row_ofs.append(row_ofs[-1] + plan_rows.shape[0])
-    offsets = np.cumsum([n_y] + [n * n_y for n in sizes])[:-1]
-    n_vars = n_y + sum(n * n_y for n in sizes)
+        block_rows, block_cols, block_vals, block_kept = causal_lp_rows((tree, task_tree), (0,))
+        rows += [row_ofs[-1] + block_rows, row_ofs[-1] + n_x + np.arange(n_y)]
+        cols += [offsets[i] + block_cols, np.arange(n_y)]
+        vals += [block_vals, -np.ones(n_y)]
+        rhs += [tree.leaf_law(), np.zeros(n_y + block_kept.size)]
+        kept.append(block_kept)
+        row_ofs.append(row_ofs[-1] + n_x + n_y + block_kept.size)
+    a_eq = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_ofs[-1], offsets[-1]),
+    )
 
-    c_vec = np.zeros(n_vars)
+    c_vec = np.zeros(offsets[-1])
     for i, cmat in enumerate(cmats):
-        c_vec[offsets[i]:offsets[i] + sizes[i] * n_y] = (cmat - shift).ravel()
+        c_vec[offsets[i]:offsets[i + 1]] = (cmat - shift).ravel()
     sol = _solve_optimal(
-        LpProblem(c=c_vec, a_eq=sp.bmat(blocks, format="csr"), b_eq=np.concatenate(rhs)),
-        "causal barycenter LP",
+        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), "causal barycenter LP"
     )
     value = sol.value + len(trees) * shift
 
@@ -474,7 +473,7 @@ def causal_barycenter(
     nu_raw = nu_raw / float(nu_raw.sum())
     nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=nu_raw)
     plans = tuple(
-        plan_from_dense(sol.x[offsets[i]:offsets[i] + sizes[i] * n_y], (sizes[i], n_y))
+        plan_from_dense(sol.x[offsets[i]:offsets[i + 1]], (sizes[i], n_y))
         for i in range(len(trees))
     )
 
@@ -491,8 +490,8 @@ def causal_barycenter(
     # folded into G^i, which leaves every dual slack unchanged
     potentials = []
     mart_coefficients = []
-    for tree, d, n in zip(trees, duals, sizes):
-        (coeffs,) = _coefficient_blocks((tree, task_tree), (0,), -d[n + n_y:])
+    for tree, d, n, k in zip(trees, duals, sizes, kept):
+        (coeffs,) = _coefficient_blocks((tree, task_tree), (0,), k, -d[n + n_y:])
         cond = [np.array(d[:n])]
         for t in range(tree.horizon - 1, 0, -1):
             weights = tree.probs[t] * cond[0]

@@ -23,6 +23,13 @@ A HiGHS solution that fails one of these checks is solved once more with
 scaling off (``simplex_scale_strategy`` 0), and only that second
 solution's failure is final; the tolerances do not change.
 
+Causality-constrained LPs (causal transport, the causal barycenter and
+the multicausal oracle) carry only independent rows: their rows come
+from :func:`treeot.multicausal.causal_lp_rows`, which leaves out every
+causality row that the sibling probabilities or the marginal rows
+already imply.  Those rows have right-hand side 0, so their dual
+coefficient is 0 in every certificate built from such an LP.
+
 scipy is imported only where a HiGHS LP is built or solved (importing
 ``scipy.optimize`` costs more than a two-tree recursion), so the
 commands that never reach HiGHS never load it.

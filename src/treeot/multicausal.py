@@ -31,8 +31,12 @@ ways, which cross-verify each other:
 
   On finite trees the indicator family above spans all martingale-style
   test functions, so these equalities are equivalent to multicausality.
-  The LP duals are returned as a :class:`DualCertificate` of the same
-  form, certifying the optimal value from below.
+  The LP carries only the independent ones (:func:`causal_lp_rows`); the
+  LP duals are returned as a :class:`DualCertificate` of the same form,
+  with coefficient 0 at every row left out, certifying the optimal value
+  from below.  The checkers (:func:`verify_multicausal`,
+  :func:`causality_operator`) test every row: a row left out is implied
+  only when the marginals hold exactly.
 
 Adapted Wasserstein distances are the N=2 case with cost d(x,y)^p where
 d is the summed per-time metric.
@@ -56,7 +60,7 @@ from .lp import (
     CAUSALITY_TOL,
     MARGINAL_TOL,
     LpProblem,
-    _marginal_operator,
+    _marginal_pattern,
     _solve_optimal,
     _split_potentials,
     check_duality_gap,
@@ -532,15 +536,27 @@ def causality_operator(
     parent(b), with the others at A_{-i} at depth t in both cases.
     Columns are the rows of ``tuples`` (one leaf index per tree), by
     default every leaf tuple in C order.  A measure pi on the tuples is
-    causal for each named process iff  C @ pi = 0.
+    causal for each named process iff  C @ pi = 0.  Every row is kept, so
+    a checker sees every violation; an LP takes :func:`causal_lp_rows`.
     """
     import scipy.sparse as sp
 
     trees = tuple(trees)
-    horizon = _check_family(trees)
     if tuples is None:
-        tuples = np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
+        tuples = _all_tuples(trees)
     tuples = np.asarray(tuples, dtype=np.intp).reshape(-1, len(trees))
+    rows, cols, vals, n_rows = _causality_entries(trees, tuple(processes), tuples)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, len(tuples)))
+
+
+def _all_tuples(trees: Sequence[ScenarioTree]) -> np.ndarray:
+    """Every leaf tuple, one row each, in C order."""
+    return np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
+
+
+def _causality_entries(trees, processes, tuples):
+    """(rows, columns, values, row count) of :func:`causality_operator`."""
+    horizon = _check_family(trees)
     rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     n_rows = 0
     for i in processes:
@@ -552,27 +568,77 @@ def causality_operator(
             cols.append(col)
             vals.append((b == child[col]) - tree.probs[t][b])
             n_rows += int(np.prod(_coefficient_shape(trees, i, t)))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, len(tuples)),
-    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n_rows
+
+
+def causal_lp_rows(
+    trees: Sequence[ScenarioTree], processes: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The equality rows of a transport LP over every leaf tuple of
+    ``trees`` (C order) whose plans are causal for ``processes``.
+
+    Rows are the marginal rows of every tree (:func:`_marginal_pattern`,
+    right-hand side the leaf laws), then the rows of
+    :func:`causality_operator` that no other row implies (right-hand side
+    0).  Returns their (rows, columns, values) entries and ``kept``, the
+    index of each causality row in the full operator.  For process i at
+    depth t, row (A_{-i}, b) is dropped when
+
+    * b is the last child of its parent: the rows of one sibling group sum
+      to the zero row, because the sibling probabilities sum to 1;
+    * A_{-i} is the last raveled tuple of others' nodes: summed over
+      A_{-i}, the rows of b are a combination of process i's marginal
+      rows with right-hand side 0.
+
+    The kept causality rows are independent modulo the marginal rows.
+    Every dropped row has right-hand side 0, so the LP duals of the kept
+    rows extended by 0 (:func:`_coefficient_blocks`) are a dual solution
+    of the LP with every row, of the same value.
+    """
+    trees, processes = tuple(trees), tuple(processes)
+    horizon = _check_family(trees)
+    shape = tuple(t.n_leaves for t in trees)
+    rows, cols, vals, _ = _causality_entries(trees, processes, _all_tuples(trees))
+    keep = [np.zeros(0, dtype=bool)]
+    for i in processes:
+        tree = trees[i]
+        for t in range(1, horizon):
+            block_shape = _coefficient_shape(trees, i, t)
+            block = np.ones((int(np.prod(block_shape[:-1])), block_shape[-1]), dtype=bool)
+            block[-1] = False
+            order = np.argsort(tree.parents[t], kind="stable")
+            counts = np.bincount(tree.parents[t], minlength=tree.level_size(t))
+            block[:, order[np.cumsum(counts) - 1]] = False
+            keep.append(block.ravel())
+    keep = np.concatenate(keep)
+    number = sum(shape) + np.cumsum(keep) - 1
+    entry = keep[rows]
+    marginal_rows, marginal_cols = _marginal_pattern(shape)
+    return (np.concatenate([marginal_rows, number[rows[entry]]]),
+            np.concatenate([marginal_cols, cols[entry]]),
+            np.concatenate([np.ones(marginal_rows.size), vals[entry]]),
+            np.flatnonzero(keep))
 
 
 def _coefficient_blocks(
-    trees: Sequence[ScenarioTree], processes: Iterable[int], values: np.ndarray
+    trees: Sequence[ScenarioTree], processes: Iterable[int], kept: np.ndarray,
+    values: np.ndarray,
 ) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Cut a vector over the rows of :func:`causality_operator` into one
-    array per named process and depth, in the :class:`DualCertificate`
-    layout."""
+    """Scatter a vector over the ``kept`` rows of :func:`causality_operator`
+    (see :func:`causal_lp_rows`) into one array per named process and
+    depth, in the :class:`DualCertificate` layout, with 0 at every other
+    row."""
     trees = tuple(trees)
     horizon = _check_family(trees)
+    shapes = [[_coefficient_shape(trees, i, t) for t in range(1, horizon)] for i in processes]
+    full = np.zeros(sum(int(np.prod(shape)) for per in shapes for shape in per))
+    full[kept] = values
     out, ofs = [], 0
-    for i in processes:
+    for per in shapes:
         per_depth = []
-        for t in range(1, horizon):
-            shape = _coefficient_shape(trees, i, t)
+        for shape in per:
             size = int(np.prod(shape))
-            per_depth.append(np.asarray(values[ofs:ofs + size]).reshape(shape))
+            per_depth.append(full[ofs:ofs + size].reshape(shape))
             ofs += size
         out.append(tuple(per_depth))
     return tuple(out)
@@ -677,9 +743,10 @@ def brute_force_mcot(
     shift = float(c_vec.min())
     c_vec -= shift
 
-    a_eq = sp.vstack([_marginal_operator(shape), causality_operator(trees, processes)])
-    b_eq = np.concatenate([t.leaf_law() for t in trees])
-    b_eq = np.concatenate([b_eq, np.zeros(a_eq.shape[0] - b_eq.size)])
+    n_marginal = sum(shape)
+    rows, cols, vals, kept = causal_lp_rows(trees, processes)
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_marginal + kept.size, c_vec.size))
+    b_eq = np.concatenate([t.leaf_law() for t in trees] + [np.zeros(kept.size)])
 
     sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq), "multicausal LP")
     value = sol.value + shift
@@ -688,10 +755,9 @@ def brute_force_mcot(
     coupling = MulticausalCoupling(trees=trees, tuples=np.array(np.unravel_index(support, shape)).T,
                                    weights=sol.x[support])
 
-    n_marginal = sum(shape)
     certificate = DualCertificate(
         potentials=_split_potentials(sol.duals[:n_marginal], shape, shift),
-        coefficients=_coefficient_blocks(trees, processes, -sol.duals[n_marginal:]),
+        coefficients=_coefficient_blocks(trees, processes, kept, -sol.duals[n_marginal:]),
     )
     dual_value = certificate.potential_total(trees)
     check_duality_gap(value, abs(dual_value - value),

@@ -33,6 +33,7 @@ from treeot import (
 )
 from treeot import costs as cm
 from treeot.barycenters import causal_violation, cubic_pair
+from treeot.lp import DUALITY_TOL
 from treeot.multicausal import cost_table
 from treeot.randomgen import random_tree
 from treeot.trees import ScenarioTree, chain_tree
@@ -372,6 +373,21 @@ def test_counterexample_closed_form_identity():
         report = counterexample_demo(n)
         closed = 0.5 * (report.moment2 + 2.0 * report.moment6)
         assert report.cost_phi0_construction == pytest.approx(closed, abs=1e-9)
+
+
+#: n whose causal transport LP HiGHS called infeasible while it carried
+#: every causality row, the implied ones too
+FORMERLY_INFEASIBLE = (16, 20, 23, 24, 27, 30, 31, 33, 34, *range(36, 41), *range(42, 47),
+                       48, 49, *range(51, 61))
+
+
+@pytest.mark.parametrize("n", FORMERLY_INFEASIBLE)
+def test_counterexample_solves_where_implied_rows_made_it_infeasible(n):
+    report = counterexample_demo(n)
+    # the two causal values, E Z^2 and 0, each within its LP's gap bound
+    tol = DUALITY_TOL * (1 + report.moment2) + DUALITY_TOL
+    assert report.cost_canonical_candidate == pytest.approx(report.moment2, abs=tol)
+    assert report.moment2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_counterexample_rejects_small_quantisation():

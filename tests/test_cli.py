@@ -404,11 +404,36 @@ def test_match_command(tmp_path, tree_files, monkeypatch):
         assert sum(wages) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch, recwarn):
-    # benchmark market seed 602, instance 0: the scaled dual simplex leaves
-    # a dual residual of 1.2e-9, above DUAL_TOL; unscaled it certifies
+def test_market_seed602_certifies_on_the_first_solve(tmp_path, monkeypatch):
+    # benchmark market seed 602, instance 0: with every causality row in
+    # the LP, the scaled dual simplex left a dual residual of 1.2e-9, above
+    # DUAL_TOL; with the independent rows only it certifies at once
     path = Path(__file__).parent / "fixtures" / "market_seed602.json"
     calls = counting_linprog(monkeypatch)
+    code, out = _run_to_file(tmp_path, ["match", str(path)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["solver"]["lp_solves"] == len(calls) == 1
+    assert calls[0].get("simplex_scale_strategy") is None
+    assert report["values"]["equilibrium_ok"] is True
+    assert report["verification"]["min_dual_slack"] >= -1e-8
+    assert report["verification"]["worst_support_slack"] <= 1e-8
+
+
+def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch, recwarn):
+    path = Path(__file__).parent / "fixtures" / "market_seed602.json"
+    real, calls = lp.linprog, []
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs["options"])
+        res = real(*args, **kwargs)
+        if len(calls) == 1:
+            # the first solve leaves a primal residual of 1e-6
+            res.x = np.array(res.x)
+            res.x[0] += 1e-6
+        return res
+
+    monkeypatch.setattr(lp, "linprog", linprog)
     code, out = _run_to_file(tmp_path, ["match", str(path)])
     assert code == 0
     report = json.loads(out.read_text())

@@ -19,6 +19,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treeot import (
     BudgetExceededError,
@@ -41,9 +42,16 @@ from treeot import (
 )
 from treeot import costs as cm
 from treeot import lp as lp_mod
-from treeot.barycenters import causal_violation
+from treeot.barycenters import PowerCost, causal_barycenter, causal_ot, causal_violation
 from treeot.cli import run
-from treeot.multicausal import DualCertificate, KernelPolicy, MulticausalCoupling, cost_table
+from treeot.lp import _marginal_operator
+from treeot.multicausal import (
+    DualCertificate,
+    KernelPolicy,
+    MulticausalCoupling,
+    causal_lp_rows,
+    cost_table,
+)
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree
 
@@ -567,6 +575,126 @@ def test_causality_operator_matches_per_tuple_rows(case):
         coupling = random_multicausal_coupling(rng, trees)
         pi[tuple(coupling.tuples.T)] = coupling.weights
         assert np.abs(op @ pi.ravel()).max() <= 1e-12
+
+
+# -- causal_lp_rows: the independent rows an LP carries -------------------------------
+
+
+def row_family(seed):
+    """Two or three trees of one horizon (1 to 3) with 1 to 3 (pairs) or
+    1 to 2 (triples) children per node, so single-child nodes occur."""
+    rng = np.random.default_rng(4100 + seed)
+    n, horizon = 2 + seed % 2, 1 + seed % 3
+    return [random_tree(rng, horizon=horizon, dim=1, min_branch=1, max_branch=5 - n, prefix=p)
+            for p in "abc"[:n]]
+
+
+def dense_lp_rows(trees, processes):
+    """The rows of :func:`causal_lp_rows` as a dense matrix, and ``kept``."""
+    rows, cols, vals, kept = causal_lp_rows(trees, processes)
+    size = int(np.prod([t.n_leaves for t in trees]))
+    dense = np.zeros((sum(t.n_leaves for t in trees) + kept.size, size))
+    np.add.at(dense, (rows, cols), vals)
+    return dense, kept
+
+
+def full_row_value(c, a_eq, b_eq) -> float:
+    """The optimum of an LP whose rows hold every causality row."""
+    sol = lp_mod.solve_lp(lp_mod.LpProblem(c=np.ravel(c), a_eq=a_eq, b_eq=b_eq))
+    assert sol.status == "optimal"
+    return sol.value
+
+
+def zero_at_dropped(coefficients, trees, processes, kept):
+    flat = np.concatenate([np.zeros(0)] + [np.ravel(c) for per in coefficients for c in per])
+    assert flat.size == causality_operator(trees, processes).shape[0]
+    dropped = np.setdiff1d(np.arange(flat.size), kept)
+    assert np.all(flat[dropped] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_causal_lp_rows_keep_the_rank_of_every_row(seed):
+    trees = row_family(seed)
+    shape = tuple(t.n_leaves for t in trees)
+    marginal = _marginal_operator(shape).toarray()
+    rank = np.linalg.matrix_rank
+    for processes in dict.fromkeys([(0,), (0, 1), tuple(range(len(trees)))]):
+        full = causality_operator(trees, processes).toarray()
+        dense, kept = dense_lp_rows(trees, processes)
+        np.testing.assert_array_equal(dense[:sum(shape)], marginal)
+        np.testing.assert_array_equal(dense[sum(shape):], full[kept])
+        assert rank(np.vstack([marginal, full])) == rank(dense) == rank(marginal) + kept.size
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
+    trees = row_family(seed)
+    shape = tuple(t.n_leaves for t in trees)
+    marginal = _marginal_operator(shape)
+    tol = lambda v: lp_mod.DUALITY_TOL * (1 + abs(v))
+
+    # the oracle: every process causal
+    table = cost_table(trees, cm.lp_sum(2.0))
+    full = causality_operator(trees, range(len(trees)))
+    value, coupling, cert = brute_force_mcot(trees, cm.lp_sum(2.0))
+    b_eq = np.concatenate([t.leaf_law() for t in trees] + [np.zeros(full.shape[0])])
+    assert value == pytest.approx(
+        full_row_value(table, sp.vstack([marginal, full]), b_eq), abs=tol(value))
+    zero_at_dropped(cert.coefficients, trees, range(len(trees)),
+                    causal_lp_rows(trees, range(len(trees)))[3])
+    report = verify_certificate(trees, table, cert, coupling)
+    assert report["min_slack"] >= -1e-8
+    assert report["gap"] <= tol(value)
+
+    # causal transport from the first tree to the second
+    pair = trees[:2]
+    table = cost_table(pair, PowerCost())
+    full = causality_operator(pair, (0,))
+    value, plan = causal_ot(*pair, PowerCost())
+    b_eq = np.concatenate([t.leaf_law() for t in pair] + [np.zeros(full.shape[0])])
+    assert value == pytest.approx(full_row_value(
+        table, sp.vstack([_marginal_operator(table.shape), full]), b_eq), abs=tol(value))
+    assert causal_violation(*pair, plan) <= 1e-9
+
+    # the causal barycenter of the other trees on the last one's support
+    *populations, task = trees
+    costs = [PowerCost(weight=0.5)] * len(populations)
+    sol = causal_barycenter(populations, task, costs)
+    blocks, b_eq = [], []
+    for i, tree in enumerate(populations):
+        n_x, n_y = tree.n_leaves, task.n_leaves
+        rows = sp.vstack([_marginal_operator((n_x, n_y)), causality_operator((tree, task), (0,))])
+        link = sp.csr_matrix((-np.ones(n_y), (n_x + np.arange(n_y), np.arange(n_y))),
+                             shape=(rows.shape[0], n_y))
+        blocks.append([link] + [rows if j == i else None for j in range(len(populations))])
+        b_eq += [tree.leaf_law(), np.zeros(rows.shape[0] - n_x)]
+    c = np.concatenate([np.zeros(task.n_leaves)]
+                       + [cost_table((tree, task), cost).ravel()
+                          for tree, cost in zip(populations, costs)])
+    reference = full_row_value(c, sp.bmat(blocks, format="csr"), np.concatenate(b_eq))
+    assert sol.value == pytest.approx(reference, abs=tol(sol.value))
+    min_slack, support_slack = sol.support_slack(costs)
+    assert min_slack >= -1e-8
+    assert support_slack <= 1e-8
+
+
+def test_causal_violation_sees_a_row_the_lp_drops():
+    def node(node_id, parent, p):
+        return {"id": node_id, "parent": parent, "p": p, "x": [0.0]}
+
+    x = ScenarioTree.from_levels([[node("a", None, 1.0)],
+                                  [node("b1", "a", 0.3), node("b2", "a", 0.7)]])
+    y = ScenarioTree.from_levels([[node("A1", None, 0.5), node("A2", None, 0.5)],
+                                  [node("c1", "A1", 1.0), node("c2", "A2", 1.0)]])
+    pi = np.outer(x.leaf_law(), y.leaf_law())
+    # more mass on (b1, c2): only the row (A2, b1), which the LP drops as
+    # implied by the marginals, sees it
+    pi[0, 1] += 1e-3
+    dense, kept = dense_lp_rows((x, y), (0,))
+    assert kept.tolist() == [0]
+    assert np.abs(dense[x.n_leaves + y.n_leaves:] @ pi.ravel()).max() <= 1e-16
+    plan = TransportPlan(shape=pi.shape, atoms=tuple(np.ndindex(*pi.shape)), weights=pi.ravel())
+    assert causal_violation(x, y, plan) == pytest.approx(0.7e-3, rel=1e-12)
 
 
 # -- brute_force_mcot ------------------------------------------------------------------
