@@ -35,7 +35,6 @@ from .lp import (
     classical_ot,
     multimarginal_ot,
     solve_lp,
-    wasserstein_barycenter_fixed_support,
 )
 from .matching import (
     Equilibrium,

@@ -19,7 +19,9 @@ Two distinct mechanisms live here:
   yield potentials f^i on the processes and g^i on the task paths with
   sum_i g^i = 0, plus martingale coefficients; together they certify the
   optimum.  Anticausal barycenters collapse to a classical fixed-support
-  barycenter on path space and are solved that way.
+  barycenter on path space: the same joint LP without causality rows.
+  Both LPs, and causal transport, are built and solved by
+  :func:`treeot.multicausal.transport_lp`.
 """
 from __future__ import annotations
 
@@ -31,27 +33,18 @@ import numpy as np
 
 from . import costs as costs_mod
 from .errors import BudgetExceededError, ValidationError
-from .lp import (
-    MARGINAL_TOL,
-    LpProblem,
-    TransportPlan,
-    _solve_optimal,
-    check_duality_gap,
-    plan_from_dense,
-    wasserstein_barycenter_fixed_support,
-)
+from .lp import MARGINAL_TOL, TransportPlan, check_duality_gap, plan_from_dense
 from .multicausal import (
     TUPLE_BUDGET,
     DualCertificate,
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
-    _coefficient_blocks,
     assemble_coupling,
-    causal_lp_rows,
     causality_operator,
     cost_table,
     mc_dpp,
+    transport_lp,
 )
 from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
 
@@ -319,8 +312,6 @@ def causal_ot(
     causality equalities; its value never exceeds the bicausal value on
     the same instance.
     """
-    import scipy.sparse as sp
-
     if tree_x.horizon != tree_y.horizon:
         raise ValidationError("horizon mismatch")
     n_x, n_y = tree_x.n_leaves, tree_y.n_leaves
@@ -328,16 +319,9 @@ def causal_ot(
         raise BudgetExceededError(
             f"causal_ot: {n_x * n_y} leaf pairs exceed budget {tuple_budget}"
         )
-    cmat = cost_table((tree_x, tree_y), cost)
-    shift = float(cmat.min())
-
-    rows, cols, vals, kept = causal_lp_rows((tree_x, tree_y), (0,))
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_x + n_y + kept.size, n_x * n_y))
-    b_eq = np.concatenate([tree_x.leaf_law(), tree_y.leaf_law(), np.zeros(kept.size)])
-    sol = _solve_optimal(
-        LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq), "causal transport LP"
-    )
-    return sol.value + shift, plan_from_dense(sol.x, (n_x, n_y))
+    pair = (tree_x, tree_y)
+    lp = transport_lp([pair], [cost_table(pair, cost)], (0,), False, "causal transport LP")
+    return lp.value, plan_from_dense(lp.plans[0], (n_x, n_y))
 
 
 def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coefficients):
@@ -368,6 +352,21 @@ def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coeffici
 
 
 # -- causal barycenters ---------------------------------------------------------
+
+
+def _barycenter_tables(trees, task_tree, costs, tuple_budget, what):
+    """The checked processes of a barycenter on ``task_tree`` and the
+    cost table of each pair (process tree, task tree)."""
+    trees = tuple(trees)
+    if not trees:
+        raise ValidationError("at least one process required")
+    if len(trees) != len(costs):
+        raise ValidationError("one cost per process required")
+    if any(t.horizon != task_tree.horizon for t in trees):
+        raise ValidationError("horizon mismatch with the task tree")
+    if sum(t.n_leaves * task_tree.n_leaves for t in trees) > tuple_budget:
+        raise BudgetExceededError(f"{what}: joint LP exceeds the tuple budget")
+    return trees, [cost_table((t, task_tree), c) for t, c in zip(trees, costs)]
 
 
 @dataclass(frozen=True)
@@ -426,63 +425,18 @@ def causal_barycenter(
     task tree).
     The task potential of process 0 absorbs the zero-sum normalisation.
     """
-    import scipy.sparse as sp
+    trees, tables = _barycenter_tables(trees, task_tree, costs, tuple_budget,
+                                       "causal_barycenter")
+    lp = transport_lp([(tree, task_tree) for tree in trees], tables, (0,), True,
+                      "causal barycenter LP")
+    nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
+    plans = tuple(plan_from_dense(plan, plan.shape) for plan in lp.plans)
 
-    trees = tuple(trees)
-    if not trees:
-        raise ValidationError("at least one process required")
-    if len(trees) != len(costs):
-        raise ValidationError("one cost per process required")
-    if any(t.horizon != task_tree.horizon for t in trees):
-        raise ValidationError("horizon mismatch with the task tree")
-    n_y = task_tree.n_leaves
-    sizes = [t.n_leaves for t in trees]
-    if sum(n * n_y for n in sizes) > tuple_budget:
-        raise BudgetExceededError("causal_barycenter: joint LP exceeds the tuple budget")
-
-    cmats = [cost_table((t, task_tree), c) for t, c in zip(trees, costs)]
-    shift = min(float(c.min()) for c in cmats)
-
-    # one row block per population: its marginal, the task marginal linked
-    # to nu, then its causality rows; nu comes first among the variables
-    offsets = np.cumsum([n_y] + [n * n_y for n in sizes])
-    rows, cols, vals, rhs, kept, row_ofs = [], [], [], [], [], [0]
-    for i, tree in enumerate(trees):
-        n_x = sizes[i]
-        block_rows, block_cols, block_vals, block_kept = causal_lp_rows((tree, task_tree), (0,))
-        rows += [row_ofs[-1] + block_rows, row_ofs[-1] + n_x + np.arange(n_y)]
-        cols += [offsets[i] + block_cols, np.arange(n_y)]
-        vals += [block_vals, -np.ones(n_y)]
-        rhs += [tree.leaf_law(), np.zeros(n_y + block_kept.size)]
-        kept.append(block_kept)
-        row_ofs.append(row_ofs[-1] + n_x + n_y + block_kept.size)
-    a_eq = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_ofs[-1], offsets[-1]),
-    )
-
-    c_vec = np.zeros(offsets[-1])
-    for i, cmat in enumerate(cmats):
-        c_vec[offsets[i]:offsets[i + 1]] = (cmat - shift).ravel()
-    sol = _solve_optimal(
-        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), "causal barycenter LP"
-    )
-    value = sol.value + len(trees) * shift
-
-    nu_raw = np.where(sol.x[:n_y] > 0, sol.x[:n_y], 0.0)
-    nu_raw = nu_raw / float(nu_raw.sum())
-    nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=nu_raw)
-    plans = tuple(
-        plan_from_dense(sol.x[offsets[i]:offsets[i + 1]], (sizes[i], n_y))
-        for i in range(len(trees))
-    )
-
-    duals = [sol.duals[r0:r1] for r0, r1 in zip(row_ofs, row_ofs[1:])]
-    links = [np.array(d[n:n + n_y]) for d, n in zip(duals[1:], sizes[1:])]
+    links = [np.array(d[tree.n_leaves:]) for d, tree in zip(lp.duals[1:], trees[1:])]
     # zero-sum normalisation: dump the (nonnegative) excess on process 0,
     # which keeps every dual row feasible and is exact in float arithmetic
     task_potentials = (
-        reduce(np.add, links) if links else np.zeros(n_y), *(-h for h in links)
+        reduce(np.add, links) if links else np.zeros(task_tree.n_leaves), *(-h for h in links)
     )
 
     # project leaf potentials onto time-1 information; the conditional
@@ -490,18 +444,17 @@ def causal_barycenter(
     # folded into G^i, which leaves every dual slack unchanged
     potentials = []
     mart_coefficients = []
-    for tree, d, n, k in zip(trees, duals, sizes, kept):
-        (coeffs,) = _coefficient_blocks((tree, task_tree), (0,), k, -d[n + n_y:])
-        cond = [np.array(d[:n])]
+    for tree, d, (coeffs,) in zip(trees, lp.duals, lp.coefficients):
+        cond = [np.array(d[:tree.n_leaves])]
         for t in range(tree.horizon - 1, 0, -1):
             weights = tree.probs[t] * cond[0]
             cond.insert(0, np.bincount(tree.parents[t], weights=weights,
                                        minlength=tree.level_size(t)))
-        potentials.append(cond[0] + shift)
+        potentials.append(cond[0] + lp.shift)
         mart_coefficients.append(tuple(c - cond[t] for t, c in enumerate(coeffs, start=1)))
 
     solution = CausalBarycenterSolution(
-        value=value,
+        value=lp.value,
         task_tree=task_tree,
         trees=trees,
         nu=nu,
@@ -510,9 +463,9 @@ def causal_barycenter(
         task_potentials=task_potentials,
         mart_coefficients=tuple(mart_coefficients),
     )
-    check_duality_gap(value, abs(solution.dual_value() - value),
+    check_duality_gap(lp.value, abs(solution.dual_value() - lp.value),
                       "causal barycenter duality gap exceeds tolerance",
-                      {"value": value, "dual_value": solution.dual_value()})
+                      {"value": lp.value, "dual_value": solution.dual_value()})
     return solution
 
 
@@ -523,11 +476,12 @@ def causal_barycenter(
 class AnticausalBarycenterResult:
     """Classical path-space barycenter plus the gluing recipe.
 
-    ``kernels[i]`` disintegrates the i-th optimal plan by the task path:
-    task leaf id -> {process leaf id: conditional weight}.  The glued
-    anticausal process draws a task path from ``nu`` and then each
-    process independently from its kernel.  ``potentials`` are the LP
-    duals of the measure blocks (their integrals sum to the value).
+    ``plans[i]`` runs from the task leaves to the leaves of process i;
+    ``kernels[i]`` disintegrates it by the task path: task leaf id ->
+    {process leaf id: conditional weight}.  The glued anticausal process
+    draws a task path from ``nu`` and then each process independently
+    from its kernel.  ``potentials[i]`` are the LP duals of process i's
+    marginal rows (their integrals sum to the value).
     """
 
     value: float
@@ -547,41 +501,30 @@ def anticausal_barycenter(
 
     Causality from the task process towards the inputs relaxes to plain
     couplings on path space, so this is the classical fixed-support
-    barycenter of the leaf-path laws.
+    barycenter of the leaf-path laws: the LP of :func:`causal_barycenter`
+    without its causality rows.
     """
-    trees = tuple(trees)
-    if len(trees) != len(costs):
-        raise ValidationError("one cost per process required")
-    if any(t.horizon != task_tree.horizon for t in trees):
-        raise ValidationError("horizon mismatch with the task tree")
-    n_y = task_tree.n_leaves
-    if sum(t.n_leaves * n_y for t in trees) > tuple_budget:
-        raise BudgetExceededError("anticausal_barycenter: joint LP exceeds the tuple budget")
-    n = len(trees)
-    cost_mats = [
-        cost_table((tree, task_tree), c).T * n  # (support, measure) orientation
-        for tree, c in zip(trees, costs)
-    ]
-    res = wasserstein_barycenter_fixed_support(
-        measures=[t.leaf_law() for t in trees],
-        weights=np.full(n, 1.0 / n),
-        costs=cost_mats,
-        support=task_tree.leaf_ids(),
-    )
+    trees, tables = _barycenter_tables(trees, task_tree, costs, tuple_budget,
+                                       "anticausal_barycenter")
+    lp = transport_lp([(tree, task_tree) for tree in trees], tables, (), True,
+                      "anticausal barycenter LP")
+    nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
+    potentials = tuple(d[:tree.n_leaves] + lp.shift for d, tree in zip(lp.duals, trees))
+    dual_value = sum(float(f @ tree.leaf_law()) for f, tree in zip(potentials, trees))
+    check_duality_gap(lp.value, abs(dual_value - lp.value),
+                      "anticausal barycenter duality gap exceeds tolerance",
+                      {"value": lp.value, "dual_value": dual_value})
+    plans = tuple(plan_from_dense(plan.T, plan.T.shape) for plan in lp.plans)
     kernels = []
-    for i, plan in enumerate(res.plans):
-        nu_w = res.barycenter.weights
-        k: dict[str, dict[str, float]] = {}
+    for tree, plan in zip(trees, plans):
+        kernel: dict[str, dict[str, float]] = {}
         for (ky, jx), w in zip(plan.atoms, plan.weights):
-            if w <= 0 or nu_w[ky] <= 0:
-                continue
-            y_id = task_tree.leaf_ids()[ky]
-            x_id = trees[i].leaf_ids()[jx]
-            k.setdefault(y_id, {})[x_id] = k.get(y_id, {}).get(x_id, 0.0) + w / nu_w[ky]
-        kernels.append(k)
+            if lp.nu[ky] > 0:
+                kernel.setdefault(task_tree.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = (
+                    w / lp.nu[ky])
+        kernels.append(kernel)
     return AnticausalBarycenterResult(
-        value=res.value, nu=res.barycenter, plans=res.plans,
-        kernels=tuple(kernels), potentials=res.potentials,
+        value=lp.value, nu=nu, plans=plans, kernels=tuple(kernels), potentials=potentials,
     )
 
 

@@ -239,15 +239,23 @@ def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
 # -- command implementations ---------------------------------------------------
 
 
+_UNCERTIFIED = "dual certificate fails verification"
+
+
+def _check_slack(details: dict) -> None:
+    """Every command's check of its dual slacks: ``details["min_slack"]``
+    below -CAUSALITY_TOL is a solver failure, reported with ``details``."""
+    if details["min_slack"] < -lp_mod.CAUSALITY_TOL:
+        raise SolverFailureError(_UNCERTIFIED, details=details)
+
+
 def _certified(trees, res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
     """The check of the recursion's certificate against its own cost table
     and its assembled ``coupling``; a failed check is a solver failure."""
     check = mc.verify_certificate(trees, res.tables[-1], res.certificate, coupling)
-    what = "dual certificate fails verification"
     details = {"min_slack": check["min_slack"], "gap": check["gap"], "value": res.value}
-    if check["min_slack"] < -lp_mod.CAUSALITY_TOL:
-        raise SolverFailureError(what, details=details)
-    lp_mod.check_duality_gap(res.value, check["gap"], what, details)
+    _check_slack(details)
+    lp_mod.check_duality_gap(res.value, check["gap"], _UNCERTIFIED, details)
     return check
 
 
@@ -347,6 +355,7 @@ def _cmd_bary_c(args) -> dict:
     costs = _parse_power_spec(args.cost, len(trees))
     sol = bary.causal_barycenter(trees, tasks, costs, tuple_budget=args.budget)
     min_slack, support_slack = sol.support_slack(costs)
+    _check_slack({"min_slack": min_slack, "value": sol.value})
     task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,
@@ -419,6 +428,7 @@ def _cmd_match(args) -> dict:
     eq = matching_mod.solve_matching(instance, tuple_budget=args.budget)
     report = matching_mod.verify_equilibrium(instance, eq)
     min_slack, support_slack = matching_mod.complementary_slackness(instance, eq)
+    _check_slack({"min_slack": min_slack})
     task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,

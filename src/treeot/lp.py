@@ -23,12 +23,13 @@ A HiGHS solution that fails one of these checks is solved once more with
 scaling off (``simplex_scale_strategy`` 0), and only that second
 solution's failure is final; the tolerances do not change.
 
-Causality-constrained LPs (causal transport, the causal barycenter and
-the multicausal oracle) carry only independent rows: their rows come
-from :func:`treeot.multicausal.causal_lp_rows`, which leaves out every
-causality row that the sibling probabilities or the marginal rows
-already imply.  Those rows have right-hand side 0, so their dual
-coefficient is 0 in every certificate built from such an LP.
+Causal transport, the causal and anticausal barycenters and the
+multicausal oracle are one family of LPs, built and solved by
+:func:`treeot.multicausal.transport_lp`.  They carry only independent
+rows: their rows come from :func:`treeot.multicausal.causal_lp_rows`,
+which leaves out every causality row that the sibling probabilities or
+the marginal rows already imply.  Those rows have right-hand side 0, so
+their dual coefficient is 0 in every certificate built from such an LP.
 
 scipy is imported only where a HiGHS LP is built or solved (importing
 ``scipy.optimize`` costs more than a two-tree recursion), so the
@@ -643,90 +644,3 @@ def _north_west_corner(a, b):
                             np.full((nb, 1), m + n - 1)], axis=1)
     inverse = np.diff(coef[picks], axis=1)
     return rows * n + cols, np.diff(points, axis=1), inverse
-
-
-# -- fixed-support Wasserstein barycenter ------------------------------------
-
-
-@dataclass(frozen=True)
-class BarycenterLpResult:
-    """``potentials[i]`` are the duals of measure i's marginal block;
-    sum_i potentials[i] @ mu_i equals the value (LP duality)."""
-
-    value: float
-    barycenter: DiscreteDistribution
-    plans: tuple[TransportPlan, ...]
-    potentials: tuple[np.ndarray, ...]
-
-
-def wasserstein_barycenter_fixed_support(
-    measures, weights, costs, support
-) -> BarycenterLpResult:
-    """Classical barycenter over measures on a fixed finite support.
-
-    Solved as one joint LP in (nu, gamma^1, ..., gamma^N): each plan
-    gamma^i couples nu with measure i, all plans share the first marginal
-    nu, and the objective is  sum_i lambda_i <costs[i], gamma^i>  with
-    costs[i] of shape (len(support), len(measure_i)).
-    """
-    import scipy.sparse as sp
-
-    if len(support) == 0:
-        raise ValidationError("empty barycenter support")
-    lam = np.asarray(weights, dtype=float)
-    if lam.ndim != 1 or len(lam) != len(measures):
-        raise ValidationError("one weight per measure required")
-    if np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > MARGINAL_TOL:
-        raise ValidationError("weights must be positive and sum to 1")
-    mus = [_as_weights(m) for m in measures]
-    m = len(support)
-    mats = [np.asarray(c, dtype=float) for c in costs]
-    for i, c in enumerate(mats):
-        if c.shape != (m, len(mus[i])):
-            raise ValidationError(
-                f"cost {i} has shape {c.shape}, expected {(m, len(mus[i]))}"
-            )
-    n_plan = [m * len(mu) for mu in mus]
-    n_vars = m + sum(n_plan)
-    offsets = np.cumsum([m] + n_plan)[:-1]
-
-    # per measure: row sums equal nu (m rows), then column sums equal mu_i
-    blocks, rhs = [], []
-    for i, mu in enumerate(mus):
-        link = sp.csr_matrix((-np.ones(m), (np.arange(m), np.arange(m))),
-                             shape=(m + len(mu), m))
-        blocks.append([link] + [_marginal_operator((m, len(mu))) if j == i else None
-                                for j in range(len(mus))])
-        rhs += [np.zeros(m), mu]
-    a_eq = sp.bmat(blocks, format="csr")
-    c_vec = np.zeros(n_vars)
-    for i, c in enumerate(mats):
-        c_vec[offsets[i]:offsets[i] + n_plan[i]] = (lam[i] * c).ravel()
-    sol = _solve_optimal(
-        LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), "barycenter LP"
-    )
-    nu = np.where(sol.x[:m] > 0, sol.x[:m], 0.0)
-    total = float(nu.sum())
-    if abs(total - 1.0) > MARGINAL_TOL:
-        raise SolverFailureError(f"barycenter mass {total!r} != 1")
-    nu = nu / total
-    plans = tuple(
-        plan_from_dense(sol.x[offsets[i]:offsets[i] + n_plan[i]], (m, len(mus[i])))
-        for i in range(len(mus))
-    )
-    potentials = []
-    row = 0
-    for mu in mus:
-        row += m  # skip the nu-linking block
-        potentials.append(np.array(sol.duals[row:row + len(mu)]))
-        row += len(mu)
-    dual_value = sum(float(p @ mu) for p, mu in zip(potentials, mus))
-    check_duality_gap(sol.value, abs(dual_value - sol.value),
-                      "barycenter duality gap exceeds tolerance",
-                      {"value": sol.value, "dual_value": dual_value})
-    return BarycenterLpResult(
-        value=sol.value,
-        barycenter=DiscreteDistribution(support=tuple(support), weights=nu),
-        plans=plans,
-        potentials=tuple(potentials),
-    )

@@ -31,12 +31,13 @@ ways, which cross-verify each other:
 
   On finite trees the indicator family above spans all martingale-style
   test functions, so these equalities are equivalent to multicausality.
-  The LP carries only the independent ones (:func:`causal_lp_rows`); the
-  LP duals are returned as a :class:`DualCertificate` of the same form,
-  with coefficient 0 at every row left out, certifying the optimal value
-  from below.  The checkers (:func:`verify_multicausal`,
-  :func:`causality_operator`) test every row: a row left out is implied
-  only when the marginals hold exactly.
+  The LP carries only the independent ones (:func:`causal_lp_rows`) and
+  is built and solved by :func:`transport_lp`, like every other
+  causality-constrained LP of the package.  Its duals are returned as a
+  :class:`DualCertificate` of the same form, with coefficient 0 at every
+  row left out, certifying the optimal value from below.  The checkers
+  (:func:`verify_multicausal`, :func:`causality_operator`) test every
+  row: a row left out is implied only when the marginals hold exactly.
 
 Adapted Wasserstein distances are the N=2 case with cost d(x,y)^p where
 d is the summed per-time metric.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -644,6 +645,92 @@ def _coefficient_blocks(
     return tuple(out)
 
 
+class TransportLp(NamedTuple):
+    """The solution of :func:`transport_lp`.  ``duals`` and
+    ``coefficients`` are those of the LP on the costs less ``shift``."""
+
+    value: float
+    shift: float
+    nu: np.ndarray | None
+    plans: tuple[np.ndarray, ...]
+    duals: tuple[np.ndarray, ...]
+    coefficients: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+
+
+def transport_lp(
+    families: Sequence[Sequence[ScenarioTree]],
+    tables: Sequence[np.ndarray],
+    processes: Iterable[int],
+    shared: bool,
+    what: str,
+) -> TransportLp:
+    """One LP over a plan per tree family, each causal for ``processes``.
+
+    Plan k lives on every leaf tuple of ``families[k]`` (C order), costs
+    ``tables[k]`` (see :func:`cost_table`) and satisfies the rows of
+    :func:`causal_lp_rows` ``(families[k], processes)``.  Without
+    ``shared`` every marginal is its tree's leaf law.  With ``shared``
+    the families end in one tree, and every plan's marginal on it is one
+    free measure nu, held in the LP's first columns and linked to each
+    plan's marginal rows of that tree by -1 entries.  All costs are
+    shifted by their common minimum for the solve.  ``what`` names the
+    LP in a solver failure; nu with a mass other than 1 is one.
+
+    Returns the value, the shift, nu (clipped at 0 and normalised; None
+    without ``shared``), each plan as a dense array over its family's
+    leaf tuples, each family's marginal-row duals (in
+    :func:`_marginal_pattern` order) and its negated causality-row duals
+    as :func:`_coefficient_blocks`.
+    """
+    import scipy.sparse as sp
+
+    processes = tuple(processes)
+    shift = min(float(table.min()) for table in tables)
+    n_nu = families[0][-1].n_leaves if shared else 0
+    rows, cols, vals, rhs, layout = [], [], [], [], []
+    row_ofs, col_ofs = 0, n_nu
+    for trees in families:
+        shape = tuple(t.n_leaves for t in trees)
+        n_marginal, size = sum(shape), int(np.prod(shape))
+        block_rows, block_cols, block_vals, kept = causal_lp_rows(trees, processes)
+        rows.append(row_ofs + block_rows)
+        cols.append(col_ofs + block_cols)
+        vals.append(block_vals)
+        laws = [t.leaf_law() for t in trees]
+        if shared:
+            rows.append(row_ofs + n_marginal - n_nu + np.arange(n_nu))
+            cols.append(np.arange(n_nu))
+            vals.append(-np.ones(n_nu))
+            laws[-1] = np.zeros(n_nu)
+        rhs += laws + [np.zeros(kept.size)]
+        layout.append((trees, shape, kept, row_ofs, col_ofs))
+        row_ofs += n_marginal + kept.size
+        col_ofs += size
+    a_eq = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_ofs, col_ofs),
+    )
+    c_vec = np.concatenate([np.zeros(n_nu)] + [(table - shift).ravel() for table in tables])
+    sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), what)
+
+    nu = None
+    if shared:
+        nu = np.where(sol.x[:n_nu] > 0, sol.x[:n_nu], 0.0)
+        total = float(nu.sum())
+        if abs(total - 1.0) > MARGINAL_TOL:
+            raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
+        nu = nu / total
+    plans, duals, coefficients = [], [], []
+    for trees, shape, kept, r0, c0 in layout:
+        r1 = r0 + sum(shape)  # the family's causality rows start here
+        plans.append(sol.x[c0:c0 + int(np.prod(shape))].reshape(shape))
+        duals.append(sol.duals[r0:r1])
+        coefficients.append(
+            _coefficient_blocks(trees, processes, kept, -sol.duals[r1:r1 + kept.size]))
+    return TransportLp(value=sol.value + len(families) * shift, shift=shift, nu=nu,
+                       plans=tuple(plans), duals=tuple(duals), coefficients=tuple(coefficients))
+
+
 # -- brute-force LP oracle and dual certificates ------------------------------
 
 
@@ -731,39 +818,24 @@ def brute_force_mcot(
     f^i, those of the causality rows the test-function coefficients; by
     LP duality the certificate value equals the primal optimum.
     """
-    import scipy.sparse as sp
-
     trees = tuple(trees)
     _check_family(trees)
     _guard_budget(trees, tuple_budget, "brute_force_mcot")
-    shape = tuple(t.n_leaves for t in trees)
-    processes = range(len(trees))
+    table = cost_table(trees, cost)
+    lp = transport_lp([trees], [table], range(len(trees)), False, "multicausal LP")
+    (plan,) = lp.plans
 
-    c_vec = cost_table(trees, cost).ravel()
-    shift = float(c_vec.min())
-    c_vec -= shift
-
-    n_marginal = sum(shape)
-    rows, cols, vals, kept = causal_lp_rows(trees, processes)
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n_marginal + kept.size, c_vec.size))
-    b_eq = np.concatenate([t.leaf_law() for t in trees] + [np.zeros(kept.size)])
-
-    sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq), "multicausal LP")
-    value = sol.value + shift
-
-    support = np.flatnonzero(sol.x > 0.0)
-    coupling = MulticausalCoupling(trees=trees, tuples=np.array(np.unravel_index(support, shape)).T,
-                                   weights=sol.x[support])
-
+    support = np.argwhere(plan > 0.0)
+    coupling = MulticausalCoupling(trees=trees, tuples=support, weights=plan[tuple(support.T)])
     certificate = DualCertificate(
-        potentials=_split_potentials(sol.duals[:n_marginal], shape, shift),
-        coefficients=_coefficient_blocks(trees, processes, kept, -sol.duals[n_marginal:]),
+        potentials=_split_potentials(lp.duals[0], table.shape, lp.shift),
+        coefficients=lp.coefficients[0],
     )
     dual_value = certificate.potential_total(trees)
-    check_duality_gap(value, abs(dual_value - value),
+    check_duality_gap(lp.value, abs(dual_value - lp.value),
                       "certificate value does not match primal optimum",
-                      {"value": value, "dual_value": dual_value})
-    return value, coupling, certificate
+                      {"value": lp.value, "dual_value": dual_value})
+    return lp.value, coupling, certificate
 
 
 # -- coupling algebra ---------------------------------------------------------

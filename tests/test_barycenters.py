@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from treeot import (
+    BudgetExceededError,
     PowerCost,
     TableCost,
     ValidationError,
@@ -308,6 +309,24 @@ def test_causal_barycenter_counterexample_candidate_value():
         [tree1, tree2], tree2, [PowerCost(weight=0.5, exponent=2.0)] * 2
     )
     assert sol.value <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("solve", [
+    lambda trees, task, costs, **kw: causal_barycenter(trees, task, costs, **kw),
+    lambda trees, task, costs, **kw: anticausal_barycenter(trees, costs, task, **kw),
+], ids=["causal", "anticausal"])
+def test_barycenters_check_their_inputs_alike(solve):
+    rng = np.random.default_rng(18)
+    tree = random_tree(rng, horizon=2, dim=1, max_branch=2)
+    task = random_tree(rng, horizon=2, dim=1, max_branch=2)
+    with pytest.raises(ValidationError, match="at least one process required"):
+        solve([], task, [])
+    with pytest.raises(ValidationError, match="one cost per process required"):
+        solve([tree], task, [metric_cost()] * 2)
+    with pytest.raises(ValidationError, match="horizon mismatch with the task tree"):
+        solve([tree], chain_tree([[0.0]]), [metric_cost()])
+    with pytest.raises(BudgetExceededError, match="joint LP exceeds the tuple budget"):
+        solve([tree], task, [metric_cost()], tuple_budget=tree.n_leaves * task.n_leaves - 1)
 
 
 # -- anticausal barycenters ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from scipy.optimize import OptimizeWarning
 from treeot import barycenters as bary
 from treeot import costs as cm
 from treeot import lp
+from treeot import matching as matching_mod
 from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
@@ -90,6 +91,32 @@ def test_corrupted_one_step_potential_exits_4(tmp_path, tree_files, monkeypatch,
     monkeypatch.setattr(mc, "multimarginal_ot_batch", corrupted)
     capsys.readouterr()
     assert run([command, p1, p2]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: dual certificate")
+    assert "'min_slack'" in err
+
+
+@pytest.mark.parametrize("command", ["bary-c", "match"])
+def test_corrupted_martingale_coefficient_exits_4(tree_files, monkeypatch, capsys, command):
+    _, _, p1, p2 = tree_files
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market]}[command]
+    real = bary.causal_barycenter
+
+    def corrupted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        # raise population 0's depth-1 coefficient at a process node with
+        # siblings: G^0 drops by p_b * 1e6 below each sibling
+        parents = sol.trees[0].parents[1]
+        b = int(np.flatnonzero(np.bincount(parents)[parents] > 1)[0])
+        sol.mart_coefficients[0][0][0, b] += 1e6
+        return sol
+
+    monkeypatch.setattr(bary, "causal_barycenter", corrupted)
+    monkeypatch.setattr(matching_mod, "causal_barycenter", corrupted)
+    capsys.readouterr()
+    assert run(argv) == 4
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("treeot: solver failure: dual certificate")

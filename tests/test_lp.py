@@ -21,18 +21,20 @@ from hypothesis import strategies as st
 from treeot import (
     BudgetExceededError,
     LpProblem,
+    PowerCost,
     SolverFailureError,
     ValidationError,
     classical_ot,
     multimarginal_ot,
+    anticausal_barycenter,
     solve_lp,
-    wasserstein_barycenter_fixed_support,
 )
 from treeot import costs as cm
 from treeot import lp as lp_mod
-from treeot.lp import _marginal_pattern, multimarginal_ot_batch
-from treeot.multicausal import mc_dpp
+from treeot.lp import DUALITY_TOL, _marginal_pattern, multimarginal_ot_batch
+from treeot.multicausal import cost_table, mc_dpp
 from treeot.randomgen import random_tree
+from treeot.trees import ScenarioTree
 
 
 def vertex_enumeration_min(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> float:
@@ -359,31 +361,37 @@ def test_transport_simplex_matches_highs_through_mc_dpp(monkeypatch, seed):
 
 
 # -- fixed-support barycenter ----------------------------------------------------
+#
+# On horizon-1 trees the anticausal barycenter is the classical barycenter
+# on the task tree's leaves.
+
+
+def horizon_one(prefix, points, probs=None):
+    probs = np.full(len(points), 1.0 / len(points)) if probs is None else probs
+    return ScenarioTree.from_levels([[
+        {"id": f"{prefix}{k}", "parent": None, "p": float(p), "x": [float(x)]}
+        for k, (x, p) in enumerate(zip(points, probs))
+    ]])
 
 
 def test_barycenter_single_measure_projects_to_nearest_atom():
     # support {0, 1}, measure on {0.2, 0.9}: per-atom minimisation sends
     # 0.2 -> 0 and 0.9 -> 1 with squared costs 0.04 and 0.01
-    support = (0.0, 1.0)
-    measure = np.array([0.5, 0.5])
-    atoms = np.array([0.2, 0.9])
-    cost = (np.array(support)[:, None] - atoms[None, :]) ** 2
-    res = wasserstein_barycenter_fixed_support([measure], [1.0], [cost], support)
+    support = horizon_one("y", (0.0, 1.0))
+    measure = horizon_one("x", (0.2, 0.9), (0.5, 0.5))
+    res = anticausal_barycenter([measure], [PowerCost()], support)
     expected = 0.5 * 0.2**2 + 0.5 * 0.1**2
     assert res.value == pytest.approx(expected, abs=1e-9)
-    assert res.barycenter.weights == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert res.nu.weights == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_barycenter_equal_measures_on_support_is_free():
-    support = (0.0, 1.0, 2.0)
-    measure = np.array([0.2, 0.5, 0.3])
-    grid = np.array(support)
-    cost = np.abs(grid[:, None] - grid[None, :])
-    res = wasserstein_barycenter_fixed_support(
-        [measure, measure], [0.5, 0.5], [cost, cost], support
-    )
+    support = horizon_one("y", (0.0, 1.0, 2.0))
+    measure = horizon_one("x", (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
+    cost = PowerCost(weight=0.5, exponent=1.0)
+    res = anticausal_barycenter([measure, measure], [cost, cost], support)
     assert res.value == pytest.approx(0.0, abs=1e-10)
-    assert res.barycenter.weights == pytest.approx(measure, abs=1e-9)
+    assert res.nu.weights == pytest.approx(measure.leaf_law(), abs=1e-9)
 
 
 def test_barycenter_two_diracs_midpoint_hand_lp():
@@ -391,21 +399,51 @@ def test_barycenter_two_diracs_midpoint_hand_lp():
     # the midpoint costs 0.5*(1/4) + 0.5*(1/4) = 1/4; each endpoint or any
     # mixture is dominated (hand LP over the three Dirac candidates and
     # mixtures).
-    support = (0.0, 0.5, 1.0)
-    grid = np.array(support)
-    mu0, mu1 = np.array([1.0]), np.array([1.0])
-    cost0 = (grid[:, None] - np.array([[0.0]]).T) ** 2
-    cost1 = (grid[:, None] - np.array([[1.0]]).T) ** 2
-    res = wasserstein_barycenter_fixed_support(
-        [mu0, mu1], [0.5, 0.5], [cost0, cost1], support
-    )
+    support = horizon_one("y", (0.0, 0.5, 1.0))
+    diracs = [horizon_one("a", (0.0,)), horizon_one("b", (1.0,))]
+    res = anticausal_barycenter(diracs, [PowerCost(weight=0.5)] * 2, support)
     assert res.value == pytest.approx(0.25, abs=1e-9)
-    assert res.barycenter.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
-    for plan, mu in zip(res.plans, (mu0, mu1)):
-        for axis, law in enumerate((res.barycenter.weights, mu)):
+    assert res.nu.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
+    for plan, dirac in zip(res.plans, diracs):
+        for axis, law in enumerate((res.nu.weights, dirac.leaf_law())):
             assert 0.5 * float(np.abs(plan.pushforward(axis) - law).sum()) <= 1e-9
 
 
-def test_barycenter_rejects_empty_support():
-    with pytest.raises(ValidationError, match="empty"):
-        wasserstein_barycenter_fixed_support([np.array([1.0])], [1.0], [np.zeros((0, 1))], ())
+def fixed_support_barycenter_value(laws, costs) -> float:
+    """min of sum_i <costs[i], gamma^i> over a measure nu on the rows of the
+    (support, measure i) cost matrices and plans gamma^i with row sums nu
+    and column sums ``laws[i]``: one joint LP, nu in its first columns."""
+    m = costs[0].shape[0]
+    blocks, rhs = [], []
+    for i, mu in enumerate(laws):
+        link = sp.csr_matrix((-np.ones(m), (np.arange(m), np.arange(m))),
+                             shape=(m + len(mu), m))
+        blocks.append([link] + [lp_mod._marginal_operator((m, len(mu))) if j == i else None
+                                for j in range(len(laws))])
+        rhs += [np.zeros(m), mu]
+    c = np.concatenate([np.zeros(m)] + [np.ravel(cost) for cost in costs])
+    sol = solve_lp(LpProblem(c=c, a_eq=sp.bmat(blocks, format="csr"), b_eq=np.concatenate(rhs)))
+    assert sol.status == "optimal"
+    return sol.value
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_anticausal_barycenter_is_the_fixed_support_barycenter_of_the_path_laws(seed):
+    rng = np.random.default_rng(1300 + seed)
+    horizon = 1 + seed % 3
+    trees = [random_tree(rng, horizon=horizon, dim=1, max_branch=3) for _ in range(1 + seed % 3)]
+    task = random_tree(rng, horizon=horizon, dim=1, max_branch=3)
+    costs = [PowerCost(weight=float(rng.random()) + 0.1, exponent=1.0 + seed % 2)
+             for _ in trees]
+    res = anticausal_barycenter(trees, costs, task)
+    tables = [cost_table((tree, task), cost) for tree, cost in zip(trees, costs)]
+    reference = fixed_support_barycenter_value([t.leaf_law() for t in trees],
+                                               [table.T for table in tables])
+    tol = DUALITY_TOL * (1 + abs(reference))
+    assert res.value == pytest.approx(reference, abs=tol)
+    assert sum(f @ t.leaf_law() for f, t in zip(res.potentials, trees)) == pytest.approx(
+        res.value, abs=tol)
+    # plans run from the task leaves to the process leaves
+    plan_cost = sum(w * table[jx, ky] for table, plan in zip(tables, res.plans)
+                    for (ky, jx), w in zip(plan.atoms, plan.weights))
+    assert plan_cost == pytest.approx(res.value, abs=tol)
