@@ -175,6 +175,7 @@ def _emit(report: dict, args) -> None:
         "lp_solves": lp_mod.stats.solves,
         "lp_iterations": lp_mod.stats.iterations,
         "transport_pivots": lp_mod.stats.transport_pivots,
+        "transport_blocks": lp_mod.stats.transport_blocks,
     }
     if args.format == "json":
         # no indent: an indent forces json's pure-Python encoder
@@ -244,8 +245,11 @@ _UNCERTIFIED = "dual certificate fails verification"
 
 def _check_slack(details: dict) -> None:
     """Every command's check of its dual slacks: ``details["min_slack"]``
-    below -CAUSALITY_TOL is a solver failure, reported with ``details``."""
-    if details["min_slack"] < -lp_mod.CAUSALITY_TOL:
+    below -CAUSALITY_TOL, or ``details["support_slack"]`` (the worst
+    slack on the plan supports, where given) above CAUSALITY_TOL, is a
+    solver failure, reported with ``details``."""
+    if (details["min_slack"] < -lp_mod.CAUSALITY_TOL
+            or details.get("support_slack", 0.0) > lp_mod.CAUSALITY_TOL):
         raise SolverFailureError(_UNCERTIFIED, details=details)
 
 
@@ -355,7 +359,7 @@ def _cmd_bary_c(args) -> dict:
     costs = _parse_power_spec(args.cost, len(trees))
     sol = bary.causal_barycenter(trees, tasks, costs, tuple_budget=args.budget)
     min_slack, support_slack = sol.support_slack(costs)
-    _check_slack({"min_slack": min_slack, "value": sol.value})
+    _check_slack({"min_slack": min_slack, "support_slack": support_slack, "value": sol.value})
     task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,
@@ -428,7 +432,7 @@ def _cmd_match(args) -> dict:
     eq = matching_mod.solve_matching(instance, tuple_budget=args.budget)
     report = matching_mod.verify_equilibrium(instance, eq)
     min_slack, support_slack = matching_mod.complementary_slackness(instance, eq)
-    _check_slack({"min_slack": min_slack})
+    _check_slack({"min_slack": min_slack, "support_slack": support_slack})
     task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,

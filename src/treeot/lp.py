@@ -99,6 +99,7 @@ class _Stats:
         self.solves = 0              # HiGHS LPs
         self.iterations = 0          # HiGHS simplex iterations
         self.transport_pivots = 0    # transportation simplex pivots, over all blocks
+        self.transport_blocks = 0    # blocks the transportation simplex certified
 
 
 stats = _Stats()
@@ -533,6 +534,7 @@ def _simplex_blocks(weights, costs, shifts, results) -> np.ndarray:
         ok = (converged & (primal <= PRIMAL_TOL) & (dual <= DUAL_TOL)
               & (np.abs(value - dual_value) <= DUALITY_TOL * (1 + np.abs(value))))
         passed[part] = ok
+        stats.transport_blocks += int(ok.sum())
         values[part][ok], plans[part][ok] = value[ok], plan[ok]
         u_out[part][ok], v_out[part][ok] = u[ok], v[ok]
     return passed

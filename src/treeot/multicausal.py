@@ -203,7 +203,9 @@ def mc_dpp(
     (:func:`cost_table`); enumeration refuses beyond ``tuple_budget``
     tuples.  The one-step problems at a fixed depth are independent and
     are solved together by :func:`multimarginal_ot_batch`, one batch per
-    combination of child counts.  Their dual potentials make up the
+    combination of child counts.  Each block, the root's included, has
+    every 1-D tree's children in state order (:func:`_state_order`); results
+    are scattered back by node index.  Their dual potentials make up the
     returned certificate.
     """
     trees = tuple(trees)
@@ -234,11 +236,20 @@ def mc_dpp(
                     phi.reshape(group.counts + group.shape[i:i + 1]), i, -2)
         tables.insert(0, values)
 
-    res = multimarginal_ot([tr.probs[0] for tr in trees], tables[0])
-    weights[0] = res.plan
+    # the root block in state order too; ranks[i][k] is node k's place in it
+    # (inverted by a scatter: numpy's default argsort pulls a large sort
+    # kernel into memory, +0.2-0.5 MB of peak RSS on `aw-deep`)
+    orders = [_state_order(tr, 0) for tr in trees]
+    ranks = [np.empty_like(order) for order in orders]
+    for order, rank in zip(orders, ranks):
+        rank[order] = np.arange(order.size)
+    res = multimarginal_ot([tr.probs[0][order] for tr, order in zip(trees, orders)],
+                           tables[0][np.ix_(*orders)])
+    weights[0] = res.plan[np.ix_(*ranks)]
     tables.insert(0, np.array(res.value))
     certificate = DualCertificate(
-        potentials=tuple(phi[tr.ancestors[:, 0]] for phi, tr in zip(res.potentials, trees)),
+        potentials=tuple(phi[rank[tr.ancestors[:, 0]]]
+                         for phi, rank, tr in zip(res.potentials, ranks, trees)),
         coefficients=tuple(tuple(c) for c in coefficients),
     )
     return McotResult(value=res.value, tables=tuple(tables),
@@ -246,12 +257,27 @@ def mc_dpp(
                       certificate=certificate)
 
 
+def _state_order(tree: ScenarioTree, t: int) -> np.ndarray:
+    """The nodes at depth t+1 ordered by parent, then, for 1-D states, by
+    state, ties in level order.
+
+    With 1-D states and a path cost convex in x - y, every leaf-depth
+    block over children in this order is a Monge matrix, so the
+    north-west corner that :func:`~treeot.lp._transport_simplex` starts
+    from is already its optimal (quantile) coupling.  States of other
+    dimensions have no such order and stay in level order.
+    """
+    states = tree.states[t]
+    keys = (states[:, 0],) if states.shape[1] == 1 else ()
+    return np.lexsort((*keys, tree.parents[t]))
+
+
 def _sibling_groups(tree: ScenarioTree, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The nodes at depth t grouped by child count, in order of first
     appearance: per group, the nodes (k,) and their children (k, m) at
-    depth t+1, in level order."""
+    depth t+1, in state order (:func:`_state_order`)."""
     counts = np.bincount(tree.parents[t], minlength=tree.level_size(t))
-    order = np.argsort(tree.parents[t], kind="stable")
+    order = _state_order(tree, t)
     starts = np.cumsum(counts) - counts
     out = []
     for m in dict.fromkeys(counts.tolist()):

@@ -1,6 +1,7 @@
 """CLI behaviour: commands, exit codes, determinism of reports."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -64,8 +65,9 @@ def test_default_run_takes_no_lp_and_no_oracle(tmp_path, tree_files, command):
     assert code == 0
     report = json.loads(out.read_text())
     # two trees: every one-step block goes to the transportation simplex
+    # (which may certify its sorted start without a pivot)
     assert report["solver"]["lp_solves"] == 0
-    assert report["solver"]["transport_pivots"] > 0
+    assert report["solver"]["transport_blocks"] > 0
     assert "oracle_value" not in report["values"]
     assert report["values"]["duality_gap"] <= 1e-8 * (1 + abs(report["values"]["dpp_value"]))
     assert report["verification"]["min_dual_slack"] >= -1e-8
@@ -123,6 +125,32 @@ def test_corrupted_martingale_coefficient_exits_4(tree_files, monkeypatch, capsy
     assert "'min_slack'" in err
 
 
+@pytest.mark.parametrize("command", ["bary-c", "match"])
+def test_support_slack_above_tolerance_exits_4(tree_files, monkeypatch, capsys, command):
+    _, _, p1, p2 = tree_files
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market]}[command]
+    real = bary.causal_barycenter
+
+    def corrupted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        # lower population 0's potential at its first time-1 node: every
+        # slack below that node rises by 1e-6, so none turns negative but
+        # the plan's support is no longer tight
+        sol.potentials[0][0] -= 1e-6
+        return sol
+
+    monkeypatch.setattr(bary, "causal_barycenter", corrupted)
+    monkeypatch.setattr(matching_mod, "causal_barycenter", corrupted)
+    capsys.readouterr()
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: dual certificate")
+    details = ast.literal_eval(err[err.index("{"):])
+    assert details["min_slack"] >= -1e-8 and details["support_slack"] > 1e-8
+
+
 def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     code, out = _run_to_file(tmp_path, ["bary-bc", p1, p2])
@@ -131,7 +159,7 @@ def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
     # the recursion, then one recursion per process for the recomputed
     # value: all of two trees, so all on the transportation simplex
     assert report["solver"]["lp_solves"] == 0
-    assert report["solver"]["transport_pivots"] > 0
+    assert report["solver"]["transport_blocks"] > 0
     values = report["values"]
     assert "oracle_value" not in values
     assert values["duality_gap"] <= 1e-8 * (1 + abs(values["barycenter_value"]))

@@ -42,6 +42,7 @@ from treeot import (
 )
 from treeot import costs as cm
 from treeot import lp as lp_mod
+from treeot import multicausal as mc
 from treeot.barycenters import PowerCost, causal_barycenter, causal_ot, causal_violation
 from treeot.cli import run
 from treeot.lp import _marginal_operator
@@ -95,18 +96,23 @@ def as_dict(coupling: MulticausalCoupling) -> dict[tuple[int, ...], float]:
     return dict(zip(map(tuple, coupling.tuples.tolist()), coupling.weights.tolist()))
 
 
-def shuffled_levels(rng, tree: ScenarioTree) -> ScenarioTree:
-    """The same process with each level's nodes listed in random order."""
+def relisted(tree: ScenarioTree, orders) -> ScenarioTree:
+    """The same process with level t's nodes listed in the order ``orders[t]``."""
     levels = []
-    for t, level in enumerate(tree.levels):
+    for t, (level, order) in enumerate(zip(tree.levels, orders, strict=True)):
         specs = [
             {"id": n.node_id,
              "parent": None if t == 0 else tree.levels[t - 1][n.parent].node_id,
              "p": n.prob, "x": n.value.tolist()}
             for n in level
         ]
-        levels.append([specs[k] for k in rng.permutation(len(specs))])
+        levels.append([specs[k] for k in order])
     return ScenarioTree.from_levels(levels)
+
+
+def shuffled_levels(rng, tree: ScenarioTree) -> ScenarioTree:
+    """The same process with each level's nodes listed in random order."""
+    return relisted(tree, [rng.permutation(len(ids)) for ids in tree.ids])
 
 
 def block_plans(res):
@@ -327,13 +333,83 @@ def test_dpp_solves_one_lp_per_depth(horizon):
     mc_dpp(trees, cm.pairwise_power(2.0))
     # two trees: every one-step block is a transportation problem
     assert lp_mod.stats.solves == 0
-    assert lp_mod.stats.transport_pivots > 0
+    assert lp_mod.stats.transport_blocks > 0
     trees.append(random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3))
     lp_mod.stats.reset()
     mc_dpp(trees, cm.pairwise_power(2.0))
     # three trees: every shape group of a depth shares one HiGHS LP
     assert lp_mod.stats.solves == horizon
     assert lp_mod.stats.transport_pivots == 0
+
+
+def test_sibling_order_leaves_the_value_and_certificate():
+    # three trees: the HiGHS blocks see their columns in state order
+    rng = np.random.default_rng(63)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3)
+             for _ in range(3)]
+    # every sibling group listed in decreasing state order
+    reverse = [relisted(tr, [np.argsort(-x[:, 0], kind="stable") for x in tr.states])
+               for tr in trees]
+    values = []
+    for family in (trees, reverse):
+        res = mc_dpp(family, cm.lp_sum(2.0))
+        check = verify_certificate(family, res.tables[-1], res.certificate,
+                                   assemble_coupling(res.policy))
+        assert check["min_slack"] >= -lp_mod.CAUSALITY_TOL
+        assert check["gap"] <= lp_mod.DUALITY_TOL * (1 + abs(res.value))
+        values.append(res.value)
+    assert abs(values[1] - values[0]) <= 1e-12 * (1 + abs(values[0]))
+
+
+@pytest.mark.parametrize("cost", [cm.lp_sum(1.0), cm.lp_sum(2.0), cm.pairwise_power(2.0)],
+                         ids=["lp_sum1", "lp_sum2", "pairwise_power2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_leaf_depth_blocks_start_optimal(monkeypatch, cost, seed):
+    # 1-D states, a cost convex in x - y: each leaf-depth block, its
+    # children in state order, is a Monge matrix, so its north-west
+    # corner is optimal and the simplex certifies it without a pivot
+    rng = np.random.default_rng(70 + seed)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=2, max_branch=4) for _ in range(2)]
+    depths = []  # per depth, leaves first: each simplex call's pivots
+    real_batch, real_simplex = mc.multimarginal_ot_batch, lp_mod._transport_simplex
+
+    def batch(groups):
+        depths.append([])
+        return real_batch(groups)
+
+    def simplex(a, b, block_costs):
+        out = real_simplex(a, b, block_costs)
+        depths[-1].append(out[3])
+        return out
+
+    monkeypatch.setattr(mc, "multimarginal_ot_batch", batch)
+    monkeypatch.setattr(lp_mod, "_transport_simplex", simplex)
+    mc_dpp(trees, cost)
+    leaf_depth = np.concatenate(depths[0])
+    assert leaf_depth.size == trees[0].level_size(2) * trees[1].level_size(2)
+    assert not leaf_depth.any()
+
+
+def test_multi_dimensional_states_keep_level_order():
+    tree = random_tree(np.random.default_rng(64), horizon=3, dim=2, min_branch=1, max_branch=3)
+    for t in range(tree.horizon):
+        assert np.array_equal(mc._state_order(tree, t),
+                              np.argsort(tree.parents[t], kind="stable"))
+
+
+def test_level_order_leaves_values_and_pivots_bit_identical():
+    # distinct states: every block, the root's included, reaches the
+    # simplex in the same order however the levels are listed
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3)
+                 for _ in range(2)]
+        runs = []
+        for family in (trees, [shuffled_levels(rng, tr) for tr in trees]):
+            lp_mod.stats.reset()
+            runs.append((mc_dpp(family, cm.lp_sum(2.0)).value, lp_mod.stats.transport_pivots,
+                         lp_mod.stats.transport_blocks))
+        assert runs[1] == runs[0]
 
 
 def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
