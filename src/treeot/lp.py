@@ -31,6 +31,9 @@ which leaves out every causality row that the sibling probabilities or
 the marginal rows already imply.  Those rows have right-hand side 0, so
 their dual coefficient is 0 in every certificate built from such an LP.
 
+HiGHS is called directly through the binding scipy bundles
+(``scipy.optimize._highspy._core``, scipy >= 1.15) by :func:`linprog`,
+the one HiGHS entry point; scipy's ``linprog`` wrapper is not used.
 scipy is imported only where a HiGHS LP is built or solved (importing
 ``scipy.optimize`` costs more than a two-tree recursion), so the
 commands that never reach HiGHS never load it.
@@ -47,8 +50,8 @@ its first atom for marginal blocks 2..N and compensating in block 1.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,8 +85,11 @@ _SIMPLEX_CELLS = 1600
 #: basis-inverse entries of one lock-step simplex batch (bounds its memory)
 _SIMPLEX_ENTRIES = 1 << 22
 
+#: HiGHS option values of every solve: dual simplex, no presolve, silent
 _HIGHS_OPTIONS = {
-    "presolve": False,
+    "output_flag": False,
+    "solver": "simplex",
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -150,12 +156,45 @@ class LpSolution:
     iterations: int = 0
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.  Every HiGHS
-    LP goes through this module attribute, resolved at call time."""
-    from scipy.optimize import linprog as highs
+def linprog(c, A_eq, b_eq, options):
+    """Solve  min c.x  s.t.  A_eq x = b_eq, x >= 0  by one run of HiGHS
+    through scipy's bundled binding, imported on the first call.  Every
+    HiGHS LP goes through this module attribute, resolved at call time.
 
-    return highs(*args, **kwargs)
+    ``A_eq`` is a CSR matrix, passed to HiGHS row-wise as it is;
+    ``options`` maps HiGHS option names to values.  Returns ``status``
+    (0 optimal, 2 infeasible, 3 unbounded, 4 any other model status),
+    ``message`` (HiGHS's name of the model status), ``nit`` (simplex
+    iterations) and, when optimal, ``x`` and the row duals
+    ``eqlin.marginals`` (None otherwise).
+    """
+    from scipy.optimize._highspy import _core as highspy
+
+    highs = highspy._Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != highspy.HighsStatus.kOk:
+            raise SolverFailureError(f"HiGHS rejects option {name}={value!r}")
+    n_rows, n_cols = A_eq.shape
+    # the array overload of passModel reads the buffers directly, where the
+    # fields of a HighsLp object are converted one entry at a time; it reads
+    # one integrality flag per column (0: continuous)
+    passed = highs.passModel(n_cols, n_rows, A_eq.nnz, highspy.MatrixFormat.kRowwise,
+                             highspy.ObjSense.kMinimize, 0.0, c, np.zeros(n_cols),
+                             np.full(n_cols, np.inf), b_eq, b_eq, A_eq.indptr,
+                             A_eq.indices, A_eq.data, np.zeros(n_cols, dtype=np.int32))
+    if passed == highspy.HighsStatus.kError:
+        raise SolverFailureError("HiGHS rejects the LP", details={"shape": A_eq.shape})
+    highs.run()
+    model = highs.getModelStatus()
+    status = {highspy.HighsModelStatus.kOptimal: 0, highspy.HighsModelStatus.kInfeasible: 2,
+              highspy.HighsModelStatus.kUnbounded: 3}.get(model, 4)
+    x = marginals = None
+    if status == 0:
+        solution = highs.getSolution()
+        x, marginals = np.array(solution.col_value), np.array(solution.row_dual)
+    return SimpleNamespace(status=status, message=highs.modelStatusToString(model), x=x,
+                           eqlin=SimpleNamespace(marginals=marginals),
+                           nit=highs.getInfo().simplex_iteration_count)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -166,13 +205,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     sol, failure = _highs(problem, _HIGHS_OPTIONS)
     if failure is not None:
-        from scipy.optimize import OptimizeWarning
-
-        with warnings.catch_warnings():
-            # scipy passes the option to HiGHS verbatim and warns that it
-            # does not know it
-            warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
-            sol, failure = _highs(problem, {**_HIGHS_OPTIONS, "simplex_scale_strategy": 0})
+        sol, failure = _highs(problem, {**_HIGHS_OPTIONS, "simplex_scale_strategy": 0})
     if failure is not None:
         raise SolverFailureError("LP solution violates residual tolerances", details=failure)
     return sol
@@ -181,16 +214,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 def _highs(problem: LpProblem, options: dict) -> tuple[LpSolution, dict | None]:
     """One HiGHS solve of ``problem``, and the details of its failed
     residual check (None when the solution passes them all)."""
-    res = linprog(
-        c=problem.c,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        bounds=(0, None),
-        method="highs-ds",
-        options=dict(options),
-    )
+    res = linprog(c=problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq, options=dict(options))
     stats.solves += 1
-    stats.iterations += int(getattr(res, "nit", 0) or 0)
+    stats.iterations += res.nit
     if res.status == 2:
         return LpSolution(status="infeasible", x=None, duals=None, value=None), None
     if res.status == 3:
@@ -217,7 +243,7 @@ def _highs(problem: LpProblem, options: dict) -> tuple[LpSolution, dict | None]:
         primal_residual=primal,
         dual_residual=dual,
         gap=max(gaps),
-        iterations=int(getattr(res, "nit", 0) or 0),
+        iterations=res.nit,
     )
     if primal <= PRIMAL_TOL and dual <= DUAL_TOL and not bad:
         return sol, None

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeWarning
 
 from treeot import barycenters as bary
 from treeot import costs as cm
@@ -475,7 +474,7 @@ def test_market_seed602_certifies_on_the_first_solve(tmp_path, monkeypatch):
     assert report["verification"]["worst_support_slack"] <= 1e-8
 
 
-def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch, recwarn):
+def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch):
     path = Path(__file__).parent / "fixtures" / "market_seed602.json"
     real, calls = lp.linprog, []
 
@@ -497,12 +496,6 @@ def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch, recwar
     assert report["values"]["equilibrium_ok"] is True
     assert report["verification"]["min_dual_slack"] >= -1e-8
     assert report["verification"]["worst_support_slack"] <= 1e-8
-    # scipy's warning about the option it passes to HiGHS verbatim is
-    # silenced inside the retry only
-    assert not [w for w in recwarn if "Unrecognized options" in str(w.message)]
-    with pytest.warns(OptimizeWarning, match="Unrecognized options"):
-        lp.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], method="highs-ds",
-                   options={"simplex_scale_strategy": 0})
 
 
 def test_verify_coupling_command(tmp_path, tree_files):
