@@ -704,9 +704,10 @@ def transport_lp(
 
     Returns the value, the shift, nu (clipped at 0 and normalised; None
     without ``shared``), each plan as a dense array over its family's
-    leaf tuples, each family's marginal-row duals (in
-    :func:`_marginal_pattern` order) and its negated causality-row duals
-    as :func:`_coefficient_blocks`.
+    leaf tuples (with ``shared``, 0 on the task leaves outside nu's
+    support; more than MARGINAL_TOL of mass there is a solver failure),
+    each family's marginal-row duals (in :func:`_marginal_pattern` order)
+    and its negated causality-row duals as :func:`_coefficient_blocks`.
     """
     import scipy.sparse as sp
 
@@ -741,7 +742,8 @@ def transport_lp(
 
     nu = None
     if shared:
-        nu = np.where(sol.x[:n_nu] > 0, sol.x[:n_nu], 0.0)
+        held = sol.x[:n_nu] > 0
+        nu = np.where(held, sol.x[:n_nu], 0.0)
         total = float(nu.sum())
         if abs(total - 1.0) > MARGINAL_TOL:
             raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
@@ -749,7 +751,18 @@ def transport_lp(
     plans, duals, coefficients = [], [], []
     for trees, shape, kept, r0, c0 in layout:
         r1 = r0 + sum(shape)  # the family's causality rows start here
-        plans.append(sol.x[c0:c0 + int(np.prod(shape))].reshape(shape))
+        plan = sol.x[c0:c0 + int(np.prod(shape))].reshape(shape)
+        if shared:
+            # HiGHS can leave dust (~1e-14) at a task leaf where nu is
+            # clipped to 0; the task potentials' zero-sum normalisation puts
+            # that leaf's column excess on process 0, so the dust would read
+            # as a support slack of order 1
+            dust = float(np.maximum(plan[..., ~held], 0.0).sum())
+            if dust > MARGINAL_TOL:
+                raise SolverFailureError(
+                    f"{what}: a plan has mass {dust!r} on task leaves outside nu's support")
+            plan = np.where(held, plan, 0.0)
+        plans.append(plan)
         duals.append(sol.duals[r0:r1])
         coefficients.append(
             _coefficient_blocks(trees, processes, kept, -sol.duals[r1:r1 + kept.size]))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,20 +462,21 @@ def test_match_command(tmp_path, tree_files, monkeypatch):
 def test_market_seed602_certifies_on_the_first_solve(tmp_path, monkeypatch):
     # benchmark market seed 602, instance 0: with every causality row in
     # the LP, the scaled dual simplex left a dual residual of 1.2e-9, above
-    # DUAL_TOL; with the independent rows only it certifies at once
+    # DUAL_TOL; with the independent rows only the first solve, unscaled,
+    # certifies at once
     path = Path(__file__).parent / "fixtures" / "market_seed602.json"
     calls = counting_linprog(monkeypatch)
     code, out = _run_to_file(tmp_path, ["match", str(path)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["solver"]["lp_solves"] == len(calls) == 1
-    assert calls[0].get("simplex_scale_strategy") is None
+    assert calls[0].get("simplex_scale_strategy") == 0
     assert report["values"]["equilibrium_ok"] is True
     assert report["verification"]["min_dual_slack"] >= -1e-8
     assert report["verification"]["worst_support_slack"] <= 1e-8
 
 
-def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch):
+def test_residual_failure_is_solved_again_scaled(tmp_path, monkeypatch):
     path = Path(__file__).parent / "fixtures" / "market_seed602.json"
     real, calls = lp.linprog, []
 
@@ -492,10 +494,87 @@ def test_residual_failure_is_solved_again_unscaled(tmp_path, monkeypatch):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["solver"]["lp_solves"] == 2
-    assert [options.get("simplex_scale_strategy") for options in calls] == [None, 0]
+    # unscaled first, then HiGHS's default scaling
+    assert [options.get("simplex_scale_strategy") for options in calls] == [0, None]
     assert report["values"]["equilibrium_ok"] is True
     assert report["verification"]["min_dual_slack"] >= -1e-8
     assert report["verification"]["worst_support_slack"] <= 1e-8
+
+
+def test_solver_dust_outside_nus_support_is_dropped(tmp_path, monkeypatch):
+    # HiGHS can leave an atom of ~1e-14 in a plan at a task leaf where nu
+    # is clipped to 0; the zero-sum normalisation puts that leaf's column
+    # excess on process 0's task potential, so the atom would read as a
+    # support slack of order 1 and exit 4
+    path = Path(__file__).parent / "fixtures" / "market_seed602.json"
+    doc = json.loads(path.read_text())
+    task_ids = [node["id"] for node in doc["tasks"]["levels"][-1]]
+    real, planted = lp.linprog, []
+
+    def linprog(*args, **kwargs):
+        res = real(*args, **kwargs)
+        y = int(np.flatnonzero(res.x[:len(task_ids)] <= 0)[0])
+        # process 0's plan: its first leaf, task leaf y
+        res.x = np.array(res.x)
+        res.x[len(task_ids) + y] = 1e-14
+        planted.append(task_ids[y])
+        return res
+
+    monkeypatch.setattr(lp, "linprog", linprog)
+    code, out = _run_to_file(tmp_path, ["match", str(path)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["verification"]["worst_support_slack"] <= 1e-8
+    assert report["nu"][planted[0]] == 0.0
+    for plan in report["certificate"]["plans"]:
+        assert planted[0] not in {atom["to"] for atom in plan}
+
+
+@pytest.mark.parametrize("status", [2, 3, 4])
+def test_solve_that_is_not_optimal_is_solved_again_scaled(tmp_path, monkeypatch, status):
+    # scaling off once made an LP look infeasible: a first solve that ends
+    # infeasible, unbounded or failed is solved once more, scaled
+    path = Path(__file__).parent / "fixtures" / "market_seed602.json"
+    real, calls = lp.linprog, []
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs["options"])
+        res = real(*args, **kwargs)
+        if len(calls) == 1:
+            res.status, res.x, res.eqlin.marginals = status, None, None
+        return res
+
+    monkeypatch.setattr(lp, "linprog", linprog)
+    code, out = _run_to_file(tmp_path, ["match", str(path)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["solver"]["lp_solves"] == 2
+    assert [options.get("simplex_scale_strategy") for options in calls] == [0, None]
+    assert report["values"]["equilibrium_ok"] is True
+    assert report["verification"]["worst_support_slack"] <= 1e-8
+
+
+def test_no_command_calls_scipys_linprog_wrapper(tmp_path, tree_files, monkeypatch):
+    # HiGHS is called through its binding directly, so scipy's linprog
+    # wrapper and its OptimizeWarning never come up
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.linprog was called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    _, _, p1, p2 = tree_files
+    third = tmp_path / "c.json"
+    third.write_text(dump_tree(random_tree(np.random.default_rng(5), horizon=2, dim=1,
+                                           max_branch=2, prefix="c")))
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.optimize.OptimizeWarning)
+        for argv in (["match", market], ["mcot", p1, p2, str(third)],
+                     ["mcot", p1, p2, "--oracle"], ["counterexample", "--n", "16"]):
+            code, out = _run_to_file(tmp_path, argv)
+            assert code == 0, argv
+            assert json.loads(out.read_text())["solver"]["lp_solves"] > 0, argv
 
 
 def test_verify_coupling_command(tmp_path, tree_files):

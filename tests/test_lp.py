@@ -82,11 +82,27 @@ def test_solve_lp_reports_infeasible_and_unbounded():
     infeasible = LpProblem(
         c=np.array([1.0]), a_eq=sp.eye(1), b_eq=np.array([-1.0])
     )
+    lp_mod.stats.reset()
     assert solve_lp(infeasible).status == "infeasible"
     unbounded = LpProblem(
         c=np.array([-1.0]), a_eq=sp.csr_matrix((1, 1)), b_eq=np.array([0.0])
     )
     assert solve_lp(unbounded).status == "unbounded"
+    # an unscaled solve that is not optimal is solved once more, scaled
+    assert lp_mod.stats.solves == 4
+
+
+def test_linprog_refuses_arrays_that_do_not_match_the_matrix():
+    # HiGHS reads as many entries as the matrix shape says
+    a_eq = sp.csr_matrix(np.ones((1, 2)))
+    res = lp_mod.linprog(c=np.array([1.0, 2.0]), A_eq=a_eq, b_eq=np.array([1.0]),
+                         options=lp_mod._HIGHS_OPTIONS)
+    assert (res.status, res.nit) == (0, 1)
+    assert res.x.tolist() == [1.0, 0.0] and res.eqlin.marginals.tolist() == [1.0]
+    for c, a, b in [([1.0], a_eq, [1.0]), ([1.0, 2.0], a_eq, [1.0, 1.0]),
+                    ([1.0, 2.0], a_eq.tocsc(), [1.0])]:
+        with pytest.raises(ValidationError, match="CSR"):
+            lp_mod.linprog(c=np.array(c), A_eq=a, b_eq=np.array(b), options={})
 
 
 def test_solve_lp_residual_invariants_on_random_instances():

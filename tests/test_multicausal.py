@@ -442,9 +442,9 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
     with pytest.raises(SolverFailureError) as exc:
         mc_dpp(trees, cm.pairwise_power(2.0))
     assert exc.value.details["block"] == 0
-    # a check over the whole LP would have passed; the failed solve is
-    # solved once more unscaled, and that solve's failure is raised
-    assert seen == [(True, None), (True, 0)]
+    # a check over the whole LP would have passed; the failed unscaled
+    # solve is solved once more scaled, and that solve's failure is raised
+    assert seen == [(True, 0), (True, None)]
 
     paths = []
     for name, tree in zip("abc", trees):
