@@ -171,6 +171,8 @@ def linprog(c, A_eq, b_eq, options):
     iterations) and, when optimal, ``x`` and the row duals
     ``eqlin.marginals`` (None otherwise).
     """
+    # a private scipy module: its _Highs class and the array overload of
+    # passModel are pinned by the scipy range in pyproject.toml
     from scipy.optimize._highspy import _core as highspy
 
     # passModel reads as many entries as the sizes it is given say
