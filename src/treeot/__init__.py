@@ -31,7 +31,6 @@ from .errors import (
 from .lp import (
     LpProblem,
     LpSolution,
-    TransportPlan,
     classical_ot,
     multimarginal_ot,
     solve_lp,
@@ -55,6 +54,7 @@ from .multicausal import (
     brute_force_mcot,
     causality_operator,
     cost_table,
+    coupling_from_dense,
     coupling_from_id_atoms,
     glue,
     mc_dpp,

@@ -33,16 +33,18 @@ import numpy as np
 
 from . import costs as costs_mod
 from .errors import BudgetExceededError, ValidationError
-from .lp import MARGINAL_TOL, TransportPlan, check_duality_gap, plan_from_dense
+from .lp import MARGINAL_TOL, check_duality_gap
 from .multicausal import (
     TUPLE_BUDGET,
     DualCertificate,
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
+    _on_axis,
     assemble_coupling,
     causality_operator,
     cost_table,
+    coupling_from_dense,
     mc_dpp,
     transport_lp,
 )
@@ -179,12 +181,6 @@ def grid_selector(costs: Sequence[SeparableCost], grids: Sequence[Sequence]) -> 
     return select
 
 
-def _on_axis(states: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Per-leaf ``states`` (leaves first) with the leaf axis at position i
-    of n leading axes, to broadcast against the other trees' leaves."""
-    return states.reshape((1,) * i + states.shape[:1] + (1,) * (n - 1 - i) + states.shape[1:])
-
-
 def aggregate_cost(
     costs: Sequence[SeparableCost], selector: Selector
 ) -> costs_mod.Cost:
@@ -197,7 +193,8 @@ def aggregate_cost(
         states = [tr.leaf_states() for tr in trees]
         total = np.zeros(tuple(tr.n_leaves for tr in trees))
         for t in range(1, trees[0].horizon + 1):
-            xs = tuple(_on_axis(s[t - 1], i, len(trees)) for i, s in enumerate(states))
+            # each tree's leaf axis at its own place, the state axis last
+            xs = tuple(_on_axis(s[t - 1], i, len(trees) + 1) for i, s in enumerate(states))
             y = selector(t, xs)
             total = total + sum(c.at(t, x, y) for c, x in zip(costs, xs))
         return total
@@ -292,11 +289,10 @@ def bc_bary_value(
 # -- causality-constrained transport LPs ---------------------------------------
 
 
-def causal_violation(tree_x: ScenarioTree, tree_y: ScenarioTree, plan: TransportPlan) -> float:
-    """Worst violation of the causal test functions by a plan from the
-    leaves of ``tree_x`` to those of ``tree_y``, evaluated on its atoms."""
-    tuples = np.array(plan.atoms, dtype=np.intp).reshape(-1, 2)
-    residual = causality_operator((tree_x, tree_y), (0,), tuples=tuples) @ plan.weights
+def causal_violation(plan: MulticausalCoupling) -> float:
+    """Worst violation of the causal test functions by a plan over the pair
+    ``plan.trees``, causal from the first tree, evaluated on its atoms."""
+    residual = causality_operator(plan.trees, (0,), tuples=plan.tuples) @ plan.weights
     return float(np.abs(residual).max(initial=0.0))
 
 
@@ -305,7 +301,7 @@ def causal_ot(
     tree_y: ScenarioTree,
     cost,
     tuple_budget: int = TUPLE_BUDGET,
-) -> tuple[float, TransportPlan]:
+) -> tuple[float, MulticausalCoupling]:
     """Optimal transport over causal couplings from ``tree_x`` to ``tree_y``.
 
     The LP carries both marginal blocks plus the one-directional
@@ -321,33 +317,31 @@ def causal_ot(
         )
     pair = (tree_x, tree_y)
     lp = transport_lp([pair], [cost_table(pair, cost)], (0,), False, "causal transport LP")
-    return lp.value, plan_from_dense(lp.plans[0], (n_x, n_y))
+    return lp.value, coupling_from_dense(pair, lp.plans[0])
 
 
-def _slack_extremes(trees, task_tree, tables, plans, potentials, wages, coefficients):
+def _slack_extremes(tables, plans, potentials, wages, coefficients):
     """(min slack everywhere, worst |slack| on the plan supports) of causal
     dual bundles, one per population.
 
-    Population i's slack on a leaf pair is  c^i - w^i + G^i - f^i  with
-    c^i = ``tables[i]``, the wage w^i = ``wages[i]`` on the task leaves,
-    f^i = ``potentials[i]`` on the time-1 nodes of ``trees[i]``, and G^i
-    induced by ``coefficients[i]``, the per-depth arrays of process 0 of
-    the pair (trees[i], task_tree) in the :class:`DualCertificate` layout.
+    Population i's slack on a leaf pair of ``plans[i].trees`` is
+    c^i - w^i + G^i - f^i  with c^i = ``tables[i]``, the wage w^i =
+    ``wages[i]`` on the task leaves, f^i = ``potentials[i]`` on the time-1
+    nodes of the population, and G^i induced by ``coefficients[i]``, the
+    per-depth arrays of process 0 in the :class:`DualCertificate` layout.
     Dual feasibility keeps every slack above -1e-8; complementary
     slackness makes it vanish on the support of an optimal plan.
     """
     min_slack, worst_support = np.inf, 0.0
-    for tree, table, plan, f, w, coef in zip(
-        trees, tables, plans, potentials, wages, coefficients
-    ):
+    for table, plan, f, w, coef in zip(tables, plans, potentials, wages, coefficients):
         cert = DualCertificate(
-            potentials=(np.asarray(f)[tree.ancestors[:, 0]], np.asarray(w)),
+            potentials=(np.asarray(f)[plan.trees[0].ancestors[:, 0]], np.asarray(w)),
             coefficients=(tuple(coef), ()),
         )
-        slack = cert.slacks((tree, task_tree), table)
-        support = tuple(np.array(plan.atoms, dtype=np.intp).reshape(-1, 2).T)
+        slack = cert.slacks(plan.trees, table)
         min_slack = min(min_slack, float(slack.min()))
-        worst_support = max(worst_support, float(np.abs(slack[support]).max(initial=0.0)))
+        worst_support = max(worst_support,
+                            float(np.abs(slack[tuple(plan.tuples.T)]).max(initial=0.0)))
     return float(min_slack), float(worst_support)
 
 
@@ -391,7 +385,7 @@ class CausalBarycenterSolution:
     task_tree: ScenarioTree
     trees: tuple[ScenarioTree, ...]
     nu: DiscreteDistribution
-    plans: tuple[TransportPlan, ...]
+    plans: tuple[MulticausalCoupling, ...]
     potentials: tuple[np.ndarray, ...]
     task_potentials: tuple[np.ndarray, ...]
     mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
@@ -402,7 +396,6 @@ class CausalBarycenterSolution:
     def support_slack(self, costs) -> tuple[float, float]:
         """(min slack everywhere, max |slack| on the plan supports)."""
         return _slack_extremes(
-            self.trees, self.task_tree,
             [cost_table((t, self.task_tree), c) for t, c in zip(self.trees, costs)],
             self.plans, self.potentials, [-g for g in self.task_potentials],
             self.mart_coefficients,
@@ -430,7 +423,8 @@ def causal_barycenter(
     lp = transport_lp([(tree, task_tree) for tree in trees], tables, (0,), True,
                       "causal barycenter LP")
     nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
-    plans = tuple(plan_from_dense(plan, plan.shape) for plan in lp.plans)
+    plans = tuple(coupling_from_dense((tree, task_tree), plan)
+                  for tree, plan in zip(trees, lp.plans))
 
     links = [np.array(d[tree.n_leaves:]) for d, tree in zip(lp.duals[1:], trees[1:])]
     # zero-sum normalisation: dump the (nonnegative) excess on process 0,
@@ -476,7 +470,7 @@ def causal_barycenter(
 class AnticausalBarycenterResult:
     """Classical path-space barycenter plus the gluing recipe.
 
-    ``plans[i]`` runs from the task leaves to the leaves of process i;
+    ``plans[i]`` is a coupling over the pair (task tree, process i);
     ``kernels[i]`` disintegrates it by the task path: task leaf id ->
     {process leaf id: conditional weight}.  The glued anticausal process
     draws a task path from ``nu`` and then each process independently
@@ -486,7 +480,7 @@ class AnticausalBarycenterResult:
 
     value: float
     nu: DiscreteDistribution
-    plans: tuple[TransportPlan, ...]
+    plans: tuple[MulticausalCoupling, ...]
     kernels: tuple[dict[str, dict[str, float]], ...]
     potentials: tuple[np.ndarray, ...]
 
@@ -514,14 +508,15 @@ def anticausal_barycenter(
     check_duality_gap(lp.value, abs(dual_value - lp.value),
                       "anticausal barycenter duality gap exceeds tolerance",
                       {"value": lp.value, "dual_value": dual_value})
-    plans = tuple(plan_from_dense(plan.T, plan.T.shape) for plan in lp.plans)
+    plans = tuple(coupling_from_dense((task_tree, tree), plan.T)
+                  for tree, plan in zip(trees, lp.plans))
     kernels = []
     for tree, plan in zip(trees, plans):
+        # every atom's task leaf is in nu's support (see transport_lp)
         kernel: dict[str, dict[str, float]] = {}
-        for (ky, jx), w in zip(plan.atoms, plan.weights):
-            if lp.nu[ky] > 0:
-                kernel.setdefault(task_tree.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = (
-                    w / lp.nu[ky])
+        conditional = plan.weights / lp.nu[plan.tuples[:, 0]]
+        for (ky, jx), w in zip(plan.tuples.tolist(), conditional.tolist()):
+            kernel.setdefault(task_tree.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = w
         kernels.append(kernel)
     return AnticausalBarycenterResult(
         value=lp.value, nu=nu, plans=plans, kernels=tuple(kernels), potentials=potentials,

@@ -145,27 +145,23 @@ def _parse_separable_cost(spec) -> bary.SeparableCost:
 def _parse_power_spec(spec: str, n: int) -> list[bary.SeparableCost]:
     """Per-process separable costs from ``power:p[:w1,...,wN]`` or the JSON
     form ``{"kind": "power", "p": 2, "weights": [...]}``."""
-    if spec.lstrip().startswith("{"):
-        doc = json.loads(spec)
-        if doc.get("kind") != "power":
-            raise ValidationError(f"unsupported separable cost spec {spec!r}")
-        p = float(doc.get("p", 2.0))
-        weights = [float(w) for w in doc.get("weights", [1.0] * n)]
+    with _reading("cost", spec):
+        if spec.lstrip().startswith("{"):
+            doc = json.loads(spec)
+            if doc.get("kind") != "power":
+                raise ValidationError(f"unsupported separable cost spec {spec!r}")
+            p = float(doc.get("p", 2.0))
+            weights = [float(w) for w in doc.get("weights", [1.0] * n)]
+        else:
+            kind, _, rest = spec.partition(":")
+            if kind != "power":
+                raise ValidationError(f"unsupported separable cost spec {spec!r}")
+            p_str, _, w_str = rest.partition(":")
+            p = float(p_str) if p_str else 2.0
+            weights = [float(w) for w in w_str.split(",")] if w_str else [1.0] * n
         if len(weights) != n:
             raise ValidationError(f"expected {n} weights in {spec!r}")
         return [bary.PowerCost(weight=w, exponent=p) for w in weights]
-    kind, _, rest = spec.partition(":")
-    if kind != "power":
-        raise ValidationError(f"unsupported separable cost spec {spec!r}")
-    p_str, _, w_str = rest.partition(":")
-    p = float(p_str) if p_str else 2.0
-    if w_str:
-        weights = [float(w) for w in w_str.split(",")]
-        if len(weights) != n:
-            raise ValidationError(f"expected {n} weights in {spec!r}")
-    else:
-        weights = [1.0] * n
-    return [bary.PowerCost(weight=w, exponent=p) for w in weights]
 
 
 def _emit(report: dict, args) -> None:
@@ -230,11 +226,8 @@ def _certificate_json(trees, cert: mc.DualCertificate) -> dict:
     }
 
 
-def _plan_json(plan: lp_mod.TransportPlan, row_ids, col_ids) -> list[dict]:
-    return [
-        {"from": row_ids[a], "to": col_ids[b], "w": float(w)}
-        for (a, b), w in sorted(zip(plan.atoms, plan.weights))
-    ]
+def _plan_json(plan: mc.MulticausalCoupling) -> list[dict]:
+    return [{"from": a, "to": b, "w": w} for (a, b), w in plan.atom_ids()]
 
 
 # -- command implementations ---------------------------------------------------
@@ -381,10 +374,7 @@ def _cmd_bary_c(args) -> dict:
                 {leaf: float(v) for leaf, v in zip(task_ids, g)}
                 for g in sol.task_potentials
             ],
-            "plans": [
-                _plan_json(plan, tree.leaf_ids(), task_ids)
-                for tree, plan in zip(trees, sol.plans)
-            ],
+            "plans": [_plan_json(plan) for plan in sol.plans],
         },
     }
 
@@ -401,10 +391,7 @@ def _cmd_bary_anticausal(args) -> dict:
         "values": {"barycenter_value": res.value},
         "nu": {leaf: float(w) for leaf, w in zip(task_ids, res.nu.weights)},
         "certificate": {
-            "plans": [
-                _plan_json(plan, task_ids, tree.leaf_ids())
-                for tree, plan in zip(trees, res.plans)
-            ],
+            "plans": [_plan_json(plan) for plan in res.plans],
             "kernels": [
                 {y: dict(sorted(k.items())) for y, k in sorted(kern.items())}
                 for kern in res.kernels
@@ -444,10 +431,7 @@ def _cmd_match(args) -> dict:
         "wages": eq.wage_table(),
         "nu": {leaf: float(w) for leaf, w in zip(task_ids, eq.nu.weights)},
         "certificate": {
-            "plans": [
-                _plan_json(plan, tree.leaf_ids(), task_ids)
-                for tree, plan in zip(instance.populations, eq.plans)
-            ],
+            "plans": [_plan_json(plan) for plan in eq.plans],
             "potentials": [
                 {node_id: float(v) for node_id, v in zip(t.ids[0], f)}
                 for t, f in zip(instance.populations, eq.potentials)
@@ -459,6 +443,7 @@ def _cmd_match(args) -> dict:
             "optimality_gaps": list(report.optimality_gaps),
             "common_marginal_ok": report.common_marginal_ok,
             "worst_marginal_tv": report.worst_marginal_tv,
+            "worst_causality": report.worst_causality,
             "min_dual_slack": min_slack,
             "worst_support_slack": support_slack,
         },

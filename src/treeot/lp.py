@@ -289,38 +289,6 @@ def _solve_optimal(problem: LpProblem, what: str) -> LpSolution:
     return sol
 
 
-# -- transport plans -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Sparse nonnegative measure on a product of finite supports."""
-
-    shape: tuple[int, ...]
-    atoms: tuple[tuple[int, ...], ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if np.any(self.weights < 0):
-            raise ValidationError("transport plan has a negative weight")
-
-    def pushforward(self, axis: int) -> np.ndarray:
-        out = np.zeros(self.shape[axis])
-        for idx, w in zip(self.atoms, self.weights):
-            out[idx[axis]] += w
-        return out
-
-
-def plan_from_dense(x: np.ndarray, shape) -> TransportPlan:
-    x = np.asarray(x, dtype=float).reshape(shape)
-    return TransportPlan(  # solver dust at the bound is dropped
-        shape=tuple(shape),
-        atoms=tuple(map(tuple, np.argwhere(x > 0).tolist())),
-        weights=x[x > 0],
-    )
-
-
 # -- multimarginal optimal transport ----------------------------------------
 
 
@@ -337,7 +305,7 @@ def _as_weights(m) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the stacked pushforward operators, one row
+    """Row and column indices of the stacked marginal operators, one row
     block per axis, over C-order variables; all entries are 1."""
     size = int(np.prod(shape))
     index = np.unravel_index(np.arange(size), shape)
@@ -349,7 +317,7 @@ def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _marginal_operator(shape: tuple[int, ...]) -> sp.csr_matrix:
-    """:func:`_marginal_pattern` as a matrix: one pushforward row block per
+    """:func:`_marginal_pattern` as a matrix: one marginal row block per
     axis over the C-order variables of ``shape``."""
     import scipy.sparse as sp
 
@@ -384,10 +352,12 @@ def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
                                potentials=tuple(p[0] for p in potentials))
 
 
-def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, TransportPlan]:
-    """Two-marginal optimal transport; see :func:`multimarginal_ot`."""
+def classical_ot(mu, nu, cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Two-marginal optimal transport: the value and the dense plan (rows
+    over ``mu``, columns over ``nu``, clipped at 0); see
+    :func:`multimarginal_ot`."""
     res = multimarginal_ot([mu, nu], np.asarray(cost, dtype=float))
-    return res.value, plan_from_dense(res.plan, res.plan.shape)
+    return res.value, res.plan
 
 
 def multimarginal_ot_batch(groups):

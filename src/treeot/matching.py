@@ -24,8 +24,8 @@ import numpy as np
 
 from .barycenters import _slack_extremes, causal_barycenter, causal_violation
 from .errors import ValidationError
-from .lp import MARGINAL_TOL, OPTIMALITY_TOL, TransportPlan, plan_from_dense
-from .multicausal import TUPLE_BUDGET, cost_table
+from .lp import CAUSALITY_TOL, MARGINAL_TOL, OPTIMALITY_TOL
+from .multicausal import TUPLE_BUDGET, MulticausalCoupling, cost_table
 from .trees import DiscreteDistribution, ScenarioTree
 
 
@@ -69,7 +69,8 @@ class MatchingInstance:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Wages, task distribution and causal plans, one per population.
+    """Wages, task distribution and causal plans over the pairs
+    (population tree, task tree), one per population.
 
     ``wages[0]`` is the principal's; by construction it equals the
     negated sum of the agent wages, so clearing holds exactly.  Every
@@ -85,7 +86,7 @@ class Equilibrium:
     instance: MatchingInstance
     nu: DiscreteDistribution
     wages: tuple[np.ndarray, ...]
-    plans: tuple[TransportPlan, ...]
+    plans: tuple[MulticausalCoupling, ...]
     values: tuple[float, ...]
     potentials: tuple[np.ndarray, ...]
     mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
@@ -99,12 +100,12 @@ class Equilibrium:
         }
 
 
-def _plan_expectation(tree, tasks, plan: TransportPlan, cost, wage=None) -> float:
-    cmat = cost_table((tree, tasks), cost)
-    total = 0.0
-    for (lx, ly), w in zip(plan.atoms, plan.weights):
-        total += w * (cmat[lx, ly] - (0.0 if wage is None else float(wage[ly])))
-    return float(total)
+def _plan_expectation(plan: MulticausalCoupling, table: np.ndarray, wage=None) -> float:
+    """E_plan[table - wage], added from 0.0 one atom at a time in atom
+    order (``np.cumsum`` has no pairwise blocking); no wage is wage 0."""
+    x, y = plan.tuples.T
+    terms = plan.weights * (table[x, y] - (0.0 if wage is None else np.asarray(wage, float)[y]))
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def solve_matching(
@@ -136,10 +137,8 @@ def solve_matching(
         f + m for f, m in zip(solution.potentials, (-sum(shifts), *shifts))
     )
     values = tuple(
-        _plan_expectation(tree, instance.tasks, plan, table, wage)
-        for tree, plan, table, wage in zip(
-            populations, solution.plans, instance.cost_tables, wages
-        )
+        _plan_expectation(plan, table, wage)
+        for plan, table, wage in zip(solution.plans, instance.cost_tables, wages)
     )
     return Equilibrium(
         instance=instance,
@@ -154,7 +153,7 @@ def solve_matching(
 
 def best_response(
     instance: MatchingInstance, i: int, wage: np.ndarray
-) -> tuple[float, TransportPlan]:
+) -> tuple[float, MulticausalCoupling]:
     """V^i(w^i): cheapest causal plan against a wage, task marginal free.
 
     ``i`` indexes populations with 0 the principal.  A causal plan moves
@@ -203,10 +202,8 @@ def best_response(
     task = np.zeros(1, dtype=np.intp)   # the task node of each population node
     for t, choice in enumerate(reversed(choices)):
         task = choice[np.arange(own[t].size), task[own[t]]]
-    law = tree.leaf_law()
-    dense = np.zeros((tree.n_leaves, tasks.n_leaves))
-    dense[np.arange(tree.n_leaves), task] = law
-    return float(value[0, 0]), plan_from_dense(dense, dense.shape)
+    leaves = np.column_stack([np.arange(tree.n_leaves), task])
+    return float(value[0, 0]), MulticausalCoupling((tree, tasks), leaves, tree.leaf_law())
 
 
 @dataclass(frozen=True)
@@ -222,12 +219,14 @@ class EquilibriumReport:
 
     @property
     def passed(self) -> bool:
-        return self.clearing_ok and self.optimality_ok and self.common_marginal_ok
+        return (self.clearing_ok and self.optimality_ok and self.common_marginal_ok
+                and self.worst_causality <= CAUSALITY_TOL)
 
 
 def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> EquilibriumReport:
     """Check clearing (exactly), per-population optimality (within
-    ``OPTIMALITY_TOL``) and the common marginal.
+    ``OPTIMALITY_TOL``), the common marginal and the causality of every
+    plan (within ``CAUSALITY_TOL``).
 
     Clearing recomputes the agents' wage sum in the construction order,
     so an equilibrium built by :func:`solve_matching` clears to exactly
@@ -248,13 +247,10 @@ def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> 
     worst_tv = 0.0
     worst_causality = 0.0
     gaps = []
-    for i, (tree, plan, table, wage) in enumerate(
-        zip(instance.populations, equilibrium.plans, instance.cost_tables, wages)
-    ):
-        task_marginal = plan.pushforward(1)
-        worst_tv = max(worst_tv, 0.5 * float(np.abs(task_marginal - nu_w).sum()))
-        worst_causality = max(worst_causality, causal_violation(tree, tasks, plan))
-        achieved = _plan_expectation(tree, tasks, plan, table, wage)
+    for i, (plan, table, wage) in enumerate(zip(equilibrium.plans, instance.cost_tables, wages)):
+        worst_tv = max(worst_tv, 0.5 * float(np.abs(plan.marginal(1) - nu_w).sum()))
+        worst_causality = max(worst_causality, causal_violation(plan))
+        achieved = _plan_expectation(plan, table, wage)
         best, _ = best_response(instance, i, wage)
         gaps.append(achieved - best)
 
@@ -280,7 +276,6 @@ def complementary_slackness(
     vanishes on the support of the equilibrium plan.
     """
     return _slack_extremes(
-        instance.populations, instance.tasks, instance.cost_tables,
-        equilibrium.plans, equilibrium.potentials, equilibrium.wages,
+        instance.cost_tables, equilibrium.plans, equilibrium.potentials, equilibrium.wages,
         equilibrium.mart_coefficients,
     )

@@ -338,7 +338,8 @@ class _TupleGroup:
 
 @dataclass(frozen=True, eq=False)
 class MulticausalCoupling:
-    """Sparse measure on leaf-path tuples of the given trees.
+    """A sparse measure on leaf-path tuples of the given trees: every
+    transport plan of the package, causal or not, has this form.
 
     Atom k is the leaf tuple ``tuples[k]`` (one leaf index per tree; the
     array has shape (atoms, N)) with weight ``weights[k]``.  Tuples are
@@ -410,6 +411,13 @@ def coupling_from_id_atoms(
         weights.append(w)
     tuples = np.array(tuples, dtype=np.intp).reshape(len(weights), len(trees))
     return MulticausalCoupling(trees, *_summed(tuples, np.array(weights, dtype=float)))
+
+
+def coupling_from_dense(trees: Sequence[ScenarioTree], dense: np.ndarray) -> MulticausalCoupling:
+    """The positive entries of ``dense``, a plan with one axis per tree over
+    its leaves, as atoms in C order; solver dust at the bound 0 is dropped."""
+    support = np.argwhere(dense > 0)
+    return MulticausalCoupling(trees, support, dense[tuple(support.T)])
 
 
 def assemble_coupling(policy: KernelPolicy) -> MulticausalCoupling:
@@ -862,10 +870,7 @@ def brute_force_mcot(
     _guard_budget(trees, tuple_budget, "brute_force_mcot")
     table = cost_table(trees, cost)
     lp = transport_lp([trees], [table], range(len(trees)), False, "multicausal LP")
-    (plan,) = lp.plans
-
-    support = np.argwhere(plan > 0.0)
-    coupling = MulticausalCoupling(trees=trees, tuples=support, weights=plan[tuple(support.T)])
+    coupling = coupling_from_dense(trees, lp.plans[0])
     certificate = DualCertificate(
         potentials=_split_potentials(lp.duals[0], table.shape, lp.shift),
         coefficients=lp.coefficients[0],

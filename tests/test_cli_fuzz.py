@@ -16,6 +16,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -102,12 +103,15 @@ def coupling_doc(draw):
     return json.dumps(doc)
 
 
+#: JSON power costs whose fields have the wrong type
+_BAD_POWER_COSTS = ['{"kind": "power", "p": null}', '{"kind": "power", "weights": 5}']
+
 _OPTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("--p"), st.sampled_from(["2", "1", "0", "-1", "0.5", "nan", "inf", "x", "1000"])),
         st.tuples(st.just("--cost"), st.sampled_from(
             ["lp_sum:2", "pairwise_power:1", "lp_sum:x", "tensor:missing.npy", "bogus", "",
-             "lp_sum:1e308"])),
+             "lp_sum:1e308", *_BAD_POWER_COSTS])),
         st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "-3", "1000000", "z"])),
         st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "-1", "nan", "inf"])),
         st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
@@ -297,3 +301,17 @@ def test_tensor_cost_contract_under_fuzzing(tensor, command):
                 fh.write(tensor[1])
         _check_contract([command, *paths, "--cost", f"tensor:{cost}"],
                         os.path.join(tmp, "report"))
+
+
+@pytest.mark.parametrize("spec", _BAD_POWER_COSTS)
+@pytest.mark.parametrize("command", ["bary-bc", "bary-c", "bary-anticausal"])
+def test_malformed_json_power_cost_is_a_validation_error(tmp_path, capsys, command, spec):
+    paths = []
+    for name, text in zip(("a.json", "b.json"), _SQUARE_TREES):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    tasks = [] if command == "bary-bc" else ["--tasks", paths[0]]
+    assert run([command, *paths, *tasks, "--cost", spec]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "malformed cost" in err, err

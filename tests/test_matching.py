@@ -11,7 +11,9 @@ Core claims exercised:
       a deterministic causal plan, ties going to the first task child,
     - agent wages have mean zero under nu, so each population's value is
       its plan's expected cost,
-    - perturbed wages or plans are caught by the verifier,
+    - perturbed wages or plans, and plans that are not causal, are
+      caught by the verifier,
+    - every plan producer returns a coupling over its stated tree pair,
     - complementary slackness holds on equilibrium supports.
 """
 from __future__ import annotations
@@ -21,20 +23,23 @@ import pytest
 import scipy.sparse as sp
 
 from treeot import (
+    DiscreteDistribution,
     MatchingInstance,
     PowerCost,
     ScenarioTree,
     ValidationError,
+    anticausal_barycenter,
     best_response,
     causal_barycenter,
+    causal_ot,
     complementary_slackness,
     solve_matching,
     verify_equilibrium,
 )
 from treeot.barycenters import causal_violation
-from treeot.lp import LpProblem, _marginal_operator, solve_lp
+from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, LpProblem, _marginal_operator, solve_lp
 from treeot.matching import Equilibrium, _plan_expectation
-from treeot.multicausal import causality_operator
+from treeot.multicausal import MulticausalCoupling, causality_operator, coupling_from_dense
 from treeot.randomgen import random_tree
 
 
@@ -114,8 +119,7 @@ def test_identical_populations_on_own_support_are_free():
     # utility term enters with the opposite sign; total surplus is -(value sum)
     assert total == pytest.approx(
         sum(
-            _plan_expectation(t, instance.tasks, pl, c)
-            for t, pl, c in zip(instance.populations, eq.plans, instance.cost_tables)
+            _plan_expectation(pl, c) for pl, c in zip(eq.plans, instance.cost_tables)
         ),
         abs=1e-8,
     )
@@ -166,7 +170,7 @@ def _slack_extremes_by_pair(trees, tasks, tables, plans, potentials, wages, coef
         _pair_slacks(*args)
         for args in zip(trees, [tasks] * len(trees), tables, potentials, wages, coefficients)
     ]
-    support = [abs(s[idx]) for s, plan in zip(slacks, plans) for idx in plan.atoms]
+    support = [abs(s[idx]) for s, plan in zip(slacks, plans) for idx in map(tuple, plan.tuples)]
     return min(float(s.min()) for s in slacks), max(support)
 
 
@@ -230,7 +234,7 @@ def test_best_response_constant_wage_shifts_value_exactly():
     kappa = 3.75
     v1, plan1 = best_response(instance, 1, zeros + kappa)
     assert v1 - v0 == pytest.approx(-kappa, abs=1e-12)
-    assert plan0.atoms == plan1.atoms
+    assert plan0.tuples.tolist() == plan1.tuples.tolist()
     assert plan0.weights == pytest.approx(plan1.weights, abs=0)
 
 
@@ -239,10 +243,7 @@ def test_best_response_matches_equilibrium_plan_value():
     eq = solve_matching(instance)
     for i in range(len(instance.populations)):
         value, _ = best_response(instance, i, eq.wages[i])
-        achieved = _plan_expectation(
-            instance.populations[i], instance.tasks, eq.plans[i],
-            instance.cost_tables[i], eq.wages[i],
-        )
+        achieved = _plan_expectation(eq.plans[i], instance.cost_tables[i], eq.wages[i])
         assert achieved == pytest.approx(value, abs=1e-8)
 
 
@@ -286,10 +287,11 @@ def test_best_response_recursion_attains_the_lp(seed):
         tol = 1e-12 * (1 + abs(value))
         assert value == pytest.approx(lp_best_response(instance, i, wage), abs=tol)
         # deterministic: one task leaf per population leaf, with its probability
-        assert [lx for lx, _ in plan.atoms] == list(range(tree.n_leaves))
-        assert 0.5 * float(np.abs(plan.pushforward(0) - tree.leaf_law()).sum()) <= 1e-12
-        assert causal_violation(tree, tasks, plan) <= 1e-12
-        achieved = _plan_expectation(tree, tasks, plan, instance.cost_tables[i], wage)
+        assert plan.trees == (tree, tasks)
+        assert plan.tuples[:, 0].tolist() == list(range(tree.n_leaves))
+        assert plan.marginal_tv(0) <= 1e-12
+        assert causal_violation(plan) <= 1e-12
+        achieved = _plan_expectation(plan, instance.cost_tables[i], wage)
         assert achieved == pytest.approx(value, abs=tol)
 
 
@@ -312,11 +314,11 @@ def test_best_response_ties_go_to_the_first_task_child():
     # costs 1, 4, 1, 4: b wins, and its children n0 and n2 tie
     value, plan = best_response(instance, 1, np.zeros(4))
     assert value == 1.0
-    assert plan.atoms == ((0, 0),)
+    assert plan.tuples.tolist() == [[0, 0]]
     # costs less wages all 1: a ties with b and n1 with n3
     value, plan = best_response(instance, 1, np.array([0.0, 3.0, 0.0, 3.0]))
     assert value == 1.0
-    assert plan.atoms == ((0, 1),)
+    assert plan.tuples.tolist() == [[0, 1]]
     assert plan.weights.tolist() == [1.0]
 
 
@@ -330,10 +332,8 @@ def test_wages_have_mean_zero_under_nu(seed):
     assert np.max(np.abs(eq.wages[0] + sum(eq.wages[1:]))) == 0.0
     min_slack, _ = complementary_slackness(instance, eq)
     assert min_slack >= -1e-8
-    for tree, plan, table, value in zip(
-        instance.populations, eq.plans, instance.cost_tables, eq.values
-    ):
-        cost = _plan_expectation(tree, instance.tasks, plan, table)
+    for plan, table, value in zip(eq.plans, instance.cost_tables, eq.values):
+        cost = _plan_expectation(plan, table)
         assert value == pytest.approx(cost, abs=1e-9 * (1 + abs(value)))
 
 
@@ -350,7 +350,7 @@ def test_wage_shift_neutrality_between_agents():
         v_old, plan_old = best_response(instance, i, eq.wages[i])
         v_new, plan_new = best_response(instance, i, shifted[i])
         assert v_new - v_old == pytest.approx(-kappa if i == 1 else kappa, abs=1e-10)
-        assert plan_old.atoms == plan_new.atoms
+        assert plan_old.tuples.tolist() == plan_new.tuples.tolist()
         assert plan_old.weights == pytest.approx(plan_new.weights, abs=0)
 
 
@@ -379,9 +379,7 @@ def test_verify_catches_suboptimal_plan():
     tree = instance.agents[0]
     law_x, law_y = tree.leaf_law(), np.asarray(eq.nu.weights)
     dense = np.outer(law_x, law_y)
-    from treeot.lp import plan_from_dense
-
-    product_plan = plan_from_dense(dense, dense.shape)
+    product_plan = coupling_from_dense((tree, instance.tasks), dense)
     plans = list(eq.plans)
     plans[1] = product_plan
     tampered = Equilibrium(
@@ -392,6 +390,59 @@ def test_verify_catches_suboptimal_plan():
     report = verify_equilibrium(instance, tampered)
     assert report.optimality_gaps[1] > 1e-7
     assert not report.optimality_ok
+
+
+def test_verify_catches_a_plan_that_is_not_causal():
+    def node(node_id, parent, p):
+        return {"id": node_id, "parent": parent, "p": p, "x": [0.0]}
+
+    # the worker's path branches at t = 2, the tasks' at t = 1
+    worker = ScenarioTree.from_levels([[node("x1", None, 1.0)],
+                                       [node("xa", "x1", 0.5), node("xb", "x1", 0.5)]])
+    tasks = ScenarioTree.from_levels([[node("a", None, 0.5), node("b", None, 0.5)],
+                                      [node("a2", "a", 1.0), node("b2", "b", 1.0)]])
+    instance = MatchingInstance(principal=worker, utility=np.zeros((2, 2)), agents=[],
+                                agent_costs=[], tasks=tasks)
+    nu = DiscreteDistribution(support=tasks.leaf_ids(), weights=np.array([0.5, 0.5]))
+
+    def report(plan):
+        eq = Equilibrium(instance=instance, nu=nu, wages=(np.zeros(2),), plans=(plan,),
+                         values=(0.0,), potentials=(np.zeros(1),), mart_coefficients=((),))
+        return verify_equilibrium(instance, eq)
+
+    # at zero cost and wage every plan with these marginals is optimal; one
+    # whose task at t = 1 reads the worker's node at t = 2 is not causal
+    peeking = report(MulticausalCoupling((worker, tasks), [[0, 0], [1, 1]], [0.5, 0.5]))
+    assert peeking.clearing_ok and peeking.optimality_ok and peeking.common_marginal_ok
+    assert peeking.worst_causality == pytest.approx(0.25, abs=1e-15)
+    assert not peeking.passed
+    independent = report(coupling_from_dense((worker, tasks), np.full((2, 2), 0.25)))
+    assert independent.worst_causality <= CAUSALITY_TOL
+    assert independent.passed
+
+
+def test_every_plan_producer_returns_a_coupling_over_its_pair():
+    instance = random_instance(2500)
+    tasks, populations = instance.tasks, instance.populations
+    costs = [quadratic()] * len(populations)
+    produced = [  # (plan, its tree pair, the population's axis)
+        (causal_ot(populations[1], tasks, quadratic())[1], (populations[1], tasks), 0),
+        *((plan, (tree, tasks), 0) for tree, plan in
+          zip(populations, causal_barycenter(populations, tasks, costs).plans)),
+        *((plan, (tasks, tree), 1) for tree, plan in
+          zip(populations, anticausal_barycenter(populations, costs, tasks).plans)),
+        *((plan, (tree, tasks), 0) for tree, plan in
+          zip(populations, solve_matching(instance).plans)),
+        *((best_response(instance, i, np.zeros(tasks.n_leaves))[1], (tree, tasks), 0)
+          for i, tree in enumerate(populations)),
+    ]
+    for plan, pair, axis in produced:
+        assert isinstance(plan, MulticausalCoupling)
+        assert plan.trees == pair
+        assert np.all(plan.weights > 0)
+        flat = np.ravel_multi_index(tuple(plan.tuples.T), [t.n_leaves for t in pair])
+        assert np.all(np.diff(flat) > 0)  # distinct, in C order
+        assert plan.marginal_tv(axis) <= MARGINAL_TOL
 
 
 def test_wage_table_is_keyed_by_task_path_sequences():

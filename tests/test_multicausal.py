@@ -25,13 +25,13 @@ from treeot import (
     BudgetExceededError,
     IncompletePolicyError,
     SolverFailureError,
-    TransportPlan,
     ValidationError,
     assemble_coupling,
     aw_distance,
     brute_force_mcot,
     causality_operator,
     classical_ot,
+    coupling_from_dense,
     coupling_from_id_atoms,
     glue,
     mc_dpp,
@@ -588,16 +588,16 @@ def test_causal_violation_agrees_with_verify_multicausal(seed):
     t1, t2 = (random_tree(rng, horizon=3, dim=1, min_branch=2, max_branch=2, prefix=p)
               for p in "ab")
     # an OT vertex for a random cost has the right marginals but is not causal
-    _, plan = classical_ot(t1.leaf_law(), t2.leaf_law(),
-                           rng.random((t1.n_leaves, t2.n_leaves)))
-    flipped = TransportPlan(shape=plan.shape[::-1], atoms=tuple(a[::-1] for a in plan.atoms),
-                            weights=plan.weights)
-    coupling = MulticausalCoupling(trees=(t1, t2), tuples=plan.atoms, weights=plan.weights)
+    _, dense = classical_ot(t1.leaf_law(), t2.leaf_law(),
+                            rng.random((t1.n_leaves, t2.n_leaves)))
+    coupling = coupling_from_dense((t1, t2), dense)
+    flipped = MulticausalCoupling(trees=(t2, t1), tuples=coupling.tuples[:, ::-1],
+                                  weights=coupling.weights)
     report = verify_multicausal(coupling, [t1, t2], tol=0.0)
-    for process, (x, y, xy_plan) in enumerate([(t1, t2, plan), (t2, t1, flipped)], start=1):
+    for process, plan in enumerate([coupling, flipped], start=1):
         worst = max(w.violation for w in report.witnesses if w.process == process)
         assert worst > 1e-3
-        assert causal_violation(x, y, xy_plan) == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert causal_violation(plan) == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 # -- causality_operator ----------------------------------------------------------------
@@ -730,7 +730,7 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     b_eq = np.concatenate([t.leaf_law() for t in pair] + [np.zeros(full.shape[0])])
     assert value == pytest.approx(full_row_value(
         table, sp.vstack([_marginal_operator(table.shape), full]), b_eq), abs=tol(value))
-    assert causal_violation(*pair, plan) <= 1e-9
+    assert causal_violation(plan) <= 1e-9
 
     # the causal barycenter of the other trees on the last one's support
     *populations, task = trees
@@ -769,8 +769,7 @@ def test_causal_violation_sees_a_row_the_lp_drops():
     dense, kept = dense_lp_rows((x, y), (0,))
     assert kept.tolist() == [0]
     assert np.abs(dense[x.n_leaves + y.n_leaves:] @ pi.ravel()).max() <= 1e-16
-    plan = TransportPlan(shape=pi.shape, atoms=tuple(np.ndindex(*pi.shape)), weights=pi.ravel())
-    assert causal_violation(x, y, plan) == pytest.approx(0.7e-3, rel=1e-12)
+    assert causal_violation(coupling_from_dense((x, y), pi)) == pytest.approx(0.7e-3, rel=1e-12)
 
 
 # -- brute_force_mcot ------------------------------------------------------------------
