@@ -40,13 +40,14 @@ from .multicausal import (
     KernelPolicy,
     McotResult,
     MulticausalCoupling,
+    _causal_residuals,
     _on_axis,
     assemble_coupling,
-    causality_operator,
     cost_table,
     coupling_from_dense,
     mc_dpp,
     transport_lp,
+    verify_certificate,
 )
 from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
 
@@ -152,7 +153,7 @@ def phi0_quadratic(weights: Sequence[float]) -> Selector:
     exactly.
     """
     lam = np.asarray(weights, dtype=float)
-    if lam.ndim != 1 or np.any(lam <= 0) or abs(float(lam.sum()) - 1.0) > MARGINAL_TOL:
+    if lam.ndim != 1 or not np.all(lam > 0) or not (abs(float(lam.sum()) - 1.0) <= MARGINAL_TOL):
         raise ValidationError("weights must be positive and sum to 1")
 
     def select(_t, xs):
@@ -292,8 +293,8 @@ def bc_bary_value(
 def causal_violation(plan: MulticausalCoupling) -> float:
     """Worst violation of the causal test functions by a plan over the pair
     ``plan.trees``, causal from the first tree, evaluated on its atoms."""
-    residual = causality_operator(plan.trees, (0,), tuples=plan.tuples) @ plan.weights
-    return float(np.abs(residual).max(initial=0.0))
+    return max((float(np.abs(residual).max(initial=0.0))
+                for *_, residual in _causal_residuals(plan, (0,))), default=0.0)
 
 
 def causal_ot(
@@ -330,19 +331,18 @@ def _slack_extremes(tables, plans, potentials, wages, coefficients):
     nodes of the population, and G^i induced by ``coefficients[i]``, the
     per-depth arrays of process 0 in the :class:`DualCertificate` layout.
     Dual feasibility keeps every slack above -1e-8; complementary
-    slackness makes it vanish on the support of an optimal plan.
+    slackness makes it vanish on the support of an optimal plan.  Each
+    population is one :func:`verify_certificate` of its pair.
     """
-    min_slack, worst_support = np.inf, 0.0
-    for table, plan, f, w, coef in zip(tables, plans, potentials, wages, coefficients):
-        cert = DualCertificate(
+    checks = [
+        verify_certificate(plan, table, DualCertificate(
             potentials=(np.asarray(f)[plan.trees[0].ancestors[:, 0]], np.asarray(w)),
             coefficients=(tuple(coef), ()),
-        )
-        slack = cert.slacks(plan.trees, table)
-        min_slack = min(min_slack, float(slack.min()))
-        worst_support = max(worst_support,
-                            float(np.abs(slack[tuple(plan.tuples.T)]).max(initial=0.0)))
-    return float(min_slack), float(worst_support)
+        ))
+        for table, plan, f, w, coef in zip(tables, plans, potentials, wages, coefficients)
+    ]
+    return (float(np.min([c["min_slack"] for c in checks], initial=np.inf)),
+            float(np.max([c["support_slack"] for c in checks], initial=0.0)))
 
 
 # -- causal barycenters ---------------------------------------------------------
@@ -382,8 +382,6 @@ class CausalBarycenterSolution:
     """
 
     value: float
-    task_tree: ScenarioTree
-    trees: tuple[ScenarioTree, ...]
     nu: DiscreteDistribution
     plans: tuple[MulticausalCoupling, ...]
     potentials: tuple[np.ndarray, ...]
@@ -391,12 +389,13 @@ class CausalBarycenterSolution:
     mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def dual_value(self) -> float:
-        return float(sum(f @ t.probs[0] for f, t in zip(self.potentials, self.trees)))
+        return float(sum(f @ plan.trees[0].probs[0]
+                         for f, plan in zip(self.potentials, self.plans)))
 
     def support_slack(self, costs) -> tuple[float, float]:
         """(min slack everywhere, max |slack| on the plan supports)."""
         return _slack_extremes(
-            [cost_table((t, self.task_tree), c) for t, c in zip(self.trees, costs)],
+            [cost_table(plan.trees, c) for plan, c in zip(self.plans, costs)],
             self.plans, self.potentials, [-g for g in self.task_potentials],
             self.mart_coefficients,
         )
@@ -449,8 +448,6 @@ def causal_barycenter(
 
     solution = CausalBarycenterSolution(
         value=lp.value,
-        task_tree=task_tree,
-        trees=trees,
         nu=nu,
         plans=plans,
         potentials=tuple(potentials),

@@ -239,17 +239,17 @@ _UNCERTIFIED = "dual certificate fails verification"
 def _check_slack(details: dict) -> None:
     """Every command's check of its dual slacks: ``details["min_slack"]``
     below -CAUSALITY_TOL, or ``details["support_slack"]`` (the worst
-    slack on the plan supports, where given) above CAUSALITY_TOL, is a
-    solver failure, reported with ``details``."""
-    if (details["min_slack"] < -lp_mod.CAUSALITY_TOL
-            or details.get("support_slack", 0.0) > lp_mod.CAUSALITY_TOL):
+    slack on the plan supports, where given) above CAUSALITY_TOL, or
+    either NaN, is a solver failure, reported with ``details``."""
+    if not (details["min_slack"] >= -lp_mod.CAUSALITY_TOL
+            and details.get("support_slack", 0.0) <= lp_mod.CAUSALITY_TOL):
         raise SolverFailureError(_UNCERTIFIED, details=details)
 
 
-def _certified(trees, res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
+def _certified(res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
     """The check of the recursion's certificate against its own cost table
     and its assembled ``coupling``; a failed check is a solver failure."""
-    check = mc.verify_certificate(trees, res.tables[-1], res.certificate, coupling)
+    check = mc.verify_certificate(coupling, res.tables[-1], res.certificate)
     details = {"min_slack": check["min_slack"], "gap": check["gap"], "value": res.value}
     _check_slack(details)
     lp_mod.check_duality_gap(res.value, check["gap"], _UNCERTIFIED, details)
@@ -260,7 +260,7 @@ def _cmd_awdist(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
     res = mc.mc_dpp(trees, costs_mod.lp_sum(args.p), tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
-    check = _certified(trees, res, coupling)
+    check = _certified(res, coupling)
     return {
         "schema": SCHEMA,
         "command": "awdist",
@@ -283,13 +283,13 @@ def _cmd_mcot(args) -> dict:
     cost = _read_cost(args.cost, trees)
     res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
-    check = _certified(trees, res, coupling)
+    check = _certified(res, coupling)
     values = {"dpp_value": res.value, "duality_gap": check["gap"]}
     if args.oracle:
         lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
         values["oracle_value"] = lp_value
         values["dpp_oracle_gap"] = abs(res.value - lp_value)
-    causality = mc.verify_multicausal(coupling, trees, tol=args.tol)
+    causality = mc.verify_multicausal(coupling, tol=args.tol)
     return {
         "schema": SCHEMA,
         "command": "mcot",
@@ -327,7 +327,7 @@ def _cmd_bary_bc(args) -> dict:
     costs = _parse_power_spec(args.cost, len(trees))
     selector = _selector_for(args, costs, trees[0].horizon)
     res = bary.bc_barycenter(trees, costs, selector, tuple_budget=args.budget)
-    check = _certified(trees, res.mcot, res.coupling)
+    check = _certified(res.mcot, res.coupling)
     consistency = bary.bc_bary_value(trees, costs, res.process.tree, tuple_budget=args.budget)
     return {
         "schema": SCHEMA,
@@ -456,7 +456,7 @@ def _cmd_verify_coupling(args) -> dict:
     with _reading("coupling file", args.coupling):
         atoms = [(a["leaves"], float(a["w"])) for a in doc["atoms"]]
         coupling = mc.coupling_from_id_atoms(trees, atoms)
-    report = mc.verify_multicausal(coupling, trees, tol=args.tol)
+    report = mc.verify_multicausal(coupling, tol=args.tol)
     return {
         "schema": SCHEMA,
         "command": "verify-coupling",

@@ -173,7 +173,11 @@ def linprog(c, A_eq, b_eq, options):
     """
     # a private scipy module: its _Highs class and the array overload of
     # passModel are pinned by the scipy range in pyproject.toml
-    from scipy.optimize._highspy import _core as highspy
+    try:
+        import scipy.optimize._highspy._core as highspy
+    except ImportError as exc:
+        raise SolverFailureError(f"cannot import the HiGHS binding of scipy "
+                                 f"(treeot needs scipy>=1.15,<1.18): {exc}") from None
 
     # passModel reads as many entries as the sizes it is given say
     n_rows, n_cols = A_eq.shape
@@ -238,13 +242,13 @@ def _highs(problem: LpProblem,
     x = np.asarray(res.x, dtype=float)
     y = np.asarray(res.eqlin.marginals, dtype=float)
     value = float(problem.c @ x)
-    primal = _inf_norm(problem.a_eq @ x - problem.b_eq)
+    primal = float(np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0))
     reduced = problem.c - problem.a_eq.T @ y
-    dual = max(0.0, float(-(reduced.min()))) if reduced.size else 0.0
+    dual = float(np.maximum(0.0, -reduced.min())) if reduced.size else 0.0
     spans = problem.blocks or ((slice(None), slice(None)),)
     values = [float(problem.c[cols] @ x[cols]) for _, cols in spans]
     gaps = [abs(v - float(problem.b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
-    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if g > DUALITY_TOL * (1 + abs(v))]
+    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if not _gap_ok(g, v)]
     sol = LpSolution(
         status="optimal",
         x=x,
@@ -269,16 +273,17 @@ def _highs(problem: LpProblem,
     return sol, SolverFailureError("LP solution violates residual tolerances", details=details)
 
 
-def _inf_norm(v) -> float:
-    v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+def _gap_ok(gap, value):
+    """Whether ``gap``, the distance of a dual value from ``value``, is at
+    most DUALITY_TOL * (1 + |value|): the one duality-gap test, false on
+    NaN and elementwise on arrays."""
+    return gap <= DUALITY_TOL * (1 + np.abs(value))
 
 
 def check_duality_gap(value: float, gap: float, what: str, details: dict) -> None:
-    """Raise :class:`SolverFailureError` ``what`` with ``details`` when
-    ``gap``, the distance of a dual value from ``value``, exceeds
-    DUALITY_TOL * (1 + |value|)."""
-    if gap > DUALITY_TOL * (1 + abs(value)):
+    """Raise :class:`SolverFailureError` ``what`` with ``details`` unless
+    ``gap`` passes :func:`_gap_ok` against ``value``."""
+    if not _gap_ok(gap, value):
         raise SolverFailureError(what, details=details)
 
 
@@ -296,9 +301,9 @@ def _as_weights(m) -> np.ndarray:
     if isinstance(m, DiscreteDistribution):
         return np.asarray(m.weights, dtype=float)
     w = np.asarray(m, dtype=float)
-    if w.ndim != 1 or np.any(w <= 0):
+    if w.ndim != 1 or not np.all(w > 0):
         raise ValidationError("marginal must be a 1-D vector of positive weights")
-    if abs(float(w.sum()) - 1.0) > MARGINAL_TOL:
+    if not (abs(float(w.sum()) - 1.0) <= MARGINAL_TOL):
         raise ValidationError(f"marginal sums to {float(w.sum())!r}, expected 1")
     return w
 
@@ -314,16 +319,6 @@ def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     cols = np.tile(np.arange(size), len(shape))
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
-
-
-def _marginal_operator(shape: tuple[int, ...]) -> sp.csr_matrix:
-    """:func:`_marginal_pattern` as a matrix: one marginal row block per
-    axis over the C-order variables of ``shape``."""
-    import scipy.sparse as sp
-
-    rows, cols = _marginal_pattern(shape)
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                         shape=(sum(shape), int(np.prod(shape))))
 
 
 @dataclass(frozen=True)
@@ -410,7 +405,7 @@ def _prepared(marginals, costs):
         if not np.all(w > 0):
             raise ValidationError("marginal weights must be positive")
         off = np.abs(w.sum(axis=1) - 1.0)
-        if np.any(off > MARGINAL_TOL):
+        if not np.all(off <= MARGINAL_TOL):
             raise ValidationError(f"marginal sums to {float(w[np.argmax(off)].sum())!r}, expected 1")
     costs = np.asarray(costs, dtype=float)
     if not np.all(np.isfinite(costs)):
@@ -504,7 +499,7 @@ def _highs_blocks(prepared, chunk, results) -> None:
         dual_values = sum((out[todo] * w[todo]).sum(axis=1)
                           for out, w in zip(potentials, weights))
         gaps = np.abs(values[todo] - dual_values)
-        bad = np.flatnonzero(gaps > DUALITY_TOL * (1 + np.abs(values[todo])))
+        bad = np.flatnonzero(~_gap_ok(gaps, values[todo]))
         if bad.size:
             k = todo[bad[0]]
             raise SolverFailureError("multimarginal duality gap exceeds tolerance", details={
@@ -538,7 +533,7 @@ def _simplex_blocks(weights, costs, shifts, results) -> np.ndarray:
         u, v = _split_potentials(np.concatenate([u, v], axis=1), (m, n), shifts[part])
         dual_value = (u * a[part]).sum(axis=1) + (v * b[part]).sum(axis=1)
         ok = (converged & (primal <= PRIMAL_TOL) & (dual <= DUAL_TOL)
-              & (np.abs(value - dual_value) <= DUALITY_TOL * (1 + np.abs(value))))
+              & _gap_ok(np.abs(value - dual_value), value))
         passed[part] = ok
         stats.transport_blocks += int(ok.sum())
         values[part][ok], plans[part][ok] = value[ok], plan[ok]

@@ -100,14 +100,6 @@ class Equilibrium:
         }
 
 
-def _plan_expectation(plan: MulticausalCoupling, table: np.ndarray, wage=None) -> float:
-    """E_plan[table - wage], added from 0.0 one atom at a time in atom
-    order (``np.cumsum`` has no pairwise blocking); no wage is wage 0."""
-    x, y = plan.tuples.T
-    terms = plan.weights * (table[x, y] - (0.0 if wage is None else np.asarray(wage, float)[y]))
-    return float(np.cumsum(np.append(0.0, terms))[-1])
-
-
 def solve_matching(
     instance: MatchingInstance, tuple_budget: int = TUPLE_BUDGET
 ) -> Equilibrium:
@@ -137,7 +129,7 @@ def solve_matching(
         f + m for f, m in zip(solution.potentials, (-sum(shifts), *shifts))
     )
     values = tuple(
-        _plan_expectation(plan, table, wage)
+        plan.expectation(table - wage)
         for plan, table, wage in zip(solution.plans, instance.cost_tables, wages)
     )
     return Equilibrium(
@@ -250,7 +242,7 @@ def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> 
     for i, (plan, table, wage) in enumerate(zip(equilibrium.plans, instance.cost_tables, wages)):
         worst_tv = max(worst_tv, 0.5 * float(np.abs(plan.marginal(1) - nu_w).sum()))
         worst_causality = max(worst_causality, causal_violation(plan))
-        achieved = _plan_expectation(plan, table, wage)
+        achieved = plan.expectation(table - wage)
         best, _ = best_response(instance, i, wage)
         gaps.append(achieved - best)
 

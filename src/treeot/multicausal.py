@@ -36,8 +36,8 @@ ways, which cross-verify each other:
   causality-constrained LP of the package.  Its duals are returned as a
   :class:`DualCertificate` of the same form, with coefficient 0 at every
   row left out, certifying the optimal value from below.  The checkers
-  (:func:`verify_multicausal`, :func:`causality_operator`) test every
-  row: a row left out is implied only when the marginals hold exactly.
+  (:func:`_causal_residuals`, on a coupling's atoms) test every row: a
+  row left out is implied only when the marginals hold exactly.
 
 Adapted Wasserstein distances are the N=2 case with cost d(x,y)^p where
 d is the summed per-time metric.
@@ -343,7 +343,9 @@ class MulticausalCoupling:
 
     Atom k is the leaf tuple ``tuples[k]`` (one leaf index per tree; the
     array has shape (atoms, N)) with weight ``weights[k]``.  Tuples are
-    distinct; sums over atoms run in atom order.
+    distinct; sums over atoms run in atom order.  A weight that is
+    negative or not finite, or a leaf index out of its tree's range, is a
+    :class:`ValidationError`.
     """
 
     trees: tuple[ScenarioTree, ...]
@@ -356,6 +358,12 @@ class MulticausalCoupling:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "tuples", _frozen(
             np.array(self.tuples, dtype=np.intp).reshape(len(weights), len(self.trees))))
+        bad = ~(np.isfinite(weights) & (weights >= 0.0))
+        if bad.any():
+            raise ValidationError(f"coupling weight {weights[bad][0]} is negative or not finite")
+        leaves = [tree.n_leaves for tree in self.trees]
+        if not np.all((self.tuples >= 0) & (self.tuples < leaves)):
+            raise ValidationError("coupling atom has a leaf index outside its tree's leaves")
 
     def marginal(self, i: int) -> np.ndarray:
         return np.bincount(self.tuples[:, i], weights=self.weights,
@@ -367,9 +375,15 @@ class MulticausalCoupling:
     def worst_marginal_tv(self) -> float:
         return max(self.marginal_tv(i) for i in range(len(self.trees)))
 
-    def expectation(self, cost: costs_mod.Cost) -> float:
-        """E[cost] under the coupling, gathered from :func:`cost_table`."""
-        return float(self.weights @ cost_table(self.trees, cost)[tuple(self.tuples.T)])
+    def expectation(self, table: np.ndarray) -> float:
+        """E[table] for a ``table`` with one axis per tree over its leaves:
+        weight times entry, added from 0.0 one atom at a time in atom order
+        (``np.cumsum`` has no pairwise blocking)."""
+        leaves = tuple(tree.n_leaves for tree in self.trees)
+        if np.shape(table) != leaves:
+            raise ValidationError(f"table shape {np.shape(table)} is not the leaf counts {leaves}")
+        terms = self.weights * np.asarray(table)[tuple(self.tuples.T)]
+        return float(np.cumsum(np.append(0.0, terms))[-1])
 
     def atom_ids(self) -> list[tuple[tuple[str, ...], float]]:
         """Atoms keyed by leaf node ids, in lexicographic order of their
@@ -400,15 +414,12 @@ def coupling_from_id_atoms(
     for ids, w in atoms:
         if len(ids) != len(trees):
             raise ValidationError(f"atom {ids!r}: expected {len(trees)} leaf ids")
-        w = float(w)
-        if w < 0:
-            raise ValidationError(f"atom {ids!r}: negative weight {w!r}")
         for tree, node_id in zip(trees, ids):
             depth, k = tree.locate(node_id)
             if depth != tree.horizon:
                 raise ValidationError(f"node {node_id!r} is not a leaf")
             tuples.append(k)
-        weights.append(w)
+        weights.append(float(w))
     tuples = np.array(tuples, dtype=np.intp).reshape(len(weights), len(trees))
     return MulticausalCoupling(trees, *_summed(tuples, np.array(weights, dtype=float)))
 
@@ -425,7 +436,7 @@ def assemble_coupling(policy: KernelPolicy) -> MulticausalCoupling:
     tuples, _, mass = policy.reached()[-1]
     coupling = MulticausalCoupling(trees=policy.trees, tuples=tuples, weights=mass)
     tv = coupling.worst_marginal_tv()
-    if tv > MARGINAL_TOL:
+    if not (tv <= MARGINAL_TOL):
         raise SolverFailureError(f"assembled coupling marginal TV {tv!r} exceeds tolerance")
     return coupling
 
@@ -458,46 +469,28 @@ class CausalityReport:
 
 def verify_multicausal(
     coupling: MulticausalCoupling,
-    trees: Sequence[ScenarioTree] | None = None,
     tol: float = CAUSALITY_TOL,
 ) -> CausalityReport:
-    """Evaluate the full indicator test-function family against a coupling.
+    """Evaluate the full indicator test-function family against a coupling
+    over ``coupling.trees``, by :func:`_causal_residuals` on every process.
 
-    This is the :func:`causality_operator` of every process applied to the
-    coupling's weights, restricted to its atoms and evaluated in factored
-    form: row (i, t, A_{-i}, b) is the mass with the others at A_{-i} and
-    own node b, less p_b times the mass with own node parent(b).  Only the
-    rows the atoms reach are formed, so memory follows the atoms, not the
-    leaf grid.  Passes iff the largest violation is at most ``tol``;
-    violations above ``tol`` are reported as witnesses sorted by
-    decreasing magnitude, then by process, depth and key.
+    Passes iff the largest violation is at most ``tol``; violations above
+    ``tol`` are reported as witnesses sorted by decreasing magnitude, then
+    by process, depth and key.
     """
-    trees = tuple(trees) if trees is not None else coupling.trees
-    horizon = _check_family(trees)
+    trees = coupling.trees
     for i in range(len(trees)):
-        tv = 0.5 * float(np.abs(coupling.marginal(i) - trees[i].leaf_law()).sum())
-        if tv > MARGINAL_TOL:
+        tv = coupling.marginal_tv(i)
+        if not (tv <= MARGINAL_TOL):
             raise ValidationError(
                 f"coupling marginal {i + 1} differs from tree law by TV {tv!r}"
             )
-    positive = coupling.weights > 0.0
-    tuples, weights = coupling.tuples[positive], coupling.weights[positive]
-
     worst = 0.0
     found = []
-    for i, tree in enumerate(trees):
-        for t in range(1, horizon):
-            others, node, child = _block_indices(trees, i, t, tuples)
-            n_node, n_child = tree.level_size(t), tree.level_size(t + 1)
-            keys, actual = _sum_by(others * n_child + child, weights)
-            parents, mass = _sum_by(others * n_node + node, weights)
-            pos, b = _fan(tree.parents[t], parents % n_node)
-            rows = parents[pos] // n_node * n_child + b
-            at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
-            hit = np.where(keys[at] == rows, actual[at], 0.0)
-            viol = np.abs(hit - tree.probs[t][b] * mass[pos])
-            worst = max(worst, float(viol.max(initial=0.0)))
-            found += [(-viol[k], i, t, int(rows[k])) for k in np.flatnonzero(viol > tol)]
+    for i, t, rows, residual in _causal_residuals(coupling, range(len(trees))):
+        viol = np.abs(residual)
+        worst = max(worst, float(viol.max(initial=0.0)))
+        found += [(-viol[k], i, t, int(rows[k])) for k in np.flatnonzero(viol > tol)]
 
     witnesses = []
     for neg_viol, i, t, row in sorted(found):
@@ -513,6 +506,32 @@ def verify_multicausal(
         ))
     return CausalityReport(passed=worst <= tol, worst_violation=worst,
                            witnesses=tuple(witnesses))
+
+
+def _causal_residuals(coupling: MulticausalCoupling, processes: Iterable[int]):
+    """:func:`causality_operator` ``(coupling.trees, processes)`` times the
+    coupling's weights, in factored form on its atoms: row (i, t, A_{-i},
+    b) is the mass at (A_{-i}, own node b) less p_b times the mass at
+    (A_{-i}, own node parent(b)).  Only rows the atoms reach are formed
+    (the others are 0), so memory follows the atoms.  Yields per process
+    and depth: i, t, the rows' raveled :func:`_coefficient_shape` keys and
+    their residuals."""
+    trees = coupling.trees
+    horizon = _check_family(trees)
+    positive = coupling.weights > 0.0
+    tuples, weights = coupling.tuples[positive], coupling.weights[positive]
+    for i in processes:
+        tree = trees[i]
+        for t in range(1, horizon):
+            others, node, child = _block_indices(trees, i, t, tuples)
+            n_node, n_child = tree.level_size(t), tree.level_size(t + 1)
+            keys, actual = _sum_by(others * n_child + child, weights)
+            parents, mass = _sum_by(others * n_node + node, weights)
+            pos, b = _fan(tree.parents[t], parents % n_node)
+            rows = parents[pos] // n_node * n_child + b
+            at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
+            hit = np.where(keys[at] == rows, actual[at], 0.0)
+            yield i, t, rows, hit - tree.probs[t][b] * mass[pos]
 
 
 def _sum_by(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -559,7 +578,6 @@ def _block_indices(trees, i: int, t: int, tuples: np.ndarray):
 def causality_operator(
     trees: Sequence[ScenarioTree],
     processes: Iterable[int],
-    tuples: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """The indicator test functions of ``processes`` as a sparse matrix.
 
@@ -569,29 +587,23 @@ def causality_operator(
     coefficient array.  Row (i, t, A_{-i}, b) is +1 on tuples whose own
     node at depth t+1 is b and -p_b on tuples whose own node at depth t is
     parent(b), with the others at A_{-i} at depth t in both cases.
-    Columns are the rows of ``tuples`` (one leaf index per tree), by
-    default every leaf tuple in C order.  A measure pi on the tuples is
-    causal for each named process iff  C @ pi = 0.  Every row is kept, so
-    a checker sees every violation; an LP takes :func:`causal_lp_rows`.
+    Columns are every leaf tuple in C order.  A measure pi on the leaf
+    tuples is causal for each named process iff  C @ pi = 0.  Every row is
+    kept; an LP takes :func:`causal_lp_rows`, and the checkers evaluate the
+    rows on a coupling's atoms (:func:`_causal_residuals`).
     """
     import scipy.sparse as sp
 
     trees = tuple(trees)
-    if tuples is None:
-        tuples = _all_tuples(trees)
-    tuples = np.asarray(tuples, dtype=np.intp).reshape(-1, len(trees))
-    rows, cols, vals, n_rows = _causality_entries(trees, tuple(processes), tuples)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, len(tuples)))
+    rows, cols, vals, n_rows = _causality_entries(trees, tuple(processes))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, _leaf_tuple_count(trees)))
 
 
-def _all_tuples(trees: Sequence[ScenarioTree]) -> np.ndarray:
-    """Every leaf tuple, one row each, in C order."""
-    return np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
-
-
-def _causality_entries(trees, processes, tuples):
+def _causality_entries(trees, processes):
     """(rows, columns, values, row count) of :func:`causality_operator`."""
     horizon = _check_family(trees)
+    # every leaf tuple, one row each, in C order
+    tuples = np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
     rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     n_rows = 0
     for i in processes:
@@ -633,7 +645,7 @@ def causal_lp_rows(
     trees, processes = tuple(trees), tuple(processes)
     horizon = _check_family(trees)
     shape = tuple(t.n_leaves for t in trees)
-    rows, cols, vals, _ = _causality_entries(trees, processes, _all_tuples(trees))
+    rows, cols, vals, _ = _causality_entries(trees, processes)
     keep = [np.zeros(0, dtype=bool)]
     for i in processes:
         tree = trees[i]
@@ -753,7 +765,7 @@ def transport_lp(
         held = sol.x[:n_nu] > 0
         nu = np.where(held, sol.x[:n_nu], 0.0)
         total = float(nu.sum())
-        if abs(total - 1.0) > MARGINAL_TOL:
+        if not (abs(total - 1.0) <= MARGINAL_TOL):
             raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
         nu = nu / total
     plans, duals, coefficients = [], [], []
@@ -766,7 +778,7 @@ def transport_lp(
             # that leaf's column excess on process 0, so the dust would read
             # as a support slack of order 1
             dust = float(np.maximum(plan[..., ~held], 0.0).sum())
-            if dust > MARGINAL_TOL:
+            if not (dust <= MARGINAL_TOL):
                 raise SolverFailureError(
                     f"{what}: a plan has mass {dust!r} on task leaves outside nu's support")
             plan = np.where(held, plan, 0.0)
@@ -798,9 +810,7 @@ class DualCertificate:
     coefficients: tuple[tuple[np.ndarray, ...], ...]
 
     def potential_total(self, trees: Sequence[ScenarioTree]) -> float:
-        return float(
-            sum(f @ t.leaf_law() for f, t in zip(self.potentials, trees))
-        )
+        return float(sum(f @ t.leaf_law() for f, t in zip(self.potentials, trees)))
 
     def martingale_values(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
         """F on every leaf-path tuple, one axis per tree."""
@@ -818,40 +828,37 @@ class DualCertificate:
                 out += np.moveaxis(centred[np.ix_(*index)], -1, i)
         return out
 
-    def slacks(self, trees: Sequence[ScenarioTree], table: np.ndarray) -> np.ndarray:
-        """c + F - (+)f on every leaf-path tuple, where ``table`` holds c
-        (see :func:`cost_table`); dual feasibility means slack >= -1e-8."""
-        return self._slacks(table, self.martingale_values(trees))
-
-    def _slacks(self, table: np.ndarray, martingale: np.ndarray) -> np.ndarray:
-        """:meth:`slacks` given F from :meth:`martingale_values`."""
-        out = table + martingale
-        for i, f in enumerate(self.potentials):
-            out -= f.reshape((-1,) + (1,) * (len(self.potentials) - 1 - i))
-        return out
-
 
 def verify_certificate(
-    trees: Sequence[ScenarioTree],
+    coupling: MulticausalCoupling,
     table: np.ndarray,
     certificate: DualCertificate,
-    coupling: MulticausalCoupling | None = None,
 ) -> dict:
-    """Re-verify a value from its certificate without re-solving.
+    """Re-verify a value from its certificate without re-solving; the one
+    dual-slack check of the package.
 
-    ``table`` holds the cost on every leaf-path tuple (see :func:`cost_table`).
+    ``table`` holds the cost c on every leaf tuple of ``coupling.trees``
+    (see :func:`cost_table`).  Returns the dual value, the ``min_slack``
+    of c + F - (+)f over every leaf tuple and ``support_slack``, its
+    largest magnitude on the coupling's atoms, and the coupling's
+    ``primal_value``, ``martingale_integral`` of F and duality ``gap``.
     """
-    trees = tuple(trees)
+    trees = coupling.trees
+    primal = coupling.expectation(table)
+    dual = certificate.potential_total(trees)
     martingale = certificate.martingale_values(trees)
-    report = {
-        "dual_value": certificate.potential_total(trees),
-        "min_slack": float(certificate._slacks(table, martingale).min()),
+    integral = coupling.expectation(martingale)
+    slack = np.add(martingale, table, out=martingale)
+    for i, f in enumerate(certificate.potentials):
+        slack -= f.reshape((-1,) + (1,) * (len(trees) - 1 - i))
+    return {
+        "dual_value": dual,
+        "min_slack": float(slack.min()),
+        "support_slack": float(np.abs(slack[tuple(coupling.tuples.T)]).max(initial=0.0)),
+        "primal_value": primal,
+        "martingale_integral": integral,
+        "gap": abs(primal - dual),
     }
-    if coupling is not None:
-        report["primal_value"] = coupling.expectation(table)
-        report["martingale_integral"] = coupling.expectation(martingale)
-        report["gap"] = abs(report["primal_value"] - report["dual_value"])
-    return report
 
 
 def brute_force_mcot(
@@ -910,7 +917,7 @@ def glue(pi: MulticausalCoupling, gamma: MulticausalCoupling) -> MulticausalCoup
     marg_pi = pi.marginal(len(pi.trees) - 1)
     marg_gamma = gamma.marginal(0)
     tv = 0.5 * float(np.abs(marg_pi - marg_gamma).sum())
-    if tv > MARGINAL_TOL:
+    if not (tv <= MARGINAL_TOL):
         raise ValidationError(f"shared marginals differ by TV {tv!r} > {MARGINAL_TOL}")
 
     keep = gamma.weights > 0.0

@@ -110,7 +110,7 @@ def test_corrupted_martingale_coefficient_exits_4(tree_files, monkeypatch, capsy
         sol = real(*args, **kwargs)
         # raise population 0's depth-1 coefficient at a process node with
         # siblings: G^0 drops by p_b * 1e6 below each sibling
-        parents = sol.trees[0].parents[1]
+        parents = sol.plans[0].trees[0].parents[1]
         b = int(np.flatnonzero(np.bincount(parents)[parents] > 1)[0])
         sol.mart_coefficients[0][0][0, b] += 1e6
         return sol
@@ -185,6 +185,24 @@ def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("treeot: invalid input: tolerance must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["nan", "negative"])
+def test_verify_coupling_refuses_a_bad_weight_with_one_line(tmp_path, tree_files, capsys,
+                                                            weight):
+    t1, t2, p1, p2 = tree_files
+    coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
+    atoms = [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]
+    atoms[0]["w"] = {"nan": float("nan"), "negative": -atoms[0]["w"]}[weight]
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps({"atoms": atoms}))
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, ["verify-coupling", str(path), "--trees", p1, p2])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: invalid input: coupling weight")
     assert not out.exists()
 
 
@@ -319,7 +337,7 @@ def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, 
     coupling = mc.coupling_from_id_atoms(
         trees, [(a["leaves"], a["w"]) for a in report["certificate"]["coupling"]]
     )
-    check = mc.verify_certificate(trees, mc.cost_table(trees, cost), cert, coupling)
+    check = mc.verify_certificate(coupling, mc.cost_table(trees, cost), cert)
     assert check["min_slack"] == report["verification"]["min_dual_slack"]
     lp.check_duality_gap(report["values"][value_key], check["gap"], "round trip", {})
 
@@ -552,6 +570,61 @@ def test_solve_that_is_not_optimal_is_solved_again_scaled(tmp_path, monkeypatch,
     assert [options.get("simplex_scale_strategy") for options in calls] == [0, None]
     assert report["values"]["equilibrium_ok"] is True
     assert report["verification"]["worst_support_slack"] <= 1e-8
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["x", "duals"])
+@pytest.mark.parametrize("command", ["match", "mcot-oracle", "mcot3", "bary-c",
+                                     "bary-anticausal", "counterexample"])
+def test_non_finite_lp_result_exits_4_with_one_line(tmp_path, tree_files, monkeypatch, capsys,
+                                                    command, field, value):
+    # every tolerance gate fails on NaN, so one non-finite entry in a HiGHS
+    # primal or dual is a solver failure, not a report
+    _, _, p1, p2 = tree_files
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    argv = {
+        "match": ["match", market],
+        "mcot-oracle": ["mcot", p1, p2, "--oracle"],
+        "mcot3": ["mcot", p1, p2, p1],
+        "bary-c": ["bary-c", p1, p2, "--tasks", p1],
+        "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p2],
+        "counterexample": ["counterexample", "--n", "4"],
+    }[command]
+    real = lp.linprog
+
+    def linprog(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if field == "x":
+            res.x = np.array(res.x)
+            res.x[-1] = value
+        else:
+            res.eqlin.marginals = np.array(res.eqlin.marginals)
+            res.eqlin.marginals[-1] = value
+        return res
+
+    monkeypatch.setattr(lp, "linprog", linprog)
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure:")
+    assert not out.exists()
+
+
+def test_missing_highs_binding_exits_4_with_one_line(tmp_path, monkeypatch, capsys):
+    # the binding is a private scipy module; without it a HiGHS LP is a
+    # solver failure that names the scipy range, not a traceback
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, ["match", market])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: cannot import the HiGHS binding")
+    assert "scipy>=1.15,<1.18" in err
+    assert not out.exists()
 
 
 def test_no_command_calls_scipys_linprog_wrapper(tmp_path, tree_files, monkeypatch):

@@ -434,8 +434,10 @@ def fixed_support_barycenter_value(laws, costs) -> float:
     for i, mu in enumerate(laws):
         link = sp.csr_matrix((-np.ones(m), (np.arange(m), np.arange(m))),
                              shape=(m + len(mu), m))
-        blocks.append([link] + [lp_mod._marginal_operator((m, len(mu))) if j == i else None
-                                for j in range(len(laws))])
+        rows, cols = lp_mod._marginal_pattern((m, len(mu)))
+        marginal = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                 shape=(m + len(mu), m * len(mu)))
+        blocks.append([link] + [marginal if j == i else None for j in range(len(laws))])
         rhs += [np.zeros(m), mu]
     c = np.concatenate([np.zeros(m)] + [np.ravel(cost) for cost in costs])
     sol = solve_lp(LpProblem(c=c, a_eq=sp.bmat(blocks, format="csr"), b_eq=np.concatenate(rhs)))

@@ -37,8 +37,8 @@ from treeot import (
     verify_equilibrium,
 )
 from treeot.barycenters import causal_violation
-from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, LpProblem, _marginal_operator, solve_lp
-from treeot.matching import Equilibrium, _plan_expectation
+from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, LpProblem, _marginal_pattern, solve_lp
+from treeot.matching import Equilibrium
 from treeot.multicausal import MulticausalCoupling, causality_operator, coupling_from_dense
 from treeot.randomgen import random_tree
 
@@ -119,7 +119,7 @@ def test_identical_populations_on_own_support_are_free():
     # utility term enters with the opposite sign; total surplus is -(value sum)
     assert total == pytest.approx(
         sum(
-            _plan_expectation(pl, c) for pl, c in zip(eq.plans, instance.cost_tables)
+            pl.expectation(c) for pl, c in zip(eq.plans, instance.cost_tables)
         ),
         abs=1e-8,
     )
@@ -189,7 +189,7 @@ def test_slack_extremes_match_per_pair_evaluation(seed):
     costs = instance.agent_costs
     sol = causal_barycenter(instance.agents, instance.tasks, costs)
     expected = _slack_extremes_by_pair(
-        sol.trees, instance.tasks, tables[1:], sol.plans, sol.potentials,
+        instance.agents, instance.tasks, tables[1:], sol.plans, sol.potentials,
         [-g for g in sol.task_potentials], sol.mart_coefficients,
     )
     assert sol.support_slack(costs) == pytest.approx(expected, abs=1e-12)
@@ -243,7 +243,7 @@ def test_best_response_matches_equilibrium_plan_value():
     eq = solve_matching(instance)
     for i in range(len(instance.populations)):
         value, _ = best_response(instance, i, eq.wages[i])
-        achieved = _plan_expectation(eq.plans[i], instance.cost_tables[i], eq.wages[i])
+        achieved = eq.plans[i].expectation(instance.cost_tables[i] - eq.wages[i])
         assert achieved == pytest.approx(value, abs=1e-8)
 
 
@@ -254,8 +254,11 @@ def lp_best_response(instance, i, wage) -> float:
     n_x, n_y = tree.n_leaves, tasks.n_leaves
     cmat = instance.cost_tables[i] - wage[None, :]
     shift = float(cmat.min())
+    rows, cols = _marginal_pattern((n_x, n_y))
+    own = rows < n_x  # the population's marginal rows
     a_eq = sp.vstack([
-        _marginal_operator((n_x, n_y))[:n_x], causality_operator((tree, tasks), (0,))
+        sp.csr_matrix((np.ones(own.sum()), (rows[own], cols[own])), shape=(n_x, n_x * n_y)),
+        causality_operator((tree, tasks), (0,)),
     ])
     b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
     sol = solve_lp(LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq))
@@ -291,7 +294,7 @@ def test_best_response_recursion_attains_the_lp(seed):
         assert plan.tuples[:, 0].tolist() == list(range(tree.n_leaves))
         assert plan.marginal_tv(0) <= 1e-12
         assert causal_violation(plan) <= 1e-12
-        achieved = _plan_expectation(plan, instance.cost_tables[i], wage)
+        achieved = plan.expectation(instance.cost_tables[i] - wage)
         assert achieved == pytest.approx(value, abs=tol)
 
 
@@ -333,7 +336,7 @@ def test_wages_have_mean_zero_under_nu(seed):
     min_slack, _ = complementary_slackness(instance, eq)
     assert min_slack >= -1e-8
     for plan, table, value in zip(eq.plans, instance.cost_tables, eq.values):
-        cost = _plan_expectation(plan, table)
+        cost = plan.expectation(table)
         assert value == pytest.approx(cost, abs=1e-9 * (1 + abs(value)))
 
 

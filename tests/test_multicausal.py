@@ -45,7 +45,6 @@ from treeot import lp as lp_mod
 from treeot import multicausal as mc
 from treeot.barycenters import PowerCost, causal_barycenter, causal_ot, causal_violation
 from treeot.cli import run
-from treeot.lp import _marginal_operator
 from treeot.multicausal import (
     DualCertificate,
     KernelPolicy,
@@ -280,7 +279,7 @@ def test_policy_perturbation_strictly_increases_cost():
     weights = list(res.policy.weights)
     weights[0] = product_policy([tree, tree]).weights[0]
     perturbed = assemble_coupling(KernelPolicy(trees=(tree, tree), weights=tuple(weights)))
-    assert perturbed.expectation(cost) > res.value + 0.1
+    assert perturbed.expectation(res.tables[-1]) > res.value + 0.1
 
 
 def _depth_shapes(res, t):
@@ -300,7 +299,7 @@ def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch)
     assert any(len(_depth_shapes(res, t)) > 1 for t in range(1, horizon))
     v_lp, _, _ = brute_force_mcot(trees, cost)
     assert abs(res.value - v_lp) <= 1e-8 * (1 + abs(v_lp))
-    assert verify_multicausal(assemble_coupling(res.policy), trees).passed
+    assert verify_multicausal(assemble_coupling(res.policy)).passed
 
 
 @pytest.mark.parametrize("columns", [1, 10])
@@ -353,8 +352,8 @@ def test_sibling_order_leaves_the_value_and_certificate():
     values = []
     for family in (trees, reverse):
         res = mc_dpp(family, cm.lp_sum(2.0))
-        check = verify_certificate(family, res.tables[-1], res.certificate,
-                                   assemble_coupling(res.policy))
+        check = verify_certificate(assemble_coupling(res.policy), res.tables[-1],
+                                   res.certificate)
         assert check["min_slack"] >= -lp_mod.CAUSALITY_TOL
         assert check["gap"] <= lp_mod.DUALITY_TOL * (1 + abs(res.value))
         values.append(res.value)
@@ -476,7 +475,7 @@ def test_assemble_product_policy_gives_product_law():
     laws = [t.leaf_law() for t in trees]
     for idx, w in as_dict(coupling).items():
         assert w == pytest.approx(laws[0][idx[0]] * laws[1][idx[1]], abs=1e-12)
-    report = verify_multicausal(coupling, trees)
+    report = verify_multicausal(coupling)
     assert report.passed
 
 
@@ -509,8 +508,8 @@ def test_assemble_optimal_policy_attains_dpp_value():
     cost = cm.pairwise_power(2.0)
     res = mc_dpp(trees, cost)
     coupling = assemble_coupling(res.policy)
-    assert coupling.expectation(cost) == pytest.approx(res.value, abs=1e-8)
-    assert verify_multicausal(coupling, trees).passed
+    assert coupling.expectation(cost_table(trees, cost)) == pytest.approx(res.value, abs=1e-8)
+    assert verify_multicausal(coupling).passed
 
 
 def test_assemble_incomplete_policy_raises():
@@ -545,13 +544,13 @@ def test_kernel_policy_rejects_malformed_weights():
 def test_verify_accepts_assembled_and_product_couplings():
     rng = np.random.default_rng(9)
     trees = [random_tree(rng, horizon=3, dim=1, max_branch=2) for _ in range(2)]
-    assert verify_multicausal(random_multicausal_coupling(rng, trees), trees).passed
-    assert verify_multicausal(assemble_coupling(product_policy(trees)), trees).passed
+    assert verify_multicausal(random_multicausal_coupling(rng, trees)).passed
+    assert verify_multicausal(assemble_coupling(product_policy(trees))).passed
 
 
 def test_verify_rejects_anticipative_coupling_with_witness():
-    tree1, tree2, coupling = anticipative_instance()
-    report = verify_multicausal(coupling, [tree1, tree2])
+    _, _, coupling = anticipative_instance()
+    report = verify_multicausal(coupling)
     assert not report.passed
     assert report.worst_violation == pytest.approx(0.25, abs=1e-12)
     top = report.witnesses[0]
@@ -565,16 +564,16 @@ def test_verify_rejects_marginal_mismatch():
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(2)]
     bad = MulticausalCoupling(trees=tuple(trees), tuples=[(0, 0)], weights=[1.0])
     with pytest.raises(ValidationError, match="marginal"):
-        verify_multicausal(bad, trees)
+        verify_multicausal(bad)
 
 
 def test_verify_orders_tied_witnesses_by_key():
     # every violated row of the anticipative coupling violates by exactly 1/4
-    tree1, tree2, coupling = anticipative_instance()
+    _, _, coupling = anticipative_instance()
     reordered = MulticausalCoupling(
         trees=coupling.trees, tuples=coupling.tuples[::-1], weights=coupling.weights[::-1]
     )
-    reports = [verify_multicausal(c, [tree1, tree2]) for c in (coupling, reordered)]
+    reports = [verify_multicausal(c) for c in (coupling, reordered)]
     assert reports[0] == reports[1]
     keys = [(w.process, w.t, w.others, w.child) for w in reports[0].witnesses]
     assert keys == sorted(keys)
@@ -593,7 +592,7 @@ def test_causal_violation_agrees_with_verify_multicausal(seed):
     coupling = coupling_from_dense((t1, t2), dense)
     flipped = MulticausalCoupling(trees=(t2, t1), tuples=coupling.tuples[:, ::-1],
                                   weights=coupling.weights)
-    report = verify_multicausal(coupling, [t1, t2], tol=0.0)
+    report = verify_multicausal(coupling, tol=0.0)
     for process, plan in enumerate([coupling, flipped], start=1):
         worst = max(w.violation for w in report.witnesses if w.process == process)
         assert worst > 1e-3
@@ -639,11 +638,11 @@ def test_causality_operator_matches_per_tuple_rows(case):
                  for p in "ab"]
     processes = (1,) if case == "subset" else tuple(range(len(trees)))
     tuples = list(itertools.product(*(range(t.n_leaves) for t in trees)))
+    op = causality_operator(trees, processes)
     if case == "subset":
-        tuples = [tuples[k] for k in rng.permutation(len(tuples))[: len(tuples) // 3]]
-        op = causality_operator(trees, processes, np.array(tuples))
-    else:
-        op = causality_operator(trees, processes)
+        columns = np.sort(rng.permutation(len(tuples))[: len(tuples) // 3])
+        tuples = [tuples[k] for k in columns]
+        op = op[:, columns]
     np.testing.assert_array_equal(op.toarray(), _operator_by_tuple(trees, processes, tuples))
     # a multicausal coupling is in the kernel of the full operator
     if case != "subset":
@@ -651,6 +650,26 @@ def test_causality_operator_matches_per_tuple_rows(case):
         coupling = random_multicausal_coupling(rng, trees)
         pi[tuple(coupling.tuples.T)] = coupling.weights
         assert np.abs(op @ pi.ravel()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_residuals_match_the_operator(seed):
+    rng = np.random.default_rng(4000 + seed)
+    trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3, prefix=p)
+             for p in "abc"[:2 + seed % 2]]
+    # any measure: random weights on about a third of the leaf tuples
+    shape = [t.n_leaves for t in trees]
+    dense = np.where(rng.random(shape) < 1 / 3, rng.random(shape), 0.0)
+    processes = [(0,), tuple(range(len(trees)))][seed % 2]
+    op = causality_operator(trees, processes)
+    blocks = [(i, t) for i in processes for t in range(1, trees[0].horizon)]
+    sizes = [int(np.prod(mc._coefficient_shape(trees, i, t))) for i, t in blocks]
+    offsets = dict(zip(blocks, np.cumsum([0] + sizes)))
+    residuals = np.zeros(op.shape[0])
+    for i, t, rows, residual in mc._causal_residuals(coupling_from_dense(trees, dense),
+                                                     processes):
+        residuals[offsets[i, t] + rows] = residual
+    np.testing.assert_allclose(residuals, op @ dense.ravel(), rtol=1e-13, atol=1e-15)
 
 
 # -- causal_lp_rows: the independent rows an LP carries -------------------------------
@@ -663,6 +682,14 @@ def row_family(seed):
     n, horizon = 2 + seed % 2, 1 + seed % 3
     return [random_tree(rng, horizon=horizon, dim=1, min_branch=1, max_branch=5 - n, prefix=p)
             for p in "abc"[:n]]
+
+
+def marginal_operator(shape):
+    """The marginal rows of every axis over the C-order cells of
+    ``shape``, as a matrix (see :func:`treeot.lp._marginal_pattern`)."""
+    rows, cols = lp_mod._marginal_pattern(shape)
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                         shape=(sum(shape), int(np.prod(shape))))
 
 
 def dense_lp_rows(trees, processes):
@@ -692,7 +719,7 @@ def zero_at_dropped(coefficients, trees, processes, kept):
 def test_causal_lp_rows_keep_the_rank_of_every_row(seed):
     trees = row_family(seed)
     shape = tuple(t.n_leaves for t in trees)
-    marginal = _marginal_operator(shape).toarray()
+    marginal = marginal_operator(shape).toarray()
     rank = np.linalg.matrix_rank
     for processes in dict.fromkeys([(0,), (0, 1), tuple(range(len(trees)))]):
         full = causality_operator(trees, processes).toarray()
@@ -706,7 +733,7 @@ def test_causal_lp_rows_keep_the_rank_of_every_row(seed):
 def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     trees = row_family(seed)
     shape = tuple(t.n_leaves for t in trees)
-    marginal = _marginal_operator(shape)
+    marginal = marginal_operator(shape)
     tol = lambda v: lp_mod.DUALITY_TOL * (1 + abs(v))
 
     # the oracle: every process causal
@@ -718,7 +745,7 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
         full_row_value(table, sp.vstack([marginal, full]), b_eq), abs=tol(value))
     zero_at_dropped(cert.coefficients, trees, range(len(trees)),
                     causal_lp_rows(trees, range(len(trees)))[3])
-    report = verify_certificate(trees, table, cert, coupling)
+    report = verify_certificate(coupling, table, cert)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= tol(value)
 
@@ -729,7 +756,7 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     value, plan = causal_ot(*pair, PowerCost())
     b_eq = np.concatenate([t.leaf_law() for t in pair] + [np.zeros(full.shape[0])])
     assert value == pytest.approx(full_row_value(
-        table, sp.vstack([_marginal_operator(table.shape), full]), b_eq), abs=tol(value))
+        table, sp.vstack([marginal_operator(table.shape), full]), b_eq), abs=tol(value))
     assert causal_violation(plan) <= 1e-9
 
     # the causal barycenter of the other trees on the last one's support
@@ -739,7 +766,7 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     blocks, b_eq = [], []
     for i, tree in enumerate(populations):
         n_x, n_y = tree.n_leaves, task.n_leaves
-        rows = sp.vstack([_marginal_operator((n_x, n_y)), causality_operator((tree, task), (0,))])
+        rows = sp.vstack([marginal_operator((n_x, n_y)), causality_operator((tree, task), (0,))])
         link = sp.csr_matrix((-np.ones(n_y), (n_x + np.arange(n_y), np.arange(n_y))),
                              shape=(rows.shape[0], n_y))
         blocks.append([link] + [rows if j == i else None for j in range(len(populations))])
@@ -799,7 +826,7 @@ def test_brute_force_duality_and_certificate(seed):
     v, coupling, cert = brute_force_mcot(trees, cost)
     # dual value equals the primal value
     assert cert.potential_total(trees) == pytest.approx(v, abs=1e-8 * (1 + abs(v)))
-    report = verify_certificate(trees, cost_table(trees, cost), cert, coupling)
+    report = verify_certificate(coupling, cost_table(trees, cost), cert)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(v))
     # F integrates to zero under any multicausal coupling
@@ -826,18 +853,27 @@ def _direct_slack(trees, table, cert, idx):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_slack_tensor_matches_per_tuple_evaluation(seed):
+def test_certificate_slacks_match_per_tuple_evaluation(seed):
     rng = np.random.default_rng(500 + seed)
     trees = [random_tree(rng, horizon=3, dim=1, max_branch=2, prefix=p) for p in "abc"]
     cost = cm.pairwise_power(2.0)
     table = cost_table(trees, cost)
-    _, _, oracle_cert = brute_force_mcot(trees, cost)
-    for cert in (mc_dpp(trees, cost).certificate, oracle_cert):
-        slack = cert.slacks(trees, table)
-        for idx in itertools.product(*(range(t.n_leaves) for t in trees)):
-            assert slack[idx] == pytest.approx(
-                _direct_slack(trees, table, cert, idx), abs=1e-12
-            )
+    _, oracle_coupling, oracle_cert = brute_force_mcot(trees, cost)
+    # the product coupling has every leaf tuple as an atom
+    product = assemble_coupling(product_policy(trees))
+    res = mc_dpp(trees, cost)
+    for cert, optimal in ((res.certificate, assemble_coupling(res.policy)),
+                          (oracle_cert, oracle_coupling)):
+        slack = {idx: _direct_slack(trees, table, cert, idx)
+                 for idx in itertools.product(*(range(t.n_leaves) for t in trees))}
+        report = verify_certificate(product, table, cert)
+        assert report["min_slack"] == pytest.approx(min(slack.values()), abs=1e-12)
+        assert report["support_slack"] == pytest.approx(
+            max(map(abs, slack.values())), abs=1e-12)
+        report = verify_certificate(optimal, table, cert)
+        assert report["support_slack"] == pytest.approx(
+            max(abs(slack[idx]) for idx in map(tuple, optimal.tuples.tolist())), abs=1e-12)
+        assert report["support_slack"] <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -849,7 +885,7 @@ def test_dpp_certificate_matches_oracle(seed):
     cost = cm.lp_sum(1.0)
     res = mc_dpp(trees, cost)
     report = verify_certificate(
-        trees, cost_table(trees, cost), res.certificate, assemble_coupling(res.policy)
+        assemble_coupling(res.policy), cost_table(trees, cost), res.certificate
     )
     v, _, oracle_cert = brute_force_mcot(trees, cost)
     assert report["min_slack"] >= -1e-8
@@ -867,15 +903,19 @@ def test_certificate_check_builds_the_martingale_once(monkeypatch):
     res = mc_dpp(trees, cm.lp_sum(2.0))
     coupling = assemble_coupling(res.policy)
     cert = res.certificate
-    slack = float(cert.slacks(trees, table).min())
-    integral = coupling.expectation(cert.martingale_values(trees))
+    martingale = cert.martingale_values(trees)
+    slack = table + martingale
+    for i, f in enumerate(cert.potentials):
+        slack -= f.reshape((-1,) + (1,) * (len(trees) - 1 - i))
+    integral = coupling.expectation(martingale)
     calls = []
     real = DualCertificate.martingale_values
     monkeypatch.setattr(DualCertificate, "martingale_values",
                         lambda self, trees: calls.append(1) or real(self, trees))
-    report = verify_certificate(trees, table, cert, coupling)
+    report = verify_certificate(coupling, table, cert)
     assert len(calls) == 1
-    assert report["min_slack"] == slack
+    assert report["min_slack"] == float(slack.min())
+    assert report["support_slack"] == float(np.abs(slack[tuple(coupling.tuples.T)]).max())
     assert report["martingale_integral"] == integral
     assert report["gap"] == abs(coupling.expectation(table) - cert.potential_total(trees))
 
@@ -895,7 +935,7 @@ def test_dpp_certificate_beyond_oracle_size(deep_pair):
     trees, res, _ = deep_pair
     table = res.tables[-1]
     assert table.size == 117_649
-    report = verify_certificate(trees, table, res.certificate, assemble_coupling(res.policy))
+    report = verify_certificate(assemble_coupling(res.policy), table, res.certificate)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(res.value))
     assert report["dual_value"] == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
@@ -1029,8 +1069,10 @@ def assert_matches_dict(coupling: MulticausalCoupling, atoms: dict, table: np.nd
     leaf_ids = [tree.leaf_ids() for tree in trees]
     assert coupling.atom_ids() == [
         (tuple(ids[k] for ids, k in zip(leaf_ids, idx)), w) for idx, w in sorted(atoms.items())]
-    index = tuple(np.array(list(atoms), dtype=np.intp).reshape(-1, len(trees)).T)
-    assert coupling.expectation(table) == float(np.fromiter(atoms.values(), float) @ table[index])
+    expected = 0.0
+    for idx, w in atoms.items():
+        expected += w * table[idx]
+    assert coupling.expectation(table) == expected
 
 
 @pytest.mark.parametrize("n_trees", [2, 3])
@@ -1077,6 +1119,36 @@ def test_coupling_from_repeated_id_atoms_sums_them_in_input_order():
     assert_matches_dict(rebuilt, summed(pieces), cost_table(trees, cm.lp_sum(2.0)))
 
 
+@pytest.mark.parametrize("tuples, weights, match", [
+    ([[0, 0]], [-1.0], "negative or not finite"),
+    ([[0, 0], [1, 1]], [0.5, np.nan], "negative or not finite"),
+    ([[0, 0]], [np.inf], "negative or not finite"),
+    ([[0, -1]], [1.0], "outside"),
+    ([[0, 99]], [1.0], "outside"),
+])
+def test_coupling_refuses_bad_weights_and_leaf_indices(tuples, weights, match):
+    rng = np.random.default_rng(1320)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=2, prefix=p)
+             for p in "ab"]
+    with pytest.raises(ValidationError, match=match):
+        MulticausalCoupling(trees, tuples, weights)
+    if match != "outside":
+        # id atoms reach the same check
+        leaf_ids = [tree.leaf_ids() for tree in trees]
+        with pytest.raises(ValidationError, match=match):
+            coupling_from_id_atoms(trees, [([ids[k] for ids, k in zip(leaf_ids, idx)], w)
+                                           for idx, w in zip(tuples, weights)])
+
+
+def test_expectation_refuses_a_table_of_another_shape():
+    rng = np.random.default_rng(1321)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=2, prefix=p)
+             for p in "ab"]
+    coupling = random_multicausal_coupling(rng, trees)
+    with pytest.raises(ValidationError, match="leaf counts"):
+        coupling.expectation(np.zeros((trees[0].n_leaves + 1, trees[1].n_leaves)))
+
+
 # -- restriction and gluing ---------------------------------------------------------
 
 
@@ -1099,7 +1171,7 @@ def test_restrict_preserves_multicausality(seed):
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=2) for _ in range(3)]
     coupling = random_multicausal_coupling(rng, trees)
     restricted = restrict_coupling(coupling, [0, 1])
-    report = verify_multicausal(restricted, trees[:2])
+    report = verify_multicausal(restricted)
     assert report.passed and report.worst_violation <= 1e-8
 
 
@@ -1145,7 +1217,7 @@ def test_glue_random_bicausal_pair(seed):
     pi = random_multicausal_coupling(rng, trees[:2])
     ga = random_multicausal_coupling(rng, trees[1:])
     glued = glue(pi, ga)
-    report = verify_multicausal(glued, trees)
+    report = verify_multicausal(glued)
     assert report.passed and report.worst_violation <= 1e-8
     back_pi = restrict_coupling(glued, [0, 1])
     back_ga = restrict_coupling(glued, [1, 2])
