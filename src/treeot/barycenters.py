@@ -89,7 +89,7 @@ class PowerCost(SeparableCost):
 
     def at(self, t, x, y):
         d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return self.weight * np.sum(d ** self.exponent, axis=-1)
+        return self.weight * np.sum(costs_mod.power(d, self.exponent), axis=-1)
 
 
 class TableCost(SeparableCost):

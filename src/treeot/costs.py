@@ -12,6 +12,7 @@ Wasserstein distances are defined here.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -22,28 +23,47 @@ from .trees import ScenarioTree
 #: a table with one axis per tree, or ``cost(trees)`` that builds it
 Cost = Union[np.ndarray, Callable[[Sequence[ScenarioTree]], np.ndarray]]
 
-# Python's float pow is libm pow, which numpy's ``**`` is not in every
-# last bit; the builtins exponentiate with it to keep their tables exact
-_pow = np.frompyfunc(pow, 2, 1)
+# The one exponentiation rule of every builtin cost: a square is one
+# multiply, x*x, which IEEE 754 rounds correctly; libm's pow is not
+# correctly rounded (pow(x, 2.0) misses x*x in the last bit for about 1 in
+# 1,200 draws).  Any other power is libm pow, through np.float_power's
+# plain loop over the C function Python's float pow also calls: the same
+# bits, with no Python float per entry.  numpy's ``**`` is not libm pow:
+# it dispatches to SIMD code whose last bits depend on the CPU.
+
+#: leaf pairs per chunk of a cost table: the temporaries of a chunk (its
+#: differences, norms and powers) stay this size whatever the table's
+_CHUNK = 1 << 15
+
+
+def power(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p entrywise by the rule above, as a new float array."""
+    x = np.asarray(x, dtype=float)
+    return np.square(x) if p == 2 else np.float_power(x, p)
 
 
 def _pairwise(trees: Sequence[ScenarioTree], per_pair) -> np.ndarray:
     """sum_{i<j} per_pair(norms) on every leaf tuple, pairs in order, where
-    ``norms`` lists |x^i_t - x^j_t|_2 per time on every leaf pair (i, j)."""
+    ``norms`` lists |x^i_t - x^j_t|_2 per time on a block of leaf pairs (i, j):
+    a chunk of tree i's leaves against all of tree j's.  Each block is
+    added in place into the one output table.  An entry past the float
+    range is inf, which :func:`cost_table` refuses."""
     trees = tuple(trees)
     states = [tr.leaf_states() for tr in trees]
     total = np.zeros(tuple(tr.n_leaves for tr in trees))
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            norms = []
-            for x, y in zip(states[i], states[j]):
-                diff = (x[:, None, :] - y[None, :, :])[..., None, :]
-                # one dot product per pair, as np.linalg.norm takes it: same bits
-                norms.append(np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0])
-            pair = per_pair(norms)
-            total = total + pair.reshape([
-                tr.n_leaves if k in (i, j) else 1 for k, tr in enumerate(trees)
-            ])
+    with np.errstate(over="ignore"):
+        for i, j in itertools.combinations(range(len(trees)), 2):
+            shape = [-1 if k == i else tr.n_leaves if k == j else 1
+                     for k, tr in enumerate(trees)]
+            rows = max(1, _CHUNK // trees[j].n_leaves)
+            for start in range(0, trees[i].n_leaves, rows):
+                block = slice(start, start + rows)
+                norms = []
+                for x, y in zip(states[i], states[j]):
+                    diff = (x[block, None, :] - y[None, :, :])[..., None, :]
+                    # one dot product per pair, as np.linalg.norm takes it: same bits
+                    norms.append(np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0])
+                total[(slice(None),) * i + (block,)] += per_pair(norms).reshape(shape)
     return total
 
 
@@ -53,7 +73,7 @@ def lp_sum(p: float = 2.0) -> Cost:
         raise ValidationError("exponent p must be >= 1")
 
     def cost(trees):
-        return _pairwise(trees, lambda norms: _pow(sum(norms), p).astype(float))
+        return _pairwise(trees, lambda norms: power(sum(norms), p))
 
     return cost
 
@@ -64,7 +84,7 @@ def pairwise_power(p: float = 2.0) -> Cost:
         raise ValidationError("exponent p must be >= 1")
 
     def cost(trees):
-        return _pairwise(trees, lambda norms: sum(_pow(n, p).astype(float) for n in norms))
+        return _pairwise(trees, lambda norms: sum(power(n, p) for n in norms))
 
     return cost
 

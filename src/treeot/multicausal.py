@@ -358,9 +358,7 @@ class MulticausalCoupling:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "tuples", _frozen(
             np.array(self.tuples, dtype=np.intp).reshape(len(weights), len(self.trees))))
-        bad = ~(np.isfinite(weights) & (weights >= 0.0))
-        if bad.any():
-            raise ValidationError(f"coupling weight {weights[bad][0]} is negative or not finite")
+        _check_weights(weights)
         leaves = [tree.n_leaves for tree in self.trees]
         if not np.all((self.tuples >= 0) & (self.tuples < leaves)):
             raise ValidationError("coupling atom has a leaf index outside its tree's leaves")
@@ -394,6 +392,12 @@ class MulticausalCoupling:
         return list(zip(zip(*ids), self.weights[order].tolist()))
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if bad.any():
+        raise ValidationError(f"coupling weight {weights[bad][0]} is negative or not finite")
+
+
 def _summed(tuples: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``tuples`` (k, N), each at its first place, and
     per row the sum of its ``weights``, added in row order."""
@@ -420,8 +424,10 @@ def coupling_from_id_atoms(
                 raise ValidationError(f"node {node_id!r} is not a leaf")
             tuples.append(k)
         weights.append(float(w))
+    weights = np.array(weights, dtype=float)
+    _check_weights(weights)  # per atom: a repeat of its tuple must not hide a bad weight
     tuples = np.array(tuples, dtype=np.intp).reshape(len(weights), len(trees))
-    return MulticausalCoupling(trees, *_summed(tuples, np.array(weights, dtype=float)))
+    return MulticausalCoupling(trees, *_summed(tuples, weights))
 
 
 def coupling_from_dense(trees: Sequence[ScenarioTree], dense: np.ndarray) -> MulticausalCoupling:
@@ -793,6 +799,16 @@ def transport_lp(
 # -- brute-force LP oracle and dual certificates ------------------------------
 
 
+def _centred(tree: ScenarioTree, t: int, coef: np.ndarray) -> np.ndarray:
+    """Each coefficient of depth ``t`` less the kernel mean over its
+    sibling group; the dense kernel is freed on return."""
+    parent = tree.parents[t]
+    kernel = np.zeros((parent.size, tree.level_size(t)))
+    kernel[np.arange(parent.size), parent] = tree.probs[t]
+    centred = (coef @ kernel)[..., parent]
+    return np.subtract(coef, centred, out=centred)
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     """LP dual bundle for the multicausal problem.
@@ -816,16 +832,20 @@ class DualCertificate:
         """F on every leaf-path tuple, one axis per tree."""
         trees = tuple(trees)
         out = np.zeros(tuple(t.n_leaves for t in trees))
+        # gathered in chunks of the first tree's leaves, so no temporary is
+        # leaf-tuple sized; each entry still adds its terms in (i, t) order
+        rows = max(1, costs_mod._CHUNK * trees[0].n_leaves // out.size)
         for i, tree in enumerate(trees):
             for t, coef in enumerate(self.coefficients[i], start=1):
-                parent = tree.parents[t]
-                kernel = np.zeros((parent.size, tree.level_size(t)))
-                kernel[np.arange(parent.size), parent] = tree.probs[t]
-                # each coefficient less the kernel mean over its sibling group
-                centred = coef - (coef @ kernel)[..., parent]
+                centred = _centred(tree, t, coef)
                 index = ([tr.ancestors[:, t - 1] for j, tr in enumerate(trees) if j != i]
                          + [tree.ancestors[:, t]])
-                out += np.moveaxis(centred[np.ix_(*index)], -1, i)
+                first = len(index) - 1 if i == 0 else 0  # the first tree's index
+                leaves = index[first]
+                for start in range(0, len(leaves), rows):
+                    block = slice(start, start + rows)
+                    index[first] = leaves[block]
+                    out[block] += np.moveaxis(centred[np.ix_(*index)], -1, i)
         return out
 
 

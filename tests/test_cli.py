@@ -188,13 +188,18 @@ def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weight", ["nan", "negative"])
+@pytest.mark.parametrize("weight", ["nan", "negative", "outweighed"])
 def test_verify_coupling_refuses_a_bad_weight_with_one_line(tmp_path, tree_files, capsys,
                                                             weight):
     t1, t2, p1, p2 = tree_files
     coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
     atoms = [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]
-    atoms[0]["w"] = {"nan": float("nan"), "negative": -atoms[0]["w"]}[weight]
+    if weight == "outweighed":
+        # a negative atom and a repeat of its tuple that outweighs it
+        atoms.append({"leaves": atoms[0]["leaves"], "w": atoms[0]["w"] + 0.1})
+        atoms[0]["w"] = -0.1
+    else:
+        atoms[0]["w"] = {"nan": float("nan"), "negative": -atoms[0]["w"]}[weight]
     path = tmp_path / "coupling.json"
     path.write_text(json.dumps({"atoms": atoms}))
     capsys.readouterr()

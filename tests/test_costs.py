@@ -3,12 +3,16 @@ and finiteness checks of ``cost_table``, and one table build per solve.
 
 The references below evaluate each cost one leaf tuple at a time with
 the scalar formulas the builtins were first written with: np.linalg.norm
-per time step, Python float pow, Python sums from 0 left to right, and a
-linear scan over the grid for table lookups and grid selectors.
+per time step, Python sums from 0 left to right, and a linear scan over
+the grid for table lookups and grid selectors.  Powers follow the
+builtins' one rule (``ref_power``): x*x for a square, which is correctly
+rounded, and Python float pow, which is libm pow, for any other exponent.
 """
 from __future__ import annotations
 
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,13 +52,17 @@ def per_tuple(trees, path_cost) -> np.ndarray:
     return out
 
 
+def ref_power(v: float, p: float) -> float:
+    return v * v if p == 2 else v ** p
+
+
 def ref_lp_sum(p):
     def cost(paths):
         total = 0.0
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
                 d = float(sum(np.linalg.norm(a - b) for a, b in zip(paths[i], paths[j])))
-                total += d ** p
+                total += ref_power(d, p)
         return total
     return cost
 
@@ -64,7 +72,7 @@ def ref_pairwise_power(p):
         total = 0.0
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
-                total += sum(float(np.linalg.norm(a - b) ** p)
+                total += sum(ref_power(float(np.linalg.norm(a - b)), p)
                              for a, b in zip(paths[i], paths[j]))
         return total
     return cost
@@ -73,7 +81,7 @@ def ref_pairwise_power(p):
 def ref_power_at(weight, exponent):
     def at(_t, x, y):
         d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return weight * float(np.sum(d ** exponent))
+        return weight * float(np.sum([ref_power(float(v), exponent) for v in d]))
     return at
 
 
@@ -269,12 +277,77 @@ def test_table_with_a_non_finite_entry_is_refused(bad):
 
 @pytest.mark.parametrize("cost", [cm.lp_sum(1e308), cm.pairwise_power(2000.0)])
 def test_cost_past_the_float_range_is_refused(cost):
-    # Python float pow raises OverflowError where numpy would give inf
+    # the power is inf past the float range, and cost_table refuses it
     trees = [chain_tree([[0.0], [0.0]], "a"), chain_tree([[0.0], [5.0]], "b")]
     with pytest.raises(ValidationError, match="not finite"):
         cost_table(trees, cost)
     with pytest.raises(ValidationError, match="not finite"):
         aw_distance(*trees, p=1000.0)
+
+
+@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.pairwise_power(2.0)])
+@pytest.mark.parametrize("far", [[[0.0], [1e200]], [[1e154], [1e154]]])
+def test_square_past_the_float_range_is_refused(cost, far):
+    # 1e200: the norm is already inf; 1e154 twice: the norms are finite,
+    # and their sum's square (lp_sum) or the sum of squares overflows
+    trees = [chain_tree([[0.0], [0.0]], "a"), chain_tree(far, "b")]
+    with pytest.raises(ValidationError, match="not finite"):
+        cost_table(trees, cost)
+
+
+# -- the exponentiation rule ---------------------------------------------------------
+
+
+def test_squares_are_correctly_rounded():
+    # libm pow(x, 2.0) is 0.13134695247455286 here, one ulp off
+    x = 0.3624182010806754
+    square = 0.13134695247455289
+    assert float(Fraction(x) ** 2) == square
+    trees = [chain_tree([[0.0]], "a"), chain_tree([[x]], "b")]
+    for cost in (cm.lp_sum(2), cm.pairwise_power(2.0), PowerCost(exponent=2.0)):
+        assert cost_table(trees, cost)[0, 0] == square
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 7.3])
+def test_other_powers_are_python_float_pow(p):
+    rng = np.random.default_rng(35)
+    x = np.abs(rng.normal(size=20_000)) * np.exp(rng.uniform(-5.0, 5.0, size=20_000))
+    x[:3] = (0.0, 5e-324, 1.0)
+    assert cm.power(x, p).tolist() == [v ** p for v in x.tolist()]
+
+
+@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0)])
+@pytest.mark.parametrize("n, horizon, dim", [(2, 3, 1), (3, 2, 2)])
+def test_tables_do_not_depend_on_the_chunk_size(monkeypatch, cost, n, horizon, dim):
+    trees = family(n, horizon, dim)
+    whole = cost(trees)
+    monkeypatch.setattr(cm, "_CHUNK", 5)  # one leaf of the first tree per chunk
+    assert np.array_equal(cost(trees), whole)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_pair() -> list[ScenarioTree]:
+    """Two horizon-3 trees of branching 10: an 8 MB table."""
+    rng = np.random.default_rng(36)
+    return [random_tree(rng, horizon=3, min_branch=10, max_branch=10, prefix=p) for p in "ab"]
+
+
+@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0)])
+def test_table_memory_is_bounded_by_the_table(wide_pair, cost):
+    # the builtin adds chunks into its one output table; cost_table's
+    # defensive copy is one more table
+    table_bytes = 8 * wide_pair[0].n_leaves * wide_pair[1].n_leaves
+    assert traced_peak(lambda: cost(wide_pair)) <= 1.5 * table_bytes
+    assert traced_peak(lambda: cost_table(wide_pair, cost)) <= 2.5 * table_bytes
 
 
 def test_cost_table_leaves_the_given_array_alone():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -941,6 +942,36 @@ def test_dpp_certificate_beyond_oracle_size(deep_pair):
     assert report["dual_value"] == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
 
 
+def test_martingale_values_do_not_depend_on_the_chunk_size(monkeypatch, deep_pair):
+    rng = np.random.default_rng(1330)
+    triple = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=4, prefix=p)
+              for p in "abc"]
+    trees, res, _ = deep_pair
+    for family, cert in ((trees, res.certificate), (triple, mc_dpp(triple, cm.lp_sum(2.0)).certificate)):
+        size = int(np.prod([tree.n_leaves for tree in family]))
+        values = []
+        for chunk in (1, 1000, size):  # one leaf of the first tree per chunk, ..., one chunk
+            monkeypatch.setattr(cm, "_CHUNK", chunk)
+            values.append(cert.martingale_values(family))
+        assert all(np.array_equal(v, values[0]) for v in values)
+
+
+def test_verify_certificate_memory_is_bounded_by_the_table():
+    # the martingale table is the one leaf-tuple-sized array it makes:
+    # each (process, depth) term is gathered in chunks of the first tree
+    rng = np.random.default_rng(1331)
+    trees = [random_tree(rng, horizon=3, min_branch=10, max_branch=10, prefix=p) for p in "ab"]
+    res = mc_dpp(trees, cm.lp_sum(2.0))
+    coupling, table = assemble_coupling(res.policy), res.tables[-1]
+    tracemalloc.start()
+    try:
+        verify_certificate(coupling, table, res.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
+
+
 def _reordered_copy(tree, rng, shift, prefix):
     """``tree`` with every sibling group (the roots included) in a random
     order, fresh node ids, and every state at depth t moved by shift[t-1]."""
@@ -1138,6 +1169,16 @@ def test_coupling_refuses_bad_weights_and_leaf_indices(tuples, weights, match):
         with pytest.raises(ValidationError, match=match):
             coupling_from_id_atoms(trees, [([ids[k] for ids, k in zip(leaf_ids, idx)], w)
                                            for idx, w in zip(tuples, weights)])
+
+
+def test_coupling_from_id_atoms_refuses_a_negative_atom_its_repeat_outweighs():
+    rng = np.random.default_rng(1322)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=2, prefix=p)
+             for p in "ab"]
+    ids = [tree.leaf_ids()[0] for tree in trees]
+    # summed, the tuple would weigh 1.0
+    with pytest.raises(ValidationError, match="coupling weight -0.1 is negative or not finite"):
+        coupling_from_id_atoms(trees, [(ids, -0.1), (ids, 1.1)])
 
 
 def test_expectation_refuses_a_table_of_another_shape():
