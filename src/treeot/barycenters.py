@@ -16,9 +16,10 @@ Two distinct mechanisms live here:
   reformulation (:func:`counterexample_demo` reproduces the gap), but on
   a finite task support it is one joint LP over a task distribution nu
   and causal plans pi^i sharing nu as second marginal.  The LP duals
-  yield potentials f^i on the processes and g^i on the task paths with
-  sum_i g^i = 0, plus martingale coefficients; together they certify the
-  optimum.  Anticausal barycenters collapse to a classical fixed-support
+  yield one :class:`DualCertificate` per process: potentials f^i on the
+  process paths, wages w^i on the task paths with sum_i w^i = 0, and
+  martingale coefficients; together they certify the optimum.
+  Anticausal barycenters collapse to a classical fixed-support
   barycenter on path space: the same joint LP without causality rows.
   Both LPs, and causal transport, are built and solved by
   :func:`treeot.multicausal.transport_lp`.
@@ -44,7 +45,6 @@ from .multicausal import (
     _on_axis,
     assemble_coupling,
     cost_table,
-    coupling_from_dense,
     mc_dpp,
     transport_lp,
     verify_certificate,
@@ -59,7 +59,7 @@ class SeparableCost:
     """Time-separable transport cost c(x, y) = sum_t c_t(x_t, y_t).
 
     As a cost (see :mod:`treeot.costs`) it builds the table of a pair of
-    trees, one axis per tree.
+    trees, one axis per tree, in chunks of leaf pairs.
     """
 
     def at(self, t: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -68,10 +68,8 @@ class SeparableCost:
 
     def __call__(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
         tree_x, tree_y = trees
-        table = np.zeros((tree_x.n_leaves, tree_y.n_leaves))
-        for t, (x, y) in enumerate(zip(tree_x.leaf_states(), tree_y.leaf_states()), start=1):
-            table = table + self.at(t, x[:, None], y[None, :])
-        return table
+        return costs_mod._pairwise((tree_x, tree_y), lambda pairs: sum(
+            self.at(t, x, y) for t, (x, y) in enumerate(pairs, start=1)))
 
 
 @dataclass(frozen=True)
@@ -302,12 +300,13 @@ def causal_ot(
     tree_y: ScenarioTree,
     cost,
     tuple_budget: int = TUPLE_BUDGET,
-) -> tuple[float, MulticausalCoupling]:
+) -> tuple[float, MulticausalCoupling, DualCertificate]:
     """Optimal transport over causal couplings from ``tree_x`` to ``tree_y``.
 
     The LP carries both marginal blocks plus the one-directional
     causality equalities; its value never exceeds the bicausal value on
-    the same instance.
+    the same instance.  Returns the value, the plan and the LP's
+    certificate (see :func:`treeot.multicausal.transport_lp`).
     """
     if tree_x.horizon != tree_y.horizon:
         raise ValidationError("horizon mismatch")
@@ -318,29 +317,15 @@ def causal_ot(
         )
     pair = (tree_x, tree_y)
     lp = transport_lp([pair], [cost_table(pair, cost)], (0,), False, "causal transport LP")
-    return lp.value, coupling_from_dense(pair, lp.plans[0])
+    return lp.value, lp.plans[0], lp.certificates[0]
 
 
-def _slack_extremes(tables, plans, potentials, wages, coefficients):
-    """(min slack everywhere, worst |slack| on the plan supports) of causal
-    dual bundles, one per population.
-
-    Population i's slack on a leaf pair of ``plans[i].trees`` is
-    c^i - w^i + G^i - f^i  with c^i = ``tables[i]``, the wage w^i =
-    ``wages[i]`` on the task leaves, f^i = ``potentials[i]`` on the time-1
-    nodes of the population, and G^i induced by ``coefficients[i]``, the
-    per-depth arrays of process 0 in the :class:`DualCertificate` layout.
-    Dual feasibility keeps every slack above -1e-8; complementary
-    slackness makes it vanish on the support of an optimal plan.  Each
-    population is one :func:`verify_certificate` of its pair.
-    """
-    checks = [
-        verify_certificate(plan, table, DualCertificate(
-            potentials=(np.asarray(f)[plan.trees[0].ancestors[:, 0]], np.asarray(w)),
-            coefficients=(tuple(coef), ()),
-        ))
-        for table, plan, f, w, coef in zip(tables, plans, potentials, wages, coefficients)
-    ]
+def _slack_extremes(tables, plans, certificates):
+    """(min slack everywhere, worst |slack| on the plan supports) of one
+    certificate per population: one :func:`verify_certificate` of each
+    plan against its cost table ``tables[i]``."""
+    checks = [verify_certificate(plan, table, cert)
+              for table, plan, cert in zip(tables, plans, certificates)]
     return (float(np.min([c["min_slack"] for c in checks], initial=np.inf)),
             float(np.max([c["support_slack"] for c in checks], initial=0.0)))
 
@@ -363,42 +348,46 @@ def _barycenter_tables(trees, task_tree, costs, tuple_budget, what):
     return trees, [cost_table((t, task_tree), c) for t, c in zip(trees, costs)]
 
 
+def _wages(certificates) -> list[np.ndarray]:
+    """The task potentials w^i of a barycenter LP's certificates, cleared:
+    population 0's becomes the negated sum of the others' link-row duals.
+    Dual feasibility of nu's columns makes that sum at most its own, so
+    every slack stays nonnegative, and w^0 + (w^1 + ... + w^N) is 0
+    exactly."""
+    links = [cert.potentials[1] for cert in certificates[1:]]
+    return [-reduce(np.add, links) if links else np.zeros_like(certificates[0].potentials[1]),
+            *links]
+
+
 @dataclass(frozen=True)
 class CausalBarycenterSolution:
     """Primal and dual bundle of the causal barycenter LP.
 
-    Dual conventions: ``potentials[i]`` lives on the time-1 nodes of
-    process i (static potentials carry only initial information; the
-    path-dependent part of the LP duals is folded into the martingale
-    coefficients) and satisfies, entrywise on leaf pairs,
+    ``certificates[i]`` is a :class:`DualCertificate` of the pair
+    (process i, task tree), ``plans[i]``: its potentials are f^i on the
+    process leaves, constant below each time-1 node (static potentials
+    carry only initial information; the path-dependent part of the LP
+    duals is folded into the coefficients), and the wage w^i on the task
+    leaves, cleared by :func:`_wages`; its coefficients are those of G^i
+    per depth, then ``()``.  Entrywise on leaf pairs,
 
-        f^i(x_1) - g^i(y) <= c^i(x, y) + G^i(x, y),
-
-    with sum_i g^i = 0 exactly on the task support; G^i is induced by
-    ``mart_coefficients[i]``, one array per depth t = 1..T-1 in the
-    :class:`DualCertificate` layout of process 0 of the pair (process i,
-    task tree): entry (task node at t, process node at t+1).  Setting
-    w^i = -g^i recovers wage-style potentials with f^i <= c^i - w^i + G^i.
+        f^i(x) + w^i(y) <= c^i(x, y) + G^i(x, y).
     """
 
     value: float
     nu: DiscreteDistribution
     plans: tuple[MulticausalCoupling, ...]
-    potentials: tuple[np.ndarray, ...]
-    task_potentials: tuple[np.ndarray, ...]
-    mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
+    certificates: tuple[DualCertificate, ...]
 
     def dual_value(self) -> float:
-        return float(sum(f @ plan.trees[0].probs[0]
-                         for f, plan in zip(self.potentials, self.plans)))
+        """sum_i E[f^i] over the processes."""
+        return float(sum(cert.potentials[0] @ plan.trees[0].leaf_law()
+                         for plan, cert in zip(self.plans, self.certificates)))
 
     def support_slack(self, costs) -> tuple[float, float]:
         """(min slack everywhere, max |slack| on the plan supports)."""
-        return _slack_extremes(
-            [cost_table(plan.trees, c) for plan, c in zip(self.plans, costs)],
-            self.plans, self.potentials, [-g for g in self.task_potentials],
-            self.mart_coefficients,
-        )
+        return _slack_extremes([cost_table(plan.trees, c) for plan, c in zip(self.plans, costs)],
+                               self.plans, self.certificates)
 
 
 def causal_barycenter(
@@ -415,48 +404,35 @@ def causal_barycenter(
     ``task_tree`` are ignored; only its support structure matters.  Each
     cost is a cost (see :mod:`treeot.costs`) of the pair (process tree,
     task tree).
-    The task potential of process 0 absorbs the zero-sum normalisation.
+    The wage of process 0 absorbs the zero-sum normalisation.
     """
     trees, tables = _barycenter_tables(trees, task_tree, costs, tuple_budget,
                                        "causal_barycenter")
     lp = transport_lp([(tree, task_tree) for tree in trees], tables, (0,), True,
                       "causal barycenter LP")
     nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
-    plans = tuple(coupling_from_dense((tree, task_tree), plan)
-                  for tree, plan in zip(trees, lp.plans))
-
-    links = [np.array(d[tree.n_leaves:]) for d, tree in zip(lp.duals[1:], trees[1:])]
-    # zero-sum normalisation: dump the (nonnegative) excess on process 0,
-    # which keeps every dual row feasible and is exact in float arithmetic
-    task_potentials = (
-        reduce(np.add, links) if links else np.zeros(task_tree.n_leaves), *(-h for h in links)
-    )
 
     # project leaf potentials onto time-1 information; the conditional
     # expectations E[f | F_t] become y-independent martingale increments
     # folded into G^i, which leaves every dual slack unchanged
-    potentials = []
-    mart_coefficients = []
-    for tree, d, (coeffs,) in zip(trees, lp.duals, lp.coefficients):
-        cond = [np.array(d[:tree.n_leaves])]
+    certificates = []
+    for tree, cert, wage in zip(trees, lp.certificates, _wages(lp.certificates)):
+        cond = [cert.potentials[0]]
         for t in range(tree.horizon - 1, 0, -1):
             weights = tree.probs[t] * cond[0]
             cond.insert(0, np.bincount(tree.parents[t], weights=weights,
                                        minlength=tree.level_size(t)))
-        potentials.append(cond[0] + lp.shift)
-        mart_coefficients.append(tuple(c - cond[t] for t, c in enumerate(coeffs, start=1)))
+        coefficients = tuple(c - cond[t] for t, c in enumerate(cert.coefficients[0], start=1))
+        certificates.append(DualCertificate(
+            potentials=(cond[0][tree.ancestors[:, 0]], wage),
+            coefficients=(coefficients, ())))
 
     solution = CausalBarycenterSolution(
-        value=lp.value,
-        nu=nu,
-        plans=plans,
-        potentials=tuple(potentials),
-        task_potentials=task_potentials,
-        mart_coefficients=tuple(mart_coefficients),
-    )
-    check_duality_gap(lp.value, abs(solution.dual_value() - lp.value),
+        value=lp.value, nu=nu, plans=lp.plans, certificates=tuple(certificates))
+    dual_value = solution.dual_value()
+    check_duality_gap(lp.value, abs(dual_value - lp.value),
                       "causal barycenter duality gap exceeds tolerance",
-                      {"value": lp.value, "dual_value": solution.dual_value()})
+                      {"value": lp.value, "dual_value": dual_value})
     return solution
 
 
@@ -467,19 +443,20 @@ def causal_barycenter(
 class AnticausalBarycenterResult:
     """Classical path-space barycenter plus the gluing recipe.
 
-    ``plans[i]`` is a coupling over the pair (task tree, process i);
+    ``plans[i]`` is a coupling over the pair (process i, task tree);
     ``kernels[i]`` disintegrates it by the task path: task leaf id ->
     {process leaf id: conditional weight}.  The glued anticausal process
     draws a task path from ``nu`` and then each process independently
-    from its kernel.  ``potentials[i]`` are the LP duals of process i's
-    marginal rows (their integrals sum to the value).
+    from its kernel.  ``certificates[i]`` holds the LP duals of process
+    i's marginal rows and its wage on the task leaves, cleared as in
+    :class:`CausalBarycenterSolution`, with no coefficients.
     """
 
     value: float
     nu: DiscreteDistribution
     plans: tuple[MulticausalCoupling, ...]
     kernels: tuple[dict[str, dict[str, float]], ...]
-    potentials: tuple[np.ndarray, ...]
+    certificates: tuple[DualCertificate, ...]
 
 
 def anticausal_barycenter(
@@ -500,23 +477,19 @@ def anticausal_barycenter(
     lp = transport_lp([(tree, task_tree) for tree in trees], tables, (), True,
                       "anticausal barycenter LP")
     nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
-    potentials = tuple(d[:tree.n_leaves] + lp.shift for d, tree in zip(lp.duals, trees))
-    dual_value = sum(float(f @ tree.leaf_law()) for f, tree in zip(potentials, trees))
-    check_duality_gap(lp.value, abs(dual_value - lp.value),
-                      "anticausal barycenter duality gap exceeds tolerance",
-                      {"value": lp.value, "dual_value": dual_value})
-    plans = tuple(coupling_from_dense((task_tree, tree), plan.T)
-                  for tree, plan in zip(trees, lp.plans))
+    certificates = tuple(DualCertificate(potentials=(cert.potentials[0], wage),
+                                         coefficients=cert.coefficients)
+                         for cert, wage in zip(lp.certificates, _wages(lp.certificates)))
     kernels = []
-    for tree, plan in zip(trees, plans):
+    for tree, plan in zip(trees, lp.plans):
         # every atom's task leaf is in nu's support (see transport_lp)
         kernel: dict[str, dict[str, float]] = {}
-        conditional = plan.weights / lp.nu[plan.tuples[:, 0]]
-        for (ky, jx), w in zip(plan.tuples.tolist(), conditional.tolist()):
+        conditional = plan.weights / lp.nu[plan.tuples[:, 1]]
+        for (jx, ky), w in zip(plan.tuples.tolist(), conditional.tolist()):
             kernel.setdefault(task_tree.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = w
         kernels.append(kernel)
     return AnticausalBarycenterResult(
-        value=lp.value, nu=nu, plans=plans, kernels=tuple(kernels), potentials=potentials,
+        value=lp.value, nu=nu, plans=lp.plans, kernels=tuple(kernels), certificates=certificates,
     )
 
 
@@ -530,6 +503,7 @@ class CounterexampleReport:
     moment6: float
     cost_phi0_construction: float
     cost_canonical_candidate: float
+    checks: tuple[dict, ...]  # verify_certificate of each causal value in (b)
 
     @property
     def gap(self) -> float:
@@ -569,7 +543,9 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         doubled-weight map y = x^1 + x^2, which evaluates to
         (E Z^2 + 2 E Z^6) / 2 = 15.5;
     (b) the causal transport cost against the candidate (0, Z^3), the
-        summed squared-norm causal values, which evaluates to E Z^2 = 1.
+        summed squared-norm causal values, which evaluates to E Z^2 = 1;
+        each value's certificate is checked by :func:`verify_certificate`
+        against its cost table, one ``checks`` entry each.
 
     Both are exact for n_quant >= 4 by moment matching up to order 7.
     The n_quant**2 leaf pairs of the causal problems are refused beyond
@@ -610,9 +586,12 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
     candidate = tree_2
     sq = PowerCost(weight=1.0, exponent=2.0)
     cost_b = 0.0
+    checks = []
     for tree in (tree_1, tree_2):
-        value, _ = causal_ot(tree, candidate, sq, tuple_budget=tuple_budget)
+        table = cost_table((tree, candidate), sq)
+        value, plan, certificate = causal_ot(tree, candidate, table, tuple_budget=tuple_budget)
         cost_b += value
+        checks.append(verify_certificate(plan, table, certificate))
 
     return CounterexampleReport(
         n_quant=n_quant,
@@ -620,4 +599,5 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         moment6=m6,
         cost_phi0_construction=float(cost_a),
         cost_canonical_candidate=float(cost_b),
+        checks=tuple(checks),
     )

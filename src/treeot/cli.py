@@ -31,7 +31,7 @@ from . import multicausal as mc
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
 from .trees import ScenarioTree, dump_tree, load_tree
 
-SCHEMA = "2"
+SCHEMA = "3"
 
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
@@ -198,36 +198,32 @@ def _flatten(obj, prefix=""):
     return out
 
 
-def _coupling_json(coupling: mc.MulticausalCoupling) -> list[dict]:
-    return [{"leaves": ids, "w": w} for ids, w in coupling.atom_ids()]
-
-
-def _certificate_json(trees, cert: mc.DualCertificate) -> dict:
-    """The certificate in its own array layout: per tree, the leaf ids
-    and the potentials on them; per (process i, depth t), the ids along
-    each axis of ``cert.coefficients[i][t-1]`` and its entries."""
-    level_ids = [tree.ids for tree in trees]
+def _certificate_json(coupling: mc.MulticausalCoupling, cert: mc.DualCertificate) -> dict:
+    """A plan and its certificate, the latter in its own array layout:
+    per tree, the leaf ids and the potentials on them; per (process i,
+    depth t), the ids along each axis of ``cert.coefficients[i][t-1]``
+    and its entries."""
+    level_ids = [tree.ids for tree in coupling.trees]
     return {
-        "potentials": [
-            {"ids": ids[-1], "values": f.tolist()}
-            for ids, f in zip(level_ids, cert.potentials)
-        ],
-        "coefficients": [
-            {
-                "i": i + 1,
-                "t": t,
-                "axes": [ids[t - 1] for j, ids in enumerate(level_ids) if j != i]
-                        + [level_ids[i][t]],
-                "values": coef.tolist(),
-            }
-            for i, per_depth in enumerate(cert.coefficients)
-            for t, coef in enumerate(per_depth, start=1)
-        ],
+        "coupling": [{"leaves": ids, "w": w} for ids, w in coupling.atom_ids()],
+        "duals": {
+            "potentials": [
+                {"ids": ids[-1], "values": f.tolist()}
+                for ids, f in zip(level_ids, cert.potentials)
+            ],
+            "coefficients": [
+                {
+                    "i": i + 1,
+                    "t": t,
+                    "axes": [ids[t - 1] for j, ids in enumerate(level_ids) if j != i]
+                            + [level_ids[i][t]],
+                    "values": coef.tolist(),
+                }
+                for i, per_depth in enumerate(cert.coefficients)
+                for t, coef in enumerate(per_depth, start=1)
+            ],
+        },
     }
-
-
-def _plan_json(plan: mc.MulticausalCoupling) -> list[dict]:
-    return [{"from": a, "to": b, "w": w} for (a, b), w in plan.atom_ids()]
 
 
 # -- command implementations ---------------------------------------------------
@@ -270,10 +266,7 @@ def _cmd_awdist(args) -> dict:
             "dpp_value": res.value,
             "duality_gap": check["gap"],
         },
-        "certificate": {
-            "coupling": _coupling_json(coupling),
-            "duals": _certificate_json(trees, res.certificate),
-        },
+        "certificate": _certificate_json(coupling, res.certificate),
         "verification": {"min_dual_slack": check["min_slack"]},
     }
 
@@ -294,10 +287,7 @@ def _cmd_mcot(args) -> dict:
         "schema": SCHEMA,
         "command": "mcot",
         "values": values,
-        "certificate": {
-            "coupling": _coupling_json(coupling),
-            "duals": _certificate_json(trees, res.certificate),
-        },
+        "certificate": _certificate_json(coupling, res.certificate),
         "verification": {
             "multicausal": causality.passed,
             "worst_violation": causality.worst_violation,
@@ -338,10 +328,7 @@ def _cmd_bary_bc(args) -> dict:
             "recomputed_value_at_barycenter": consistency,
         },
         "barycenter": json.loads(dump_tree(res.process.tree)),
-        "certificate": {
-            "coupling": _coupling_json(res.coupling),
-            "duals": _certificate_json(trees, res.mcot.certificate),
-        },
+        "certificate": _certificate_json(res.coupling, res.mcot.certificate),
         "verification": {"min_dual_slack": check["min_slack"]},
     }
 
@@ -353,7 +340,6 @@ def _cmd_bary_c(args) -> dict:
     sol = bary.causal_barycenter(trees, tasks, costs, tuple_budget=args.budget)
     min_slack, support_slack = sol.support_slack(costs)
     _check_slack({"min_slack": min_slack, "support_slack": support_slack, "value": sol.value})
-    task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,
         "command": "bary-c",
@@ -364,18 +350,8 @@ def _cmd_bary_c(args) -> dict:
             "min_dual_slack": min_slack,
             "worst_support_slack": support_slack,
         },
-        "nu": {leaf: float(w) for leaf, w in zip(task_ids, sol.nu.weights)},
-        "certificate": {
-            "potentials": [
-                {node_id: float(v) for node_id, v in zip(t.ids[0], f)}
-                for t, f in zip(trees, sol.potentials)
-            ],
-            "task_potentials": [
-                {leaf: float(v) for leaf, v in zip(task_ids, g)}
-                for g in sol.task_potentials
-            ],
-            "plans": [_plan_json(plan) for plan in sol.plans],
-        },
+        "nu": dict(zip(tasks.leaf_ids(), sol.nu.weights.tolist())),
+        "certificate": list(map(_certificate_json, sol.plans, sol.certificates)),
     }
 
 
@@ -384,23 +360,21 @@ def _cmd_bary_anticausal(args) -> dict:
     tasks = _read_tree(args.tasks)
     costs = _parse_power_spec(args.cost, len(trees))
     res = bary.anticausal_barycenter(trees, costs, tasks, tuple_budget=args.budget)
-    task_ids = tasks.leaf_ids()
+    min_slack, support_slack = bary._slack_extremes(
+        [mc.cost_table(plan.trees, c) for plan, c in zip(res.plans, costs)],
+        res.plans, res.certificates)
+    _check_slack({"min_slack": min_slack, "support_slack": support_slack, "value": res.value})
     return {
         "schema": SCHEMA,
         "command": "bary-anticausal",
         "values": {"barycenter_value": res.value},
-        "nu": {leaf: float(w) for leaf, w in zip(task_ids, res.nu.weights)},
-        "certificate": {
-            "plans": [_plan_json(plan) for plan in res.plans],
-            "kernels": [
-                {y: dict(sorted(k.items())) for y, k in sorted(kern.items())}
-                for kern in res.kernels
-            ],
-            "potentials": [
-                {leaf: float(v) for leaf, v in zip(tree.leaf_ids(), f)}
-                for tree, f in zip(trees, res.potentials)
-            ],
-        },
+        "nu": dict(zip(tasks.leaf_ids(), res.nu.weights.tolist())),
+        "kernels": [
+            {y: dict(sorted(k.items())) for y, k in sorted(kern.items())}
+            for kern in res.kernels
+        ],
+        "certificate": list(map(_certificate_json, res.plans, res.certificates)),
+        "verification": {"min_dual_slack": min_slack, "worst_support_slack": support_slack},
     }
 
 
@@ -420,7 +394,6 @@ def _cmd_match(args) -> dict:
     report = matching_mod.verify_equilibrium(instance, eq)
     min_slack, support_slack = matching_mod.complementary_slackness(instance, eq)
     _check_slack({"min_slack": min_slack, "support_slack": support_slack})
-    task_ids = tasks.leaf_ids()
     return {
         "schema": SCHEMA,
         "command": "match",
@@ -429,14 +402,8 @@ def _cmd_match(args) -> dict:
             "equilibrium_ok": report.passed,
         },
         "wages": eq.wage_table(),
-        "nu": {leaf: float(w) for leaf, w in zip(task_ids, eq.nu.weights)},
-        "certificate": {
-            "plans": [_plan_json(plan) for plan in eq.plans],
-            "potentials": [
-                {node_id: float(v) for node_id, v in zip(t.ids[0], f)}
-                for t, f in zip(instance.populations, eq.potentials)
-            ],
-        },
+        "nu": dict(zip(tasks.leaf_ids(), eq.nu.weights.tolist())),
+        "certificate": list(map(_certificate_json, eq.plans, eq.certificates)),
         "verification": {
             "clearing_ok": report.clearing_ok,
             "worst_clearing": report.worst_clearing,
@@ -479,6 +446,11 @@ def _cmd_verify_coupling(args) -> dict:
 
 def _cmd_counterexample(args) -> dict:
     report = bary.counterexample_demo(args.n, tuple_budget=args.budget)
+    for check in report.checks:
+        details = {"min_slack": check["min_slack"], "gap": check["gap"],
+                   "value": check["primal_value"]}
+        _check_slack(details)
+        lp_mod.check_duality_gap(check["primal_value"], check["gap"], _UNCERTIFIED, details)
     return {
         "schema": SCHEMA,
         "command": "counterexample",
@@ -489,6 +461,10 @@ def _cmd_counterexample(args) -> dict:
             "gap": report.gap,
             "moment2": report.moment2,
             "moment6": report.moment6,
+        },
+        "verification": {
+            "min_dual_slack": min(check["min_slack"] for check in report.checks),
+            "duality_gap": max(check["gap"] for check in report.checks),
         },
     }
 
@@ -538,12 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also report the brute-force LP value and the DPP gap")
     p.set_defaults(fn=_cmd_mcot)
-
-    p = add_parser("mcot-oracle", help="mcot with the brute-force comparison forced on")
-    p.add_argument("trees", nargs="+")
-    p.add_argument("--cost", default="lp_sum:2",
-                   help="lp_sum:p | pairwise_power:p | tensor:FILE")
-    p.set_defaults(fn=_cmd_mcot, oracle=True)
 
     p = add_parser("bary-bc", help="bicausal barycenter (multicausal reformulation)")
     p.add_argument("trees", nargs="+")

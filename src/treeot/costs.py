@@ -43,11 +43,12 @@ def power(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def _pairwise(trees: Sequence[ScenarioTree], per_pair) -> np.ndarray:
-    """sum_{i<j} per_pair(norms) on every leaf tuple, pairs in order, where
-    ``norms`` lists |x^i_t - x^j_t|_2 per time on a block of leaf pairs (i, j):
-    a chunk of tree i's leaves against all of tree j's.  Each block is
-    added in place into the one output table.  An entry past the float
-    range is inf, which :func:`cost_table` refuses."""
+    """sum_{i<j} per_pair(states) on every leaf tuple, pairs in order, where
+    ``states`` lists per time the states (x^i_t, x^j_t) of a block of leaf
+    pairs (i, j): a chunk of tree i's leaves on axis 0 against all of tree
+    j's on axis 1, states on the last axis.  Each block is added in place
+    into the one output table.  An entry past the float range is inf,
+    which :func:`cost_table` refuses."""
     trees = tuple(trees)
     states = [tr.leaf_states() for tr in trees]
     total = np.zeros(tuple(tr.n_leaves for tr in trees))
@@ -58,13 +59,19 @@ def _pairwise(trees: Sequence[ScenarioTree], per_pair) -> np.ndarray:
             rows = max(1, _CHUNK // trees[j].n_leaves)
             for start in range(0, trees[i].n_leaves, rows):
                 block = slice(start, start + rows)
-                norms = []
-                for x, y in zip(states[i], states[j]):
-                    diff = (x[block, None, :] - y[None, :, :])[..., None, :]
-                    # one dot product per pair, as np.linalg.norm takes it: same bits
-                    norms.append(np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0])
-                total[(slice(None),) * i + (block,)] += per_pair(norms).reshape(shape)
+                pairs = [(x[block, None, :], y[None, :, :]) for x, y in zip(states[i], states[j])]
+                total[(slice(None),) * i + (block,)] += per_pair(pairs).reshape(shape)
     return total
+
+
+def _norms(pairs) -> list[np.ndarray]:
+    """|x_t - y_t|_2 per time of a block of :func:`_pairwise`."""
+    norms = []
+    for x, y in pairs:
+        diff = (x - y)[..., None, :]
+        # one dot product per pair, as np.linalg.norm takes it: same bits
+        norms.append(np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0])
+    return norms
 
 
 def lp_sum(p: float = 2.0) -> Cost:
@@ -73,7 +80,7 @@ def lp_sum(p: float = 2.0) -> Cost:
         raise ValidationError("exponent p must be >= 1")
 
     def cost(trees):
-        return _pairwise(trees, lambda norms: power(sum(norms), p))
+        return _pairwise(trees, lambda pairs: power(sum(_norms(pairs)), p))
 
     return cost
 
@@ -84,7 +91,7 @@ def pairwise_power(p: float = 2.0) -> Cost:
         raise ValidationError("exponent p must be >= 1")
 
     def cost(trees):
-        return _pairwise(trees, lambda norms: sum(power(n, p) for n in norms))
+        return _pairwise(trees, lambda pairs: sum(power(n, p) for n in _norms(pairs)))
 
     return cost
 

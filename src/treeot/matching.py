@@ -25,7 +25,7 @@ import numpy as np
 from .barycenters import _slack_extremes, causal_barycenter, causal_violation
 from .errors import ValidationError
 from .lp import CAUSALITY_TOL, MARGINAL_TOL, OPTIMALITY_TOL
-from .multicausal import TUPLE_BUDGET, MulticausalCoupling, cost_table
+from .multicausal import TUPLE_BUDGET, DualCertificate, MulticausalCoupling, cost_table
 from .trees import DiscreteDistribution, ScenarioTree
 
 
@@ -69,33 +69,35 @@ class MatchingInstance:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Wages, task distribution and causal plans over the pairs
-    (population tree, task tree), one per population.
+    """Task distribution, causal plans and their certificates over the
+    pairs (population tree, task tree), one per population.
 
-    ``wages[0]`` is the principal's; by construction it equals the
-    negated sum of the agent wages, so clearing holds exactly.  Every
-    wage has mean zero under ``nu`` (see :func:`solve_matching`), so
-    ``values[i]``, E_pi[c^i - w^i] under the equilibrium plan, is the
-    plan's expected cost E_pi[c^i].
-    ``potentials[i]`` lives on the time-1 nodes of population i (the
-    static part of the dual bundle certifying best-response optimality);
-    ``mart_coefficients[i]`` are the matching per-depth test-function
-    coefficients, laid out as in :class:`CausalBarycenterSolution`.
+    ``certificates[i]`` is laid out as in
+    :class:`~treeot.barycenters.CausalBarycenterSolution`: the potential
+    f^i on the population's leaves, the wage w^i on the task leaves, and
+    the coefficients of G^i; it certifies that ``plans[i]`` is a best
+    response to w^i.  The principal's wage is by construction the negated
+    sum of the agent wages, so clearing holds exactly.  Every wage has
+    mean zero under ``nu`` (see :func:`solve_matching`), so ``values[i]``,
+    E_pi[c^i - w^i] under the equilibrium plan, is the plan's expected
+    cost E_pi[c^i].
     """
 
     instance: MatchingInstance
     nu: DiscreteDistribution
-    wages: tuple[np.ndarray, ...]
     plans: tuple[MulticausalCoupling, ...]
     values: tuple[float, ...]
-    potentials: tuple[np.ndarray, ...]
-    mart_coefficients: tuple[tuple[np.ndarray, ...], ...]
+    certificates: tuple[DualCertificate, ...]
+
+    @property
+    def wages(self) -> tuple[np.ndarray, ...]:
+        return tuple(cert.potentials[1] for cert in self.certificates)
 
     def wage_table(self) -> dict[str, list[float]]:
         """Wages keyed by the task-path id sequence, listed per population 0..N."""
-        tasks = self.instance.tasks
+        tasks, wages = self.instance.tasks, self.wages
         return {
-            "/".join(tasks.path_of(tasks.horizon, j).ids): [float(w[j]) for w in self.wages]
+            "/".join(tasks.path_of(tasks.horizon, j).ids): [float(w[j]) for w in wages]
             for j in range(tasks.n_leaves)
         }
 
@@ -105,42 +107,37 @@ def solve_matching(
 ) -> Equilibrium:
     """Construct an equilibrium from the joint causal barycenter.
 
-    Wages are the negated dual task potentials (w^i = -g^i); plans and nu
-    come from the barycenter primal.  The dual leaves each population's
-    wage level free up to constants summing to zero, so each agent's
-    wage is shifted to E_nu[w^i] = 0 and its time-1 potential f^i by the
-    same constant, which keeps every slack c^i - w^i + G^i - f^i.  The
-    principal's wage is then the negated sum of the agents', so the
-    market clears exactly, and its potential takes the negated sum of
-    the shifts.
+    Wages are the barycenter's task potentials w^i; plans and nu come
+    from the barycenter primal.  The dual leaves each population's wage
+    level free up to constants summing to zero, so each agent's wage is
+    shifted to E_nu[w^i] = 0 and its potential f^i by the same constant,
+    which keeps every slack c^i - w^i + G^i - f^i.  The principal's wage
+    is then the negated sum of the agents', so the market clears exactly,
+    and its potential takes the negated sum of the shifts.
     """
     populations = instance.populations
     solution = causal_barycenter(
         populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
     )
     nu = solution.nu.weights
-    shifts = [float(-g @ nu) for g in solution.task_potentials[1:]]
-    agent_wages = [-g - m for g, m in zip(solution.task_potentials[1:], shifts)]
+    agents = solution.certificates[1:]
+    shifts = [float(cert.potentials[1] @ nu) for cert in agents]
+    agent_wages = [cert.potentials[1] - m for cert, m in zip(agents, shifts)]
     principal_wage = (
         -reduce(np.add, agent_wages) if agent_wages else np.zeros(instance.tasks.n_leaves)
     )
-    wages = (principal_wage, *agent_wages)
-    potentials = tuple(
-        f + m for f, m in zip(solution.potentials, (-sum(shifts), *shifts))
+    certificates = tuple(
+        DualCertificate(potentials=(cert.potentials[0] + m, wage),
+                        coefficients=cert.coefficients)
+        for cert, m, wage in zip(solution.certificates, (-sum(shifts), *shifts),
+                                 (principal_wage, *agent_wages))
     )
     values = tuple(
-        plan.expectation(table - wage)
-        for plan, table, wage in zip(solution.plans, instance.cost_tables, wages)
+        plan.expectation(table - cert.potentials[1])
+        for plan, table, cert in zip(solution.plans, instance.cost_tables, certificates)
     )
-    return Equilibrium(
-        instance=instance,
-        nu=solution.nu,
-        wages=wages,
-        plans=solution.plans,
-        values=values,
-        potentials=potentials,
-        mart_coefficients=solution.mart_coefficients,
-    )
+    return Equilibrium(instance=instance, nu=solution.nu, plans=solution.plans,
+                       values=values, certificates=certificates)
 
 
 def best_response(
@@ -267,7 +264,4 @@ def complementary_slackness(
     c^i - w^i + G^i - f^i; dual feasibility keeps it above -1e-8 and it
     vanishes on the support of the equilibrium plan.
     """
-    return _slack_extremes(
-        instance.cost_tables, equilibrium.plans, equilibrium.potentials, equilibrium.wages,
-        equilibrium.mart_coefficients,
-    )
+    return _slack_extremes(instance.cost_tables, equilibrium.plans, equilibrium.certificates)

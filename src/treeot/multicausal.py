@@ -63,7 +63,6 @@ from .lp import (
     LpProblem,
     _marginal_pattern,
     _solve_optimal,
-    _split_potentials,
     check_duality_gap,
     multimarginal_ot,
     multimarginal_ot_batch,
@@ -174,13 +173,14 @@ class McotResult:
 def cost_table(trees: Sequence[ScenarioTree], cost: costs_mod.Cost) -> np.ndarray:
     """The cost on every leaf-path tuple, one axis per tree, in leaf order.
 
-    ``cost`` is that table or a callable ``cost(trees)`` that builds it
-    (see :mod:`treeot.costs`); either way the result is a new array whose
-    shape must be the leaf counts and whose entries must be finite.
+    ``cost`` is that table, which is copied, or a callable ``cost(trees)``
+    that builds it (see :mod:`treeot.costs`), whose table is taken as it
+    is built; its shape must be the leaf counts and its entries finite.
     """
     trees = tuple(trees)
     try:
-        table = np.array(cost(trees) if callable(cost) else cost, dtype=float)
+        table = (np.asarray(cost(trees), dtype=float) if callable(cost)
+                 else np.array(cost, dtype=float))
     except OverflowError:  # Python float arithmetic past the largest float
         raise ValidationError("cost is not finite on every leaf-path tuple") from None
     leaves = tuple(t.n_leaves for t in trees)
@@ -698,15 +698,13 @@ def _coefficient_blocks(
 
 
 class TransportLp(NamedTuple):
-    """The solution of :func:`transport_lp`.  ``duals`` and
-    ``coefficients`` are those of the LP on the costs less ``shift``."""
+    """The solution of :func:`transport_lp`: per family, its plan and the
+    :class:`DualCertificate` of the LP's duals for the unshifted costs."""
 
     value: float
-    shift: float
     nu: np.ndarray | None
-    plans: tuple[np.ndarray, ...]
-    duals: tuple[np.ndarray, ...]
-    coefficients: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    plans: tuple[MulticausalCoupling, ...]
+    certificates: tuple[DualCertificate, ...]
 
 
 def transport_lp(
@@ -728,12 +726,17 @@ def transport_lp(
     shifted by their common minimum for the solve.  ``what`` names the
     LP in a solver failure; nu with a mass other than 1 is one.
 
-    Returns the value, the shift, nu (clipped at 0 and normalised; None
-    without ``shared``), each plan as a dense array over its family's
-    leaf tuples (with ``shared``, 0 on the task leaves outside nu's
-    support; more than MARGINAL_TOL of mass there is a solver failure),
-    each family's marginal-row duals (in :func:`_marginal_pattern` order)
-    and its negated causality-row duals as :func:`_coefficient_blocks`.
+    Returns the value, nu (clipped at 0 and normalised; None without
+    ``shared``), each plan as a coupling over its family (with
+    ``shared``, nothing on the task leaves outside nu's support; more
+    than MARGINAL_TOL of mass there is a solver failure) and each
+    family's certificate: its marginal-row duals split per tree (the
+    shared tree's are its link rows'), the shift added to the first
+    tree's, and its negated causality-row duals as the coefficients of
+    ``processes`` (:func:`_coefficient_blocks`), ``()`` for every other
+    tree.  A certificate total (the shared tree's potentials, whose rows
+    have right-hand side 0, left out) off the value by more than the
+    duality-gap bound is a solver failure.
     """
     import scipy.sparse as sp
 
@@ -756,7 +759,7 @@ def transport_lp(
             vals.append(-np.ones(n_nu))
             laws[-1] = np.zeros(n_nu)
         rhs += laws + [np.zeros(kept.size)]
-        layout.append((trees, shape, kept, row_ofs, col_ofs))
+        layout.append((tuple(trees), shape, kept, row_ofs, col_ofs))
         row_ofs += n_marginal + kept.size
         col_ofs += size
     a_eq = sp.csr_matrix(
@@ -765,6 +768,7 @@ def transport_lp(
     )
     c_vec = np.concatenate([np.zeros(n_nu)] + [(table - shift).ravel() for table in tables])
     sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), what)
+    value = sol.value + len(families) * shift
 
     nu = None
     if shared:
@@ -774,7 +778,7 @@ def transport_lp(
         if not (abs(total - 1.0) <= MARGINAL_TOL):
             raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
         nu = nu / total
-    plans, duals, coefficients = [], [], []
+    plans, certificates, dual_value = [], [], 0.0
     for trees, shape, kept, r0, c0 in layout:
         r1 = r0 + sum(shape)  # the family's causality rows start here
         plan = sol.x[c0:c0 + int(np.prod(shape))].reshape(shape)
@@ -788,12 +792,19 @@ def transport_lp(
                 raise SolverFailureError(
                     f"{what}: a plan has mass {dust!r} on task leaves outside nu's support")
             plan = np.where(held, plan, 0.0)
-        plans.append(plan)
-        duals.append(sol.duals[r0:r1])
-        coefficients.append(
-            _coefficient_blocks(trees, processes, kept, -sol.duals[r1:r1 + kept.size]))
-    return TransportLp(value=sol.value + len(families) * shift, shift=shift, nu=nu,
-                       plans=tuple(plans), duals=tuple(duals), coefficients=tuple(coefficients))
+        plans.append(coupling_from_dense(trees, plan))
+        potentials = np.split(sol.duals[r0:r1], np.cumsum(shape)[:-1])
+        potentials[0] = potentials[0] + shift
+        blocks = dict(zip(processes, _coefficient_blocks(
+            trees, processes, kept, -sol.duals[r1:r1 + kept.size])))
+        certificates.append(DualCertificate(
+            potentials=tuple(potentials),
+            coefficients=tuple(blocks.get(i, ()) for i in range(len(trees)))))
+        dual_value += certificates[-1].potential_total(trees[:len(trees) - shared])
+    check_duality_gap(value, abs(dual_value - value),
+                      f"{what}: certificate value does not match the LP value",
+                      {"value": value, "dual_value": dual_value})
+    return TransportLp(value=value, nu=nu, plans=tuple(plans), certificates=tuple(certificates))
 
 
 # -- brute-force LP oracle and dual certificates ------------------------------
@@ -895,18 +906,9 @@ def brute_force_mcot(
     trees = tuple(trees)
     _check_family(trees)
     _guard_budget(trees, tuple_budget, "brute_force_mcot")
-    table = cost_table(trees, cost)
-    lp = transport_lp([trees], [table], range(len(trees)), False, "multicausal LP")
-    coupling = coupling_from_dense(trees, lp.plans[0])
-    certificate = DualCertificate(
-        potentials=_split_potentials(lp.duals[0], table.shape, lp.shift),
-        coefficients=lp.coefficients[0],
-    )
-    dual_value = certificate.potential_total(trees)
-    check_duality_gap(lp.value, abs(dual_value - lp.value),
-                      "certificate value does not match primal optimum",
-                      {"value": lp.value, "dual_value": dual_value})
-    return lp.value, coupling, certificate
+    lp = transport_lp([trees], [cost_table(trees, cost)], range(len(trees)), False,
+                      "multicausal LP")
+    return lp.value, lp.plans[0], lp.certificates[0]
 
 
 # -- coupling algebra ---------------------------------------------------------

@@ -183,7 +183,7 @@ def test_criterion_5_causal_below_bicausal():
     for _ in range(100):
         t1 = random_tree(rng, horizon=2, dim=1, max_branch=3)
         t2 = random_tree(rng, horizon=2, dim=1, max_branch=3)
-        v_causal, _ = causal_ot(t1, t2, PowerCost(weight=1.0, exponent=2.0))
+        v_causal, _, _ = causal_ot(t1, t2, PowerCost(weight=1.0, exponent=2.0))
         v_bicausal = mc_dpp([t1, t2], cm.pairwise_power(2.0)).value
         worst = max(worst, v_causal - v_bicausal)
     _criterion(

@@ -231,7 +231,7 @@ def test_bc_barycenter_coupling_passes_checker_and_masses_sum():
 def test_causal_ot_identical_trees_metric_zero():
     rng = np.random.default_rng(13)
     tree = random_tree(rng, horizon=2, dim=1, max_branch=2)
-    value, plan = causal_ot(tree, tree, metric_cost())
+    value, plan, _ = causal_ot(tree, tree, metric_cost())
     assert value == pytest.approx(0.0, abs=1e-10)
     for axis in (0, 1):
         assert plan.marginal_tv(axis) <= 1e-9
@@ -242,7 +242,7 @@ def test_causal_ot_single_period_equals_classical():
     t1 = random_tree(rng, horizon=1, dim=1, max_branch=3)
     t2 = random_tree(rng, horizon=1, dim=1, max_branch=3)
     cost = PowerCost(weight=1.0, exponent=2.0)
-    v_causal, _ = causal_ot(t1, t2, cost)
+    v_causal, _, _ = causal_ot(t1, t2, cost)
     cmat = cost_table((t1, t2), cost)
     v_classical, _ = classical_ot(t1.leaf_law(), t2.leaf_law(), cmat)
     assert v_causal == pytest.approx(v_classical, abs=1e-10)
@@ -254,7 +254,7 @@ def test_causal_never_exceeds_bicausal(seed):
     t1 = random_tree(rng, horizon=2, dim=1, max_branch=3)
     t2 = random_tree(rng, horizon=2, dim=1, max_branch=3)
     cost = PowerCost(weight=1.0, exponent=2.0)
-    v_causal, plan = causal_ot(t1, t2, cost)
+    v_causal, plan, _ = causal_ot(t1, t2, cost)
     v_bicausal = mc_dpp([t1, t2], cm.pairwise_power(2.0)).value
     assert v_causal <= v_bicausal + 1e-10
     assert causal_violation(plan) <= 1e-9
@@ -268,7 +268,7 @@ def test_causal_barycenter_single_process_over_own_support():
     tree = random_tree(rng, horizon=2, dim=1, max_branch=2)
     sol = causal_barycenter([tree], tree, [metric_cost()])
     assert sol.value == pytest.approx(0.0, abs=1e-10)
-    assert np.max(np.abs(reduce(np.add, sol.task_potentials))) == 0.0
+    assert np.max(np.abs(reduce(np.add, [c.potentials[1] for c in sol.certificates]))) == 0.0
 
 
 def test_causal_barycenter_identical_processes_recover_common_law():
@@ -289,8 +289,8 @@ def test_causal_barycenter_duality_and_plan_validity(seed):
     # weak duality with equality at the optimum
     assert sol.dual_value() <= sol.value + 1e-8
     assert abs(sol.dual_value() - sol.value) <= 1e-8 * (1 + abs(sol.value))
-    # task potentials clear exactly
-    assert np.max(np.abs(reduce(np.add, sol.task_potentials))) == 0.0
+    # wages clear exactly
+    assert np.max(np.abs(reduce(np.add, [c.potentials[1] for c in sol.certificates]))) == 0.0
     # plans share nu and are causal
     for tree, plan in zip(trees, sol.plans):
         assert plan.trees == (tree, task)

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from treeot import barycenters as bary
+from treeot import cli
 from treeot import costs as cm
 from treeot import lp
 from treeot import matching as matching_mod
 from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
-from treeot.trees import GAUSS_HERMITE_MAX_N, dump_tree
+from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, dump_tree
 
 
 @pytest.fixture()
@@ -44,7 +45,7 @@ def test_awdist_identical_trees(tmp_path, tree_files):
     code, out = _run_to_file(tmp_path, ["awdist", p1, p1, "--p", "2"])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "2"
+    assert report["schema"] == "3"
     assert report["values"]["aw_distance"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -112,7 +113,7 @@ def test_corrupted_martingale_coefficient_exits_4(tree_files, monkeypatch, capsy
         # siblings: G^0 drops by p_b * 1e6 below each sibling
         parents = sol.plans[0].trees[0].parents[1]
         b = int(np.flatnonzero(np.bincount(parents)[parents] > 1)[0])
-        sol.mart_coefficients[0][0][0, b] += 1e6
+        sol.certificates[0].coefficients[0][0][0, b] += 1e6
         return sol
 
     monkeypatch.setattr(bary, "causal_barycenter", corrupted)
@@ -125,23 +126,72 @@ def test_corrupted_martingale_coefficient_exits_4(tree_files, monkeypatch, capsy
     assert "'min_slack'" in err
 
 
-@pytest.mark.parametrize("command", ["bary-c", "match"])
+@pytest.mark.parametrize("command", ["bary-c", "match", "bary-anticausal"])
+def test_corrupted_task_potential_exits_4(tree_files, monkeypatch, capsys, command):
+    _, _, p1, p2 = tree_files
+    market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
+    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market],
+            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1]}[command]
+    solver = "anticausal_barycenter" if command == "bary-anticausal" else "causal_barycenter"
+    real = getattr(bary, solver)
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        # raise population 1's wage at a task leaf of its plan: the slack
+        # of that atom, 0 before, drops to -1e-3
+        y = res.plans[1].tuples[0, 1]
+        res.certificates[1].potentials[1][y] += 1e-3
+        return res
+
+    monkeypatch.setattr(bary, solver, corrupted)
+    monkeypatch.setattr(matching_mod, solver, corrupted, raising=False)
+    capsys.readouterr()
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: dual certificate")
+    details = ast.literal_eval(err[err.index("{"):])
+    assert details["min_slack"] < -1e-8
+
+
+def test_corrupted_causal_transport_dual_exits_4(monkeypatch, capsys):
+    real = bary.causal_ot
+
+    def corrupted(*args, **kwargs):
+        value, plan, cert = real(*args, **kwargs)
+        # raise the first potential at a leaf: every slack in its row drops
+        cert.potentials[0][0] += 1e-3
+        return value, plan, cert
+
+    monkeypatch.setattr(bary, "causal_ot", corrupted)
+    capsys.readouterr()
+    assert run(["counterexample", "--n", "4"]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: dual certificate")
+    assert "'min_slack'" in err
+
+
+@pytest.mark.parametrize("command", ["bary-c", "match", "bary-anticausal"])
 def test_support_slack_above_tolerance_exits_4(tree_files, monkeypatch, capsys, command):
     _, _, p1, p2 = tree_files
     market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
-    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market]}[command]
-    real = bary.causal_barycenter
+    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market],
+            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1]}[command]
+    solver = "anticausal_barycenter" if command == "bary-anticausal" else "causal_barycenter"
+    real = getattr(bary, solver)
 
     def corrupted(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        # lower population 0's potential at its first time-1 node: every
-        # slack below that node rises by 1e-6, so none turns negative but
-        # the plan's support is no longer tight
-        sol.potentials[0][0] -= 1e-6
-        return sol
+        res = real(*args, **kwargs)
+        # lower population 0's potential below its first time-1 node: every
+        # slack there rises by 1e-6, so none turns negative but the plan's
+        # support is no longer tight
+        f = res.certificates[0].potentials[0]
+        f[res.plans[0].trees[0].ancestors[:, 0] == 0] -= 1e-6
+        return res
 
-    monkeypatch.setattr(bary, "causal_barycenter", corrupted)
-    monkeypatch.setattr(matching_mod, "causal_barycenter", corrupted)
+    monkeypatch.setattr(bary, solver, corrupted)
+    monkeypatch.setattr(matching_mod, solver, corrupted, raising=False)
     capsys.readouterr()
     assert run(argv) == 4
     err = capsys.readouterr().err
@@ -292,19 +342,47 @@ def three_tree_files(tmp_path):
     return trees, [str(p) for p in paths]
 
 
-# each certified command: its argv on the three trees, how many trees it
-# reads, the cost it certifies and the report's value that cost has
-CERTIFIED = {
-    "awdist": (["--p", "2"], 2, cm.lp_sum(2.0), "dpp_value"),
-    "mcot": (["--cost", "lp_sum:2"], 3, cm.lp_sum(2.0), "dpp_value"),
-    "bary-bc": ([], 2, bary.aggregate_cost([bary.PowerCost(1.0, 2.0)] * 2,
-                                           bary.phi0_quadratic([0.5, 0.5])),
-                "barycenter_value"),
-}
+MARKET = Path(__file__).parent / "fixtures" / "market_seed602.json"
+
+
+def _market_pairs():
+    """Per population of the market fixture, its pair (population tree,
+    task tree) and cost table."""
+    doc = json.loads(MARKET.read_text())
+    parse = lambda tree: ScenarioTree.from_levels(tree["levels"])
+    instance = matching_mod.MatchingInstance(
+        principal=parse(doc["principal"]["tree"]),
+        utility=cli._parse_separable_cost(doc["principal"]["utility"]),
+        agents=[parse(a["tree"]) for a in doc["agents"]],
+        agent_costs=[cli._parse_separable_cost(a["cost"]) for a in doc["agents"]],
+        tasks=parse(doc["tasks"]),
+    )
+    return [((tree, instance.tasks), table)
+            for tree, table in zip(instance.populations, instance.cost_tables)]
+
+
+def _certified(command, trees, paths):
+    """A certified command's argv after its name on the three trees; per
+    certificate it reports, the trees and the cost it certifies; and the
+    report's value a single certificate's dual value has (None where the
+    report lists one certificate per population)."""
+    quadratic = bary.PowerCost(1.0, 2.0)
+    barycenter = ([*paths[:2], "--tasks", paths[2]],
+                  [((tree, trees[2]), quadratic) for tree in trees[:2]], None)
+    return {
+        "awdist": ([*paths[:2], "--p", "2"], [(trees[:2], cm.lp_sum(2.0))], "dpp_value"),
+        "mcot": ([*paths, "--cost", "lp_sum:2"], [(trees, cm.lp_sum(2.0))], "dpp_value"),
+        "bary-bc": (paths[:2], [(trees[:2], bary.aggregate_cost(
+            [quadratic] * 2, bary.phi0_quadratic([0.5, 0.5])))], "barycenter_value"),
+        "bary-c": barycenter,
+        "bary-anticausal": barycenter,
+        "match": ([str(MARKET)], _market_pairs(), None),
+    }[command]
 
 
 def _certificate_from_report(trees, duals) -> mc.DualCertificate:
-    """The certificate a report writes, placed by node id alone."""
+    """The certificate a report writes, placed by node id alone; a tree
+    with no coefficient blocks gets ``()``."""
     def positions(tree, depth, ids):
         where = [tree.locate(node_id) for node_id in ids]
         assert all(d == depth for d, _ in where)
@@ -317,34 +395,46 @@ def _certificate_from_report(trees, duals) -> mc.DualCertificate:
         f = np.empty(tree.n_leaves)
         f[positions(tree, tree.horizon, entry["ids"])] = entry["values"]
         potentials.append(f)
-    coefficients = [[None] * (tree.horizon - 1) for tree in trees]
+    blocks = {}
     for entry in duals["coefficients"]:
         i, t = entry["i"] - 1, entry["t"]
         axes = [(tr, t) for j, tr in enumerate(trees) if j != i] + [(trees[i], t + 1)]
         coef = np.empty([tr.level_size(depth) for tr, depth in axes])
         coef[np.ix_(*(positions(tr, depth, ids)
                       for (tr, depth), ids in zip(axes, entry["axes"])))] = entry["values"]
-        assert coefficients[i][t - 1] is None
-        coefficients[i][t - 1] = coef
-    assert all(coef is not None for per_depth in coefficients for coef in per_depth)
-    return mc.DualCertificate(tuple(potentials), tuple(map(tuple, coefficients)))
+        assert (i, t) not in blocks
+        blocks[i, t] = coef
+    coefficients = []
+    for i, tree in enumerate(trees):
+        depths = [t for t in range(1, tree.horizon) if (i, t) in blocks]
+        assert depths in ([], list(range(1, tree.horizon)))
+        coefficients.append(tuple(blocks[i, t] for t in depths))
+    assert len(blocks) == sum(map(len, coefficients))
+    return mc.DualCertificate(tuple(potentials), tuple(coefficients))
 
 
-@pytest.mark.parametrize("command", sorted(CERTIFIED))
+@pytest.mark.parametrize("command", ["awdist", "bary-anticausal", "bary-bc", "bary-c", "match",
+                                     "mcot"])
 def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, command):
-    trees, paths = three_tree_files
-    extra, n, cost, value_key = CERTIFIED[command]
-    trees = trees[:n]
-    code, out = _run_to_file(tmp_path, [command, *paths[:n], *extra])
+    argv, certified, value_key = _certified(command, *three_tree_files)
+    code, out = _run_to_file(tmp_path, [command, *argv])
     assert code == 0
     report = json.loads(out.read_text())
-    cert = _certificate_from_report(trees, report["certificate"]["duals"])
-    coupling = mc.coupling_from_id_atoms(
-        trees, [(a["leaves"], a["w"]) for a in report["certificate"]["coupling"]]
-    )
-    check = mc.verify_certificate(coupling, mc.cost_table(trees, cost), cert)
-    assert check["min_slack"] == report["verification"]["min_dual_slack"]
-    lp.check_duality_gap(report["values"][value_key], check["gap"], "round trip", {})
+    entries = [report["certificate"]] if value_key else report["certificate"]
+    assert len(entries) == len(certified)
+    checks = []
+    for entry, (trees, cost) in zip(entries, certified):
+        cert = _certificate_from_report(trees, entry["duals"])
+        coupling = mc.coupling_from_id_atoms(
+            trees, [(a["leaves"], a["w"]) for a in entry["coupling"]])
+        checks.append(mc.verify_certificate(coupling, mc.cost_table(trees, cost), cert))
+    # bary-c reports its slacks among its values
+    slacks = report.get("verification", report["values"])
+    assert min(check["min_slack"] for check in checks) == slacks["min_dual_slack"]
+    if value_key:
+        lp.check_duality_gap(report["values"][value_key], checks[0]["gap"], "round trip", {})
+    else:
+        assert max(check["support_slack"] for check in checks) == slacks["worst_support_slack"]
 
 
 def _leaf_keys(obj, path=()):
@@ -354,11 +444,9 @@ def _leaf_keys(obj, path=()):
     return [key for k, v in obj.items() for key in _leaf_keys(v, (*path, k))]
 
 
-@pytest.mark.parametrize("command", sorted(CERTIFIED))
+@pytest.mark.parametrize("command", ["awdist", "bary-bc", "mcot"])
 def test_text_format_writes_one_line_per_key(tmp_path, three_tree_files, command):
-    _, paths = three_tree_files
-    extra, n, _, _ = CERTIFIED[command]
-    argv = [command, *paths[:n], *extra]
+    argv = [command, *_certified(command, *three_tree_files)[0]]
     _, out = _run_to_file(tmp_path, argv, "r.json")
     keys = _leaf_keys(json.loads(out.read_text()))
     _, out = _run_to_file(tmp_path, [*argv, "--format", "text"], "r.txt")
@@ -549,8 +637,8 @@ def test_solver_dust_outside_nus_support_is_dropped(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["verification"]["worst_support_slack"] <= 1e-8
     assert report["nu"][planted[0]] == 0.0
-    for plan in report["certificate"]["plans"]:
-        assert planted[0] not in {atom["to"] for atom in plan}
+    for entry in report["certificate"]:
+        assert planted[0] not in {atom["leaves"][1] for atom in entry["coupling"]}
 
 
 @pytest.mark.parametrize("status", [2, 3, 4])

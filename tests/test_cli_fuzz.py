@@ -126,7 +126,7 @@ _OPTIONS = st.lists(
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     command=st.sampled_from(
-        ["awdist", "mcot", "mcot-oracle", "bary-bc", "verify-coupling", "nope"]
+        ["awdist", "mcot", "bary-bc", "verify-coupling", "nope"]
     ),
     trees=st.tuples(tree_doc("a"), tree_doc("b")),
     coupling=st.one_of(st.none(), coupling_doc()),
@@ -286,8 +286,8 @@ def tensor_file(draw):
 @settings(max_examples=40, deadline=5000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tensor=st.one_of(tensor_file(), st.none()),
-       command=st.sampled_from(["mcot", "mcot-oracle"]))
-def test_tensor_cost_contract_under_fuzzing(tensor, command):
+       oracle=st.sampled_from([[], ["--oracle"]]))
+def test_tensor_cost_contract_under_fuzzing(tensor, oracle):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, text in zip(("a.json", "b.json"), _SQUARE_TREES):
@@ -299,7 +299,7 @@ def test_tensor_cost_contract_under_fuzzing(tensor, command):
             cost = os.path.join(tmp, tensor[0])
             with open(cost, "wb") as fh:
                 fh.write(tensor[1])
-        _check_contract([command, *paths, "--cost", f"tensor:{cost}"],
+        _check_contract(["mcot", *paths, "--cost", f"tensor:{cost}", *oracle],
                         os.path.join(tmp, "report"))
 
 

@@ -316,10 +316,13 @@ def test_other_powers_are_python_float_pow(p):
     assert cm.power(x, p).tolist() == [v ** p for v in x.tolist()]
 
 
-@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0)])
+@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0),
+                                  PowerCost(1.0, 1.5)])
 @pytest.mark.parametrize("n, horizon, dim", [(2, 3, 1), (3, 2, 2)])
 def test_tables_do_not_depend_on_the_chunk_size(monkeypatch, cost, n, horizon, dim):
     trees = family(n, horizon, dim)
+    if isinstance(cost, PowerCost):  # a cost of a pair
+        trees = trees[:2]
     whole = cost(trees)
     monkeypatch.setattr(cm, "_CHUNK", 5)  # one leaf of the first tree per chunk
     assert np.array_equal(cost(trees), whole)
@@ -341,13 +344,21 @@ def wide_pair() -> list[ScenarioTree]:
     return [random_tree(rng, horizon=3, min_branch=10, max_branch=10, prefix=p) for p in "ab"]
 
 
-@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0)])
+@pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.lp_sum(1.5), cm.pairwise_power(3.0),
+                                  PowerCost(1.0, 2.0), PowerCost(1.0, 1.5)])
 def test_table_memory_is_bounded_by_the_table(wide_pair, cost):
-    # the builtin adds chunks into its one output table; cost_table's
-    # defensive copy is one more table
+    # the cost adds chunks into its one output table, which cost_table
+    # takes as it is built
     table_bytes = 8 * wide_pair[0].n_leaves * wide_pair[1].n_leaves
     assert traced_peak(lambda: cost(wide_pair)) <= 1.5 * table_bytes
-    assert traced_peak(lambda: cost_table(wide_pair, cost)) <= 2.5 * table_bytes
+    assert traced_peak(lambda: cost_table(wide_pair, cost)) <= 1.5 * table_bytes
+
+
+def test_cost_table_takes_a_built_table_as_it_is():
+    rng = np.random.default_rng(37)
+    trees = [random_tree(rng, horizon=2, min_branch=2, max_branch=2, prefix=p) for p in "ab"]
+    built = np.arange(16.0).reshape(4, 4)
+    assert cost_table(trees, lambda _: built) is built
 
 
 def test_cost_table_leaves_the_given_array_alone():

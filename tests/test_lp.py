@@ -32,7 +32,7 @@ from treeot import (
 from treeot import costs as cm
 from treeot import lp as lp_mod
 from treeot.lp import DUALITY_TOL, _marginal_pattern, multimarginal_ot_batch
-from treeot.multicausal import cost_table, mc_dpp
+from treeot.multicausal import cost_table, mc_dpp, verify_certificate
 from treeot.randomgen import random_tree
 from treeot.trees import ScenarioTree
 
@@ -421,7 +421,7 @@ def test_barycenter_two_diracs_midpoint_hand_lp():
     assert res.value == pytest.approx(0.25, abs=1e-9)
     assert res.nu.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
     for plan, dirac in zip(res.plans, diracs):
-        for axis, law in enumerate((res.nu.weights, dirac.leaf_law())):
+        for axis, law in enumerate((dirac.leaf_law(), res.nu.weights)):
             assert 0.5 * float(np.abs(plan.marginal(axis) - law).sum()) <= 1e-9
 
 
@@ -459,9 +459,13 @@ def test_anticausal_barycenter_is_the_fixed_support_barycenter_of_the_path_laws(
                                                [table.T for table in tables])
     tol = DUALITY_TOL * (1 + abs(reference))
     assert res.value == pytest.approx(reference, abs=tol)
-    assert sum(f @ t.leaf_law() for f, t in zip(res.potentials, trees)) == pytest.approx(
-        res.value, abs=tol)
-    # plans run from the task leaves to the process leaves
+    assert sum(c.potentials[0] @ t.leaf_law() for c, t in zip(res.certificates, trees)) == (
+        pytest.approx(res.value, abs=tol))
+    # plans run from the process leaves to the task leaves
     plan_cost = sum(w * table[jx, ky] for table, plan in zip(tables, res.plans)
-                    for (ky, jx), w in zip(plan.tuples.tolist(), plan.weights))
+                    for (jx, ky), w in zip(plan.tuples.tolist(), plan.weights))
     assert plan_cost == pytest.approx(res.value, abs=tol)
+    # each certificate holds on every leaf pair and is tight on its plan
+    for table, plan, cert in zip(tables, res.plans, res.certificates):
+        check = verify_certificate(plan, table, cert)
+        assert check["min_slack"] >= -1e-8 and check["support_slack"] <= 1e-8

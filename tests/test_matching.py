@@ -39,7 +39,12 @@ from treeot import (
 from treeot.barycenters import causal_violation
 from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, LpProblem, _marginal_pattern, solve_lp
 from treeot.matching import Equilibrium
-from treeot.multicausal import MulticausalCoupling, causality_operator, coupling_from_dense
+from treeot.multicausal import (
+    DualCertificate,
+    MulticausalCoupling,
+    causality_operator,
+    coupling_from_dense,
+)
 from treeot.randomgen import random_tree
 
 
@@ -147,9 +152,13 @@ def test_complementary_slackness_on_support(seed):
     assert support_slack <= 1e-8
 
 
-def _pair_slacks(tree, tasks, cmat, potential, wage, coefficients):
-    """c - w + G - f on every leaf pair, one pair and one key at a time;
-    ``coefficients[t-1][task node at t, own node at t+1]``."""
+def _pair_slacks(tree, tasks, cmat, certificate):
+    """c - w + G - f on every leaf pair, one pair and one key at a time,
+    from a certificate (f on the leaves of ``tree``, w on the task leaves;
+    ``coefficients[0][t-1][task node at t, own node at t+1]``)."""
+    potential, wage = certificate.potentials
+    coefficients, task_coefficients = certificate.coefficients
+    assert task_coefficients == ()
     out = np.empty(cmat.shape)
     for lx in range(tree.n_leaves):
         px = tree.path_indices(tree.horizon, lx)
@@ -161,15 +170,13 @@ def _pair_slacks(tree, tasks, cmat, potential, wage, coefficients):
                 g += coef[py[t - 1], px[t]]
                 for b in tree.children(t, px[t - 1]):
                     g -= tree.node(t + 1, b).prob * coef[py[t - 1], b]
-            out[lx, ly] = cmat[lx, ly] - wage[ly] + g - potential[px[0]]
+            out[lx, ly] = cmat[lx, ly] - wage[ly] + g - potential[lx]
     return out
 
 
-def _slack_extremes_by_pair(trees, tasks, tables, plans, potentials, wages, coefficients):
-    slacks = [
-        _pair_slacks(*args)
-        for args in zip(trees, [tasks] * len(trees), tables, potentials, wages, coefficients)
-    ]
+def _slack_extremes_by_pair(trees, tasks, tables, plans, certificates):
+    slacks = [_pair_slacks(tree, tasks, table, cert)
+              for tree, table, cert in zip(trees, tables, certificates)]
     support = [abs(s[idx]) for s, plan in zip(slacks, plans) for idx in map(tuple, plan.tuples)]
     return min(float(s.min()) for s in slacks), max(support)
 
@@ -178,20 +185,16 @@ def _slack_extremes_by_pair(trees, tasks, tables, plans, potentials, wages, coef
 def test_slack_extremes_match_per_pair_evaluation(seed):
     instance = random_instance(2200 + seed)
     tables = instance.cost_tables
-    # match: wages, time-1 potentials and coefficients of the equilibrium
+    # match: the certificates of the equilibrium
     eq = solve_matching(instance)
     expected = _slack_extremes_by_pair(
-        instance.populations, instance.tasks, tables, eq.plans, eq.potentials,
-        eq.wages, eq.mart_coefficients,
-    )
+        instance.populations, instance.tasks, tables, eq.plans, eq.certificates)
     assert complementary_slackness(instance, eq) == pytest.approx(expected, abs=1e-12)
-    # bary-c: the causal barycenter of the agents alone, with w = -g
+    # bary-c: the causal barycenter of the agents alone
     costs = instance.agent_costs
     sol = causal_barycenter(instance.agents, instance.tasks, costs)
     expected = _slack_extremes_by_pair(
-        instance.agents, instance.tasks, tables[1:], sol.plans, sol.potentials,
-        [-g for g in sol.task_potentials], sol.mart_coefficients,
-    )
+        instance.agents, instance.tasks, tables[1:], sol.plans, sol.certificates)
     assert sol.support_slack(costs) == pytest.approx(expected, abs=1e-12)
 
 
@@ -360,13 +363,13 @@ def test_wage_shift_neutrality_between_agents():
 def test_verify_catches_broken_clearing():
     instance = random_instance(7)
     eq = solve_matching(instance)
-    wages = [w.copy() for w in eq.wages]
-    wages[1][0] += 0.1
-    broken = Equilibrium(
-        instance=instance, nu=eq.nu, wages=tuple(wages), plans=eq.plans,
-        values=eq.values, potentials=eq.potentials,
-        mart_coefficients=eq.mart_coefficients,
-    )
+    certificates = list(eq.certificates)
+    (f, wage), coefficients = certificates[1].potentials, certificates[1].coefficients
+    wage = wage.copy()
+    wage[0] += 0.1
+    certificates[1] = DualCertificate(potentials=(f, wage), coefficients=coefficients)
+    broken = Equilibrium(instance=instance, nu=eq.nu, plans=eq.plans, values=eq.values,
+                         certificates=tuple(certificates))
     report = verify_equilibrium(instance, broken)
     assert not report.clearing_ok
     assert instance.tasks.leaf_ids()[0] in report.clearing_witnesses
@@ -385,11 +388,8 @@ def test_verify_catches_suboptimal_plan():
     product_plan = coupling_from_dense((tree, instance.tasks), dense)
     plans = list(eq.plans)
     plans[1] = product_plan
-    tampered = Equilibrium(
-        instance=instance, nu=eq.nu, wages=eq.wages, plans=tuple(plans),
-        values=eq.values, potentials=eq.potentials,
-        mart_coefficients=eq.mart_coefficients,
-    )
+    tampered = Equilibrium(instance=instance, nu=eq.nu, plans=tuple(plans), values=eq.values,
+                           certificates=eq.certificates)
     report = verify_equilibrium(instance, tampered)
     assert report.optimality_gaps[1] > 1e-7
     assert not report.optimality_ok
@@ -409,8 +409,10 @@ def test_verify_catches_a_plan_that_is_not_causal():
     nu = DiscreteDistribution(support=tasks.leaf_ids(), weights=np.array([0.5, 0.5]))
 
     def report(plan):
-        eq = Equilibrium(instance=instance, nu=nu, wages=(np.zeros(2),), plans=(plan,),
-                         values=(0.0,), potentials=(np.zeros(1),), mart_coefficients=((),))
+        certificate = DualCertificate(potentials=(np.zeros(2), np.zeros(2)),
+                                      coefficients=((np.zeros((2, 2)),), ()))
+        eq = Equilibrium(instance=instance, nu=nu, plans=(plan,), values=(0.0,),
+                         certificates=(certificate,))
         return verify_equilibrium(instance, eq)
 
     # at zero cost and wage every plan with these marginals is optimal; one
@@ -432,7 +434,7 @@ def test_every_plan_producer_returns_a_coupling_over_its_pair():
         (causal_ot(populations[1], tasks, quadratic())[1], (populations[1], tasks), 0),
         *((plan, (tree, tasks), 0) for tree, plan in
           zip(populations, causal_barycenter(populations, tasks, costs).plans)),
-        *((plan, (tasks, tree), 1) for tree, plan in
+        *((plan, (tree, tasks), 0) for tree, plan in
           zip(populations, anticausal_barycenter(populations, costs, tasks).plans)),
         *((plan, (tree, tasks), 0) for tree, plan in
           zip(populations, solve_matching(instance).plans)),

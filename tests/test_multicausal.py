@@ -754,11 +754,16 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     pair = trees[:2]
     table = cost_table(pair, PowerCost())
     full = causality_operator(pair, (0,))
-    value, plan = causal_ot(*pair, PowerCost())
+    value, plan, cert = causal_ot(*pair, PowerCost())
     b_eq = np.concatenate([t.leaf_law() for t in pair] + [np.zeros(full.shape[0])])
     assert value == pytest.approx(full_row_value(
         table, sp.vstack([marginal_operator(table.shape), full]), b_eq), abs=tol(value))
     assert causal_violation(plan) <= 1e-9
+    assert cert.coefficients[1] == ()  # the second tree is not causal
+    zero_at_dropped(cert.coefficients[:1], pair, (0,), causal_lp_rows(pair, (0,))[3])
+    report = verify_certificate(plan, table, cert)
+    assert report["min_slack"] >= -1e-8
+    assert report["gap"] <= tol(value)
 
     # the causal barycenter of the other trees on the last one's support
     *populations, task = trees
