@@ -53,6 +53,7 @@ from .multicausal import (
     aw_distance,
     brute_force_mcot,
     causality_operator,
+    check_certificates,
     cost_table,
     coupling_from_dense,
     coupling_from_id_atoms,

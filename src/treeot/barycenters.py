@@ -44,12 +44,12 @@ from .multicausal import (
     _causal_residuals,
     _on_axis,
     assemble_coupling,
+    check_certificates,
     cost_table,
     mc_dpp,
     transport_lp,
-    verify_certificate,
 )
-from .trees import DiscreteDistribution, ScenarioTree, quantize_gauss_hermite
+from .trees import DiscreteDistribution, ScenarioTree, join_ids, quantize_gauss_hermite
 
 
 # -- separable costs ----------------------------------------------------------
@@ -256,8 +256,7 @@ def _product_process(
         level = []
         for idx, parent, p, y in zip(tuples.tolist(), parents.tolist(), probs.tolist(), ys):
             member_ids = tuple(tr.ids[t - 1][k] for tr, k in zip(trees, idx))
-            # escaped, the joined ids name each tuple apart from every other
-            name = "|".join(m.replace("\\", "\\\\").replace("|", "\\|") for m in member_ids)
+            name = join_ids(member_ids, "|")
             components[name] = member_ids
             level.append(
                 {
@@ -320,16 +319,6 @@ def causal_ot(
     return lp.value, lp.plans[0], lp.certificates[0]
 
 
-def _slack_extremes(tables, plans, certificates):
-    """(min slack everywhere, worst |slack| on the plan supports) of one
-    certificate per population: one :func:`verify_certificate` of each
-    plan against its cost table ``tables[i]``."""
-    checks = [verify_certificate(plan, table, cert)
-              for table, plan, cert in zip(tables, plans, certificates)]
-    return (float(np.min([c["min_slack"] for c in checks], initial=np.inf)),
-            float(np.max([c["support_slack"] for c in checks], initial=0.0)))
-
-
 # -- causal barycenters ---------------------------------------------------------
 
 
@@ -371,23 +360,21 @@ class CausalBarycenterSolution:
     leaves, cleared by :func:`_wages`; its coefficients are those of G^i
     per depth, then ``()``.  Entrywise on leaf pairs,
 
-        f^i(x) + w^i(y) <= c^i(x, y) + G^i(x, y).
+        f^i(x) + w^i(y) <= c^i(x, y) + G^i(x, y),
+
+    where c^i is ``tables[i]``, the cost table the LP was solved on.
     """
 
     value: float
     nu: DiscreteDistribution
     plans: tuple[MulticausalCoupling, ...]
     certificates: tuple[DualCertificate, ...]
+    tables: tuple[np.ndarray, ...]
 
     def dual_value(self) -> float:
         """sum_i E[f^i] over the processes."""
         return float(sum(cert.potentials[0] @ plan.trees[0].leaf_law()
                          for plan, cert in zip(self.plans, self.certificates)))
-
-    def support_slack(self, costs) -> tuple[float, float]:
-        """(min slack everywhere, max |slack| on the plan supports)."""
-        return _slack_extremes([cost_table(plan.trees, c) for plan, c in zip(self.plans, costs)],
-                               self.plans, self.certificates)
 
 
 def causal_barycenter(
@@ -428,7 +415,8 @@ def causal_barycenter(
             coefficients=(coefficients, ())))
 
     solution = CausalBarycenterSolution(
-        value=lp.value, nu=nu, plans=lp.plans, certificates=tuple(certificates))
+        value=lp.value, nu=nu, plans=lp.plans, certificates=tuple(certificates),
+        tables=tuple(tables))
     dual_value = solution.dual_value()
     check_duality_gap(lp.value, abs(dual_value - lp.value),
                       "causal barycenter duality gap exceeds tolerance",
@@ -449,7 +437,8 @@ class AnticausalBarycenterResult:
     draws a task path from ``nu`` and then each process independently
     from its kernel.  ``certificates[i]`` holds the LP duals of process
     i's marginal rows and its wage on the task leaves, cleared as in
-    :class:`CausalBarycenterSolution`, with no coefficients.
+    :class:`CausalBarycenterSolution`, with no coefficients; ``tables[i]``
+    is the cost table it certifies.
     """
 
     value: float
@@ -457,6 +446,7 @@ class AnticausalBarycenterResult:
     plans: tuple[MulticausalCoupling, ...]
     kernels: tuple[dict[str, dict[str, float]], ...]
     certificates: tuple[DualCertificate, ...]
+    tables: tuple[np.ndarray, ...]
 
 
 def anticausal_barycenter(
@@ -490,6 +480,7 @@ def anticausal_barycenter(
         kernels.append(kernel)
     return AnticausalBarycenterResult(
         value=lp.value, nu=nu, plans=lp.plans, kernels=tuple(kernels), certificates=certificates,
+        tables=tuple(tables),
     )
 
 
@@ -503,7 +494,7 @@ class CounterexampleReport:
     moment6: float
     cost_phi0_construction: float
     cost_canonical_candidate: float
-    checks: tuple[dict, ...]  # verify_certificate of each causal value in (b)
+    checks: tuple[dict, ...]  # check_certificates of each causal value in (b)
 
     @property
     def gap(self) -> float:
@@ -544,8 +535,9 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         (E Z^2 + 2 E Z^6) / 2 = 15.5;
     (b) the causal transport cost against the candidate (0, Z^3), the
         summed squared-norm causal values, which evaluates to E Z^2 = 1;
-        each value's certificate is checked by :func:`verify_certificate`
-        against its cost table, one ``checks`` entry each.
+        each value's certificate is gated by
+        :func:`~treeot.multicausal.check_certificates` against its cost
+        table, one ``checks`` entry each.
 
     Both are exact for n_quant >= 4 by moment matching up to order 7.
     The n_quant**2 leaf pairs of the causal problems are refused beyond
@@ -591,7 +583,7 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         table = cost_table((tree, candidate), sq)
         value, plan, certificate = causal_ot(tree, candidate, table, tuple_budget=tuple_budget)
         cost_b += value
-        checks.append(verify_certificate(plan, table, certificate))
+        checks.append(check_certificates([plan], [table], [certificate]))
 
     return CounterexampleReport(
         n_quant=n_quant,

@@ -229,34 +229,18 @@ def _certificate_json(coupling: mc.MulticausalCoupling, cert: mc.DualCertificate
 # -- command implementations ---------------------------------------------------
 
 
-_UNCERTIFIED = "dual certificate fails verification"
-
-
-def _check_slack(details: dict) -> None:
-    """Every command's check of its dual slacks: ``details["min_slack"]``
-    below -CAUSALITY_TOL, or ``details["support_slack"]`` (the worst
-    slack on the plan supports, where given) above CAUSALITY_TOL, or
-    either NaN, is a solver failure, reported with ``details``."""
-    if not (details["min_slack"] >= -lp_mod.CAUSALITY_TOL
-            and details.get("support_slack", 0.0) <= lp_mod.CAUSALITY_TOL):
-        raise SolverFailureError(_UNCERTIFIED, details=details)
-
-
-def _certified(res: mc.McotResult, coupling: mc.MulticausalCoupling) -> dict:
-    """The check of the recursion's certificate against its own cost table
-    and its assembled ``coupling``; a failed check is a solver failure."""
-    check = mc.verify_certificate(coupling, res.tables[-1], res.certificate)
-    details = {"min_slack": check["min_slack"], "gap": check["gap"], "value": res.value}
-    _check_slack(details)
-    lp_mod.check_duality_gap(res.value, check["gap"], _UNCERTIFIED, details)
-    return check
+def _slacks(check: dict, *extra: str) -> dict:
+    """The slacks of an mc.check_certificates result, every certified
+    command's "verification" fields, and the ``extra`` fields; the gap
+    goes there only where no value it certifies is in "values"."""
+    return {k: check[k] for k in ("min_dual_slack", "worst_support_slack", *extra)}
 
 
 def _cmd_awdist(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
     res = mc.mc_dpp(trees, costs_mod.lp_sum(args.p), tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
-    check = _certified(res, coupling)
+    check = mc.check_certificates([coupling], [res.tables[-1]], [res.certificate])
     return {
         "schema": SCHEMA,
         "command": "awdist",
@@ -264,10 +248,10 @@ def _cmd_awdist(args) -> dict:
             "aw_distance": float(max(res.value, 0.0) ** (1.0 / args.p)),
             "p": args.p,
             "dpp_value": res.value,
-            "duality_gap": check["gap"],
+            "duality_gap": check["duality_gap"],
         },
         "certificate": _certificate_json(coupling, res.certificate),
-        "verification": {"min_dual_slack": check["min_slack"]},
+        "verification": _slacks(check),
     }
 
 
@@ -276,8 +260,8 @@ def _cmd_mcot(args) -> dict:
     cost = _read_cost(args.cost, trees)
     res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
-    check = _certified(res, coupling)
-    values = {"dpp_value": res.value, "duality_gap": check["gap"]}
+    check = mc.check_certificates([coupling], [res.tables[-1]], [res.certificate])
+    values = {"dpp_value": res.value, "duality_gap": check["duality_gap"]}
     if args.oracle:
         lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
         values["oracle_value"] = lp_value
@@ -291,7 +275,7 @@ def _cmd_mcot(args) -> dict:
         "verification": {
             "multicausal": causality.passed,
             "worst_violation": causality.worst_violation,
-            "min_dual_slack": check["min_slack"],
+            **_slacks(check),
         },
     }
 
@@ -317,19 +301,19 @@ def _cmd_bary_bc(args) -> dict:
     costs = _parse_power_spec(args.cost, len(trees))
     selector = _selector_for(args, costs, trees[0].horizon)
     res = bary.bc_barycenter(trees, costs, selector, tuple_budget=args.budget)
-    check = _certified(res.mcot, res.coupling)
+    check = mc.check_certificates([res.coupling], [res.mcot.tables[-1]], [res.mcot.certificate])
     consistency = bary.bc_bary_value(trees, costs, res.process.tree, tuple_budget=args.budget)
     return {
         "schema": SCHEMA,
         "command": "bary-bc",
         "values": {
             "barycenter_value": res.value,
-            "duality_gap": check["gap"],
+            "duality_gap": check["duality_gap"],
             "recomputed_value_at_barycenter": consistency,
         },
         "barycenter": json.loads(dump_tree(res.process.tree)),
         "certificate": _certificate_json(res.coupling, res.mcot.certificate),
-        "verification": {"min_dual_slack": check["min_slack"]},
+        "verification": _slacks(check),
     }
 
 
@@ -338,20 +322,22 @@ def _cmd_bary_c(args) -> dict:
     tasks = _read_tree(args.tasks)
     costs = _parse_power_spec(args.cost, len(trees))
     sol = bary.causal_barycenter(trees, tasks, costs, tuple_budget=args.budget)
-    min_slack, support_slack = sol.support_slack(costs)
-    _check_slack({"min_slack": min_slack, "support_slack": support_slack, "value": sol.value})
+    worst_causality = max(bary.causal_violation(plan) for plan in sol.plans)
+    if not worst_causality <= lp_mod.CAUSALITY_TOL:
+        raise SolverFailureError("a barycenter plan fails the causality check",
+                                 details={"worst_causality": worst_causality})
+    check = mc.check_certificates(sol.plans, sol.tables, sol.certificates)
     return {
         "schema": SCHEMA,
         "command": "bary-c",
         "values": {
             "barycenter_value": sol.value,
-            "dual_value": sol.dual_value(),
-            "duality_gap": abs(sol.value - sol.dual_value()),
-            "min_dual_slack": min_slack,
-            "worst_support_slack": support_slack,
+            "dual_value": check["dual_value"],
+            "duality_gap": check["duality_gap"],
         },
         "nu": dict(zip(tasks.leaf_ids(), sol.nu.weights.tolist())),
         "certificate": list(map(_certificate_json, sol.plans, sol.certificates)),
+        "verification": {**_slacks(check), "worst_causality": worst_causality},
     }
 
 
@@ -360,10 +346,7 @@ def _cmd_bary_anticausal(args) -> dict:
     tasks = _read_tree(args.tasks)
     costs = _parse_power_spec(args.cost, len(trees))
     res = bary.anticausal_barycenter(trees, costs, tasks, tuple_budget=args.budget)
-    min_slack, support_slack = bary._slack_extremes(
-        [mc.cost_table(plan.trees, c) for plan, c in zip(res.plans, costs)],
-        res.plans, res.certificates)
-    _check_slack({"min_slack": min_slack, "support_slack": support_slack, "value": res.value})
+    check = mc.check_certificates(res.plans, res.tables, res.certificates)
     return {
         "schema": SCHEMA,
         "command": "bary-anticausal",
@@ -374,7 +357,7 @@ def _cmd_bary_anticausal(args) -> dict:
             for kern in res.kernels
         ],
         "certificate": list(map(_certificate_json, res.plans, res.certificates)),
-        "verification": {"min_dual_slack": min_slack, "worst_support_slack": support_slack},
+        "verification": _slacks(check, "duality_gap"),
     }
 
 
@@ -392,8 +375,7 @@ def _cmd_match(args) -> dict:
     )
     eq = matching_mod.solve_matching(instance, tuple_budget=args.budget)
     report = matching_mod.verify_equilibrium(instance, eq)
-    min_slack, support_slack = matching_mod.complementary_slackness(instance, eq)
-    _check_slack({"min_slack": min_slack, "support_slack": support_slack})
+    check = matching_mod.complementary_slackness(instance, eq)
     return {
         "schema": SCHEMA,
         "command": "match",
@@ -411,8 +393,7 @@ def _cmd_match(args) -> dict:
             "common_marginal_ok": report.common_marginal_ok,
             "worst_marginal_tv": report.worst_marginal_tv,
             "worst_causality": report.worst_causality,
-            "min_dual_slack": min_slack,
-            "worst_support_slack": support_slack,
+            **_slacks(check, "duality_gap"),
         },
     }
 
@@ -446,11 +427,6 @@ def _cmd_verify_coupling(args) -> dict:
 
 def _cmd_counterexample(args) -> dict:
     report = bary.counterexample_demo(args.n, tuple_budget=args.budget)
-    for check in report.checks:
-        details = {"min_slack": check["min_slack"], "gap": check["gap"],
-                   "value": check["primal_value"]}
-        _check_slack(details)
-        lp_mod.check_duality_gap(check["primal_value"], check["gap"], _UNCERTIFIED, details)
     return {
         "schema": SCHEMA,
         "command": "counterexample",
@@ -463,8 +439,9 @@ def _cmd_counterexample(args) -> dict:
             "moment6": report.moment6,
         },
         "verification": {
-            "min_dual_slack": min(check["min_slack"] for check in report.checks),
-            "duality_gap": max(check["gap"] for check in report.checks),
+            "min_dual_slack": min(check["min_dual_slack"] for check in report.checks),
+            "worst_support_slack": max(check["worst_support_slack"] for check in report.checks),
+            "duality_gap": max(check["duality_gap"] for check in report.checks),
         },
     }
 

@@ -22,11 +22,12 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .barycenters import _slack_extremes, causal_barycenter, causal_violation
+from .barycenters import causal_barycenter, causal_violation
 from .errors import ValidationError
 from .lp import CAUSALITY_TOL, MARGINAL_TOL, OPTIMALITY_TOL
-from .multicausal import TUPLE_BUDGET, DualCertificate, MulticausalCoupling, cost_table
-from .trees import DiscreteDistribution, ScenarioTree
+from .multicausal import (TUPLE_BUDGET, DualCertificate, MulticausalCoupling,
+                          check_certificates, cost_table)
+from .trees import DiscreteDistribution, ScenarioTree, join_ids
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ class Equilibrium:
         return tuple(cert.potentials[1] for cert in self.certificates)
 
     def wage_table(self) -> dict[str, list[float]]:
-        """Wages keyed by the task-path id sequence, listed per population 0..N."""
+        """Wages keyed by the task path's :func:`join_ids` by ``/``, per population 0..N."""
         tasks, wages = self.instance.tasks, self.wages
         return {
-            "/".join(tasks.path_of(tasks.horizon, j).ids): [float(w[j]) for w in wages]
+            join_ids(tasks.path_of(tasks.horizon, j).ids, "/"): [float(w[j]) for w in wages]
             for j in range(tasks.n_leaves)
         }
 
@@ -255,13 +256,9 @@ def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> 
     )
 
 
-def complementary_slackness(
-    instance: MatchingInstance, equilibrium: Equilibrium
-) -> tuple[float, float]:
-    """(min slack everywhere, worst |slack| on plan supports).
-
-    Slack of population i at a leaf pair is
-    c^i - w^i + G^i - f^i; dual feasibility keeps it above -1e-8 and it
-    vanishes on the support of the equilibrium plan.
-    """
-    return _slack_extremes(instance.cost_tables, equilibrium.plans, equilibrium.certificates)
+def complementary_slackness(instance: MatchingInstance, equilibrium: Equilibrium) -> dict:
+    """:func:`check_certificates` of the equilibrium on the population
+    cost tables.  Slack of population i at a leaf pair is c^i - w^i +
+    G^i - f^i; dual feasibility keeps it above -1e-8 and it vanishes on
+    the support of the equilibrium plan."""
+    return check_certificates(equilibrium.plans, instance.cost_tables, equilibrium.certificates)

@@ -61,6 +61,7 @@ from .lp import (
     CAUSALITY_TOL,
     MARGINAL_TOL,
     LpProblem,
+    _gap_ok,
     _marginal_pattern,
     _solve_optimal,
     check_duality_gap,
@@ -890,6 +891,31 @@ def verify_certificate(
         "martingale_integral": integral,
         "gap": abs(primal - dual),
     }
+
+
+def check_certificates(plans: Sequence[MulticausalCoupling], tables: Sequence[np.ndarray],
+                       certificates: Sequence[DualCertificate]) -> dict:
+    """The one certificate gate: one :func:`verify_certificate` per plan
+    against its cost table and certificate.  Returns ``min_dual_slack``
+    and ``worst_support_slack`` over the plans, their summed
+    ``dual_value`` and its ``duality_gap`` to the summed primal value (a
+    barycenter's wages sum to zero, so that is the barycenter's gap).  A
+    slack below -CAUSALITY_TOL, a support slack above CAUSALITY_TOL or a
+    gap failing :func:`~treeot.lp._gap_ok`, NaN included, is a solver
+    failure."""
+    checks = [verify_certificate(*entry) for entry in zip(plans, tables, certificates)]
+    primal = sum(c["primal_value"] for c in checks)
+    dual = sum(c["dual_value"] for c in checks)
+    # numpy's extremes, unlike Python's, carry a NaN through
+    min_slack = float(np.min([c["min_slack"] for c in checks]))
+    support_slack = float(np.max([c["support_slack"] for c in checks]))
+    gap = abs(primal - dual)
+    if not (min_slack >= -CAUSALITY_TOL and support_slack <= CAUSALITY_TOL
+            and _gap_ok(gap, primal)):
+        raise SolverFailureError("dual certificate fails verification", details={
+            "min_slack": min_slack, "support_slack": support_slack, "gap": gap, "value": primal})
+    return {"min_dual_slack": min_slack, "worst_support_slack": support_slack,
+            "dual_value": dual, "duality_gap": gap}
 
 
 def brute_force_mcot(

@@ -378,6 +378,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def join_ids(ids: Iterable[str], sep: str) -> str:
+    """``ids`` joined by ``sep``, a character that each id, like ``\\``,
+    escapes by ``\\``, so that distinct id sequences join apart."""
+    return sep.join(i.replace("\\", "\\\\").replace(sep, "\\" + sep) for i in ids)
+
+
 def load_tree(serialized: bytes | str) -> ScenarioTree:
     """Parse and validate the JSON tree format.
 

@@ -26,6 +26,7 @@ from treeot import (
     brute_force_mcot,
     causal_barycenter,
     causal_ot,
+    check_certificates,
     classical_ot,
     counterexample_demo,
     grid_selector,
@@ -297,10 +298,13 @@ def test_causal_barycenter_duality_and_plan_validity(seed):
         tv = 0.5 * float(np.abs(plan.marginal(1) - sol.nu.weights).sum())
         assert tv <= 1e-9
         assert causal_violation(plan) <= 1e-9
-    # pointwise dual feasibility, equality on the support
-    min_slack, support_slack = sol.support_slack(costs)
-    assert min_slack >= -1e-8
-    assert support_slack <= 1e-8
+    # pointwise dual feasibility, equality on the support, on the tables
+    # the LP was solved on
+    for plan, table, cost in zip(sol.plans, sol.tables, costs, strict=True):
+        assert np.array_equal(table, cost_table(plan.trees, cost))
+    check = check_certificates(sol.plans, sol.tables, sol.certificates)
+    assert check["min_dual_slack"] >= -1e-8
+    assert check["worst_support_slack"] <= 1e-8
 
 
 def test_causal_barycenter_counterexample_candidate_value():

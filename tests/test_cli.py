@@ -172,25 +172,39 @@ def test_corrupted_causal_transport_dual_exits_4(monkeypatch, capsys):
     assert "'min_slack'" in err
 
 
-@pytest.mark.parametrize("command", ["bary-c", "match", "bary-anticausal"])
+@pytest.mark.parametrize("command", ["awdist", "mcot", "bary-bc", "bary-c", "match",
+                                     "bary-anticausal", "counterexample"])
 def test_support_slack_above_tolerance_exits_4(tree_files, monkeypatch, capsys, command):
     _, _, p1, p2 = tree_files
     market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
-    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", market],
-            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1]}[command]
-    solver = "anticausal_barycenter" if command == "bary-anticausal" else "causal_barycenter"
-    real = getattr(bary, solver)
+    argv = {"awdist": ["awdist", p1, p2], "mcot": ["mcot", p1, p2, p1],
+            "bary-bc": ["bary-bc", p1, p2], "bary-c": ["bary-c", p1, p2, "--tasks", p1],
+            "match": ["match", market],
+            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1],
+            "counterexample": ["counterexample", "--n", "4"]}[command]
+    # the solver whose first certificate is corrupted
+    module, solver = {"awdist": (mc, "mc_dpp"), "mcot": (mc, "mc_dpp"),
+                      "bary-bc": (bary, "mc_dpp"), "counterexample": (bary, "causal_ot"),
+                      "bary-anticausal": (bary, "anticausal_barycenter")}.get(
+        command, (bary, "causal_barycenter"))
+    real = getattr(module, solver)
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
-        # lower population 0's potential below its first time-1 node: every
-        # slack there rises by 1e-6, so none turns negative but the plan's
+        if isinstance(res, mc.McotResult):
+            tree, cert = res.policy.trees[0], res.certificate
+        elif isinstance(res, tuple):  # causal_ot's (value, plan, certificate)
+            tree, cert = res[1].trees[0], res[2]
+        else:
+            tree, cert = res.plans[0].trees[0], res.certificates[0]
+        # lower the first potential at the least likely leaf by 2e-8: every
+        # slack in its row rises by 2e-8, so none turns negative and the
+        # dual value drops by less than the gap tolerance, but the plan's
         # support is no longer tight
-        f = res.certificates[0].potentials[0]
-        f[res.plans[0].trees[0].ancestors[:, 0] == 0] -= 1e-6
+        cert.potentials[0][np.argmin(tree.leaf_law())] -= 2e-8
         return res
 
-    monkeypatch.setattr(bary, solver, corrupted)
+    monkeypatch.setattr(module, solver, corrupted)
     monkeypatch.setattr(matching_mod, solver, corrupted, raising=False)
     capsys.readouterr()
     assert run(argv) == 4
@@ -199,6 +213,44 @@ def test_support_slack_above_tolerance_exits_4(tree_files, monkeypatch, capsys, 
     assert err.startswith("treeot: solver failure: dual certificate")
     details = ast.literal_eval(err[err.index("{"):])
     assert details["min_slack"] >= -1e-8 and details["support_slack"] > 1e-8
+    assert details["gap"] <= lp.DUALITY_TOL * (1 + abs(details["value"]))
+
+
+@pytest.mark.parametrize("command", ["bary-c", "bary-anticausal", "match"])
+def test_barycenter_commands_build_each_cost_table_once(tmp_path, tree_files, monkeypatch,
+                                                        command):
+    _, _, p1, p2 = tree_files
+    argv = {"bary-c": ["bary-c", p1, p2, "--tasks", p1], "match": ["match", str(MARKET)],
+            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1]}[command]
+    populations = 1 + len(json.loads(MARKET.read_text())["agents"]) if command == "match" else 2
+    real, calls = bary.SeparableCost.__call__, []
+
+    def counted(self, trees):
+        calls.append(None)
+        return real(self, trees)
+
+    monkeypatch.setattr(bary.SeparableCost, "__call__", counted)
+    code, _ = _run_to_file(tmp_path, argv)
+    assert code == 0
+    # the certificate gate reads the tables the solve was built on
+    assert len(calls) == populations
+
+
+def test_bary_c_gates_the_causality_of_its_plans(tmp_path, tree_files, monkeypatch, capsys):
+    t1, t2, p1, p2 = tree_files
+    code, out = _run_to_file(tmp_path, ["bary-c", p1, p2, "--tasks", p1])
+    assert code == 0
+    sol = bary.causal_barycenter([t1, t2], t1, [bary.PowerCost(1.0, 2.0)] * 2)
+    worst = json.loads(out.read_text())["verification"]["worst_causality"]
+    assert worst == max(bary.causal_violation(plan) for plan in sol.plans) <= 1e-8
+
+    monkeypatch.setattr(bary, "causal_violation", lambda plan: 2 * lp.CAUSALITY_TOL)
+    capsys.readouterr()
+    assert run(["bary-c", p1, p2, "--tasks", p1]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("treeot: solver failure: a barycenter plan fails the causality check")
+    assert ast.literal_eval(err[err.index("{"):]) == {"worst_causality": 2 * lp.CAUSALITY_TOL}
 
 
 def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
@@ -362,21 +414,19 @@ def _market_pairs():
 
 
 def _certified(command, trees, paths):
-    """A certified command's argv after its name on the three trees; per
-    certificate it reports, the trees and the cost it certifies; and the
-    report's value a single certificate's dual value has (None where the
-    report lists one certificate per population)."""
+    """A certified command's argv after its name on the three trees, and
+    per certificate it reports, the trees and the cost it certifies."""
     quadratic = bary.PowerCost(1.0, 2.0)
     barycenter = ([*paths[:2], "--tasks", paths[2]],
-                  [((tree, trees[2]), quadratic) for tree in trees[:2]], None)
+                  [((tree, trees[2]), quadratic) for tree in trees[:2]])
     return {
-        "awdist": ([*paths[:2], "--p", "2"], [(trees[:2], cm.lp_sum(2.0))], "dpp_value"),
-        "mcot": ([*paths, "--cost", "lp_sum:2"], [(trees, cm.lp_sum(2.0))], "dpp_value"),
+        "awdist": ([*paths[:2], "--p", "2"], [(trees[:2], cm.lp_sum(2.0))]),
+        "mcot": ([*paths, "--cost", "lp_sum:2"], [(trees, cm.lp_sum(2.0))]),
         "bary-bc": (paths[:2], [(trees[:2], bary.aggregate_cost(
-            [quadratic] * 2, bary.phi0_quadratic([0.5, 0.5])))], "barycenter_value"),
+            [quadratic] * 2, bary.phi0_quadratic([0.5, 0.5])))]),
         "bary-c": barycenter,
         "bary-anticausal": barycenter,
-        "match": ([str(MARKET)], _market_pairs(), None),
+        "match": ([str(MARKET)], _market_pairs()),
     }[command]
 
 
@@ -416,25 +466,27 @@ def _certificate_from_report(trees, duals) -> mc.DualCertificate:
 @pytest.mark.parametrize("command", ["awdist", "bary-anticausal", "bary-bc", "bary-c", "match",
                                      "mcot"])
 def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, command):
-    argv, certified, value_key = _certified(command, *three_tree_files)
+    argv, certified = _certified(command, *three_tree_files)
     code, out = _run_to_file(tmp_path, [command, *argv])
     assert code == 0
     report = json.loads(out.read_text())
-    entries = [report["certificate"]] if value_key else report["certificate"]
+    entries = report["certificate"]
+    entries = entries if isinstance(entries, list) else [entries]
     assert len(entries) == len(certified)
-    checks = []
+    plans, tables, certificates = [], [], []
     for entry, (trees, cost) in zip(entries, certified):
-        cert = _certificate_from_report(trees, entry["duals"])
-        coupling = mc.coupling_from_id_atoms(
-            trees, [(a["leaves"], a["w"]) for a in entry["coupling"]])
-        checks.append(mc.verify_certificate(coupling, mc.cost_table(trees, cost), cert))
-    # bary-c reports its slacks among its values
-    slacks = report.get("verification", report["values"])
-    assert min(check["min_slack"] for check in checks) == slacks["min_dual_slack"]
-    if value_key:
-        lp.check_duality_gap(report["values"][value_key], checks[0]["gap"], "round trip", {})
-    else:
-        assert max(check["support_slack"] for check in checks) == slacks["worst_support_slack"]
+        certificates.append(_certificate_from_report(trees, entry["duals"]))
+        plans.append(mc.coupling_from_id_atoms(
+            trees, [(a["leaves"], a["w"]) for a in entry["coupling"]]))
+        tables.append(mc.cost_table(trees, cost))
+    check = mc.check_certificates(plans, tables, certificates)
+    # every command writes its slacks under "verification", and its gap
+    # next to the value it certifies, or there where its values hold none
+    verification = report["verification"]
+    assert check["min_dual_slack"] == verification["min_dual_slack"]
+    assert check["worst_support_slack"] == verification["worst_support_slack"]
+    gap = report["values"].get("duality_gap", verification.get("duality_gap"))
+    assert check["duality_gap"] == gap
 
 
 def _leaf_keys(obj, path=()):
@@ -568,6 +620,28 @@ def test_match_command(tmp_path, tree_files, monkeypatch):
     assert report["verification"]["clearing_ok"] is True
     for wages in report["wages"].values():
         assert sum(wages) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_match_wages_keep_task_paths_apart(tmp_path, tree_files):
+    # joined plainly, the task paths (a/b, c) and (a, b/c) would share the
+    # key a/b/c
+    t1, t2, _, _ = tree_files
+
+    def node(node_id, parent):
+        return {"id": node_id, "parent": parent, "p": 0.5 if parent is None else 1.0, "x": [0.0]}
+
+    tasks = {"horizon": 2, "levels": [[node("a/b", None), node("a", None)],
+                                      [node("c", "a/b"), node("b/c", "a")]]}
+    quadratic = {"kind": "power", "p": 2, "weight": 1.0}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "principal": {"tree": json.loads(dump_tree(t1)), "utility": quadratic},
+        "agents": [{"tree": json.loads(dump_tree(t2)), "cost": quadratic}],
+        "tasks": tasks,
+    }))
+    code, out = _run_to_file(tmp_path, ["match", str(path)])
+    assert code == 0
+    assert set(json.loads(out.read_text())["wages"]) == {r"a\/b/c", r"a/b\/c"}
 
 
 def test_market_seed602_certifies_on_the_first_solve(tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from treeot import (
     best_response,
     causal_barycenter,
     causal_ot,
+    check_certificates,
     complementary_slackness,
     solve_matching,
     verify_equilibrium,
@@ -147,9 +148,11 @@ def test_solve_matching_passes_verification(seed):
 def test_complementary_slackness_on_support(seed):
     instance = random_instance(2100 + seed)
     eq = solve_matching(instance)
-    min_slack, support_slack = complementary_slackness(instance, eq)
-    assert min_slack >= -1e-8
-    assert support_slack <= 1e-8
+    check = complementary_slackness(instance, eq)
+    assert check["min_dual_slack"] >= -1e-8
+    assert check["worst_support_slack"] <= 1e-8
+    # the wages clear, so the summed gap is the barycenter's
+    assert check["duality_gap"] <= 1e-8 * (1 + abs(sum(eq.values)))
 
 
 def _pair_slacks(tree, tasks, cmat, certificate):
@@ -189,13 +192,17 @@ def test_slack_extremes_match_per_pair_evaluation(seed):
     eq = solve_matching(instance)
     expected = _slack_extremes_by_pair(
         instance.populations, instance.tasks, tables, eq.plans, eq.certificates)
-    assert complementary_slackness(instance, eq) == pytest.approx(expected, abs=1e-12)
-    # bary-c: the causal barycenter of the agents alone
-    costs = instance.agent_costs
-    sol = causal_barycenter(instance.agents, instance.tasks, costs)
+    check = complementary_slackness(instance, eq)
+    assert (check["min_dual_slack"], check["worst_support_slack"]) == pytest.approx(
+        expected, abs=1e-12)
+    # bary-c: the causal barycenter of the agents alone, on the tables it carries
+    sol = causal_barycenter(instance.agents, instance.tasks, instance.agent_costs)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.tables, tables[1:], strict=True))
     expected = _slack_extremes_by_pair(
         instance.agents, instance.tasks, tables[1:], sol.plans, sol.certificates)
-    assert sol.support_slack(costs) == pytest.approx(expected, abs=1e-12)
+    check = check_certificates(sol.plans, sol.tables, sol.certificates)
+    assert (check["min_dual_slack"], check["worst_support_slack"]) == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_match_evaluates_each_cost_once_per_pair():
@@ -217,6 +224,13 @@ def test_match_evaluates_each_cost_once_per_pair():
     assert verify_equilibrium(counting, eq).passed
     complementary_slackness(counting, eq)
     assert len(calls) == len(counting.populations)  # one table per population
+    # the barycenters gate on the tables they were solved on
+    for solve in (causal_barycenter, lambda trees, tasks, costs:
+                  anticausal_barycenter(trees, costs, tasks)):
+        calls.clear()
+        res = solve(counting.agents, counting.tasks, counting.agent_costs)
+        check_certificates(res.plans, res.tables, res.certificates)
+        assert len(calls) == len(counting.agents)
 
 
 def test_best_response_zero_wage_on_own_support_is_free():
@@ -336,8 +350,7 @@ def test_wages_have_mean_zero_under_nu(seed):
     for w in eq.wages:
         assert abs(float(w @ nu)) <= 1e-12
     assert np.max(np.abs(eq.wages[0] + sum(eq.wages[1:]))) == 0.0
-    min_slack, _ = complementary_slackness(instance, eq)
-    assert min_slack >= -1e-8
+    assert complementary_slackness(instance, eq)["min_dual_slack"] >= -1e-8
     for plan, table, value in zip(eq.plans, instance.cost_tables, eq.values):
         cost = plan.expectation(table)
         assert value == pytest.approx(cost, abs=1e-9 * (1 + abs(value)))

@@ -782,9 +782,9 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
                           for tree, cost in zip(populations, costs)])
     reference = full_row_value(c, sp.bmat(blocks, format="csr"), np.concatenate(b_eq))
     assert sol.value == pytest.approx(reference, abs=tol(sol.value))
-    min_slack, support_slack = sol.support_slack(costs)
-    assert min_slack >= -1e-8
-    assert support_slack <= 1e-8
+    check = mc.check_certificates(sol.plans, sol.tables, sol.certificates)
+    assert check["min_dual_slack"] >= -1e-8
+    assert check["worst_support_slack"] <= 1e-8
 
 
 def test_causal_violation_sees_a_row_the_lp_drops():
@@ -945,6 +945,32 @@ def test_dpp_certificate_beyond_oracle_size(deep_pair):
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= 1e-8 * (1 + abs(res.value))
     assert report["dual_value"] == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
+
+
+def test_check_certificates_sums_the_plans_and_fails_on_nan():
+    rng = np.random.default_rng(1332)
+    pairs = [[random_tree(rng, horizon=2, dim=1, min_branch=2, max_branch=3, prefix=p)
+              for p in "ab"] for _ in range(2)]
+    solves = [mc_dpp(trees, cm.lp_sum(2.0)) for trees in pairs]
+    args = ([assemble_coupling(res.policy) for res in solves], [res.tables[-1] for res in solves],
+            [res.certificate for res in solves])
+    reports = [verify_certificate(*entry) for entry in zip(*args)]
+    check = mc.check_certificates(*args)
+    assert check["min_dual_slack"] == min(r["min_slack"] for r in reports)
+    assert check["worst_support_slack"] == max(r["support_slack"] for r in reports)
+    assert check["dual_value"] == reports[0]["dual_value"] + reports[1]["dual_value"]
+    assert check["duality_gap"] == abs(sum(r["primal_value"] for r in reports)
+                                       - check["dual_value"])
+    # a NaN coefficient leaves the dual value and the gap finite, but not
+    # the slacks, whichever plan it is in
+    for k in range(2):
+        certificates = list(args[2])
+        (first, *rest), *others = args[2][k].coefficients
+        certificates[k] = DualCertificate(
+            potentials=args[2][k].potentials,
+            coefficients=((np.full_like(first, np.nan), *rest), *others))
+        with pytest.raises(SolverFailureError, match="dual certificate fails verification"):
+            mc.check_certificates(args[0], args[1], certificates)
 
 
 def test_martingale_values_do_not_depend_on_the_chunk_size(monkeypatch, deep_pair):
