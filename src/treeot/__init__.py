@@ -1,10 +1,9 @@
 """Causal, bicausal and multicausal optimal transport on scenario trees."""
 
 from .barycenters import (
-    AnticausalBarycenterResult,
     BarycenterProcess,
+    BarycenterSolution,
     BcBarycenterResult,
-    CausalBarycenterSolution,
     CounterexampleReport,
     PowerCost,
     SeparableCost,

@@ -319,12 +319,37 @@ def causal_ot(
     return lp.value, lp.plans[0], lp.certificates[0]
 
 
-# -- causal barycenters ---------------------------------------------------------
+# -- causal and anticausal barycenters ------------------------------------------
 
 
-def _barycenter_tables(trees, task_tree, costs, tuple_budget, what):
-    """The checked processes of a barycenter on ``task_tree`` and the
-    cost table of each pair (process tree, task tree)."""
+@dataclass(frozen=True)
+class BarycenterSolution:
+    """Primal and dual bundle of a barycenter LP on a task tree.
+
+    ``certificates[i]`` is a :class:`DualCertificate` of the pair
+    (process i, task tree), ``plans[i]``: its potentials are f^i on the
+    process leaves and the wage w^i on the task leaves; its coefficients
+    are those of G^i per depth, then ``()`` (none for an anticausal
+    barycenter).  Entrywise on leaf pairs,
+
+        f^i(x) + w^i(y) <= c^i(x, y) + G^i(x, y),
+
+    where c^i is ``tables[i]``, the cost table the LP was solved on.
+    The dual fixes the wages only up to constants summing to zero: every
+    w^i with i >= 1 has mean zero under ``nu``, f^i carries its constant,
+    and w^0 = -(w^1 + ... + w^N) exactly, so the wages clear.
+    """
+
+    value: float
+    nu: DiscreteDistribution
+    plans: tuple[MulticausalCoupling, ...]
+    certificates: tuple[DualCertificate, ...]
+    tables: tuple[np.ndarray, ...]
+
+
+def _barycenter(trees, task_tree, costs, processes, tuple_budget, what) -> BarycenterSolution:
+    """The barycenter LP of ``trees`` on ``task_tree``, its plans causal
+    for ``processes`` (``(0,)`` or ``()``); ``what`` names it in errors."""
     trees = tuple(trees)
     if not trees:
         raise ValidationError("at least one process required")
@@ -334,47 +359,47 @@ def _barycenter_tables(trees, task_tree, costs, tuple_budget, what):
         raise ValidationError("horizon mismatch with the task tree")
     if sum(t.n_leaves * task_tree.n_leaves for t in trees) > tuple_budget:
         raise BudgetExceededError(f"{what}: joint LP exceeds the tuple budget")
-    return trees, [cost_table((t, task_tree), c) for t, c in zip(trees, costs)]
+    tables = tuple(cost_table((t, task_tree), c) for t, c in zip(trees, costs))
+    lp = transport_lp([(tree, task_tree) for tree in trees], tables, processes, True,
+                      f"{what} LP")
 
+    # project leaf potentials onto time-1 information; the conditional
+    # expectations E[f | F_t] become y-independent martingale increments
+    # folded into G^i, which leaves every dual slack unchanged
+    projected = []
+    for tree, cert in zip(trees, lp.certificates):
+        f, coefficients = cert.potentials[0], cert.coefficients
+        if processes:
+            cond = [f]
+            for t in range(tree.horizon - 1, 0, -1):
+                weights = tree.probs[t] * cond[0]
+                cond.insert(0, np.bincount(tree.parents[t], weights=weights,
+                                           minlength=tree.level_size(t)))
+            f = cond[0][tree.ancestors[:, 0]]
+            coefficients = (tuple(c - cond[t] for t, c in enumerate(coefficients[0], start=1)),
+                            ())
+        projected.append((f, coefficients))
 
-def _wages(certificates) -> list[np.ndarray]:
-    """The task potentials w^i of a barycenter LP's certificates, cleared:
-    population 0's becomes the negated sum of the others' link-row duals.
-    Dual feasibility of nu's columns makes that sum at most its own, so
-    every slack stays nonnegative, and w^0 + (w^1 + ... + w^N) is 0
-    exactly."""
-    links = [cert.potentials[1] for cert in certificates[1:]]
-    return [-reduce(np.add, links) if links else np.zeros_like(certificates[0].potentials[1]),
-            *links]
+    # centre each link-row dual w^i, i >= 1, under nu and move its mean
+    # into f^i, which keeps every slack; population 0's wage becomes the
+    # negated sum of the others', at most its own link-row dual by the
+    # dual feasibility of nu's columns, so its slacks stay nonnegative
+    links = [cert.potentials[1] for cert in lp.certificates[1:]]
+    means = [float(link @ lp.nu) for link in links]
+    wages = [link - m for link, m in zip(links, means)]
+    wages.insert(0, -reduce(np.add, wages) if wages else np.zeros(task_tree.n_leaves))
+    certificates = tuple(
+        DualCertificate(potentials=(f + m, wage), coefficients=coefficients)
+        for (f, coefficients), m, wage in zip(projected, (-sum(means), *means), wages))
 
-
-@dataclass(frozen=True)
-class CausalBarycenterSolution:
-    """Primal and dual bundle of the causal barycenter LP.
-
-    ``certificates[i]`` is a :class:`DualCertificate` of the pair
-    (process i, task tree), ``plans[i]``: its potentials are f^i on the
-    process leaves, constant below each time-1 node (static potentials
-    carry only initial information; the path-dependent part of the LP
-    duals is folded into the coefficients), and the wage w^i on the task
-    leaves, cleared by :func:`_wages`; its coefficients are those of G^i
-    per depth, then ``()``.  Entrywise on leaf pairs,
-
-        f^i(x) + w^i(y) <= c^i(x, y) + G^i(x, y),
-
-    where c^i is ``tables[i]``, the cost table the LP was solved on.
-    """
-
-    value: float
-    nu: DiscreteDistribution
-    plans: tuple[MulticausalCoupling, ...]
-    certificates: tuple[DualCertificate, ...]
-    tables: tuple[np.ndarray, ...]
-
-    def dual_value(self) -> float:
-        """sum_i E[f^i] over the processes."""
-        return float(sum(cert.potentials[0] @ plan.trees[0].leaf_law()
-                         for plan, cert in zip(self.plans, self.certificates)))
+    dual_value = float(sum(cert.potentials[0] @ tree.leaf_law()
+                           for tree, cert in zip(trees, certificates)))
+    check_duality_gap(lp.value, abs(dual_value - lp.value),
+                      f"{what} duality gap exceeds tolerance",
+                      {"value": lp.value, "dual_value": dual_value})
+    return BarycenterSolution(
+        value=lp.value, nu=DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu),
+        plans=lp.plans, certificates=certificates, tables=tables)
 
 
 def causal_barycenter(
@@ -382,7 +407,7 @@ def causal_barycenter(
     task_tree: ScenarioTree,
     costs,
     tuple_budget: int = TUPLE_BUDGET,
-) -> CausalBarycenterSolution:
+) -> BarycenterSolution:
     """Causal barycenter over distributions on a finite task tree.
 
     One joint LP in (nu, pi^1, ..., pi^N): process marginals are fixed,
@@ -390,63 +415,11 @@ def causal_barycenter(
     causality equalities of its own process.  Probabilities stored on
     ``task_tree`` are ignored; only its support structure matters.  Each
     cost is a cost (see :mod:`treeot.costs`) of the pair (process tree,
-    task tree).
-    The wage of process 0 absorbs the zero-sum normalisation.
+    task tree).  Each f^i is constant below each time-1 node: static
+    potentials carry only initial information, and the path-dependent
+    part of the LP duals is folded into the coefficients.
     """
-    trees, tables = _barycenter_tables(trees, task_tree, costs, tuple_budget,
-                                       "causal_barycenter")
-    lp = transport_lp([(tree, task_tree) for tree in trees], tables, (0,), True,
-                      "causal barycenter LP")
-    nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
-
-    # project leaf potentials onto time-1 information; the conditional
-    # expectations E[f | F_t] become y-independent martingale increments
-    # folded into G^i, which leaves every dual slack unchanged
-    certificates = []
-    for tree, cert, wage in zip(trees, lp.certificates, _wages(lp.certificates)):
-        cond = [cert.potentials[0]]
-        for t in range(tree.horizon - 1, 0, -1):
-            weights = tree.probs[t] * cond[0]
-            cond.insert(0, np.bincount(tree.parents[t], weights=weights,
-                                       minlength=tree.level_size(t)))
-        coefficients = tuple(c - cond[t] for t, c in enumerate(cert.coefficients[0], start=1))
-        certificates.append(DualCertificate(
-            potentials=(cond[0][tree.ancestors[:, 0]], wage),
-            coefficients=(coefficients, ())))
-
-    solution = CausalBarycenterSolution(
-        value=lp.value, nu=nu, plans=lp.plans, certificates=tuple(certificates),
-        tables=tuple(tables))
-    dual_value = solution.dual_value()
-    check_duality_gap(lp.value, abs(dual_value - lp.value),
-                      "causal barycenter duality gap exceeds tolerance",
-                      {"value": lp.value, "dual_value": dual_value})
-    return solution
-
-
-# -- anticausal barycenters ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnticausalBarycenterResult:
-    """Classical path-space barycenter plus the gluing recipe.
-
-    ``plans[i]`` is a coupling over the pair (process i, task tree);
-    ``kernels[i]`` disintegrates it by the task path: task leaf id ->
-    {process leaf id: conditional weight}.  The glued anticausal process
-    draws a task path from ``nu`` and then each process independently
-    from its kernel.  ``certificates[i]`` holds the LP duals of process
-    i's marginal rows and its wage on the task leaves, cleared as in
-    :class:`CausalBarycenterSolution`, with no coefficients; ``tables[i]``
-    is the cost table it certifies.
-    """
-
-    value: float
-    nu: DiscreteDistribution
-    plans: tuple[MulticausalCoupling, ...]
-    kernels: tuple[dict[str, dict[str, float]], ...]
-    certificates: tuple[DualCertificate, ...]
-    tables: tuple[np.ndarray, ...]
+    return _barycenter(trees, task_tree, costs, (0,), tuple_budget, "causal barycenter")
 
 
 def anticausal_barycenter(
@@ -454,34 +427,17 @@ def anticausal_barycenter(
     costs,
     task_tree: ScenarioTree,
     tuple_budget: int = TUPLE_BUDGET,
-) -> AnticausalBarycenterResult:
+) -> BarycenterSolution:
     """Anticausal barycenter on a fixed task support.
 
     Causality from the task process towards the inputs relaxes to plain
     couplings on path space, so this is the classical fixed-support
     barycenter of the leaf-path laws: the LP of :func:`causal_barycenter`
-    without its causality rows.
+    without its causality rows.  The glued anticausal process draws a
+    task path from ``nu`` and then each process independently from its
+    plan's conditional law given that path.
     """
-    trees, tables = _barycenter_tables(trees, task_tree, costs, tuple_budget,
-                                       "anticausal_barycenter")
-    lp = transport_lp([(tree, task_tree) for tree in trees], tables, (), True,
-                      "anticausal barycenter LP")
-    nu = DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu)
-    certificates = tuple(DualCertificate(potentials=(cert.potentials[0], wage),
-                                         coefficients=cert.coefficients)
-                         for cert, wage in zip(lp.certificates, _wages(lp.certificates)))
-    kernels = []
-    for tree, plan in zip(trees, lp.plans):
-        # every atom's task leaf is in nu's support (see transport_lp)
-        kernel: dict[str, dict[str, float]] = {}
-        conditional = plan.weights / lp.nu[plan.tuples[:, 1]]
-        for (jx, ky), w in zip(plan.tuples.tolist(), conditional.tolist()):
-            kernel.setdefault(task_tree.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = w
-        kernels.append(kernel)
-    return AnticausalBarycenterResult(
-        value=lp.value, nu=nu, plans=lp.plans, kernels=tuple(kernels), certificates=certificates,
-        tables=tuple(tables),
-    )
+    return _barycenter(trees, task_tree, costs, (), tuple_budget, "anticausal barycenter")
 
 
 # -- the quantised Gaussian counterexample ----------------------------------------
@@ -557,22 +513,13 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
 
     tree_1, tree_2 = cubic_pair(n_quant)
 
-    # (a) product coupling, selector y_t = x^1_t + x^2_t, costs |.|^2 / 2
-    cost_a = 0.0
-    for k in range(n_quant):
-        for l in range(n_quant):
-            x1 = (z[k], z[k] ** 3)
-            x2 = (0.0, z[l] ** 3)
-            y = (x1[0] + x2[0], x1[1] + x2[1])
-            cost_a += (
-                w[k]
-                * w[l]
-                * 0.5
-                * (
-                    (x1[0] - y[0]) ** 2 + (x1[1] - y[1]) ** 2
-                    + (x2[0] - y[0]) ** 2 + (x2[1] - y[1]) ** 2
-                )
-            )
+    # (a) product coupling, selector y_t = x^1_t + x^2_t, costs |.|^2 / 2,
+    # on the grid of (x^1, x^2) pairs: x^1 on axis 0, x^2 on axis 1
+    x1 = np.stack([z, z ** 3], axis=-1)[:, None, :]
+    x2 = np.stack([np.zeros_like(z), z ** 3], axis=-1)[None, :, :]
+    y = x1 + x2
+    pair_cost = 0.5 * (costs_mod.power(x1 - y, 2) + costs_mod.power(x2 - y, 2)).sum(axis=-1)
+    cost_a = float(np.sum(np.outer(w, w) * pair_cost))  # under the product coupling
 
     # (b) causal transport values with squared-norm cost against (0, Z^3)
     candidate = tree_2
@@ -589,7 +536,7 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         n_quant=n_quant,
         moment2=m2,
         moment6=m6,
-        cost_phi0_construction=float(cost_a),
+        cost_phi0_construction=cost_a,
         cost_canonical_candidate=float(cost_b),
         checks=tuple(checks),
     )

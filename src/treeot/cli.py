@@ -45,13 +45,14 @@ class RunConfig:
     command: str
     inputs: tuple[str, ...]
     cost: str | None
-    tolerance: float
+    tolerance: float | None  # verify-coupling's --tol; None for every other command
     budget: int
     output: str | None
     format: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if self.tolerance is not None and not (math.isfinite(self.tolerance)
+                                               and self.tolerance > 0):
             raise ValidationError(
                 f"tolerance must be finite and positive, got {self.tolerance!r}"
             )
@@ -71,7 +72,7 @@ def _config_of(args) -> RunConfig:
         command=args.command,
         inputs=tuple(inputs),
         cost=getattr(args, "cost", None),
-        tolerance=args.tol,
+        tolerance=getattr(args, "tol", None),
         budget=args.budget,
         output=args.output,
         format=args.format,
@@ -226,6 +227,19 @@ def _certificate_json(coupling: mc.MulticausalCoupling, cert: mc.DualCertificate
     }
 
 
+def _kernel_json(plan: mc.MulticausalCoupling, nu_weights: np.ndarray) -> dict:
+    """A barycenter plan over (process tree, task tree) disintegrated by
+    the task path: task leaf id -> {process leaf id: conditional weight},
+    both sorted by id.  Every atom's task leaf is in nu's support (see
+    :func:`~treeot.multicausal.transport_lp`)."""
+    tree, tasks = plan.trees
+    kernel: dict[str, dict[str, float]] = {}
+    conditional = plan.weights / nu_weights[plan.tuples[:, 1]]
+    for (jx, ky), w in zip(plan.tuples.tolist(), conditional.tolist()):
+        kernel.setdefault(tasks.leaf_ids()[ky], {})[tree.leaf_ids()[jx]] = w
+    return {y: dict(sorted(k.items())) for y, k in sorted(kernel.items())}
+
+
 # -- command implementations ---------------------------------------------------
 
 
@@ -266,7 +280,7 @@ def _cmd_mcot(args) -> dict:
         lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
         values["oracle_value"] = lp_value
         values["dpp_oracle_gap"] = abs(res.value - lp_value)
-    causality = mc.verify_multicausal(coupling, tol=args.tol)
+    causality = mc.verify_multicausal(coupling)
     return {
         "schema": SCHEMA,
         "command": "mcot",
@@ -352,10 +366,7 @@ def _cmd_bary_anticausal(args) -> dict:
         "command": "bary-anticausal",
         "values": {"barycenter_value": res.value},
         "nu": dict(zip(tasks.leaf_ids(), res.nu.weights.tolist())),
-        "kernels": [
-            {y: dict(sorted(k.items())) for y, k in sorted(kern.items())}
-            for kern in res.kernels
-        ],
+        "kernels": [_kernel_json(plan, res.nu.weights) for plan in res.plans],
         "certificate": list(map(_certificate_json, res.plans, res.certificates)),
         "verification": _slacks(check, "duality_gap"),
     }
@@ -470,8 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--budget", type=int, default=mc.TUPLE_BUDGET,
                         help="leaf-tuple enumeration budget")
-    common.add_argument("--tol", type=float, default=mc.CAUSALITY_TOL,
-                        help="verification tolerance for causality checks")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte-identical reports)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -517,6 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify-coupling", help="test a coupling for multicausality")
     p.add_argument("coupling", help="coupling JSON with leaf-id atoms")
     p.add_argument("--trees", nargs="+", required=True)
+    p.add_argument("--tol", type=float, default=mc.CAUSALITY_TOL,
+                   help="tolerance of the causality check")
     p.set_defaults(fn=_cmd_verify_coupling)
 
     p = add_parser("counterexample", help="quantised Gaussian causal counterexample")

@@ -74,7 +74,7 @@ class Equilibrium:
     pairs (population tree, task tree), one per population.
 
     ``certificates[i]`` is laid out as in
-    :class:`~treeot.barycenters.CausalBarycenterSolution`: the potential
+    :class:`~treeot.barycenters.BarycenterSolution`: the potential
     f^i on the population's leaves, the wage w^i on the task leaves, and
     the coefficients of G^i; it certifies that ``plans[i]`` is a best
     response to w^i.  The principal's wage is by construction the negated
@@ -108,37 +108,21 @@ def solve_matching(
 ) -> Equilibrium:
     """Construct an equilibrium from the joint causal barycenter.
 
-    Wages are the barycenter's task potentials w^i; plans and nu come
-    from the barycenter primal.  The dual leaves each population's wage
-    level free up to constants summing to zero, so each agent's wage is
-    shifted to E_nu[w^i] = 0 and its potential f^i by the same constant,
-    which keeps every slack c^i - w^i + G^i - f^i.  The principal's wage
-    is then the negated sum of the agents', so the market clears exactly,
-    and its potential takes the negated sum of the shifts.
+    Wages are the barycenter's task potentials w^i, with its
+    normalisation (see :class:`~treeot.barycenters.BarycenterSolution`):
+    every agent's wage has mean zero under nu and the principal's is the
+    negated sum of the agents', so the market clears exactly.  Plans and
+    nu come from the barycenter primal.
     """
-    populations = instance.populations
     solution = causal_barycenter(
-        populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
-    )
-    nu = solution.nu.weights
-    agents = solution.certificates[1:]
-    shifts = [float(cert.potentials[1] @ nu) for cert in agents]
-    agent_wages = [cert.potentials[1] - m for cert, m in zip(agents, shifts)]
-    principal_wage = (
-        -reduce(np.add, agent_wages) if agent_wages else np.zeros(instance.tasks.n_leaves)
-    )
-    certificates = tuple(
-        DualCertificate(potentials=(cert.potentials[0] + m, wage),
-                        coefficients=cert.coefficients)
-        for cert, m, wage in zip(solution.certificates, (-sum(shifts), *shifts),
-                                 (principal_wage, *agent_wages))
+        instance.populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
     )
     values = tuple(
         plan.expectation(table - cert.potentials[1])
-        for plan, table, cert in zip(solution.plans, instance.cost_tables, certificates)
+        for plan, table, cert in zip(solution.plans, instance.cost_tables, solution.certificates)
     )
     return Equilibrium(instance=instance, nu=solution.nu, plans=solution.plans,
-                       values=values, certificates=certificates)
+                       values=values, certificates=solution.certificates)
 
 
 def best_response(

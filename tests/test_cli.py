@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,8 +287,61 @@ def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("treeot: invalid input: tolerance must be finite and positive")
+    # only verify-coupling takes --tol; mcot refuses it whatever its value
+    assert err.startswith({
+        "mcot": "treeot: invalid input: treeot: unrecognized arguments: --tol",
+        "verify-coupling": "treeot: invalid input: tolerance must be finite and positive",
+    }[command])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["awdist", "mcot", "bary-bc", "bary-c", "bary-anticausal",
+                                     "match", "counterexample", "verify-coupling"])
+def test_only_verify_coupling_takes_a_tolerance(tmp_path, tree_files, capsys, command):
+    t1, t2, p1, p2 = tree_files
+    coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps(
+        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}
+    ))
+    argv = {"awdist": ["awdist", p1, p2], "mcot": ["mcot", p1, p2],
+            "bary-bc": ["bary-bc", p1, p2], "bary-c": ["bary-c", p1, p2, "--tasks", p1],
+            "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p1],
+            "match": ["match", str(MARKET)], "counterexample": ["counterexample"],
+            "verify-coupling": ["verify-coupling", str(path), "--trees", p1, p2]}[command]
+    code, out = _run_to_file(tmp_path, argv)
+    assert code == 0
+    tolerance = json.loads(out.read_text())["config"]["tolerance"]
+    assert tolerance == (lp.CAUSALITY_TOL if command == "verify-coupling" else None)
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, [*argv, "--tol", "1e-6"], "tol.json")
+    err = capsys.readouterr().err
+    if command == "verify-coupling":
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["tolerance"] == 1e-6
+    else:
+        assert code == 2
+        assert err.strip() == "treeot: invalid input: treeot: unrecognized arguments: --tol 1e-6"
+        assert not out.exists()
+
+
+def test_bary_anticausal_kernel_rows_sum_to_one(tmp_path):
+    rng = np.random.default_rng(45)
+    paths = []
+    for name in ("f", "g", "y"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_tree(random_tree(rng, horizon=2, dim=1, min_branch=2,
+                                                   max_branch=3, prefix=name)))
+    f, g, y = map(str, paths)
+    code, out = _run_to_file(tmp_path, ["bary-anticausal", f, g, "--tasks", y])
+    assert code == 0
+    report = json.loads(out.read_text())
+    support = {leaf for leaf, w in report["nu"].items() if w > 0}
+    assert len(report["kernels"]) == 2
+    for kernel in report["kernels"]:
+        assert set(kernel) == support
+        for row in kernel.values():
+            assert abs(math.fsum(row.values()) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("weight", ["nan", "negative", "outweighed"])

@@ -146,12 +146,15 @@ def test_cli_contract_under_fuzzing(command, trees, coupling, options):
         else:
             argv = [command, *paths[:2]]
         argv += [token for option in options for token in option]
-        _check_contract(argv, os.path.join(tmp, "report"))
+        code = _check_contract(argv, os.path.join(tmp, "report"))
+        if "--tol" in argv and command != "verify-coupling":
+            assert code == 2, argv  # only verify-coupling takes a tolerance
 
 
 def _check_contract(argv, out):
     """Run ``argv`` twice: the exit code is in the contract, a failure
-    says why on one stderr line, and a success reproduces its report."""
+    says why on one stderr line, and a success reproduces its report.
+    Returns the exit code."""
 
     def attempt():
         err = io.StringIO()
@@ -165,13 +168,14 @@ def _check_contract(argv, out):
     assert code in (0, 2, 3, 4), (argv, code, err)
     if code != 0:
         assert len(err.strip().splitlines()) == 1, (argv, err)
-        return
+        return code
     assert err == ""
     with open(out, "rb") as fh:
         first = fh.read()
     assert attempt() == (0, "")
     with open(out, "rb") as fh:
         assert fh.read() == first
+    return code
 
 
 _POWER_COST = st.fixed_dictionaries({
@@ -189,7 +193,7 @@ _SEPARABLE_COST = st.one_of(
 _MATCH_OPTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("--budget"), st.sampled_from(["1", "4", "0", "1000000", "z"])),
-        st.tuples(st.just("--tol"), st.sampled_from(["1e-8", "0", "nan", "inf"])),
+        st.tuples(st.just("--tol"), st.just("1e-8")),  # refused: match takes no tolerance
         st.tuples(st.just("--format"), st.sampled_from(["json", "text", "xml"])),
         st.tuples(st.sampled_from(["--oracle", "extra.json"])),
     ),
@@ -235,7 +239,9 @@ def test_match_contract_under_fuzzing(instance, options):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(instance)
         argv = ["match", path, *(token for option in options for token in option)]
-        _check_contract(argv, os.path.join(tmp, "report"))
+        code = _check_contract(argv, os.path.join(tmp, "report"))
+        if "--tol" in argv:
+            assert code == 2, argv
 
 
 #: two trees of 4 leaves each, so a valid cost tensor has shape (4, 4)

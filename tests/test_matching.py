@@ -350,10 +350,32 @@ def test_wages_have_mean_zero_under_nu(seed):
     for w in eq.wages:
         assert abs(float(w @ nu)) <= 1e-12
     assert np.max(np.abs(eq.wages[0] + sum(eq.wages[1:]))) == 0.0
+    # both barycenters normalise their wages the same way
+    populations, tasks = instance.populations, instance.tasks
+    for sol in (causal_barycenter(populations, tasks, instance.cost_tables),
+                anticausal_barycenter(populations, instance.cost_tables, tasks)):
+        wages = [cert.potentials[1] for cert in sol.certificates]
+        for w in wages[1:]:
+            assert abs(float(w @ sol.nu.weights)) <= 1e-12
+        assert np.max(np.abs(wages[0] + sum(wages[1:]))) == 0.0
     assert complementary_slackness(instance, eq)["min_dual_slack"] >= -1e-8
     for plan, table, value in zip(eq.plans, instance.cost_tables, eq.values):
         cost = plan.expectation(table)
         assert value == pytest.approx(cost, abs=1e-9 * (1 + abs(value)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_equilibrium_certificates_are_the_barycenter_certificates(seed):
+    instance = random_instance(2500 + seed)
+    eq = solve_matching(instance)
+    sol = causal_barycenter(instance.populations, instance.tasks, instance.cost_tables)
+    assert len(eq.certificates) == len(sol.certificates)
+    for ours, theirs in zip(eq.certificates, sol.certificates):
+        for f, g in zip(ours.potentials, theirs.potentials, strict=True):
+            assert np.array_equal(f, g)
+        for per_depth, other in zip(ours.coefficients, theirs.coefficients, strict=True):
+            for a, b in zip(per_depth, other, strict=True):
+                assert np.array_equal(a, b)
 
 
 def test_wage_shift_neutrality_between_agents():
