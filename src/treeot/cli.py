@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import functools
 import json
@@ -29,9 +30,9 @@ from . import lp as lp_mod
 from . import matching as matching_mod
 from . import multicausal as mc
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
-from .trees import ScenarioTree, dump_tree, load_tree
+from .trees import ScenarioTree, load_tree, tree_document
 
-SCHEMA = "3"
+SCHEMA = "4"
 
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
@@ -199,17 +200,26 @@ def _flatten(obj, prefix=""):
     return out
 
 
+def _b64(a: np.ndarray) -> str:
+    """Base64 of the C-order little-endian float64 bytes of ``a``: the
+    form of every certificate array, exact by construction."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _certificate_json(coupling: mc.MulticausalCoupling, cert: mc.DualCertificate) -> dict:
-    """A plan and its certificate, the latter in its own array layout:
-    per tree, the leaf ids and the potentials on them; per (process i,
-    depth t), the ids along each axis of ``cert.coefficients[i][t-1]``
-    and its entries."""
+    """A plan and its certificate.  Every float array is in the
+    :func:`_b64` form, its shape given by the id lists next to it: the
+    plan's atoms in its own order, as one list of leaf indices per tree
+    (into that tree's potential ids) and their weights; per tree, the
+    leaf ids and the potentials on them; per (process i, depth t), the
+    ids along each axis of ``cert.coefficients[i][t-1]`` and its
+    entries."""
     level_ids = [tree.ids for tree in coupling.trees]
     return {
-        "coupling": [{"leaves": ids, "w": w} for ids, w in coupling.atom_ids()],
+        "coupling": {"leaves": coupling.tuples.T.tolist(), "w": _b64(coupling.weights)},
         "duals": {
             "potentials": [
-                {"ids": ids[-1], "values": f.tolist()}
+                {"ids": ids[-1], "values": _b64(f)}
                 for ids, f in zip(level_ids, cert.potentials)
             ],
             "coefficients": [
@@ -218,7 +228,7 @@ def _certificate_json(coupling: mc.MulticausalCoupling, cert: mc.DualCertificate
                     "t": t,
                     "axes": [ids[t - 1] for j, ids in enumerate(level_ids) if j != i]
                             + [level_ids[i][t]],
-                    "values": coef.tolist(),
+                    "values": _b64(coef),
                 }
                 for i, per_depth in enumerate(cert.coefficients)
                 for t, coef in enumerate(per_depth, start=1)
@@ -325,7 +335,7 @@ def _cmd_bary_bc(args) -> dict:
             "duality_gap": check["duality_gap"],
             "recomputed_value_at_barycenter": consistency,
         },
-        "barycenter": json.loads(dump_tree(res.process.tree)),
+        "barycenter": tree_document(res.process.tree),
         "certificate": _certificate_json(res.coupling, res.mcot.certificate),
         "verification": _slacks(check),
     }

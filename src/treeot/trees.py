@@ -411,13 +411,10 @@ def load_tree(serialized: bytes | str) -> ScenarioTree:
     return ScenarioTree.from_levels(levels)
 
 
-def dump_tree(tree: ScenarioTree) -> str:
-    """Serialize to the canonical JSON form.
-
-    Canonical-form input round-trips bit-identically through
-    ``dump_tree(load_tree(...))``.
-    """
-    doc = {
+def tree_document(tree: ScenarioTree) -> dict:
+    """The canonical JSON form as a dict, for callers that embed a tree
+    in a larger document."""
+    return {
         "horizon": tree.horizon,
         "levels": [
             [
@@ -428,7 +425,15 @@ def dump_tree(tree: ScenarioTree) -> str:
             for t in range(tree.horizon)
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def dump_tree(tree: ScenarioTree) -> str:
+    """Serialize to the canonical JSON form.
+
+    Canonical-form input round-trips bit-identically through
+    ``dump_tree(load_tree(...))``.
+    """
+    return json.dumps(tree_document(tree), indent=2)
 
 
 def conditional_kernel(tree: ScenarioTree, path: NodePath) -> DiscreteDistribution:

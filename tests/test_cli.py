@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import base64
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from treeot import matching as matching_mod
 from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
-from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, dump_tree
+from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, dump_tree, load_tree
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ def test_awdist_identical_trees(tmp_path, tree_files):
     code, out = _run_to_file(tmp_path, ["awdist", p1, p1, "--p", "2"])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "3"
+    assert report["schema"] == "4"
     assert report["values"]["aw_distance"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -268,6 +269,9 @@ def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
     assert values["duality_gap"] <= 1e-8 * (1 + abs(values["barycenter_value"]))
     assert report["verification"]["min_dual_slack"] >= -1e-8
     assert report["certificate"]["duals"]["coefficients"]
+    # the barycenter is written in the canonical tree form
+    block = report["barycenter"]
+    assert json.loads(dump_tree(load_tree(json.dumps(block)))) == block
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -484,6 +488,20 @@ def _certified(command, trees, paths):
     }[command]
 
 
+def _decode(s: str, shape) -> np.ndarray:
+    """A report's certificate array: the inverse of ``cli._b64``."""
+    return np.frombuffer(base64.b64decode(s), "<f8").reshape(shape)
+
+
+def _report_atoms(entry) -> list[tuple[list[str], float]]:
+    """The atoms of a report's plan as (leaf ids, weight), its leaf
+    indices read as the potentials' ids."""
+    ids = [p["ids"] for p in entry["duals"]["potentials"]]
+    return [([ids[k][j] for k, j in enumerate(per_atom)], w)
+            for per_atom, w in zip(zip(*entry["coupling"]["leaves"]),
+                                   _decode(entry["coupling"]["w"], -1).tolist())]
+
+
 def _certificate_from_report(trees, duals) -> mc.DualCertificate:
     """The certificate a report writes, placed by node id alone; a tree
     with no coefficient blocks gets ``()``."""
@@ -497,7 +515,7 @@ def _certificate_from_report(trees, duals) -> mc.DualCertificate:
     potentials = []
     for tree, entry in zip(trees, duals["potentials"]):
         f = np.empty(tree.n_leaves)
-        f[positions(tree, tree.horizon, entry["ids"])] = entry["values"]
+        f[positions(tree, tree.horizon, entry["ids"])] = _decode(entry["values"], len(entry["ids"]))
         potentials.append(f)
     blocks = {}
     for entry in duals["coefficients"]:
@@ -505,7 +523,8 @@ def _certificate_from_report(trees, duals) -> mc.DualCertificate:
         axes = [(tr, t) for j, tr in enumerate(trees) if j != i] + [(trees[i], t + 1)]
         coef = np.empty([tr.level_size(depth) for tr, depth in axes])
         coef[np.ix_(*(positions(tr, depth, ids)
-                      for (tr, depth), ids in zip(axes, entry["axes"])))] = entry["values"]
+                      for (tr, depth), ids in zip(axes, entry["axes"])))] = _decode(
+            entry["values"], tuple(map(len, entry["axes"])))
         assert (i, t) not in blocks
         blocks[i, t] = coef
     coefficients = []
@@ -517,21 +536,49 @@ def _certificate_from_report(trees, duals) -> mc.DualCertificate:
     return mc.DualCertificate(tuple(potentials), tuple(coefficients))
 
 
+def _assert_report_holds(entry, plan, cert):
+    """Every array of a report's certificate entry, decoded, equals the
+    plan and certificate it was written from, bit for bit."""
+    leaves = np.array(entry["coupling"]["leaves"]).T
+    w = _decode(entry["coupling"]["w"], len(leaves))
+    rebuilt = mc.MulticausalCoupling(plan.trees, leaves, w)
+    assert np.array_equal(rebuilt.tuples, plan.tuples)
+    assert np.array_equal(rebuilt.weights, plan.weights)
+    duals = entry["duals"]
+    assert len(duals["potentials"]) == len(cert.potentials)
+    for tree, written, f in zip(plan.trees, duals["potentials"], cert.potentials):
+        assert written["ids"] == list(tree.leaf_ids())
+        assert np.array_equal(_decode(written["values"], len(written["ids"])), f)
+    blocks = [coef for per_depth in cert.coefficients for coef in per_depth]
+    assert len(duals["coefficients"]) == len(blocks)
+    for written, coef in zip(duals["coefficients"], blocks):
+        assert np.array_equal(
+            _decode(written["values"], tuple(map(len, written["axes"]))), coef)
+
+
 @pytest.mark.parametrize("command", ["awdist", "bary-anticausal", "bary-bc", "bary-c", "match",
                                      "mcot"])
-def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, command):
+def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, monkeypatch,
+                                                    command):
     argv, certified = _certified(command, *three_tree_files)
+    written, real = [], cli._certificate_json
+
+    def recording(plan, cert):
+        written.append((plan, cert))
+        return real(plan, cert)
+
+    monkeypatch.setattr(cli, "_certificate_json", recording)
     code, out = _run_to_file(tmp_path, [command, *argv])
     assert code == 0
     report = json.loads(out.read_text())
     entries = report["certificate"]
     entries = entries if isinstance(entries, list) else [entries]
-    assert len(entries) == len(certified)
+    assert len(entries) == len(certified) == len(written)
     plans, tables, certificates = [], [], []
-    for entry, (trees, cost) in zip(entries, certified):
+    for entry, (trees, cost), (plan, cert) in zip(entries, certified, written):
+        _assert_report_holds(entry, plan, cert)
         certificates.append(_certificate_from_report(trees, entry["duals"]))
-        plans.append(mc.coupling_from_id_atoms(
-            trees, [(a["leaves"], a["w"]) for a in entry["coupling"]]))
+        plans.append(mc.coupling_from_id_atoms(trees, _report_atoms(entry)))
         tables.append(mc.cost_table(trees, cost))
     check = mc.check_certificates(plans, tables, certificates)
     # every command writes its slacks under "verification", and its gap
@@ -541,6 +588,22 @@ def test_certificate_round_trips_through_the_report(tmp_path, three_tree_files, 
     assert check["worst_support_slack"] == verification["worst_support_slack"]
     gap = report["values"].get("duality_gap", verification.get("duality_gap"))
     assert check["duality_gap"] == gap
+    # a rerun writes the same bytes
+    first = out.read_bytes()
+    _run_to_file(tmp_path, [command, *argv])
+    assert out.read_bytes() == first
+
+
+def test_report_coupling_passes_verify_coupling(tmp_path, three_tree_files):
+    _, paths = three_tree_files
+    _, out = _run_to_file(tmp_path, ["awdist", *paths[:2]], "r.json")
+    entry = json.loads(out.read_text())["certificate"]
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps(
+        {"atoms": [{"leaves": ids, "w": w} for ids, w in _report_atoms(entry)]}))
+    code, out = _run_to_file(tmp_path, ["verify-coupling", str(path), "--trees", *paths[:2]])
+    assert code == 0
+    assert json.loads(out.read_text())["values"]["pass"] is True
 
 
 def _leaf_keys(obj, path=()):
@@ -558,7 +621,8 @@ def test_text_format_writes_one_line_per_key(tmp_path, three_tree_files, command
     _, out = _run_to_file(tmp_path, [*argv, "--format", "text"], "r.txt")
     lines = out.read_text().splitlines()
     assert [line.split(" = ", 1)[0] for line in lines] == sorted(keys)
-    assert "certificate.duals.coefficients" in keys
+    assert {"certificate.duals.coefficients", "certificate.coupling.leaves",
+            "certificate.coupling.w"} <= set(keys)
 
 
 def test_validation_exit_code(tmp_path):
@@ -766,7 +830,8 @@ def test_solver_dust_outside_nus_support_is_dropped(tmp_path, monkeypatch):
     assert report["verification"]["worst_support_slack"] <= 1e-8
     assert report["nu"][planted[0]] == 0.0
     for entry in report["certificate"]:
-        assert planted[0] not in {atom["leaves"][1] for atom in entry["coupling"]}
+        task_ids = entry["duals"]["potentials"][1]["ids"]
+        assert planted[0] not in {task_ids[k] for k in entry["coupling"]["leaves"][1]}
 
 
 @pytest.mark.parametrize("status", [2, 3, 4])
