@@ -170,6 +170,7 @@ def _emit(report: dict, args) -> None:
     if args.timing:
         report["timing"] = {"seconds": time.perf_counter() - args._t0}
     report["solver"] = {
+        "corner_blocks": lp_mod.stats.corner_blocks,
         "lp_solves": lp_mod.stats.solves,
         "lp_iterations": lp_mod.stats.iterations,
         "transport_pivots": lp_mod.stats.transport_pivots,

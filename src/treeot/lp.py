@@ -5,19 +5,22 @@ barycenters, matching) reduces to equality-form linear programs
 
     min c.x   s.t.  A x = b,  x >= 0,
 
-solved here.  Two-marginal transport problems of at most
-``_SIMPLEX_CELLS`` cells go to a batched exact transportation simplex
+solved here.  Every transport problem is first offered its north-west
+corner, the comonotone coupling of its marginals (:func:`_corner_blocks`),
+whose potentials follow by substitution; it is optimal for 1-D states
+in increasing order under a cost convex in their differences.
+Two-marginal problems of at most ``_SIMPLEX_CELLS`` cells whose corner
+fails go on to a batched exact transportation simplex from that corner
 (:func:`_transport_simplex`); every other LP, and any transport problem
-the simplex fails to certify, goes to HiGHS dual simplex without
-presolve (on these LPs presolve only adds time).  The solver
-contract is the residual tolerances on returned solutions, not the
-algorithm:
+that neither certifies, goes to HiGHS dual simplex without presolve (on
+these LPs presolve only adds time).  The solver contract is the
+residual tolerances on returned solutions, not the algorithm:
 
 * primal feasibility  ||Ax - b||_inf <= 1e-9,
 * dual feasibility    min reduced cost >= -1e-9,
 * complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|), taken
   per diagonal block when the LP stacks independent problems, and per
-  problem for the simplex.
+  problem for the corner and the simplex.
 
 HiGHS solves first with scaling off (``simplex_scale_strategy`` 0): on
 the benchmark's ``match`` LPs that took a fifth fewer iterations.  A
@@ -85,8 +88,9 @@ _BATCH_COLUMNS = 1 << 16
 #: simplex, larger ones to HiGHS (the measured crossover, see CHANGES.md)
 _SIMPLEX_CELLS = 1600
 
-#: basis-inverse entries of one lock-step simplex batch (bounds its memory)
-_SIMPLEX_ENTRIES = 1 << 22
+#: cost entries of one chunk of corner blocks, or basis-inverse entries of
+#: one chunk of simplex blocks (bounds their memory)
+_CHUNK_ENTRIES = 1 << 22
 
 #: HiGHS option values of every solve: dual simplex, no presolve, silent
 _HIGHS_OPTIONS = {
@@ -107,6 +111,7 @@ class _Stats:
     def reset(self):
         self.solves = 0              # HiGHS LPs
         self.iterations = 0          # HiGHS simplex iterations
+        self.corner_blocks = 0       # blocks certified at their north-west corner
         self.transport_pivots = 0    # transportation simplex pivots, over all blocks
         self.transport_blocks = 0    # blocks the transportation simplex certified
 
@@ -357,12 +362,16 @@ def multimarginal_ot_batch(groups):
     potentials)`` triple per group: values (B,), dense plans clipped at 0
     (B, n_1, ..., n_N) and one (B, n_i) potential array per marginal.
 
-    Two-marginal blocks of at most ``_SIMPLEX_CELLS`` cells go to the
-    transportation simplex (:func:`_transport_simplex`).  All other
-    blocks, and any simplex block that fails a check, become the
-    diagonal blocks of HiGHS LPs shared across groups, split when their
-    columns exceed ``_BATCH_COLUMNS``.  Every block keeps the checks of
-    a separate solve: its own cost shift, residuals and duality gap.
+    Every block is first offered its north-west corner
+    (:func:`_corner_blocks`), which is optimal for a block in state order
+    under a cost convex in the state differences.  Two-marginal blocks of
+    at most ``_SIMPLEX_CELLS`` cells that the corner fails go on to the
+    transportation simplex (:func:`_transport_simplex`) from the same
+    staircase.  All other blocks, and any simplex block that fails a
+    check, become the diagonal blocks of HiGHS LPs shared across groups,
+    split when their columns exceed ``_BATCH_COLUMNS``.  Every block
+    keeps the checks of a separate solve: its own cost shift, residuals
+    and duality gap.
     """
     prepared = [_prepared(marginals, costs) for marginals, costs in groups]
     results, pending = [], []
@@ -370,10 +379,7 @@ def multimarginal_ot_batch(groups):
         nb, shape = costs.shape[0], costs.shape[1:]
         results.append((np.empty(nb), np.empty(costs.shape),
                         tuple(np.empty((nb, n)) for n in shape)))
-        todo = np.arange(nb)
-        if len(shape) == 2 and shape[0] * shape[1] <= _SIMPLEX_CELLS:
-            ok = _simplex_blocks(weights, costs, shifts, results[g])
-            todo = np.flatnonzero(~ok)
+        todo = np.flatnonzero(~_corner_blocks(weights, costs, shifts, results[g]))
         if todo.size:
             pending.append((g, todo))
     for chunk in _column_chunks(prepared, pending):
@@ -500,56 +506,169 @@ def _highs_blocks(prepared, chunk, results) -> None:
                 "block": int(k)})
 
 
-# -- the transportation simplex ------------------------------------------------
+# -- the north-west corner -----------------------------------------------------
 
 
-def _simplex_blocks(weights, costs, shifts, results) -> np.ndarray:
-    """Solve two-marginal blocks by :func:`_transport_simplex`, in chunks of
-    at most ``_SIMPLEX_ENTRIES`` basis-inverse entries, and write those
-    that pass every check of :func:`solve_lp` into ``results``.  Returns
-    which blocks passed."""
-    a, b = weights
-    nb, m, n = costs.shape
-    step = max(1, _SIMPLEX_ENTRIES // (m + n - 1) ** 2)
+def _corner_blocks(weights, costs, shifts, results) -> np.ndarray:
+    """Certify the north-west corner of each block (:func:`_staircase`) and
+    write those that pass every check of :func:`solve_lp` into
+    ``results``; two-marginal blocks of at most ``_SIMPLEX_CELLS`` cells
+    that fail go on to :func:`_simplex_blocks`.  Works in chunks of at
+    most ``_CHUNK_ENTRIES`` cost entries, or basis-inverse entries for
+    the simplex.  Returns which blocks passed.
+
+    A corner must pass the simplex's optimality test, min reduced cost
+    >= -1e-12 * (1 + max cost), before its plan, primal residual and gap
+    are built, so a failed corner costs one pricing pass.
+    """
+    nb, shape = costs.shape[0], costs.shape[1:]
+    size = int(np.prod(shape))
+    simplex = len(shape) == 2 and size <= _SIMPLEX_CELLS
+    step = max(1, _CHUNK_ENTRIES // ((sum(shape) - 1) ** 2 if simplex else size))
     passed = np.zeros(nb, dtype=bool)
-    values, plans, (u_out, v_out) = results
     for k0 in range(0, nb, step):
         part = slice(k0, k0 + step)
-        cost = costs[part]
-        plan, u, v, pivots, converged = _transport_simplex(a[part], b[part], cost)
-        stats.transport_pivots += int(pivots.sum())
-        reduced = cost - u[:, :, None] - v[:, None, :]
-        dual = -reduced.reshape(len(plan), -1).min(axis=1)
-        primal = np.maximum(np.abs(plan.sum(axis=2) - a[part]).max(axis=1),
-                            np.abs(plan.sum(axis=1) - b[part]).max(axis=1))
-        value = (cost * plan).reshape(len(plan), -1).sum(axis=1) + shifts[part]
-        u, v = _split_potentials(np.concatenate([u, v], axis=1), (m, n), shifts[part])
-        dual_value = (u * a[part]).sum(axis=1) + (v * b[part]).sum(axis=1)
-        ok = (converged & (primal <= PRIMAL_TOL) & (dual <= DUAL_TOL)
-              & _gap_ok(np.abs(value - dual_value), value))
-        passed[part] = ok
-        stats.transport_blocks += int(ok.sum())
-        values[part][ok], plans[part][ok] = value[ok], plan[ok]
-        u_out[part][ok], v_out[part][ok] = u[ok], v[ok]
+        w, cost = [x[part] for x in weights], costs[part]
+        cells, flows, order, phi = _staircase(w, cost)
+        reduced = cost.copy()
+        for lo, hi, view in _staircase_layout(shape)[2]:
+            reduced -= phi[:, lo:hi].reshape(view)
+        low = reduced.reshape(len(cost), -1).min(axis=1)
+        priced = np.flatnonzero(low >= -1e-12 * (1.0 + cost.reshape(len(cost), -1).max(axis=1)))
+        if priced.size:
+            plan = np.zeros((priced.size, size))
+            plan[np.arange(priced.size)[:, None], cells[priced]] = np.maximum(flows[priced], 0.0)
+            ok = _accept(k0 + priced, True, [x[priced] for x in w], cost[priced],
+                         shifts[part][priced], plan.reshape((priced.size,) + shape),
+                         phi[priced], -low[priced], results)
+            passed[k0 + priced[ok]] = True
+            stats.corner_blocks += int(ok.sum())
+        if simplex:
+            rest = np.flatnonzero(~passed[part])
+            if rest.size:
+                passed[k0 + rest] = _simplex_blocks(
+                    k0 + rest, [x[rest] for x in w], cost[rest], shifts[part][rest],
+                    (cells[rest], flows[rest], order[rest], phi[rest]), results)
     return passed
 
 
-def _transport_simplex(a, b, cost):
+@functools.lru_cache(maxsize=256)
+def _staircase_layout(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Per breakpoint of a staircase over ``shape`` (axis 0's first, see
+    :func:`_staircase`): the C-order stride of its axis and the atom it
+    advances to, as a column of the potentials concatenated over the
+    axes.  Per axis: the (start, stop) columns of its potential and the
+    shape that puts a batch of them on that axis of a batch of blocks."""
+    bounds = np.cumsum((0,) + shape).tolist()
+    axis = np.repeat(np.arange(len(shape)), np.subtract(shape, 1))
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1][axis]
+    atoms = np.concatenate([np.arange(lo + 1, hi, dtype=np.intp)
+                            for lo, hi in zip(bounds, bounds[1:])])
+    strides.flags.writeable = atoms.flags.writeable = False
+    views = [(-1,) + tuple(n if j == k else 1 for j, n in enumerate(shape))
+             for k in range(len(shape))]
+    return strides, atoms, tuple(zip(bounds, bounds[1:], views))
+
+
+def _staircase(weights, costs):
+    """The north-west corner of each block and its potentials.
+
+    The staircase walks the merged interior partial sums of every
+    marginal, sorted stably, so that on ties the lower axis advances
+    first and the tie is a zero-mass step; a block thus always has
+    sum(n_k) - N + 1 cells.  Each cell carries the mass between two
+    consecutive breakpoints.  The potentials follow by substitution
+    along the staircase: phi_1(0) is the cost of cell 0, phi_k(0) = 0
+    for k >= 2, and each step adds the rise in cost from the cell before
+    to the potential of the axis it advances, so they sum to the cost on
+    every cell.
+
+    Returns the cells (B, S) as C-order indices, their flows (B, S), the
+    sorted order of the breakpoints (B, S-1; axis k's breakpoints follow
+    those of the axes before it) and the potentials concatenated over
+    the axes (B, sum(n_k)).
+    """
+    nb, shape = costs.shape[0], costs.shape[1:]
+    strides, atoms, columns = _staircase_layout(shape)
+    rows = np.arange(nb)[:, None]
+    sums = [np.cumsum(w, axis=1) for w in weights]
+    ends = np.concatenate([s[:, :-1] for s in sums], axis=1)
+    order = np.argsort(ends, axis=1, kind="stable")  # ties: the lower axis first
+    points = np.concatenate([np.zeros((nb, 1)), ends[rows, order], sums[0][:, -1:]], axis=1)
+    cells = np.zeros((nb, order.shape[1] + 1), dtype=np.intp)
+    np.cumsum(strides[order], axis=1, out=cells[:, 1:])
+    path = costs.reshape(nb, -1)[rows, cells]
+    phi = np.zeros((nb, sum(shape)))
+    phi[:, 0] = path[:, 0]
+    phi[rows, atoms[order]] = path[:, 1:] - path[:, :-1]
+    for lo, hi, _ in columns:
+        np.cumsum(phi[:, lo:hi], axis=1, out=phi[:, lo:hi])
+    return cells, points[:, 1:] - points[:, :-1], order, phi
+
+
+def _accept(blocks, optimal, weights, cost, shifts, plan, phi, dual, results):
+    """Write into ``results`` the blocks (indices ``blocks``) that are
+    ``optimal`` and whose plan (B, n_1, ..., n_N) and unpinned
+    potentials ``phi`` (B, sum(n_k)) pass every check of
+    :func:`solve_lp`: primal residual, dual residual ``dual`` (-min
+    reduced cost) and their own gap.  Returns which passed."""
+    axes = range(1, plan.ndim)
+    primal = functools.reduce(np.maximum, (
+        np.abs(plan.sum(axis=tuple(j for j in axes if j != k)) - w).max(axis=1)
+        for k, w in zip(axes, weights)))
+    value = (cost * plan).reshape(len(plan), -1).sum(axis=1) + shifts
+    split = _split_potentials(phi, plan.shape[1:], shifts)
+    dual_value = sum((p * w).sum(axis=1) for p, w in zip(split, weights))
+    ok = (optimal & (primal <= PRIMAL_TOL) & (dual <= DUAL_TOL)
+          & _gap_ok(np.abs(value - dual_value), value))
+    values, plans, potentials = results
+    done = blocks[ok]
+    values[done], plans[done] = value[ok], plan[ok]
+    for out, p in zip(potentials, split):
+        out[done] = p[ok]
+    return ok
+
+
+# -- the transportation simplex ------------------------------------------------
+
+
+def _simplex_blocks(blocks, weights, cost, shifts, corner, results) -> np.ndarray:
+    """Solve the two-marginal blocks ``blocks`` by :func:`_transport_simplex`
+    from their north-west ``corner`` (see :func:`_staircase`), and write
+    those that pass every check of :func:`solve_lp` into ``results``.
+    Returns which blocks passed."""
+    cells, flows, order, phi = corner
+    m = cost.shape[1]
+    plan, u, v, pivots, converged = _transport_simplex(
+        cost, cells, flows, order, np.delete(phi, m, axis=1))
+    stats.transport_pivots += int(pivots.sum())
+    reduced = cost - u[:, :, None] - v[:, None, :]
+    dual = -reduced.reshape(len(plan), -1).min(axis=1)
+    ok = _accept(blocks, converged, weights, cost, shifts, plan,
+                 np.concatenate([u, v], axis=1), dual, results)
+    stats.transport_blocks += int(ok.sum())
+    return ok
+
+
+def _transport_simplex(cost, cells, flows, order, duals):
     """Dantzig's transportation simplex on B blocks of one shape in lock-step.
 
-    ``a`` (B, m) and ``b`` (B, n) are the marginals, ``cost`` (B, m, n)
-    the costs.  Each block starts from its north-west corner basis and
-    pivots in the cell of most negative reduced cost c - u - v (the first
-    in C order on ties) until none is below -1e-12 * (1 + max cost) or it
-    has made ``m * n + m + n`` pivots.  A basis is kept with its inverse
-    over the row constraints and the column constraints 2..n (column 1's
-    potential is pinned to 0).  Transportation bases are totally
-    unimodular and every pivot element is 1, so the inverse stays in
-    {-1, 0, 1}: it is stored as int8 and updated exactly.  Flows move by
-    the ratio-test step, so they stay nonnegative; the returned
-    potentials are recomputed from the final basis.  Blocks leave the
-    lock-step as they finish and their arithmetic never mixes, so a
-    block's result does not depend on its batch.
+    ``cost`` (B, m, n) are the costs.  Each block starts from its
+    north-west corner basis, given by :func:`_staircase` as its cells,
+    flows, breakpoint order and potentials ``duals`` (B, m+n-1), that
+    is (u, v[1:]) with v[0] = 0; ``cells`` and ``duals`` may be
+    overwritten.  It pivots in the cell of most negative reduced cost
+    c - u - v (the first in C order on ties) until none is below
+    -1e-12 * (1 + max cost) or it has made ``m * n + m + n`` pivots.  A
+    basis is kept with its inverse over the row constraints and the
+    column constraints 2..n (column 1's potential is pinned to 0).
+    Transportation bases are totally unimodular and every pivot element
+    is 1, so the inverse stays in {-1, 0, 1}: it is stored as int8 and
+    updated exactly.  Flows move by the ratio-test step, so they stay
+    nonnegative; the returned potentials are recomputed from the final
+    basis.  Blocks leave the lock-step as they finish and their
+    arithmetic never mixes, so a block's result does not depend on its
+    batch.
 
     Returns the plans (B, m, n), the potentials u (B, m) and v (B, n)
     with v[:, 0] = 0, the pivots made per block and whether each block
@@ -557,37 +676,45 @@ def _transport_simplex(a, b, cost):
     """
     nb, m, n = cost.shape
     cap = m * n + m + n
-    cells, flows, inverse = _north_west_corner(a, b)
-    basic_cost = np.take_along_axis(cost.reshape(nb, -1), cells, axis=1)
-    tol = 1e-12 * (1.0 + cost.reshape(nb, -1).max(axis=1))
+    # each breakpoint is a signed sum of marginal entries, so the rows of
+    # the corner's inverse are differences of those sums' coefficient rows
+    picks = np.concatenate([np.zeros((nb, 1), np.intp), order + 1,
+                            np.full((nb, 1), m + n - 1)], axis=1)
+    inverse = np.diff(_staircase_coefficients(m, n)[picks], axis=1)
+    basic_cost = cost.reshape(nb, -1)[np.arange(nb)[:, None], cells]
     pivots = np.zeros(nb, dtype=np.intp)
     converged = np.zeros(nb, dtype=bool)
     plan, u_v = np.zeros((nb, m * n)), np.zeros((nb, m + n - 1))
-    live, live_cost = np.arange(nb), cost
-    duals = _basis_duals(basic_cost, inverse)
-    while live.size:
+    # the live blocks and their pivots made and optimality tolerances
+    live, live_cost, made = np.arange(nb), cost, pivots.copy()
+    tol = 1e-12 * (1.0 + cost.reshape(nb, -1).max(axis=1))
+    at = np.arange(nb)
+    while True:
         reduced = live_cost - duals[:, :m, None]
         reduced[:, :, 1:] -= duals[:, None, m:]
-        enter = reduced.reshape(live.size, -1).argmin(axis=1)
-        best = np.take_along_axis(reduced.reshape(live.size, -1), enter[:, None], axis=1)[:, 0]
-        stop = (best >= -tol[live]) | (pivots[live] >= cap)
+        reduced = reduced.reshape(live.size, -1)
+        enter = reduced.argmin(axis=1)
+        best = reduced[at, enter]
+        optimal = best >= -tol
+        stop = optimal | (made >= cap)
         if stop.any():
             done = live[stop]
-            converged[done] = best[stop] >= -tol[done]
+            converged[done], pivots[done] = optimal[stop], made[stop]
             plan[done[:, None], cells[stop]] = np.maximum(flows[stop], 0.0)
             u_v[done] = _basis_duals(basic_cost[stop], inverse[stop])
             keep = ~stop
-            live, live_cost, enter, duals, best = (
-                live[keep], live_cost[keep], enter[keep], duals[keep], best[keep])
+            if not keep.any():
+                break
+            live, live_cost, made, tol, enter, duals, best = (
+                live[keep], live_cost[keep], made[keep], tol[keep], enter[keep], duals[keep],
+                best[keep])
             cells, flows, inverse, basic_cost = (
                 cells[keep], flows[keep], inverse[keep], basic_cost[keep])
-            if not live.size:
-                break
-        at = np.arange(live.size)
+            at = at[:live.size]
         i, j = np.divmod(enter, n)
         # the entering column's representation in the basis: its cycle
-        direction = inverse[at, :, i]
-        direction[j > 0] += inverse[at[j > 0], :, m + j[j > 0] - 1]
+        # (column 1 has no row in the basis, hence no term for j = 0)
+        direction = inverse[at, :, i] + inverse[at, :, m + j - 1] * (j > 0)[:, None]
         step = np.where(direction > 0, flows, np.inf)
         leave = step.argmin(axis=1)
         theta = step[at, leave]
@@ -599,7 +726,7 @@ def _transport_simplex(a, b, cost):
         inverse[at, leave] = row
         cells[at, leave] = enter
         basic_cost[at, leave] = live_cost[at, i, j]
-        pivots[live] += 1
+        made += 1
     v = np.concatenate([np.zeros((nb, 1)), u_v[:, m:]], axis=1)
     return plan.reshape(nb, m, n), u_v[:, :m], v, pivots, converged
 
@@ -610,33 +737,14 @@ def _basis_duals(basic_cost, inverse) -> np.ndarray:
     return (basic_cost[:, :, None] * inverse).sum(axis=1)
 
 
-def _north_west_corner(a, b):
-    """The north-west corner basis of each block: its cells (B, m+n-1) as
-    C-order indices, their flows and the basis inverse.
-
-    The staircase walks the merged partial sums of ``a`` and ``b``; each
-    cell carries the mass between two consecutive breakpoints, and each
-    breakpoint is a signed sum of marginal entries, so the inverse's rows
-    are differences of those sums' coefficient rows.
-    """
-    nb, m = a.shape
-    n = b.shape[1]
-    size = m + n - 1
-    rows_end = np.cumsum(a, axis=1)
-    ends = np.concatenate([rows_end[:, :-1], np.cumsum(b[:, :-1], axis=1)], axis=1)
-    order = np.argsort(ends, axis=1, kind="stable")  # ties: the row end first
-    points = np.concatenate([np.zeros((nb, 1)), np.take_along_axis(ends, order, axis=1),
-                             rows_end[:, -1:]], axis=1)
-    down = order < m - 1
-    rows = np.concatenate([np.zeros((nb, 1), np.intp), np.cumsum(down, axis=1)], axis=1)
-    cols = np.concatenate([np.zeros((nb, 1), np.intp), np.cumsum(~down, axis=1)], axis=1)
-    # coefficient rows over (a, b[1:]) of 0, each row end, each column end
-    # (sum(a) less the b after it), and the total sum(a)
-    coef = np.zeros((m + n, size), dtype=np.int8)
+@functools.lru_cache(maxsize=256)
+def _staircase_coefficients(m: int, n: int) -> np.ndarray:
+    """Coefficient rows over (a, b[1:]) of the breakpoints of an m x n
+    staircase: 0, each row end, each column end (sum(a) less the b after
+    it) and the total sum(a); read-only."""
+    coef = np.zeros((m + n, m + n - 1), dtype=np.int8)
     coef[1:m, :m] = np.tri(m - 1, m, k=0, dtype=np.int8)
     coef[m:, :m] = 1
     coef[m:m + n - 1, m:] = -np.tri(n - 1, n - 1, k=0, dtype=np.int8).T
-    picks = np.concatenate([np.zeros((nb, 1), np.intp), order + 1,
-                            np.full((nb, 1), m + n - 1)], axis=1)
-    inverse = np.diff(coef[picks], axis=1)
-    return rows * n + cols, np.diff(points, axis=1), inverse
+    coef.flags.writeable = False
+    return coef

@@ -263,9 +263,9 @@ def _state_order(tree: ScenarioTree, t: int) -> np.ndarray:
     state, ties in level order.
 
     With 1-D states and a path cost convex in x - y, every leaf-depth
-    block over children in this order is a Monge matrix, so the
-    north-west corner that :func:`~treeot.lp._transport_simplex` starts
-    from is already its optimal (quantile) coupling.  States of other
+    block over children in this order is a Monge matrix, so its
+    north-west corner, which :func:`~treeot.lp._corner_blocks` offers
+    first, is already its optimal (quantile) coupling.  States of other
     dimensions have no such order and stay in level order.
     """
     states = tree.states[t]
@@ -383,14 +383,6 @@ class MulticausalCoupling:
             raise ValidationError(f"table shape {np.shape(table)} is not the leaf counts {leaves}")
         terms = self.weights * np.asarray(table)[tuple(self.tuples.T)]
         return float(np.cumsum(np.append(0.0, terms))[-1])
-
-    def atom_ids(self) -> list[tuple[tuple[str, ...], float]]:
-        """Atoms keyed by leaf node ids, in lexicographic order of their
-        leaf indices."""
-        order = np.lexsort(self.tuples.T[::-1])
-        ids = [np.array(tree.leaf_ids(), dtype=object)[self.tuples[order, i]].tolist()
-               for i, tree in enumerate(self.trees)]
-        return list(zip(zip(*ids), self.weights[order].tolist()))
 
 
 def _check_weights(weights: np.ndarray) -> None:

@@ -24,6 +24,8 @@ from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
 from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, dump_tree, load_tree
 
+from helpers import atom_ids
+
 
 @pytest.fixture()
 def tree_files(tmp_path):
@@ -34,6 +36,16 @@ def tree_files(tmp_path):
     p1.write_text(dump_tree(t1))
     p2.write_text(dump_tree(t2))
     return t1, t2, str(p1), str(p2)
+
+
+def _random_cost(tmp_path, paths, seed=0):
+    """A ``--cost`` spec of a random tensor over the leaf tuples of the
+    tree files ``paths``: the north-west corners of its one-step blocks
+    are not optimal, so three or more trees take HiGHS LPs."""
+    shape = tuple(load_tree(Path(p).read_text()).n_leaves for p in paths)
+    path = tmp_path / "cost.npy"
+    np.save(path, np.random.default_rng(seed).random(shape))
+    return f"tensor:{path}"
 
 
 def _run_to_file(tmp_path, args, name="out.json"):
@@ -63,14 +75,17 @@ def test_mcot_with_oracle_gap(tmp_path, tree_files):
 
 @pytest.mark.parametrize("command", ["awdist", "mcot"])
 def test_default_run_takes_no_lp_and_no_oracle(tmp_path, tree_files, command):
-    _, _, p1, p2 = tree_files
+    t1, t2, p1, p2 = tree_files
     code, out = _run_to_file(tmp_path, [command, p1, p2])
     assert code == 0
     report = json.loads(out.read_text())
-    # two trees: every one-step block goes to the transportation simplex
-    # (which may certify its sorted start without a pivot)
-    assert report["solver"]["lp_solves"] == 0
-    assert report["solver"]["transport_blocks"] > 0
+    # two trees: every one-step block is certified at its north-west
+    # corner or by the transportation simplex, none by HiGHS
+    blocks = 1 + sum(t1.level_size(t) * t2.level_size(t) for t in range(1, t1.horizon))
+    solver = report["solver"]
+    assert solver["lp_solves"] == 0
+    assert solver["corner_blocks"] > 0
+    assert solver["corner_blocks"] + solver["transport_blocks"] == blocks
     assert "oracle_value" not in report["values"]
     assert report["values"]["duality_gap"] <= 1e-8 * (1 + abs(report["values"]["dpp_value"]))
     assert report["verification"]["min_dual_slack"] >= -1e-8
@@ -261,9 +276,10 @@ def test_bary_bc_is_certified_by_its_recursion(tmp_path, tree_files):
     assert code == 0
     report = json.loads(out.read_text())
     # the recursion, then one recursion per process for the recomputed
-    # value: all of two trees, so all on the transportation simplex
+    # value: all of two trees, so all certified at the north-west corner
+    # or by the transportation simplex
     assert report["solver"]["lp_solves"] == 0
-    assert report["solver"]["transport_blocks"] > 0
+    assert report["solver"]["corner_blocks"] > 0
     values = report["values"]
     assert "oracle_value" not in values
     assert values["duality_gap"] <= 1e-8 * (1 + abs(values["barycenter_value"]))
@@ -281,7 +297,7 @@ def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys
     coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
     path = tmp_path / "coupling.json"
     path.write_text(json.dumps(
-        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}
+        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in atom_ids(coupling)]}
     ))
     argv = {
         "mcot": ["mcot", p1, p2],
@@ -306,7 +322,7 @@ def test_only_verify_coupling_takes_a_tolerance(tmp_path, tree_files, capsys, co
     coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
     path = tmp_path / "coupling.json"
     path.write_text(json.dumps(
-        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}
+        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in atom_ids(coupling)]}
     ))
     argv = {"awdist": ["awdist", p1, p2], "mcot": ["mcot", p1, p2],
             "bary-bc": ["bary-bc", p1, p2], "bary-c": ["bary-c", p1, p2, "--tasks", p1],
@@ -353,7 +369,7 @@ def test_verify_coupling_refuses_a_bad_weight_with_one_line(tmp_path, tree_files
                                                             weight):
     t1, t2, p1, p2 = tree_files
     coupling = random_multicausal_coupling(np.random.default_rng(3), [t1, t2])
-    atoms = [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]
+    atoms = [{"leaves": list(ids), "w": w} for ids, w in atom_ids(coupling)]
     if weight == "outweighed":
         # a negative atom and a repeat of its tuple that outweighs it
         atoms.append({"leaves": atoms[0]["leaves"], "w": atoms[0]["w"] + 0.1})
@@ -871,7 +887,7 @@ def test_non_finite_lp_result_exits_4_with_one_line(tmp_path, tree_files, monkey
     argv = {
         "match": ["match", market],
         "mcot-oracle": ["mcot", p1, p2, "--oracle"],
-        "mcot3": ["mcot", p1, p2, p1],
+        "mcot3": ["mcot", p1, p2, p1, "--cost", _random_cost(tmp_path, [p1, p2, p1])],
         "bary-c": ["bary-c", p1, p2, "--tasks", p1],
         "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p2],
         "counterexample": ["counterexample", "--n", "4"],
@@ -929,8 +945,10 @@ def test_no_command_calls_scipys_linprog_wrapper(tmp_path, tree_files, monkeypat
     market = str(Path(__file__).parent / "fixtures" / "market_seed602.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.optimize.OptimizeWarning)
-        for argv in (["match", market], ["mcot", p1, p2, str(third)],
-                     ["mcot", p1, p2, "--oracle"], ["counterexample", "--n", "16"]):
+        three = [p1, p2, str(third)]
+        mcot3 = ["mcot", *three, "--cost", _random_cost(tmp_path, three)]
+        for argv in (["match", market], mcot3, ["mcot", p1, p2, "--oracle"],
+                     ["counterexample", "--n", "16"]):
             code, out = _run_to_file(tmp_path, argv)
             assert code == 0, argv
             assert json.loads(out.read_text())["solver"]["lp_solves"] > 0, argv
@@ -940,7 +958,7 @@ def test_verify_coupling_command(tmp_path, tree_files):
     t1, t2, p1, p2 = tree_files
     rng = np.random.default_rng(3)
     coupling = random_multicausal_coupling(rng, [t1, t2])
-    doc = {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}
+    doc = {"atoms": [{"leaves": list(ids), "w": w} for ids, w in atom_ids(coupling)]}
     path = tmp_path / "coupling.json"
     path.write_text(json.dumps(doc))
     code, out = _run_to_file(tmp_path, ["verify-coupling", str(path), "--trees", p1, p2])

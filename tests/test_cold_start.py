@@ -20,6 +20,8 @@ import pytest
 from treeot.randomgen import random_multicausal_coupling, random_tree
 from treeot.trees import dump_tree
 
+from helpers import atom_ids
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # prints [exit code, the scipy modules loaded]; no argv means import only
@@ -57,7 +59,7 @@ def files(tmp_path):
     coupling = random_multicausal_coupling(rng, trees[:2])
     paths["coupling"] = tmp_path / "coupling.json"
     paths["coupling"].write_text(json.dumps(
-        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in coupling.atom_ids()]}))
+        {"atoms": [{"leaves": list(ids), "w": w} for ids, w in atom_ids(coupling)]}))
     power = {"kind": "power", "p": 2, "weight": 1.0}
     paths["market"] = tmp_path / "market.json"
     paths["market"].write_text(json.dumps({

@@ -275,26 +275,33 @@ def transport_batch(rng, nb, m, n, kind):
     return a, b, 10 * rng.normal(size=(nb, m, n))
 
 
-def highs_batch(monkeypatch, a, b, cost):
-    """The batch solved by the HiGHS block LP alone."""
+def highs_batch(monkeypatch, weights, cost):
+    """The batch solved by the HiGHS block LP alone: no corner is
+    certified, and so no block reaches the transportation simplex."""
     with monkeypatch.context() as patch:
-        patch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
-        [out] = multimarginal_ot_batch([([a, b], cost)])
+        patch.setattr(lp_mod, "_corner_blocks",
+                      lambda weights, costs, *_: np.zeros(len(costs), dtype=bool))
+        [out] = multimarginal_ot_batch([(weights, cost)])
     return out
 
 
-def assert_certified(a, b, cost, values, plans, potentials):
-    """Every check of a block solve, recomputed here per block."""
-    u, v = potentials
+def assert_certified(weights, cost, values, plans, potentials):
+    """Every check of a block solve, recomputed here per block, for any
+    number of marginals."""
+    n = len(weights)
     for k in range(len(values)):
         tol = 1e-8 * (1 + abs(values[k]))
         assert np.all(plans[k] >= 0)
-        assert np.abs(plans[k].sum(axis=1) - a[k]).max() <= 1e-9
-        assert np.abs(plans[k].sum(axis=0) - b[k]).max() <= 1e-9
+        for i, w in enumerate(weights):
+            others = tuple(j for j in range(n) if j != i)
+            assert np.abs(plans[k].sum(axis=others) - w[k]).max() <= 1e-9
         assert abs(float((cost[k] * plans[k]).sum()) - values[k]) <= tol
-        assert (cost[k] - u[k][:, None] - v[k][None, :]).min() >= -1e-9
-        assert abs(float(u[k] @ a[k] + v[k] @ b[k]) - values[k]) <= tol
-        assert v[k][0] == 0.0
+        total = sum(phi[k].reshape([-1 if j == i else 1 for j in range(n)])
+                    for i, phi in enumerate(potentials))
+        assert (cost[k] - total).min() >= -1e-9
+        dual = sum(float(phi[k] @ w[k]) for phi, w in zip(potentials, weights))
+        assert abs(dual - values[k]) <= tol
+        assert all(phi[k][0] == 0.0 for phi in potentials[1:])
 
 
 @pytest.mark.parametrize("kind", ["random", "uniform", "tied"])
@@ -306,8 +313,8 @@ def test_transport_simplex_matches_highs(monkeypatch, kind, shape):
     [(values, plans, potentials)] = multimarginal_ot_batch([([a, b], cost)])
     assert lp_mod.stats.solves == 0
     assert (lp_mod.stats.transport_pivots > 0) == (min(shape) > 1)
-    assert_certified(a, b, cost, values, plans, potentials)
-    reference, reference_plans, _ = highs_batch(monkeypatch, a, b, cost)
+    assert_certified([a, b], cost, values, plans, potentials)
+    reference, reference_plans, _ = highs_batch(monkeypatch, [a, b], cost)
     assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
     if kind == "random":  # the optimum is unique: so is the support
         assert np.array_equal(plans > 0, reference_plans > 0)
@@ -332,7 +339,7 @@ def test_failed_simplex_block_is_solved_again_by_highs(monkeypatch, fault):
     rng = np.random.default_rng(8)
     a, b, cost = transport_batch(rng, 12, 4, 5, "random")
     [(values, plans, _)] = multimarginal_ot_batch([([a, b], cost)])
-    reference, _, _ = highs_batch(monkeypatch, a[3:4], b[3:4], cost[3:4])
+    reference, _, _ = highs_batch(monkeypatch, [a[3:4], b[3:4]], cost[3:4])
     real = lp_mod._transport_simplex
 
     def corrupted(*args):
@@ -354,7 +361,7 @@ def test_failed_simplex_block_is_solved_again_by_highs(monkeypatch, fault):
     keep = np.arange(12) != 3
     assert np.array_equal(again[keep], values[keep])
     assert np.array_equal(again_plans[keep], plans[keep])
-    assert_certified(a, b, cost, again, again_plans, potentials)
+    assert_certified([a, b], cost, again, again_plans, potentials)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -364,7 +371,8 @@ def test_transport_simplex_matches_highs_through_mc_dpp(monkeypatch, seed):
     lp_mod.stats.reset()
     res = mc_dpp(trees, cm.lp_sum(2.0))
     assert lp_mod.stats.solves == 0
-    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
+    monkeypatch.setattr(lp_mod, "_corner_blocks",
+                        lambda weights, costs, *_: np.zeros(len(costs), dtype=bool))
     reference = mc_dpp(trees, cm.lp_sum(2.0))
     shapes = {(len(trees[0].children(t, j)), len(trees[1].children(t, k)))
               for t in (1, 2)
@@ -374,6 +382,168 @@ def test_transport_simplex_matches_highs_through_mc_dpp(monkeypatch, seed):
         assert np.all(np.abs(mine - theirs) <= 1e-8 * (1 + np.abs(theirs)))
     for mine, theirs in zip(res.policy.weights, reference.policy.weights, strict=True):
         assert np.array_equal(mine > 0, theirs > 0)
+
+
+# -- the north-west corner -------------------------------------------------------
+
+
+def corner_batch(rng, nb, shape, kind):
+    """``nb`` blocks of ``shape`` with random weights and the pairwise cost
+    sum_{i<j} |x_i - x_j|^2 of random states.  The corner is optimal for
+    1-D states in increasing order ("sorted"; "tied": states on a grid of
+    step 1/2, so costs tie; "uniform": uniform weights, so partial sums
+    tie), and need not be otherwise ("2-D": 2-D states in no order;
+    "random": normal costs)."""
+    weights = []
+    for n in shape:
+        w = np.ones((nb, n)) if kind == "uniform" else rng.random((nb, n)) + 0.2
+        weights.append(w / w.sum(axis=1, keepdims=True))
+    if kind == "random":
+        return weights, 10 * rng.normal(size=(nb,) + shape)
+    dim = 2 if kind == "2-D" else 1
+    states = [rng.random((nb, n, dim)) for n in shape]
+    if kind == "tied":
+        states = [np.round(2 * x) / 2 for x in states]
+    if dim == 1:
+        states = [np.sort(x, axis=1) for x in states]
+    on_axis = [x.reshape((nb,) + tuple(n if j == i else 1 for j in range(len(shape))) + (dim,))
+               for i, (x, n) in enumerate(zip(states, shape))]
+    cost = np.zeros((nb,) + shape)
+    for i, j in itertools.combinations(range(len(shape)), 2):
+        cost += ((on_axis[i] - on_axis[j]) ** 2).sum(axis=-1)
+    return weights, cost
+
+
+@pytest.mark.parametrize("kind", ["sorted", "tied", "uniform", "2-D", "random"])
+@pytest.mark.parametrize("shape", [(3, 4), (5, 5), (2, 3, 4), (3, 3, 3), (2, 3, 2, 2)])
+def test_corner_matches_highs(monkeypatch, kind, shape):
+    rng = np.random.default_rng(sum(shape) + 10 * len(shape) + 100 * len(kind))
+    nb = 20
+    weights, cost = corner_batch(rng, nb, shape, kind)
+    lp_mod.stats.reset()
+    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+    assert_certified(weights, cost, values, plans, potentials)
+    counts = (lp_mod.stats.corner_blocks, lp_mod.stats.transport_blocks, lp_mod.stats.solves)
+    if kind in ("sorted", "tied", "uniform"):
+        assert counts == (nb, 0, 0)
+        assert lp_mod.stats.transport_pivots == 0
+    elif len(shape) == 2:
+        # every block the corner fails is certified by the simplex
+        assert counts[0] < nb and counts[0] + counts[1] == nb and counts[2] == 0
+    else:
+        assert counts[0] < nb and counts[1] == 0 and counts[2] >= 1
+    reference, _, _ = highs_batch(monkeypatch, weights, cost)
+    assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
+
+
+def test_degenerate_staircase_keeps_its_zero_mass_steps():
+    # partial sums 0.5 | 0.25, 0.5 | 0.5: three breakpoints tie at 0.5,
+    # so the staircase takes two zero-mass steps, the lower axis first
+    weights = [np.array([[0.5, 0.5]]), np.array([[0.25, 0.25, 0.5]]), np.array([[0.5, 0.5]])]
+    shape = (2, 3, 2)
+    cost = np.random.default_rng(0).random((1,) + shape)
+    cells, flows, order, phi = lp_mod._staircase(weights, cost)
+    path = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 2, 1)]
+    assert cells.tolist() == [np.ravel_multi_index(tuple(zip(*path)), shape).tolist()]
+    assert flows.tolist() == [[0.25, 0.25, 0.0, 0.0, 0.5]]
+    assert phi.shape == (1, sum(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4, 4), (3, 3, 3), (2, 4, 2, 4)])
+def test_uniform_staircase_has_sum_n_minus_n_plus_one_cells(shape):
+    # uniform weights: every common partial sum is a tie
+    weights = [np.full((3, n), 1 / n) for n in shape]
+    cost = np.zeros((3,) + shape)
+    cells, flows, order, _ = lp_mod._staircase(weights, cost)
+    cells_per_block = sum(shape) - len(shape) + 1
+    assert cells.shape == flows.shape == (3, cells_per_block)
+    assert np.all(np.diff(cells, axis=1) > 0)   # a monotone path: no cell twice
+    index = np.unravel_index(cells, shape)
+    assert all(np.all(np.diff(i, axis=1) >= 0) for i in index)
+    assert all(np.array_equal(i[:, -1], np.full(3, n - 1)) for i, n in zip(index, shape))
+    assert np.all(flows >= 0)
+    distinct = np.unique(np.concatenate([np.arange(1, n) / n for n in shape]))
+    assert np.all((flows > 0).sum(axis=1) == distinct.size + 1)
+    res = multimarginal_ot([w[0] for w in weights], cost[0])
+    for axis, w in enumerate(weights):
+        others = tuple(j for j in range(len(shape)) if j != axis)
+        assert np.abs(res.plan.sum(axis=others) - w[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 6), (3, 1, 4), (2, 3, 4), (3, 2, 2, 3)])
+def test_corner_potentials_sum_to_the_cost_on_every_staircase_cell(shape):
+    rng = np.random.default_rng(sum(shape))
+    weights, cost = corner_batch(rng, 10, shape, "random")
+    cells, _, _, phi = lp_mod._staircase(weights, cost)
+    bounds = np.cumsum((0,) + shape)
+    index = np.unravel_index(cells, shape)
+    total = sum(np.take_along_axis(phi[:, lo:hi], i, axis=1)
+                for lo, hi, i in zip(bounds, bounds[1:], index))
+    on_path = np.take_along_axis(cost.reshape(10, -1), cells, axis=1)
+    assert np.all(np.abs(total - on_path) <= 1e-12 * (1 + np.abs(cost).max()))
+    assert np.array_equal(phi[:, 0], on_path[:, 0])
+    assert np.all(phi[:, bounds[1:-1]] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 2, 4), (2, 3, 2, 2)])
+def test_corner_block_is_the_same_alone_and_in_a_batch(shape):
+    rng = np.random.default_rng(6)
+    weights, cost = corner_batch(rng, 30, shape, "tied")
+    lp_mod.stats.reset()
+    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+    assert lp_mod.stats.corner_blocks == 30
+    for k in (0, 11, 29):
+        [(one, one_plan, one_potentials)] = multimarginal_ot_batch(
+            [([w[k:k + 1] for w in weights], cost[k:k + 1])])
+        assert one[0] == values[k]
+        assert np.array_equal(one_plan[0], plans[k])
+        assert all(np.array_equal(mine[0], theirs[k])
+                   for mine, theirs in zip(one_potentials, potentials))
+        alone = multimarginal_ot([w[k] for w in weights], cost[k])
+        assert alone.value == values[k] and np.array_equal(alone.plan, plans[k])
+
+
+@pytest.mark.parametrize("kind", ["sorted", "2-D"])
+@pytest.mark.parametrize("shape", [(4, 5), (3, 3, 3)])
+def test_chunked_corner_blocks_are_bit_identical(monkeypatch, kind, shape):
+    # a chunk of one block each: the corner and the simplex see each block
+    # at its own offset in the batch, and HiGHS gets the same blocks
+    rng = np.random.default_rng(12)
+    weights, cost = corner_batch(rng, 9, shape, kind)
+    lp_mod.stats.reset()
+    [whole] = multimarginal_ot_batch([(weights, cost)])
+    counts = (lp_mod.stats.corner_blocks, lp_mod.stats.transport_blocks)
+    monkeypatch.setattr(lp_mod, "_CHUNK_ENTRIES", 1)
+    lp_mod.stats.reset()
+    [chunked] = multimarginal_ot_batch([(weights, cost)])
+    assert (lp_mod.stats.corner_blocks, lp_mod.stats.transport_blocks) == counts
+    assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+    assert all(np.array_equal(a, b) for a, b in zip(chunked[2], whole[2]))
+    assert_certified(weights, cost, *chunked)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 3, 3)])
+def test_non_optimal_corner_falls_back_and_is_certified(monkeypatch, shape):
+    rng = np.random.default_rng(9)
+    weights, cost = corner_batch(rng, 12, shape, "sorted")
+    [(clean, clean_plans, _)] = multimarginal_ot_batch([(weights, cost)])
+    # block 3's cost turned concave in x_i - x_j: its corner, the
+    # comonotone coupling, is now the worst coupling, not the best
+    cost[3] = cost[3].max() - cost[3]
+    lp_mod.stats.reset()
+    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+    assert lp_mod.stats.corner_blocks == 11
+    if len(shape) == 2:   # the transportation simplex, from the same corner
+        assert (lp_mod.stats.transport_blocks, lp_mod.stats.solves) == (1, 0)
+        assert lp_mod.stats.transport_pivots > 0
+    else:                 # the HiGHS block LP
+        assert (lp_mod.stats.transport_blocks, lp_mod.stats.solves) == (0, 1)
+    assert_certified(weights, cost, values, plans, potentials)
+    reference, _, _ = highs_batch(monkeypatch, [w[3:4] for w in weights], cost[3:4])
+    assert abs(values[3] - reference[0]) <= 1e-8 * (1 + abs(reference[0]))
+    keep = np.arange(12) != 3
+    assert np.array_equal(values[keep], clean[keep])
+    assert np.array_equal(plans[keep], clean_plans[keep])
 
 
 # -- fixed-support barycenter ----------------------------------------------------

@@ -56,6 +56,8 @@ from treeot.multicausal import (
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree
 
+from helpers import atom_ids
+
 
 def product_policy(trees) -> KernelPolicy:
     """Independent kernels at every node tuple."""
@@ -305,9 +307,10 @@ def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch)
 
 @pytest.mark.parametrize("columns", [1, 10])
 def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
-    # three trees: their one-step blocks go to the HiGHS block LP
+    # three trees with 2-D states: their one-step blocks, bar those whose
+    # north-west corner is optimal, go to the HiGHS block LP
     rng = np.random.default_rng(31)
-    trees = [random_tree(rng, horizon=3, dim=1, max_branch=3) for _ in range(3)]
+    trees = [random_tree(rng, horizon=3, dim=2, max_branch=3) for _ in range(3)]
     cost = cm.pairwise_power(2.0)
     whole = mc_dpp(trees, cost)
     monkeypatch.setattr(lp_mod, "_BATCH_COLUMNS", columns)
@@ -331,13 +334,18 @@ def test_dpp_solves_one_lp_per_depth(horizon):
              for _ in range(2)]
     lp_mod.stats.reset()
     mc_dpp(trees, cm.pairwise_power(2.0))
-    # two trees: every one-step block is a transportation problem
+    # two trees: every one-step block is certified at its north-west
+    # corner or by the transportation simplex
+    blocks = 1 + sum(trees[0].level_size(t) * trees[1].level_size(t) for t in range(1, horizon))
     assert lp_mod.stats.solves == 0
-    assert lp_mod.stats.transport_blocks > 0
-    trees.append(random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3))
+    assert lp_mod.stats.corner_blocks > 0
+    assert lp_mod.stats.corner_blocks + lp_mod.stats.transport_blocks == blocks
+    # three trees with 2-D states, whose corners are not optimal: the
+    # blocks of every depth that the corner fails share one HiGHS LP
+    trees = [random_tree(rng, horizon=horizon, dim=2, min_branch=2, max_branch=3)
+             for _ in range(3)]
     lp_mod.stats.reset()
     mc_dpp(trees, cm.pairwise_power(2.0))
-    # three trees: every shape group of a depth shares one HiGHS LP
     assert lp_mod.stats.solves == horizon
     assert lp_mod.stats.transport_pivots == 0
 
@@ -367,27 +375,28 @@ def test_sibling_order_leaves_the_value_and_certificate():
 def test_leaf_depth_blocks_start_optimal(monkeypatch, cost, seed):
     # 1-D states, a cost convex in x - y: each leaf-depth block, its
     # children in state order, is a Monge matrix, so its north-west
-    # corner is optimal and the simplex certifies it without a pivot
+    # corner is optimal and certified as it is: no block of the leaf
+    # depth reaches the simplex
     rng = np.random.default_rng(70 + seed)
     trees = [random_tree(rng, horizon=3, dim=1, min_branch=2, max_branch=4) for _ in range(2)]
-    depths = []  # per depth, leaves first: each simplex call's pivots
+    depths = []  # per depth, leaves first: corner blocks, simplex blocks
     real_batch, real_simplex = mc.multimarginal_ot_batch, lp_mod._transport_simplex
 
     def batch(groups):
-        depths.append([])
-        return real_batch(groups)
-
-    def simplex(a, b, block_costs):
-        out = real_simplex(a, b, block_costs)
-        depths[-1].append(out[3])
+        lp_mod.stats.reset()
+        depths.append([0, 0])
+        out = real_batch(groups)
+        depths[-1][0] = lp_mod.stats.corner_blocks
         return out
+
+    def simplex(block_costs, *args):
+        depths[-1][1] += len(block_costs)
+        return real_simplex(block_costs, *args)
 
     monkeypatch.setattr(mc, "multimarginal_ot_batch", batch)
     monkeypatch.setattr(lp_mod, "_transport_simplex", simplex)
     mc_dpp(trees, cost)
-    leaf_depth = np.concatenate(depths[0])
-    assert leaf_depth.size == trees[0].level_size(2) * trees[1].level_size(2)
-    assert not leaf_depth.any()
+    assert depths[0] == [trees[0].level_size(2) * trees[1].level_size(2), 0]
 
 
 def test_multi_dimensional_states_keep_level_order():
@@ -413,9 +422,10 @@ def test_level_order_leaves_values_and_pivots_bit_identical():
 
 
 def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
-    # three trees: their one-step blocks go to the HiGHS block LP
+    # three trees with 2-D states: their one-step blocks, none optimal at
+    # its north-west corner, go to the HiGHS block LP
     rng = np.random.default_rng(77)
-    trees = [random_tree(rng, horizon=2, dim=1, min_branch=3, max_branch=4, prefix=p)
+    trees = [random_tree(rng, horizon=2, dim=2, min_branch=3, max_branch=4, prefix=p)
              for p in "abc"]
     shape = tuple(len(t.children(1, 0)) for t in trees)
     real = lp_mod.linprog
@@ -1118,8 +1128,9 @@ def dict_glue(pi: dict, gamma: dict, marg_gamma: np.ndarray) -> dict:
 
 
 def assert_matches_dict(coupling: MulticausalCoupling, atoms: dict, table: np.ndarray):
-    """Atom order, marginals, ``atom_ids()`` and ``expectation`` equal, bit
-    for bit, what the dict gives summed atom by atom in its order."""
+    """Atom order, marginals, the leaf ids of :func:`helpers.atom_ids` and
+    ``expectation`` equal, bit for bit, what the dict gives summed atom by
+    atom in its order."""
     trees = coupling.trees
     assert list(as_dict(coupling)) == list(atoms)
     assert coupling.weights.tolist() == list(atoms.values())
@@ -1129,7 +1140,7 @@ def assert_matches_dict(coupling: MulticausalCoupling, atoms: dict, table: np.nd
             marginal[idx[i]] += w
         assert coupling.marginal(i).tolist() == marginal.tolist()
     leaf_ids = [tree.leaf_ids() for tree in trees]
-    assert coupling.atom_ids() == [
+    assert atom_ids(coupling) == [
         (tuple(ids[k] for ids, k in zip(leaf_ids, idx)), w) for idx, w in sorted(atoms.items())]
     expected = 0.0
     for idx, w in atoms.items():
