@@ -63,13 +63,9 @@ from .multicausal import (
     verify_multicausal,
 )
 from .trees import (
-    DiscreteDistribution,
-    NodePath,
     ScenarioTree,
-    conditional_kernel,
     dump_tree,
     load_tree,
-    path_value,
     quantize_gauss_hermite,
 )
 

@@ -26,6 +26,7 @@ Two distinct mechanisms live here:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from .errors import BudgetExceededError, ValidationError
-from .lp import MARGINAL_TOL, check_duality_gap
+from .lp import GRID_TOL, MARGINAL_TOL, check_duality_gap
 from .multicausal import (
     TUPLE_BUDGET,
     DualCertificate,
@@ -49,7 +50,7 @@ from .multicausal import (
     mc_dpp,
     transport_lp,
 )
-from .trees import DiscreteDistribution, ScenarioTree, join_ids, quantize_gauss_hermite
+from .trees import ScenarioTree, join_ids, quantize_gauss_hermite
 
 
 # -- separable costs ----------------------------------------------------------
@@ -80,10 +81,10 @@ class PowerCost(SeparableCost):
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValidationError("cost weight must be positive")
-        if self.exponent < 1:
-            raise ValidationError("cost exponent must be >= 1")
+        if not 0 < self.weight < math.inf:
+            raise ValidationError(f"cost weight must be finite and positive, got {self.weight!r}")
+        if not 1 <= self.exponent < math.inf:
+            raise ValidationError(f"cost exponent must be finite and >= 1, got {self.exponent!r}")
 
     def at(self, t, x, y):
         d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -94,8 +95,8 @@ class TableCost(SeparableCost):
     """Explicit per-time cost matrices over finite grids.
 
     ``tables[t]`` is (x_atoms, y_atoms, matrix); evaluation looks the
-    arguments up in the declared grids: the first atom within 1e-9 per
-    coordinate.
+    arguments up in the declared grids: the first atom within ``GRID_TOL``
+    per coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Sequence, Sequence, np.ndarray]]):
@@ -122,11 +123,11 @@ def _grid(points: Sequence) -> np.ndarray:
 
 
 def _lookup(atoms: np.ndarray, states) -> np.ndarray:
-    """Index of the first of ``atoms`` within 1e-9 of each state (state
-    axis last)."""
+    """Index of the first of ``atoms`` within ``GRID_TOL`` of each state
+    (state axis last)."""
     states = np.atleast_1d(np.asarray(states, dtype=float))
     if states.shape[-1] == atoms.shape[1]:
-        close = np.all(np.abs(states[..., None, :] - atoms) <= 1e-9, axis=-1)
+        close = np.all(np.abs(states[..., None, :] - atoms) <= GRID_TOL, axis=-1)
     else:
         close = np.zeros(states.shape[:-1] + (len(atoms),), dtype=bool)
     found = close.any(axis=-1)
@@ -326,7 +327,8 @@ def causal_ot(
 class BarycenterSolution:
     """Primal and dual bundle of a barycenter LP on a task tree.
 
-    ``certificates[i]`` is a :class:`DualCertificate` of the pair
+    ``nu`` is the task distribution: one weight per task leaf, in leaf
+    order.  ``certificates[i]`` is a :class:`DualCertificate` of the pair
     (process i, task tree), ``plans[i]``: its potentials are f^i on the
     process leaves and the wage w^i on the task leaves; its coefficients
     are those of G^i per depth, then ``()`` (none for an anticausal
@@ -341,7 +343,7 @@ class BarycenterSolution:
     """
 
     value: float
-    nu: DiscreteDistribution
+    nu: np.ndarray
     plans: tuple[MulticausalCoupling, ...]
     certificates: tuple[DualCertificate, ...]
     tables: tuple[np.ndarray, ...]
@@ -398,8 +400,7 @@ def _barycenter(trees, task_tree, costs, processes, tuple_budget, what) -> Baryc
                       f"{what} duality gap exceeds tolerance",
                       {"value": lp.value, "dual_value": dual_value})
     return BarycenterSolution(
-        value=lp.value, nu=DiscreteDistribution(support=task_tree.leaf_ids(), weights=lp.nu),
-        plans=lp.plans, certificates=certificates, tables=tables)
+        value=lp.value, nu=lp.nu, plans=lp.plans, certificates=certificates, tables=tables)
 
 
 def causal_barycenter(
@@ -459,22 +460,23 @@ class CounterexampleReport:
 
 def cubic_pair(n_quant: int) -> tuple[ScenarioTree, ScenarioTree]:
     """The two-period pair X^1 = (Z, Z^3), X^2 = (0, Z^3), Z quantised N(0,1)."""
-    q = quantize_gauss_hermite(n_quant)
+    points, weights = quantize_gauss_hermite(n_quant)
+    points, weights = points.tolist(), weights.tolist()
     levels_1 = [
         [
-            {"id": f"a1_{k}", "parent": None, "p": float(w), "x": [float(z)]}
-            for k, (z, w) in enumerate(zip(q.support, q.weights))
+            {"id": f"a1_{k}", "parent": None, "p": w, "x": [z]}
+            for k, (z, w) in enumerate(zip(points, weights))
         ],
         [
-            {"id": f"a2_{k}", "parent": f"a1_{k}", "p": 1.0, "x": [float(z) ** 3]}
-            for k, z in enumerate(q.support)
+            {"id": f"a2_{k}", "parent": f"a1_{k}", "p": 1.0, "x": [z ** 3]}
+            for k, z in enumerate(points)
         ],
     ]
     levels_2 = [
         [{"id": "b1_0", "parent": None, "p": 1.0, "x": [0.0]}],
         [
-            {"id": f"b2_{k}", "parent": "b1_0", "p": float(w), "x": [float(z) ** 3]}
-            for k, (z, w) in enumerate(zip(q.support, q.weights))
+            {"id": f"b2_{k}", "parent": "b1_0", "p": w, "x": [z ** 3]}
+            for k, (z, w) in enumerate(zip(points, weights))
         ],
     ]
     return ScenarioTree.from_levels(levels_1), ScenarioTree.from_levels(levels_2)
@@ -505,9 +507,7 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
         raise BudgetExceededError(
             f"counterexample: {n_quant ** 2} leaf pairs exceed budget {tuple_budget}"
         )
-    q = quantize_gauss_hermite(n_quant)
-    z = np.array(q.support)
-    w = q.weights
+    z, w = quantize_gauss_hermite(n_quant)
     m2 = float(w @ z**2)
     m6 = float(w @ z**6)
 

@@ -360,7 +360,7 @@ def _cmd_bary_c(args) -> dict:
             "dual_value": check["dual_value"],
             "duality_gap": check["duality_gap"],
         },
-        "nu": dict(zip(tasks.leaf_ids(), sol.nu.weights.tolist())),
+        "nu": dict(zip(tasks.leaf_ids(), sol.nu.tolist())),
         "certificate": list(map(_certificate_json, sol.plans, sol.certificates)),
         "verification": {**_slacks(check), "worst_causality": worst_causality},
     }
@@ -376,8 +376,8 @@ def _cmd_bary_anticausal(args) -> dict:
         "schema": SCHEMA,
         "command": "bary-anticausal",
         "values": {"barycenter_value": res.value},
-        "nu": dict(zip(tasks.leaf_ids(), res.nu.weights.tolist())),
-        "kernels": [_kernel_json(plan, res.nu.weights) for plan in res.plans],
+        "nu": dict(zip(tasks.leaf_ids(), res.nu.tolist())),
+        "kernels": [_kernel_json(plan, res.nu) for plan in res.plans],
         "certificate": list(map(_certificate_json, res.plans, res.certificates)),
         "verification": _slacks(check, "duality_gap"),
     }
@@ -406,7 +406,7 @@ def _cmd_match(args) -> dict:
             "equilibrium_ok": report.passed,
         },
         "wages": eq.wage_table(),
-        "nu": dict(zip(tasks.leaf_ids(), eq.nu.weights.tolist())),
+        "nu": dict(zip(tasks.leaf_ids(), eq.nu.tolist())),
         "certificate": list(map(_certificate_json, eq.plans, eq.certificates)),
         "verification": {
             "clearing_ok": report.clearing_ok,

@@ -13,6 +13,7 @@ Wasserstein distances are defined here.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -76,8 +77,8 @@ def _norms(pairs) -> list[np.ndarray]:
 
 def lp_sum(p: float = 2.0) -> Cost:
     """Pairwise cost  sum_{i<j} d(x^i, x^j)^p  with d the summed path metric."""
-    if p < 1:
-        raise ValidationError("exponent p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"exponent p must be finite and >= 1, got {p!r}")
 
     def cost(trees):
         return _pairwise(trees, lambda pairs: power(sum(_norms(pairs)), p))
@@ -87,8 +88,8 @@ def lp_sum(p: float = 2.0) -> Cost:
 
 def pairwise_power(p: float = 2.0) -> Cost:
     """Time-separable pairwise cost  sum_{i<j} sum_t |x^i_t - x^j_t|_2^p."""
-    if p < 1:
-        raise ValidationError("exponent p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"exponent p must be finite and >= 1, got {p!r}")
 
     def cost(trees):
         return _pairwise(trees, lambda pairs: sum(power(n, p) for n in _norms(pairs)))

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetExceededError, SolverFailureError, ValidationError
-from .trees import DiscreteDistribution
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -76,6 +75,9 @@ DUALITY_TOL = 1e-8      # |value - dual value| <= DUALITY_TOL * (1 + |value|)
 MARGINAL_TOL = 1e-9
 CAUSALITY_TOL = 1e-8
 OPTIMALITY_TOL = 1e-7   # absorbs two LP solves being compared
+PRICING_TOL = 1e-12     # a transport block prices optimal at min reduced cost
+                        # >= -PRICING_TOL * (1 + max cost)
+GRID_TOL = 1e-9         # a state is on a cost grid within this per coordinate
 
 #: refuse dense cost tensors above this entry count
 DENSE_BUDGET = 10_000_000
@@ -302,10 +304,6 @@ def _solve_optimal(problem: LpProblem, what: str) -> LpSolution:
 # -- multimarginal optimal transport ----------------------------------------
 
 
-def _as_weights(m) -> np.ndarray:  # checked by _prepared
-    return np.asarray(m.weights if isinstance(m, DiscreteDistribution) else m, dtype=float)
-
-
 @functools.lru_cache(maxsize=256)
 def _marginal_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the stacked marginal operators, one row
@@ -331,15 +329,14 @@ class MultimarginalResult:
 def multimarginal_ot(marginals, cost: np.ndarray) -> MultimarginalResult:
     """Exact multimarginal OT over the coupling polytope.
 
-    ``cost`` is a dense tensor with one axis per marginal.  Returns the
-    optimal value, the dense plan, and one dual potential per marginal
-    atom with  sum_i E_{mu_i}[phi_i] = value  within DUALITY_TOL.
+    ``marginals`` are weight vectors and ``cost`` is a dense tensor with
+    one axis per marginal.  Returns the optimal value, the dense plan, and
+    one dual potential per marginal atom with
+    sum_i E_{mu_i}[phi_i] = value  within DUALITY_TOL.
     Refuses a cost tensor of more than ``DENSE_BUDGET`` entries.
     """
-    weights = [_as_weights(m) for m in marginals]
-    cost = np.asarray(cost)
     [(values, plans, potentials)] = multimarginal_ot_batch(
-        [([w[None] for w in weights], cost[None])]
+        [([np.asarray(m, dtype=float)[None] for m in marginals], np.asarray(cost)[None])]
     )
     return MultimarginalResult(value=float(values[0]), plan=plans[0],
                                potentials=tuple(p[0] for p in potentials))
@@ -518,8 +515,8 @@ def _corner_blocks(weights, costs, shifts, results) -> np.ndarray:
     the simplex.  Returns which blocks passed.
 
     A corner must pass the simplex's optimality test, min reduced cost
-    >= -1e-12 * (1 + max cost), before its plan, primal residual and gap
-    are built, so a failed corner costs one pricing pass.
+    >= -``PRICING_TOL`` * (1 + max cost), before its plan, primal residual
+    and gap are built, so a failed corner costs one pricing pass.
     """
     nb, shape = costs.shape[0], costs.shape[1:]
     size = int(np.prod(shape))
@@ -534,7 +531,8 @@ def _corner_blocks(weights, costs, shifts, results) -> np.ndarray:
         for lo, hi, view in _staircase_layout(shape)[2]:
             reduced -= phi[:, lo:hi].reshape(view)
         low = reduced.reshape(len(cost), -1).min(axis=1)
-        priced = np.flatnonzero(low >= -1e-12 * (1.0 + cost.reshape(len(cost), -1).max(axis=1)))
+        tol = PRICING_TOL * (1.0 + cost.reshape(len(cost), -1).max(axis=1))
+        priced = np.flatnonzero(low >= -tol)
         if priced.size:
             plan = np.zeros((priced.size, size))
             plan[np.arange(priced.size)[:, None], cells[priced]] = np.maximum(flows[priced], 0.0)
@@ -659,8 +657,8 @@ def _transport_simplex(cost, cells, flows, order, duals):
     is (u, v[1:]) with v[0] = 0; ``cells`` and ``duals`` may be
     overwritten.  It pivots in the cell of most negative reduced cost
     c - u - v (the first in C order on ties) until none is below
-    -1e-12 * (1 + max cost) or it has made ``m * n + m + n`` pivots.  A
-    basis is kept with its inverse over the row constraints and the
+    -``PRICING_TOL`` * (1 + max cost) or it has made ``m * n + m + n``
+    pivots.  A basis is kept with its inverse over the row constraints and the
     column constraints 2..n (column 1's potential is pinned to 0).
     Transportation bases are totally unimodular and every pivot element
     is 1, so the inverse stays in {-1, 0, 1}: it is stored as int8 and
@@ -687,7 +685,7 @@ def _transport_simplex(cost, cells, flows, order, duals):
     plan, u_v = np.zeros((nb, m * n)), np.zeros((nb, m + n - 1))
     # the live blocks and their pivots made and optimality tolerances
     live, live_cost, made = np.arange(nb), cost, pivots.copy()
-    tol = 1e-12 * (1.0 + cost.reshape(nb, -1).max(axis=1))
+    tol = PRICING_TOL * (1.0 + cost.reshape(nb, -1).max(axis=1))
     at = np.arange(nb)
     while True:
         reduced = live_cost - duals[:, :m, None]

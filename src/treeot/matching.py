@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .lp import CAUSALITY_TOL, MARGINAL_TOL, OPTIMALITY_TOL
 from .multicausal import (TUPLE_BUDGET, DualCertificate, MulticausalCoupling,
                           check_certificates, cost_table)
-from .trees import DiscreteDistribution, ScenarioTree, join_ids
+from .trees import ScenarioTree, join_ids
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ class MatchingInstance:
 @dataclass(frozen=True)
 class Equilibrium:
     """Task distribution, causal plans and their certificates over the
-    pairs (population tree, task tree), one per population.
+    pairs (population tree, task tree), one per population.  ``nu`` has
+    one weight per task leaf, in leaf order.
 
     ``certificates[i]`` is laid out as in
     :class:`~treeot.barycenters.BarycenterSolution`: the potential
@@ -85,7 +86,7 @@ class Equilibrium:
     """
 
     instance: MatchingInstance
-    nu: DiscreteDistribution
+    nu: np.ndarray
     plans: tuple[MulticausalCoupling, ...]
     values: tuple[float, ...]
     certificates: tuple[DualCertificate, ...]
@@ -97,10 +98,8 @@ class Equilibrium:
     def wage_table(self) -> dict[str, list[float]]:
         """Wages keyed by the task path's :func:`join_ids` by ``/``, per population 0..N."""
         tasks, wages = self.instance.tasks, self.wages
-        return {
-            join_ids(tasks.path_of(tasks.horizon, j).ids, "/"): [float(w[j]) for w in wages]
-            for j in range(tasks.n_leaves)
-        }
+        paths = ([tasks.ids[t][k] for t, k in enumerate(path)] for path in tasks.ancestors.tolist())
+        return {join_ids(path, "/"): [float(w[j]) for w in wages] for j, path in enumerate(paths)}
 
 
 def solve_matching(
@@ -217,12 +216,11 @@ def verify_equilibrium(instance: MatchingInstance, equilibrium: Equilibrium) -> 
     )
     worst_clearing = float(np.max(np.abs(residual))) if residual.size else 0.0
 
-    nu_w = np.asarray(equilibrium.nu.weights, dtype=float)
     worst_tv = 0.0
     worst_causality = 0.0
     gaps = []
     for i, (plan, table, wage) in enumerate(zip(equilibrium.plans, instance.cost_tables, wages)):
-        worst_tv = max(worst_tv, 0.5 * float(np.abs(plan.marginal(1) - nu_w).sum()))
+        worst_tv = max(worst_tv, 0.5 * float(np.abs(plan.marginal(1) - equilibrium.nu).sum()))
         worst_causality = max(worst_causality, causal_violation(plan))
         achieved = plan.expectation(table - wage)
         best, _ = best_response(instance, i, wage)

@@ -45,6 +45,7 @@ d is the summed per-time metric.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -977,7 +978,7 @@ def aw_distance(
     tuple_budget: int = TUPLE_BUDGET,
 ) -> float:
     """p-adapted Wasserstein distance between two scenario trees."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError(f"p must be finite and >= 1, got {p!r}")
     res = mc_dpp([tree1, tree2], costs_mod.lp_sum(p), tuple_budget=tuple_budget)
     return float(max(res.value, 0.0) ** (1.0 / p))

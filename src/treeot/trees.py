@@ -33,14 +33,13 @@ level, and validated on them; the arrays are read-only:
 * ``ancestors``   (n_leaves, T) intp: the node index at every depth of
   every leaf path.
 
-A :class:`TreeNode` is a view of one node, built on demand by
-:meth:`ScenarioTree.node` and :attr:`ScenarioTree.levels`.
+A law on a tree is a float array over its leaves, in leaf order, such as
+:meth:`ScenarioTree.leaf_law`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,67 +54,6 @@ PROB_TOL_LOCAL = 1e-12
 #: largest n for which numpy's ``hermegauss(n)`` weights can be normalised:
 #: measured with numpy 2.4, they are all 0 at n = 371 and NaN from 372 on
 GAUSS_HERMITE_MAX_N = 370
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of a scenario tree level, as :meth:`ScenarioTree.node` reads it."""
-
-    node_id: str
-    parent: int | None          # index into the previous level, None at t=1
-    prob: float                 # conditional transition probability
-    value: np.ndarray           # state vector x_t, shape (d_t,)
-
-    def __eq__(self, other) -> bool:  # value-based equality, arrays included
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return (
-            self.node_id == other.node_id
-            and self.parent == other.parent
-            and self.prob == other.prob
-            and np.array_equal(self.value, other.value)
-        )
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class NodePath:
-    """A path omega_{1:t}: node ids from depth 1 to depth t."""
-
-    ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.ids:
-            raise ValidationError("empty node path")
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finitely supported probability vector over generic atoms."""
-
-    support: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if len(self.support) != w.shape[0]:
-            raise ValidationError("support/weights length mismatch")
-        try:
-            distinct = len(set(self.support))
-        except TypeError:  # unhashable atoms such as arrays
-            distinct = len({repr(a) for a in self.support})
-        if distinct != len(self.support):
-            raise ValidationError("support atoms must be distinct")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("non-finite weight in distribution")
-        if np.any(w < 0):
-            raise ValidationError("negative weight in distribution")
-        if abs(float(w.sum()) - 1.0) > PROB_TOL_LOCAL:
-            raise ValidationError(
-                f"weights sum to {float(w.sum())!r}, expected 1 within {PROB_TOL_LOCAL}"
-            )
 
 
 class ScenarioTree:
@@ -222,20 +160,11 @@ class ScenarioTree:
     def horizon(self) -> int:
         return len(self.ids)
 
-    @property
-    def levels(self) -> tuple[tuple[TreeNode, ...], ...]:
-        """Every node, level by level: a view built on each call."""
-        return tuple(tuple(self.node(t, k) for k in range(len(level_ids)))
-                     for t, level_ids in enumerate(self.ids, start=1))
-
     def level_size(self, t: int) -> int:
-        """Number of nodes at depth t (1-based)."""
+        """Number of nodes at depth t, 1 <= t <= T."""
+        if not 1 <= t <= self.horizon:
+            raise ValidationError(f"depth {t!r} outside 1..{self.horizon}")
         return len(self.ids[t - 1])
-
-    def node(self, t: int, idx: int) -> TreeNode:
-        """Node ``idx`` at depth t (1-based), built on each call."""
-        return TreeNode(self.ids[t - 1][idx], int(self.parents[t - 1][idx]) if t > 1 else None,
-                        float(self.probs[t - 1][idx]), self.states[t - 1][idx])
 
     def children(self, t: int, idx: int) -> np.ndarray:
         """Child indices (at depth t+1) of node ``idx`` at depth t, in level order."""
@@ -248,33 +177,6 @@ class ScenarioTree:
         except KeyError:
             raise ValidationError(f"unknown node id {node_id!r}") from None
         return t + 1, k
-
-    def path_indices(self, t: int, idx: int) -> tuple[int, ...]:
-        """Ancestor indices from depth 1 up to depth t for a node."""
-        out = [idx]
-        for s in range(t - 1, 0, -1):
-            idx = int(self.parents[s][idx])
-            out.append(idx)
-        return tuple(reversed(out))
-
-    def path_of(self, t: int, idx: int) -> NodePath:
-        return NodePath(tuple(self.ids[s][k] for s, k in enumerate(self.path_indices(t, idx))))
-
-    def resolve_path(self, path: NodePath) -> tuple[int, ...]:
-        """Validate parent links along ``path`` and return level indices."""
-        indices = []
-        for depth, node_id in enumerate(path.ids, start=1):
-            t, k = self.locate(node_id)
-            if t != depth:
-                raise ValidationError(
-                    f"node {node_id!r} has depth {t}, expected {depth} in path"
-                )
-            if depth > 1 and self.parents[depth - 1][k] != indices[-1]:
-                raise ValidationError(
-                    f"node {node_id!r} is not a child of {path.ids[depth - 2]!r}"
-                )
-            indices.append(k)
-        return tuple(indices)
 
     # -- leaves and laws ----------------------------------------------------
 
@@ -436,33 +338,9 @@ def dump_tree(tree: ScenarioTree) -> str:
     return json.dumps(tree_document(tree), indent=2)
 
 
-def conditional_kernel(tree: ScenarioTree, path: NodePath) -> DiscreteDistribution:
-    """Return P_{t+1, omega_{1:t}}: the one-step kernel below a path."""
-    indices = tree.resolve_path(path)
-    t = len(indices)
-    if t >= tree.horizon:
-        raise ValidationError(
-            f"path ends at depth {t} = horizon; no conditional kernel exists"
-        )
-    children = tree.children(t, indices[-1])
-    return DiscreteDistribution(
-        support=tuple(tree.ids[t][j] for j in children),
-        weights=tree.probs[t][children],
-    )
-
-
-def path_value(tree: ScenarioTree, leaf: NodePath) -> tuple[np.ndarray, ...]:
-    """State vectors (x_1, ..., x_T) along a full-depth path."""
-    indices = tree.resolve_path(leaf)
-    if len(indices) != tree.horizon:
-        raise ValidationError(
-            f"path has depth {len(indices)}, expected horizon {tree.horizon}"
-        )
-    return tuple(tree.states[s][k] for s, k in enumerate(indices))
-
-
-def quantize_gauss_hermite(n: int) -> DiscreteDistribution:
-    """n-point Gauss-Hermite quantization of the standard normal.
+def quantize_gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Hermite quantization of the standard normal: the
+    points in increasing order and their weights, which sum to 1.
 
     Weighted polynomial moments match N(0,1) exactly up to order 2n-1.
     """
@@ -474,10 +352,9 @@ def quantize_gauss_hermite(n: int) -> DiscreteDistribution:
             "its normalised weights are non-finite past it"
         )
     if n == 1:
-        return DiscreteDistribution(support=(0.0,), weights=np.array([1.0]))
+        return np.zeros(1), np.ones(1)
     z, w = hermegauss(n)
-    w = w / w.sum()
-    return DiscreteDistribution(support=tuple(float(v) for v in z), weights=w)
+    return z, w / w.sum()
 
 
 def chain_tree(values: Iterable[Sequence[float]], prefix: str = "n") -> ScenarioTree:

@@ -301,7 +301,7 @@ def test_criterion_9_refinement_stability():
     # the union of the cube supports.  First coordinates are pinned at 0 and
     # cubes are matched exactly, so every refinement value equals E Z^2 / 2.
     cube_values = sorted(
-        {float(node.value[0]) for n in orders for node in cubic_pair(n)[1].levels[1]}
+        {float(x[0]) for n in orders for x in cubic_pair(n)[1].states[1]}
     )
     task = ScenarioTree.from_levels(
         [

@@ -148,7 +148,7 @@ def test_bc_barycenter_dirac_paths_midpoint():
     res = bc_barycenter([a, b], costs, phi0_quadratic([0.5, 0.5]))
     # single coupling: value = sum_t |a_t - b_t|^2 / 4 = 1 + 1
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    path = [node.value[0] for level in res.process.tree.levels for node in level]
+    path = [x[0] for states in res.process.tree.states for x in states]
     assert path == pytest.approx([1.0, 1.0])
 
 
@@ -169,7 +169,7 @@ def test_bc_barycenter_names_escape_the_member_ids():
         r"q|r\|s": ("q", "r|s"),
         r"a\\|b": ("a\\", "b"),
     }
-    assert {n.node_id for n in res.process.tree.levels[0]} == set(res.process.components)
+    assert set(res.process.tree.ids[0]) == set(res.process.components)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -215,15 +215,15 @@ def test_bc_barycenter_coupling_passes_checker_and_masses_sum():
     bary = res.process.tree
     assert float(bary.leaf_law().sum()) == pytest.approx(1.0, abs=1e-10)
     # barycenter values are the selector applied to member values
-    for level, nodes in enumerate(bary.levels, start=1):
-        for node in nodes:
-            members = res.process.components[node.node_id]
+    for level, (ids, states) in enumerate(zip(bary.ids, bary.states), start=1):
+        for node_id, value in zip(ids, states):
+            members = res.process.components[node_id]
             xs = tuple(
-                tree.node(level, tree.locate(m)[1]).value
+                tree.states[level - 1][tree.locate(m)[1]]
                 for tree, m in zip(trees, members)
             )
             sel = phi0_quadratic([0.5, 0.5])(level, xs)
-            assert node.value == pytest.approx(sel, abs=1e-12)
+            assert value == pytest.approx(sel, abs=1e-12)
 
 
 # -- causal transport ------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_causal_barycenter_identical_processes_recover_common_law():
     tree = random_tree(rng, horizon=2, dim=1, max_branch=2)
     sol = causal_barycenter([tree, tree], tree, [metric_cost()] * 2)
     assert sol.value == pytest.approx(0.0, abs=1e-10)
-    assert 0.5 * float(np.abs(sol.nu.weights - tree.leaf_law()).sum()) <= 1e-9
+    assert 0.5 * float(np.abs(sol.nu - tree.leaf_law()).sum()) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -296,7 +296,7 @@ def test_causal_barycenter_duality_and_plan_validity(seed):
     # plans share nu and are causal
     for tree, plan in zip(trees, sol.plans):
         assert plan.trees == (tree, task)
-        tv = 0.5 * float(np.abs(plan.marginal(1) - sol.nu.weights).sum())
+        tv = 0.5 * float(np.abs(plan.marginal(1) - sol.nu).sum())
         assert tv <= 1e-9
         assert causal_violation(plan) <= 1e-9
     # pointwise dual feasibility, equality on the support, on the tables
@@ -366,7 +366,7 @@ def test_anticausal_two_dirac_paths_pick_midpoint():
     res = anticausal_barycenter([a, b], costs, support)
     # hand LP: midpoint path costs 0.5*2 + 0.5*2 = 2, endpoints cost 4
     assert res.value == pytest.approx(2.0, abs=1e-9)
-    assert res.nu.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
+    assert res.nu == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))

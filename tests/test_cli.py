@@ -22,7 +22,7 @@ from treeot import matching as matching_mod
 from treeot import multicausal as mc
 from treeot.cli import run
 from treeot.randomgen import random_multicausal_coupling, random_tree
-from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, dump_tree, load_tree
+from treeot.trees import GAUSS_HERMITE_MAX_N, ScenarioTree, chain_tree, dump_tree, load_tree
 
 from helpers import atom_ids
 
@@ -312,6 +312,23 @@ def test_non_finite_tolerance_exits_2_with_one_line(tmp_path, tree_files, capsys
         "mcot": "treeot: invalid input: treeot: unrecognized arguments: --tol",
         "verify-coupling": "treeot: invalid input: tolerance must be finite and positive",
     }[command])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_non_finite_exponent_exits_2_with_one_line(tmp_path, capsys, p):
+    # the path distance is 0.2; with p = inf the value 0.2 ** p is 0, and
+    # its root 0 ** (1 / p) would be reported as a distance of 1
+    files = []
+    for name, x in (("x", 0.1), ("y", 0.2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_tree(chain_tree([[x], [x]], name)))
+        files.append(str(path))
+    code, out = _run_to_file(tmp_path, ["awdist", *files, "--p", p])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        f"treeot: invalid input: exponent p must be finite and >= 1, got {p}"]
     assert not out.exists()
 
 

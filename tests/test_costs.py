@@ -31,7 +31,7 @@ from treeot import (
 from treeot import costs as cm
 from treeot.multicausal import cost_table
 from treeot.randomgen import random_tree
-from treeot.trees import ScenarioTree, chain_tree, path_value
+from treeot.trees import ScenarioTree, chain_tree, tree_document
 
 #: (N, horizon, state dimension) of the test families; branching 1 to 3
 FAMILIES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)]
@@ -45,7 +45,7 @@ def family(n: int, horizon: int, dim: int, seed: int = 0) -> list[ScenarioTree]:
 
 def per_tuple(trees, path_cost) -> np.ndarray:
     """``path_cost(paths)`` evaluated at every leaf tuple, one at a time."""
-    paths = [[path_value(t, t.path_of(t.horizon, k)) for k in range(t.n_leaves)] for t in trees]
+    paths = [[tuple(x[k] for x, k in zip(t.states, path)) for path in t.ancestors] for t in trees]
     out = np.empty(tuple(t.n_leaves for t in trees))
     for idx in np.ndindex(*out.shape):
         out[idx] = path_cost(tuple(p[k] for p, k in zip(paths, idx)))
@@ -179,7 +179,7 @@ def test_table_cost_pair_table_matches_reference(n, horizon, dim):
         # and each followed by a copy within 1e-9 whose row must not be read
         grids = []
         for tree in (x, y):
-            states = [nd.value.tolist() for nd in tree.levels[t - 1]]
+            states = tree.states[t - 1].tolist()
             states = [states[k] for k in rng.permutation(len(states))]
             decoy = [[v + 100.0 for v in states[0]]]
             near = [[v + 1e-12 for v in s] for s in states]
@@ -214,16 +214,12 @@ def grid_family(n: int, dim: int) -> list[ScenarioTree]:
     half-integers tie exactly."""
     rng = np.random.default_rng([n, dim, 1])
     trees = family(n, 2, dim, seed=1)
-    return [
-        ScenarioTree.from_levels([
-            [{"id": nd.node_id,
-              "parent": None if nd.parent is None else tree.levels[t - 1][nd.parent].node_id,
-              "p": nd.prob, "x": rng.integers(-2, 3, size=dim).astype(float).tolist()}
-             for nd in level]
-            for t, level in enumerate(tree.levels)
-        ])
-        for tree in trees
-    ]
+    docs = [tree_document(tree) for tree in trees]
+    for doc in docs:
+        for level in doc["levels"]:
+            for spec in level:
+                spec["x"] = rng.integers(-2, 3, size=dim).astype(float).tolist()
+    return [ScenarioTree.from_levels(doc["levels"]) for doc in docs]
 
 
 @pytest.mark.parametrize("n, dim", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -283,6 +279,21 @@ def test_cost_past_the_float_range_is_refused(cost):
         cost_table(trees, cost)
     with pytest.raises(ValidationError, match="not finite"):
         aw_distance(*trees, p=1000.0)
+
+
+@pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+def test_exponents_outside_one_to_inf_are_refused(p):
+    # p = inf would make every distance below 1 cost 0
+    for build in (cm.lp_sum, cm.pairwise_power, lambda p: PowerCost(exponent=p),
+                  lambda p: cm.parse_cost_spec(f"lp_sum:{p}")):
+        with pytest.raises(ValidationError, match="finite and >= 1"):
+            build(p)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan])
+def test_power_cost_weights_outside_zero_to_inf_are_refused(weight):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        PowerCost(weight=weight)
 
 
 @pytest.mark.parametrize("cost", [cm.lp_sum(2.0), cm.pairwise_power(2.0)])

@@ -568,7 +568,7 @@ def test_barycenter_single_measure_projects_to_nearest_atom():
     res = anticausal_barycenter([measure], [PowerCost()], support)
     expected = 0.5 * 0.2**2 + 0.5 * 0.1**2
     assert res.value == pytest.approx(expected, abs=1e-9)
-    assert res.nu.weights == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert res.nu == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_barycenter_equal_measures_on_support_is_free():
@@ -577,7 +577,7 @@ def test_barycenter_equal_measures_on_support_is_free():
     cost = PowerCost(weight=0.5, exponent=1.0)
     res = anticausal_barycenter([measure, measure], [cost, cost], support)
     assert res.value == pytest.approx(0.0, abs=1e-10)
-    assert res.nu.weights == pytest.approx(measure.leaf_law(), abs=1e-9)
+    assert res.nu == pytest.approx(measure.leaf_law(), abs=1e-9)
 
 
 def test_barycenter_two_diracs_midpoint_hand_lp():
@@ -589,9 +589,9 @@ def test_barycenter_two_diracs_midpoint_hand_lp():
     diracs = [horizon_one("a", (0.0,)), horizon_one("b", (1.0,))]
     res = anticausal_barycenter(diracs, [PowerCost(weight=0.5)] * 2, support)
     assert res.value == pytest.approx(0.25, abs=1e-9)
-    assert res.nu.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
+    assert res.nu == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
     for plan, dirac in zip(res.plans, diracs):
-        for axis, law in enumerate((dirac.leaf_law(), res.nu.weights)):
+        for axis, law in enumerate((dirac.leaf_law(), res.nu)):
             assert 0.5 * float(np.abs(plan.marginal(axis) - law).sum()) <= 1e-9
 
 

@@ -23,7 +23,6 @@ import pytest
 import scipy.sparse as sp
 
 from treeot import (
-    DiscreteDistribution,
     MatchingInstance,
     PowerCost,
     ScenarioTree,
@@ -119,7 +118,7 @@ def test_identical_populations_on_own_support_are_free():
     eq = solve_matching(instance)
     report = verify_equilibrium(instance, eq)
     assert report.passed
-    assert 0.5 * float(np.abs(eq.nu.weights - tree.leaf_law()).sum()) <= 1e-9
+    assert 0.5 * float(np.abs(eq.nu - tree.leaf_law()).sum()) <= 1e-9
     # agent costs are zero on the identity matching; values are wage transfers
     total = sum(eq.values)
     # utility term enters with the opposite sign; total surplus is -(value sum)
@@ -164,15 +163,15 @@ def _pair_slacks(tree, tasks, cmat, certificate):
     assert task_coefficients == ()
     out = np.empty(cmat.shape)
     for lx in range(tree.n_leaves):
-        px = tree.path_indices(tree.horizon, lx)
+        px = tree.ancestors[lx].tolist()
         for ly in range(tasks.n_leaves):
-            py = tasks.path_indices(tasks.horizon, ly)
+            py = tasks.ancestors[ly].tolist()
             g = 0.0
             for t in range(1, tree.horizon):
                 coef = coefficients[t - 1]
                 g += coef[py[t - 1], px[t]]
                 for b in tree.children(t, px[t - 1]):
-                    g -= tree.node(t + 1, b).prob * coef[py[t - 1], b]
+                    g -= tree.probs[t][b] * coef[py[t - 1], b]
             out[lx, ly] = cmat[lx, ly] - wage[ly] + g - potential[lx]
     return out
 
@@ -346,7 +345,7 @@ def test_best_response_ties_go_to_the_first_task_child():
 def test_wages_have_mean_zero_under_nu(seed):
     instance = random_instance(2400 + seed)
     eq = solve_matching(instance)
-    nu = np.asarray(eq.nu.weights)
+    nu = eq.nu
     for w in eq.wages:
         assert abs(float(w @ nu)) <= 1e-12
     assert np.max(np.abs(eq.wages[0] + sum(eq.wages[1:]))) == 0.0
@@ -356,7 +355,7 @@ def test_wages_have_mean_zero_under_nu(seed):
                 anticausal_barycenter(populations, instance.cost_tables, tasks)):
         wages = [cert.potentials[1] for cert in sol.certificates]
         for w in wages[1:]:
-            assert abs(float(w @ sol.nu.weights)) <= 1e-12
+            assert abs(float(w @ sol.nu)) <= 1e-12
         assert np.max(np.abs(wages[0] + sum(wages[1:]))) == 0.0
     assert complementary_slackness(instance, eq)["min_dual_slack"] >= -1e-8
     for plan, table, value in zip(eq.plans, instance.cost_tables, eq.values):
@@ -418,7 +417,7 @@ def test_verify_catches_suboptimal_plan():
     # replace agent 1's plan by the product plan; on a generic instance this
     # is strictly suboptimal
     tree = instance.agents[0]
-    law_x, law_y = tree.leaf_law(), np.asarray(eq.nu.weights)
+    law_x, law_y = tree.leaf_law(), eq.nu
     dense = np.outer(law_x, law_y)
     product_plan = coupling_from_dense((tree, instance.tasks), dense)
     plans = list(eq.plans)
@@ -441,7 +440,7 @@ def test_verify_catches_a_plan_that_is_not_causal():
                                       [node("a2", "a", 1.0), node("b2", "b", 1.0)]])
     instance = MatchingInstance(principal=worker, utility=np.zeros((2, 2)), agents=[],
                                 agent_costs=[], tasks=tasks)
-    nu = DiscreteDistribution(support=tasks.leaf_ids(), weights=np.array([0.5, 0.5]))
+    nu = np.array([0.5, 0.5])
 
     def report(plan):
         certificate = DualCertificate(potentials=(np.zeros(2), np.zeros(2)),
@@ -490,9 +489,15 @@ def test_wage_table_is_keyed_by_task_path_sequences():
     eq = solve_matching(instance)
     table = eq.wage_table()
     tasks = instance.tasks
-    expected_keys = {
-        "/".join(tasks.path_of(tasks.horizon, j).ids) for j in range(tasks.n_leaves)
-    }
+
+    def path_ids(k):  # the ids up the parent links from leaf k, root first
+        ids = [tasks.ids[-1][k]]
+        for t in range(tasks.horizon - 1, 0, -1):
+            k = tasks.parents[t][k]
+            ids.insert(0, tasks.ids[t - 1][k])
+        return ids
+
+    expected_keys = {"/".join(path_ids(j)) for j in range(tasks.n_leaves)}
     assert set(table) == expected_keys
     for wages in table.values():
         assert len(wages) == len(instance.populations)

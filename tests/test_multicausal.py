@@ -54,7 +54,7 @@ from treeot.multicausal import (
     cost_table,
 )
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
-from treeot.trees import ScenarioTree, chain_tree, dump_tree
+from treeot.trees import ScenarioTree, chain_tree, dump_tree, tree_document
 
 from helpers import atom_ids
 
@@ -66,7 +66,7 @@ def product_policy(trees) -> KernelPolicy:
     for t in range(1, trees[0].horizon + 1):
         dense = np.array(1.0)
         for tr in trees:
-            dense = np.multiply.outer(dense, [n.prob for n in tr.levels[t - 1]])
+            dense = np.multiply.outer(dense, tr.probs[t - 1])
         weights.append(dense)
     return KernelPolicy(trees=trees, weights=tuple(weights))
 
@@ -98,18 +98,15 @@ def as_dict(coupling: MulticausalCoupling) -> dict[tuple[int, ...], float]:
     return dict(zip(map(tuple, coupling.tuples.tolist()), coupling.weights.tolist()))
 
 
+def relisted_specs(tree: ScenarioTree, orders) -> list[list[dict]]:
+    """The node specs of ``tree`` with level t's listed in the order ``orders[t]``."""
+    levels = tree_document(tree)["levels"]
+    return [[level[k] for k in order] for level, order in zip(levels, orders, strict=True)]
+
+
 def relisted(tree: ScenarioTree, orders) -> ScenarioTree:
     """The same process with level t's nodes listed in the order ``orders[t]``."""
-    levels = []
-    for t, (level, order) in enumerate(zip(tree.levels, orders, strict=True)):
-        specs = [
-            {"id": n.node_id,
-             "parent": None if t == 0 else tree.levels[t - 1][n.parent].node_id,
-             "p": n.prob, "x": n.value.tolist()}
-            for n in level
-        ]
-        levels.append([specs[k] for k in order])
-    return ScenarioTree.from_levels(levels)
+    return ScenarioTree.from_levels(relisted_specs(tree, orders))
 
 
 def shuffled_levels(rng, tree: ScenarioTree) -> ScenarioTree:
@@ -167,21 +164,27 @@ def anticipative_instance():
 def test_tree_arrays_match_the_nodes(seed):
     rng = np.random.default_rng(80 + seed)
     # shuffled levels interleave the sibling groups
-    tree = shuffled_levels(rng, random_tree(rng, horizon=4, dim=2, min_branch=1, max_branch=3))
-    for t, level in enumerate(tree.levels):
+    base = random_tree(rng, horizon=4, dim=2, min_branch=1, max_branch=3)
+    levels = relisted_specs(base, [rng.permutation(len(ids)) for ids in base.ids])
+    tree = ScenarioTree.from_levels(levels)
+    index = [{spec["id"]: k for k, spec in enumerate(level)} for level in levels]
+    for t, level in enumerate(levels):
         assert tree.parents[t].dtype == np.intp
-        assert tree.parents[t].tolist() == [n.parent or 0 for n in level]
-        assert tree.probs[t].tolist() == [n.prob for n in level]
+        assert tree.parents[t].tolist() == [index[t - 1][spec["parent"]] if t else 0
+                                            for spec in level]
+        assert tree.probs[t].tolist() == [spec["p"] for spec in level]
         assert tree.states[t].shape == (len(level), 2)
-        assert np.array_equal(tree.states[t], [n.value for n in level])
+        assert np.array_equal(tree.states[t], [spec["x"] for spec in level])
     assert tree.ancestors.shape == (tree.n_leaves, tree.horizon)
     law = tree.leaf_law()
     for leaf in range(tree.n_leaves):
-        path = tree.path_indices(tree.horizon, leaf)
-        assert tuple(tree.ancestors[leaf].tolist()) == path
+        path = [leaf]
+        for t in range(tree.horizon - 1, 0, -1):
+            path.insert(0, index[t - 1][levels[t][path[0]]["parent"]])
+        assert tree.ancestors[leaf].tolist() == path
         mass = 1.0
         for t, k in enumerate(path):
-            mass *= tree.levels[t][k].prob
+            mass *= levels[t][k]["p"]
         assert law[leaf] == mass
     for a in (*tree.parents, *tree.probs, *tree.states, tree.ancestors):
         with pytest.raises(ValueError, match="read-only"):
@@ -231,7 +234,7 @@ def test_dpp_value_function_terminal_layer_is_cost():
     # stored policy plans are feasible for their conditional marginals
     for t, children, plan in block_plans(res):
         for axis, (tree, ch) in enumerate(zip(trees, children)):
-            kernel = np.array([tree.node(t + 1, j).prob for j in ch])
+            kernel = tree.probs[t][ch]
             others = tuple(a for a in range(plan.ndim) if a != axis)
             assert 0.5 * np.abs(plan.sum(axis=others) - kernel).sum() <= 1e-9
 
@@ -627,13 +630,13 @@ def _operator_by_tuple(trees, processes, tuples):
     offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
     dense = np.zeros((offsets[-1], len(tuples)))
     for col, idx in enumerate(tuples):
-        paths = [tr.path_indices(tr.horizon, k) for tr, k in zip(trees, idx)]
+        paths = [tr.ancestors[k].tolist() for tr, k in zip(trees, idx)]
         for (i, t), shape, ofs in zip(blocks, shapes, offsets):
             others = tuple(p[t - 1] for j, p in enumerate(paths) if j != i)
             dense[ofs + np.ravel_multi_index(others + (paths[i][t],), shape), col] += 1.0
             for b in trees[i].children(t, paths[i][t - 1]):
                 row = ofs + np.ravel_multi_index(others + (b,), shape)
-                dense[row, col] -= trees[i].node(t + 1, b).prob
+                dense[row, col] -= trees[i].probs[t][b]
     return dense
 
 
@@ -855,7 +858,7 @@ def test_brute_force_duality_and_certificate(seed):
 
 def _direct_slack(trees, table, cert, idx):
     """c + F - (+)f at one leaf tuple, read key by key from the arrays."""
-    paths = [t.path_indices(t.horizon, k) for t, k in zip(trees, idx)]
+    paths = [t.ancestors[k].tolist() for t, k in zip(trees, idx)]
     total = table[idx]
     total -= sum(f[k] for f, k in zip(cert.potentials, idx))
     for i, tree in enumerate(trees):
@@ -864,7 +867,7 @@ def _direct_slack(trees, table, cert, idx):
             others = tuple(p[t - 1] for j, p in enumerate(paths) if j != i)
             total += coef[others + (paths[i][t],)]
             for b in tree.children(t, paths[i][t - 1]):
-                total -= tree.node(t + 1, b).prob * coef[others + (b,)]
+                total -= tree.probs[t][b] * coef[others + (b,)]
     return total
 
 
@@ -1022,13 +1025,12 @@ def _reordered_copy(tree, rng, shift, prefix):
         for parent in parents:
             kids = range(tree.level_size(1)) if parent is None else tree.children(t - 1, parent)
             for k in rng.permutation(list(kids)).tolist():
-                node = tree.node(t, k)
                 names[(t, k)] = f"{prefix}{len(names)}"
                 level.append({
                     "id": names[(t, k)],
                     "parent": None if parent is None else names[(t - 1, parent)],
-                    "p": node.prob,
-                    "x": (node.value + shift[t - 1]).tolist(),
+                    "p": float(tree.probs[t - 1][k]),
+                    "x": (tree.states[t - 1][k] + shift[t - 1]).tolist(),
                 })
                 order.append(k)
         levels.append(level)
@@ -1054,13 +1056,11 @@ def test_aw_invariance_beyond_oracle_size(deep_pair):
 
 def _scaled(tree, lam):
     """``tree`` with every state multiplied by ``lam``."""
-    return ScenarioTree.from_levels([
-        [{"id": n.node_id,
-          "parent": None if n.parent is None else tree.levels[t - 1][n.parent].node_id,
-          "p": n.prob, "x": (lam * n.value).tolist()}
-         for n in level]
-        for t, level in enumerate(tree.levels)
-    ])
+    levels = tree_document(tree)["levels"]
+    for level, states in zip(levels, tree.states):
+        for spec, x in zip(level, states):
+            spec["x"] = (lam * x).tolist()
+    return ScenarioTree.from_levels(levels)
 
 
 def test_aw_scales_with_the_states_beyond_oracle_size(deep_pair):
@@ -1367,5 +1367,6 @@ def test_aw_metric_axioms_on_random_triples(p):
 def test_aw_rejects_bad_exponent():
     rng = np.random.default_rng(21)
     tree = random_tree(rng, horizon=2, dim=1)
-    with pytest.raises(ValidationError):
-        aw_distance(tree, tree, 0.5)
+    for p in (0.5, np.inf, np.nan):  # p = inf made every distance below 1 read 1
+        with pytest.raises(ValidationError, match="finite and >= 1"):
+            aw_distance(tree, tree, p)

@@ -1,4 +1,4 @@
-"""Scenario-tree construction, validation, kernels and quantization.
+"""Scenario-tree construction, validation, arrays and quantization.
 
 Oracles used here:
     - standard-normal moments via the double-factorial recursion
@@ -18,20 +18,16 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from treeot import trees as trees_mod
 from treeot import (
-    DiscreteDistribution,
-    NodePath,
     ScenarioTree,
     TreeFormatError,
     ValidationError,
-    conditional_kernel,
     counterexample_demo,
     dump_tree,
     load_tree,
-    path_value,
     quantize_gauss_hermite,
 )
 from treeot.randomgen import random_tree
-from treeot.trees import GAUSS_HERMITE_MAX_N, TreeNode
+from treeot.trees import GAUSS_HERMITE_MAX_N
 
 
 def normal_moment(k: int) -> float:
@@ -44,18 +40,6 @@ def normal_moment(k: int) -> float:
     return m
 
 
-def make_binary(p_left=0.3) -> ScenarioTree:
-    return ScenarioTree.from_levels(
-        [
-            [{"id": "r", "parent": None, "p": 1.0, "x": [0.0]}],
-            [
-                {"id": "l", "parent": "r", "p": p_left, "x": [-1.0]},
-                {"id": "rr", "parent": "r", "p": 1.0 - p_left, "x": [1.0]},
-            ],
-        ]
-    )
-
-
 # -- load_tree ---------------------------------------------------------------
 
 
@@ -63,7 +47,7 @@ def test_load_minimal_tree():
     tree = load_tree(b'{"horizon": 1, "levels": [[{"id": "a", "parent": null, "p": 1.0, "x": [0.0]}]]}')
     assert tree.horizon == 1
     assert tree.n_leaves == 1
-    assert tree.node(1, 0).value == pytest.approx([0.0])
+    assert tree.states[0][0] == pytest.approx([0.0])
 
 
 def test_load_two_leaf_symmetric():
@@ -250,118 +234,46 @@ def test_exact_rational_mode():
         ScenarioTree.from_levels(levels, exact=True)
 
 
-# -- conditional_kernel / path_value ------------------------------------------
-
-
-def test_conditional_kernel_reads_stored_probabilities():
-    tree = make_binary(0.3)
-    kernel = conditional_kernel(tree, NodePath(("r",)))
-    assert kernel.support == ("l", "rr")
-    assert kernel.weights == pytest.approx([0.3, 0.7])
-
-
-def test_conditional_kernel_deterministic_chain():
-    from treeot.trees import chain_tree
-
-    tree = chain_tree([[1.0], [2.0], [3.0]])
-    kernel = conditional_kernel(tree, NodePath(("n1", "n2")))
-    assert kernel.weights == pytest.approx([1.0])
-
-
-def test_conditional_kernel_rejects_full_depth_path():
-    tree = make_binary()
-    with pytest.raises(ValidationError, match="no conditional kernel"):
-        conditional_kernel(tree, NodePath(("r", "l")))
-
-
-def test_path_value_chain():
-    from treeot.trees import chain_tree
-
-    tree = chain_tree([[1.0], [2.0], [3.0]])
-    values = path_value(tree, NodePath(("n1", "n2", "n3")))
-    assert [v[0] for v in values] == [1.0, 2.0, 3.0]
-
-
-def test_path_value_binary_left_left():
-    tree = ScenarioTree.from_levels(
-        [
-            [{"id": "r", "parent": None, "p": 1.0, "x": [0.5]}],
-            [
-                {"id": "l", "parent": "r", "p": 0.5, "x": [-2.0]},
-                {"id": "rr", "parent": "r", "p": 0.5, "x": [2.0]},
-            ],
-        ]
-    )
-    values = path_value(tree, NodePath(("r", "l")))
-    assert [v[0] for v in values] == [0.5, -2.0]
-
-
-def test_path_value_rejects_partial_path():
-    tree = make_binary()
-    with pytest.raises(ValidationError, match="horizon"):
-        path_value(tree, NodePath(("r",)))
-
-
-def test_resolve_path_rejects_broken_parent_link():
-    tree = ScenarioTree.from_levels(
-        [
-            [
-                {"id": "a", "parent": None, "p": 0.5, "x": [0.0]},
-                {"id": "b", "parent": None, "p": 0.5, "x": [0.0]},
-            ],
-            [
-                {"id": "a1", "parent": "a", "p": 1.0, "x": [0.0]},
-                {"id": "b1", "parent": "b", "p": 1.0, "x": [0.0]},
-            ],
-        ]
-    )
-    with pytest.raises(ValidationError, match="not a child"):
-        tree.resolve_path(NodePath(("a", "b1")))
-
-
 # -- quantization ---------------------------------------------------------------
 
 
 def test_quantize_single_node_is_mean():
-    q = quantize_gauss_hermite(1)
-    assert q.support == (0.0,)
-    assert q.weights == pytest.approx([1.0])
+    z, w = quantize_gauss_hermite(1)
+    assert z.tolist() == [0.0]
+    assert w == pytest.approx([1.0])
 
 
 def test_quantize_two_nodes_solved_by_hand():
     # symmetric two-point system: nodes +-z, weights 1/2; matching E Z^2 = 1
     # forces z = 1
-    q = quantize_gauss_hermite(2)
-    assert sorted(q.support) == pytest.approx([-1.0, 1.0])
-    assert q.weights == pytest.approx([0.5, 0.5])
+    z, w = quantize_gauss_hermite(2)
+    assert z == pytest.approx([-1.0, 1.0])
+    assert w == pytest.approx([0.5, 0.5])
 
 
 def test_quantize_four_nodes_matches_moment_oracle():
-    q = quantize_gauss_hermite(4)
-    z = np.array(q.support)
-    assert float(q.weights @ z**2) == pytest.approx(normal_moment(2), abs=1e-9)
-    assert float(q.weights @ z**6) == pytest.approx(normal_moment(6), abs=1e-9)
+    z, w = quantize_gauss_hermite(4)
+    assert float(w @ z**2) == pytest.approx(normal_moment(2), abs=1e-9)
+    assert float(w @ z**6) == pytest.approx(normal_moment(6), abs=1e-9)
 
 
 @given(n=st.integers(min_value=1, max_value=8))
 @settings(deadline=None, max_examples=10)
 def test_quantize_moment_exactness_up_to_order(n):
-    q = quantize_gauss_hermite(n)
-    z = np.array(q.support)
+    z, w = quantize_gauss_hermite(n)
     for k in range(2 * n):
-        assert float(q.weights @ z**k) == pytest.approx(normal_moment(k), abs=1e-9)
+        assert float(w @ z**k) == pytest.approx(normal_moment(k), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [10, 12])
 def test_quantize_large_orders_exact_to_float_precision(n):
     # beyond order ~15 the summands reach 1e14, so 1e-9 absolute is below
     # float64 resolution; accuracy stays at rounding level of the sum scale
-    q = quantize_gauss_hermite(n)
-    z = np.array(q.support)
+    z, w = quantize_gauss_hermite(n)
     for k in range(2 * n):
         expected = normal_moment(k)
-        got = float(q.weights @ z**k)
-        scale = float(q.weights @ np.abs(z) ** k)
+        got = float(w @ z**k)
+        scale = float(w @ np.abs(z) ** k)
         assert got == pytest.approx(expected, abs=1e-9 + 1e-11 * scale)
 
 
@@ -380,10 +292,18 @@ def test_random_tree_invariants(seed):
     # kernels sum to one
     for t in range(1, tree.horizon):
         for idx in range(tree.level_size(t)):
-            kernel = [tree.node(t + 1, j).prob for j in tree.children(t, idx)]
-            assert sum(kernel) == pytest.approx(1.0, abs=1e-12)
+            kernel = tree.probs[t][tree.children(t, idx)]
+            assert sum(kernel.tolist()) == pytest.approx(1.0, abs=1e-12)
     # leaf-path probabilities sum to one
     assert float(tree.leaf_law().sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_level_size_is_defined_on_depths_one_to_horizon():
+    tree = random_tree(np.random.default_rng(0), horizon=2, min_branch=2, max_branch=3)
+    assert [tree.level_size(t) for t in (1, 2)] == [len(ids) for ids in tree.ids]
+    for t in (0, -1, 3):
+        with pytest.raises(ValidationError, match=r"outside 1\.\.2"):
+            tree.level_size(t)
 
 
 def spec_levels(rng, kind: str) -> list[list[dict]]:
@@ -426,10 +346,6 @@ def test_tree_arrays_follow_the_node_specs(kind):
         assert tree.states[t].tolist() == [spec["x"] for spec in level]
         for arr in (tree.parents[t], tree.probs[t], tree.states[t]):
             assert not arr.flags.writeable
-        assert tree.levels[t] == tuple(
-            TreeNode(spec["id"], None if t == 0 else p, float(Fraction(spec["p"])),
-                     np.array(spec["x"]))
-            for spec, p in zip(level, parents))
         if t:
             for k, up in enumerate(levels[t - 1]):
                 assert tree.children(t, k).tolist() == [
@@ -461,22 +377,10 @@ def test_serialization_round_trip_is_bit_identical(seed):
     assert load_tree(canonical) == tree
 
 
-def test_discrete_distribution_invariants():
-    with pytest.raises(ValidationError):
-        DiscreteDistribution(support=(0, 1), weights=np.array([0.5, 0.6]))
-    with pytest.raises(ValidationError):
-        DiscreteDistribution(support=(0, 0), weights=np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        DiscreteDistribution(support=(0, 1), weights=np.array([1.5, -0.5]))
-    # NaN fails both the sign and the sum test silently
-    with pytest.raises(ValidationError, match="non-finite"):
-        DiscreteDistribution(support=(0, 1), weights=np.array([np.nan, np.nan]))
-
-
 def test_quantization_range_ends_where_the_weights_do(monkeypatch):
     # the range ends exactly: the last size whose weights normalise, then the first that does not
-    q = quantize_gauss_hermite(GAUSS_HERMITE_MAX_N)
-    assert np.isfinite(q.weights).all() and np.isfinite(q.support).all()
+    z, w = quantize_gauss_hermite(GAUSS_HERMITE_MAX_N)
+    assert np.isfinite(w).all() and np.isfinite(z).all()
     with np.errstate(all="ignore"):
         w = hermegauss(GAUSS_HERMITE_MAX_N + 1)[1]
         assert not np.isfinite(w / w.sum()).all()
