@@ -28,8 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .lp import (
-    LpProblem,
-    LpSolution,
     classical_ot,
     multimarginal_ot,
     solve_lp,

@@ -94,9 +94,10 @@ class PowerCost(SeparableCost):
 class TableCost(SeparableCost):
     """Explicit per-time cost matrices over finite grids.
 
-    ``tables[t]`` is (x_atoms, y_atoms, matrix); evaluation looks the
-    arguments up in the declared grids: the first atom within ``GRID_TOL``
-    per coordinate.
+    ``tables[t - 1]`` is (x_atoms, y_atoms, matrix) of time t, one per
+    time of the pair's horizon (a pair of another horizon is refused);
+    evaluation looks the arguments up in the declared grids: the first
+    atom within ``GRID_TOL`` per coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Sequence, Sequence, np.ndarray]]):
@@ -108,6 +109,13 @@ class TableCost(SeparableCost):
                     f"cost matrix shape {mat.shape} != ({len(x_atoms)}, {len(y_atoms)})"
                 )
             self._tables.append((_grid(x_atoms), _grid(y_atoms), mat))
+
+    def __call__(self, trees: Sequence[ScenarioTree]) -> np.ndarray:
+        horizon = trees[0].horizon
+        if len(self._tables) != horizon:
+            raise ValidationError(
+                f"matrix cost lists {len(self._tables)} tables for horizon {horizon}")
+        return super().__call__(trees)
 
     def at(self, t, x, y):
         x_atoms, y_atoms, mat = self._tables[t - 1]

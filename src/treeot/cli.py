@@ -267,8 +267,6 @@ def _cmd_awdist(args) -> dict:
     coupling = mc.assemble_coupling(res.policy)
     check = mc.check_certificates([coupling], [res.tables[-1]], [res.certificate])
     return {
-        "schema": SCHEMA,
-        "command": "awdist",
         "values": {
             "aw_distance": float(max(res.value, 0.0) ** (1.0 / args.p)),
             "p": args.p,
@@ -293,8 +291,6 @@ def _cmd_mcot(args) -> dict:
         values["dpp_oracle_gap"] = abs(res.value - lp_value)
     causality = mc.verify_multicausal(coupling)
     return {
-        "schema": SCHEMA,
-        "command": "mcot",
         "values": values,
         "certificate": _certificate_json(coupling, res.certificate),
         "verification": {
@@ -329,8 +325,6 @@ def _cmd_bary_bc(args) -> dict:
     check = mc.check_certificates([res.coupling], [res.mcot.tables[-1]], [res.mcot.certificate])
     consistency = bary.bc_bary_value(trees, costs, res.process.tree, tuple_budget=args.budget)
     return {
-        "schema": SCHEMA,
-        "command": "bary-bc",
         "values": {
             "barycenter_value": res.value,
             "duality_gap": check["duality_gap"],
@@ -353,8 +347,6 @@ def _cmd_bary_c(args) -> dict:
                                  details={"worst_causality": worst_causality})
     check = mc.check_certificates(sol.plans, sol.tables, sol.certificates)
     return {
-        "schema": SCHEMA,
-        "command": "bary-c",
         "values": {
             "barycenter_value": sol.value,
             "dual_value": check["dual_value"],
@@ -373,8 +365,6 @@ def _cmd_bary_anticausal(args) -> dict:
     res = bary.anticausal_barycenter(trees, costs, tasks, tuple_budget=args.budget)
     check = mc.check_certificates(res.plans, res.tables, res.certificates)
     return {
-        "schema": SCHEMA,
-        "command": "bary-anticausal",
         "values": {"barycenter_value": res.value},
         "nu": dict(zip(tasks.leaf_ids(), res.nu.tolist())),
         "kernels": [_kernel_json(plan, res.nu) for plan in res.plans],
@@ -399,8 +389,6 @@ def _cmd_match(args) -> dict:
     report = matching_mod.verify_equilibrium(instance, eq)
     check = matching_mod.complementary_slackness(instance, eq)
     return {
-        "schema": SCHEMA,
-        "command": "match",
         "values": {
             "agent_values": list(eq.values),
             "equilibrium_ok": report.passed,
@@ -428,8 +416,6 @@ def _cmd_verify_coupling(args) -> dict:
         coupling = mc.coupling_from_id_atoms(trees, atoms)
     report = mc.verify_multicausal(coupling, tol=args.tol)
     return {
-        "schema": SCHEMA,
-        "command": "verify-coupling",
         "values": {
             "pass": report.passed,
             "worst_violation": report.worst_violation,
@@ -450,8 +436,6 @@ def _cmd_verify_coupling(args) -> dict:
 def _cmd_counterexample(args) -> dict:
     report = bary.counterexample_demo(args.n, tuple_budget=args.budget)
     return {
-        "schema": SCHEMA,
-        "command": "counterexample",
         "values": {
             "n_quant": report.n_quant,
             "cost_phi0_construction": report.cost_phi0_construction,
@@ -558,7 +542,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         # non-finite intermediates are caught by explicit checks; numpy's
         # warnings about them would only break the one-line diagnostic
         with np.errstate(all="ignore"):
-            report = args.fn(args)
+            report = {"schema": SCHEMA, "command": args.command, **args.fn(args)}
         report["config"] = asdict(config)
         report["config"]["inputs"] = list(config.inputs)
         _emit(report, args)

@@ -27,7 +27,10 @@ the benchmark's ``match`` LPs that took a fifth fewer iterations.  A
 solve that ends other than optimal (scaling off once made an LP look
 infeasible), or whose solution fails one of these checks, is solved
 once more with HiGHS's default scaling, and only that second solve's
-outcome is final; the tolerances do not change.
+outcome is final; the tolerances do not change.  :func:`solve_lp`
+returns that outcome as the optimal primal and row duals ``(x, y)``, or
+raises it as a :class:`SolverFailureError`: infeasible, unbounded,
+failed, or off the residual tolerances.
 
 Causal transport, the causal and anticausal barycenters and the
 multicausal oracle are one family of LPs, built and solved by
@@ -39,7 +42,9 @@ their dual coefficient is 0 in every certificate built from such an LP.
 
 HiGHS is called directly through the binding scipy bundles
 (``scipy.optimize._highspy._core``, scipy >= 1.15) by :func:`linprog`,
-the one HiGHS entry point; scipy's ``linprog`` wrapper is not used.
+the one HiGHS entry point, which returns the raw outcome of one run
+(``status``, ``message``, ``x``, ``y``, ``nit``); scipy's ``linprog``
+wrapper is not used.
 scipy is imported only where a HiGHS LP is built or solved (importing
 ``scipy.optimize`` costs more than a two-tree recursion), so the
 commands that never reach HiGHS never load it.
@@ -121,51 +126,6 @@ class _Stats:
 stats = _Stats()
 
 
-@dataclass
-class LpProblem:
-    """Equality-form LP: min c.x s.t. A x = b, x >= 0.
-
-    ``blocks``, if given, lists the (row slice, column slice) of each
-    independent diagonal block of A; the duality gap is then checked per
-    block against that block's own value.
-    """
-
-    c: np.ndarray
-    a_eq: sp.csr_matrix
-    b_eq: np.ndarray
-    blocks: tuple[tuple[slice, slice], ...] | None = None
-
-    def __post_init__(self):
-        import scipy.sparse as sp
-
-        self.c = np.asarray(self.c, dtype=float)
-        self.b_eq = np.asarray(self.b_eq, dtype=float)
-        self.a_eq = sp.csr_matrix(self.a_eq)
-        if self.a_eq.shape != (self.b_eq.shape[0], self.c.shape[0]):
-            raise ValidationError(
-                f"constraint matrix shape {self.a_eq.shape} does not match "
-                f"{self.b_eq.shape[0]} rhs entries and {self.c.shape[0]} variables"
-            )
-        if not np.all(np.isfinite(self.b_eq)):
-            raise ValidationError("non-finite right-hand side")
-        if not np.all(np.isfinite(self.c)):
-            raise ValidationError("non-finite objective coefficients")
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    """Solution bundle with dual multipliers per constraint."""
-
-    status: str                       # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    duals: np.ndarray | None
-    value: float | None
-    primal_residual: float = np.nan
-    dual_residual: float = np.nan
-    gap: float = np.nan
-    iterations: int = 0
-
-
 def linprog(c, A_eq, b_eq, options):
     """Solve  min c.x  s.t.  A_eq x = b_eq, x >= 0  by one run of HiGHS
     through scipy's bundled binding, imported on the first call.  Every
@@ -175,8 +135,8 @@ def linprog(c, A_eq, b_eq, options):
     ``options`` maps HiGHS option names to values.  Returns ``status``
     (0 optimal, 2 infeasible, 3 unbounded, 4 any other model status),
     ``message`` (HiGHS's name of the model status), ``nit`` (simplex
-    iterations) and, when optimal, ``x`` and the row duals
-    ``eqlin.marginals`` (None otherwise).
+    iterations) and, when optimal, ``x`` and the row duals ``y`` (None
+    otherwise).
     """
     # a private scipy module: its _Highs class and the array overload of
     # passModel are pinned by the scipy range in pyproject.toml
@@ -207,77 +167,62 @@ def linprog(c, A_eq, b_eq, options):
     model = highs.getModelStatus()
     status = {highspy.HighsModelStatus.kOptimal: 0, highspy.HighsModelStatus.kInfeasible: 2,
               highspy.HighsModelStatus.kUnbounded: 3}.get(model, 4)
-    x = marginals = None
+    x = y = None
     if status == 0:
         solution = highs.getSolution()
-        x, marginals = np.array(solution.col_value), np.array(solution.row_dual)
-    return SimpleNamespace(status=status, message=highs.modelStatusToString(model), x=x,
-                           eqlin=SimpleNamespace(marginals=marginals),
+        x, y = np.array(solution.col_value), np.array(solution.row_dual)
+    return SimpleNamespace(status=status, message=highs.modelStatusToString(model), x=x, y=y,
                            nit=highs.getInfo().simplex_iteration_count)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an equality-form LP, returning primal values and duals.
+def solve_lp(c: np.ndarray, a_eq: sp.csr_matrix, b_eq: np.ndarray, what: str,
+             blocks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve  min c.x  s.t.  a_eq x = b_eq, x >= 0  (``a_eq`` a CSR
+    matrix) and return the optimal x and row duals y.
 
-    The first solve runs with HiGHS's scaling off.  A solve that ends
-    other than optimal, or whose solution fails a residual check, is
-    solved once more with HiGHS's default scaling, and only that solve's
-    outcome is final.
+    ``blocks``, if given, lists the (row slice, column slice) of each
+    independent diagonal block of ``a_eq``; the duality gap is then
+    checked per block against that block's own value.  The first solve
+    runs with HiGHS's scaling off.  A solve that ends other than optimal,
+    or whose solution fails a residual check, is solved once more with
+    HiGHS's default scaling, and only that solve's outcome is final: its
+    (x, y), or the :class:`SolverFailureError` it ends in (an infeasible
+    or unbounded LP is named by ``what``).
     """
-    sol, failure = _highs(problem, {**_HIGHS_OPTIONS, "simplex_scale_strategy": 0})
-    if failure is not None or sol.status != "optimal":
-        sol, failure = _highs(problem, _HIGHS_OPTIONS)
-    if failure is not None:
-        raise failure
-    return sol
-
-
-def _highs(problem: LpProblem,
-           options: dict) -> tuple[LpSolution | None, SolverFailureError | None]:
-    """One HiGHS solve of ``problem``: its solution, and the error that a
-    failed solve or residual check raises (None when it passes them all)."""
-    res = linprog(c=problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq, options=dict(options))
-    stats.solves += 1
-    stats.iterations += res.nit
-    if res.status == 2:
-        return LpSolution(status="infeasible", x=None, duals=None, value=None), None
-    if res.status == 3:
-        return LpSolution(status="unbounded", x=None, duals=None, value=None), None
-    if res.status != 0:
-        return None, SolverFailureError(f"LP backend failed: {res.message}",
-                                        details={"status": int(res.status)})
-    x = np.asarray(res.x, dtype=float)
-    y = np.asarray(res.eqlin.marginals, dtype=float)
-    value = float(problem.c @ x)
-    primal = float(np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0))
-    reduced = problem.c - problem.a_eq.T @ y
-    dual = float(np.maximum(0.0, -reduced.min())) if reduced.size else 0.0
-    spans = problem.blocks or ((slice(None), slice(None)),)
-    values = [float(problem.c[cols] @ x[cols]) for _, cols in spans]
-    gaps = [abs(v - float(problem.b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
-    bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if not _gap_ok(g, v)]
-    sol = LpSolution(
-        status="optimal",
-        x=x,
-        duals=y,
-        value=value,
-        primal_residual=primal,
-        dual_residual=dual,
-        gap=max(gaps),
-        iterations=res.nit,
-    )
-    if primal <= PRIMAL_TOL and dual <= DUAL_TOL and not bad:
-        return sol, None
-    k = bad[0] if bad else int(np.argmax(gaps))
-    details = {
-        "primal_residual": primal,
-        "dual_residual": dual,
-        "gap": gaps[k],
-        "value": values[k],
-    }
-    if problem.blocks is not None:
-        details["block"] = k
-    return sol, SolverFailureError("LP solution violates residual tolerances", details=details)
+    if not np.all(np.isfinite(b_eq)):
+        raise ValidationError("non-finite right-hand side")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("non-finite objective coefficients")
+    spans = blocks or ((slice(None), slice(None)),)
+    for options in ({**_HIGHS_OPTIONS, "simplex_scale_strategy": 0}, _HIGHS_OPTIONS):
+        res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, options=dict(options))
+        stats.solves += 1
+        stats.iterations += res.nit
+        if res.status in (2, 3):
+            failure = SolverFailureError(
+                f"{what}: LP is {'infeasible' if res.status == 2 else 'unbounded'}")
+            continue
+        if res.status != 0:
+            failure = SolverFailureError(f"LP backend failed: {res.message}",
+                                         details={"status": int(res.status)})
+            continue
+        x, y = res.x, res.y
+        primal = float(np.abs(a_eq @ x - b_eq).max(initial=0.0))
+        reduced = c - a_eq.T @ y
+        dual = float(np.maximum(0.0, -reduced.min())) if reduced.size else 0.0
+        values = [float(c[cols] @ x[cols]) for _, cols in spans]
+        gaps = [abs(v - float(b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
+        bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if not _gap_ok(g, v)]
+        if primal <= PRIMAL_TOL and dual <= DUAL_TOL and not bad:
+            return x, y
+        k = bad[0] if bad else int(np.argmax(gaps))
+        details = {"primal_residual": primal, "dual_residual": dual,
+                   "gap": gaps[k], "value": values[k]}
+        if blocks is not None:
+            details["block"] = k
+        failure = SolverFailureError("LP solution violates residual tolerances",
+                                     details=details)
+    raise failure
 
 
 def _gap_ok(gap, value):
@@ -292,13 +237,6 @@ def check_duality_gap(value: float, gap: float, what: str, details: dict) -> Non
     ``gap`` passes :func:`_gap_ok` against ``value``."""
     if not _gap_ok(gap, value):
         raise SolverFailureError(what, details=details)
-
-
-def _solve_optimal(problem: LpProblem, what: str) -> LpSolution:
-    sol = solve_lp(problem)
-    if sol.status != "optimal":
-        raise SolverFailureError(f"{what}: LP is {sol.status}")
-    return sol
 
 
 # -- multimarginal optimal transport ----------------------------------------
@@ -471,25 +409,23 @@ def _highs_blocks(prepared, chunk, results) -> None:
         row_ofs += n_rows * todo.size
         col_ofs += size * todo.size
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    problem = LpProblem(
-        c=np.concatenate(costs),
-        a_eq=sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(row_ofs, col_ofs)),
-        b_eq=np.concatenate(rhs),
-        blocks=tuple(spans),
+    x, y = solve_lp(
+        np.concatenate(costs),
+        sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(row_ofs, col_ofs)),
+        np.concatenate(rhs), "multimarginal transport", blocks=spans,
     )
-    sol = _solve_optimal(problem, "multimarginal transport")
     row_ofs = col_ofs = 0
     for g, todo in chunk:
         weights, cost, shifts = prepared[g]
         shape = cost.shape[1:]
         n_rows, size = sum(shape), int(np.prod(shape))
-        x = sol.x[col_ofs:col_ofs + size * todo.size].reshape((todo.size,) + shape)
-        duals = sol.duals[row_ofs:row_ofs + n_rows * todo.size].reshape(todo.size, n_rows)
+        plan = x[col_ofs:col_ofs + size * todo.size].reshape((todo.size,) + shape)
+        duals = y[row_ofs:row_ofs + n_rows * todo.size].reshape(todo.size, n_rows)
         row_ofs += n_rows * todo.size
         col_ofs += size * todo.size
         values, plans, potentials = results[g]
-        values[todo] = (cost[todo] * x).reshape(todo.size, -1).sum(axis=1) + shifts[todo]
-        plans[todo] = np.where(x > 0, x, 0.0)  # clip solver dust at the bound
+        values[todo] = (cost[todo] * plan).reshape(todo.size, -1).sum(axis=1) + shifts[todo]
+        plans[todo] = np.where(plan > 0, plan, 0.0)  # clip solver dust at the bound
         for out, phi in zip(potentials, _split_potentials(duals, shape, shifts[todo])):
             out[todo] = phi
         dual_values = sum((out[todo] * w[todo]).sum(axis=1)

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import costs as costs_mod
+from . import lp as lp_mod
 from .errors import (
     BudgetExceededError,
     IncompletePolicyError,
@@ -61,10 +62,8 @@ from .errors import (
 from .lp import (
     CAUSALITY_TOL,
     MARGINAL_TOL,
-    LpProblem,
     _gap_ok,
     _marginal_pattern,
-    _solve_optimal,
     check_duality_gap,
     multimarginal_ot,
     multimarginal_ot_batch,
@@ -761,13 +760,14 @@ def transport_lp(
         shape=(row_ofs, col_ofs),
     )
     c_vec = np.concatenate([np.zeros(n_nu)] + [(table - shift).ravel() for table in tables])
-    sol = _solve_optimal(LpProblem(c=c_vec, a_eq=a_eq, b_eq=np.concatenate(rhs)), what)
-    value = sol.value + len(families) * shift
+    # through the module attribute, so a wrapper of lp.solve_lp sees this call
+    x, y = lp_mod.solve_lp(c_vec, a_eq, np.concatenate(rhs), what)
+    value = float(c_vec @ x) + len(families) * shift
 
     nu = None
     if shared:
-        held = sol.x[:n_nu] > 0
-        nu = np.where(held, sol.x[:n_nu], 0.0)
+        held = x[:n_nu] > 0
+        nu = np.where(held, x[:n_nu], 0.0)
         total = float(nu.sum())
         if not (abs(total - 1.0) <= MARGINAL_TOL):
             raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
@@ -775,7 +775,7 @@ def transport_lp(
     plans, certificates, dual_value = [], [], 0.0
     for trees, shape, kept, r0, c0 in layout:
         r1 = r0 + sum(shape)  # the family's causality rows start here
-        plan = sol.x[c0:c0 + int(np.prod(shape))].reshape(shape)
+        plan = x[c0:c0 + int(np.prod(shape))].reshape(shape)
         if shared:
             # HiGHS can leave dust (~1e-14) at a task leaf where nu is
             # clipped to 0; the task potentials' zero-sum normalisation puts
@@ -787,10 +787,10 @@ def transport_lp(
                     f"{what}: a plan has mass {dust!r} on task leaves outside nu's support")
             plan = np.where(held, plan, 0.0)
         plans.append(coupling_from_dense(trees, plan))
-        potentials = np.split(sol.duals[r0:r1], np.cumsum(shape)[:-1])
+        potentials = np.split(y[r0:r1], np.cumsum(shape)[:-1])
         potentials[0] = potentials[0] + shift
         blocks = dict(zip(processes, _coefficient_blocks(
-            trees, processes, kept, -sol.duals[r1:r1 + kept.size])))
+            trees, processes, kept, -y[r1:r1 + kept.size])))
         certificates.append(DualCertificate(
             potentials=tuple(potentials),
             coefficients=tuple(blocks.get(i, ()) for i in range(len(trees)))))

@@ -458,6 +458,39 @@ def test_counterexample_past_the_quadrature_exits_2_with_one_line(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tables", ["all", "one-too-few", "none", "one-too-many"])
+def test_matrix_cost_must_list_one_table_per_time(tmp_path, capsys, tables):
+    # the principal's quadratic utility as a matrix cost over the state
+    # grids of the fixture; a table list of another length than the
+    # horizon exits 2 with one line
+    path = Path(__file__).parent / "fixtures" / "market_seed602.json"
+    doc = json.loads(path.read_text())
+    principal, tasks = doc["principal"]["tree"], doc["tasks"]
+    grids = [([node["x"] for node in principal["levels"][t]],
+              [node["x"] for node in tasks["levels"][t]]) for t in range(principal["horizon"])]
+    listed = [{"x": xs, "y": ys, "c": [[(x[0] - y[0]) ** 2 for y in ys] for x in xs]}
+              for xs, ys in grids]
+    listed = {"all": listed, "one-too-few": listed[:-1], "none": [],
+              "one-too-many": listed + listed[-1:]}[tables]
+    doc["principal"]["utility"] = {"kind": "matrix", "tables": listed}
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, ["match", str(matrix)])
+    err = capsys.readouterr().err
+    if tables == "all":
+        assert code == 0
+        _, power = _run_to_file(tmp_path, ["match", str(path)], "power.json")
+        values = json.loads(out.read_text())["values"]["agent_values"]
+        assert values == pytest.approx(
+            json.loads(power.read_text())["values"]["agent_values"], abs=1e-8)
+        return
+    assert code == 2
+    assert err.strip().splitlines() == [
+        f"treeot: invalid input: matrix cost lists {len(listed)} tables for horizon 3"]
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     _, out = _run_to_file(tmp_path, ["mcot", p1, p2, "--cost", "lp_sum:2"], "r.json")
@@ -878,7 +911,7 @@ def test_solve_that_is_not_optimal_is_solved_again_scaled(tmp_path, monkeypatch,
         calls.append(kwargs["options"])
         res = real(*args, **kwargs)
         if len(calls) == 1:
-            res.status, res.x, res.eqlin.marginals = status, None, None
+            res.status, res.x, res.y = status, None, None
         return res
 
     monkeypatch.setattr(lp, "linprog", linprog)
@@ -917,8 +950,8 @@ def test_non_finite_lp_result_exits_4_with_one_line(tmp_path, tree_files, monkey
             res.x = np.array(res.x)
             res.x[-1] = value
         else:
-            res.eqlin.marginals = np.array(res.eqlin.marginals)
-            res.eqlin.marginals[-1] = value
+            res.y = np.array(res.y)
+            res.y[-1] = value
         return res
 
     monkeypatch.setattr(lp, "linprog", linprog)

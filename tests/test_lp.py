@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from treeot import (
     BudgetExceededError,
-    LpProblem,
     PowerCost,
     SolverFailureError,
     ValidationError,
@@ -72,24 +71,48 @@ def marginal_matrix_dense(shape):
 
 
 def test_solve_lp_single_variable_dual():
-    sol = solve_lp(LpProblem(c=np.array([1.0]), a_eq=sp.eye(1), b_eq=np.array([1.0])))
-    assert sol.status == "optimal"
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
-    assert sol.duals == pytest.approx([1.0], abs=1e-9)
+    c = np.array([1.0])
+    x, y = solve_lp(c, sp.eye(1, format="csr"), np.array([1.0]), "one variable")
+    assert float(c @ x) == pytest.approx(1.0, abs=1e-12)
+    assert y == pytest.approx([1.0], abs=1e-9)
 
 
 def test_solve_lp_reports_infeasible_and_unbounded():
-    infeasible = LpProblem(
-        c=np.array([1.0]), a_eq=sp.eye(1), b_eq=np.array([-1.0])
-    )
     lp_mod.stats.reset()
-    assert solve_lp(infeasible).status == "infeasible"
-    unbounded = LpProblem(
-        c=np.array([-1.0]), a_eq=sp.csr_matrix((1, 1)), b_eq=np.array([0.0])
-    )
-    assert solve_lp(unbounded).status == "unbounded"
+    with pytest.raises(SolverFailureError, match="^negative mass: LP is infeasible$"):
+        solve_lp(np.array([1.0]), sp.eye(1, format="csr"), np.array([-1.0]), "negative mass")
+    with pytest.raises(SolverFailureError, match="^free descent: LP is unbounded$"):
+        solve_lp(np.array([-1.0]), sp.csr_matrix((1, 1)), np.array([0.0]), "free descent")
     # an unscaled solve that is not optimal is solved once more, scaled
     assert lp_mod.stats.solves == 4
+
+
+def test_solve_lp_raises_the_outcome_of_the_second_try(monkeypatch):
+    # the first try fails a residual check, the second ends infeasible:
+    # only the second try's outcome is final
+    real, calls = lp_mod.linprog, []
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs["options"].get("simplex_scale_strategy"))
+        res = real(*args, **kwargs)
+        if len(calls) == 1:
+            res.x = res.x + 1e-6
+        else:
+            res.status, res.x, res.y = 2, None, None
+        return res
+
+    monkeypatch.setattr(lp_mod, "linprog", linprog)
+    with pytest.raises(SolverFailureError, match="^two tries: LP is infeasible$"):
+        solve_lp(np.array([1.0]), sp.eye(1, format="csr"), np.array([1.0]), "two tries")
+    assert calls == [0, None]
+
+
+def test_solve_lp_refuses_non_finite_data():
+    a_eq = sp.eye(1, format="csr")
+    with pytest.raises(ValidationError, match="non-finite right-hand side"):
+        solve_lp(np.array([1.0]), a_eq, np.array([np.nan]), "nan rhs")
+    with pytest.raises(ValidationError, match="non-finite objective coefficients"):
+        solve_lp(np.array([np.inf]), a_eq, np.array([1.0]), "inf cost")
 
 
 def test_linprog_refuses_arrays_that_do_not_match_the_matrix():
@@ -98,7 +121,7 @@ def test_linprog_refuses_arrays_that_do_not_match_the_matrix():
     res = lp_mod.linprog(c=np.array([1.0, 2.0]), A_eq=a_eq, b_eq=np.array([1.0]),
                          options=lp_mod._HIGHS_OPTIONS)
     assert (res.status, res.nit) == (0, 1)
-    assert res.x.tolist() == [1.0, 0.0] and res.eqlin.marginals.tolist() == [1.0]
+    assert res.x.tolist() == [1.0, 0.0] and res.y.tolist() == [1.0]
     for c, a, b in [([1.0], a_eq, [1.0]), ([1.0, 2.0], a_eq, [1.0, 1.0]),
                     ([1.0, 2.0], a_eq.tocsc(), [1.0])]:
         with pytest.raises(ValidationError, match="CSR"):
@@ -112,16 +135,14 @@ def test_solve_lp_residual_invariants_on_random_instances():
         mu = rng.random(shape[0]) + 0.1
         nu = rng.random(shape[1]) + 0.1
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        problem = LpProblem(
-            c=rng.normal(size=shape).ravel(),
-            a_eq=sp.csr_matrix(marginal_matrix_dense(shape)),
-            b_eq=np.concatenate([mu, nu]),
-        )
-        sol = solve_lp(problem)
-        assert sol.status == "optimal"
-        assert sol.primal_residual <= 1e-9
-        assert sol.dual_residual <= 1e-9
-        assert sol.gap <= 1e-8 * (1 + abs(sol.value))
+        c = rng.normal(size=shape).ravel()
+        a_eq = sp.csr_matrix(marginal_matrix_dense(shape))
+        b_eq = np.concatenate([mu, nu])
+        x, y = solve_lp(c, a_eq, b_eq, "random transport")
+        value = float(c @ x)
+        assert np.abs(a_eq @ x - b_eq).max() <= 1e-9
+        assert max(0.0, -float((c - a_eq.T @ y).min())) <= 1e-9
+        assert abs(value - float(b_eq @ y)) <= 1e-8 * (1 + abs(value))
 
 
 # -- multimarginal / classical OT ---------------------------------------------
@@ -610,9 +631,9 @@ def fixed_support_barycenter_value(laws, costs) -> float:
         blocks.append([link] + [marginal if j == i else None for j in range(len(laws))])
         rhs += [np.zeros(m), mu]
     c = np.concatenate([np.zeros(m)] + [np.ravel(cost) for cost in costs])
-    sol = solve_lp(LpProblem(c=c, a_eq=sp.bmat(blocks, format="csr"), b_eq=np.concatenate(rhs)))
-    assert sol.status == "optimal"
-    return sol.value
+    x, _ = solve_lp(c, sp.bmat(blocks, format="csr"), np.concatenate(rhs),
+                    "fixed-support barycenter")
+    return float(c @ x)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -37,7 +37,7 @@ from treeot import (
     verify_equilibrium,
 )
 from treeot.barycenters import causal_violation
-from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, LpProblem, _marginal_pattern, solve_lp
+from treeot.lp import CAUSALITY_TOL, MARGINAL_TOL, _marginal_pattern, solve_lp
 from treeot.matching import Equilibrium
 from treeot.multicausal import (
     DualCertificate,
@@ -277,9 +277,9 @@ def lp_best_response(instance, i, wage) -> float:
         causality_operator((tree, tasks), (0,)),
     ])
     b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
-    sol = solve_lp(LpProblem(c=(cmat - shift).ravel(), a_eq=a_eq, b_eq=b_eq))
-    assert sol.status == "optimal"
-    return sol.value + shift
+    c = (cmat - shift).ravel()
+    x, _ = solve_lp(c, sp.csr_matrix(a_eq), b_eq, "best response")
+    return float(c @ x) + shift
 
 
 def random_market(seed: int) -> tuple[MatchingInstance, np.random.Generator]:
