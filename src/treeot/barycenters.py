@@ -198,6 +198,7 @@ def aggregate_cost(
 
     def agg(trees):
         trees = tuple(trees)
+        costs_mod._check_dimensions(trees)
         states = [tr.leaf_states() for tr in trees]
         total = np.zeros(tuple(tr.n_leaves for tr in trees))
         for t in range(1, trees[0].horizon + 1):

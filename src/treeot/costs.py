@@ -6,7 +6,8 @@ the tuple of paths to them.  It is given either as that array or as a
 callable ``cost(trees) -> ndarray`` that builds it;
 :func:`treeot.multicausal.cost_table` turns either into the checked table.
 The builtins build their tables by broadcasting over each tree's leaf
-states (:meth:`ScenarioTree.leaf_states`).  The path metric throughout is
+states (:meth:`ScenarioTree.leaf_states`), which must have one dimension
+per time across the trees.  The path metric throughout is
 d(x, y) = sum_t |x_t - y_t|_2, matching the metric under which adapted
 Wasserstein distances are defined here.
 """
@@ -43,6 +44,15 @@ def power(x: np.ndarray, p: float) -> np.ndarray:
     return np.square(x) if p == 2 else np.float_power(x, p)
 
 
+def _check_dimensions(trees: Sequence[ScenarioTree]) -> None:
+    """Raise :class:`ValidationError` unless, at each time, the states of
+    all ``trees`` have one dimension: a state cost compares them."""
+    for t, states in enumerate(zip(*(tr.states for tr in trees)), start=1):
+        dims = [s.shape[1] for s in states]
+        if len(set(dims)) > 1:
+            raise ValidationError(f"states at time {t} have different dimensions {dims}")
+
+
 def _pairwise(trees: Sequence[ScenarioTree], per_pair) -> np.ndarray:
     """sum_{i<j} per_pair(states) on every leaf tuple, pairs in order, where
     ``states`` lists per time the states (x^i_t, x^j_t) of a block of leaf
@@ -51,6 +61,7 @@ def _pairwise(trees: Sequence[ScenarioTree], per_pair) -> np.ndarray:
     into the one output table.  An entry past the float range is inf,
     which :func:`cost_table` refuses."""
     trees = tuple(trees)
+    _check_dimensions(trees)
     states = [tr.leaf_states() for tr in trees]
     total = np.zeros(tuple(tr.n_leaves for tr in trees))
     with np.errstate(over="ignore"):

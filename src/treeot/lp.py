@@ -20,7 +20,8 @@ residual tolerances on returned solutions, not the algorithm:
 * dual feasibility    min reduced cost >= -1e-9,
 * complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|), taken
   per diagonal block when the LP stacks independent problems, and per
-  problem for the corner and the simplex.
+  problem for the corner and the simplex.  One function, :func:`_accept`,
+  runs every block's checks, HiGHS blocks included, on the plan it writes.
 
 HiGHS solves first with scaling off (``simplex_scale_strategy`` 0): on
 the benchmark's ``match`` LPs that took a fifth fewer iterations.  A
@@ -306,7 +307,7 @@ def multimarginal_ot_batch(groups):
     check, become the diagonal blocks of HiGHS LPs shared across groups,
     split when their columns exceed ``_BATCH_COLUMNS``.  Every block
     keeps the checks of a separate solve: its own cost shift, residuals
-    and duality gap.
+    and duality gap, all run by :func:`_accept` on the plan it writes.
     """
     prepared = [_prepared(marginals, costs) for marginals, costs in groups]
     results, pending = [], []
@@ -389,10 +390,10 @@ def _column_chunks(prepared, pending):
 
 def _highs_blocks(prepared, chunk, results) -> None:
     """Solve the blocks of ``chunk`` as the diagonal blocks of one HiGHS LP
-    and write them into ``results``."""
+    and write their plans, clipped at 0, through :func:`_accept`."""
     import scipy.sparse as sp
 
-    rows, cols, costs, rhs, spans = [], [], [], [], []
+    rows, cols, costs, rhs, spans, parts = [], [], [], [], [], []
     row_ofs = col_ofs = 0
     for g, todo in chunk:
         weights, cost, _ = prepared[g]
@@ -408,35 +409,24 @@ def _highs_blocks(prepared, chunk, results) -> None:
         spans += [(slice(r, r + n_rows), slice(c, c + size)) for r, c in zip(r0, c0)]
         row_ofs += n_rows * todo.size
         col_ofs += size * todo.size
+        parts.append((slice(r0[0], row_ofs), slice(c0[0], col_ofs)))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     x, y = solve_lp(
         np.concatenate(costs),
         sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(row_ofs, col_ofs)),
         np.concatenate(rhs), "multimarginal transport", blocks=spans,
     )
-    row_ofs = col_ofs = 0
-    for g, todo in chunk:
+    # solve_lp has bounded the dual residual of the whole LP
+    for (g, todo), (r, c) in zip(chunk, parts):
         weights, cost, shifts = prepared[g]
-        shape = cost.shape[1:]
-        n_rows, size = sum(shape), int(np.prod(shape))
-        plan = x[col_ofs:col_ofs + size * todo.size].reshape((todo.size,) + shape)
-        duals = y[row_ofs:row_ofs + n_rows * todo.size].reshape(todo.size, n_rows)
-        row_ofs += n_rows * todo.size
-        col_ofs += size * todo.size
-        values, plans, potentials = results[g]
-        values[todo] = (cost[todo] * plan).reshape(todo.size, -1).sum(axis=1) + shifts[todo]
-        plans[todo] = np.where(plan > 0, plan, 0.0)  # clip solver dust at the bound
-        for out, phi in zip(potentials, _split_potentials(duals, shape, shifts[todo])):
-            out[todo] = phi
-        dual_values = sum((out[todo] * w[todo]).sum(axis=1)
-                          for out, w in zip(potentials, weights))
-        gaps = np.abs(values[todo] - dual_values)
-        bad = np.flatnonzero(~_gap_ok(gaps, values[todo]))
-        if bad.size:
-            k = todo[bad[0]]
-            raise SolverFailureError("multimarginal duality gap exceeds tolerance", details={
-                "value": float(values[k]), "dual_value": float(dual_values[bad[0]]),
-                "block": int(k)})
+        cost = cost[todo]
+        plan = x[c].reshape(cost.shape)
+        ok = _accept(todo, True, [w[todo] for w in weights], cost, shifts[todo],
+                     np.where(plan > 0, plan, 0.0), y[r].reshape(todo.size, -1),
+                     np.zeros(todo.size), results[g])
+        if not ok.all():
+            raise SolverFailureError("multimarginal block violates residual tolerances",
+                                     details={"block": int(todo[np.argmin(ok)])})
 
 
 # -- the north-west corner -----------------------------------------------------

@@ -8,15 +8,16 @@ ways, which cross-verify each other:
       V(T, tuple)  = path cost at the leaf tuple,
       V(t, tuple)  = min over couplings of the N conditional kernels
                      below the tuple of the expected V(t+1, .),
-      V(0)         = same minimisation over the time-1 laws,
 
-  storing the optimal one-step plans of each depth in one weight array
-  (the :class:`KernelPolicy`).  Stitching these plans together
-  (:func:`assemble_coupling`) yields an optimal multicausal coupling.
+  for t = T-1, ..., 0: depth 0 is the root tuple, whose kernels are the
+  time-1 laws, and V(0) is the value.  It stores the optimal one-step
+  plans of each depth in one weight array (the :class:`KernelPolicy`).
+  Stitching these plans together (:func:`assemble_coupling`) yields an
+  optimal multicausal coupling.
 
   The one-step dual potentials phi_i^{t,A} chain into a
-  :class:`DualCertificate` for the whole problem at no extra solve: the
-  root potentials are the f^i, and the indicator test function of key
+  :class:`DualCertificate` for the whole problem at no extra solve:
+  depth 0's are the f^i, and the indicator test function of key
   (i, t, A_{-i}, b) gets coefficient -phi_i^{t,A}(b).  Summing the
   one-step dual constraints  sum_i phi_i^{t,A}(b_i) <= V(t+1, b)  from the
   root to the leaves gives  sum_i f^i <= c + F  at every leaf tuple.
@@ -65,7 +66,7 @@ from .lp import (
     _gap_ok,
     _marginal_pattern,
     check_duality_gap,
-    multimarginal_ot,
+    multimarginal_ot,  # not called here: perfbench/tracing.py wraps this attribute
     multimarginal_ot_batch,
 )
 from .trees import ScenarioTree, _frozen
@@ -202,58 +203,48 @@ def mc_dpp(
 
     ``cost`` becomes one table over the leaf-path tuples
     (:func:`cost_table`); enumeration refuses beyond ``tuple_budget``
-    tuples.  The one-step problems at a fixed depth are independent and
-    are solved together by :func:`multimarginal_ot_batch`, one batch per
-    combination of child counts.  Each block, the root's included, has
-    every 1-D tree's children in state order (:func:`_state_order`); results
-    are scattered back by node index.  Their dual potentials make up the
-    returned certificate.
+    tuples.  One loop runs over the depths T-1, ..., 0; depth 0 is the
+    root tuple.  The one-step problems at a depth are independent and are
+    solved together by :func:`multimarginal_ot_batch`, one batch per
+    combination of child counts.  Each block has every 1-D tree's
+    children in state order (:func:`_state_order`); results are scattered
+    back by node index.  Their dual potentials make up the returned
+    certificate, depth 0's as its potentials f^i.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
     _guard_budget(trees, tuple_budget, "mc_dpp")
-    shape_t = lambda t: tuple(tr.level_size(t) for tr in trees)
+    # node counts per depth t = 0..T, one per tree; depth 0 is the root
+    sizes = [(1,) * len(trees)] + [tuple(map(len, p)) for p in zip(*(tr.parents for tr in trees))]
 
     tables: list[np.ndarray] = [cost_table(trees, cost)]
-    weights = [np.zeros(shape_t(t)) for t in range(1, horizon + 1)]
-    coefficients = [
-        [np.zeros(_coefficient_shape(trees, i, t)) for t in range(1, horizon)]
-        for i in range(len(trees))
-    ]
+    weights = [np.zeros(size) for size in sizes[1:]]
+    coefficients = [[np.zeros(s[:i] + s[i + 1:] + b[i:i + 1]) for s, b in zip(sizes, sizes[1:])]
+                    for i in range(len(trees))]  # laid out as _coefficient_shape
 
-    for t in range(horizon - 1, 0, -1):
+    for t in range(horizon - 1, -1, -1):
         groups = [_TupleGroup(members)
                   for members in itertools.product(*(_sibling_groups(tr, t) for tr in trees))]
         results = multimarginal_ot_batch([
             (group.kernels(trees, t), tables[0][group.children].reshape((-1,) + group.shape))
             for group in groups
         ])
-        values = np.zeros(shape_t(t))
+        values = np.zeros(sizes[t])
         for group, (value, plan, potentials) in zip(groups, results):
             values[np.ix_(*group.nodes)] = value.reshape(group.counts)
             weights[t][group.children] = plan.reshape(group.counts + group.shape)
             for i, phi in enumerate(potentials):
-                coefficients[i][t - 1][group.coefficient_index(i)] = -np.moveaxis(
+                coefficients[i][t][group.coefficient_index(i)] = -np.moveaxis(
                     phi.reshape(group.counts + group.shape[i:i + 1]), i, -2)
         tables.insert(0, values)
 
-    # the root block in state order too; ranks[i][k] is node k's place in it
-    # (inverted by a scatter: numpy's default argsort pulls a large sort
-    # kernel into memory, +0.2-0.5 MB of peak RSS on `aw-deep`)
-    orders = [_state_order(tr, 0) for tr in trees]
-    ranks = [np.empty_like(order) for order in orders]
-    for order, rank in zip(orders, ranks):
-        rank[order] = np.arange(order.size)
-    res = multimarginal_ot([tr.probs[0][order] for tr, order in zip(trees, orders)],
-                           tables[0][np.ix_(*orders)])
-    weights[0] = res.plan[np.ix_(*ranks)]
-    tables.insert(0, np.array(res.value))
+    tables[0] = tables[0].reshape(())
     certificate = DualCertificate(
-        potentials=tuple(phi[rank[tr.ancestors[:, 0]]]
-                         for phi, rank, tr in zip(res.potentials, ranks, trees)),
-        coefficients=tuple(tuple(c) for c in coefficients),
+        potentials=tuple(-c[0].reshape(-1)[tr.ancestors[:, 0]]
+                         for c, tr in zip(coefficients, trees)),
+        coefficients=tuple(tuple(c[1:]) for c in coefficients),
     )
-    return McotResult(value=res.value, tables=tuple(tables),
+    return McotResult(value=float(tables[0]), tables=tuple(tables),
                       policy=KernelPolicy(trees=trees, weights=tuple(weights)),
                       certificate=certificate)
 
@@ -274,10 +265,11 @@ def _state_order(tree: ScenarioTree, t: int) -> np.ndarray:
 
 
 def _sibling_groups(tree: ScenarioTree, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The nodes at depth t grouped by child count, in order of first
+    """The nodes at depth t < T grouped by child count, in order of first
     appearance: per group, the nodes (k,) and their children (k, m) at
-    depth t+1, in state order (:func:`_state_order`)."""
-    counts = np.bincount(tree.parents[t], minlength=tree.level_size(t))
+    depth t+1, in state order (:func:`_state_order`).  Every node above
+    the leaves has a child, so every node is in a group."""
+    counts = np.bincount(tree.parents[t])
     order = _state_order(tree, t)
     starts = np.cumsum(counts) - counts
     out = []

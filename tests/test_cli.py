@@ -491,6 +491,32 @@ def test_matrix_cost_must_list_one_table_per_time(tmp_path, capsys, tables):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["awdist", "mcot", "bary-bc", "bary-c", "match"])
+def test_states_of_different_dimensions_exit_2_with_one_line(tmp_path, capsys, command):
+    # x = (0) against y = (3, 4): no state cost compares them
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(dump_tree(chain_tree([[0.0]], "x")))
+    y.write_text(dump_tree(chain_tree([[3.0, 4.0]], "y")))
+    quadratic = {"kind": "power", "p": 2, "weight": 1.0}
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps({
+        "principal": {"tree": json.loads(x.read_text()), "utility": quadratic},
+        "agents": [{"tree": json.loads(dump_tree(chain_tree([[1.0]], "g"))), "cost": quadratic}],
+        "tasks": json.loads(y.read_text()),
+    }))
+    argv = {"awdist": ["awdist", x, y, "--p", "1"],
+            "mcot": ["mcot", x, y, "--cost", "pairwise_power:2"],
+            "bary-bc": ["bary-bc", x, y],
+            "bary-c": ["bary-c", x, x, "--tasks", y],
+            "match": ["match", market]}[command]
+    capsys.readouterr()
+    code, out = _run_to_file(tmp_path, list(map(str, argv)))
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "treeot: invalid input: states at time 1 have different dimensions [1, 2]"]
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path, tree_files):
     _, _, p1, p2 = tree_files
     _, out = _run_to_file(tmp_path, ["mcot", p1, p2, "--cost", "lp_sum:2"], "r.json")

@@ -271,6 +271,29 @@ def test_table_with_a_non_finite_entry_is_refused(bad):
         mc_dpp(trees, table)
 
 
+@pytest.mark.parametrize("cost", [
+    cm.lp_sum(1.0), cm.pairwise_power(2.0), PowerCost(weight=1.0, exponent=2.0),
+    TableCost([([[1.0]], [[1.0]], np.zeros((1, 1))), ([[2.0]], [[2.0, 5.0]], np.zeros((1, 1)))]),
+    aggregate_cost([PowerCost(), PowerCost()], phi0_quadratic([0.5, 0.5])),
+], ids=["lp_sum", "pairwise_power", "power", "table", "aggregate"])
+def test_states_of_different_dimensions_are_refused(cost):
+    # the trees differ in dimension only at time 2, where a cost would
+    # broadcast the state 2 against (2, 5); a given table compares no
+    # states and stays allowed
+    trees = [chain_tree([[1.0], [2.0]], "a"), chain_tree([[1.0], [2.0, 5.0]], "b")]
+    with pytest.raises(ValidationError,
+                       match=re.escape("states at time 2 have different dimensions [1, 2]")):
+        cost_table(trees, cost)
+    assert mc_dpp(trees, np.ones((1, 1))).value == 1.0
+
+
+def test_states_of_two_and_three_dimensions_are_refused_by_name():
+    trees = [chain_tree([[0.0, 0.0]], "a"), chain_tree([[0.0, 0.0, 0.0]], "b")]
+    with pytest.raises(ValidationError,
+                       match=re.escape("states at time 1 have different dimensions [2, 3]")):
+        aw_distance(*trees, p=1.0)
+
+
 @pytest.mark.parametrize("cost", [cm.lp_sum(1e308), cm.pairwise_power(2000.0)])
 def test_cost_past_the_float_range_is_refused(cost):
     # the power is inf past the float range, and cost_table refuses it

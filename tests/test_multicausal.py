@@ -471,6 +471,69 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
     assert "'gap'" in err and "'block': 0" in err
 
 
+def test_highs_block_whose_clipped_plan_misses_its_marginals_is_refused(monkeypatch, tmp_path,
+                                                                        capsys):
+    # the three trees above; the first HiGHS solve moves 3e-9 around a 2x2
+    # cycle of block 0 that starts at a zero cell: A x = b still holds and
+    # the gaps pass, but the plan clipped at 0 misses its marginals by 3e-9
+    rng = np.random.default_rng(77)
+    trees = [random_tree(rng, horizon=2, dim=2, min_branch=3, max_branch=4, prefix=p)
+             for p in "abc"]
+    shape = tuple(len(t.children(1, 0)) for t in trees)
+    real = lp_mod.linprog
+    solves = []
+
+    def linprog(c, A_eq, b_eq, **kwargs):
+        res = real(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+        if not solves:
+            x = res.x[:int(np.prod(shape))].reshape(shape)  # a view into res.x
+            for i, j, k in np.argwhere(x > 3e-9):
+                zeros = np.argwhere(x[:, :, k] == 0)
+                zeros = zeros[(zeros[:, 0] != i) & (zeros[:, 1] != j)]
+                if zeros.size:
+                    break
+            a, b = zeros[0]
+            x[a, b, k] -= 3e-9
+            x[i, j, k] -= 3e-9
+            x[a, j, k] += 3e-9
+            x[i, b, k] += 3e-9
+            assert np.abs(A_eq @ res.x - b_eq).max() <= 1e-15
+        solves.append(1)
+        return res
+
+    monkeypatch.setattr(lp_mod, "linprog", linprog)
+    with pytest.raises(SolverFailureError, match="multimarginal block") as exc:
+        mc_dpp(trees, cm.pairwise_power(2.0))
+    assert exc.value.details["block"] == 0
+    assert len(solves) == 1  # solve_lp accepted the LP as it was
+
+    paths = []
+    for name, tree in zip("abc", trees):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_tree(tree))
+    solves.clear()
+    capsys.readouterr()
+    assert run(["mcot", *map(str, paths)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "multimarginal block" in err and "'block': 0" in err
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_recursion_on_one_tree_is_the_expected_cost(horizon):
+    # one tree: every one-step block, the root's included, has a single
+    # marginal, so the value is the table's expectation under the leaf law
+    rng = np.random.default_rng(90 + horizon)
+    tree = random_tree(rng, horizon=horizon, dim=1, min_branch=1, max_branch=3)
+    table = rng.normal(size=tree.n_leaves)
+    res = mc_dpp([tree], table)
+    assert abs(res.value - float(tree.leaf_law() @ table)) <= 1e-12
+    check = verify_certificate(assemble_coupling(res.policy), table, res.certificate)
+    assert check["min_slack"] >= -lp_mod.CAUSALITY_TOL
+    assert check["support_slack"] <= lp_mod.CAUSALITY_TOL
+    assert check["gap"] <= lp_mod.DUALITY_TOL * (1 + abs(res.value))
+
+
 # -- assemble_coupling -------------------------------------------------------------
 
 
@@ -1165,7 +1228,7 @@ def test_coupling_arrays_match_a_dict_of_atoms(n_trees, seed):
         restrict_coupling(coupling, subset),
         summed((tuple(idx[i] for i in subset), w) for idx, w in atoms.items()),
         cost_table([trees[i] for i in subset], cm.lp_sum(1.0)))
-    other = random_tree(rng, horizon=trees[0].horizon, dim=1, min_branch=1, max_branch=3,
+    other = random_tree(rng, horizon=trees[0].horizon, dim=2, min_branch=1, max_branch=3,
                         prefix="z")
     gamma = random_multicausal_coupling(rng, [trees[-1], other])
     assert_matches_dict(
