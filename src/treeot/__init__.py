@@ -49,7 +49,6 @@ from .multicausal import (
     assemble_coupling,
     aw_distance,
     brute_force_mcot,
-    causality_operator,
     check_certificates,
     cost_table,
     coupling_from_dense,

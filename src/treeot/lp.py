@@ -37,9 +37,11 @@ Causal transport, the causal and anticausal barycenters and the
 multicausal oracle are one family of LPs, built and solved by
 :func:`treeot.multicausal.transport_lp`.  They carry only independent
 rows: their rows come from :func:`treeot.multicausal.causal_lp_rows`,
-which leaves out every causality row that the sibling probabilities or
-the marginal rows already imply.  Those rows have right-hand side 0, so
-their dual coefficient is 0 in every certificate built from such an LP.
+which never forms a causality row that the sibling probabilities or
+the marginal rows already imply, and refuses more than ``DENSE_BUDGET``
+causality entries before building them.  The rows left out have
+right-hand side 0, so their dual coefficient is 0 in every certificate
+built from such an LP.
 
 HiGHS is called directly through the binding scipy bundles
 (``scipy.optimize._highspy._core``, scipy >= 1.15) by :func:`linprog`,
@@ -85,7 +87,7 @@ PRICING_TOL = 1e-12     # a transport block prices optimal at min reduced cost
                         # >= -PRICING_TOL * (1 + max cost)
 GRID_TOL = 1e-9         # a state is on a cost grid within this per coordinate
 
-#: refuse dense cost tensors above this entry count
+#: refuse dense cost tensors, and causality rows, above this entry count
 DENSE_BUDGET = 10_000_000
 
 #: column cap of one block LP in :func:`multimarginal_ot_batch`; a batch

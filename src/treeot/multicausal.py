@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +70,6 @@ from .lp import (
     multimarginal_ot_batch,
 )
 from .trees import ScenarioTree, _frozen
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 TUPLE_BUDGET = 1_000_000
 
@@ -500,13 +497,13 @@ def verify_multicausal(
 
 
 def _causal_residuals(coupling: MulticausalCoupling, processes: Iterable[int]):
-    """:func:`causality_operator` ``(coupling.trees, processes)`` times the
-    coupling's weights, in factored form on its atoms: row (i, t, A_{-i},
-    b) is the mass at (A_{-i}, own node b) less p_b times the mass at
-    (A_{-i}, own node parent(b)).  Only rows the atoms reach are formed
-    (the others are 0), so memory follows the atoms.  Yields per process
-    and depth: i, t, the rows' raveled :func:`_coefficient_shape` keys and
-    their residuals."""
+    """Every causality row of ``processes`` (see :func:`causal_lp_rows`, the
+    rows it leaves out too) times the coupling's weights, in factored form
+    on its atoms: row (i, t, A_{-i}, b) is the mass at (A_{-i}, own node
+    b) less p_b times the mass at (A_{-i}, own node parent(b)).  Only rows
+    the atoms reach are formed (the others are 0), so memory follows the
+    atoms.  Yields per process and depth: i, t, the rows' raveled
+    :func:`_coefficient_shape` keys and their residuals."""
     trees = coupling.trees
     horizon = _check_family(trees)
     positive = coupling.weights > 0.0
@@ -531,7 +528,7 @@ def _sum_by(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return distinct, np.bincount(inverse, weights=weights, minlength=len(distinct))
 
 
-# -- the causality operator ---------------------------------------------------
+# -- the causality rows -------------------------------------------------------
 
 
 def _coefficient_shape(trees: Sequence[ScenarioTree], i: int, t: int) -> tuple[int, ...]:
@@ -566,61 +563,34 @@ def _block_indices(trees, i: int, t: int, tuples: np.ndarray):
     return others, own[:, t - 1], own[:, t]
 
 
-def causality_operator(
-    trees: Sequence[ScenarioTree],
-    processes: Iterable[int],
-) -> sp.csr_matrix:
-    """The indicator test functions of ``processes`` as a sparse matrix.
-
-    Row blocks follow ``processes``, then depth t = 1..T-1; block (i, t)
-    is laid out as :func:`_coefficient_shape` ``(trees, i, t)`` in C order,
-    so a block of duals reshapes into a :class:`DualCertificate`
-    coefficient array.  Row (i, t, A_{-i}, b) is +1 on tuples whose own
-    node at depth t+1 is b and -p_b on tuples whose own node at depth t is
-    parent(b), with the others at A_{-i} at depth t in both cases.
-    Columns are every leaf tuple in C order.  A measure pi on the leaf
-    tuples is causal for each named process iff  C @ pi = 0.  Every row is
-    kept; an LP takes :func:`causal_lp_rows`, and the checkers evaluate the
-    rows on a coupling's atoms (:func:`_causal_residuals`).
-    """
-    import scipy.sparse as sp
-
-    trees = tuple(trees)
-    rows, cols, vals, n_rows = _causality_entries(trees, tuple(processes))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, _leaf_tuple_count(trees)))
-
-
-def _causality_entries(trees, processes):
-    """(rows, columns, values, row count) of :func:`causality_operator`."""
-    horizon = _check_family(trees)
-    # every leaf tuple, one row each, in C order
-    tuples = np.indices([t.n_leaves for t in trees]).reshape(len(trees), -1).T
-    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-    n_rows = 0
-    for i in processes:
-        tree = trees[i]
-        for t in range(1, horizon):
-            others, node, child = _block_indices(trees, i, t, tuples)
-            col, b = _fan(tree.parents[t], node)
-            rows.append(n_rows + others[col] * tree.level_size(t + 1) + b)
-            cols.append(col)
-            vals.append((b == child[col]) - tree.probs[t][b])
-            n_rows += int(np.prod(_coefficient_shape(trees, i, t)))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n_rows
+def _kept_children(tree: ScenarioTree, t: int) -> np.ndarray:
+    """The nodes at depth t+1 that are not the last child of their parent
+    in level order, sorted."""
+    parents = tree.parents[t]
+    kept = np.ones(parents.size, dtype=bool)
+    kept[parents.size - 1 - np.unique(parents[::-1], return_index=True)[1]] = False
+    return np.flatnonzero(kept)
 
 
 def causal_lp_rows(
     trees: Sequence[ScenarioTree], processes: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The equality rows of a transport LP over every leaf tuple of
     ``trees`` (C order) whose plans are causal for ``processes``.
 
     Rows are the marginal rows of every tree (:func:`_marginal_pattern`,
-    right-hand side the leaf laws), then the rows of
-    :func:`causality_operator` that no other row implies (right-hand side
-    0).  Returns their (rows, columns, values) entries and ``kept``, the
-    index of each causality row in the full operator.  For process i at
-    depth t, row (A_{-i}, b) is dropped when
+    right-hand side the leaf laws), then the causality rows that no other
+    row implies (right-hand side 0).  Returns their (rows, columns,
+    values) entries and the row count.
+
+    The causality rows are the indicator test functions of ``processes``:
+    row (i, t, A_{-i}, b), for t = 1..T-1, is +1 on leaf tuples whose own
+    node at depth t+1 is b and -p_b on leaf tuples whose own node at depth
+    t is parent(b), with the others at A_{-i} at depth t in both cases.  A
+    measure on the leaf tuples is causal for each named process iff every
+    row vanishes on it.  Blocks follow ``processes``, then t; block (i, t)
+    is laid out as :func:`_coefficient_shape` ``(trees, i, t)`` in C order.
+    Row (A_{-i}, b) is left out, and never formed, when
 
     * b is the last child of its parent: the rows of one sibling group sum
       to the zero row, because the sibling probabilities sum to 1;
@@ -631,52 +601,57 @@ def causal_lp_rows(
     The kept causality rows are independent modulo the marginal rows.
     Every dropped row has right-hand side 0, so the LP duals of the kept
     rows extended by 0 (:func:`_coefficient_blocks`) are a dual solution
-    of the LP with every row, of the same value.
+    of the LP with every row, of the same value.  More than
+    ``lp.DENSE_BUDGET`` causality entries are refused before they are
+    built.
     """
     trees, processes = tuple(trees), tuple(processes)
     horizon = _check_family(trees)
     shape = tuple(t.n_leaves for t in trees)
-    rows, cols, vals, _ = _causality_entries(trees, processes)
-    keep = [np.zeros(0, dtype=bool)]
+    marginal_rows, marginal_cols = _marginal_pattern(shape)
+    rows, cols, vals = [marginal_rows], [marginal_cols], [np.ones(marginal_rows.size)]
+    n_rows, n_entries = sum(shape), 0
+    # every leaf tuple, one column each, in C order
+    tuples = np.indices(shape).reshape(len(trees), -1).T
     for i in processes:
         tree = trees[i]
         for t in range(1, horizon):
-            block_shape = _coefficient_shape(trees, i, t)
-            block = np.ones((int(np.prod(block_shape[:-1])), block_shape[-1]), dtype=bool)
-            block[-1] = False
-            order = np.argsort(tree.parents[t], kind="stable")
-            counts = np.bincount(tree.parents[t], minlength=tree.level_size(t))
-            block[:, order[np.cumsum(counts) - 1]] = False
-            keep.append(block.ravel())
-    keep = np.concatenate(keep)
-    number = sum(shape) + np.cumsum(keep) - 1
-    entry = keep[rows]
-    marginal_rows, marginal_cols = _marginal_pattern(shape)
-    return (np.concatenate([marginal_rows, number[rows[entry]]]),
-            np.concatenate([marginal_cols, cols[entry]]),
-            np.concatenate([np.ones(marginal_rows.size), vals[entry]]),
-            np.flatnonzero(keep))
+            kids = _kept_children(tree, t)
+            keys = tree.parents[t][kids]
+            others, node, child = _block_indices(trees, i, t, tuples)
+            n_others = int(np.prod(_coefficient_shape(trees, i, t)[:-1]))
+            col = np.flatnonzero(others < n_others - 1)
+            n_entries += int(np.bincount(keys, minlength=tree.level_size(t))[node[col]].sum())
+            if n_entries > lp_mod.DENSE_BUDGET:
+                raise BudgetExceededError(
+                    f"causality rows have {n_entries} entries > budget {lp_mod.DENSE_BUDGET}")
+            pos, j = _fan(keys, node[col])
+            col, b = col[pos], kids[j]
+            rows.append(n_rows + others[col] * kids.size + j)
+            cols.append(col)
+            vals.append((b == child[col]) - tree.probs[t][b])
+            n_rows += (n_others - 1) * kids.size
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n_rows
 
 
 def _coefficient_blocks(
-    trees: Sequence[ScenarioTree], processes: Iterable[int], kept: np.ndarray,
-    values: np.ndarray,
+    trees: Sequence[ScenarioTree], processes: Iterable[int], values: np.ndarray,
 ) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Scatter a vector over the ``kept`` rows of :func:`causality_operator`
-    (see :func:`causal_lp_rows`) into one array per named process and
-    depth, in the :class:`DualCertificate` layout, with 0 at every other
-    row."""
+    """Scatter a vector over the causality rows of :func:`causal_lp_rows`
+    into one array per named process and depth, in the
+    :class:`DualCertificate` layout, with 0 at every row left out."""
     trees = tuple(trees)
     horizon = _check_family(trees)
-    shapes = [[_coefficient_shape(trees, i, t) for t in range(1, horizon)] for i in processes]
-    full = np.zeros(sum(int(np.prod(shape)) for per in shapes for shape in per))
-    full[kept] = values
     out, ofs = [], 0
-    for per in shapes:
+    for i in processes:
         per_depth = []
-        for shape in per:
-            size = int(np.prod(shape))
-            per_depth.append(full[ofs:ofs + size].reshape(shape))
+        for t in range(1, horizon):
+            shape = _coefficient_shape(trees, i, t)
+            kids = _kept_children(trees[i], t)
+            block = np.zeros((int(np.prod(shape[:-1])), shape[-1]))
+            size = (len(block) - 1) * kids.size
+            block[:-1, kids] = values[ofs:ofs + size].reshape(len(block) - 1, kids.size)
+            per_depth.append(block.reshape(shape))
             ofs += size
         out.append(tuple(per_depth))
     return tuple(out)
@@ -733,7 +708,7 @@ def transport_lp(
     for trees in families:
         shape = tuple(t.n_leaves for t in trees)
         n_marginal, size = sum(shape), int(np.prod(shape))
-        block_rows, block_cols, block_vals, kept = causal_lp_rows(trees, processes)
+        block_rows, block_cols, block_vals, n_rows = causal_lp_rows(trees, processes)
         rows.append(row_ofs + block_rows)
         cols.append(col_ofs + block_cols)
         vals.append(block_vals)
@@ -743,9 +718,9 @@ def transport_lp(
             cols.append(np.arange(n_nu))
             vals.append(-np.ones(n_nu))
             laws[-1] = np.zeros(n_nu)
-        rhs += laws + [np.zeros(kept.size)]
-        layout.append((tuple(trees), shape, kept, row_ofs, col_ofs))
-        row_ofs += n_marginal + kept.size
+        rhs += laws + [np.zeros(n_rows - n_marginal)]
+        layout.append((tuple(trees), shape, row_ofs, n_rows, col_ofs))
+        row_ofs += n_rows
         col_ofs += size
     a_eq = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -765,7 +740,7 @@ def transport_lp(
             raise SolverFailureError(f"{what}: nu has mass {total!r}, not 1")
         nu = nu / total
     plans, certificates, dual_value = [], [], 0.0
-    for trees, shape, kept, r0, c0 in layout:
+    for trees, shape, r0, n_rows, c0 in layout:
         r1 = r0 + sum(shape)  # the family's causality rows start here
         plan = x[c0:c0 + int(np.prod(shape))].reshape(shape)
         if shared:
@@ -782,7 +757,7 @@ def transport_lp(
         potentials = np.split(y[r0:r1], np.cumsum(shape)[:-1])
         potentials[0] = potentials[0] + shift
         blocks = dict(zip(processes, _coefficient_blocks(
-            trees, processes, kept, -y[r1:r1 + kept.size])))
+            trees, processes, -y[r1:r0 + n_rows])))
         certificates.append(DualCertificate(
             potentials=tuple(potentials),
             coefficients=tuple(blocks.get(i, ()) for i in range(len(trees)))))

@@ -42,10 +42,11 @@ from treeot.matching import Equilibrium
 from treeot.multicausal import (
     DualCertificate,
     MulticausalCoupling,
-    causality_operator,
     coupling_from_dense,
 )
 from treeot.randomgen import random_tree
+
+from helpers import operator_by_tuple
 
 
 def quadratic() -> PowerCost:
@@ -274,7 +275,7 @@ def lp_best_response(instance, i, wage) -> float:
     own = rows < n_x  # the population's marginal rows
     a_eq = sp.vstack([
         sp.csr_matrix((np.ones(own.sum()), (rows[own], cols[own])), shape=(n_x, n_x * n_y)),
-        causality_operator((tree, tasks), (0,)),
+        operator_by_tuple((tree, tasks), (0,)),
     ])
     b_eq = np.concatenate([tree.leaf_law(), np.zeros(a_eq.shape[0] - n_x)])
     c = (cmat - shift).ravel()

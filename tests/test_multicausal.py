@@ -30,7 +30,6 @@ from treeot import (
     assemble_coupling,
     aw_distance,
     brute_force_mcot,
-    causality_operator,
     classical_ot,
     coupling_from_dense,
     coupling_from_id_atoms,
@@ -44,7 +43,13 @@ from treeot import (
 from treeot import costs as cm
 from treeot import lp as lp_mod
 from treeot import multicausal as mc
-from treeot.barycenters import PowerCost, causal_barycenter, causal_ot, causal_violation
+from treeot.barycenters import (
+    PowerCost,
+    causal_barycenter,
+    causal_ot,
+    causal_violation,
+    cubic_pair,
+)
 from treeot.cli import run
 from treeot.multicausal import (
     DualCertificate,
@@ -56,7 +61,7 @@ from treeot.multicausal import (
 from treeot.randomgen import random_multicausal_coupling, random_policy, random_tree
 from treeot.trees import ScenarioTree, chain_tree, dump_tree, tree_document
 
-from helpers import atom_ids
+from helpers import atom_ids, operator_by_tuple
 
 
 def product_policy(trees) -> KernelPolicy:
@@ -676,31 +681,7 @@ def test_causal_violation_agrees_with_verify_multicausal(seed):
         assert causal_violation(plan) == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
-# -- causality_operator ----------------------------------------------------------------
-
-
-def _operator_by_tuple(trees, processes, tuples):
-    """Dense causality rows built one leaf tuple and one key at a time: row
-    (i, t, A_{-i}, b) in the certificate layout, +1 at the own child,
-    -p_b at every child of the own node at t."""
-    horizon = trees[0].horizon
-    blocks = [(i, t) for i in processes for t in range(1, horizon)]
-    shapes = [
-        tuple(tr.level_size(t) for j, tr in enumerate(trees) if j != i)
-        + (trees[i].level_size(t + 1),)
-        for i, t in blocks
-    ]
-    offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
-    dense = np.zeros((offsets[-1], len(tuples)))
-    for col, idx in enumerate(tuples):
-        paths = [tr.ancestors[k].tolist() for tr, k in zip(trees, idx)]
-        for (i, t), shape, ofs in zip(blocks, shapes, offsets):
-            others = tuple(p[t - 1] for j, p in enumerate(paths) if j != i)
-            dense[ofs + np.ravel_multi_index(others + (paths[i][t],), shape), col] += 1.0
-            for b in trees[i].children(t, paths[i][t - 1]):
-                row = ofs + np.ravel_multi_index(others + (b,), shape)
-                dense[row, col] -= trees[i].probs[t][b]
-    return dense
+# -- the causality rows ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("case", ["pair-mixed", "triple", "single", "subset"])
@@ -714,19 +695,11 @@ def test_causality_operator_matches_per_tuple_rows(case):
         trees = [random_tree(rng, horizon=3, dim=1, min_branch=1, max_branch=3, prefix=p)
                  for p in "ab"]
     processes = (1,) if case == "subset" else tuple(range(len(trees)))
-    tuples = list(itertools.product(*(range(t.n_leaves) for t in trees)))
-    op = causality_operator(trees, processes)
-    if case == "subset":
-        columns = np.sort(rng.permutation(len(tuples))[: len(tuples) // 3])
-        tuples = [tuples[k] for k in columns]
-        op = op[:, columns]
-    np.testing.assert_array_equal(op.toarray(), _operator_by_tuple(trees, processes, tuples))
-    # a multicausal coupling is in the kernel of the full operator
-    if case != "subset":
-        pi = np.zeros([t.n_leaves for t in trees])
-        coupling = random_multicausal_coupling(rng, trees)
-        pi[tuple(coupling.tuples.T)] = coupling.weights
-        assert np.abs(op @ pi.ravel()).max() <= 1e-12
+    # a multicausal coupling is in the kernel of every causality row
+    pi = np.zeros([t.n_leaves for t in trees])
+    coupling = random_multicausal_coupling(rng, trees)
+    pi[tuple(coupling.tuples.T)] = coupling.weights
+    assert np.abs(operator_by_tuple(trees, processes) @ pi.ravel()).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -738,7 +711,7 @@ def test_factored_residuals_match_the_operator(seed):
     shape = [t.n_leaves for t in trees]
     dense = np.where(rng.random(shape) < 1 / 3, rng.random(shape), 0.0)
     processes = [(0,), tuple(range(len(trees)))][seed % 2]
-    op = causality_operator(trees, processes)
+    op = operator_by_tuple(trees, processes)
     blocks = [(i, t) for i in processes for t in range(1, trees[0].horizon)]
     sizes = [int(np.prod(mc._coefficient_shape(trees, i, t))) for i, t in blocks]
     offsets = dict(zip(blocks, np.cumsum([0] + sizes)))
@@ -770,12 +743,31 @@ def marginal_operator(shape):
 
 
 def dense_lp_rows(trees, processes):
-    """The rows of :func:`causal_lp_rows` as a dense matrix, and ``kept``."""
-    rows, cols, vals, kept = causal_lp_rows(trees, processes)
-    size = int(np.prod([t.n_leaves for t in trees]))
-    dense = np.zeros((sum(t.n_leaves for t in trees) + kept.size, size))
+    """The rows of :func:`causal_lp_rows` as a dense matrix."""
+    rows, cols, vals, n_rows = causal_lp_rows(trees, processes)
+    dense = np.zeros((n_rows, int(np.prod([t.n_leaves for t in trees]))))
     np.add.at(dense, (rows, cols), vals)
-    return dense, kept
+    return dense
+
+
+def documented_kept(trees, processes):
+    """The index among every causality row (:func:`operator_by_tuple`) of
+    each row an LP keeps by the documented rule: row (A_{-i}, b) of
+    process i at depth t, unless A_{-i} is the last raveled tuple of the
+    others' nodes or b is the last child of its parent in level order."""
+    kept, ofs = [], 0
+    for i in processes:
+        tree = trees[i]
+        for t in range(1, tree.horizon):
+            shape = mc._coefficient_shape(trees, i, t)
+            for key in np.ndindex(*shape):
+                b = key[-1]
+                last_child = b == tree.children(t, tree.parents[t][b])[-1]
+                last_others = key[:-1] == tuple(n - 1 for n in shape[:-1])
+                if not (last_child or last_others):
+                    kept.append(ofs + int(np.ravel_multi_index(key, shape)))
+            ofs += int(np.prod(shape))
+    return np.array(kept, dtype=np.intp)
 
 
 def full_row_value(c, a_eq, b_eq) -> float:
@@ -785,10 +777,11 @@ def full_row_value(c, a_eq, b_eq) -> float:
     return float(c @ x)
 
 
-def zero_at_dropped(coefficients, trees, processes, kept):
+def zero_at_dropped(coefficients, trees, processes):
     flat = np.concatenate([np.zeros(0)] + [np.ravel(c) for per in coefficients for c in per])
-    assert flat.size == causality_operator(trees, processes).shape[0]
-    dropped = np.setdiff1d(np.arange(flat.size), kept)
+    assert flat.size == sum(int(np.prod(mc._coefficient_shape(trees, i, t)))
+                            for i in processes for t in range(1, trees[0].horizon))
+    dropped = np.setdiff1d(np.arange(flat.size), documented_kept(trees, processes))
     assert np.all(flat[dropped] == 0.0)
 
 
@@ -799,8 +792,8 @@ def test_causal_lp_rows_keep_the_rank_of_every_row(seed):
     marginal = marginal_operator(shape).toarray()
     rank = np.linalg.matrix_rank
     for processes in dict.fromkeys([(0,), (0, 1), tuple(range(len(trees)))]):
-        full = causality_operator(trees, processes).toarray()
-        dense, kept = dense_lp_rows(trees, processes)
+        full = operator_by_tuple(trees, processes)
+        dense, kept = dense_lp_rows(trees, processes), documented_kept(trees, processes)
         np.testing.assert_array_equal(dense[:sum(shape)], marginal)
         np.testing.assert_array_equal(dense[sum(shape):], full[kept])
         assert rank(np.vstack([marginal, full])) == rank(dense) == rank(marginal) + kept.size
@@ -815,13 +808,12 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
 
     # the oracle: every process causal
     table = cost_table(trees, cm.lp_sum(2.0))
-    full = causality_operator(trees, range(len(trees)))
+    full = sp.csr_matrix(operator_by_tuple(trees, range(len(trees))))
     value, coupling, cert = brute_force_mcot(trees, cm.lp_sum(2.0))
     b_eq = np.concatenate([t.leaf_law() for t in trees] + [np.zeros(full.shape[0])])
     assert value == pytest.approx(
         full_row_value(table, sp.vstack([marginal, full]), b_eq), abs=tol(value))
-    zero_at_dropped(cert.coefficients, trees, range(len(trees)),
-                    causal_lp_rows(trees, range(len(trees)))[3])
+    zero_at_dropped(cert.coefficients, trees, range(len(trees)))
     report = verify_certificate(coupling, table, cert)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= tol(value)
@@ -829,14 +821,14 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     # causal transport from the first tree to the second
     pair = trees[:2]
     table = cost_table(pair, PowerCost())
-    full = causality_operator(pair, (0,))
+    full = sp.csr_matrix(operator_by_tuple(pair, (0,)))
     value, plan, cert = causal_ot(*pair, PowerCost())
     b_eq = np.concatenate([t.leaf_law() for t in pair] + [np.zeros(full.shape[0])])
     assert value == pytest.approx(full_row_value(
         table, sp.vstack([marginal_operator(table.shape), full]), b_eq), abs=tol(value))
     assert causal_violation(plan) <= 1e-9
     assert cert.coefficients[1] == ()  # the second tree is not causal
-    zero_at_dropped(cert.coefficients[:1], pair, (0,), causal_lp_rows(pair, (0,))[3])
+    zero_at_dropped(cert.coefficients[:1], pair, (0,))
     report = verify_certificate(plan, table, cert)
     assert report["min_slack"] >= -1e-8
     assert report["gap"] <= tol(value)
@@ -848,7 +840,7 @@ def test_lps_on_independent_rows_match_the_lps_on_every_row(seed):
     blocks, b_eq = [], []
     for i, tree in enumerate(populations):
         n_x, n_y = tree.n_leaves, task.n_leaves
-        rows = sp.vstack([marginal_operator((n_x, n_y)), causality_operator((tree, task), (0,))])
+        rows = sp.vstack([marginal_operator((n_x, n_y)), operator_by_tuple((tree, task), (0,))])
         link = sp.csr_matrix((-np.ones(n_y), (n_x + np.arange(n_y), np.arange(n_y))),
                              shape=(rows.shape[0], n_y))
         blocks.append([link] + [rows if j == i else None for j in range(len(populations))])
@@ -875,10 +867,67 @@ def test_causal_violation_sees_a_row_the_lp_drops():
     # more mass on (b1, c2): only the row (A2, b1), which the LP drops as
     # implied by the marginals, sees it
     pi[0, 1] += 1e-3
-    dense, kept = dense_lp_rows((x, y), (0,))
-    assert kept.tolist() == [0]
+    dense = dense_lp_rows((x, y), (0,))
+    assert documented_kept((x, y), (0,)).tolist() == [0]
+    assert len(dense) == x.n_leaves + y.n_leaves + 1
     assert np.abs(dense[x.n_leaves + y.n_leaves:] @ pi.ravel()).max() <= 1e-16
     assert causal_violation(coupling_from_dense((x, y), pi)) == pytest.approx(0.7e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_causal_lp_rows_count_their_entries_against_the_dense_budget(monkeypatch, seed):
+    trees = row_family(seed)
+    processes = tuple(range(len(trees)))
+    size = int(np.prod([t.n_leaves for t in trees]))
+    rows, _, _, _ = causal_lp_rows(trees, processes)
+    built = rows.size - len(trees) * size  # every marginal row has one entry per column
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", built)
+    assert causal_lp_rows(trees, processes)[0].size == rows.size
+    if built:
+        monkeypatch.setattr(lp_mod, "DENSE_BUDGET", built - 1)
+        with pytest.raises(BudgetExceededError, match=f"causality rows have {built} entries"):
+            causal_lp_rows(trees, processes)
+
+
+def test_oversized_causality_rows_are_refused(monkeypatch, tmp_path, capsys):
+    rng = np.random.default_rng(4200)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=3, max_branch=3, prefix=p)
+             for p in "ab"]
+    # 9 cells per one-step block, 108 causality entries per process: the
+    # count adds up across blocks
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", 150)
+    with pytest.raises(BudgetExceededError, match="causality rows have 216 entries"):
+        brute_force_mcot(trees, cm.lp_sum(2.0))
+    causal_barycenter(trees[:1], trees[1], [PowerCost()])
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", 100)
+    with pytest.raises(BudgetExceededError, match="causality rows have 108 entries"):
+        causal_barycenter(trees[:1], trees[1], [PowerCost()])
+
+    paths = []
+    for name, tree in zip("ab", trees):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_tree(tree))
+    capsys.readouterr()
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", 150)
+    assert run(["mcot", *map(str, paths), "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "treeot: budget refused: causality rows have 216 entries > budget 150"]
+
+
+@pytest.mark.parametrize("pair", ["candidate", "identical"])
+def test_causal_lp_rows_memory_follows_the_kept_rows(pair):
+    # every causality row of either pair is dropped: the other tree has one
+    # node at depth 1; forming all rows would take 50,653,000 entries
+    tree, candidate = cubic_pair(370)
+    trees = (tree if pair == "candidate" else candidate, candidate)
+    tracemalloc.start()
+    try:
+        causal_lp_rows(trees, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
 
 
 # -- brute_force_mcot ------------------------------------------------------------------
