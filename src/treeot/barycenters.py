@@ -383,9 +383,7 @@ def _barycenter(trees, task_tree, costs, processes, tuple_budget, what) -> Baryc
         if processes:
             cond = [f]
             for t in range(tree.horizon - 1, 0, -1):
-                weights = tree.probs[t] * cond[0]
-                cond.insert(0, np.bincount(tree.parents[t], weights=weights,
-                                           minlength=tree.level_size(t)))
+                cond.insert(0, tree.expect(t, cond[0]))
             f = cond[0][tree.ancestors[:, 0]]
             coefficients = (tuple(c - cond[t] for t, c in enumerate(coefficients[0], start=1)),
                             ())

@@ -105,25 +105,30 @@ def _read_tree(path: str) -> ScenarioTree:
         return load_tree(fh.read())
 
 
-def _read_cost(spec: str, trees) -> costs_mod.Cost:
-    """The cost named by ``spec``; a ``tensor:FILE`` (``.npy`` or JSON)
+def _read_cost(spec: str) -> costs_mod.Cost:
+    """The cost named by ``spec``.  A ``tensor:FILE`` (``.npy`` or JSON)
     is the table itself and must have one axis per tree over that tree's
-    leaves."""
+    leaves; it is read, once, only when the solver asks for it, so a
+    budget refusal reads none of it."""
     kind, _, path = spec.partition(":")
     if kind != "tensor":
         with _reading("cost", spec):
             return costs_mod.parse_cost_spec(spec)
-    leaves = tuple(t.n_leaves for t in trees)
-    with _reading("cost tensor", path):
-        if path.endswith(".npy"):
-            # a memory map checks the header and the file size before any data is read
-            tensor = np.lib.format.open_memmap(path, mode="r")
-        else:
-            tensor = np.asarray(_read_json("cost tensor", path), dtype=float)
-        if tensor.shape != leaves:
-            raise ValidationError(f"cost tensor {path!r} has shape {tensor.shape}, "
-                                  f"expected the leaf counts {leaves}")
-        return tensor.astype(float, casting="same_kind")
+
+    def tensor_cost(trees):
+        leaves = tuple(t.n_leaves for t in trees)
+        with _reading("cost tensor", path):
+            if path.endswith(".npy"):
+                # a memory map checks the header and the file size before any data is read
+                tensor = np.lib.format.open_memmap(path, mode="r")
+            else:
+                tensor = np.asarray(_read_json("cost tensor", path), dtype=float)
+            if tensor.shape != leaves:
+                raise ValidationError(f"cost tensor {path!r} has shape {tensor.shape}, "
+                                      f"expected the leaf counts {leaves}")
+            # out of the memory map into memory; a JSON tensor is already a float array
+            return tensor.astype(float, casting="same_kind", copy=isinstance(tensor, np.memmap))
+    return tensor_cost
 
 
 def _parse_separable_cost(spec) -> bary.SeparableCost:
@@ -280,13 +285,13 @@ def _cmd_awdist(args) -> dict:
 
 def _cmd_mcot(args) -> dict:
     trees = [_read_tree(p) for p in args.trees]
-    cost = _read_cost(args.cost, trees)
-    res = mc.mc_dpp(trees, cost, tuple_budget=args.budget)
+    res = mc.mc_dpp(trees, _read_cost(args.cost), tuple_budget=args.budget)
     coupling = mc.assemble_coupling(res.policy)
     check = mc.check_certificates([coupling], [res.tables[-1]], [res.certificate])
     values = {"dpp_value": res.value, "duality_gap": check["duality_gap"]}
     if args.oracle:
-        lp_value, _, _ = mc.brute_force_mcot(trees, cost, tuple_budget=args.budget)
+        # on the DPP's cost table, so the cost is evaluated once
+        lp_value, _, _ = mc.brute_force_mcot(trees, res.tables[-1], tuple_budget=args.budget)
         values["oracle_value"] = lp_value
         values["dpp_oracle_gap"] = abs(res.value - lp_value)
     causality = mc.verify_multicausal(coupling)

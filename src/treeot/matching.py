@@ -113,12 +113,15 @@ def solve_matching(
     negated sum of the agents', so the market clears exactly.  Plans and
     nu come from the barycenter primal.
     """
+    # each cost reads the instance's table when the barycenter asks for it,
+    # after its budget check, and hands it over without a copy
+    costs = [lambda _, i=i: instance.cost_tables[i] for i in range(len(instance.populations))]
     solution = causal_barycenter(
-        instance.populations, instance.tasks, instance.cost_tables, tuple_budget=tuple_budget
+        instance.populations, instance.tasks, costs, tuple_budget=tuple_budget
     )
     values = tuple(
         plan.expectation(table - cert.potentials[1])
-        for plan, table, cert in zip(solution.plans, instance.cost_tables, solution.certificates)
+        for plan, table, cert in zip(solution.plans, solution.tables, solution.certificates)
     )
     return Equilibrium(instance=instance, nu=solution.nu, plans=solution.plans,
                        values=values, certificates=solution.certificates)
@@ -168,9 +171,7 @@ def best_response(
         first = np.where(ranked == value[:, parent], np.arange(order.size), order.size)
         choices.append(order[np.minimum.reduceat(first, starts, axis=1)])
         # rows: population nodes at depth t, moving by their own kernel
-        value_up = np.zeros((own[t].max() + 1, value.shape[1]))
-        np.add.at(value_up, own[t], tree.probs[t][:, None] * value)
-        value = value_up
+        value = tree.expect(t, value.T).T
 
     task = np.zeros(1, dtype=np.intp)   # the task node of each population node
     for t, choice in enumerate(reversed(choices)):

@@ -771,16 +771,6 @@ def transport_lp(
 # -- brute-force LP oracle and dual certificates ------------------------------
 
 
-def _centred(tree: ScenarioTree, t: int, coef: np.ndarray) -> np.ndarray:
-    """Each coefficient of depth ``t`` less the kernel mean over its
-    sibling group; the dense kernel is freed on return."""
-    parent = tree.parents[t]
-    kernel = np.zeros((parent.size, tree.level_size(t)))
-    kernel[np.arange(parent.size), parent] = tree.probs[t]
-    centred = (coef @ kernel)[..., parent]
-    return np.subtract(coef, centred, out=centred)
-
-
 @dataclass(frozen=True)
 class DualCertificate:
     """LP dual bundle for the multicausal problem.
@@ -809,7 +799,8 @@ class DualCertificate:
         rows = max(1, costs_mod._CHUNK * trees[0].n_leaves // out.size)
         for i, tree in enumerate(trees):
             for t, coef in enumerate(self.coefficients[i], start=1):
-                centred = _centred(tree, t, coef)
+                # each coefficient less its sibling group's kernel mean
+                centred = coef - tree.expect(t, coef)[..., tree.parents[t]]
                 index = ([tr.ancestors[:, t - 1] for j, tr in enumerate(trees) if j != i]
                          + [tree.ancestors[:, t]])
                 first = len(index) - 1 if i == 0 else 0  # the first tree's index

@@ -131,9 +131,8 @@ class ScenarioTree:
         sibling group, the roots included, sums to 1: added in level order
         in float arithmetic, or exactly where ``fractions[t]`` holds the
         whole group's probabilities."""
-        for t, (parents, probs) in enumerate(zip(self.parents, self.probs)):
-            n_above = len(self.ids[t - 1]) if t else 1
-            totals = np.bincount(parents, weights=probs, minlength=n_above)
+        for t, parents in enumerate(self.parents):
+            totals = self.expect(t, np.ones(parents.size))
             bad = np.abs(totals - 1.0) > PROB_TOL_LOCAL  # a childless node's total is 0
             exact = {}
             if fractions[t] is not None:
@@ -169,6 +168,18 @@ class ScenarioTree:
     def children(self, t: int, idx: int) -> np.ndarray:
         """Child indices (at depth t+1) of node ``idx`` at depth t, in level order."""
         return np.flatnonzero(self.parents[t] == idx)
+
+    def expect(self, t: int, values: np.ndarray) -> np.ndarray:
+        """E[values | depth t] along the last axis: for each node k at depth
+        t (the root at t = 0), the sum of p_b * values[..., b] over its
+        children b at depth t+1, added in level order.  One ``np.bincount``
+        over (leading index, parent); memory is linear in ``values``."""
+        values = np.asarray(values, dtype=float)
+        parents, n = self.parents[t], len(self.ids[t - 1]) if t else 1
+        lead = values.shape[:-1]
+        keys = np.arange(math.prod(lead))[:, None] * n + parents
+        return np.bincount(keys.ravel(), weights=(values * self.probs[t]).ravel(),
+                           minlength=keys.shape[0] * n).reshape(lead + (n,))
 
     def locate(self, node_id: str) -> tuple[int, int]:
         """Return (depth, index-within-level), depth 1-based."""

@@ -253,6 +253,40 @@ def test_barycenter_commands_build_each_cost_table_once(tmp_path, tree_files, mo
     assert len(calls) == populations
 
 
+def test_match_refuses_by_budget_before_any_cost_is_evaluated(monkeypatch, capsys):
+    real, calls = bary.SeparableCost.__call__, []
+
+    def counted(self, trees):
+        calls.append(None)
+        return real(self, trees)
+
+    monkeypatch.setattr(bary.SeparableCost, "__call__", counted)
+    capsys.readouterr()
+    assert run(["match", str(MARKET), "--budget", "5"]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "treeot: budget refused: causal barycenter: joint LP exceeds the tuple budget"]
+    assert calls == []
+
+
+def test_mcot_oracle_evaluates_the_cost_once(tmp_path, tree_files, monkeypatch):
+    _, _, p1, p2 = tree_files
+    parse, calls = cm.parse_cost_spec, []
+
+    def counting(spec):
+        cost = parse(spec)
+
+        def fn(trees):
+            calls.append(None)
+            return cost(trees)
+        return fn
+
+    monkeypatch.setattr(cm, "parse_cost_spec", counting)
+    code, out = _run_to_file(tmp_path, ["mcot", p1, p2, "--oracle"])
+    assert code == 0
+    assert json.loads(out.read_text())["values"]["dpp_oracle_gap"] <= 1e-8
+    assert len(calls) == 1
+
+
 def test_bary_c_gates_the_causality_of_its_plans(tmp_path, tree_files, monkeypatch, capsys):
     t1, t2, p1, p2 = tree_files
     code, out = _run_to_file(tmp_path, ["bary-c", p1, p2, "--tasks", p1])
@@ -1138,6 +1172,36 @@ def test_tensor_cost_must_have_the_leaf_counts_as_shape(tmp_path, capsys, shape,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert str(shape) in err[0] and "(4, 4)" in err[0]
+
+
+@pytest.mark.parametrize("suffix", [".npy", ".json"])
+def test_tensor_cost_is_read_once_and_never_past_the_budget(tmp_path, tree_files, capsys,
+                                                            monkeypatch, suffix):
+    t1, t2, p1, p2 = tree_files
+    n = t1.n_leaves * t2.n_leaves
+    tensor = tmp_path / f"tensor{suffix}"
+    if suffix == ".npy":
+        np.save(tensor, np.ones((t1.n_leaves, t2.n_leaves)))
+    else:
+        tensor.write_text(json.dumps(np.ones((t1.n_leaves, t2.n_leaves)).tolist()))
+    reads = []
+
+    def spied(read):
+        def fn(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+        return fn
+
+    monkeypatch.setattr(np.lib.format, "open_memmap", spied(np.lib.format.open_memmap))
+    monkeypatch.setattr(cli, "_read_json", spied(cli._read_json))
+    argv = ["mcot", p1, p2, "--cost", f"tensor:{tensor}", "--oracle"]
+    capsys.readouterr()
+    assert run([*argv, "--budget", str(n - 1)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"treeot: budget refused: mc_dpp: {n} leaf tuples exceed budget {n - 1}"]
+    assert reads == []
+    assert _run_to_file(tmp_path, argv)[0] == 0
+    assert len(reads) == 1
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

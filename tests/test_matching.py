@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from treeot import matching as matching_mod
 from treeot import (
+    BudgetExceededError,
     MatchingInstance,
     PowerCost,
     ScenarioTree,
@@ -231,6 +233,38 @@ def test_match_evaluates_each_cost_once_per_pair():
         res = solve(counting.agents, counting.tasks, counting.agent_costs)
         check_certificates(res.plans, res.tables, res.certificates)
         assert len(calls) == len(counting.agents)
+
+
+def test_match_refuses_by_budget_first_and_solves_on_the_instance_tables(monkeypatch):
+    instance = random_instance(2301)
+    calls = []
+
+    def counted(cost):
+        def fn(trees):
+            calls.append(None)
+            return cost(trees)
+        return fn
+
+    counting = MatchingInstance(
+        principal=instance.principal, utility=counted(quadratic()),
+        agents=instance.agents, agent_costs=[counted(quadratic())] * 2,
+        tasks=instance.tasks,
+    )
+    with pytest.raises(BudgetExceededError,
+                       match="^causal barycenter: joint LP exceeds the tuple budget$"):
+        solve_matching(counting, tuple_budget=1)
+    assert calls == []
+    solutions = []
+
+    def captured(*args, **kwargs):
+        solutions.append(causal_barycenter(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(matching_mod, "causal_barycenter", captured)
+    solve_matching(counting)
+    assert len(calls) == len(counting.populations)
+    assert all(np.shares_memory(a, b)
+               for a, b in zip(solutions[0].tables, counting.cost_tables, strict=True))
 
 
 def test_best_response_zero_wage_on_own_support_is_free():

@@ -1128,6 +1128,24 @@ def test_verify_certificate_memory_is_bounded_by_the_table():
     assert peak <= 1.25 * table.nbytes
 
 
+def test_check_certificates_memory_is_linear_in_a_wide_level():
+    # the wide tree's depth-1 coefficients have 40,000 entries below 200
+    # nodes: a dense (children x nodes) kernel of them would take 64 MB
+    wide = random_tree(np.random.default_rng(1332), horizon=2, min_branch=200, max_branch=200,
+                       prefix="w")
+    trees = [chain_tree([[0.0], [0.0]], "c"), wide]
+    res = mc_dpp(trees, cm.lp_sum(2.0))
+    coupling = assemble_coupling(res.policy)
+    tracemalloc.start()
+    try:
+        check = mc.check_certificates([coupling], [res.tables[-1]], [res.certificate])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+    assert check["min_dual_slack"] >= -lp_mod.CAUSALITY_TOL
+
+
 def _reordered_copy(tree, rng, shift, prefix):
     """``tree`` with every sibling group (the roots included) in a random
     order, fresh node ids, and every state at depth t moved by shift[t-1]."""

@@ -298,6 +298,25 @@ def test_random_tree_invariants(seed):
     assert float(tree.leaf_law().sum()) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_expect_is_the_per_node_sum_in_child_order(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, horizon=4, dim=1, min_branch=1, max_branch=4)
+    for t in range(tree.horizon):
+        n = tree.level_size(t) if t else 1
+        for lead in [(), (3,), (2, 3)]:
+            values = rng.normal(size=lead + (len(tree.ids[t]),))
+            expected = np.zeros(lead + (n,))
+            for k in range(n):
+                total = np.zeros(lead)
+                for b in tree.children(t, k).tolist():
+                    total = total + tree.probs[t][b] * values[..., b]
+                expected[..., k] = total
+            assert np.array_equal(tree.expect(t, values), expected)
+            # the best response hands over a transposed view
+            assert np.array_equal(tree.expect(t, np.asfortranarray(values)), expected)
+
+
 def test_level_size_is_defined_on_depths_one_to_horizon():
     tree = random_tree(np.random.default_rng(0), horizon=2, min_branch=2, max_branch=3)
     assert [tree.level_size(t) for t in (1, 2)] == [len(ids) for ids in tree.ids]
