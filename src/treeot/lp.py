@@ -7,14 +7,14 @@ barycenters, matching) reduces to equality-form linear programs
 
 solved here.  Every transport problem is first offered its north-west
 corner, the comonotone coupling of its marginals (:func:`_corner_blocks`),
-whose potentials follow by substitution; it is optimal for 1-D states
-in increasing order under a cost convex in their differences.
-Two-marginal problems of at most ``_SIMPLEX_CELLS`` cells whose corner
-fails go on to a batched exact transportation simplex from that corner
+whose potentials follow by substitution; it is optimal for 1-D states in
+increasing order under a cost convex in their differences.  Problems of
+at most ``_SIMPLEX_CELLS`` cells, of any N, whose corner fails go on to a
+batched exact transportation simplex from that corner
 (:func:`_transport_simplex`); every other LP, and any transport problem
 that neither certifies, goes to HiGHS dual simplex without presolve (on
-these LPs presolve only adds time).  The solver contract is the
-residual tolerances on returned solutions, not the algorithm:
+these LPs presolve only adds time).  The solver contract is the residual
+tolerances on returned solutions, not the algorithm:
 
 * primal feasibility  ||Ax - b||_inf <= 1e-9,
 * dual feasibility    min reduced cost >= -1e-9,
@@ -47,10 +47,9 @@ HiGHS is called directly through the binding scipy bundles
 (``scipy.optimize._highspy._core``, scipy >= 1.15) by :func:`linprog`,
 the one HiGHS entry point, which returns the raw outcome of one run
 (``status``, ``message``, ``x``, ``y``, ``nit``); scipy's ``linprog``
-wrapper is not used.
-scipy is imported only where a HiGHS LP is built or solved (importing
-``scipy.optimize`` costs more than a two-tree recursion), so the
-commands that never reach HiGHS never load it.
+wrapper is not used.  scipy is imported only where a HiGHS LP is built
+or solved (importing ``scipy.optimize`` costs more than a two-tree
+recursion), so the commands that never reach HiGHS never load it.
 
 Transport costs are normalised by subtracting their minimum before the
 solve and restoring it afterwards.  This makes the returned plan exactly
@@ -83,8 +82,8 @@ DUALITY_TOL = 1e-8      # |value - dual value| <= DUALITY_TOL * (1 + |value|)
 MARGINAL_TOL = 1e-9
 CAUSALITY_TOL = 1e-8
 OPTIMALITY_TOL = 1e-7   # absorbs two LP solves being compared
-PRICING_TOL = 1e-12     # a transport block prices optimal at min reduced cost
-                        # >= -PRICING_TOL * (1 + max cost)
+PRICING_TOL = 1e-12     # a transport block prices optimal at min reduced cost >=
+                        # -PRICING_TOL * (1 + max cost); a float cycle entry up to it is 0
 GRID_TOL = 1e-9         # a state is on a cost grid within this per coordinate
 
 #: refuse dense cost tensors, and causality rows, above this entry count
@@ -94,12 +93,12 @@ DENSE_BUDGET = 10_000_000
 #: with more columns is split over several LPs (bounds solver memory)
 _BATCH_COLUMNS = 1 << 16
 
-#: two-marginal blocks of at most this many cells go to the transportation
-#: simplex, larger ones to HiGHS (the measured crossover, see CHANGES.md)
+#: blocks of at most this many cells, of any N, go to the transportation simplex, larger
+#: ones to HiGHS: 10-block two-marginal batches gain up to it, lone blocks only to ~150
 _SIMPLEX_CELLS = 1600
 
-#: cost entries of one chunk of corner blocks, or basis-inverse entries of
-#: one chunk of simplex blocks (bounds their memory)
+#: cost entries, and for the simplex basis-inverse entries, of one chunk of
+#: blocks (bounds their memory)
 _CHUNK_ENTRIES = 1 << 22
 
 #: HiGHS option values of every solve: dual simplex, no presolve, silent
@@ -300,16 +299,15 @@ def multimarginal_ot_batch(groups):
     potentials)`` triple per group: values (B,), dense plans clipped at 0
     (B, n_1, ..., n_N) and one (B, n_i) potential array per marginal.
 
-    Every block is first offered its north-west corner
-    (:func:`_corner_blocks`), which is optimal for a block in state order
-    under a cost convex in the state differences.  Two-marginal blocks of
-    at most ``_SIMPLEX_CELLS`` cells that the corner fails go on to the
-    transportation simplex (:func:`_transport_simplex`) from the same
-    staircase.  All other blocks, and any simplex block that fails a
-    check, become the diagonal blocks of HiGHS LPs shared across groups,
-    split when their columns exceed ``_BATCH_COLUMNS``.  Every block
-    keeps the checks of a separate solve: its own cost shift, residuals
-    and duality gap, all run by :func:`_accept` on the plan it writes.
+    Every block is first offered its north-west corner (:func:`_corner_blocks`),
+    optimal for a block in state order under a cost convex in the state
+    differences.  Blocks of at most ``_SIMPLEX_CELLS`` cells, of any N, that
+    the corner fails go on to the transportation simplex
+    (:func:`_transport_simplex`) from the same staircase.  Larger blocks, and
+    any simplex block that fails a check, become the diagonal blocks of HiGHS
+    LPs shared across groups, split when their columns exceed
+    ``_BATCH_COLUMNS``.  Every block keeps the checks of a separate solve: its
+    own cost shift, residuals and duality gap, all run by :func:`_accept`.
     """
     prepared = [_prepared(marginals, costs) for marginals, costs in groups]
     results, pending = [], []
@@ -328,6 +326,8 @@ def multimarginal_ot_batch(groups):
 def _prepared(marginals, costs):
     """Validated weights, shifted costs and per-block shifts of one group."""
     weights = [np.asarray(w, dtype=float) for w in marginals]
+    if not weights:
+        raise ValidationError("a transport problem needs at least one marginal")
     costs = np.asarray(costs)
     shape = tuple(w.shape[-1] for w in weights)
     nb = len(costs)
@@ -436,29 +436,25 @@ def _highs_blocks(prepared, chunk, results) -> None:
 
 def _corner_blocks(weights, costs, shifts, results) -> np.ndarray:
     """Certify the north-west corner of each block (:func:`_staircase`) and
-    write those that pass every check of :func:`solve_lp` into
-    ``results``; two-marginal blocks of at most ``_SIMPLEX_CELLS`` cells
-    that fail go on to :func:`_simplex_blocks`.  Works in chunks of at
-    most ``_CHUNK_ENTRIES`` cost entries, or basis-inverse entries for
-    the simplex.  Returns which blocks passed.
-
-    A corner must pass the simplex's optimality test, min reduced cost
-    >= -``PRICING_TOL`` * (1 + max cost), before its plan, primal residual
-    and gap are built, so a failed corner costs one pricing pass.
+    write those that pass every check of :func:`solve_lp` into ``results``.
+    A corner is priced first (min reduced cost >= -``PRICING_TOL`` * (1 +
+    max cost)), so a failed one costs one pricing pass; failed blocks of at
+    most ``_SIMPLEX_CELLS`` cells go on to :func:`_transport_simplex` from
+    that pricing.  A chunk holds at most ``_CHUNK_ENTRIES`` cost entries and
+    as many basis-inverse entries.  Returns which blocks passed.
     """
     nb, shape = costs.shape[0], costs.shape[1:]
     size = int(np.prod(shape))
-    simplex = len(shape) == 2 and size <= _SIMPLEX_CELLS
-    step = max(1, _CHUNK_ENTRIES // ((sum(shape) - 1) ** 2 if simplex else size))
+    simplex = size <= _SIMPLEX_CELLS
+    # a basis inverse has a row per staircase cell and a column per atom
+    step = max(1, _CHUNK_ENTRIES // max(size, simplex * (sum(shape) - len(shape) + 1) * sum(shape)))
     passed = np.zeros(nb, dtype=bool)
     for k0 in range(0, nb, step):
         part = slice(k0, k0 + step)
         w, cost = [x[part] for x in weights], costs[part]
         cells, flows, order, phi = _staircase(w, cost)
-        reduced = cost.copy()
-        for lo, hi, view in _staircase_layout(shape)[2]:
-            reduced -= phi[:, lo:hi].reshape(view)
-        low = reduced.reshape(len(cost), -1).min(axis=1)
+        reduced = _reduced(cost, phi).reshape(len(cost), -1)
+        low = reduced.min(axis=1)
         tol = PRICING_TOL * (1.0 + cost.reshape(len(cost), -1).max(axis=1))
         priced = np.flatnonzero(low >= -tol)
         if priced.size:
@@ -469,12 +465,17 @@ def _corner_blocks(weights, costs, shifts, results) -> np.ndarray:
                          phi[priced], -low[priced], results)
             passed[k0 + priced[ok]] = True
             stats.corner_blocks += int(ok.sum())
-        if simplex:
-            rest = np.flatnonzero(~passed[part])
-            if rest.size:
-                passed[k0 + rest] = _simplex_blocks(
-                    k0 + rest, [x[rest] for x in w], cost[rest], shifts[part][rest],
-                    (cells[rest], flows[rest], order[rest], phi[rest]), results)
+        rest = np.flatnonzero(~passed[part]) if simplex else ()
+        if len(rest):
+            cost = cost[rest]
+            plan, phi, pivots, converged = _transport_simplex(
+                cost, cells[rest], flows[rest], order[rest], phi[rest], reduced[rest])
+            stats.transport_pivots += int(pivots.sum())
+            dual = -_reduced(cost, phi).reshape(rest.size, -1).min(axis=1)
+            ok = _accept(k0 + rest, converged, [x[rest] for x in w], cost, shifts[part][rest],
+                         plan, phi, dual, results)
+            passed[k0 + rest[ok]] = True
+            stats.transport_blocks += int(ok.sum())
     return passed
 
 
@@ -558,119 +559,118 @@ def _accept(blocks, optimal, weights, cost, shifts, plan, phi, dual, results):
 # -- the transportation simplex ------------------------------------------------
 
 
-def _simplex_blocks(blocks, weights, cost, shifts, corner, results) -> np.ndarray:
-    """Solve the two-marginal blocks ``blocks`` by :func:`_transport_simplex`
-    from their north-west ``corner`` (see :func:`_staircase`), and write
-    those that pass every check of :func:`solve_lp` into ``results``.
-    Returns which blocks passed."""
-    cells, flows, order, phi = corner
-    m = cost.shape[1]
-    plan, u, v, pivots, converged = _transport_simplex(
-        cost, cells, flows, order, np.delete(phi, m, axis=1))
-    stats.transport_pivots += int(pivots.sum())
-    reduced = cost - u[:, :, None] - v[:, None, :]
-    dual = -reduced.reshape(len(plan), -1).min(axis=1)
-    ok = _accept(blocks, converged, weights, cost, shifts, plan,
-                 np.concatenate([u, v], axis=1), dual, results)
-    stats.transport_blocks += int(ok.sum())
-    return ok
-
-
-def _transport_simplex(cost, cells, flows, order, duals):
+def _transport_simplex(cost, cells, flows, order, phi, reduced):
     """Dantzig's transportation simplex on B blocks of one shape in lock-step.
 
-    ``cost`` (B, m, n) are the costs.  Each block starts from its
-    north-west corner basis, given by :func:`_staircase` as its cells,
-    flows, breakpoint order and potentials ``duals`` (B, m+n-1), that
-    is (u, v[1:]) with v[0] = 0; ``cells`` and ``duals`` may be
-    overwritten.  It pivots in the cell of most negative reduced cost
-    c - u - v (the first in C order on ties) until none is below
-    -``PRICING_TOL`` * (1 + max cost) or it has made ``m * n + m + n``
-    pivots.  A basis is kept with its inverse over the row constraints and the
-    column constraints 2..n (column 1's potential is pinned to 0).
-    Transportation bases are totally unimodular and every pivot element
-    is 1, so the inverse stays in {-1, 0, 1}: it is stored as int8 and
-    updated exactly.  Flows move by the ratio-test step, so they stay
-    nonnegative; the returned potentials are recomputed from the final
-    basis.  Blocks leave the lock-step as they finish and their
-    arithmetic never mixes, so a block's result does not depend on its
-    batch.
+    Each block of ``cost`` (B, n_1, ..., n_N) starts from its north-west
+    corner: :func:`_staircase`'s cells, flows, breakpoint order and
+    potentials ``phi`` (B, sum(n_k)), priced as ``reduced`` (B, n_1 * ...
+    * n_N).  It pivots in the cell of most negative reduced cost (the
+    first in C order on ties) until none is below -``PRICING_TOL`` * (1 +
+    max cost) or it has made n_1 * ... * n_N + sum(n_k) pivots.  The
+    basis inverse has a column per atom, zero for the first atom of every
+    axis but the first (whose potential is pinned to 0), so a cell's
+    column in the basis is the sum of its N atoms' columns.  For N = 2 it
+    is int8 and exact (every pivot element is 1).  For N >= 3 it is float:
+    the leaving row is divided by its pivot element, cycle entries up to
+    ``PRICING_TOL`` are rounding noise, and a block left with no cell to
+    leave stops unconverged.  Blocks leave the lock-step as they finish and
+    their arithmetic never mixes: a block's result does not hang on its batch.
 
-    Returns the plans (B, m, n), the potentials u (B, m) and v (B, n)
-    with v[:, 0] = 0, the pivots made per block and whether each block
-    stopped at an optimal basis rather than at the pivot cap.
+    Returns the plans (B, n_1, ..., n_N), the final basis's potentials
+    (B, sum(n_k)), the pivots per block and whether each stopped optimal.
+    ``cells`` and ``phi`` may be overwritten.
     """
-    nb, m, n = cost.shape
-    cap = m * n + m + n
+    (nb, size), shape = reduced.shape, cost.shape[1:]
+    offsets, cap = np.cumsum((0,) + shape[:-1]).tolist(), size + sum(shape)
+    unimodular = len(shape) == 2    # every pivot element is 1
     # each breakpoint is a signed sum of marginal entries, so the rows of
     # the corner's inverse are differences of those sums' coefficient rows
     picks = np.concatenate([np.zeros((nb, 1), np.intp), order + 1,
-                            np.full((nb, 1), m + n - 1)], axis=1)
-    inverse = np.diff(_staircase_coefficients(m, n)[picks], axis=1)
+                            np.full((nb, 1), order.shape[1] + 1)], axis=1)
+    inverse = np.diff(_staircase_coefficients(shape)[picks], axis=1).astype(
+        np.int8 if unimodular else float, copy=False)
     basic_cost = cost.reshape(nb, -1)[np.arange(nb)[:, None], cells]
-    pivots = np.zeros(nb, dtype=np.intp)
-    converged = np.zeros(nb, dtype=bool)
-    plan, u_v = np.zeros((nb, m * n)), np.zeros((nb, m + n - 1))
+    pivots, converged = np.zeros(nb, dtype=np.intp), np.zeros(nb, dtype=bool)
+    plan, potentials = np.zeros((nb, size)), np.zeros((nb, sum(shape)))
     # the live blocks and their pivots made and optimality tolerances
     live, live_cost, made = np.arange(nb), cost, pivots.copy()
     tol = PRICING_TOL * (1.0 + cost.reshape(nb, -1).max(axis=1))
-    at = np.arange(nb)
+    at, stuck = np.arange(nb), None
     while True:
-        reduced = live_cost - duals[:, :m, None]
-        reduced[:, :, 1:] -= duals[:, None, m:]
-        reduced = reduced.reshape(live.size, -1)
         enter = reduced.argmin(axis=1)
         best = reduced[at, enter]
         optimal = best >= -tol
         stop = optimal | (made >= cap)
+        if stuck is not None:
+            stop, stuck = stop | stuck, None
         if stop.any():
             done = live[stop]
             converged[done], pivots[done] = optimal[stop], made[stop]
             plan[done[:, None], cells[stop]] = np.maximum(flows[stop], 0.0)
-            u_v[done] = _basis_duals(basic_cost[stop], inverse[stop])
-            keep = ~stop
-            if not keep.any():
+            # the potentials of the basis: its basic costs times its inverse
+            potentials[done] = (basic_cost[stop][:, :, None] * inverse[stop]).sum(axis=1)
+            if stop.all():
                 break
-            live, live_cost, made, tol, enter, duals, best = (
-                live[keep], live_cost[keep], made[keep], tol[keep], enter[keep], duals[keep],
-                best[keep])
+            keep = ~stop
+            live, live_cost, made, tol, enter, best, phi, reduced = (
+                x[keep] for x in (live, live_cost, made, tol, enter, best, phi, reduced))
             cells, flows, inverse, basic_cost = (
-                cells[keep], flows[keep], inverse[keep], basic_cost[keep])
+                x[keep] for x in (cells, flows, inverse, basic_cost))
             at = at[:live.size]
-        i, j = np.divmod(enter, n)
-        # the entering column's representation in the basis: its cycle
-        # (column 1 has no row in the basis, hence no term for j = 0)
-        direction = inverse[at, :, i] + inverse[at, :, m + j - 1] * (j > 0)[:, None]
-        step = np.where(direction > 0, flows, np.inf)
+        # the entering cell's representation in the basis: its cycle
+        atoms = np.unravel_index(enter, shape)
+        direction = inverse[at, :, atoms[0]]
+        for ofs, i in zip(offsets[1:], atoms[1:]):
+            direction += inverse[at, :, ofs + i]
+        if unimodular:    # each entry > 0 is 1; np.where is the faster call
+            step = np.where(direction > 0, flows, np.inf)
+        else:
+            step = np.divide(flows, direction, out=np.full(flows.shape, np.inf),
+                             where=direction > PRICING_TOL)
         leave = step.argmin(axis=1)
         theta = step[at, leave]
+        row = inverse[at, leave]
+        if not unimodular:
+            stuck = theta == np.inf    # a drifted float inverse: stop it, unpivoted
+            if stuck.any():
+                continue
+            stuck = None
+            row = row / direction[at, leave][:, None]
         flows = flows - theta[:, None] * direction
         flows[at, leave] = theta
-        row = inverse[at, leave]
-        duals += best[:, None] * row
+        phi += best[:, None] * row
         inverse -= direction[:, :, None] * row[:, None, :]
         inverse[at, leave] = row
         cells[at, leave] = enter
-        basic_cost[at, leave] = live_cost[at, i, j]
+        basic_cost[at, leave] = live_cost[(at,) + atoms]
         made += 1
-    v = np.concatenate([np.zeros((nb, 1)), u_v[:, m:]], axis=1)
-    return plan.reshape(nb, m, n), u_v[:, :m], v, pivots, converged
+        reduced = _reduced(live_cost, phi).reshape(live.size, -1)
+    return plan.reshape(cost.shape), potentials, pivots, converged
 
 
-def _basis_duals(basic_cost, inverse) -> np.ndarray:
-    """The potentials of a basis, (u, v[1:]) per block: its basic costs
-    times its inverse."""
-    return (basic_cost[:, :, None] * inverse).sum(axis=1)
+def _reduced(cost, phi) -> np.ndarray:
+    """The reduced costs c - sum_k phi_k of ``cost`` (B, n_1, ..., n_N)
+    under the potentials ``phi`` (B, sum(n_k)) concatenated over the axes."""
+    (lo, hi, view), *rest = _staircase_layout(cost.shape[1:])[2]
+    reduced = cost - phi[:, lo:hi].reshape(view)
+    for lo, hi, view in rest:
+        reduced -= phi[:, lo:hi].reshape(view)
+    return reduced
 
 
 @functools.lru_cache(maxsize=256)
-def _staircase_coefficients(m: int, n: int) -> np.ndarray:
-    """Coefficient rows over (a, b[1:]) of the breakpoints of an m x n
-    staircase: 0, each row end, each column end (sum(a) less the b after
-    it) and the total sum(a); read-only."""
-    coef = np.zeros((m + n, m + n - 1), dtype=np.int8)
-    coef[1:m, :m] = np.tri(m - 1, m, k=0, dtype=np.int8)
-    coef[m:, :m] = 1
-    coef[m:m + n - 1, m:] = -np.tri(n - 1, n - 1, k=0, dtype=np.int8).T
+def _staircase_coefficients(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only int8 coefficient rows, over the weights concatenated over
+    the axes, of the breakpoints of a staircase over ``shape`` in the order
+    of :func:`_staircase`: 0, the interior partial sums of axis 0, those of
+    each later axis (the total less the weights after them; the first atom
+    of every axis but the first has a zero column) and the total."""
+    bounds = np.cumsum((0,) + shape)
+    coef = np.zeros((bounds[-1] - len(shape) + 2, bounds[-1]), dtype=np.int8)
+    coef[1:shape[0], :shape[0]] = np.tri(shape[0] - 1, shape[0], dtype=np.int8)
+    coef[shape[0]:, :shape[0]] = 1
+    for k, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:]), start=1):
+        coef[lo - k + 1:hi - k, lo + 1:hi] = -np.tri(hi - lo - 1, dtype=np.int8).T
     coef.flags.writeable = False
     return coef

@@ -41,7 +41,8 @@ def tree_files(tmp_path):
 def _random_cost(tmp_path, paths, seed=0):
     """A ``--cost`` spec of a random tensor over the leaf tuples of the
     tree files ``paths``: the north-west corners of its one-step blocks
-    are not optimal, so three or more trees take HiGHS LPs."""
+    are not optimal, so they go on to the transportation simplex, or to
+    HiGHS LPs with ``lp._SIMPLEX_CELLS`` at 0."""
     shape = tuple(load_tree(Path(p).read_text()).n_leaves for p in paths)
     path = tmp_path / "cost.npy"
     np.save(path, np.random.default_rng(seed).random(shape))
@@ -1002,6 +1003,8 @@ def test_non_finite_lp_result_exits_4_with_one_line(tmp_path, tree_files, monkey
         "bary-anticausal": ["bary-anticausal", p1, p2, "--tasks", p2],
         "counterexample": ["counterexample", "--n", "4"],
     }[command]
+    if command == "mcot3":  # the blocks the corner fails go to HiGHS, not the simplex
+        monkeypatch.setattr(lp, "_SIMPLEX_CELLS", 0)
     real = lp.linprog
 
     def linprog(*args, **kwargs):
@@ -1048,6 +1051,8 @@ def test_no_command_calls_scipys_linprog_wrapper(tmp_path, tree_files, monkeypat
         raise AssertionError("scipy.optimize.linprog was called")
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    # the three-tree blocks the corner fails go to HiGHS, not the simplex
+    monkeypatch.setattr(lp, "_SIMPLEX_CELLS", 0)
     _, _, p1, p2 = tree_files
     third = tmp_path / "c.json"
     third.write_text(dump_tree(random_tree(np.random.default_rng(5), horizon=2, dim=1,

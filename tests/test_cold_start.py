@@ -1,10 +1,11 @@
 """Cold start: scipy is loaded only by the commands that build a HiGHS LP.
 
 Each case runs in a fresh interpreter, because the test process itself
-has scipy loaded.  The two-tree recursion (``awdist``, two-tree ``mcot``
-and ``bary-bc``) and ``verify-coupling`` solve no HiGHS LP, so they must
-not pay for importing ``scipy.optimize`` and ``scipy.sparse``; ``match``
-solves one and must load them.
+has scipy loaded.  The recursion (``awdist``, and ``mcot`` and
+``bary-bc`` on two or three trees), whose one-step blocks the corner or
+the transportation simplex certifies, and ``verify-coupling`` solve no
+HiGHS LP, so they must not pay for importing ``scipy.optimize`` and
+``scipy.sparse``; ``match`` solves one and must load them.
 """
 from __future__ import annotations
 
@@ -53,7 +54,11 @@ def files(tmp_path):
     rng = np.random.default_rng(11)
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=3, prefix=p) for p in "aby"]
     paths = {}
-    for name, tree in zip("aby", trees):
+    # three trees whose 2 x 2 x 2 root block the corner fails, under
+    # mcot's and bary-bc's costs: it goes on to the transportation simplex
+    family = np.random.default_rng(0)
+    trees += [random_tree(family, horizon=2, min_branch=2, max_branch=2, prefix=p) for p in "pqr"]
+    for name, tree in zip("abypqr", trees):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(dump_tree(tree))
     coupling = random_multicausal_coupling(rng, trees[:2])
@@ -74,17 +79,21 @@ def test_import_loads_no_scipy(tmp_path):
     assert probe([], tmp_path) == [0, []]
 
 
-@pytest.mark.parametrize("command", ["awdist", "mcot", "bary-bc", "verify-coupling"])
+@pytest.mark.parametrize("command", ["awdist", "mcot", "bary-bc", "verify-coupling",
+                                     "mcot3", "bary-bc3"])
 def test_commands_without_an_lp_load_no_scipy(tmp_path, files, command):
     a, b = files["a"], files["b"]
+    three = [files[name] for name in "pqr"]
     argv = {
         "awdist": ["awdist", a, b],
         "mcot": ["mcot", a, b],
         "bary-bc": ["bary-bc", a, b],
         "verify-coupling": ["verify-coupling", files["coupling"], "--trees", a, b],
+        "mcot3": ["mcot", *three],
+        "bary-bc3": ["bary-bc", *three],
     }[command]
     assert probe([*argv, "--output", str(tmp_path / "out.json")], tmp_path) == [0, []]
-    assert json.loads((tmp_path / "out.json").read_text())["command"] == command
+    assert json.loads((tmp_path / "out.json").read_text())["command"] == argv[0]
 
 
 def test_match_loads_scipy(tmp_path, files):

@@ -11,6 +11,7 @@ Oracles used here:
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,10 @@ def test_marginal_pattern_matches_kron_operator(shape):
 def test_multimarginal_dimension_mismatch():
     with pytest.raises(ValidationError, match="shape"):
         multimarginal_ot([np.array([0.5, 0.5])], np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="at least one marginal"):
+        multimarginal_ot([], np.zeros(()))
+    with pytest.raises(ValidationError, match="at least one marginal"):
+        multimarginal_ot_batch([([], np.zeros(2))])
 
 
 def test_classical_matches_multimarginal_on_random_instance():
@@ -281,19 +286,19 @@ def test_classical_ot_zero_on_common_support():
 # -- the transportation simplex ------------------------------------------------
 
 
-def transport_batch(rng, nb, m, n, kind):
-    """``nb`` two-marginal blocks of shape (m, n): random weights and costs,
-    or degenerate ones ("uniform": uniform marginals with integer costs;
-    "tied": random marginals with costs on a grid of step 1/2)."""
-    a = rng.random((nb, m)) + 0.2
-    b = rng.random((nb, n)) + 0.2
-    a, b = a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True)
+def transport_batch(rng, nb, shape, kind):
+    """``nb`` blocks of ``shape``, as their marginals and costs: random
+    weights and costs, or degenerate ones ("uniform": uniform marginals
+    with integer costs; "tied": random marginals with costs on a grid of
+    step 1/2)."""
+    weights = [rng.random((nb, n)) + 0.2 for n in shape]
+    weights = [w / w.sum(axis=1, keepdims=True) for w in weights]
     if kind == "uniform":
-        a, b = np.full((nb, m), 1 / m), np.full((nb, n), 1 / n)
-        return a, b, rng.integers(0, 4, size=(nb, m, n)).astype(float)
+        weights = [np.full((nb, n), 1 / n) for n in shape]
+        return weights, rng.integers(0, 4, size=(nb,) + shape).astype(float)
     if kind == "tied":
-        return a, b, np.round(2 * rng.random((nb, m, n))) / 2
-    return a, b, 10 * rng.normal(size=(nb, m, n))
+        return weights, np.round(2 * rng.random((nb,) + shape)) / 2
+    return weights, 10 * rng.normal(size=(nb,) + shape)
 
 
 def highs_batch(monkeypatch, weights, cost):
@@ -326,63 +331,107 @@ def assert_certified(weights, cost, values, plans, potentials):
 
 
 @pytest.mark.parametrize("kind", ["random", "uniform", "tied"])
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 3), (4, 4), (7, 5), (10, 10)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 3), (4, 4), (7, 5), (10, 10),
+                                   (2, 2, 2), (3, 1, 4), (4, 4, 4), (6, 6, 6), (2, 3, 2, 2),
+                                   (2, 2, 2, 2, 2)])
 def test_transport_simplex_matches_highs(monkeypatch, kind, shape):
     rng = np.random.default_rng(sum(shape) + 100 * len(kind))
-    a, b, cost = transport_batch(rng, 40, *shape, kind)
+    weights, cost = transport_batch(rng, 40, shape, kind)
     lp_mod.stats.reset()
-    [(values, plans, potentials)] = multimarginal_ot_batch([([a, b], cost)])
+    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
     assert lp_mod.stats.solves == 0
-    assert (lp_mod.stats.transport_pivots > 0) == (min(shape) > 1)
-    assert_certified([a, b], cost, values, plans, potentials)
-    reference, reference_plans, _ = highs_batch(monkeypatch, [a, b], cost)
+    assert (lp_mod.stats.transport_pivots > 0) == (sorted(shape)[-2] > 1)
+    assert_certified(weights, cost, values, plans, potentials)
+    reference, reference_plans, _ = highs_batch(monkeypatch, weights, cost)
     assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
     if kind == "random":  # the optimum is unique: so is the support
         assert np.array_equal(plans > 0, reference_plans > 0)
 
 
-def test_transport_simplex_block_is_the_same_alone_and_in_a_batch():
-    rng = np.random.default_rng(5)
-    a, b, cost = transport_batch(rng, 30, 6, 5, "tied")
-    [(values, plans, (u, v))] = multimarginal_ot_batch([([a, b], cost)])
-    for k in (0, 11, 29):
-        [(one, one_plan, (one_u, one_v))] = multimarginal_ot_batch(
-            [([a[k:k + 1], b[k:k + 1]], cost[k:k + 1])])
-        assert one[0] == values[k]
-        assert np.array_equal(one_plan[0], plans[k])
-        assert np.array_equal(one_u[0], u[k]) and np.array_equal(one_v[0], v[k])
-        alone = multimarginal_ot([a[k], b[k]], cost[k])
-        assert alone.value == values[k] and np.array_equal(alone.plan, plans[k])
+def test_transport_simplex_block_is_the_same_alone_and_in_a_batch(monkeypatch):
+    # and across chunks, for any number of marginals
+    for shape in [(6, 5), (3, 3, 3), (3, 1, 4), (2, 3, 2, 2), (2, 2, 2, 2, 2)]:
+        weights, cost = transport_batch(np.random.default_rng(5), 30, shape, "tied")
+        lp_mod.stats.reset()
+        [whole] = multimarginal_ot_batch([(weights, cost)])
+        assert lp_mod.stats.transport_blocks > 0 and lp_mod.stats.solves == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_mod, "_CHUNK_ENTRIES", 1)   # one block per chunk
+            [chunked] = multimarginal_ot_batch([(weights, cost)])
+        for k in (0, 11, 29):
+            [one] = multimarginal_ot_batch([([w[k:k + 1] for w in weights], cost[k:k + 1])])
+            for values, plans, potentials, at in ((*one, 0), (*chunked, k)):
+                assert values[at] == whole[0][k]
+                assert np.array_equal(plans[at], whole[1][k])
+                assert all(np.array_equal(p[at], q[k]) for p, q in zip(potentials, whole[2]))
+            alone = multimarginal_ot([w[k] for w in weights], cost[k])
+            assert alone.value == whole[0][k] and np.array_equal(alone.plan, whole[1][k])
 
 
-@pytest.mark.parametrize("fault", ["plan", "potential", "pivot cap"])
-def test_failed_simplex_block_is_solved_again_by_highs(monkeypatch, fault):
+@pytest.mark.parametrize("fault, shape", [
+    *(pytest.param(fault, (4, 5), id=fault) for fault in ("plan", "potential", "pivot cap")),
+    *(pytest.param(fault, (3, 3, 3), id=f"{fault}, N=3")
+      for fault in ("plan", "potential", "pivot cap")),
+])
+def test_failed_simplex_block_is_solved_again_by_highs(monkeypatch, fault, shape):
     rng = np.random.default_rng(8)
-    a, b, cost = transport_batch(rng, 12, 4, 5, "random")
-    [(values, plans, _)] = multimarginal_ot_batch([([a, b], cost)])
-    reference, _, _ = highs_batch(monkeypatch, [a[3:4], b[3:4]], cost[3:4])
+    weights, cost = transport_batch(rng, 12, shape, "random")
+    [(values, plans, _)] = multimarginal_ot_batch([(weights, cost)])
+    reference, _, _ = highs_batch(monkeypatch, [w[3:4] for w in weights], cost[3:4])
     real = lp_mod._transport_simplex
 
     def corrupted(*args):
-        plan, u, v, pivots, converged = real(*args)
+        plan, phi, pivots, converged = real(*args)
         if fault == "plan":
             plan[3] *= 1.001          # off the marginals
         elif fault == "potential":
-            u[3, 0] += 1e-3           # above a basic cell's cost
+            phi[3, 0] += 1e-3         # above a basic cell's cost
         else:
             converged[3] = False      # stopped at the pivot cap
-        return plan, u, v, pivots, converged
+        return plan, phi, pivots, converged
 
     monkeypatch.setattr(lp_mod, "_transport_simplex", corrupted)
     lp_mod.stats.reset()
-    [(again, again_plans, potentials)] = multimarginal_ot_batch([([a, b], cost)])
+    [(again, again_plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
     assert lp_mod.stats.solves == 1
     assert again[3] == reference[0]  # the HiGHS LP of block 3 alone
     assert abs(again[3] - values[3]) <= 1e-8 * (1 + abs(values[3]))
     keep = np.arange(12) != 3
     assert np.array_equal(again[keep], values[keep])
     assert np.array_equal(again_plans[keep], plans[keep])
-    assert_certified([a, b], cost, again, again_plans, potentials)
+    assert_certified(weights, cost, again, again_plans, potentials)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 2, 2)])
+def test_simplex_block_with_no_leaving_cell_stops_and_goes_to_highs(monkeypatch, shape):
+    # a zero float basis inverse (N >= 3; at N = 2 the int8 inverse is exact
+    # and some basic flow always falls): no entering cell has a basic cell
+    # whose flow falls, so every block stops unconverged at once, no step
+    weights, cost = transport_batch(np.random.default_rng(8), 12, shape, "random")
+    reference, _, _ = highs_batch(monkeypatch, weights, cost)
+    zero = np.zeros_like(lp_mod._staircase_coefficients(shape))
+    monkeypatch.setattr(lp_mod, "_staircase_coefficients", lambda _: zero)
+    lp_mod.stats.reset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+    assert (lp_mod.stats.transport_pivots, lp_mod.stats.transport_blocks) == (0, 0)
+    assert lp_mod.stats.solves == 1
+    assert_certified(weights, cost, values, plans, potentials)
+    assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (3, 4), (2, 1, 3), (3, 2, 4, 2)])
+def test_staircase_coefficients_give_the_breakpoints(shape):
+    # 0, the interior partial sums of each axis in turn, and the total
+    rng = np.random.default_rng(len(shape))
+    weights = [rng.integers(1, 5, size=n) for n in shape]
+    weights = [w * (np.lcm.reduce([v.sum() for v in weights]) // w.sum()) for w in weights]
+    coef = lp_mod._staircase_coefficients(shape)
+    ends = [np.cumsum(w)[:-1] for w in weights]
+    expected = np.concatenate([[0], *ends, [weights[0].sum()]])
+    assert np.array_equal(coef.astype(np.int64) @ np.concatenate(weights), expected)
+    assert not coef.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -436,7 +485,8 @@ def corner_batch(rng, nb, shape, kind):
 
 
 @pytest.mark.parametrize("kind", ["sorted", "tied", "uniform", "2-D", "random"])
-@pytest.mark.parametrize("shape", [(3, 4), (5, 5), (2, 3, 4), (3, 3, 3), (2, 3, 2, 2)])
+@pytest.mark.parametrize("shape", [(3, 4), (5, 5), (2, 3, 4), (3, 3, 3), (2, 3, 2, 2),
+                                   (3, 1, 4), (2, 2, 2, 2, 2)])
 def test_corner_matches_highs(monkeypatch, kind, shape):
     rng = np.random.default_rng(sum(shape) + 10 * len(shape) + 100 * len(kind))
     nb = 20
@@ -445,15 +495,21 @@ def test_corner_matches_highs(monkeypatch, kind, shape):
     [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
     assert_certified(weights, cost, values, plans, potentials)
     counts = (lp_mod.stats.corner_blocks, lp_mod.stats.transport_blocks, lp_mod.stats.solves)
+    reference, _, _ = highs_batch(monkeypatch, weights, cost)
+    assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
     if kind in ("sorted", "tied", "uniform"):
         assert counts == (nb, 0, 0)
         assert lp_mod.stats.transport_pivots == 0
-    elif len(shape) == 2:
-        # every block the corner fails is certified by the simplex
-        assert counts[0] < nb and counts[0] + counts[1] == nb and counts[2] == 0
-    else:
-        assert counts[0] < nb and counts[1] == 0 and counts[2] >= 1
-    reference, _, _ = highs_batch(monkeypatch, weights, cost)
+        return
+    # every block the corner fails is certified by the simplex, whatever its N
+    assert counts[0] < nb and counts[0] + counts[1] == nb and counts[2] == 0
+    # and, without the simplex, by the HiGHS block LP
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
+    lp_mod.stats.reset()
+    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+    assert_certified(weights, cost, values, plans, potentials)
+    assert lp_mod.stats.corner_blocks == counts[0]
+    assert lp_mod.stats.transport_blocks == 0 and lp_mod.stats.solves >= 1
     assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
 
 
@@ -551,20 +607,21 @@ def test_non_optimal_corner_falls_back_and_is_certified(monkeypatch, shape):
     # block 3's cost turned concave in x_i - x_j: its corner, the
     # comonotone coupling, is now the worst coupling, not the best
     cost[3] = cost[3].max() - cost[3]
-    lp_mod.stats.reset()
-    [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
-    assert lp_mod.stats.corner_blocks == 11
-    if len(shape) == 2:   # the transportation simplex, from the same corner
-        assert (lp_mod.stats.transport_blocks, lp_mod.stats.solves) == (1, 0)
-        assert lp_mod.stats.transport_pivots > 0
-    else:                 # the HiGHS block LP
-        assert (lp_mod.stats.transport_blocks, lp_mod.stats.solves) == (0, 1)
-    assert_certified(weights, cost, values, plans, potentials)
     reference, _, _ = highs_batch(monkeypatch, [w[3:4] for w in weights], cost[3:4])
-    assert abs(values[3] - reference[0]) <= 1e-8 * (1 + abs(reference[0]))
-    keep = np.arange(12) != 3
-    assert np.array_equal(values[keep], clean[keep])
-    assert np.array_equal(plans[keep], clean_plans[keep])
+    # the transportation simplex, from the same corner; without it
+    # (no block is small enough), the HiGHS block LP
+    for cells, counts in ((lp_mod._SIMPLEX_CELLS, (1, 0)), (0, (0, 1))):
+        monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", cells)
+        lp_mod.stats.reset()
+        [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
+        assert lp_mod.stats.corner_blocks == 11
+        assert (lp_mod.stats.transport_blocks, lp_mod.stats.solves) == counts
+        assert (lp_mod.stats.transport_pivots > 0) == (cells > 0)
+        assert_certified(weights, cost, values, plans, potentials)
+        assert abs(values[3] - reference[0]) <= 1e-8 * (1 + abs(reference[0]))
+        keep = np.arange(12) != 3
+        assert np.array_equal(values[keep], clean[keep])
+        assert np.array_equal(plans[keep], clean_plans[keep])
 
 
 # -- fixed-support barycenter ----------------------------------------------------

@@ -316,7 +316,9 @@ def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch)
 @pytest.mark.parametrize("columns", [1, 10])
 def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
     # three trees with 2-D states: their one-step blocks, bar those whose
-    # north-west corner is optimal, go to the HiGHS block LP
+    # north-west corner is optimal, go to the HiGHS block LP when the
+    # simplex takes none
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     rng = np.random.default_rng(31)
     trees = [random_tree(rng, horizon=3, dim=2, max_branch=3) for _ in range(3)]
     cost = cm.pairwise_power(2.0)
@@ -336,7 +338,7 @@ def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
-def test_dpp_solves_one_lp_per_depth(horizon):
+def test_dpp_solves_one_lp_per_depth(monkeypatch, horizon):
     rng = np.random.default_rng(40 + horizon)
     trees = [random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3)
              for _ in range(2)]
@@ -349,11 +351,16 @@ def test_dpp_solves_one_lp_per_depth(horizon):
     assert lp_mod.stats.corner_blocks > 0
     assert lp_mod.stats.corner_blocks + lp_mod.stats.transport_blocks == blocks
     # three trees with 2-D states, whose corners are not optimal: the
-    # blocks of every depth that the corner fails share one HiGHS LP
+    # transportation simplex certifies the blocks the corner fails
     trees = [random_tree(rng, horizon=horizon, dim=2, min_branch=2, max_branch=3)
              for _ in range(3)]
     lp_mod.stats.reset()
-    mc_dpp(trees, cm.pairwise_power(2.0))
+    value = mc_dpp(trees, cm.pairwise_power(2.0)).value
+    assert lp_mod.stats.solves == 0 and lp_mod.stats.transport_blocks > 0
+    # without the simplex, those of every depth share one HiGHS LP
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
+    lp_mod.stats.reset()
+    assert mc_dpp(trees, cm.pairwise_power(2.0)).value == pytest.approx(value, rel=1e-12)
     assert lp_mod.stats.solves == horizon
     assert lp_mod.stats.transport_pivots == 0
 
@@ -431,7 +438,9 @@ def test_level_order_leaves_values_and_pivots_bit_identical():
 
 def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
     # three trees with 2-D states: their one-step blocks, none optimal at
-    # its north-west corner, go to the HiGHS block LP
+    # its north-west corner, go to the HiGHS block LP when the simplex
+    # takes none
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     rng = np.random.default_rng(77)
     trees = [random_tree(rng, horizon=2, dim=2, min_branch=3, max_branch=4, prefix=p)
              for p in "abc"]
@@ -481,6 +490,7 @@ def test_highs_block_whose_clipped_plan_misses_its_marginals_is_refused(monkeypa
     # the three trees above; the first HiGHS solve moves 3e-9 around a 2x2
     # cycle of block 0 that starts at a zero cell: A x = b still holds and
     # the gaps pass, but the plan clipped at 0 misses its marginals by 3e-9
+    monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     rng = np.random.default_rng(77)
     trees = [random_tree(rng, horizon=2, dim=2, min_branch=3, max_branch=4, prefix=p)
              for p in "abc"]
