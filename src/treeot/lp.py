@@ -18,10 +18,12 @@ tolerances on returned solutions, not the algorithm:
 
 * primal feasibility  ||Ax - b||_inf <= 1e-9,
 * dual feasibility    min reduced cost >= -1e-9,
-* complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|), taken
-  per diagonal block when the LP stacks independent problems, and per
-  problem for the corner and the simplex.  One function, :func:`_accept`,
-  runs every block's checks, HiGHS blocks included, on the plan it writes.
+* complementary-slackness gap |c.x - b.y| <= 1e-8 * (1 + |c.x|).
+
+Each gap is a transport problem's own: the corner and the simplex
+certify one problem at a time, and HiGHS solves each as an LP of its
+own.  One function, :func:`_accept`, runs every problem's checks,
+HiGHS's included, on the plan it writes.
 
 HiGHS solves first with scaling off (``simplex_scale_strategy`` 0): on
 the benchmark's ``match`` LPs that took a fifth fewer iterations.  A
@@ -89,12 +91,8 @@ GRID_TOL = 1e-9         # a state is on a cost grid within this per coordinate
 #: refuse dense cost tensors, and causality rows, above this entry count
 DENSE_BUDGET = 10_000_000
 
-#: column cap of one block LP in :func:`multimarginal_ot_batch`; a batch
-#: with more columns is split over several LPs (bounds solver memory)
-_BATCH_COLUMNS = 1 << 16
-
 #: blocks of at most this many cells, of any N, go to the transportation simplex, larger
-#: ones to HiGHS: 10-block two-marginal batches gain up to it, lone blocks only to ~150
+#: ones to HiGHS: batches of 10 gain in the simplex up to ~4,000 cells, lone blocks to ~100
 _SIMPLEX_CELLS = 1600
 
 #: cost entries, and for the simplex basis-inverse entries, of one chunk of
@@ -177,25 +175,21 @@ def linprog(c, A_eq, b_eq, options):
                            nit=highs.getInfo().simplex_iteration_count)
 
 
-def solve_lp(c: np.ndarray, a_eq: sp.csr_matrix, b_eq: np.ndarray, what: str,
-             blocks=None) -> tuple[np.ndarray, np.ndarray]:
+def solve_lp(c: np.ndarray, a_eq: sp.csr_matrix, b_eq: np.ndarray,
+             what: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve  min c.x  s.t.  a_eq x = b_eq, x >= 0  (``a_eq`` a CSR
     matrix) and return the optimal x and row duals y.
 
-    ``blocks``, if given, lists the (row slice, column slice) of each
-    independent diagonal block of ``a_eq``; the duality gap is then
-    checked per block against that block's own value.  The first solve
-    runs with HiGHS's scaling off.  A solve that ends other than optimal,
-    or whose solution fails a residual check, is solved once more with
-    HiGHS's default scaling, and only that solve's outcome is final: its
-    (x, y), or the :class:`SolverFailureError` it ends in (an infeasible
-    or unbounded LP is named by ``what``).
+    The first solve runs with HiGHS's scaling off.  A solve that ends
+    other than optimal, or whose solution fails a residual check, is
+    solved once more with HiGHS's default scaling, and only that solve's
+    outcome is final: its (x, y), or the :class:`SolverFailureError` it
+    ends in (an infeasible or unbounded LP is named by ``what``).
     """
     if not np.all(np.isfinite(b_eq)):
         raise ValidationError("non-finite right-hand side")
     if not np.all(np.isfinite(c)):
         raise ValidationError("non-finite objective coefficients")
-    spans = blocks or ((slice(None), slice(None)),)
     for options in ({**_HIGHS_OPTIONS, "simplex_scale_strategy": 0}, _HIGHS_OPTIONS):
         res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, options=dict(options))
         stats.solves += 1
@@ -212,18 +206,12 @@ def solve_lp(c: np.ndarray, a_eq: sp.csr_matrix, b_eq: np.ndarray, what: str,
         primal = float(np.abs(a_eq @ x - b_eq).max(initial=0.0))
         reduced = c - a_eq.T @ y
         dual = float(np.maximum(0.0, -reduced.min())) if reduced.size else 0.0
-        values = [float(c[cols] @ x[cols]) for _, cols in spans]
-        gaps = [abs(v - float(b_eq[rows] @ y[rows])) for v, (rows, _) in zip(values, spans)]
-        bad = [k for k, (v, g) in enumerate(zip(values, gaps)) if not _gap_ok(g, v)]
-        if primal <= PRIMAL_TOL and dual <= DUAL_TOL and not bad:
+        value = float(c @ x)
+        gap = abs(value - float(b_eq @ y))
+        if primal <= PRIMAL_TOL and dual <= DUAL_TOL and _gap_ok(gap, value):
             return x, y
-        k = bad[0] if bad else int(np.argmax(gaps))
-        details = {"primal_residual": primal, "dual_residual": dual,
-                   "gap": gaps[k], "value": values[k]}
-        if blocks is not None:
-            details["block"] = k
-        failure = SolverFailureError("LP solution violates residual tolerances",
-                                     details=details)
+        failure = SolverFailureError("LP solution violates residual tolerances", details={
+            "primal_residual": primal, "dual_residual": dual, "gap": gap, "value": value})
     raise failure
 
 
@@ -304,22 +292,21 @@ def multimarginal_ot_batch(groups):
     differences.  Blocks of at most ``_SIMPLEX_CELLS`` cells, of any N, that
     the corner fails go on to the transportation simplex
     (:func:`_transport_simplex`) from the same staircase.  Larger blocks, and
-    any simplex block that fails a check, become the diagonal blocks of HiGHS
-    LPs shared across groups, split when their columns exceed
-    ``_BATCH_COLUMNS``.  Every block keeps the checks of a separate solve: its
-    own cost shift, residuals and duality gap, all run by :func:`_accept`.
+    any simplex block that fails a check, are solved by HiGHS, each as an LP
+    of its own (:func:`_highs_blocks`).  Every block keeps the checks of a
+    separate solve: its own cost shift, residuals and duality gap, all run
+    by :func:`_accept`.  No path mixes the arithmetic of two blocks, so each
+    block gets the same bits as :func:`multimarginal_ot` on it alone.
     """
     prepared = [_prepared(marginals, costs) for marginals, costs in groups]
-    results, pending = [], []
-    for g, (weights, costs, shifts) in enumerate(prepared):
+    results = []
+    for weights, costs, shifts in prepared:
         nb, shape = costs.shape[0], costs.shape[1:]
         results.append((np.empty(nb), np.empty(costs.shape),
                         tuple(np.empty((nb, n)) for n in shape)))
-        todo = np.flatnonzero(~_corner_blocks(weights, costs, shifts, results[g]))
+        todo = np.flatnonzero(~_corner_blocks(weights, costs, shifts, results[-1]))
         if todo.size:
-            pending.append((g, todo))
-    for chunk in _column_chunks(prepared, pending):
-        _highs_blocks(prepared, chunk, results)
+            _highs_blocks(weights, costs, shifts, todo, results[-1])
     return results
 
 
@@ -370,65 +357,33 @@ def _split_potentials(duals: np.ndarray, shape, shift) -> tuple[np.ndarray, ...]
     return tuple(out)
 
 
-# -- the HiGHS block LP --------------------------------------------------------
+# -- the HiGHS block LPs -------------------------------------------------------
 
 
-def _column_chunks(prepared, pending):
-    """Split the ``(group, block indices)`` pairs in ``pending`` into LPs of
-    at most ``_BATCH_COLUMNS`` columns each, at least one block per LP."""
-    chunks, columns = [[]], 0
-    for g, todo in pending:
-        size = prepared[g][1][0].size
-        while todo.size:
-            if columns and columns + size > _BATCH_COLUMNS:
-                chunks.append([])
-                columns = 0
-            take = max(1, (_BATCH_COLUMNS - columns) // size)
-            part, todo = todo[:take], todo[take:]
-            chunks[-1].append((g, part))
-            columns += part.size * size
-    return [chunk for chunk in chunks if chunk]
-
-
-def _highs_blocks(prepared, chunk, results) -> None:
-    """Solve the blocks of ``chunk`` as the diagonal blocks of one HiGHS LP
-    and write their plans, clipped at 0, through :func:`_accept`."""
+def _highs_blocks(weights, costs, shifts, todo, results) -> None:
+    """Solve each block ``todo`` of one group as its own HiGHS LP and write
+    its plan, clipped at 0, through :func:`_accept`.  Every block of a shape
+    shares the constraint matrix; a failure names its block."""
     import scipy.sparse as sp
 
-    rows, cols, costs, rhs, spans, parts = [], [], [], [], [], []
-    row_ofs = col_ofs = 0
-    for g, todo in chunk:
-        weights, cost, _ = prepared[g]
-        shape = cost.shape[1:]
-        n_rows, size = sum(shape), int(np.prod(shape))
-        pattern_rows, pattern_cols = _marginal_pattern(shape)
-        r0 = row_ofs + n_rows * np.arange(todo.size)
-        c0 = col_ofs + size * np.arange(todo.size)
-        rows.append((r0[:, None] + pattern_rows).ravel())
-        cols.append((c0[:, None] + pattern_cols).ravel())
-        costs.append(cost[todo].ravel())
-        rhs.append(np.concatenate([w[todo] for w in weights], axis=1).ravel())
-        spans += [(slice(r, r + n_rows), slice(c, c + size)) for r, c in zip(r0, c0)]
-        row_ofs += n_rows * todo.size
-        col_ofs += size * todo.size
-        parts.append((slice(r0[0], row_ofs), slice(c0[0], col_ofs)))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    x, y = solve_lp(
-        np.concatenate(costs),
-        sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(row_ofs, col_ofs)),
-        np.concatenate(rhs), "multimarginal transport", blocks=spans,
-    )
-    # solve_lp has bounded the dual residual of the whole LP
-    for (g, todo), (r, c) in zip(chunk, parts):
-        weights, cost, shifts = prepared[g]
-        cost = cost[todo]
-        plan = x[c].reshape(cost.shape)
-        ok = _accept(todo, True, [w[todo] for w in weights], cost, shifts[todo],
-                     np.where(plan > 0, plan, 0.0), y[r].reshape(todo.size, -1),
-                     np.zeros(todo.size), results[g])
-        if not ok.all():
+    shape = costs.shape[1:]
+    rows, cols = _marginal_pattern(shape)
+    a_eq = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(sum(shape), costs[0].size))
+    for k in todo.tolist():
+        one = slice(k, k + 1)
+        w = [weight[one] for weight in weights]
+        try:
+            x, y = solve_lp(costs[k].ravel(), a_eq, np.concatenate(w, axis=1)[0],
+                            "multimarginal transport")
+        except SolverFailureError as failure:
+            failure.details["block"] = k
+            raise
+        plan = x.reshape(costs[one].shape)
+        # solve_lp has bounded the block's dual residual
+        if not _accept(np.array([k]), True, w, costs[one], shifts[one],
+                       np.where(plan > 0, plan, 0.0), y[None], np.zeros(1), results)[0]:
             raise SolverFailureError("multimarginal block violates residual tolerances",
-                                     details={"block": int(todo[np.argmin(ok)])})
+                                     details={"block": k})
 
 
 # -- the north-west corner -----------------------------------------------------

@@ -5,8 +5,8 @@ Oracles used here:
       LPs (every basis of the constraint matrix is solved and checked),
       fully independent of the HiGHS path under test;
     - hand-solved instances frozen as literals;
-    - the HiGHS block LP for the transportation simplex, and residual
-      checks written here for both.
+    - HiGHS, one LP per block, for the transportation simplex and the
+      north-west corner, and residual checks written here for each.
 """
 from __future__ import annotations
 
@@ -302,7 +302,7 @@ def transport_batch(rng, nb, shape, kind):
 
 
 def highs_batch(monkeypatch, weights, cost):
-    """The batch solved by the HiGHS block LP alone: no corner is
+    """The batch solved by HiGHS alone, one LP per block: no corner is
     certified, and so no block reaches the transportation simplex."""
     with monkeypatch.context() as patch:
         patch.setattr(lp_mod, "_corner_blocks",
@@ -368,6 +368,28 @@ def test_transport_simplex_block_is_the_same_alone_and_in_a_batch(monkeypatch):
             assert alone.value == whole[0][k] and np.array_equal(alone.plan, whole[1][k])
 
 
+def test_highs_block_is_the_same_alone_and_in_a_batch(monkeypatch):
+    # HiGHS solves each block as an LP of its own: a block gets the same
+    # bits in a batch of several shapes as alone, without the simplex
+    # (every block the corner fails) and with it (the 45 x 45 blocks)
+    rng = np.random.default_rng(3)
+    groups = [transport_batch(rng, 12, (4, 4, 4), "random"),
+              transport_batch(rng, 12, (6, 5), "random"),
+              corner_batch(rng, 4, (45, 45), "2-D")]
+    for cells, highs in ((0, 28), (lp_mod._SIMPLEX_CELLS, 4)):
+        monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", cells)
+        lp_mod.stats.reset()
+        out = multimarginal_ot_batch(groups)
+        assert (lp_mod.stats.solves, lp_mod.stats.corner_blocks) == (highs, 0)
+        for (weights, cost), (values, plans, potentials) in zip(groups, out, strict=True):
+            for k in range(len(cost)):
+                alone = multimarginal_ot([w[k] for w in weights], cost[k])
+                assert alone.value == values[k]
+                assert np.array_equal(alone.plan, plans[k])
+                assert all(np.array_equal(p, q[k])
+                           for p, q in zip(alone.potentials, potentials, strict=True))
+
+
 @pytest.mark.parametrize("fault, shape", [
     *(pytest.param(fault, (4, 5), id=fault) for fault in ("plan", "potential", "pivot cap")),
     *(pytest.param(fault, (3, 3, 3), id=f"{fault}, N=3")
@@ -416,7 +438,7 @@ def test_simplex_block_with_no_leaving_cell_stops_and_goes_to_highs(monkeypatch,
         warnings.simplefilter("error")
         [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
     assert (lp_mod.stats.transport_pivots, lp_mod.stats.transport_blocks) == (0, 0)
-    assert lp_mod.stats.solves == 1
+    assert lp_mod.stats.solves == 12   # one HiGHS LP per block
     assert_certified(weights, cost, values, plans, potentials)
     assert np.all(np.abs(values - reference) <= 1e-8 * (1 + np.abs(reference)))
 
@@ -503,7 +525,7 @@ def test_corner_matches_highs(monkeypatch, kind, shape):
         return
     # every block the corner fails is certified by the simplex, whatever its N
     assert counts[0] < nb and counts[0] + counts[1] == nb and counts[2] == 0
-    # and, without the simplex, by the HiGHS block LP
+    # and, without the simplex, by HiGHS, one LP per block
     monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     lp_mod.stats.reset()
     [(values, plans, potentials)] = multimarginal_ot_batch([(weights, cost)])
@@ -609,7 +631,7 @@ def test_non_optimal_corner_falls_back_and_is_certified(monkeypatch, shape):
     cost[3] = cost[3].max() - cost[3]
     reference, _, _ = highs_batch(monkeypatch, [w[3:4] for w in weights], cost[3:4])
     # the transportation simplex, from the same corner; without it
-    # (no block is small enough), the HiGHS block LP
+    # (no block is small enough), HiGHS
     for cells, counts in ((lp_mod._SIMPLEX_CELLS, (1, 0)), (0, (0, 1))):
         monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", cells)
         lp_mod.stats.reset()

@@ -313,32 +313,29 @@ def test_block_lp_mixed_shapes_matches_brute_force(seed, n, horizon, max_branch)
     assert verify_multicausal(assemble_coupling(res.policy)).passed
 
 
-@pytest.mark.parametrize("columns", [1, 10])
-def test_chunked_depths_match_single_block_lp(monkeypatch, columns):
+@pytest.mark.parametrize("entries", [1, 10])
+def test_chunked_depths_match_single_block_lp(monkeypatch, entries):
     # three trees with 2-D states: their one-step blocks, bar those whose
-    # north-west corner is optimal, go to the HiGHS block LP when the
-    # simplex takes none
+    # north-west corner is optimal, go to HiGHS, one LP each, when the
+    # simplex takes none; a block gets the same bits in any chunk
     monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     rng = np.random.default_rng(31)
     trees = [random_tree(rng, horizon=3, dim=2, max_branch=3) for _ in range(3)]
     cost = cm.pairwise_power(2.0)
     whole = mc_dpp(trees, cost)
-    monkeypatch.setattr(lp_mod, "_BATCH_COLUMNS", columns)
+    monkeypatch.setattr(lp_mod, "_CHUNK_ENTRIES", entries)
     lp_mod.stats.reset()
     chunked = mc_dpp(trees, cost)
     assert lp_mod.stats.solves > trees[0].horizon
-    # HiGHS pivots differently on differently stacked blocks, so plans may
-    # differ in the last bit; supports must agree exactly
-    assert chunked.value == pytest.approx(whole.value, rel=1e-12, abs=1e-14)
+    assert chunked.value == whole.value
     for a, b in zip(whole.tables, chunked.tables, strict=True):
-        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(b, a)
     for w, other in zip(whole.policy.weights, chunked.policy.weights, strict=True):
-        assert np.array_equal(other > 0, w > 0)
-        np.testing.assert_allclose(other, w, rtol=0, atol=1e-14)
+        assert np.array_equal(other, w)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
-def test_dpp_solves_one_lp_per_depth(monkeypatch, horizon):
+def test_dpp_solves_one_lp_per_block_the_corner_rejects(monkeypatch, horizon):
     rng = np.random.default_rng(40 + horizon)
     trees = [random_tree(rng, horizon=horizon, dim=1, min_branch=2, max_branch=3)
              for _ in range(2)]
@@ -357,11 +354,12 @@ def test_dpp_solves_one_lp_per_depth(monkeypatch, horizon):
     lp_mod.stats.reset()
     value = mc_dpp(trees, cm.pairwise_power(2.0)).value
     assert lp_mod.stats.solves == 0 and lp_mod.stats.transport_blocks > 0
-    # without the simplex, those of every depth share one HiGHS LP
+    # without the simplex, each of them is a HiGHS LP of its own
     monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     lp_mod.stats.reset()
     assert mc_dpp(trees, cm.pairwise_power(2.0)).value == pytest.approx(value, rel=1e-12)
-    assert lp_mod.stats.solves == horizon
+    blocks = 1 + sum(np.prod([tree.level_size(t) for tree in trees]) for t in range(1, horizon))
+    assert lp_mod.stats.solves == blocks - lp_mod.stats.corner_blocks > 0
     assert lp_mod.stats.transport_pivots == 0
 
 
@@ -438,7 +436,7 @@ def test_level_order_leaves_values_and_pivots_bit_identical():
 
 def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsys):
     # three trees with 2-D states: their one-step blocks, none optimal at
-    # its north-west corner, go to the HiGHS block LP when the simplex
+    # its north-west corner, go to HiGHS, one LP each, when the simplex
     # takes none
     monkeypatch.setattr(lp_mod, "_SIMPLEX_CELLS", 0)
     rng = np.random.default_rng(77)
@@ -469,9 +467,10 @@ def test_block_gap_violation_raises_and_cli_exits_4(monkeypatch, tmp_path, capsy
     with pytest.raises(SolverFailureError) as exc:
         mc_dpp(trees, cm.pairwise_power(2.0))
     assert exc.value.details["block"] == 0
-    # a check over the whole LP would have passed; the failed unscaled
-    # solve is solved once more scaled, and that solve's failure is raised
-    assert seen == [(True, 0), (True, None)]
+    # the LP is block 0's own, so its gap check is the block's; the failed
+    # unscaled solve is solved once more scaled, and that solve's failure
+    # is raised
+    assert seen == [(False, 0), (False, None)]
 
     paths = []
     for name, tree in zip("abc", trees):
