@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import costs as costs_mod
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError, refuse_above
 from .lp import GRID_TOL, MARGINAL_TOL, check_duality_gap
 from .multicausal import (
     TUPLE_BUDGET,
@@ -317,15 +317,8 @@ def causal_ot(
     the same instance.  Returns the value, the plan and the LP's
     certificate (see :func:`treeot.multicausal.transport_lp`).
     """
-    if tree_x.horizon != tree_y.horizon:
-        raise ValidationError("horizon mismatch")
-    n_x, n_y = tree_x.n_leaves, tree_y.n_leaves
-    if n_x * n_y > tuple_budget:
-        raise BudgetExceededError(
-            f"causal_ot: {n_x * n_y} leaf pairs exceed budget {tuple_budget}"
-        )
-    pair = (tree_x, tree_y)
-    lp = transport_lp([pair], [cost_table(pair, cost)], (0,), False, "causal transport LP")
+    lp = transport_lp([(tree_x, tree_y)], [cost], (0,), False, "causal transport LP",
+                      tuple_budget)
     return lp.value, lp.plans[0], lp.certificates[0]
 
 
@@ -366,13 +359,8 @@ def _barycenter(trees, task_tree, costs, processes, tuple_budget, what) -> Baryc
         raise ValidationError("at least one process required")
     if len(trees) != len(costs):
         raise ValidationError("one cost per process required")
-    if any(t.horizon != task_tree.horizon for t in trees):
-        raise ValidationError("horizon mismatch with the task tree")
-    if sum(t.n_leaves * task_tree.n_leaves for t in trees) > tuple_budget:
-        raise BudgetExceededError(f"{what}: joint LP exceeds the tuple budget")
-    tables = tuple(cost_table((t, task_tree), c) for t, c in zip(trees, costs))
-    lp = transport_lp([(tree, task_tree) for tree in trees], tables, processes, True,
-                      f"{what} LP")
+    lp = transport_lp([(tree, task_tree) for tree in trees], costs, processes, True,
+                      f"{what} LP", tuple_budget)
 
     # project leaf potentials onto time-1 information; the conditional
     # expectations E[f | F_t] become y-independent martingale increments
@@ -407,7 +395,7 @@ def _barycenter(trees, task_tree, costs, processes, tuple_budget, what) -> Baryc
                       f"{what} duality gap exceeds tolerance",
                       {"value": lp.value, "dual_value": dual_value})
     return BarycenterSolution(
-        value=lp.value, nu=lp.nu, plans=lp.plans, certificates=certificates, tables=tables)
+        value=lp.value, nu=lp.nu, plans=lp.plans, certificates=certificates, tables=lp.tables)
 
 
 def causal_barycenter(
@@ -510,10 +498,8 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
     """
     if n_quant < 4:
         raise ValidationError("n_quant must be >= 4 for order-7 moment exactness")
-    if n_quant ** 2 > tuple_budget:  # refused before the n x n quadrature matrix exists
-        raise BudgetExceededError(
-            f"counterexample: {n_quant ** 2} leaf pairs exceed budget {tuple_budget}"
-        )
+    # refused before the n x n quadrature matrix exists
+    refuse_above(n_quant ** 2, tuple_budget, "counterexample", "leaf pairs")
     z, w = quantize_gauss_hermite(n_quant)
     m2 = float(w @ z**2)
     m6 = float(w @ z**6)
@@ -522,10 +508,8 @@ def counterexample_demo(n_quant: int, tuple_budget: int = TUPLE_BUDGET) -> Count
 
     # (a) product coupling, selector y_t = x^1_t + x^2_t, costs |.|^2 / 2,
     # on the grid of (x^1, x^2) pairs: x^1 on axis 0, x^2 on axis 1
-    x1 = np.stack([z, z ** 3], axis=-1)[:, None, :]
-    x2 = np.stack([np.zeros_like(z), z ** 3], axis=-1)[None, :, :]
-    y = x1 + x2
-    pair_cost = 0.5 * (costs_mod.power(x1 - y, 2) + costs_mod.power(x2 - y, 2)).sum(axis=-1)
+    pair_cost = cost_table((tree_1, tree_2), aggregate_cost([PowerCost(0.5)] * 2,
+                                                            lambda _t, xs: xs[0] + xs[1]))
     cost_a = float(np.sum(np.outer(w, w) * pair_cost))  # under the product coupling
 
     # (b) causal transport values with squared-norm cost against (0, Z^3)

@@ -21,9 +21,16 @@ class TreeFormatError(ValidationError):
 class BudgetExceededError(TreeOTError):
     """An enumeration or dense-tensor budget would be exceeded.
 
-    Raised *before* any work is attempted; the operation refuses rather
-    than silently subsampling.
+    Raised *before* any work is attempted, by :func:`refuse_above` only;
+    the operation refuses rather than silently subsampling.
     """
+
+
+def refuse_above(count: int, budget: int, what: str, unit: str) -> None:
+    """The one refusal rule: raise :class:`BudgetExceededError` when
+    ``count`` ``unit`` of ``what`` exceed ``budget``."""
+    if count > budget:
+        raise BudgetExceededError(f"{what}: {count} {unit} exceed budget {budget}")
 
 
 class SolverFailureError(TreeOTError):

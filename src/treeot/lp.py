@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetExceededError, SolverFailureError, ValidationError
+from .errors import SolverFailureError, ValidationError, refuse_above
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -88,7 +88,8 @@ PRICING_TOL = 1e-12     # a transport block prices optimal at min reduced cost >
                         # -PRICING_TOL * (1 + max cost); a float cycle entry up to it is 0
 GRID_TOL = 1e-9         # a state is on a cost grid within this per coordinate
 
-#: refuse dense cost tensors, and causality rows, above this entry count
+#: refuse a one-step block above this many cells, and an LP's causality rows
+#: above this many entries, whatever the tuple budget
 DENSE_BUDGET = 10_000_000
 
 #: blocks of at most this many cells, of any N, go to the transportation simplex, larger
@@ -321,10 +322,7 @@ def _prepared(marginals, costs):
     if any(w.ndim != 2 or w.shape[0] != nb for w in weights) or costs.shape[1:] != shape:
         raise ValidationError(f"cost tensor shape {costs.shape[1:]} does not match "
                               f"marginal sizes {shape}")
-    if int(np.prod(shape)) > DENSE_BUDGET:
-        raise BudgetExceededError(
-            f"dense cost tensor has {int(np.prod(shape))} entries > budget {DENSE_BUDGET}"
-        )
+    refuse_above(int(np.prod(shape)), DENSE_BUDGET, "multimarginal_ot", "block cells")
     for w in weights:
         if not np.all(w > 0):
             raise ValidationError("marginal weights must be positive")

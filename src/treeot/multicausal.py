@@ -54,12 +54,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from . import lp as lp_mod
-from .errors import (
-    BudgetExceededError,
-    IncompletePolicyError,
-    SolverFailureError,
-    ValidationError,
-)
+from .errors import IncompletePolicyError, SolverFailureError, ValidationError, refuse_above
 from .lp import (
     CAUSALITY_TOL,
     MARGINAL_TOL,
@@ -81,20 +76,6 @@ def _check_family(trees: Sequence[ScenarioTree]) -> int:
     if len(horizons) != 1:
         raise ValidationError(f"horizon mismatch: {sorted(horizons)}")
     return horizons.pop()
-
-
-def _leaf_tuple_count(trees: Sequence[ScenarioTree]) -> int:
-    n = 1
-    for t in trees:
-        n *= t.n_leaves
-    return n
-
-
-def _guard_budget(trees, budget, what):
-    n = _leaf_tuple_count(trees)
-    if n > budget:
-        raise BudgetExceededError(f"{what}: {n} leaf tuples exceed budget {budget}")
-    return n
 
 
 # -- kernel policies -----------------------------------------------------------
@@ -199,18 +180,23 @@ def mc_dpp(
     """Multicausal transport value by backward dynamic programming.
 
     ``cost`` becomes one table over the leaf-path tuples
-    (:func:`cost_table`); enumeration refuses beyond ``tuple_budget``
-    tuples.  One loop runs over the depths T-1, ..., 0; depth 0 is the
-    root tuple.  The one-step problems at a depth are independent and are
-    solved together by :func:`multimarginal_ot_batch`, one batch per
-    combination of child counts.  Each block has every 1-D tree's
-    children in state order (:func:`_state_order`); results are scattered
-    back by node index.  Their dual potentials make up the returned
-    certificate, depth 0's as its potentials f^i.
+    (:func:`cost_table`).  Before it is built, more than ``tuple_budget``
+    leaf tuples are refused, and so is a one-step block of more than
+    ``lp.DENSE_BUDGET`` cells.  One loop runs over the depths T-1, ...,
+    0; depth 0 is the root tuple.  The one-step problems at a depth are
+    independent and are solved together by :func:`multimarginal_ot_batch`,
+    one batch per combination of child counts.  Each block has every 1-D
+    tree's children in state order (:func:`_state_order`); results are
+    scattered back by node index.  Their dual potentials make up the
+    returned certificate, depth 0's as its potentials f^i.
     """
     trees = tuple(trees)
     horizon = _check_family(trees)
-    _guard_budget(trees, tuple_budget, "mc_dpp")
+    refuse_above(math.prod(t.n_leaves for t in trees), tuple_budget, "mc_dpp", "leaf tuples")
+    # the largest block of a depth pairs each tree's largest sibling group
+    refuse_above(max(math.prod(int(np.bincount(tr.parents[t]).max()) for tr in trees)
+                     for t in range(horizon)),
+                 lp_mod.DENSE_BUDGET, "mc_dpp", "block cells")
     # node counts per depth t = 0..T, one per tree; depth 0 is the root
     sizes = [(1,) * len(trees)] + [tuple(map(len, p)) for p in zip(*(tr.parents for tr in trees))]
 
@@ -622,9 +608,7 @@ def causal_lp_rows(
             n_others = int(np.prod(_coefficient_shape(trees, i, t)[:-1]))
             col = np.flatnonzero(others < n_others - 1)
             n_entries += int(np.bincount(keys, minlength=tree.level_size(t))[node[col]].sum())
-            if n_entries > lp_mod.DENSE_BUDGET:
-                raise BudgetExceededError(
-                    f"causality rows have {n_entries} entries > budget {lp_mod.DENSE_BUDGET}")
+            refuse_above(n_entries, lp_mod.DENSE_BUDGET, "causality rows", "entries")
             pos, j = _fan(keys, node[col])
             col, b = col[pos], kids[j]
             rows.append(n_rows + others[col] * kids.size + j)
@@ -658,33 +642,42 @@ def _coefficient_blocks(
 
 
 class TransportLp(NamedTuple):
-    """The solution of :func:`transport_lp`: per family, its plan and the
-    :class:`DualCertificate` of the LP's duals for the unshifted costs."""
+    """The solution of :func:`transport_lp`: per family, its plan, the
+    :class:`DualCertificate` of the LP's duals for the unshifted costs and
+    the cost table the LP was solved on."""
 
     value: float
     nu: np.ndarray | None
     plans: tuple[MulticausalCoupling, ...]
     certificates: tuple[DualCertificate, ...]
+    tables: tuple[np.ndarray, ...]
 
 
 def transport_lp(
     families: Sequence[Sequence[ScenarioTree]],
-    tables: Sequence[np.ndarray],
+    costs: Sequence[costs_mod.Cost],
     processes: Iterable[int],
     shared: bool,
     what: str,
+    tuple_budget: int,
 ) -> TransportLp:
-    """One LP over a plan per tree family, each causal for ``processes``.
+    """One LP over a plan per tree family, each causal for ``processes``;
+    the one door to every causality-constrained LP of the package.
 
-    Plan k lives on every leaf tuple of ``families[k]`` (C order), costs
-    ``tables[k]`` (see :func:`cost_table`) and satisfies the rows of
+    Each family is checked first (one horizon, :func:`_check_family`).
+    Then the LP's columns, the leaf tuples of all families together, are
+    refused beyond ``tuple_budget``, before any cost is evaluated.  Only
+    then is ``costs[k]``, a cost in any form :func:`cost_table` accepts,
+    made family k's table.  Plan k lives on every leaf tuple of
+    ``families[k]`` (C order), costs that table and satisfies the rows of
     :func:`causal_lp_rows` ``(families[k], processes)``.  Without
     ``shared`` every marginal is its tree's leaf law.  With ``shared``
     the families end in one tree, and every plan's marginal on it is one
     free measure nu, held in the LP's first columns and linked to each
     plan's marginal rows of that tree by -1 entries.  All costs are
     shifted by their common minimum for the solve.  ``what`` names the
-    LP in a solver failure; nu with a mass other than 1 is one.
+    LP in a refusal and a solver failure; nu with a mass other than 1 is
+    one.
 
     Returns the value, nu (clipped at 0 and normalised; None without
     ``shared``), each plan as a coupling over its family (with
@@ -694,12 +687,18 @@ def transport_lp(
     shared tree's are its link rows'), the shift added to the first
     tree's, and its negated causality-row duals as the coefficients of
     ``processes`` (:func:`_coefficient_blocks`), ``()`` for every other
-    tree.  A certificate total (the shared tree's potentials, whose rows
-    have right-hand side 0, left out) off the value by more than the
-    duality-gap bound is a solver failure.
+    tree; and the cost tables.  A certificate total (the shared tree's
+    potentials, whose rows have right-hand side 0, left out) off the
+    value by more than the duality-gap bound is a solver failure.
     """
     import scipy.sparse as sp
 
+    families = [tuple(trees) for trees in families]
+    for trees in families:
+        _check_family(trees)
+    refuse_above(sum(math.prod(t.n_leaves for t in trees) for trees in families),
+                 tuple_budget, what, "leaf tuples")
+    tables = tuple(cost_table(trees, cost) for trees, cost in zip(families, costs))
     processes = tuple(processes)
     shift = min(float(table.min()) for table in tables)
     n_nu = families[0][-1].n_leaves if shared else 0
@@ -765,7 +764,8 @@ def transport_lp(
     check_duality_gap(value, abs(dual_value - value),
                       f"{what}: certificate value does not match the LP value",
                       {"value": value, "dual_value": dual_value})
-    return TransportLp(value=value, nu=nu, plans=tuple(plans), certificates=tuple(certificates))
+    return TransportLp(value=value, nu=nu, plans=tuple(plans),
+                       certificates=tuple(certificates), tables=tables)
 
 
 # -- brute-force LP oracle and dual certificates ------------------------------
@@ -881,10 +881,7 @@ def brute_force_mcot(
     LP duality the certificate value equals the primal optimum.
     """
     trees = tuple(trees)
-    _check_family(trees)
-    _guard_budget(trees, tuple_budget, "brute_force_mcot")
-    lp = transport_lp([trees], [cost_table(trees, cost)], range(len(trees)), False,
-                      "multicausal LP")
+    lp = transport_lp([trees], [cost], range(len(trees)), False, "multicausal LP", tuple_budget)
     return lp.value, lp.plans[0], lp.certificates[0]
 
 
@@ -936,7 +933,5 @@ def aw_distance(
     tuple_budget: int = TUPLE_BUDGET,
 ) -> float:
     """p-adapted Wasserstein distance between two scenario trees."""
-    if not 1 <= p < math.inf:
-        raise ValidationError(f"p must be finite and >= 1, got {p!r}")
     res = mc_dpp([tree1, tree2], costs_mod.lp_sum(p), tuple_budget=tuple_budget)
     return float(max(res.value, 0.0) ** (1.0 / p))

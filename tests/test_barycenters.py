@@ -9,6 +9,7 @@ Oracles used here:
 """
 from __future__ import annotations
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -329,10 +330,12 @@ def test_barycenters_check_their_inputs_alike(solve):
         solve([], task, [])
     with pytest.raises(ValidationError, match="one cost per process required"):
         solve([tree], task, [metric_cost()] * 2)
-    with pytest.raises(ValidationError, match="horizon mismatch with the task tree"):
+    with pytest.raises(ValidationError, match=re.escape("horizon mismatch: [1, 2]")):
         solve([tree], chain_tree([[0.0]]), [metric_cost()])
-    with pytest.raises(BudgetExceededError, match="joint LP exceeds the tuple budget"):
-        solve([tree], task, [metric_cost()], tuple_budget=tree.n_leaves * task.n_leaves - 1)
+    n = tree.n_leaves * task.n_leaves
+    with pytest.raises(BudgetExceededError,
+                       match=f"barycenter LP: {n} leaf tuples exceed budget {n - 1}$"):
+        solve([tree], task, [metric_cost()], tuple_budget=n - 1)
 
 
 # -- anticausal barycenters ----------------------------------------------------------------

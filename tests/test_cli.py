@@ -265,7 +265,7 @@ def test_match_refuses_by_budget_before_any_cost_is_evaluated(monkeypatch, capsy
     capsys.readouterr()
     assert run(["match", str(MARKET), "--budget", "5"]) == 3
     assert capsys.readouterr().err.strip().splitlines() == [
-        "treeot: budget refused: causal barycenter: joint LP exceeds the tuple budget"]
+        "treeot: budget refused: causal barycenter LP: 2187 leaf tuples exceed budget 5"]
     assert calls == []
 
 

@@ -250,8 +250,9 @@ def test_match_refuses_by_budget_first_and_solves_on_the_instance_tables(monkeyp
         agents=instance.agents, agent_costs=[counted(quadratic())] * 2,
         tasks=instance.tasks,
     )
+    n = sum(tree.n_leaves * counting.tasks.n_leaves for tree in counting.populations)
     with pytest.raises(BudgetExceededError,
-                       match="^causal barycenter: joint LP exceeds the tuple budget$"):
+                       match=f"^causal barycenter LP: {n} leaf tuples exceed budget 1$"):
         solve_matching(counting, tuple_budget=1)
     assert calls == []
     solutions = []

@@ -255,6 +255,35 @@ def test_dpp_rejects_horizon_mismatch_and_budget():
         mc_dpp([t3, t3], cm.pairwise_power(2.0), tuple_budget=3)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_dpp_refuses_its_largest_block_before_the_cost_table(monkeypatch, seed):
+    rng = np.random.default_rng(4300 + seed)
+    trees = [random_tree(rng, horizon=2, dim=1, min_branch=1, max_branch=4) for _ in range(2)]
+    batch, largest = mc.multimarginal_ot_batch, []
+
+    def recorded(groups):
+        largest.extend(int(np.prod(costs.shape[1:])) for _, costs in groups)
+        return batch(groups)
+
+    monkeypatch.setattr(mc, "multimarginal_ot_batch", recorded)
+    mc_dpp(trees, cm.lp_sum(2.0))
+    cells, calls = max(largest), []
+
+    def counted(trees):
+        calls.append(None)
+        return cm.lp_sum(2.0)(trees)
+
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", cells)
+    mc_dpp(trees, counted)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(lp_mod, "DENSE_BUDGET", cells - 1)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^mc_dpp: {cells} block cells exceed budget {cells - 1}$"):
+        mc_dpp(trees, counted)
+    assert calls == []
+
+
 def test_dpp_cost_shift_moves_value_exactly_and_keeps_policy():
     rng = np.random.default_rng(5)
     trees = [random_tree(rng, horizon=2, dim=1, max_branch=3) for _ in range(2)]
@@ -894,7 +923,7 @@ def test_causal_lp_rows_count_their_entries_against_the_dense_budget(monkeypatch
     assert causal_lp_rows(trees, processes)[0].size == rows.size
     if built:
         monkeypatch.setattr(lp_mod, "DENSE_BUDGET", built - 1)
-        with pytest.raises(BudgetExceededError, match=f"causality rows have {built} entries"):
+        with pytest.raises(BudgetExceededError, match=f"causality rows: {built} entries exceed budget {built - 1}$"):
             causal_lp_rows(trees, processes)
 
 
@@ -905,11 +934,11 @@ def test_oversized_causality_rows_are_refused(monkeypatch, tmp_path, capsys):
     # 9 cells per one-step block, 108 causality entries per process: the
     # count adds up across blocks
     monkeypatch.setattr(lp_mod, "DENSE_BUDGET", 150)
-    with pytest.raises(BudgetExceededError, match="causality rows have 216 entries"):
+    with pytest.raises(BudgetExceededError, match="causality rows: 216 entries exceed budget 150$"):
         brute_force_mcot(trees, cm.lp_sum(2.0))
     causal_barycenter(trees[:1], trees[1], [PowerCost()])
     monkeypatch.setattr(lp_mod, "DENSE_BUDGET", 100)
-    with pytest.raises(BudgetExceededError, match="causality rows have 108 entries"):
+    with pytest.raises(BudgetExceededError, match="causality rows: 108 entries exceed budget 100$"):
         causal_barycenter(trees[:1], trees[1], [PowerCost()])
 
     paths = []
@@ -921,7 +950,7 @@ def test_oversized_causality_rows_are_refused(monkeypatch, tmp_path, capsys):
     assert run(["mcot", *map(str, paths), "--oracle"]) == 3
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [
-        "treeot: budget refused: causality rows have 216 entries > budget 150"]
+        "treeot: budget refused: causality rows: 216 entries exceed budget 150"]
 
 
 @pytest.mark.parametrize("pair", ["candidate", "identical"])
